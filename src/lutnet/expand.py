@@ -140,8 +140,10 @@ def detect_dont_cares(table: np.ndarray, k: int):
         axis = k - 1 - j
         if not np.array_equal(np.take(cube, 0, axis=axis), np.take(cube, 1, axis=axis)):
             kept.append(j)
+    # ascending j: dropping axis k-1-j leaves the axes of higher inputs,
+    # still to be visited, where they were
     reduced = cube
-    for j in reversed(range(k)):
+    for j in range(k):
         if j not in kept:
             reduced = np.take(reduced, 0, axis=k - 1 - j)
     return kept, np.ascontiguousarray(reduced.reshape(-1))

@@ -1,0 +1,143 @@
+"""Pins of the windowed compute path: a conv layer whose kernel covers its
+whole input is the same operator as a dense layer over the flattened input,
+and conv stacks with pooling stay bit-exact through expansion and lowering."""
+
+import copy
+
+import numpy as np
+import pytest
+
+from lutnet import expand as ex
+from lutnet import hwgen as hw
+from lutnet import model as md
+from lutnet import numerics as nm
+from lutnet import prune as pr
+
+
+def _randomize_bn(net, seed):
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        if layer.kind == "batchnorm":
+            n = layer.num_features
+            layer.running_mean = rng.standard_normal(n) * 0.2
+            layer.running_var = rng.uniform(0.5, 2.0, n)
+            layer.gamma = rng.uniform(0.5, 1.5, n) * np.where(rng.random(n) < 0.3, -1.0, 1.0)
+            layer.beta = rng.standard_normal(n) * 0.2
+
+
+def _pair(first_unrolled):
+    """(conv net, dense net) with identical parameters; the conv kernel covers
+    its whole 2x3x3 input, so it has one output position."""
+    tail = [md.BatchNormLayer(4), md.DenseLayer(4, 3, unrolled=True),
+            md.BatchNormLayer(3), md.SoftmaxLayer()]
+    conv = md.Network("conv", [md.ConvLayer(2, 4, 3, 1, unrolled=first_unrolled)]
+                      + copy.deepcopy(tail), 2, (2, 3, 3), 41)
+    dense = md.Network("dense", [md.DenseLayer(18, 4, unrolled=first_unrolled)]
+                       + copy.deepcopy(tail), 2, (18,), 41)
+    md.init_network(conv)
+    _randomize_bn(conv, 42)
+    for src, dst in zip(conv.layers, dense.layers):
+        for name in ("weights", "alpha", "prune_mask", "gamma", "beta",
+                     "running_mean", "running_var"):
+            if hasattr(src, name):
+                setattr(dst, name, copy.deepcopy(getattr(src, name)))
+    return conv, dense
+
+
+def _assert_same_grads(got, want):
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("first_unrolled", [False, True])
+def test_full_kernel_conv_equals_dense(first_unrolled):
+    conv, dense = _pair(first_unrolled)
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((32, 18))
+    labels = rng.integers(0, 3, 32)
+
+    assert np.array_equal(md.forward_real(conv, x), md.forward_real(dense, x))
+    grads = []
+    for net in (conv, dense):
+        logits, caches = md.forward_real_train(net, x)
+        _loss, dlogits = nm.softmax_xent(logits, labels)
+        grads.append(md.backward_real(net, caches, dlogits))
+    _assert_same_grads(*grads)
+
+    theta = pr.solve_theta_for_density(conv, 0.6, tol=0.3)
+    for net in (conv, dense):
+        pr.prune_threshold(net, theta)
+        pr.binarise_network(net)
+    assert np.array_equal(md.forward_binary(conv, x), md.forward_binary(dense, x))
+    grads = []
+    for net in (conv, dense):
+        logits, caches = md.forward_binary_train(net, x)
+        _loss, dlogits = nm.softmax_xent(logits, labels)
+        grads.append(md.backward_binary(net, caches, dlogits))
+    _assert_same_grads(*grads)
+
+    for k in (1, 2, 3):
+        pair = [copy.deepcopy(conv), copy.deepcopy(dense)]
+        perturb = np.random.default_rng(44 + k)
+        for net in pair:
+            ex.expand_network(net, k=k, seed=5)
+        for (_i, lc), (_j, ld) in zip(pair[0].compute_layers(), pair[1].compute_layers()):
+            if lc.lut is not None:
+                for ch_c, ch_d in zip(lc.lut.channels, ld.lut.channels):
+                    ch_c.coeffs += perturb.normal(0.0, 0.05, ch_c.coeffs.shape)
+                    ch_d.coeffs = ch_c.coeffs.copy()
+        assert np.array_equal(md.forward_lut(pair[0], x), md.forward_lut(pair[1], x))
+        grads = []
+        for net in pair:
+            logits, caches = md.forward_lut_train(net, x)
+            _loss, dlogits = nm.softmax_xent(logits, labels)
+            grads.append(md.backward_lut(net, caches, dlogits))
+        _assert_same_grads(*grads)
+        for net in pair:
+            ex.harden_network(net, frac_bits=6)
+        assert np.array_equal(md.forward_hardened_logits(pair[0], x),
+                              md.forward_hardened_logits(pair[1], x))
+        assert np.array_equal(md.forward_hardened_bits(pair[0], x),
+                              md.forward_hardened_bits(pair[1], x))
+
+
+def _conv_stack(seed=51):
+    """conv -> bn -> maxpool -> conv (unrolled) -> bn -> dense (unrolled) ->
+    bn -> softmax on a 1x7x7 input."""
+    layers = [
+        md.ConvLayer(1, 3, 2, 1), md.BatchNormLayer(3),
+        md.MaxPoolLayer(2),
+        md.ConvLayer(3, 4, 2, 1, unrolled=True), md.BatchNormLayer(4),
+        md.DenseLayer(16, 3, unrolled=True), md.BatchNormLayer(3),
+        md.SoftmaxLayer(),
+    ]
+    net = md.init_network(md.Network("convstack", layers, 2, (1, 7, 7), seed))
+    _randomize_bn(net, seed + 1)
+    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.7, tol=0.3))
+    pr.binarise_network(net)
+    return net
+
+
+def test_conv_stack_k1_expansion_equals_binary():
+    net = _conv_stack()
+    x = np.random.default_rng(52).standard_normal((200, 49))
+    want = md.forward_binary(net, x)
+    ex.expand_network(net, k=1, seed=3)
+    assert np.array_equal(md.forward_lut(net, x), want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_stack_netlist_equals_hardened_bits(k):
+    net = _conv_stack()
+    ex.expand_network(net, k=k, seed=53)
+    rng = np.random.default_rng(54 + k)
+    for _i, layer in net.compute_layers():
+        if layer.lut is not None:
+            for ch in layer.lut.channels:
+                ch.coeffs += rng.normal(0.0, 0.05, ch.coeffs.shape)
+    ex.harden_network(net, frac_bits=6)
+    x = rng.choice([-1.0, 1.0], size=(300, 49))
+    want = hw.encode_pm1(md.forward_hardened_bits(net, x))
+    got = hw.simulate(hw.lower(net), hw.encode_pm1(x))
+    assert np.array_equal(got, want)
