@@ -20,7 +20,7 @@ from . import prune as pr
 from . import training as tr
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_env, parse_config
-from .errors import LutNetError, StageError, TrainingDivergedError
+from .errors import ConfigError, LutNetError, StageError, TrainingDivergedError
 
 
 def _build_parser():
@@ -74,8 +74,10 @@ def _config_from_args(args) -> RunConfig:
     if args.density is not None:
         cfg.target_density, cfg.theta = args.density, None
     if args.epochs is not None:
-        parts = args.epochs.split(",")
-        cfg.epochs1, cfg.epochs2, cfg.epochs3 = (int(x) for x in parts)
+        try:
+            cfg.epochs1, cfg.epochs2, cfg.epochs3 = (int(x) for x in args.epochs.split(","))
+        except ValueError as e:
+            raise ConfigError(f"--epochs must be three integers E1,E2,E3, got {args.epochs!r}") from e
     cfg.validate()
     return cfg
 
@@ -233,6 +235,9 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return COMMANDS[args.command](cfg, args)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

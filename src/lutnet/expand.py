@@ -52,26 +52,6 @@ def interp_eval(coeffs: np.ndarray, x) -> np.ndarray:
     return np.einsum("...v,...v->...", interp_basis(x, k), coeffs)
 
 
-def interp_grads(coeffs: np.ndarray, x):
-    """(dg/dc per vertex, dg/dx per input).
-
-    dg/dc_d = prod_k (x_k - d_k);  dg/dx_k = sum_d c_d prod_{j!=k} (x_j - d_j).
-    The j != k products use prefix/suffix cumulative products; no division, so
-    vertices (where some x_k - d_k = 0) are handled exactly.
-    """
-    x = nm.as_tensor(x)
-    coeffs = nm.as_tensor(coeffs)
-    k = x.shape[-1]
-    diffs = x[..., None, :] - vertices(k)            # (..., 2**K, K)
-    dcoeffs = diffs.prod(axis=-1)
-    ones = np.ones(diffs.shape[:-1] + (1,))
-    prefix = np.concatenate([ones, np.cumprod(diffs, axis=-1)], axis=-1)
-    suffix = np.concatenate([np.cumprod(diffs[..., ::-1], axis=-1)[..., ::-1], ones], axis=-1)
-    partial = prefix[..., :k] * suffix[..., 1:]      # prod over j != k
-    dx = np.einsum("...v,...vk->...k", coeffs, partial)
-    return dcoeffs, dx
-
-
 def interp_dx_partial(x: np.ndarray, k: int) -> np.ndarray:
     """(..., 2**K, K) products prod_{j!=k}(x_j - d_j), for backprop through x."""
     diffs = x[..., None, :] - vertices(k)
@@ -93,20 +73,6 @@ def linear_coeffs(wvec: np.ndarray) -> np.ndarray:
     out = np.empty_like(scaled)
     out[..., np.arange(1 << k) ^ ((1 << k) - 1)] = scaled
     return out
-
-
-def init_coeffs(w_first: float, reconnected: dict, k: int) -> np.ndarray:
-    """One plane's initial coefficients: the extension interpolates
-    h(x) = w_first*x_1 + sum over reconnected slots r of w_r*x_r exactly.
-    `reconnected` maps node input slots (1..K-1) to the original weights of
-    previously pruned channel inputs."""
-    wvec = np.zeros(k)
-    wvec[0] = w_first
-    for slot, w in reconnected.items():
-        if not 1 <= slot < k:
-            raise ExpansionError(f"reconnected slot {slot} out of range for K={k}")
-        wvec[slot] = w
-    return linear_coeffs(wvec)
 
 
 def harden_masks(coeffs: np.ndarray) -> np.ndarray:
@@ -176,17 +142,6 @@ def shannon_decompose(table: np.ndarray, input_ids: list, max_k: int = 6):
 
     rec(table, list(input_ids))
     return cells
-
-
-def eval_cells(cells, assignment: dict) -> int:
-    """Evaluate a shannon_decompose cell list on a {-1,+1} input assignment."""
-    values = {}
-    for j, (tbl, ids) in enumerate(cells):
-        coords = [values[i[1]] if isinstance(i, tuple) and i[0] == "cell" else assignment[i]
-                  for i in ids]
-        idx = int(vertex_index(np.array(coords, dtype=np.float64)))
-        values[j] = int(tbl[idx])
-    return values[len(cells) - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -161,12 +161,12 @@ def area_report(net: md.Network) -> AreaReport:
     md.require_stage(net, "hardened")
     frac_bits = net.fx.frac_bits if net.fx else 8
     report = AreaReport()
-    spatial = tuple(net.input_shape) if len(net.input_shape) == 3 else None
+    shape = tuple(net.input_shape)
     for li, layer in enumerate(net.layers):
         if layer.kind == "maxpool":
-            c, h, w = spatial
-            spatial = (c, h // layer.size, w // layer.size)
-            n_pool = c * spatial[1] * spatial[2]
+            c, h, w = shape
+            shape = (c, h // layer.size, w // layer.size)
+            n_pool = c * shape[1] * shape[2]
             report.rows.append(dict(layer=f"l{li}", kind="maxpool", unrolled=False,
                                     density=1.0, n_tilde=0, keff_hist={},
                                     logical=n_pool, inference=0, popcount=0,
@@ -174,16 +174,9 @@ def area_report(net: md.Network) -> AreaReport:
             continue
         if layer.kind not in ("dense", "conv"):
             continue
-        if layer.kind == "conv":
-            c_in, h, w = spatial
-            oh, ow = md.conv_out_hw(h, w, layer.kernel, layer.stride)
-            positions = oh * ow
-            spatial = (layer.out_channels, oh, ow)
-            out_features = layer.out_channels
-        else:
-            positions = 1
-            out_features = layer.out_features
-            spatial = None
+        win = md.windows(layer, shape)
+        shape = win.out_shape
+        positions = win.positions
 
         luts, hist, logical = _layer_logical_luts(layer, positions)
         inference = pack_estimate(luts)
@@ -193,7 +186,7 @@ def area_report(net: md.Network) -> AreaReport:
         other = 0
         n_tilde_total = 0
         per_channel = layer.prune_mask.sum(axis=1)
-        for c in range(out_features):
+        for c in range(win.out_shape[0]):
             if layer.lut is not None:
                 n_tilde = layer.lut.channels[c].n_nodes
             else:

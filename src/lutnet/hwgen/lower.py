@@ -1,11 +1,12 @@
 """Lower a hardened network to a structural netlist.
 
-Every compute layer becomes, per output channel (and per spatial position for
-conv layers): one LUT cell per surviving node and residual plane, a balanced
-popcount adder tree per plane, and one scale/threshold cell folding the level
-scales, the layer scaling factor and the following batch norm.  Expanded
-layers use their hardened truth tables; time-multiplexed binary layers lower
-to buffer/inverter 1-LUTs (the unrolled equivalent of XNORs with constant
+Every compute layer becomes, per output channel and window position (a dense
+layer is one position whose window is the whole input, see model.windows):
+one LUT cell per surviving node and residual plane, a balanced popcount adder
+tree per plane, and one scale/threshold cell folding the level scales, the
+layer scaling factor and the following batch norm.  Expanded layers use their
+hardened truth tables; time-multiplexed binary layers lower to
+buffer/inverter 1-LUTs (the unrolled equivalent of XNORs with constant
 weights).  Maxpool over bits is an OR LUT."""
 
 from __future__ import annotations
@@ -126,13 +127,13 @@ def lower(net: md.Network, fx: md.FixedPointSpec = None, reduce_dont_cares: bool
     in_nets = [nl.new_net(1, f"x{i}", -1) for i in range(n_in)]
     nl.input_ports.append(("x", in_nets))
     current = in_nets
-    spatial = tuple(net.input_shape) if len(net.input_shape) == 3 else None
+    shape = tuple(net.input_shape)
 
     for li, layer in enumerate(net.layers):
         if layer.kind in ("batchnorm", "softmax"):
             continue
         if layer.kind == "maxpool":
-            c, h, w = spatial
+            c, h, w = shape
             s = layer.size
             oh, ow = h // s, w // s
             grid = np.array(current).reshape(c, h, w)
@@ -149,39 +150,26 @@ def lower(net: md.Network, fx: md.FixedPointSpec = None, reduce_dont_cares: bool
                                             out, name, li, role="pool"))
                         new.append(out)
             current = new
-            spatial = (c, oh, ow)
+            shape = (c, oh, ow)
             continue
 
+        win = md.windows(layer, shape)
+        window_nets = [[current[i] for i in row] for row in win.index_map()]
         q_gammas = _quantised_scales(layer, frac_bits)
         n_planes = len(q_gammas)
         tables_all = [_node_tables(layer, b) for b in range(n_planes)]
         q_taus = [md.quantise(float(t), frac_bits) for t in layer.tau]
-
-        if layer.kind == "dense":
-            outs = []
-            for c in range(layer.out_features):
-                tabs = [tables_all[b][c][0] for b in range(n_planes)]
-                idxs = [tables_all[b][c][1] for b in range(n_planes)]
-                outs.append(_lower_channel(nl, li, f"c{c}", current, tabs, idxs,
+        outs = []
+        for c in range(win.out_shape[0]):
+            tabs = [tables_all[b][c][0] for b in range(n_planes)]
+            idxs = [tables_all[b][c][1] for b in range(n_planes)]
+            for p in range(win.positions):
+                cname = f"c{c}" if win.positions == 1 else f"c{c}_p{p}"
+                outs.append(_lower_channel(nl, li, cname, window_nets[p], tabs, idxs,
                                            q_gammas, q_taus[c], layer.flip[c],
                                            frac_bits, reduce_dont_cares))
-            current = outs
-            spatial = None
-        else:
-            c_in, h, w = spatial
-            wmap, (oh, ow) = md.window_index_map(c_in, h, w, layer.kernel, layer.stride)
-            outs = []
-            for c in range(layer.out_channels):
-                tabs = [tables_all[b][c][0] for b in range(n_planes)]
-                idxs = [tables_all[b][c][1] for b in range(n_planes)]
-                for p in range(wmap.shape[0]):
-                    window_nets = [current[i] for i in wmap[p]]
-                    outs.append(_lower_channel(nl, li, f"c{c}_p{p}", window_nets,
-                                               tabs, idxs, q_gammas, q_taus[c],
-                                               layer.flip[c], frac_bits,
-                                               reduce_dont_cares))
-            current = outs
-            spatial = (layer.out_channels, oh, ow)
+        current = outs
+        shape = win.out_shape
 
     nl.output_ports.append(("y", current))
     nl.validate()

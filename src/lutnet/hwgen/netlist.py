@@ -126,21 +126,10 @@ class Netlist:
             raise PortError("netlist contains a combinational cycle")
         return order
 
-    def stats(self) -> dict:
-        kinds = {}
-        for cell in self.cells:
-            kinds[type(cell).__name__] = kinds.get(type(cell).__name__, 0) + 1
-        return kinds
-
 
 def encode_pm1(x: np.ndarray) -> np.ndarray:
     """{-1,+1} (or real, via sign with sign(0)=+1) -> 0/1 bits."""
     return (np.asarray(x) >= 0).astype(np.uint8)
-
-
-def decode_bits(bits: np.ndarray) -> np.ndarray:
-    """0/1 bits -> {-1,+1} float."""
-    return np.asarray(bits).astype(np.float64) * 2.0 - 1.0
 
 
 def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:

@@ -4,6 +4,15 @@ A network is a sequential stack of dense/conv/batchnorm/maxpool/softmax layers.
 It moves through the stages real -> pruned -> binarised -> expanded -> hardened;
 every engine validates the stage tag of its input.
 
+Every compute layer is one windowed operator.  `windows` gives its geometry:
+the layer reads `positions` windows of its input and writes one value per
+channel and position.  A dense layer is conv over one position, whose window
+is the whole flattened input; a conv layer's windows are its receptive
+fields.  The layer walk turns activations into window rows (one row per
+sample and position) and back, so each engine only maps rows
+(rows, window) -> (rows, C), and the netlist builder and area estimate read
+the same window map.
+
 Conventions used by every engine and by the hardware path:
   * hidden activation is sign(batchnorm(.)) with sign(0) = +1; the batch-norm
     directly feeding the softmax head stays real,
@@ -289,13 +298,69 @@ def col2im(dcols: np.ndarray, x_shape, kernel: int, stride: int) -> np.ndarray:
     return dx
 
 
-def window_index_map(in_channels, h, w, kernel, stride):
-    """Map (position, window slot) -> flat index into the (C, H, W) input, matching
-    im2col's layout.  Shared by the model and the netlist builder."""
-    oh, ow = conv_out_hw(h, w, kernel, stride)
-    idx = np.arange(in_channels * h * w).reshape(1, in_channels, h, w).astype(np.float64)
-    cols = im2col(idx, kernel, stride)[0]
-    return cols.astype(np.int64), (oh, ow)
+@dataclass(frozen=True)
+class Windows:
+    """How one compute layer reads its input: `positions` windows, each a
+    row of inputs, and `out_shape[0]` channels written per position.
+
+    Engines see one row per (sample, position).  A dense layer is one
+    position whose window is the whole flattened input; a conv layer's
+    windows are its receptive fields in im2col order."""
+
+    in_shape: tuple
+    out_shape: tuple        # (C,) for dense, (C, OH, OW) for conv
+    kernel: int = 0         # 0 for dense
+    stride: int = 1
+
+    @property
+    def positions(self) -> int:
+        return int(np.prod(self.out_shape[1:], dtype=np.int64))
+
+    def rows(self, h: np.ndarray) -> np.ndarray:
+        """(B, *in_shape) -> (B*positions, window)."""
+        if not self.kernel:
+            return h.reshape(h.shape[0], -1)
+        cols = im2col(h, self.kernel, self.stride)
+        return cols.reshape(-1, cols.shape[-1])
+
+    def rows_backward(self, drows: np.ndarray) -> np.ndarray:
+        """Adjoint of rows: (B*positions, window) -> (B, *in_shape)."""
+        if not self.kernel:
+            return drows.reshape((-1,) + self.in_shape)
+        bsz = drows.shape[0] // self.positions
+        return col2im(drows.reshape(bsz, self.positions, -1), (bsz,) + self.in_shape,
+                      self.kernel, self.stride)
+
+    def outputs(self, y: np.ndarray) -> np.ndarray:
+        """(B*positions, C) -> (B, *out_shape), channels first."""
+        bsz = y.shape[0] // self.positions
+        return np.moveaxis(y.reshape(bsz, self.positions, -1), -1, 1).reshape(
+            (bsz,) + self.out_shape)
+
+    def outputs_backward(self, d: np.ndarray) -> np.ndarray:
+        """Adjoint of outputs: (B, *out_shape) -> (B*positions, C)."""
+        c = self.out_shape[0]
+        return np.moveaxis(d.reshape(d.shape[0], c, self.positions), 1, -1).reshape(-1, c)
+
+    def index_map(self) -> np.ndarray:
+        """(positions, window) flat index of the input read by each window slot;
+        for dense this is arange(in)[None, :]."""
+        idx = np.arange(int(np.prod(self.in_shape))).reshape((1,) + self.in_shape)
+        return self.rows(idx.astype(np.float64)).astype(np.int64)
+
+
+def windows(layer, in_shape) -> Windows:
+    """Window geometry of a compute layer on a per-sample input shape.  Shared
+    by every engine and by the netlist builder and area estimate."""
+    in_shape = tuple(int(s) for s in in_shape)
+    if layer.kind == "dense":
+        if int(np.prod(in_shape)) != layer.in_features:
+            raise DimensionError(f"dense layer expects {layer.in_features} inputs, got {in_shape}")
+        return Windows(in_shape, (layer.out_features,))
+    if len(in_shape) != 3 or in_shape[0] != layer.in_channels:
+        raise DimensionError(f"conv layer expects ({layer.in_channels}, H, W), got {in_shape}")
+    oh, ow = conv_out_hw(in_shape[1], in_shape[2], layer.kernel, layer.stride)
+    return Windows(in_shape, (layer.out_channels, oh, ow), layer.kernel, layer.stride)
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +385,6 @@ def _level_arrays(layer):
     return layer.levels
 
 
-def _spatial(net, upto_idx):
-    """Spatial shape (C, H, W) of the tensor entering layer upto_idx (conv nets)."""
-    c, h, w = net.input_shape
-    for layer in net.layers[:upto_idx]:
-        if layer.kind == "conv":
-            oh, ow = conv_out_hw(h, w, layer.kernel, layer.stride)
-            c, h, w = layer.out_channels, oh, ow
-        elif layer.kind == "maxpool":
-            h, w = h // layer.size, w // layer.size
-    return c, h, w
-
-
 def _pool_forward(x, size):
     bsz, c, h, w = x.shape
     if h % size or w % size:
@@ -350,11 +403,12 @@ def _pool_backward(x, size, dy):
 
 
 # ---------------------------------------------------------------------------
-# real-weight engine (phase 1)
+# layer walk: owns all window geometry, engines see rows only
 
 
-def _forward_stack(net, x, training, dense_fn, conv_fn, binarise_input):
-    """Common layer walk; dense_fn/conv_fn compute pre-activations and caches."""
+def _forward_stack(net, x, training, layer_fn, binarise_input):
+    """Common layer walk.  layer_fn(layer, rows) maps window rows
+    (B*positions, window) to pre-activation rows (B*positions, C) plus a cache."""
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
     bsz = x.shape[0]
@@ -363,15 +417,11 @@ def _forward_stack(net, x, training, dense_fn, conv_fn, binarise_input):
         h = nm.sign_pm1(h)
     caches = []
     for idx, layer in enumerate(net.layers):
-        if layer.kind == "dense":
-            unflatten = h.shape if h.ndim > 2 else None
-            if unflatten:
-                h = h.reshape(bsz, -1)
-            h, cache = dense_fn(idx, layer, h)
-            caches.append(("dense", idx, (cache, unflatten)))
-        elif layer.kind == "conv":
-            h, cache = conv_fn(idx, layer, h)
-            caches.append(("conv", idx, cache))
+        if layer.kind in ("dense", "conv"):
+            win = windows(layer, h.shape[1:])
+            y, cache = layer_fn(layer, win.rows(h))
+            caches.append(("compute", idx, (win, cache)))
+            h = win.outputs(y)
         elif layer.kind == "batchnorm":
             head = _is_head_bn(net, idx)
             feat = h
@@ -402,7 +452,10 @@ def _forward_stack(net, x, training, dense_fn, conv_fn, binarise_input):
     return h, caches
 
 
-def _backward_stack(net, caches, dlogits, dense_bwd, conv_bwd):
+def _backward_stack(net, caches, dlogits, layer_bwd):
+    """Reverse walk.  layer_bwd(idx, layer, cache, drows, grads) maps output
+    gradient rows (B*positions, C) to window-row gradients (B*positions, window)
+    and records the layer's parameter gradients in grads."""
     grads = {}
     d = nm.as_tensor(dlogits)
     for kind, idx, cache in reversed(caches):
@@ -422,67 +475,45 @@ def _backward_stack(net, caches, dlogits, dense_bwd, conv_bwd):
             d = dx.reshape(shp) if len(shp) == 2 else np.moveaxis(dx.reshape(shp), -1, 1)
         elif kind == "maxpool":
             d = _pool_backward(cache, layer.size, d)
-        elif kind == "dense":
-            inner, unflatten = cache
-            d = dense_bwd(idx, layer, inner, d, grads)
-            if unflatten:
-                d = d.reshape(unflatten)
-        elif kind == "conv":
-            d = conv_bwd(idx, layer, cache, d, grads)
+        elif kind == "compute":
+            win, inner = cache
+            drows = layer_bwd(idx, layer, inner, win.outputs_backward(d), grads)
+            d = win.rows_backward(drows)
     return grads, d
 
 
-def _forward_real_impl(net, x, training):
-    def dense_fn(idx, layer, h):
-        w = _masked(layer)
-        y = nm.dense_forward(h, w, layer.alpha)
-        return y, (h, w)
+# ---------------------------------------------------------------------------
+# real-weight engine (phase 1)
 
-    def conv_fn(idx, layer, h):
-        cols = im2col(h, layer.kernel, layer.stride)
-        bsz, p, win = cols.shape
-        w = _masked(layer)
-        flat = nm.dense_forward(cols.reshape(bsz * p, win), w, layer.alpha)
-        oh, ow = conv_out_hw(h.shape[2], h.shape[3], layer.kernel, layer.stride)
-        y = np.moveaxis(flat.reshape(bsz, p, layer.out_channels), -1, 1).reshape(
-            bsz, layer.out_channels, oh, ow)
-        return y, (h.shape, cols, w)
 
-    return _forward_stack(net, x, training, dense_fn, conv_fn, binarise_input=False)
+def _real_layer(layer, rows):
+    w = _masked(layer)
+    return nm.dense_forward(rows, w, layer.alpha), (rows, w)
 
 
 def forward_real(net: Network, x) -> np.ndarray:
     """Inference forward for real-weight checkpoints; returns logits."""
     require_stage(net, "real", "pruned")
-    logits, _ = _forward_real_impl(net, x, training=False)
+    logits, _ = _forward_stack(net, x, False, _real_layer, binarise_input=False)
     return logits
 
 
 def forward_real_train(net: Network, x):
     require_stage(net, "real", "pruned")
-    return _forward_real_impl(net, x, training=True)
+    return _forward_stack(net, x, True, _real_layer, binarise_input=False)
 
 
 def backward_real(net: Network, caches, dlogits):
     """Gradients for phase-1 training: weights, alpha and batch-norm parameters."""
 
-    def dense_bwd(idx, layer, cache, d, grads):
-        h, w = cache
-        dx, dw, dalpha = nm.dense_backward(h, w, layer.alpha, d)
+    def layer_bwd(idx, layer, cache, d, grads):
+        rows, w = cache
+        dx, dw, dalpha = nm.dense_backward(rows, w, layer.alpha, d)
         grads[f"l{idx}.weights"] = dw * layer.prune_mask
         grads[f"l{idx}.alpha"] = np.array([dalpha])
         return dx
 
-    def conv_bwd(idx, layer, cache, d, grads):
-        x_shape, cols, w = cache
-        bsz, p, win = cols.shape
-        dflat = np.moveaxis(d, 1, -1).reshape(bsz * p, layer.out_channels)
-        dcols, dw, dalpha = nm.dense_backward(cols.reshape(bsz * p, win), w, layer.alpha, dflat)
-        grads[f"l{idx}.weights"] = dw * layer.prune_mask
-        grads[f"l{idx}.alpha"] = np.array([dalpha])
-        return col2im(dcols.reshape(bsz, p, win), x_shape, layer.kernel, layer.stride)
-
-    grads, _ = _backward_stack(net, caches, dlogits, dense_bwd, conv_bwd)
+    grads, _ = _backward_stack(net, caches, dlogits, layer_bwd)
     return grads
 
 
@@ -498,38 +529,22 @@ def _binary_dots(layer, xt):
     return outs
 
 
-def _forward_binary_impl(net, x, training):
-    def dense_fn(idx, layer, h):
-        s_list = _binary_dots(layer, h)
-        gammas = [g for _w, g in layer.levels]
-        y = combine_levels(s_list, gammas, layer.alpha)
-        return y, (h,)
-
-    def conv_fn(idx, layer, h):
-        cols = im2col(h, layer.kernel, layer.stride)
-        bsz, p, win = cols.shape
-        flat = cols.reshape(bsz * p, win)
-        s_list = _binary_dots(layer, flat)
-        gammas = [g for _w, g in layer.levels]
-        y = combine_levels(s_list, gammas, layer.alpha)
-        oh, ow = conv_out_hw(h.shape[2], h.shape[3], layer.kernel, layer.stride)
-        y = np.moveaxis(y.reshape(bsz, p, layer.out_channels), -1, 1).reshape(
-            bsz, layer.out_channels, oh, ow)
-        return y, (h.shape, flat, (bsz, p))
-
-    return _forward_stack(net, x, training, dense_fn, conv_fn, binarise_input=True)
+def _binary_layer(layer, rows):
+    s_list = _binary_dots(layer, rows)
+    gammas = [g for _w, g in layer.levels]
+    return combine_levels(s_list, gammas, layer.alpha), rows
 
 
 def forward_binary(net: Network, x) -> np.ndarray:
     """Inference forward for residual-binarised checkpoints; returns logits."""
     require_stage(net, "binarised")
-    logits, _ = _forward_binary_impl(net, x, training=False)
+    logits, _ = _forward_stack(net, x, False, _binary_layer, binarise_input=True)
     return logits
 
 
 def forward_binary_train(net: Network, x):
     require_stage(net, "binarised")
-    return _forward_binary_impl(net, x, training=True)
+    return _forward_stack(net, x, True, _binary_layer, binarise_input=True)
 
 
 def _reconstructed(layer):
@@ -539,28 +554,19 @@ def _reconstructed(layer):
     return rec * layer.prune_mask
 
 
+def _binary_layer_bwd(idx, layer, rows, d, grads):
+    """STE gradient of a binary layer: the latent real weights receive the
+    gradient of the reconstructed binary weights, clip-gated at |w| <= 1."""
+    rec = _reconstructed(layer)
+    dw = layer.alpha * (d.T @ rows)
+    grads[f"l{idx}.weights"] = dw * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
+    return layer.alpha * (d @ rec)
+
+
 def backward_binary(net: Network, caches, dlogits):
-    """STE gradients for phase 2: the latent real weights receive the gradient of
-    the reconstructed binary weights, clip-gated at |w| <= 1; level scales are
-    refreshed in closed form by the training loop, not trained here."""
-
-    def dense_bwd(idx, layer, cache, d, grads):
-        (xt,) = cache
-        rec = _reconstructed(layer)
-        dw = layer.alpha * (d.T @ xt)
-        grads[f"l{idx}.weights"] = dw * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
-        return layer.alpha * (d @ rec)
-
-    def conv_bwd(idx, layer, cache, d, grads):
-        x_shape, flat, (bsz, p) = cache
-        rec = _reconstructed(layer)
-        dflat = np.moveaxis(d, 1, -1).reshape(bsz * p, layer.out_channels)
-        dw = layer.alpha * (dflat.T @ flat)
-        grads[f"l{idx}.weights"] = dw * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
-        dcols = layer.alpha * (dflat @ rec)
-        return col2im(dcols.reshape(bsz, p, -1), x_shape, layer.kernel, layer.stride)
-
-    grads, _ = _backward_stack(net, caches, dlogits, dense_bwd, conv_bwd)
+    """STE gradients for phase 2; level scales are refreshed in closed form by
+    the training loop, not trained here."""
+    grads, _ = _backward_stack(net, caches, dlogits, _binary_layer_bwd)
     return grads
 
 
@@ -592,7 +598,8 @@ def head_affine(bn: BatchNormLayer, upstream_scale: float):
 
 
 # ---------------------------------------------------------------------------
-# expanded engine (phase 3): interpolated LUT nodes on binarised inputs
+# expanded engine (phase 3): interpolated LUT nodes on binarised inputs;
+# time-multiplexed layers (lut is None) keep the binary engine
 
 
 def _interp_channel_sums(lut, flat):
@@ -617,36 +624,12 @@ def _interp_channel_sums(lut, flat):
     return s_list, ch_caches
 
 
-def _forward_interp_impl(net, x, training):
-    def dense_fn(idx, layer, h):
-        if layer.lut is None:
-            s_list = _binary_dots(layer, h)
-            gammas = [g for _w, g in layer.levels]
-            y = combine_levels(s_list, gammas, layer.alpha)
-            return y, ("tm", h)
-        s_list, ch_caches = _interp_channel_sums(layer.lut, h)
-        y = combine_levels(s_list, layer.lut.gammas, layer.alpha)
-        return y, ("lut", h, s_list, ch_caches, None)
-
-    def conv_fn(idx, layer, h):
-        cols = im2col(h, layer.kernel, layer.stride)
-        bsz, p, win = cols.shape
-        flat = cols.reshape(bsz * p, win)
-        if layer.lut is None:
-            s_list = _binary_dots(layer, flat)
-            gammas = [g for _w, g in layer.levels]
-            y = combine_levels(s_list, gammas, layer.alpha)
-            cache = ("tm", h.shape, flat, (bsz, p))
-        else:
-            s_list, ch_caches = _interp_channel_sums(layer.lut, flat)
-            y = combine_levels(s_list, layer.lut.gammas, layer.alpha)
-            cache = ("lut", h.shape, flat, (bsz, p), s_list, ch_caches)
-        oh, ow = conv_out_hw(h.shape[2], h.shape[3], layer.kernel, layer.stride)
-        y = np.moveaxis(y.reshape(bsz, p, layer.out_channels), -1, 1).reshape(
-            bsz, layer.out_channels, oh, ow)
-        return y, cache
-
-    return _forward_stack(net, x, training, dense_fn, conv_fn, binarise_input=True)
+def _lut_layer(layer, rows):
+    if layer.lut is None:
+        return _binary_layer(layer, rows)
+    s_list, ch_caches = _interp_channel_sums(layer.lut, rows)
+    y = combine_levels(s_list, layer.lut.gammas, layer.alpha)
+    return y, (rows, s_list, ch_caches)
 
 
 def forward_lut(net: Network, x):
@@ -659,37 +642,32 @@ def forward_lut(net: Network, x):
     """
     require_stage(net, "expanded", "hardened")
     if net.stage == "expanded":
-        logits, _ = _forward_interp_impl(net, x, training=False)
+        logits, _ = _forward_stack(net, x, False, _lut_layer, binarise_input=True)
         return logits
     return forward_hardened_bits(net, x)
 
 
 def forward_lut_train(net: Network, x):
     require_stage(net, "expanded")
-    return _forward_interp_impl(net, x, training=True)
+    return _forward_stack(net, x, True, _lut_layer, binarise_input=True)
 
 
-def _backward_lut_layer(layer, cache, d, grads, idx):
-    """Gradient of one expanded layer: coefficients, plane scales and inputs."""
+def _lut_layer_bwd(idx, layer, cache, drows, grads):
+    """Gradient of one layer in the expanded engine: coefficients, plane scales
+    and inputs for expanded layers, the binary STE otherwise."""
     from . import expand as ex
 
+    if layer.lut is None:
+        return _binary_layer_bwd(idx, layer, cache, drows, grads)
+    flat, s_list, ch_caches = cache
     lut = layer.lut
-    kind = cache[0]
-    if kind == "tm":
-        raise AssertionError("tm cache routed to lut backward")
-    if len(cache) == 5:   # dense
-        _tag, flat, s_list, ch_caches, _ = cache
-        drows = d
-    else:                 # conv
-        _tag, x_shape, flat, (bsz, p), s_list, ch_caches = cache
-        drows = np.moveaxis(d, 1, -1).reshape(bsz * p, -1)
     n_planes = lut.gammas.shape[0]
     alpha = layer.alpha
     dgammas = np.zeros(n_planes)
     for b in range(n_planes):
         dgammas[b] = alpha * float(np.sum(drows * s_list[b]))
     dflat = np.zeros_like(flat)
-    rows_idx = None
+    rows_idx = np.arange(flat.shape[0])[:, None, None]
     for c, ch in enumerate(lut.channels):
         xg, basis = ch_caches[c]
         dch = drows[:, c]                               # (rows,)
@@ -700,41 +678,16 @@ def _backward_lut_layer(layer, cache, d, grads, idx):
         ceff = np.einsum("b,bnv->nv", alpha * lut.gammas, ch.coeffs)
         partial = ex.interp_dx_partial(xg, lut.k)       # (rows, N~, 2**K, K)
         dxg = np.einsum("nv,rnvk->rnk", ceff, partial) * dch[:, None, None]
-        if rows_idx is None:
-            rows_idx = np.arange(flat.shape[0])[:, None, None]
         np.add.at(dflat, (rows_idx, ch.indices[None, :, :]), dxg)
     grads[f"l{idx}.lut.gammas"] = dgammas
-    if len(cache) == 5:
-        return dflat
-    return col2im(dflat.reshape(bsz, p, -1), x_shape, layer.kernel, layer.stride)
+    return dflat
 
 
 def backward_lut(net: Network, caches, dlogits):
     """Phase-3 gradients: LUT coefficients and plane scales for expanded layers,
     STE latent-weight gradients for time-multiplexed layers, batch-norm
     parameters everywhere.  alpha stays frozen after phase 1."""
-
-    def dense_bwd(idx, layer, cache, d, grads):
-        if cache[0] == "tm":
-            _tag, xt = cache
-            rec = _reconstructed(layer)
-            dw = layer.alpha * (d.T @ xt)
-            grads[f"l{idx}.weights"] = dw * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
-            return layer.alpha * (d @ rec)
-        return _backward_lut_layer(layer, cache, d, grads, idx)
-
-    def conv_bwd(idx, layer, cache, d, grads):
-        if cache[0] == "tm":
-            _tag, x_shape, flat, (bsz, p) = cache
-            rec = _reconstructed(layer)
-            dflat = np.moveaxis(d, 1, -1).reshape(bsz * p, -1)
-            dw = layer.alpha * (dflat.T @ flat)
-            grads[f"l{idx}.weights"] = dw * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
-            dcols = layer.alpha * (dflat @ rec)
-            return col2im(dcols.reshape(bsz, p, -1), x_shape, layer.kernel, layer.stride)
-        return _backward_lut_layer(layer, cache, d, grads, idx)
-
-    grads, _ = _backward_stack(net, caches, dlogits, dense_bwd, conv_bwd)
+    grads, _ = _backward_stack(net, caches, dlogits, _lut_layer_bwd)
     return grads
 
 
@@ -782,22 +735,12 @@ def forward_hardened_logits(net: Network, x) -> np.ndarray:
     forward_binary for K=1 buffer/inverter masks."""
     require_stage(net, "hardened")
 
-    def dense_fn(idx, layer, h):
-        s_list, gammas = _hardened_layer_sums(layer, h)
+    def layer_fn(layer, rows):
+        s_list, gammas = _hardened_layer_sums(layer, rows)
         y = combine_levels([s.astype(np.float64) for s in s_list], gammas, layer.alpha)
         return y, None
 
-    def conv_fn(idx, layer, h):
-        cols = im2col(h, layer.kernel, layer.stride)
-        bsz, p, win = cols.shape
-        s_list, gammas = _hardened_layer_sums(layer, cols.reshape(bsz * p, win))
-        y = combine_levels([s.astype(np.float64) for s in s_list], gammas, layer.alpha)
-        oh, ow = conv_out_hw(h.shape[2], h.shape[3], layer.kernel, layer.stride)
-        y = np.moveaxis(y.reshape(bsz, p, layer.out_channels), -1, 1).reshape(
-            bsz, layer.out_channels, oh, ow)
-        return y, None
-
-    logits, _ = _forward_stack(net, x, False, dense_fn, conv_fn, binarise_input=True)
+    logits, _ = _forward_stack(net, x, False, layer_fn, binarise_input=True)
     return logits
 
 
@@ -820,29 +763,13 @@ def forward_hardened_bits(net: Network, x) -> np.ndarray:
             continue
         if layer.tau is None:
             raise StageError(f"layer l{idx} has no folded thresholds; harden first")
-        if layer.kind == "dense":
-            if h.ndim > 2:
-                h = h.reshape(bsz, -1)
-            s_list, gammas = _hardened_layer_sums(layer, h)
-            acc = np.zeros_like(s_list[0])
-            for b, s in enumerate(s_list):
-                acc += quantise(gammas[b], frac) * s
-            q_tau = np.array([quantise(t, frac) for t in layer.tau], dtype=np.int64)
-            ge = acc >= q_tau[None, :]
-            le = acc <= q_tau[None, :]
-            h = np.where(layer.flip[None, :], np.where(le, 1.0, -1.0), np.where(ge, 1.0, -1.0))
-        else:
-            cols = im2col(h, layer.kernel, layer.stride)
-            bsz2, p, win = cols.shape
-            s_list, gammas = _hardened_layer_sums(layer, cols.reshape(bsz2 * p, win))
-            acc = np.zeros_like(s_list[0])
-            for b, s in enumerate(s_list):
-                acc += quantise(gammas[b], frac) * s
-            q_tau = np.array([quantise(t, frac) for t in layer.tau], dtype=np.int64)
-            ge = acc >= q_tau[None, :]
-            le = acc <= q_tau[None, :]
-            bits = np.where(layer.flip[None, :], np.where(le, 1.0, -1.0), np.where(ge, 1.0, -1.0))
-            oh, ow = conv_out_hw(h.shape[2], h.shape[3], layer.kernel, layer.stride)
-            h = np.moveaxis(bits.reshape(bsz2, p, layer.out_channels), -1, 1).reshape(
-                bsz2, layer.out_channels, oh, ow)
+        win = windows(layer, h.shape[1:])
+        s_list, gammas = _hardened_layer_sums(layer, win.rows(h))
+        acc = np.zeros_like(s_list[0])
+        for b, s in enumerate(s_list):
+            acc += quantise(gammas[b], frac) * s
+        q_tau = np.array([quantise(t, frac) for t in layer.tau], dtype=np.int64)
+        ge = acc >= q_tau[None, :]
+        le = acc <= q_tau[None, :]
+        h = win.outputs(np.where(layer.flip[None, :], np.where(le, 1.0, -1.0), np.where(ge, 1.0, -1.0)))
     return h

@@ -124,15 +124,20 @@ def residual_binarise(weights: np.ndarray, mask: np.ndarray, b_levels: int):
     return levels, eps
 
 
-def binarise_network(net: Network, refresh_only: bool = False) -> Network:
-    """Populate residual levels for every compute layer from the current latent
-    weights.  With refresh_only the stage tag is left untouched (per-step level
-    refresh during retraining)."""
-    if not refresh_only:
-        require_stage(net, "pruned")
+def refresh_levels(net: Network) -> Network:
+    """Re-binarise, from the current latent weights, every compute layer that
+    computes with binary weights (lut is None): all of them before expansion,
+    the time-multiplexed ones after."""
     for _i, layer in net.compute_layers():
-        levels, _eps = residual_binarise(layer.weights, layer.prune_mask, net.b_levels)
-        layer.levels = levels
-    if not refresh_only:
-        net.stage = "binarised"
+        if layer.lut is None:
+            layer.levels, _eps = residual_binarise(layer.weights, layer.prune_mask, net.b_levels)
+    return net
+
+
+def binarise_network(net: Network) -> Network:
+    """Populate residual levels for every compute layer from the current latent
+    weights.  Stage: pruned -> binarised."""
+    require_stage(net, "pruned")
+    refresh_levels(net)
+    net.stage = "binarised"
     return net

@@ -146,7 +146,7 @@ def run_phase2_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     state = nm.AdamState()
 
     def step(xb, yb, lr):
-        pr.binarise_network(net, refresh_only=True)
+        pr.refresh_levels(net)
         logits, caches = md.forward_binary_train(net, xb)
         loss, dlogits = nm.softmax_xent(logits, yb)
         grads = md.backward_binary(net, caches, dlogits)
@@ -160,7 +160,7 @@ def run_phase2_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
         return loss, omega, correct
 
     log = _run_epochs(net, data, cfg.epochs2, cfg.batch_size, cfg.lr, cfg.seed + 1, step, phase=2)
-    pr.binarise_network(net, refresh_only=True)
+    pr.refresh_levels(net)
     return log
 
 
@@ -172,14 +172,8 @@ def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     state = nm.AdamState()
     lr3 = cfg.lr * cfg.lr3_factor
 
-    def refresh_tm_levels():
-        for _i, layer in net.compute_layers():
-            if layer.lut is None:
-                levels, _eps = pr.residual_binarise(layer.weights, layer.prune_mask, net.b_levels)
-                layer.levels = levels
-
     def step(xb, yb, lr):
-        refresh_tm_levels()
+        pr.refresh_levels(net)
         logits, caches = md.forward_lut_train(net, xb)
         loss, dlogits = nm.softmax_xent(logits, yb)
         grads = md.backward_lut(net, caches, dlogits)
@@ -201,7 +195,7 @@ def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
         return loss, omega, correct
 
     log = _run_epochs(net, data, cfg.epochs3, cfg.batch_size, lr3, cfg.seed + 2, step, phase=3)
-    refresh_tm_levels()
+    pr.refresh_levels(net)
     return log
 
 

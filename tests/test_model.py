@@ -117,7 +117,7 @@ def test_pruned_positions_never_influence_outputs():
     assert pruned_at.size, "test needs at least one pruned weight"
     layer.weights[tuple(pruned_at[0])] = 99.0
     layer.weights *= layer.prune_mask
-    pr.binarise_network(tampered, refresh_only=True)
+    pr.refresh_levels(tampered)
     assert np.array_equal(md.forward_binary(tampered, x), base)
 
 
