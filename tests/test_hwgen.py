@@ -1,7 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 
+from lutnet import expand as ex
+from lutnet import hwgen as hw
+from lutnet import model as md
+from lutnet import prune as pr
 from lutnet.expand import detect_dont_cares, shannon_decompose, vertex_index
+
+from conftest import exhaustive_pm1
 
 
 def _bits(v, k):
@@ -94,3 +102,78 @@ def test_shannon_decompose_matches_table(k):
     for v in range(1 << k):
         assignment = {ids[j]: 2 * b - 1 for j, b in enumerate(_bits(v, k))}
         assert eval_cells(cells, assignment) == table[v]
+
+
+def _coeffs_for_tables(tables):
+    """Interpolation coefficients whose hardened masks are exactly the given
+    {-1,+1} tables (..., 2**K): c at the complement of vertex v is
+    t(v) / (2**K * prod v)."""
+    n = tables.shape[-1]
+    k = n.bit_length() - 1
+    scale = n * ex.vertices(k).prod(axis=-1)
+    coeffs = np.empty(tables.shape)
+    coeffs[..., np.arange(n) ^ (n - 1)] = tables / scale
+    return coeffs
+
+
+def _planted_net(k):
+    """8 -> 6 -> 3, both layers expanded at K, channel 2 of the first layer
+    fully pruned; every node table is planted: constants, functions of a
+    random subset of the node's inputs, and full random functions."""
+    layers = [md.DenseLayer(8, 6, unrolled=True), md.BatchNormLayer(6),
+              md.DenseLayer(6, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("planted", layers, 2, (8,), 80 + k))
+    rng = np.random.default_rng(90 + k)
+    for layer in net.layers:
+        if layer.kind == "batchnorm":
+            n = layer.num_features
+            layer.running_mean = rng.standard_normal(n) * 0.02
+            layer.running_var = rng.uniform(0.5, 2.0, n)
+            layer.gamma = rng.uniform(0.5, 1.5, n) * np.where(rng.random(n) < 0.3, -1.0, 1.0)
+            layer.beta = rng.standard_normal(n) * 0.02
+    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.8, tol=0.3))
+    first = net.layers[0]
+    first.prune_mask[2] = False
+    first.weights[2] = 0.0
+    pr.binarise_network(net)
+    ex.expand_network(net, k=k, seed=100 + k)
+    for _i, layer in net.compute_layers():
+        for ch in layer.lut.channels:
+            for b in range(ch.coeffs.shape[0]):
+                for n in range(ch.n_nodes):
+                    kind = (b + n) % 3
+                    if kind == 0:
+                        table = np.full(1 << k, rng.choice([-1, 1]))
+                    else:
+                        depends_on = list(range(k)) if kind == 2 else sorted(
+                            rng.choice(k, size=rng.integers(1, k + 1), replace=False).tolist())
+                        table = _planted(rng, k, depends_on).astype(np.int64) * 2 - 1
+                    ch.coeffs[b, n] = _coeffs_for_tables(table)
+    ex.harden_network(net, frac_bits=6)
+    return net
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_netlist_equals_hardened_bits_exhaustively(k):
+    net = _planted_net(k)
+    assert net.layers[0].lut.channels[2].n_nodes == 0
+    first = copy.copy(net)
+    first.layers = net.layers[:2] + [md.SoftmaxLayer()]   # the first layer's bits are outputs
+    x = exhaustive_pm1(8)
+    for n in (first, net):
+        want = hw.encode_pm1(md.forward_hardened_bits(n, x))
+        for reduce_dc in (True, False):
+            nl = hw.lower(n, reduce_dont_cares=reduce_dc)
+            assert np.array_equal(hw.simulate(nl, hw.encode_pm1(x)), want)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_verilog_tables_equal_netlist_tables(k):
+    nl = hw.lower(_planted_net(k))
+    tables = {}
+    for text in hw.emit_verilog(nl).values():
+        tables.update(hw.parse_tables(text))
+    luts = [c for c in nl.cells if isinstance(c, hw.LutCell) and c.inputs]
+    assert luts and len(tables) == len(luts)
+    for cell in luts:
+        assert np.array_equal(tables[nl.nets[cell.out].name], cell.table)
