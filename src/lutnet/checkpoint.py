@@ -1,21 +1,35 @@
 """Checkpoint persistence: a self-describing JSON text format with explicit
 field names.  Floats go through repr (shortest round-trip decimal), so
 load(save(x)) reproduces every tensor bit-for-bit; serialisation is
-key-sorted and therefore byte-deterministic for a given checkpoint."""
+key-sorted and therefore byte-deterministic for a given checkpoint.
+
+Schema 2 stores no field that other fields determine.  A compute layer holds
+its latent weights, prune mask, alpha, folded thresholds and, once expanded,
+a `lut` block with the flat arrays of model.LutData: k, gammas, offsets,
+indices, coeffs and masks.  Derived on load: the residual levels of every
+layer that computes with binary weights, by prune.refresh_levels, from the
+binarised stage on.  Phase-1 weights are stored until expansion only.
+
+Loading checks every field against the layer dimensions and raises
+SchemaError on malformed input.  Schema-1 files still load: their
+per-channel LUT lists are concatenated, and their stored levels, node
+positions and reconnection flags are ignored."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import SchemaError
-from .model import (BatchNormLayer, ConvLayer, DenseLayer, FixedPointSpec,
-                    LutChannel, LutData, MaxPoolLayer, Network, SoftmaxLayer)
+from .model import (STAGES, BatchNormLayer, ConvLayer, DenseLayer, FixedPointSpec,
+                    LutData, MaxPoolLayer, Network, SoftmaxLayer)
+from .prune import refresh_levels
 from .training import TrainLog
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -24,63 +38,20 @@ class Checkpoint:
     logs: list = field(default_factory=list)   # TrainLog per completed phase
 
 
-def _arr(a):
-    return None if a is None else np.asarray(a).tolist()
-
-
-def _levels_out(levels):
-    if levels is None:
-        return None
-    return [{"w": w.tolist(), "gamma": g} for w, g in levels]
-
-
-def _lut_out(lut):
-    if lut is None:
-        return None
-    return {
-        "k": lut.k,
-        "gammas": lut.gammas.tolist(),
-        "channels": [{
-            "node_positions": ch.node_positions.tolist(),
-            "indices": ch.indices.tolist(),
-            "reconnected": ch.reconnected.astype(int).tolist(),
-            "coeffs": ch.coeffs.tolist(),
-            "masks": None if ch.masks is None else ch.masks.tolist(),
-        } for ch in lut.channels],
-    }
-
-
-def _compute_out(layer):
-    d = {
-        "unrolled": layer.unrolled,
-        "weights": _arr(layer.weights),
-        "alpha": layer.alpha,
-        "prune_mask": None if layer.prune_mask is None else layer.prune_mask.astype(int).tolist(),
-        "phase1_weights": _arr(layer.phase1_weights),
-        "levels": _levels_out(layer.levels),
-        "lut": _lut_out(layer.lut),
-        "tau": _arr(layer.tau),
-        "flip": None if layer.flip is None else layer.flip.astype(int).tolist(),
-    }
-    if layer.kind == "dense":
-        d.update(kind="dense", in_features=layer.in_features, out_features=layer.out_features)
-    else:
-        d.update(kind="conv", in_channels=layer.in_channels, out_channels=layer.out_channels,
-                 kernel=layer.kernel, stride=layer.stride)
-    return d
+def _out(value):
+    """JSON form of a layer field: arrays as nested lists (bool as 0/1) and
+    the LUT block as a dict of its arrays."""
+    if isinstance(value, LutData):
+        return {f.name: _out(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return (value.astype(int) if value.dtype == bool else value).tolist()
+    return value
 
 
 def _layer_out(layer):
-    if layer.kind in ("dense", "conv"):
-        return _compute_out(layer)
-    if layer.kind == "batchnorm":
-        return {"kind": "batchnorm", "num_features": layer.num_features,
-                "gamma": _arr(layer.gamma), "beta": _arr(layer.beta),
-                "running_mean": _arr(layer.running_mean), "running_var": _arr(layer.running_var),
-                "eps": layer.eps, "momentum": layer.momentum}
-    if layer.kind == "maxpool":
-        return {"kind": "maxpool", "size": layer.size}
-    return {"kind": "softmax"}
+    """A layer's fields, less the residual levels, which loading derives."""
+    return {"kind": layer.kind, **{f.name: _out(getattr(layer, f.name))
+                                   for f in fields(layer) if f.name != "levels"}}
 
 
 def to_dict(ckpt: Checkpoint) -> dict:
@@ -98,60 +69,76 @@ def to_dict(ckpt: Checkpoint) -> dict:
     }
 
 
-def _np(a, dtype=np.float64):
-    return None if a is None else np.asarray(a, dtype=dtype)
-
-
-def _levels_in(raw):
+def _array(raw, dtype, shape, what, optional=False):
+    """A JSON array as a numpy array of dtype and exactly the given shape;
+    None stays None if the field is optional."""
     if raw is None:
-        return None
-    return [(np.asarray(l["w"], dtype=np.float64), float(l["gamma"])) for l in raw]
+        if optional:
+            return None
+        raise SchemaError(f"{what} is missing")
+    try:
+        a = np.asarray(raw)
+    except ValueError as e:
+        raise SchemaError(f"{what} is a ragged array") from e
+    if a.dtype.kind not in ("biuf" if np.dtype(dtype).kind == "f" else "biu"):
+        raise SchemaError(f"{what} holds values of type {a.dtype}, expected {np.dtype(dtype)}")
+    if a.shape != shape:
+        if a.size or np.prod(shape):   # tolist() of an empty array keeps no shape
+            raise SchemaError(f"{what} has shape {a.shape}, expected {shape}")
+        a = a.reshape(shape)
+    return a.astype(dtype)
 
 
-def _lut_in(raw):
+def _lut_in(raw, n_out, window, b_levels, hardened, what):
     if raw is None:
         return None
     k = int(raw["k"])
-    n_planes = len(raw["gammas"])
-    channels = []
-    for ch in raw["channels"]:
-        n = len(ch["node_positions"])
-        channels.append(LutChannel(
-            node_positions=np.asarray(ch["node_positions"], dtype=np.int64),
-            indices=np.asarray(ch["indices"], dtype=np.int64).reshape(n, k),
-            reconnected=np.asarray(ch["reconnected"], dtype=bool).reshape(n, k),
-            coeffs=np.asarray(ch["coeffs"], dtype=np.float64).reshape(n_planes, n, 1 << k),
-            masks=None if ch["masks"] is None else
-            np.asarray(ch["masks"], dtype=np.int8).reshape(n_planes, n, 1 << k),
-        ))
-    return LutData(k=k, gammas=np.asarray(raw["gammas"], dtype=np.float64),
-                   channels=channels)
+    offsets = _array(raw["offsets"], np.int64, (n_out + 1,), f"{what}.offsets")
+    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+        raise SchemaError(f"{what}.offsets must rise from 0 without decreasing")
+    n = int(offsets[-1])
+    indices = _array(raw["indices"], np.int64, (n, k), f"{what}.indices")
+    if indices.size and (indices.min() < 0 or indices.max() >= window):
+        raise SchemaError(f"{what}.indices must lie in [0, {window})")
+    planes = (b_levels, n, 1 << k)
+    masks = _array(raw["masks"], np.int64, planes, f"{what}.masks", optional=not hardened)
+    if masks is not None and np.any(np.abs(masks) != 1):
+        raise SchemaError(f"{what}.masks must hold only -1 and +1")
+    return LutData(k=k, gammas=_array(raw["gammas"], np.float64, (b_levels,), f"{what}.gammas"),
+                   offsets=offsets, indices=indices,
+                   coeffs=_array(raw["coeffs"], np.float64, planes, f"{what}.coeffs"),
+                   masks=None if masks is None else masks.astype(np.int8))
 
 
-def _layer_in(raw: dict):
+def _compute_in(raw, b_levels, hardened, what):
+    if raw["kind"] == "dense":
+        layer = DenseLayer(int(raw["in_features"]), int(raw["out_features"]))
+        n_out = layer.out_features
+    else:
+        layer = ConvLayer(int(raw["in_channels"]), int(raw["out_channels"]),
+                          int(raw["kernel"]), int(raw["stride"]))
+        n_out = layer.out_channels
+    layer.unrolled = bool(raw["unrolled"])
+    layer.alpha = float(raw["alpha"])
+    matrix = (n_out, layer.window_size)
+    for name, dtype, shape, optional in (
+            ("weights", np.float64, matrix, False), ("prune_mask", bool, matrix, False),
+            ("phase1_weights", np.float64, matrix, True),
+            ("tau", np.float64, (n_out,), not hardened), ("flip", bool, (n_out,), not hardened)):
+        setattr(layer, name, _array(raw[name], dtype, shape, f"{what}.{name}", optional))
+    layer.lut = _lut_in(raw["lut"], n_out, layer.window_size, b_levels, hardened, f"{what}.lut")
+    return layer
+
+
+def _layer_in(raw: dict, b_levels: int, hardened: bool, what: str):
     kind = raw.get("kind")
     if kind == "dense" or kind == "conv":
-        if kind == "dense":
-            layer = DenseLayer(int(raw["in_features"]), int(raw["out_features"]))
-        else:
-            layer = ConvLayer(int(raw["in_channels"]), int(raw["out_channels"]),
-                              int(raw["kernel"]), int(raw["stride"]))
-        layer.unrolled = bool(raw["unrolled"])
-        layer.weights = _np(raw["weights"])
-        layer.alpha = float(raw["alpha"])
-        layer.prune_mask = _np(raw["prune_mask"], bool)
-        layer.phase1_weights = _np(raw["phase1_weights"])
-        layer.levels = _levels_in(raw["levels"])
-        layer.lut = _lut_in(raw["lut"])
-        layer.tau = _np(raw["tau"])
-        layer.flip = _np(raw["flip"], bool)
-        return layer
+        return _compute_in(raw, b_levels, hardened, what)
     if kind == "batchnorm":
         layer = BatchNormLayer(int(raw["num_features"]))
-        layer.gamma = _np(raw["gamma"])
-        layer.beta = _np(raw["beta"])
-        layer.running_mean = _np(raw["running_mean"])
-        layer.running_var = _np(raw["running_var"])
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            setattr(layer, name, _array(raw[name], np.float64, (layer.num_features,),
+                                        f"{what}.{name}"))
         layer.eps = float(raw["eps"])
         layer.momentum = float(raw["momentum"])
         return layer
@@ -162,21 +149,54 @@ def _layer_in(raw: dict):
     raise SchemaError(f"unknown layer kind {kind!r}")
 
 
-def from_dict(raw: dict) -> Checkpoint:
+def _from_v1(raw: dict) -> dict:
+    """A schema-1 checkpoint in schema-2 form: per-channel LUT lists are
+    concatenated.  Levels, node positions and reconnection flags are left for
+    the reader to ignore."""
+    raw = dict(raw, layers=[dict(l) for l in raw["layers"]])
+    for layer in raw["layers"]:
+        lut = layer.get("lut")
+        if lut is None:
+            continue
+        chs = lut["channels"]
+
+        def planes(key):
+            return [[node for ch in chs for node in ch[key][b]] for b in range(len(lut["gammas"]))]
+
+        layer["lut"] = {
+            "k": lut["k"], "gammas": lut["gammas"],
+            "offsets": np.cumsum([0] + [len(ch["indices"]) for ch in chs]).tolist(),
+            "indices": [row for ch in chs for row in ch["indices"]],
+            "coeffs": planes("coeffs"),
+            "masks": None if any(ch["masks"] is None for ch in chs) else planes("masks"),
+        }
+    return raw
+
+
+def _checkpoint_in(raw: dict) -> Checkpoint:
     if not isinstance(raw, dict) or "schema_version" not in raw:
         raise SchemaError("not a checkpoint: missing schema_version")
     version = raw["schema_version"]
     if version > SCHEMA_VERSION:
         raise SchemaError(f"checkpoint schema {version} is newer than supported "
                           f"{SCHEMA_VERSION}; refusing to load")
-    layers = [_layer_in(l) for l in raw["layers"]]
+    if version == 1:
+        raw = _from_v1(raw)
+    stage, b_levels = raw["stage"], int(raw["b_levels"])
+    if stage not in STAGES:
+        raise SchemaError(f"unknown stage {stage!r}")
+    if b_levels < 1:
+        raise SchemaError(f"b_levels must be >= 1, got {b_levels}")
+    layers = [_layer_in(l, b_levels, stage == "hardened", f"l{i}")
+              for i, l in enumerate(raw["layers"])]
     if not layers:
         raise SchemaError("checkpoint has an empty layer list")
     net = Network(
-        name=raw["name"], layers=layers, b_levels=int(raw["b_levels"]),
-        input_shape=tuple(raw["input_shape"]), seed=int(raw["seed"]),
-        stage=raw["stage"],
+        name=raw["name"], layers=layers, b_levels=b_levels,
+        input_shape=tuple(raw["input_shape"]), seed=int(raw["seed"]), stage=stage,
         fx=None if raw.get("fx") is None else FixedPointSpec(int(raw["fx"]["frac_bits"])))
+    if stage not in ("real", "pruned"):
+        refresh_levels(net)
     logs = []
     for lg in raw.get("logs", []):
         log = TrainLog(phase=int(lg["phase"]))
@@ -186,8 +206,18 @@ def from_dict(raw: dict) -> Checkpoint:
     return Checkpoint(net=net, logs=logs)
 
 
+def from_dict(raw: dict) -> Checkpoint:
+    try:
+        return _checkpoint_in(raw)
+    except SchemaError:   # itself a ValueError
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise SchemaError(f"malformed checkpoint: {e!r}") from e
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     text = json.dumps(to_dict(ckpt), sort_keys=True, separators=(",", ":"))
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="ascii") as f:
         f.write(text)
         f.write("\n")

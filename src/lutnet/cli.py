@@ -114,7 +114,6 @@ def cmd_train(cfg, args):
     xtr, ytr, xte, yte = _train_data(cfg)
     net = md.build_preset(cfg.preset, cfg.seed, cfg.b)
     log = tr.run_phase1(net, (xtr, ytr), _phase_cfg(cfg))
-    os.makedirs(cfg.out_dir, exist_ok=True)
     save_checkpoint(Checkpoint(net, [log]), _ckpt_path(cfg, "real"))
     _write(os.path.join(cfg.out_dir, "train_log_phase1.csv"), log.to_csv())
     acc = tr.evaluate(net, xte, yte)
@@ -122,7 +121,13 @@ def cmd_train(cfg, args):
     return 0
 
 
+def _require_one_prune_setting(cfg):
+    if (cfg.theta is None) == (cfg.target_density is None):
+        raise ConfigError("exactly one of theta / target_density must be set")
+
+
 def cmd_prune(cfg, args):
+    _require_one_prune_setting(cfg)
     ckpt = _load_stage(cfg, args, "real")
     net = ckpt.net
     xtr, ytr, xte, yte = _train_data(cfg)
@@ -187,7 +192,6 @@ def cmd_emit(cfg, args):
     nl = hw.lower(ckpt.net)
     files = hw.emit_verilog(nl, style=cfg.style)
     vdir = os.path.join(cfg.out_dir, "verilog")
-    os.makedirs(vdir, exist_ok=True)
     for name, text in sorted(files.items()):
         _write(os.path.join(vdir, name), text)
     print(f"emit: {len(files)} Verilog files in {vdir}")
@@ -203,17 +207,12 @@ def cmd_area(cfg, args):
 
 
 def cmd_pipeline(cfg, args):
-    for step in (cmd_train, cmd_prune, cmd_expand, cmd_harden):
+    _require_one_prune_setting(cfg)   # fail before phase 1, not after it
+    for step in (cmd_train, cmd_prune, cmd_expand, cmd_harden, cmd_emit, cmd_area):
         code = step(cfg, args)
         if code:
             return code
         args.ckpt = None   # subsequent stages read the files just written
-    code = cmd_emit(cfg, args)
-    if code:
-        return code
-    code = cmd_area(cfg, args)
-    if code:
-        return code
     code = cmd_simulate(cfg, args)
     if code:
         print("pipeline: differential check FAILED")

@@ -40,8 +40,6 @@ class RunConfig:
             raise ConfigError(f"K must be in [1, 8], got {self.k}")
         if self.b < 1:
             raise ConfigError(f"B must be >= 1, got {self.b}")
-        if (self.theta is None) == (self.target_density is None):
-            raise ConfigError("exactly one of theta / target_density must be set")
         if self.target_density is not None and not 0.0 < self.target_density <= 1.0:
             raise ConfigError(f"target density must be in (0, 1], got {self.target_density}")
         if self.theta is not None and self.theta < 0:

@@ -28,28 +28,10 @@ def vertices(k: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(k)[None, :]) & 1) * 2.0 - 1.0
 
 
-def vertex_index(x_pm1: np.ndarray) -> np.ndarray:
-    """Integer vertex index of +-1 coordinates along the last axis."""
-    bits = (np.asarray(x_pm1) > 0).astype(np.int64)
-    k = bits.shape[-1]
-    return bits @ (1 << np.arange(k, dtype=np.int64))
-
-
 def interp_basis(x: np.ndarray, k: int) -> np.ndarray:
     """prod_k (x_k - d_k) for every vertex d; x (..., K) -> (..., 2**K)."""
     diffs = x[..., None, :] - vertices(k)
     return diffs.prod(axis=-1)
-
-
-def interp_eval(coeffs: np.ndarray, x) -> np.ndarray:
-    """Evaluate the interpolating extension at real points x (..., K); coeffs may
-    be a single (2**K,) vector or batched with broadcastable leading axes."""
-    x = nm.as_tensor(x)
-    coeffs = nm.as_tensor(coeffs)
-    k = x.shape[-1]
-    if coeffs.shape[-1] != (1 << k):
-        raise ExpansionError(f"coefficient count {coeffs.shape[-1]} != 2**{k}")
-    return np.einsum("...v,...v->...", interp_basis(x, k), coeffs)
 
 
 def interp_dx_partial(x: np.ndarray, k: int) -> np.ndarray:
@@ -148,18 +130,13 @@ def shannon_decompose(table: np.ndarray, input_ids: list, max_k: int = 6):
 # network-level expansion
 
 
-def select_inputs(window: int, positions: np.ndarray, pruned_row: np.ndarray,
-                  k: int, rng: np.random.Generator):
-    """Wiring plan for one channel's surviving nodes.
+def select_inputs(window: int, positions: np.ndarray, k: int, rng: np.random.Generator):
+    """Wiring plan (N~, K) for one channel's surviving nodes.
 
     Input 1 of each node preserves the original connection; the K-1 further
     inputs are drawn uniformly without replacement from the remaining window
-    positions (a node is never multiply connected to the same input).  Returns
-    (indices (N~, K), reconnected (N~, K) bool) where reconnected marks drawn
-    inputs whose original weights were pruned.
+    positions (a node is never multiply connected to the same input).
     """
-    if window < k:
-        raise ExpansionError(f"window of {window} inputs cannot feed a {k}-LUT")
     n = positions.shape[0]
     indices = np.empty((n, k), dtype=np.int64)
     indices[:, 0] = positions
@@ -168,15 +145,13 @@ def select_inputs(window: int, positions: np.ndarray, pruned_row: np.ndarray,
         others = all_idx[all_idx != pos]
         if k > 1:
             indices[row, 1:] = rng.choice(others, size=k - 1, replace=False)
-    reconnected = np.asarray(pruned_row, dtype=bool)[indices]
-    reconnected[:, 0] = False
-    return indices, reconnected
+    return indices
 
 
-def _plane_coeffs(layer, channel, indices, reconnected, k, sum_gamma):
+def _plane_coeffs(layer, channel, indices, k, sum_gamma):
     """Initial coefficients for every plane of one channel, from the level-b
-    binary weight of the preserved input plus the phase-1 weights of
-    reconnected pruned inputs, spread evenly across planes via 1/sum(gamma)."""
+    binary weight of the preserved input plus the phase-1 weights of drawn
+    inputs that were pruned, spread evenly across planes via 1/sum(gamma)."""
     n = indices.shape[0]
     planes = []
     original = layer.phase1_weights if layer.phase1_weights is not None else layer.weights
@@ -185,6 +160,7 @@ def _plane_coeffs(layer, channel, indices, reconnected, k, sum_gamma):
         wvecs[:, 0] = w_b[channel, indices[:, 0]]
         if k > 1 and sum_gamma > 0.0:
             recon_w = original[channel][indices] / sum_gamma
+            reconnected = ~layer.prune_mask[channel][indices]
             wvecs[:, 1:] = np.where(reconnected[:, 1:], recon_w[:, 1:], 0.0)
         planes.append(linear_coeffs(wvecs))
     return np.stack(planes)   # (B, N~, 2**K)
@@ -193,8 +169,10 @@ def _plane_coeffs(layer, channel, indices, reconnected, k, sum_gamma):
 def expand_network(net, k: int, seed: int):
     """Convert every surviving XNOR of the unrolled layers into a K-LUT node
     with a deterministic per-channel wiring plan; time-multiplexed layers are
-    untouched.  Stage: binarised -> expanded."""
-    from .model import LutChannel, LutData, require_stage
+    untouched.  The preserved-input weights and reconnections are read once
+    here: afterwards the layer's levels and phase-1 weights are dropped.
+    Stage: binarised -> expanded."""
+    from .model import LutData, require_stage
 
     require_stage(net, "binarised")
     if k < 1:
@@ -208,17 +186,17 @@ def expand_network(net, k: int, seed: int):
                 f"layer l{li} ({layer.kind}): window of {window} inputs cannot feed a {k}-LUT")
         gammas = np.array([g for _w, g in layer.levels])
         sum_gamma = float(gammas.sum())
-        out_features = layer.prune_mask.shape[0]
-        channels = []
-        for c in range(out_features):
+        indices, coeffs = [], []
+        for c in range(layer.prune_mask.shape[0]):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(li, c)))
-            positions = np.flatnonzero(layer.prune_mask[c])
-            pruned_row = ~layer.prune_mask[c]
-            indices, reconnected = select_inputs(window, positions, pruned_row, k, rng)
-            coeffs = _plane_coeffs(layer, c, indices, reconnected, k, sum_gamma)
-            channels.append(LutChannel(node_positions=positions, indices=indices,
-                                       reconnected=reconnected, coeffs=coeffs))
-        layer.lut = LutData(k=k, gammas=gammas, channels=channels)
+            idx = select_inputs(window, np.flatnonzero(layer.prune_mask[c]), k, rng)
+            indices.append(idx)
+            coeffs.append(_plane_coeffs(layer, c, idx, k, sum_gamma))
+        offsets = np.concatenate(([0], np.cumsum(layer.prune_mask.sum(axis=1))))
+        layer.lut = LutData(k=k, gammas=gammas, offsets=offsets.astype(np.int64),
+                            indices=np.concatenate(indices), coeffs=np.concatenate(coeffs, axis=1))
+        layer.levels = None
+        layer.phase1_weights = None
     net.stage = "expanded"
     return net
 
@@ -232,8 +210,7 @@ def harden_network(net, frac_bits: int = 8):
     require_stage(net, "expanded")
     for li, layer in net.compute_layers():
         if layer.lut is not None:
-            for ch in layer.lut.channels:
-                ch.masks = harden_masks(ch.coeffs)
+            layer.lut.masks = harden_masks(layer.lut.coeffs)
         bn = net.bn_after(li)
         if bn is None:
             raise FoldError(f"layer l{li} has no following batch-norm to fold")

@@ -122,17 +122,17 @@ def _layer_logical_luts(layer, positions_mult: int):
     hist = {}
     logical = 0
     if layer.lut is not None:
-        k = layer.lut.k
-        for ci, ch in enumerate(layer.lut.channels):
-            for b in range(ch.masks.shape[0]):
-                for n in range(ch.n_nodes):
-                    kept, reduced = detect_dont_cares(ch.masks[b, n], k)
+        lut = layer.lut
+        for ci, (a, e) in enumerate(lut.spans()):
+            for b in range(lut.masks.shape[0]):
+                for n in range(a, e):
+                    kept, reduced = detect_dont_cares(lut.masks[b, n], lut.k)
                     keff = len(kept)
                     hist[keff] = hist.get(keff, 0) + positions_mult
                     if keff <= 1:
                         logical += positions_mult
                         continue
-                    ins = [int(ch.indices[n, j]) for j in kept]
+                    ins = [int(lut.indices[n, j]) for j in kept]
                     if keff > 6:
                         cells = shannon_decompose(reduced, ins)
                         for p in range(positions_mult):
@@ -182,22 +182,13 @@ def area_report(net: md.Network) -> AreaReport:
         inference = pack_estimate(luts)
 
         n_planes = len(layer.levels) if layer.lut is None else layer.lut.gammas.shape[0]
-        popcount = 0
-        other = 0
-        n_tilde_total = 0
-        per_channel = layer.prune_mask.sum(axis=1)
-        for c in range(win.out_shape[0]):
-            if layer.lut is not None:
-                n_tilde = layer.lut.channels[c].n_nodes
-            else:
-                n_tilde = int(per_channel[c])
-            n_tilde_total += n_tilde
-            if n_tilde:
-                popcount += positions * n_planes * popcount_cost(n_tilde)
-                other += positions * threshold_cost(n_tilde, n_planes, frac_bits)
+        nodes = layer.prune_mask.sum(axis=1) if layer.lut is None else np.diff(layer.lut.offsets)
+        nodes = [int(n) for n in nodes if n]   # a fully pruned channel costs no logic
+        popcount = sum(positions * n_planes * popcount_cost(n) for n in nodes)
+        other = sum(positions * threshold_cost(n, n_planes, frac_bits) for n in nodes)
         density = float(layer.prune_mask.mean())
         report.rows.append(dict(layer=f"l{li}", kind=layer.kind, unrolled=layer.unrolled,
-                                density=density, n_tilde=n_tilde_total, keff_hist=hist,
+                                density=density, n_tilde=sum(nodes), keff_hist=hist,
                                 logical=logical, inference=inference, popcount=popcount,
                                 other=other, total=inference + popcount + other))
     return report

@@ -43,33 +43,23 @@ def _popcount_tree(nl: Netlist, leaf_nets: list, name: str, layer: int) -> int:
     return root
 
 
-def _node_tables(layer, plane: int):
-    """(tables, input index lists) of one plane's node LUTs, per channel.
-
-    Expanded layers read hardened masks; time-multiplexed layers get
-    buffer/inverter tables from their level-b binary weights."""
-    out = []
+def _node_tables(layer):
+    """(tables (B, N, 2**K) of 0/1, inputs (N, K), channel spans) of a layer's
+    node LUTs.  Expanded layers read hardened masks; a time-multiplexed
+    layer's node for each unpruned weight is a buffer or an inverter after
+    the sign of its level-b binary weight."""
     if layer.lut is not None:
-        for ch in layer.lut.channels:
-            tables = ((ch.masks[plane] + 1) // 2).astype(np.uint8)   # -1/+1 -> 0/1
-            out.append((tables, ch.indices))
-    else:
-        w_b, _g = layer.levels[plane]
-        for c in range(layer.prune_mask.shape[0]):
-            pos = np.flatnonzero(layer.prune_mask[c])
-            tables = np.empty((pos.size, 2), dtype=np.uint8)
-            sign_pos = w_b[c, pos] > 0
-            tables[sign_pos] = (0, 1)        # buffer
-            tables[~sign_pos] = (1, 0)       # inverter
-            out.append((tables, pos[:, None]))
-    return out
+        lut = layer.lut
+        return ((lut.masks + 1) // 2).astype(np.uint8), lut.indices, lut.spans()
+    rows, cols = np.nonzero(layer.prune_mask)
+    positive = np.stack([w_b[rows, cols] > 0 for w_b, _g in layer.levels])
+    tables = np.where(positive[..., None], np.array([0, 1], np.uint8), np.array([1, 0], np.uint8))
+    offsets = np.concatenate(([0], np.cumsum(layer.prune_mask.sum(axis=1)))).tolist()
+    return tables, cols[:, None], list(zip(offsets[:-1], offsets[1:]))
 
 
 def _quantised_scales(layer, frac_bits: int):
-    if layer.lut is not None:
-        gammas = layer.lut.gammas
-    else:
-        gammas = np.array([g for _w, g in layer.levels])
+    gammas = [g for _w, g in layer.levels] if layer.lut is None else layer.lut.gammas
     return [md.quantise(float(g), frac_bits) for g in gammas]
 
 
@@ -83,19 +73,19 @@ def _check_acc_width(q_gammas, n_tilde, q_tau, layer_name):
     return width
 
 
-def _lower_channel(nl, li, cname, window_nets, tables_per_plane,
-                   indices_per_plane, q_gammas, q_tau, flip, frac_bits, reduce_dc):
-    """Cells for one output neuron (channel or channel-position): node LUTs per
-    plane, per-plane popcount trees, one threshold cell.  Returns the output
-    bit net."""
+def _lower_channel(nl, li, cname, window_nets, tables, indices,
+                   q_gammas, q_tau, flip, frac_bits, reduce_dc):
+    """Cells for one output neuron (channel or channel-position) from its
+    node tables (B, N~, 2**K) and inputs (N~, K): node LUTs per plane,
+    per-plane popcount trees, one threshold cell.  Returns the output bit net."""
     pops = []
-    n_tilde = indices_per_plane[0].shape[0]
-    for b, (tables, indices) in enumerate(zip(tables_per_plane, indices_per_plane)):
+    n_tilde = indices.shape[0]
+    for b in range(tables.shape[0]):
         if n_tilde == 0:
             break   # fully pruned channel: threshold cell sees an empty sum
         leaves = []
-        for n in range(tables.shape[0]):
-            table = tables[n]
+        for n in range(n_tilde):
+            table = tables[b, n]
             ins = [window_nets[i] for i in indices[n]]
             if reduce_dc:
                 kept, reduced = detect_dont_cares(table, len(ins))
@@ -156,17 +146,14 @@ def lower(net: md.Network, fx: md.FixedPointSpec = None, reduce_dont_cares: bool
         win = md.windows(layer, shape)
         window_nets = [[current[i] for i in row] for row in win.index_map()]
         q_gammas = _quantised_scales(layer, frac_bits)
-        n_planes = len(q_gammas)
-        tables_all = [_node_tables(layer, b) for b in range(n_planes)]
+        tables, indices, spans = _node_tables(layer)
         q_taus = [md.quantise(float(t), frac_bits) for t in layer.tau]
         outs = []
-        for c in range(win.out_shape[0]):
-            tabs = [tables_all[b][c][0] for b in range(n_planes)]
-            idxs = [tables_all[b][c][1] for b in range(n_planes)]
+        for c, (a, e) in enumerate(spans):
             for p in range(win.positions):
                 cname = f"c{c}" if win.positions == 1 else f"c{c}_p{p}"
-                outs.append(_lower_channel(nl, li, cname, window_nets[p], tabs, idxs,
-                                           q_gammas, q_taus[c], layer.flip[c],
+                outs.append(_lower_channel(nl, li, cname, window_nets[p], tables[:, a:e],
+                                           indices[a:e], q_gammas, q_taus[c], layer.flip[c],
                                            frac_bits, reduce_dont_cares))
         current = outs
         shape = win.out_shape

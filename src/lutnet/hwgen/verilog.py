@@ -134,11 +134,7 @@ def emit_verilog(netlist: Netlist, style: str = "behavioral") -> dict:
         lines.append(",\n".join(ports))
         lines.append(");")
         for cell in cells:
-            if isinstance(cell, AddCell):
-                lines.append(_decl(netlist, cell.out))
-            elif isinstance(cell, LutCell) and cell.out not in ext_out:
-                lines.append(_decl(netlist, cell.out))
-            elif isinstance(cell, ScaleThresholdCell) and cell.out not in ext_out:
+            if isinstance(cell, AddCell) or cell.out not in ext_out:
                 lines.append(_decl(netlist, cell.out))
         for cell in cells:
             if isinstance(cell, LutCell):

@@ -13,6 +13,11 @@ sample and position) and back, so each engine only maps rows
 (rows, window) -> (rows, C), and the netlist builder and area estimate read
 the same window map.
 
+An expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
+the wiring `indices` (N, K), per-plane `coeffs` and hardened `masks`
+(B, N, 2**K), and channel `offsets` (C+1,), channel c owning nodes
+offsets[c]:offsets[c+1].  `LutData.channels` gives per-channel views of them.
+
 Conventions used by every engine and by the hardware path:
   * hidden activation is sign(batchnorm(.)) with sign(0) = +1; the batch-norm
     directly feeding the softmax head stays real,
@@ -25,7 +30,7 @@ Conventions used by every engine and by the hardware path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +53,8 @@ class DenseLayer:
     weights: np.ndarray = None          # (out, in) real latent weights
     alpha: float = 1.0
     prune_mask: np.ndarray = None       # bool (out, in); False => weight held at 0
-    phase1_weights: np.ndarray = None   # pre-pruning copy, kept for reconnection
-    levels: list = None                 # [(w_b pm1 array, gamma_b), ...] after binarise
+    phase1_weights: np.ndarray = None   # pre-pruning copy, kept for reconnection until expansion
+    levels: list = None                 # [(w_b pm1 array, gamma_b), ...] while binary
     lut: "LutData" = None               # set by logic expansion
     tau: np.ndarray = None              # folded thresholds, set at harden
     flip: np.ndarray = None
@@ -111,24 +116,45 @@ class SoftmaxLayer:
 
 @dataclass
 class LutChannel:
-    """Expansion data for one output channel: surviving nodes and their wiring."""
+    """One output channel's nodes as views into its layer's flat arrays; it
+    stores nothing, so in-place writes through it land in the layer."""
 
-    node_positions: np.ndarray   # (N~,) original window index of each node
-    indices: np.ndarray          # (N~, K) window indices; column 0 == node_positions
-    reconnected: np.ndarray      # (N~, K) bool; True where the index was a pruned input
-    coeffs: np.ndarray           # (B, N~, 2**K) interpolation coefficients
-    masks: np.ndarray = None     # (B, N~, 2**K) int8 in {-1,+1} once hardened
+    indices: np.ndarray          # (N~, K) view
+    coeffs: np.ndarray           # (B, N~, 2**K) view
+    masks: np.ndarray = None     # (B, N~, 2**K) view once hardened
 
     @property
     def n_nodes(self) -> int:
-        return int(self.node_positions.shape[0])
+        return int(self.indices.shape[0])
 
 
 @dataclass
 class LutData:
+    """The K-LUT nodes of one expanded layer, all channels in flat arrays.
+
+    Channel c owns nodes offsets[c]:offsets[c+1], in ascending window
+    position of their preserved input, which is column 0 of `indices`; the
+    other K-1 columns are the drawn inputs.  Node n of plane b computes the
+    interpolating extension with coefficients coeffs[b, n] and, once
+    hardened, the truth table masks[b, n] (vertex encoding of expand.py)."""
+
     k: int
     gammas: np.ndarray           # (B,) per-plane output scales
-    channels: list = field(default_factory=list)
+    offsets: np.ndarray          # (C+1,) int64 node offsets per channel
+    indices: np.ndarray          # (N, K) int64 window index of each node input
+    coeffs: np.ndarray           # (B, N, 2**K) interpolation coefficients
+    masks: np.ndarray = None     # (B, N, 2**K) int8 in {-1,+1} once hardened
+
+    def spans(self) -> list:
+        """(start, end) node range of each channel, in channel order."""
+        return list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
+
+    @property
+    def channels(self) -> list:
+        """Per-channel views of the flat arrays, in channel order."""
+        return [LutChannel(self.indices[a:e], self.coeffs[:, a:e],
+                           None if self.masks is None else self.masks[:, a:e])
+                for a, e in self.spans()]
 
 
 @dataclass
@@ -612,14 +638,14 @@ def _interp_channel_sums(lut, flat):
 
     rows = flat.shape[0]
     n_planes = lut.gammas.shape[0]
-    n_ch = len(lut.channels)
-    s_list = [np.zeros((rows, n_ch)) for _ in range(n_planes)]
+    spans = lut.spans()
+    s_list = [np.zeros((rows, len(spans))) for _ in range(n_planes)]
     ch_caches = []
-    for c, ch in enumerate(lut.channels):
-        xg = flat[:, ch.indices]                        # (rows, N~, K)
+    for c, (a, e) in enumerate(spans):
+        xg = flat[:, lut.indices[a:e]]                  # (rows, N~, K)
         basis = ex.interp_basis(xg, lut.k)              # (rows, N~, 2**K)
         for b in range(n_planes):
-            s_list[b][:, c] = np.einsum("rnv,nv->r", basis, ch.coeffs[b])
+            s_list[b][:, c] = np.einsum("rnv,nv->r", basis, lut.coeffs[b, a:e])
         ch_caches.append((xg, basis))
     return s_list, ch_caches
 
@@ -667,18 +693,18 @@ def _lut_layer_bwd(idx, layer, cache, drows, grads):
     for b in range(n_planes):
         dgammas[b] = alpha * float(np.sum(drows * s_list[b]))
     dflat = np.zeros_like(flat)
+    dcoeffs = np.empty_like(lut.coeffs)
     rows_idx = np.arange(flat.shape[0])[:, None, None]
-    for c, ch in enumerate(lut.channels):
+    for c, (a, e) in enumerate(lut.spans()):
         xg, basis = ch_caches[c]
         dch = drows[:, c]                               # (rows,)
-        dcoeffs = np.empty_like(ch.coeffs)
         for b in range(n_planes):
-            dcoeffs[b] = alpha * lut.gammas[b] * np.einsum("r,rnv->nv", dch, basis)
-        grads[f"l{idx}.lut.c{c}"] = dcoeffs
-        ceff = np.einsum("b,bnv->nv", alpha * lut.gammas, ch.coeffs)
+            dcoeffs[b, a:e] = alpha * lut.gammas[b] * np.einsum("r,rnv->nv", dch, basis)
+        ceff = np.einsum("b,bnv->nv", alpha * lut.gammas, lut.coeffs[:, a:e])
         partial = ex.interp_dx_partial(xg, lut.k)       # (rows, N~, 2**K, K)
         dxg = np.einsum("nv,rnvk->rnk", ceff, partial) * dch[:, None, None]
-        np.add.at(dflat, (rows_idx, ch.indices[None, :, :]), dxg)
+        np.add.at(dflat, (rows_idx, lut.indices[None, a:e, :]), dxg)
+    grads[f"l{idx}.lut.coeffs"] = dcoeffs
     grads[f"l{idx}.lut.gammas"] = dgammas
     return dflat
 
@@ -696,21 +722,17 @@ def backward_lut(net: Network, caches, dlogits):
 
 
 def _mask_sums(lut, flat_bits):
-    from . import expand as ex
-
-    rows = flat_bits.shape[0]
-    n_planes = lut.gammas.shape[0]
-    n_ch = len(lut.channels)
-    s_list = [np.zeros((rows, n_ch), dtype=np.int64) for _ in range(n_planes)]
-    for c, ch in enumerate(lut.channels):
-        if ch.masks is None:
-            raise StageError(f"hardened forward requires masks (channel {c})")
-        idx = ex.vertex_index(flat_bits[:, ch.indices])   # (rows, N~)
-        node_ax = np.arange(ch.n_nodes)[None, :]
-        for b in range(n_planes):
-            g = ch.masks[b][node_ax, idx]                 # (rows, N~) of +-1
-            s_list[b][:, c] = g.sum(axis=1)
-    return s_list
+    """Per-plane integer sums (rows, C) of the truth-table outputs of one
+    hardened layer's nodes, per channel; a channel with no nodes sums to 0."""
+    if lut.masks is None:
+        raise StageError("hardened forward requires masks")
+    bits = flat_bits > 0
+    vertex = np.zeros((bits.shape[0], lut.indices.shape[0]), dtype=np.intp)
+    for j in range(lut.k):
+        vertex |= bits[:, lut.indices[:, j]].astype(np.intp) << j
+    outs = lut.masks[:, np.arange(vertex.shape[1]), vertex]       # (B, rows, N) of +-1
+    cum = np.pad(np.cumsum(outs, axis=2, dtype=np.int64), ((0, 0), (0, 0), (1, 0)))
+    return list(cum[..., lut.offsets[1:]] - cum[..., lut.offsets[:-1]])
 
 
 def _level_int_dots(layer, flat_bits):

@@ -184,8 +184,7 @@ def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
                 params[f"l{i}.weights"] = layer.weights
             else:
                 params[f"l{i}.lut.gammas"] = layer.lut.gammas
-                for c, ch in enumerate(layer.lut.channels):
-                    params[f"l{i}.lut.c{c}"] = ch.coeffs
+                params[f"l{i}.lut.coeffs"] = layer.lut.coeffs
         _bn_params(net, params)
         nm.adam_step(params, grads, state, lr=lr)
         for _i, layer in net.compute_layers():

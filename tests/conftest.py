@@ -1,8 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from lutnet import data as dataio
+from lutnet import expand as ex
 from lutnet import model as md
+from lutnet import prune as pr
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +38,28 @@ def make_tiny_net(seed=7, b_levels=2, in_bits=8, hidden=4, classes=3,
                 layer.gamma = rng.uniform(0.5, 1.5, n) * np.where(rng.random(n) < 0.3, -1.0, 1.0)
                 layer.beta = rng.standard_normal(n) * 0.2
     return net
+
+
+def tiny_stages():
+    """(stage, network) after each pipeline step of make_tiny_net(): prune,
+    binarise, expand at K=3 with perturbed coefficients, harden.  The
+    hardened network is the one data/tiny_hardened_v1.json holds."""
+    net = make_tiny_net()
+    out = [("real", copy.deepcopy(net))]
+    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.75, tol=0.3))
+    out.append(("pruned", copy.deepcopy(net)))
+    pr.binarise_network(net)
+    out.append(("binarised", copy.deepcopy(net)))
+    ex.expand_network(net, k=3, seed=11)
+    rng = np.random.default_rng(12)
+    for _i, layer in net.compute_layers():
+        if layer.lut is not None:
+            for ch in layer.lut.channels:
+                ch.coeffs += rng.normal(0.0, 0.3, ch.coeffs.shape)
+    out.append(("expanded", copy.deepcopy(net)))
+    ex.harden_network(net)
+    out.append(("hardened", net))
+    return out
 
 
 def exhaustive_pm1(n_bits):

@@ -7,7 +7,7 @@ from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import prune as pr
-from lutnet.expand import detect_dont_cares, shannon_decompose, vertex_index
+from lutnet.expand import detect_dont_cares, shannon_decompose
 
 from conftest import exhaustive_pm1
 
@@ -87,8 +87,7 @@ def eval_cells(cells, assignment: dict) -> int:
     for j, (tbl, ids) in enumerate(cells):
         coords = [values[i[1]] if isinstance(i, tuple) and i[0] == "cell" else assignment[i]
                   for i in ids]
-        idx = int(vertex_index(np.array(coords, dtype=np.float64)))
-        values[j] = int(tbl[idx])
+        values[j] = int(tbl[sum(1 << i for i, c in enumerate(coords) if c > 0)])
     return values[len(cells) - 1]
 
 

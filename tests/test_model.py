@@ -240,15 +240,15 @@ class TestLutForms:
         net = md.Network("xn", [layer], 1, (2,), 0, stage="pruned")
         pr.binarise_network(net)
         ex.expand_network(net, k=2, seed=5)
-        ch = net.layers[0].lut.channels[0]
-        assert ch.node_positions.tolist() == [0, 1]
-        ch.coeffs[0] = 0.25
-        net.layers[0].lut.channels[0] = ch
-        net.layers[0].lut.gammas = np.array([1.0])
+        lut = net.layers[0].lut
+        assert lut.offsets.tolist() == [0, 2]
+        assert lut.indices[:, 0].tolist() == [0, 1]
+        lut.coeffs[0] = 0.25
+        lut.gammas = np.array([1.0])
         for xt in exhaustive_pm1(2):
             got = md.forward_lut(net, xt[None, :])[0, 0]
-            want = (xt[ch.indices[0, 0]] * xt[ch.indices[0, 1]]
-                    + xt[ch.indices[1, 0]] * xt[ch.indices[1, 1]])
+            want = (xt[lut.indices[0, 0]] * xt[lut.indices[0, 1]]
+                    + xt[lut.indices[1, 0]] * xt[lut.indices[1, 1]])
             assert abs(got - want) < 1e-12
 
     def test_hardened_equals_interpolated_at_vertices(self):
@@ -260,9 +260,34 @@ class TestLutForms:
             verts = ex.vertices(k)
             for b in range(2):
                 for n in range(3):
-                    vals = ex.interp_eval(np.broadcast_to(coeffs[b, n], (1 << k, 1 << k)),
-                                          verts)
+                    # g(v) = sum over d of c_d * prod_k (v_k - d_k), term by term
+                    vals = np.array([sum(coeffs[b, n, d] * np.prod(v - verts[d])
+                                         for d in range(1 << k)) for v in verts])
                     assert np.array_equal(nm.sign_pm1(vals).astype(np.int8), masks[b, n])
+
+    def test_one_coefficient_gradient_per_expanded_layer(self):
+        net = self._expanded(k=3)
+        lut = net.layers[2].lut
+        x = exhaustive_pm1(8)
+        labels = np.arange(256) % 3
+
+        def loss():
+            logits, caches = md.forward_lut_train(net, x)
+            return nm.softmax_xent(logits, labels)[0], caches, logits
+
+        _l, caches, logits = loss()
+        grads = md.backward_lut(net, caches, nm.softmax_xent(logits, labels)[1])
+        assert sorted(k for k in grads if ".lut." in k) == ["l2.lut.coeffs", "l2.lut.gammas"]
+        assert grads["l2.lut.coeffs"].shape == lut.coeffs.shape
+        h = 1e-6
+        for b, n, v in [(0, 0, 0), (1, lut.offsets[1], 5), (0, lut.offsets[-1] - 1, 7)]:
+            lut.coeffs[b, n, v] += h
+            up = loss()[0]
+            lut.coeffs[b, n, v] -= 2 * h
+            down = loss()[0]
+            lut.coeffs[b, n, v] += h
+            fd = (up - down) / (2 * h)
+            assert abs(fd - grads["l2.lut.coeffs"][b, n, v]) <= 1e-6 * max(1.0, abs(fd))
 
     def test_hardened_bits_requires_hardened_stage(self):
         net = self._expanded()

@@ -84,9 +84,8 @@ def test_full_kernel_conv_equals_dense(first_unrolled):
             ex.expand_network(net, k=k, seed=5)
         for (_i, lc), (_j, ld) in zip(pair[0].compute_layers(), pair[1].compute_layers()):
             if lc.lut is not None:
-                for ch_c, ch_d in zip(lc.lut.channels, ld.lut.channels):
-                    ch_c.coeffs += perturb.normal(0.0, 0.05, ch_c.coeffs.shape)
-                    ch_d.coeffs = ch_c.coeffs.copy()
+                lc.lut.coeffs += perturb.normal(0.0, 0.05, lc.lut.coeffs.shape)
+                ld.lut.coeffs[...] = lc.lut.coeffs
         assert np.array_equal(md.forward_lut(pair[0], x), md.forward_lut(pair[1], x))
         grads = []
         for net in pair:
