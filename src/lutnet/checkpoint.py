@@ -224,11 +224,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "r", encoding="ascii") as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: corrupt checkpoint at line {e.lineno} col {e.colno}: "
-                          f"{e.msg}") from e
+        raw = json.loads(data.decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SchemaError(f"{path}: corrupt checkpoint: {e}") from e
     return from_dict(raw)

@@ -40,10 +40,19 @@ def test_prune_without_a_setting_is_a_usage_error(tiny_ckpts, tmp_path, capsys):
     assert "theta / target_density" in capsys.readouterr().err
 
 
-def test_malformed_checkpoint_is_an_operational_failure(tiny_ckpts, tmp_path, capsys):
+def _bad_offsets():
     raw = to_dict(Checkpoint(tiny_stages()[-1][1]))
     raw["layers"][2]["lut"]["offsets"] = [0, 9, 7, 9]
+    return json.dumps(raw).encode("ascii")
+
+
+@pytest.mark.parametrize("content, message", [
+    (_bad_offsets, "offsets"),
+    (lambda: b'{"schema_version":', "corrupt"),
+    (lambda: b"\xff\xfe{}", "corrupt"),
+])
+def test_malformed_checkpoint_is_an_operational_failure(content, message, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
+    bad.write_bytes(content())
     assert cli.main(["area", "--ckpt", str(bad), "--out", str(tmp_path)]) == 1
-    assert "offsets" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
