@@ -3,7 +3,7 @@ field names.  Floats go through repr (shortest round-trip decimal), so
 load(save(x)) reproduces every tensor bit-for-bit; serialisation is
 key-sorted and therefore byte-deterministic for a given checkpoint.
 
-Schema 2 stores no field that other fields determine.  A compute layer holds
+Schema 2 leaves out what loading can derive.  A compute layer holds
 its latent weights, prune mask, alpha, folded thresholds and, once expanded,
 a `lut` block with the flat arrays of model.LutData: k, gammas, offsets,
 indices, coeffs and masks.  Derived on load: the residual levels of every
