@@ -1,10 +1,12 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
 
 from lutnet import data as dataio
 from lutnet import expand as ex
+from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import prune as pr
 
@@ -72,3 +74,22 @@ def rel_err(got, want, floor=1e-12):
     want = np.asarray(want, dtype=np.float64)
     denom = max(float(np.linalg.norm(want)), floor)
     return float(np.linalg.norm(got - want)) / denom
+
+
+def netlist_pin(nl):
+    """(sha256 of the behavioral Verilog, sha256 of the vendor-primitive
+    Verilog, {lut, add, threshold} cell counts) of a netlist.  Files are
+    hashed in name order, as bench/workloads.py hashes them."""
+    shas = []
+    for style in ("behavioral", "vendor-primitive"):
+        files = hw.emit_verilog(nl, style=style)
+        h = hashlib.sha256()
+        for name in sorted(files):
+            h.update(name.encode("ascii") + b"\0" + files[name].encode("ascii") + b"\0")
+        shas.append(h.hexdigest())
+    counts = {"lut": 0, "add": 0, "threshold": 0}
+    for cell in nl.cells:
+        kind = ("lut" if isinstance(cell, hw.LutCell) else
+                "add" if isinstance(cell, hw.AddCell) else "threshold")
+        counts[kind] += 1
+    return shas[0], shas[1], counts

@@ -9,7 +9,7 @@ from lutnet import model as md
 from lutnet import prune as pr
 from lutnet.expand import detect_dont_cares, shannon_decompose
 
-from conftest import exhaustive_pm1
+from conftest import exhaustive_pm1, netlist_pin
 
 
 def _bits(v, k):
@@ -176,3 +176,67 @@ def test_verilog_tables_equal_netlist_tables(k):
     assert luts and len(tables) == len(luts)
     for cell in luts:
         assert np.array_equal(tables[nl.nets[cell.out].name], cell.table)
+
+
+# netlist_pin of lower(_planted_net(k)): Verilog sha256 in the behavioral and
+# vendor-primitive styles and the cell counts, recorded from the object-per-bit
+# netlist that the per-layer arrays replaced
+PLANTED_PINS = {
+    1: ("d4323e0f0e29585391806f6de0275a1d628c3927228caab57ab3d5215953e857",
+        "3186ebf7ec6521116af70bc25f337e6ec53419af7bfc2f4d7b5a02f871f8226d",
+        {"lut": 96, "add": 80, "threshold": 9}),
+    2: ("31452e6d407d3c05621e7debbb042149b2b3faa9a7d82c02dc264e472d8ff634",
+        "5c4067e20b79ce6c856da6a4d7cc6637f004ed0237cfb3d1b3e75e00018bd9de",
+        {"lut": 92, "add": 76, "threshold": 9}),
+    3: ("4833fa8e0f114e353b823028216b9e82f778bdeb4bb380d05515aba184c5956e",
+        "2e54cd21f577d307a196fb97a14bf644e27eadeb8c7a5644880ab13a60c08c2c",
+        {"lut": 92, "add": 76, "threshold": 9}),
+    4: ("7f895e48907eaac0f0d52b4ddb4042aa2117abb75cf1d3dad1a2083d264403dc",
+        "451fbf818e774558ad6a3956e587cda661774ecf1085e150c57738ff5aab3627",
+        {"lut": 96, "add": 80, "threshold": 9}),
+    5: ("214bd1730214f28b599b7bfab1eeca03d0ad143c90b375ae168a33b50a4cd143",
+        "bcc6a53bcf3a98a9bb6ee9f204f676f7e2bf0351bff8db3d5158f8f42c418658",
+        {"lut": 90, "add": 74, "threshold": 9}),
+    6: ("5369c0e756c37a1608a40252836a85c6d6e6488584c65ef534e8d4437c4bf248",
+        "466a677499b4e05d112984f7b6421e398351c844d4e8f2285f250ccdac8af0ee",
+        {"lut": 92, "add": 76, "threshold": 9}),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_planted_netlist_matches_pin(k):
+    assert netlist_pin(hw.lower(_planted_net(k))) == PLANTED_PINS[k]
+
+
+def _unread_column_net():
+    """6 -> 4 (time-multiplexed) -> 3 (expanded at K=1) with column 1 of the
+    second layer pruned in every channel, so no node reads activation 1 of
+    the first layer."""
+    layers = [md.DenseLayer(6, 4, unrolled=False), md.BatchNormLayer(4),
+              md.DenseLayer(4, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("unread", layers, 2, (6,), 21))
+    pr.prune_threshold(net, 0.0)
+    net.layers[2].prune_mask[:, 1] = False
+    net.layers[2].weights[:, 1] = 0.0
+    pr.binarise_network(net)
+    ex.expand_network(net, k=1, seed=22)
+    ex.harden_network(net, frac_bits=6)
+    return net
+
+
+UNREAD_PIN = ("83c4fcc88c8c5a1a1d5dca3dfc2992ce68e248a7dc70a98d7a175d264b8310c3",
+              "8163dcd52726b89bad570a078f518ff7f7673132a8923775c31b5b8eef1be624",
+              {"lut": 66, "add": 52, "threshold": 7})
+
+
+def test_unread_activation_is_an_internal_wire():
+    net = _unread_column_net()
+    nl = hw.lower(net)
+    files = hw.emit_verilog(nl)
+    assert "act_l0_c1" not in files["unread_top.v"]
+    assert "\nwire act_l0_c1;\n" in files["unread_l0.v"]
+    assert "act_l0_c1" not in files["unread_l2.v"]
+    assert netlist_pin(nl) == UNREAD_PIN
+    x = exhaustive_pm1(6)
+    assert np.array_equal(hw.simulate(nl, hw.encode_pm1(x)),
+                          hw.encode_pm1(md.forward_hardened_bits(net, x)))

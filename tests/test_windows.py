@@ -13,6 +13,8 @@ from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
 
+from conftest import netlist_pin
+
 
 def _randomize_bn(net, seed):
     rng = np.random.default_rng(seed)
@@ -126,17 +128,46 @@ def test_conv_stack_k1_expansion_equals_binary():
     assert np.array_equal(md.forward_lut(net, x), want)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_conv_stack_netlist_equals_hardened_bits(k):
+def _hardened_conv_stack(k, rng):
     net = _conv_stack()
     ex.expand_network(net, k=k, seed=53)
-    rng = np.random.default_rng(54 + k)
     for _i, layer in net.compute_layers():
         if layer.lut is not None:
             for ch in layer.lut.channels:
                 ch.coeffs += rng.normal(0.0, 0.05, ch.coeffs.shape)
-    ex.harden_network(net, frac_bits=6)
+    return ex.harden_network(net, frac_bits=6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_stack_netlist_equals_hardened_bits(k):
+    rng = np.random.default_rng(54 + k)
+    net = _hardened_conv_stack(k, rng)
     x = rng.choice([-1.0, 1.0], size=(300, 49))
     want = hw.encode_pm1(md.forward_hardened_bits(net, x))
     got = hw.simulate(hw.lower(net), hw.encode_pm1(x))
     assert np.array_equal(got, want)
+
+
+# netlist_pin of the lowered conv stack: Verilog sha256 in both styles and the
+# cell counts, recorded from the object-per-bit netlist that the per-layer
+# arrays replaced
+CONV_STACK_PINS = {
+    1: ("aa6b7863aef70d0154a6976449517b40090872d4d73c766de4e768c2d8f46a19",
+        "7bf7084023e7c75c77fbe95fcd68d9229fbe880bf4a09f5843ced8767fac47a9",
+        {"lut": 1229, "add": 948, "threshold": 127}),
+    2: ("aa6b7863aef70d0154a6976449517b40090872d4d73c766de4e768c2d8f46a19",
+        "7bf7084023e7c75c77fbe95fcd68d9229fbe880bf4a09f5843ced8767fac47a9",
+        {"lut": 1229, "add": 948, "threshold": 127}),
+    3: ("3586c9478740f5a8d75e8900cb5beef7e150aa9692a88995efb11a4e89c7154b",
+        "f470ba20ffd8e4290417996f2ab5aa7e97248d4d9127f8c2bc74f461ef19b552",
+        {"lut": 1229, "add": 948, "threshold": 127}),
+    4: ("18aba3335e86e3a69589b81755c197bcd0ddf4857f68941e53f1046be12b8e41",
+        "025987bdcfdc799e55cf3392ce72c14ce45427a7c1a8615f733be85cd66193f1",
+        {"lut": 1229, "add": 948, "threshold": 127}),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_stack_netlist_matches_pin(k):
+    net = _hardened_conv_stack(k, np.random.default_rng(54 + k))
+    assert netlist_pin(hw.lower(net)) == CONV_STACK_PINS[k]
