@@ -71,30 +71,35 @@ def harden_masks(coeffs: np.ndarray) -> np.ndarray:
     return nm.sign_pm1(vals).astype(np.int8)
 
 
-def detect_dont_cares(table: np.ndarray, k: int):
-    """Inputs the truth table does not depend on.
+def reduce_dont_cares(tables: np.ndarray, k: int):
+    """Drop the inputs each truth table does not depend on, for every table
+    of tables (..., 2**k) at once.
 
-    Input j is removable iff the table is unchanged under flipping bit j for all
-    vertices.  Returns (kept_inputs, reduced_table) with the reduced table
-    defined over the kept inputs in ascending original order and
-    function-equivalent to the original.
+    Input j is a don't-care iff flipping bit j of the vertex index never
+    changes the output.  Returns (k_eff, kept, reduced):
+    - k_eff (...): the number of inputs the table depends on;
+    - kept (..., k): those inputs in ascending order, then zeros;
+    - reduced (..., 2**k): the table over the kept inputs (bit i of its index
+      carries input kept[i]), function-equivalent to the original, then zeros.
     """
-    table = np.asarray(table)
-    if table.shape[-1] != (1 << k):
-        raise ExpansionError(f"table length {table.shape[-1]} != 2**{k}")
-    cube = table.reshape((2,) * k)   # axis k-1-j indexes input j (bit 0 fastest)
-    kept = []
-    for j in range(k):
-        axis = k - 1 - j
-        if not np.array_equal(np.take(cube, 0, axis=axis), np.take(cube, 1, axis=axis)):
-            kept.append(j)
-    # ascending j: dropping axis k-1-j leaves the axes of higher inputs,
-    # still to be visited, where they were
-    reduced = cube
-    for j in range(k):
-        if j not in kept:
-            reduced = np.take(reduced, 0, axis=k - 1 - j)
-    return kept, np.ascontiguousarray(reduced.reshape(-1))
+    tables = np.asarray(tables)
+    n = 1 << k
+    if tables.shape[-1] != n:
+        raise ExpansionError(f"table length {tables.shape[-1]} != 2**{k}")
+    vertex = np.arange(n)
+    depends = np.stack([np.any(tables != tables[..., vertex ^ (1 << j)], axis=-1)
+                        for j in range(k)], axis=-1)
+    k_eff = depends.sum(axis=-1)
+    live = np.arange(k) < k_eff[..., None]
+    kept = np.where(live, np.argsort(~depends, axis=-1, kind="stable"), 0)
+    # entry s of the reduced table reads the vertex whose kept input i is bit
+    # i of s and whose don't-care inputs are 0
+    source = np.zeros(tables.shape, dtype=np.int64)
+    for i in range(k):
+        source |= (((vertex >> i) & 1) * live[..., i:i + 1]) << kept[..., i:i + 1]
+    reduced = np.take_along_axis(tables, source, axis=-1)
+    reduced = np.where(vertex < (1 << k_eff)[..., None], reduced, 0).astype(tables.dtype)
+    return k_eff, kept, reduced
 
 
 MUX_TABLE = np.array([-1, 1, -1, 1, -1, -1, 1, 1], dtype=np.int8)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import model as md
 from ..errors import PackingError
-from ..expand import detect_dont_cares, shannon_decompose
+from ..expand import reduce_dont_cares, shannon_decompose
 
 
 @lru_cache(maxsize=None)
@@ -118,40 +118,35 @@ def _layer_logical_luts(layer, positions_mult: int):
     [(k_eff, input ids)], with histogram over reduced widths.  Input ids are
     (position, window index) so sharing within one neuron instance is visible
     to the packer; buffers/inverters/constants are zero-cost and excluded."""
-    luts = []
-    hist = {}
-    logical = 0
-    if layer.lut is not None:
-        lut = layer.lut
-        for ci, (a, e) in enumerate(lut.spans()):
-            for b in range(lut.masks.shape[0]):
-                for n in range(a, e):
-                    kept, reduced = detect_dont_cares(lut.masks[b, n], lut.k)
-                    keff = len(kept)
-                    hist[keff] = hist.get(keff, 0) + positions_mult
-                    if keff <= 1:
-                        logical += positions_mult
-                        continue
-                    ins = [int(lut.indices[n, j]) for j in kept]
-                    if keff > 6:
-                        cells = shannon_decompose(reduced, ins)
-                        for p in range(positions_mult):
-                            for j, (_tbl, ids) in enumerate(cells):
-                                uniq = frozenset(
-                                    (ci, b, n, p, "cell", i[1]) if isinstance(i, tuple)
-                                    else (ci, p, i) for i in ids)
-                                luts.append((len(ids), uniq))
-                            logical += len(cells)
-                    else:
-                        for p in range(positions_mult):
-                            luts.append((keff, frozenset((ci, p, i) for i in ins)))
-                        logical += positions_mult
-    else:
+    if layer.lut is None:
         # time-multiplexed binary layer: buffers/inverters only, all zero-cost
         n_planes = len(layer.levels)
         nodes = int(layer.prune_mask.sum())
-        hist[1] = nodes * n_planes * positions_mult
-        logical = hist[1]
+        logical = nodes * n_planes * positions_mult
+        return [], {1: logical}, logical
+    lut = layer.lut
+    k_eff, kept, reduced = reduce_dont_cares(lut.masks, lut.k)
+    widths, counts = np.unique(k_eff, return_counts=True)
+    hist = {int(k): int(n) * positions_mult for k, n in zip(widths, counts)}
+    logical = int((k_eff <= 1).sum()) * positions_mult
+    luts = []
+    channel = np.repeat(np.arange(len(lut.offsets) - 1), np.diff(lut.offsets))
+    wide = sorted((int(channel[n]), int(b), int(n)) for b, n in zip(*np.nonzero(k_eff > 1)))
+    for ci, b, n in wide:
+        keff = int(k_eff[b, n])
+        ins = lut.indices[n, kept[b, n, :keff]].tolist()
+        if keff > 6:
+            cells = shannon_decompose(reduced[b, n, :1 << keff], ins)
+            for p in range(positions_mult):
+                for _tbl, ids in cells:
+                    uniq = frozenset((ci, b, n, p, "cell", i[1]) if isinstance(i, tuple)
+                                     else (ci, p, i) for i in ids)
+                    luts.append((len(ids), uniq))
+                logical += len(cells)
+        else:
+            for p in range(positions_mult):
+                luts.append((keff, frozenset((ci, p, i) for i in ins)))
+            logical += positions_mult
     return luts, hist, logical
 
 
@@ -159,7 +154,7 @@ def area_report(net: md.Network) -> AreaReport:
     """Physical 6-LUT estimate of a hardened network, split into popcount
     operators, inference operators and other logic (thresholds, pooling)."""
     md.require_stage(net, "hardened")
-    frac_bits = net.fx.frac_bits if net.fx else 8
+    frac_bits = net.fx.frac_bits
     report = AreaReport()
     shape = tuple(net.input_shape)
     for li, layer in enumerate(net.layers):

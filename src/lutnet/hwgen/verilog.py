@@ -38,19 +38,17 @@ def _table_literal(table: np.ndarray) -> str:
     return f"{len(table)}'b{bits}"
 
 
-def _lut_assign(nl: Netlist, cell: LutCell) -> str:
-    name = nl.nets[cell.out].name
-    k = len(cell.inputs)
-    if k == 0:
-        return f"assign {name} = 1'b{int(cell.table[0])};"
-    ins = ", ".join(nl.nets[i].name for i in reversed(cell.inputs))
-    return f"assign {name} = ({_table_literal(cell.table)} >> {{{ins}}}) & 1'b1;"
+def _lut_assign(cell: LutCell) -> str:
+    if not cell.inputs:
+        return f"assign {cell.out} = 1'b{int(cell.table[0])};"
+    ins = ", ".join(reversed(cell.inputs))
+    return f"assign {cell.out} = ({_table_literal(cell.table)} >> {{{ins}}}) & 1'b1;"
 
 
-def _lut_primitive(nl: Netlist, cell: LutCell) -> str:
+def _lut_primitive(cell: LutCell) -> str:
     k = len(cell.inputs)
     if k == 0:
-        return _lut_assign(nl, cell)
+        return _lut_assign(cell)
     if k > 6:
         raise PackingError(f"vendor mode cannot instantiate a {k}-input LUT (max 6)")
     nbits = 1 << k
@@ -59,109 +57,78 @@ def _lut_primitive(nl: Netlist, cell: LutCell) -> str:
     for i, b in enumerate(cell.table):
         value |= int(b) << i
     init = f"{nbits}'h{value:0{hexdigits}X}"
-    pins = ", ".join(f".I{j}({nl.nets[nid].name})" for j, nid in enumerate(cell.inputs))
-    return (f"LUT{k} #(.INIT({init})) {cell.name}_i ({pins}, "
-            f".O({nl.nets[cell.out].name}));")
+    pins = ", ".join(f".I{j}({name})" for j, name in enumerate(cell.inputs))
+    return f"LUT{k} #(.INIT({init})) {cell.out}_i ({pins}, .O({cell.out}));"
 
 
-def _decl(nl: Netlist, nid: int, signed: bool = False) -> str:
-    net = nl.nets[nid]
-    s = " signed" if signed else ""
-    if net.width == 1 and not signed:
-        return f"wire {net.name};"
-    return f"wire{s} [{net.width - 1}:0] {net.name};"
+def _decl(name: str, width: int = 1) -> str:
+    if width == 1:
+        return f"wire {name};"
+    return f"wire [{width - 1}:0] {name};"
 
 
-def _threshold_lines(nl: Netlist, cell: ScaleThresholdCell) -> list:
+def _threshold_lines(cell: ScaleThresholdCell) -> list:
     w = cell.acc_width
     acc_name = f"{cell.name}_acc"
-    terms = []
-    for q, pid in zip(cell.q_gammas, cell.pops):
-        pop = nl.nets[pid].name
-        pw = nl.nets[pid].width
-        # 2*q*pop - q*n_tilde, constant-folded per plane
-        terms.append(f"({_sdec(w, 2 * q)} * $signed({{1'b0, {pop}[{pw - 1}:0]}}))")
-    const = -cell.n_tilde * sum(cell.q_gammas)
-    terms.append(_sdec(w, const))
-    expr = " + ".join(terms)
+    pw = cell.pop_width
+    # 2*q*pop - q*n_tilde, constant-folded per plane
+    terms = [f"({_sdec(w, 2 * q)} * $signed({{1'b0, {pop}[{pw - 1}:0]}}))"
+             for q, pop in zip(cell.q_gammas, cell.pops)]
+    terms.append(_sdec(w, -cell.n_tilde * sum(cell.q_gammas)))
     cmp_op = "<=" if cell.flip else ">="
-    out = nl.nets[cell.out].name
     return [
         f"wire signed [{w - 1}:0] {acc_name};",
-        f"assign {acc_name} = {expr};",
-        f"assign {out} = ({acc_name} {cmp_op} {_sdec(w, cell.q_tau)});",
+        f"assign {acc_name} = {' + '.join(terms)};",
+        f"assign {cell.out} = ({acc_name} {cmp_op} {_sdec(w, cell.q_tau)});",
     ]
 
 
 def emit_verilog(netlist: Netlist, style: str = "behavioral") -> dict:
     """Render the netlist as {filename: text}: one module per layer plus a top
-    module instantiating them in order."""
+    module instantiating them in order.  Cells, their order and their net
+    names come from Netlist.walk; a module's input ports are the nets its
+    cells read, in order of first use, and its output ports the nets it
+    exports, in cell order."""
     if style not in ("behavioral", "vendor-primitive"):
         raise ValueError(f"unknown emission style '{style}'")
-    layers = sorted({c.layer for c in netlist.cells})
+    lut_line = _lut_primitive if style == "vendor-primitive" else _lut_assign
     files = {}
     top_wires = []
     top_insts = []
+    out_ports = netlist.output_names()
+    out_set = set(out_ports)
 
-    in_port_nets = [nid for _p, nids in netlist.input_ports for nid in nids]
-    out_port_list = [nid for _p, nids in netlist.output_ports for nid in nids]
-    out_port_nets = set(out_port_list)
-
-    consumer_layers: dict = {}
-    for cell in netlist.cells:
-        for nid in netlist.cell_inputs(cell):
-            consumer_layers.setdefault(nid, set()).add(cell.layer)
-
-    cells_by_layer: dict = {li: [] for li in layers}
-    for cell in netlist.cells:
-        cells_by_layer[cell.layer].append(cell)
-
-    for li in layers:
-        cells = cells_by_layer[li]
-        driven = {c.out for c in cells}
-        ext_in, seen = [], set()
+    for li, cells, exported in netlist.walk():
+        ext_out = set(exported)
+        ext_in = {}
+        decls, body = [], []
         for cell in cells:
-            for nid in netlist.cell_inputs(cell):
-                if nid not in driven and nid not in seen:
-                    ext_in.append(nid)
-                    seen.add(nid)
-        ext_out = [c.out for c in cells
-                   if c.out in out_port_nets or (consumer_layers.get(c.out, set()) - {li})]
-        mod = f"{netlist.name}_l{li}"
-        lines = [HEADER.format(title=f"module {mod}"), f"module {mod} ("]
-        ports = [f"    input wire {netlist.nets[n].name}" for n in ext_in]
-        ports += [f"    output wire {netlist.nets[n].name}" for n in ext_out]
-        lines.append(",\n".join(ports))
-        lines.append(");")
-        for cell in cells:
-            if isinstance(cell, AddCell) or cell.out not in ext_out:
-                lines.append(_decl(netlist, cell.out))
-        for cell in cells:
+            width = 1
             if isinstance(cell, LutCell):
-                if style == "vendor-primitive":
-                    lines.append(_lut_primitive(netlist, cell))
-                else:
-                    lines.append(_lut_assign(netlist, cell))
+                ext_in.update(dict.fromkeys(cell.inputs))
+                body.append(lut_line(cell))
             elif isinstance(cell, AddCell):
-                a, b = netlist.nets[cell.a], netlist.nets[cell.b]
-                lines.append(f"assign {netlist.nets[cell.out].name} = "
-                             f"{a.name} + {b.name};")
+                width = cell.width
+                body.append(f"assign {cell.out} = {cell.a} + {cell.b};")
             else:
-                lines.extend(_threshold_lines(netlist, cell))
-        lines.append("endmodule")
+                body.extend(_threshold_lines(cell))
+            if cell.out not in ext_out:
+                decls.append(_decl(cell.out, width))
+        mod = f"{netlist.name}_l{li}"
+        ports = [f"    input wire {n}" for n in ext_in]
+        ports += [f"    output wire {n}" for n in exported]
+        lines = [HEADER.format(title=f"module {mod}"), f"module {mod} (", ",\n".join(ports), ");"]
+        lines += decls + body + ["endmodule"]
         files[f"{mod}.v"] = "\n".join(lines) + "\n"
 
-        inst_ports = [f".{netlist.nets[n].name}({netlist.nets[n].name})"
-                      for n in ext_in + ext_out]
+        inst_ports = [f".{n}({n})" for n in list(ext_in) + exported]
         top_insts.append(f"{mod} {mod}_i ({', '.join(inst_ports)});")
-        for n in ext_out:
-            if n not in out_port_nets:
-                top_wires.append(f"wire {netlist.nets[n].name};")
+        top_wires += [f"wire {n};" for n in exported if n not in out_set]
 
     top = f"{netlist.name}_top"
     lines = [HEADER.format(title=f"module {top}"), f"module {top} ("]
-    ports = [f"    input wire {netlist.nets[n].name}" for n in in_port_nets]
-    ports += [f"    output wire {netlist.nets[n].name}" for n in out_port_list]
+    ports = [f"    input wire {n}" for n in netlist.input_names()]
+    ports += [f"    output wire {n}" for n in out_ports]
     lines.append(",\n".join(ports))
     lines.append(");")
     lines.extend(top_wires)

@@ -1,10 +1,12 @@
-"""The benchmark's read path into the library, pinned on a tiny net so that a
-refactor that breaks bench/workloads.py fails here in seconds.  The module
-is loaded from its file and only called, never changed."""
+"""The benchmark's read paths into the library, pinned on a tiny net so that a
+refactor that breaks bench/workloads.py or bench/tracing.py fails here in
+seconds.  The modules are loaded from their files and only called, never
+changed."""
 
 import hashlib
 import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -13,15 +15,21 @@ from lutnet import hwgen as hw
 
 from conftest import tiny_stages
 
-WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("workloads")
 
 
 @pytest.mark.parametrize("stage", ["expanded", "hardened"])
@@ -43,8 +51,28 @@ def test_coefficient_writes_through_channels_land_in_the_layer():
     assert np.array_equal(lut.coeffs, before + 1.0)
 
 
+# cells of lower(tiny hardened net), recorded from the object-per-bit netlist
+TINY_CELLS = {"lut": 82, "add": 68, "threshold": 7}
+
+
 def test_netlist_readers_run(workloads):
     nl = hw.lower(dict(tiny_stages())["hardened"])
     counts = workloads._cell_counts(nl)
-    assert sum(counts.values()) == len(nl.cells) and counts["lut"] > 0
+    assert counts == TINY_CELLS
+    assert sum(1 for _cell in nl.cells) == sum(TINY_CELLS.values())
     assert workloads._verilog_tables_match(nl, hw.emit_verilog(nl))
+
+
+def test_tracer_finds_every_target_module():
+    tracing = _load("tracing")
+    restore = tracing.Tracer().install()
+    try:
+        for _name, _layer, module, _attr in tracing.TARGETS:
+            assert module in sys.modules, module
+    finally:
+        restore()
+    for _name, _layer, module, attr in tracing.TARGETS:
+        owner = sys.modules[module]
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert not hasattr(owner, "__wrapped__"), attr

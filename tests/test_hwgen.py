@@ -7,7 +7,7 @@ from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import prune as pr
-from lutnet.expand import detect_dont_cares, shannon_decompose
+from lutnet.expand import reduce_dont_cares, shannon_decompose
 
 from conftest import exhaustive_pm1, netlist_pin
 
@@ -23,14 +23,34 @@ def _brute_dont_cares(table, k):
             if any(table[v] != table[v ^ (1 << j)] for v in range(1 << k))]
 
 
-def _assert_reduction(table, k):
-    kept, reduced = detect_dont_cares(table, k)
-    assert kept == _brute_dont_cares(table, k)
-    assert reduced.shape == (1 << len(kept),)
-    for v in range(1 << k):
-        bits = _bits(v, k)
-        sub = sum(bits[j] << i for i, j in enumerate(kept))
-        assert reduced[sub] == table[v], (v, kept)
+def detect_dont_cares(table, k):
+    """(kept inputs, reduced table) of one table, through reduce_dont_cares."""
+    kept, reduced = _reduce_each(np.asarray(table)[None], k)[0]
+    return kept, reduced
+
+
+def _reduce_each(tables, k):
+    """[(kept inputs, reduced table)] of a stack of tables, reduced in one
+    reduce_dont_cares call; both arrays must be zero past k_eff."""
+    k_eff, kept, reduced = reduce_dont_cares(tables, k)
+    assert k_eff.shape == tables.shape[:-1]
+    assert kept.shape == tables.shape[:-1] + (k,) and reduced.shape == tables.shape
+    out = []
+    for ke, ins, table in zip(k_eff.reshape(-1).tolist(), kept.reshape(-1, k),
+                              reduced.reshape(-1, 1 << k)):
+        assert not ins[ke:].any() and not table[1 << ke:].any()
+        out.append((ins[:ke].tolist(), table[:1 << ke]))
+    return out
+
+
+def _assert_reduction(tables, k):
+    for table, (kept, reduced) in zip(tables, _reduce_each(tables, k)):
+        assert kept == _brute_dont_cares(table, k)
+        assert reduced.shape == (1 << len(kept),)
+        for v in range(1 << k):
+            bits = _bits(v, k)
+            sub = sum(bits[j] << i for i, j in enumerate(kept))
+            assert reduced[sub] == table[v], (v, kept)
 
 
 def _planted(rng, k, depends_on):
@@ -71,14 +91,20 @@ class TestDetectDontCares:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_matches_brute_force(self, k):
         rng = np.random.default_rng(60 + k)
+        tables = []
         for _ in range(40):
             depends_on = sorted(rng.choice(k, size=rng.integers(0, k + 1), replace=False).tolist())
-            _assert_reduction(_planted(rng, k, depends_on), k)
+            tables.append(_planted(rng, k, depends_on))
+        _assert_reduction(np.stack(tables), k)
+        # one call over a (planes, nodes, 2**k) stack reduces each table alike
+        stacked = _reduce_each(np.stack(tables).reshape(4, 10, 1 << k), k)
+        flat = _reduce_each(np.stack(tables), k)
+        assert all(a[0] == b[0] and np.array_equal(a[1], b[1]) for a, b in zip(stacked, flat))
 
     def test_pm1_tables(self):
         rng = np.random.default_rng(67)
         table = _planted(rng, 5, [1, 3, 4]).astype(np.int8) * 2 - 1
-        _assert_reduction(table, 5)
+        _assert_reduction(table[None], 5)
 
 
 def eval_cells(cells, assignment: dict) -> int:
@@ -161,9 +187,7 @@ def test_netlist_equals_hardened_bits_exhaustively(k):
     x = exhaustive_pm1(8)
     for n in (first, net):
         want = hw.encode_pm1(md.forward_hardened_bits(n, x))
-        for reduce_dc in (True, False):
-            nl = hw.lower(n, reduce_dont_cares=reduce_dc)
-            assert np.array_equal(hw.simulate(nl, hw.encode_pm1(x)), want)
+        assert np.array_equal(hw.simulate(hw.lower(n), hw.encode_pm1(x)), want)
 
 
 @pytest.mark.parametrize("k", [2, 5])
