@@ -10,8 +10,9 @@ indices, coeffs and masks.  Derived on load: the residual levels of every
 layer that computes with binary weights, by prune.refresh_levels, from the
 binarised stage on.  Phase-1 weights are stored until expansion only.
 
-Loading checks every field against the layer dimensions and raises
-SchemaError on malformed input.  Schema-1 files still load: their
+Loading checks every field against the layer dimensions, and the LUT
+offsets and first inputs against the prune mask, and raises SchemaError on
+malformed input.  Schema-1 files still load: their
 per-channel LUT lists are concatenated, and their stored levels, node
 positions and reconnection flags are ignored."""
 
@@ -89,17 +90,26 @@ def _array(raw, dtype, shape, what, optional=False):
     return a.astype(dtype)
 
 
-def _lut_in(raw, n_out, window, b_levels, hardened, what):
+def _lut_in(raw, prune_mask, b_levels, hardened, what):
+    """The LUT block, checked against the layer's prune mask: channel c owns
+    one node per unpruned weight of row c, and node n's first input is that
+    weight's column."""
     if raw is None:
         return None
     k = int(raw["k"])
+    if k < 1:
+        raise SchemaError(f"{what}.k must be >= 1, got {k}")
+    n_out, window = prune_mask.shape
     offsets = _array(raw["offsets"], np.int64, (n_out + 1,), f"{what}.offsets")
-    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
-        raise SchemaError(f"{what}.offsets must rise from 0 without decreasing")
+    if not np.array_equal(offsets, np.concatenate(([0], np.cumsum(prune_mask.sum(axis=1))))):
+        raise SchemaError(f"{what}.offsets must be 0 then the cumulative row sums of prune_mask")
     n = int(offsets[-1])
     indices = _array(raw["indices"], np.int64, (n, k), f"{what}.indices")
     if indices.size and (indices.min() < 0 or indices.max() >= window):
         raise SchemaError(f"{what}.indices must lie in [0, {window})")
+    if not np.array_equal(indices[:, 0], np.nonzero(prune_mask)[1]):
+        raise SchemaError(f"{what}.indices[:, 0] must be the unpruned columns of prune_mask, "
+                          f"row by row")
     planes = (b_levels, n, 1 << k)
     masks = _array(raw["masks"], np.int64, planes, f"{what}.masks", optional=not hardened)
     if masks is not None and np.any(np.abs(masks) != 1):
@@ -126,7 +136,7 @@ def _compute_in(raw, b_levels, hardened, what):
             ("phase1_weights", np.float64, matrix, True),
             ("tau", np.float64, (n_out,), not hardened), ("flip", bool, (n_out,), not hardened)):
         setattr(layer, name, _array(raw[name], dtype, shape, f"{what}.{name}", optional))
-    layer.lut = _lut_in(raw["lut"], n_out, layer.window_size, b_levels, hardened, f"{what}.lut")
+    layer.lut = _lut_in(raw["lut"], layer.prune_mask, b_levels, hardened, f"{what}.lut")
     return layer
 
 
@@ -187,6 +197,8 @@ def _checkpoint_in(raw: dict) -> Checkpoint:
         raise SchemaError(f"unknown stage {stage!r}")
     if b_levels < 1:
         raise SchemaError(f"b_levels must be >= 1, got {b_levels}")
+    if stage == "hardened" and raw.get("fx") is None:
+        raise SchemaError("a hardened checkpoint needs its fixed-point spec, fx")
     layers = [_layer_in(l, b_levels, stage == "hardened", f"l{i}")
               for i, l in enumerate(raw["layers"])]
     if not layers:

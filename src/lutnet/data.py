@@ -143,6 +143,11 @@ def load_dataset(data_dir, flatten=True):
     ytr = load_idx_labels(os.path.join(data_dir, TRAIN_LABELS))
     xte = load_idx_images(os.path.join(data_dir, TEST_IMAGES))
     yte = load_idx_labels(os.path.join(data_dir, TEST_LABELS))
+    for images, labels, x, y in ((TRAIN_IMAGES, TRAIN_LABELS, xtr, ytr),
+                                 (TEST_IMAGES, TEST_LABELS, xte, yte)):
+        if x.shape[0] != y.shape[0]:
+            raise FormatError(f"{data_dir}: {images} holds {x.shape[0]} images but "
+                              f"{labels} {y.shape[0]} labels")
     if flatten:
         xtr = xtr.reshape(xtr.shape[0], -1)
         xte = xte.reshape(xte.shape[0], -1)

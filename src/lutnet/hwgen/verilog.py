@@ -1,5 +1,11 @@
 """Verilog-2001 emission: one module per layer plus a chaining top module.
 
+The netlist is stored as per-layer array blocks (netlist.py); this module
+only renders the cell views Netlist.walk generates from them, which define
+the cell order and every net name.  Each layer module declares its internal
+nets, then writes its cells in that order; its ports are the previous
+layer's bits its cells read (in order of first use) and the bits it exports.
+
 Behavioral style renders every LUT as a shift-and-mask constant lookup
 
     assign <name> = (<2**K>'b<table MSB..LSB> >> {in_{K-1}, ..., in_0}) & 1'b1;
@@ -115,27 +121,20 @@ def emit_verilog(netlist: Netlist, style: str = "behavioral") -> dict:
             if cell.out not in ext_out:
                 decls.append(_decl(cell.out, width))
         mod = f"{netlist.name}_l{li}"
-        ports = [f"    input wire {n}" for n in ext_in]
-        ports += [f"    output wire {n}" for n in exported]
-        lines = [HEADER.format(title=f"module {mod}"), f"module {mod} (", ",\n".join(ports), ");"]
-        lines += decls + body + ["endmodule"]
-        files[f"{mod}.v"] = "\n".join(lines) + "\n"
-
+        files[f"{mod}.v"] = _module(mod, ext_in, exported, decls + body)
         inst_ports = [f".{n}({n})" for n in list(ext_in) + exported]
         top_insts.append(f"{mod} {mod}_i ({', '.join(inst_ports)});")
         top_wires += [f"wire {n};" for n in exported if n not in out_set]
 
     top = f"{netlist.name}_top"
-    lines = [HEADER.format(title=f"module {top}"), f"module {top} ("]
-    ports = [f"    input wire {n}" for n in netlist.input_names()]
-    ports += [f"    output wire {n}" for n in out_ports]
-    lines.append(",\n".join(ports))
-    lines.append(");")
-    lines.extend(top_wires)
-    lines.extend(top_insts)
-    lines.append("endmodule")
-    files[f"{top}.v"] = "\n".join(lines) + "\n"
+    files[f"{top}.v"] = _module(top, netlist.input_names(), out_ports, top_wires + top_insts)
     return files
+
+
+def _module(name: str, inputs, outputs, body: list) -> str:
+    ports = [f"    input wire {n}" for n in inputs] + [f"    output wire {n}" for n in outputs]
+    lines = [HEADER.format(title=f"module {name}"), f"module {name} (", ",\n".join(ports), ");"]
+    return "\n".join(lines + body + ["endmodule"]) + "\n"
 
 
 def parse_tables(text: str) -> dict:

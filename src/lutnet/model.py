@@ -438,6 +438,9 @@ def _forward_stack(net, x, training, layer_fn, binarise_input):
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
     bsz = x.shape[0]
+    if np.prod(x.shape[1:]) != np.prod(net.input_shape):
+        raise DimensionError(f"{net.name} takes inputs of {np.prod(net.input_shape)} values "
+                             f"{tuple(net.input_shape)}, got {np.prod(x.shape[1:])}")
     h = x.reshape((bsz,) + tuple(net.input_shape))
     if binarise_input:
         h = nm.sign_pm1(h)

@@ -13,7 +13,7 @@ import numpy as np
 from . import model as md
 from . import numerics as nm
 from . import prune as pr
-from .errors import TrainingDivergedError
+from .errors import FormatError, TrainingDivergedError
 
 
 @dataclass
@@ -78,10 +78,20 @@ def _batches(n, batch_size, rng):
         yield perm[start:start + batch_size]
 
 
+def _check_labels(net, y):
+    """Labels must index the head's outputs."""
+    head = net.compute_layers()[-1][1]
+    classes = head.out_features if head.kind == "dense" else head.out_channels
+    if y.size and (y.min() < 0 or y.max() >= classes):
+        raise FormatError(f"labels must lie in [0, {classes}), the classes of the head of "
+                          f"{net.name}; got {y.min()} to {y.max()}")
+
+
 def _run_epochs(net, data, epochs, batch_size, lr, seed, step_fn, phase):
     """Shared epoch loop: shuffling, logging, divergence guard.  step_fn runs
     one optimisation step and returns (loss, omega, n_correct)."""
     x, y = data
+    _check_labels(net, y)
     n = x.shape[0]
     rng = np.random.default_rng(seed)
     log = TrainLog(phase=phase)
@@ -201,6 +211,7 @@ def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
 def evaluate(net: md.Network, x, y, batch_size: int = 500) -> float:
     """Test accuracy in percent, using the stage-appropriate inference forward
     (hardened networks are scored with real thresholds and head affine)."""
+    _check_labels(net, y)
     n = x.shape[0]
     correct = 0
     for start in range(0, n, batch_size):

@@ -132,6 +132,12 @@ TAMPERED = {
     "non-numeric array": _set(LUT + ("coeffs", 0, 0, 0), "x"),
     "null in array": _set(("layers", 1, "gamma", 0), None),
     "missing field": lambda raw: raw["layers"][0].pop("alpha"),
+    "offsets disagree with prune_mask": _set(LUT + ("offsets",), [0, 1, 5, 9]),
+    "prune_mask disagrees with offsets": _set(("layers", 2, "prune_mask"),
+                                              lambda m: [[1] * len(r) for r in m]),
+    "indices[:, 0] not the unpruned columns": _set(LUT + ("indices", 0, 0),
+                                                   lambda i: (i + 1) % 4),
+    "hardened without fx": _set(("fx",), None),
 }
 
 

@@ -1,8 +1,11 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
 from lutnet import cli
+from lutnet import data as dataio
 from lutnet.checkpoint import Checkpoint, save_checkpoint, to_dict
 
 from conftest import tiny_stages
@@ -56,3 +59,44 @@ def test_malformed_checkpoint_is_an_operational_failure(content, message, tmp_pa
     bad.write_bytes(content())
     assert cli.main(["area", "--ckpt", str(bad), "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def _idx_set(root, n_images=300, n_labels=300, side=28, first_label=None):
+    """IDX train and test files of random images and labels under root."""
+    rng = np.random.default_rng(3)
+    for images, labels in ((dataio.TRAIN_IMAGES, dataio.TRAIN_LABELS),
+                           (dataio.TEST_IMAGES, dataio.TEST_LABELS)):
+        dataio.save_idx_images(root / images, rng.integers(0, 256, (n_images, side, side)))
+        y = rng.integers(0, 10, n_labels)
+        if first_label is not None:
+            y[0] = first_label
+        dataio.save_idx_labels(root / labels, y)
+    return str(root)
+
+
+@pytest.mark.parametrize("malformed, message", [
+    (dict(n_labels=200), "200 labels"),
+    (dict(first_label=200), "labels must lie in [0, 10)"),
+    (dict(side=10), "got 100"),
+])
+def test_malformed_dataset_is_an_operational_failure(malformed, message, tmp_path, capsys):
+    data = _idx_set(tmp_path, **malformed)
+    argv = ["train", "--data", data, "--out", str(tmp_path / "out"), "--epochs", "1,1,1"]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_pipeline_runs_end_to_end(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[data]\ndata_dir = {tmp_path / 'data'}\nn_train = 300\nn_test = 100\n"
+                   f"[io]\nout_dir = {tmp_path / 'out'}\n")
+    argv = ["pipeline", "--config", str(cfg), "--epochs", "1,1,1", "--k", "2",
+            "--density", "0.3", "--vectors", "50"]
+    assert cli.main(argv) == 0
+    out = tmp_path / "out"
+    for name in ["ckpt_real.json", "ckpt_binarised.json", "ckpt_expanded.json",
+                 "ckpt_hardened.json", "area.csv", "density.csv",
+                 "train_log_phase1.csv", "train_log_phase2.csv", "train_log_phase3.csv"]:
+        assert (out / name).is_file(), name
+    assert sorted(os.listdir(out / "verilog")) == ["lfc_small_l0.v", "lfc_small_l2.v",
+                                                   "lfc_small_top.v"]
