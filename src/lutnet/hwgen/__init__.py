@@ -3,13 +3,11 @@ physical-LUT area estimation."""
 
 from .area import AreaReport, area_report, pack_estimate, popcount_cost
 from .lower import lower
-from .netlist import (AddCell, ComputeBlock, LutCell, Netlist, PoolBlock,
-                      ScaleThresholdCell, encode_pm1, simulate)
+from .netlist import AddCell, LutCell, Netlist, ScaleThresholdCell, encode_pm1, simulate
 from .verilog import emit_verilog, parse_tables
 
 __all__ = [
-    "AddCell", "AreaReport", "ComputeBlock", "LutCell", "Netlist", "PoolBlock",
-    "ScaleThresholdCell",
+    "AddCell", "AreaReport", "LutCell", "Netlist", "ScaleThresholdCell",
     "area_report", "emit_verilog", "encode_pm1", "lower",
     "pack_estimate", "parse_tables", "popcount_cost", "simulate",
 ]

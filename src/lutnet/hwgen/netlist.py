@@ -47,12 +47,12 @@ AddCell = namedtuple("AddCell", "a b out width")
 ScaleThresholdCell = namedtuple(
     "ScaleThresholdCell", "pops pop_width n_tilde q_gammas q_tau flip acc_width out name")
 
-CHUNK = 64   # vectors simulated per pass; bounds the (vectors, positions, nodes) temporaries
+CHUNK = 16   # vectors per pass: keeps the (vectors, positions, nodes) temporaries near cache size
 
 
 def _width(count: int) -> int:
     """Bits of an unsigned net that counts up to count."""
-    return max(1, int(np.ceil(np.log2(count + 1))))
+    return max(1, count.bit_length())
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +63,7 @@ def _adder_tree(n: int) -> tuple:
     adders = []
 
     def build(lo, hi):
-        if hi - lo == 1:
+        if hi - lo <= 1:
             return lo
         mid = lo + (hi - lo + 1) // 2
         a, b = build(lo, mid), build(mid, hi)
@@ -113,7 +113,7 @@ class ComputeBlock:
         windows, planes = self.index_map.tolist(), range(len(q_gammas))
         for c in range(len(offsets) - 1):
             a, n_tilde = offsets[c], offsets[c + 1] - offsets[c]
-            adders = _adder_tree(n_tilde) if n_tilde else ()
+            adders = _adder_tree(n_tilde)
             for p, window in enumerate(windows):
                 cname = self._cname(c, p)
                 pops = []
