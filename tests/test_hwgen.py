@@ -7,6 +7,7 @@ from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import prune as pr
+from lutnet.errors import LoweringError
 from lutnet.expand import reduce_dont_cares, shannon_decompose
 
 from conftest import exhaustive_pm1, netlist_pin
@@ -264,3 +265,10 @@ def test_unread_activation_is_an_internal_wire():
     x = exhaustive_pm1(6)
     assert np.array_equal(hw.simulate(nl, hw.encode_pm1(x)),
                           hw.encode_pm1(md.forward_hardened_bits(net, x)))
+
+
+def test_lower_rejects_node_inputs_outside_the_window():
+    net = _planted_net(2)
+    net.layers[2].lut.indices[0, 1] = net.layers[2].window_size
+    with pytest.raises(LoweringError, match="outside the window"):
+        hw.lower(net)
