@@ -93,3 +93,8 @@ def netlist_pin(nl):
                 "add" if isinstance(cell, hw.AddCell) else "threshold")
         counts[kind] += 1
     return shas[0], shas[1], counts
+
+
+def area_sha(net):
+    """sha256 of area_report(net).to_csv()."""
+    return hashlib.sha256(hw.area_report(net).to_csv().encode("ascii")).hexdigest()

@@ -3,8 +3,10 @@ refactor that breaks bench/workloads.py or bench/tracing.py fails here in
 seconds.  The modules are loaded from their files and only called, never
 changed."""
 
+import copy
 import hashlib
 import importlib.util
+import json
 import os
 import sys
 
@@ -12,10 +14,12 @@ import numpy as np
 import pytest
 
 from lutnet import hwgen as hw
+from lutnet import training as tr
 
 from conftest import tiny_stages
 
-BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+BENCH = os.path.join(ROOT, "bench")
 
 
 def _load(name):
@@ -76,3 +80,23 @@ def test_tracer_finds_every_target_module():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert not hasattr(owner, "__wrapped__"), attr
+
+
+def test_phase3_calls_every_timed_span():
+    """Every per-call time (`.ms`) the benchmark reports names a traced span
+    that one phase-3 epoch calls; a span the library stops calling would
+    drop its metric from the traced runs."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        timed = [m["name"][:-len(".ms")] for m in json.load(f)["per_layer"]
+                 if m["name"].endswith(".ms")]
+    net = copy.deepcopy(dict(tiny_stages())["expanded"])
+    rng = np.random.default_rng(14)
+    data = (rng.choice([-1.0, 1.0], size=(20, 8)), rng.integers(0, 3, 20))
+    tracer = _load("tracing").Tracer()
+    restore = tracer.install()
+    try:
+        tr.run_phase3_retrain(net, data, tr.PhaseConfig(epochs3=1, batch_size=10))
+    finally:
+        restore()
+    called = {name for (_section, name), st in tracer.stats.items() if st.calls}
+    assert timed and set(timed) <= called, sorted(set(timed) - called)

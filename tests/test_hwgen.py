@@ -10,7 +10,7 @@ from lutnet import prune as pr
 from lutnet.errors import LoweringError
 from lutnet.expand import reduce_dont_cares, shannon_decompose
 
-from conftest import exhaustive_pm1, netlist_pin
+from conftest import area_sha, exhaustive_pm1, netlist_pin
 
 
 def _bits(v, k):
@@ -142,13 +142,16 @@ def _coeffs_for_tables(tables):
     return coeffs
 
 
-def _planted_net(k):
-    """8 -> 6 -> 3, both layers expanded at K, channel 2 of the first layer
-    fully pruned; every node table is planted: constants, functions of a
-    random subset of the node's inputs, and full random functions."""
-    layers = [md.DenseLayer(8, 6, unrolled=True), md.BatchNormLayer(6),
-              md.DenseLayer(6, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
-    net = md.init_network(md.Network("planted", layers, 2, (8,), 80 + k))
+def _planted_net(k, sizes=(8, 6, 3)):
+    """sizes[0] -> sizes[1] -> sizes[2], both layers expanded at K, channel 2
+    of the first layer fully pruned; every node table is planted: constants,
+    functions of a random subset of the node's inputs, and full random
+    functions."""
+    n_in, hidden, classes = sizes
+    layers = [md.DenseLayer(n_in, hidden, unrolled=True), md.BatchNormLayer(hidden),
+              md.DenseLayer(hidden, classes, unrolled=True), md.BatchNormLayer(classes),
+              md.SoftmaxLayer()]
+    net = md.init_network(md.Network("planted", layers, 2, (n_in,), 80 + k))
     rng = np.random.default_rng(90 + k)
     for layer in net.layers:
         if layer.kind == "batchnorm":
@@ -265,6 +268,41 @@ def test_unread_activation_is_an_internal_wire():
     x = exhaustive_pm1(6)
     assert np.array_equal(hw.simulate(nl, hw.encode_pm1(x)),
                           hw.encode_pm1(md.forward_hardened_bits(net, x)))
+
+
+# sha256 of area_report(...).to_csv(), recorded from the area estimate that
+# walked the network itself, before it priced lower's blocks
+PLANTED_AREA = {
+    1: "6d31a1226fe630a3a1296d7a29ff9ac8600d480619f86e4d44284e5a3f86c74a",
+    2: "20a7e8dae8982a658b16b6231bf45d82247eb73a0fc9c337f767084f23882ae0",
+    3: "13661eb0163aac3e29a53fc2bd4dd9788f4fd76d8f27992814e413e3d62d1ffd",
+    4: "319e3fdafe6fc1a2e930e2247c6bc6efc36e287b90ea4567464829ec3071513f",
+    5: "e6bfd0842b54346d358a51322ea5a0cba792e0e3e876e92b720f20abc1cee3f0",
+    6: "bb2d3fa3663d38de6454ee78cd60c1654412abe3d67f8e2ad22f180d8830ffad",
+}
+# the 10 -> 8 -> 3 planted net at K > 6, whose full-width tables are priced
+# through shannon_decompose
+WIDE_AREA = {
+    7: "b5c79ff065115c0047ab6c55df54a812b4d107b14a24ec7fcb19bf233e42ef5f",
+    8: "931aa1a67443110c4323d54a8c359826798158d008f47650bb2a154096c060e9",
+}
+UNREAD_AREA = "ba7f05a4ab25cfcc338a1a506688cbcbfa3026ac23a41aa3805fa26e538661e5"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_planted_area_matches_pin(k):
+    assert area_sha(_planted_net(k)) == PLANTED_AREA[k]
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_wide_planted_area_matches_pin(k):
+    net = _planted_net(k, (10, 8, 3))
+    assert max(hw.area_report(net).rows[0]["keff_hist"]) == k
+    assert area_sha(net) == WIDE_AREA[k]
+
+
+def test_unread_column_area_matches_pin():
+    assert area_sha(_unread_column_net()) == UNREAD_AREA
 
 
 def test_lower_rejects_node_inputs_outside_the_window():

@@ -122,24 +122,28 @@ def test_pruned_positions_never_influence_outputs():
 
 
 class TestIm2col:
+    """The window rows of a conv layer (im2col) and their adjoint (col2im),
+    through model.windows."""
+
     def test_window_counting(self):
-        x = np.arange(9.0).reshape(1, 1, 3, 3)
-        cols = md.im2col(x, 2, 1)
-        assert cols.shape == (1, 4, 4)
-        assert cols[0, 0].tolist() == [0.0, 1.0, 3.0, 4.0]
+        win = md.windows(md.ConvLayer(1, 1, 2, 1), (1, 3, 3))
+        rows = win.rows(np.arange(9.0).reshape(1, 1, 3, 3))
+        assert win.positions == 4 and rows.shape == (4, 4)
+        assert rows[0].tolist() == [0.0, 1.0, 3.0, 4.0]
+        assert rows[3].tolist() == [4.0, 5.0, 7.0, 8.0]
 
     def test_1x1_kernel_is_reshuffle(self):
         x = np.arange(2 * 3 * 2 * 2, dtype=np.float64).reshape(2, 3, 2, 2)
-        cols = md.im2col(x, 1, 1)
-        assert cols.shape == (2, 4, 3)
-        assert np.array_equal(cols[0, 0], x[0, :, 0, 0])
+        rows = md.windows(md.ConvLayer(3, 1, 1, 1), x.shape[1:]).rows(x)
+        assert rows.shape == (8, 3)
+        assert np.array_equal(rows, np.moveaxis(x, 1, -1).reshape(8, 3))
 
     def test_conv_equals_direct_convolution(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 1, 4, 4))
         w = rng.standard_normal((3, 1 * 2 * 2))
-        cols = md.im2col(x, 2, 1)
-        got = np.einsum("bpw,ow->bpo", cols, w)
+        rows = md.windows(md.ConvLayer(1, 3, 2, 1), (1, 4, 4)).rows(x)
+        got = np.einsum("rw,ow->ro", rows, w).reshape(2, 9, 3)
         direct = np.zeros((2, 9, 3))
         for b in range(2):
             p = 0
@@ -153,17 +157,33 @@ class TestIm2col:
 
     def test_geometry_error(self):
         with pytest.raises(DimensionError):
-            md.im2col(np.zeros((1, 1, 3, 3)), 2, 2)
+            md.windows(md.ConvLayer(1, 1, 2, 2), (1, 3, 3))
 
     def test_col2im_adjoint(self):
-        # <im2col(x), c> == <x, col2im(c)> for random c: exact adjoint pairing
+        # <rows(x), c> == <x, rows_backward(c)> for random c: exact adjoint pairing
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 2, 4, 4))
-        cols = md.im2col(x, 2, 2)
-        c = rng.standard_normal(cols.shape)
-        lhs = float(np.sum(cols * c))
-        rhs = float(np.sum(x * md.col2im(c, x.shape, 2, 2)))
+        win = md.windows(md.ConvLayer(2, 1, 2, 2), (2, 4, 4))
+        rows = win.rows(x)
+        c = rng.standard_normal(rows.shape)
+        lhs = float(np.sum(rows * c))
+        rhs = float(np.sum(x * win.rows_backward(c)))
         assert abs(lhs - rhs) < 1e-9
+
+    def test_rows_backward_is_an_ascending_position_scatter(self):
+        # overlapping stride-1 windows: each input adds its window gradients
+        # in ascending position, bit for bit
+        rng = np.random.default_rng(13)
+        c, k, h = 2, 3, 6
+        win = md.windows(md.ConvLayer(c, 1, k, 1), (c, h, h))
+        drows = rng.standard_normal((3 * win.positions, c * k * k))
+        want = np.zeros((3, c, h, h))
+        o = h - k + 1
+        for b in range(3):
+            for p in range(win.positions):
+                i, j = divmod(p, o)
+                want[b, :, i:i + k, j:j + k] += drows[b * win.positions + p].reshape(c, k, k)
+        assert np.array_equal(win.rows_backward(drows), want)
 
 
 class TestFoldBatchnorm:

@@ -13,7 +13,7 @@ from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
 
-from conftest import netlist_pin
+from conftest import area_sha, netlist_pin
 
 
 def _randomize_bn(net, seed):
@@ -171,3 +171,20 @@ CONV_STACK_PINS = {
 def test_conv_stack_netlist_matches_pin(k):
     net = _hardened_conv_stack(k, np.random.default_rng(54 + k))
     assert netlist_pin(hw.lower(net)) == CONV_STACK_PINS[k]
+
+
+# sha256 of area_report(...).to_csv() of the conv stack (a time-multiplexed
+# conv, a maxpool row, positions > 1), recorded from the area estimate that
+# walked the network itself, before it priced lower's blocks
+CONV_STACK_AREA = {
+    1: "138096939aebe72a527d79cb8016e9e30f9250db24d1b907e9cf96f693849714",
+    2: "138096939aebe72a527d79cb8016e9e30f9250db24d1b907e9cf96f693849714",
+    3: "d164bdcb6fbdc4ea67124a614e86069615d1f4125c6e534091b62949a2d03441",
+    4: "a11e92c06607c3d03f09055561722c8f6682710b43e4958ec035c55bfc2ebbdf",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_stack_area_matches_pin(k):
+    net = _hardened_conv_stack(k, np.random.default_rng(54 + k))
+    assert area_sha(net) == CONV_STACK_AREA[k]
