@@ -1,4 +1,4 @@
-"""Physical-LUT area estimation: don't-care reduction, logical-to-physical
+"""Physical-LUT area estimation of the netlist's blocks: logical-to-physical
 6-LUT packing, popcount adder cost and the per-layer breakdown report.
 
 Packing rules: a fabric 6-LUT hosts one logical 6-LUT, or two smaller logical
@@ -18,7 +18,9 @@ import numpy as np
 
 from .. import model as md
 from ..errors import PackingError
-from ..expand import reduce_dont_cares, shannon_decompose
+from ..expand import shannon_decompose
+from .lower import lower
+from .netlist import PoolBlock
 
 
 @lru_cache(maxsize=None)
@@ -113,72 +115,60 @@ class AreaReport:
         return "\n".join(lines)
 
 
-def _layer_logical_luts(layer, positions_mult: int):
-    """Don't-care-reduced logical LUTs of one hardened layer as
-    [(k_eff, input ids)], with histogram over reduced widths.  Input ids are
-    (position, window index) so sharing within one neuron instance is visible
-    to the packer; buffers/inverters/constants are zero-cost and excluded."""
-    if layer.lut is None:
-        # time-multiplexed binary layer: buffers/inverters only, all zero-cost
-        n_planes = len(layer.levels)
-        nodes = int(layer.prune_mask.sum())
-        logical = nodes * n_planes * positions_mult
-        return [], {1: logical}, logical
-    lut = layer.lut
-    k_eff, kept, reduced = reduce_dont_cares(lut.masks, lut.k)
+def _block_logical_luts(block):
+    """Logical LUTs of one compute block as [(k_eff, input ids)], with the
+    histogram over reduced widths.  Input ids are (channel, position, window
+    slot) so sharing within one neuron instance is visible to the packer;
+    buffers/inverters/constants are zero-cost and excluded."""
+    k_eff, positions = block.k_eff, block.positions
     widths, counts = np.unique(k_eff, return_counts=True)
-    hist = {int(k): int(n) * positions_mult for k, n in zip(widths, counts)}
-    logical = int((k_eff <= 1).sum()) * positions_mult
+    hist = {int(k): int(n) * positions for k, n in zip(widths, counts)}
+    logical = int((k_eff <= 1).sum()) * positions
     luts = []
-    channel = np.repeat(np.arange(len(lut.offsets) - 1), np.diff(lut.offsets))
+    channel = np.repeat(np.arange(len(block.offsets) - 1), np.diff(block.offsets))
     wide = sorted((int(channel[n]), int(b), int(n)) for b, n in zip(*np.nonzero(k_eff > 1)))
     for ci, b, n in wide:
         keff = int(k_eff[b, n])
-        ins = lut.indices[n, kept[b, n, :keff]].tolist()
+        ins = block.inputs[b, n, :keff].tolist()
         if keff > 6:
-            cells = shannon_decompose(reduced[b, n, :1 << keff], ins)
-            for p in range(positions_mult):
+            cells = shannon_decompose(block.tables[b, n, :1 << keff], ins)
+            for p in range(positions):
                 for _tbl, ids in cells:
                     uniq = frozenset((ci, b, n, p, "cell", i[1]) if isinstance(i, tuple)
                                      else (ci, p, i) for i in ids)
                     luts.append((len(ids), uniq))
                 logical += len(cells)
         else:
-            for p in range(positions_mult):
+            for p in range(positions):
                 luts.append((keff, frozenset((ci, p, i) for i in ins)))
-            logical += positions_mult
+            logical += positions
     return luts, hist, logical
 
 
 def area_report(net: md.Network) -> AreaReport:
     """Physical 6-LUT estimate of a hardened network, split into popcount
-    operators, inference operators and other logic (thresholds, pooling)."""
+    operators, inference operators and other logic (thresholds, pooling).
+    It prices the blocks of lower(net): the tables, kept inputs and node
+    counts the netlist holds."""
     md.require_stage(net, "hardened")
     frac_bits = net.fx.frac_bits
     report = AreaReport()
-    shape = tuple(net.input_shape)
-    for li, layer in enumerate(net.layers):
-        if layer.kind == "maxpool":
-            c, h, w = shape
-            shape = (c, h // layer.size, w // layer.size)
-            n_pool = c * shape[1] * shape[2]
+    for block in lower(net).blocks:
+        li = block.layer
+        if isinstance(block, PoolBlock):
+            n_pool = int(np.prod(block.in_shape)) // block.size ** 2
             report.rows.append(dict(layer=f"l{li}", kind="maxpool", unrolled=False,
                                     density=1.0, n_tilde=0, keff_hist={},
                                     logical=n_pool, inference=0, popcount=0,
                                     other=n_pool, total=n_pool))
             continue
-        if layer.kind not in ("dense", "conv"):
-            continue
-        win = md.windows(layer, shape)
-        shape = win.out_shape
-        positions = win.positions
-
-        luts, hist, logical = _layer_logical_luts(layer, positions)
+        layer = net.layers[li]
+        positions = block.positions
+        luts, hist, logical = _block_logical_luts(block)
         inference = pack_estimate(luts)
 
-        n_planes = len(layer.levels) if layer.lut is None else layer.lut.gammas.shape[0]
-        nodes = layer.prune_mask.sum(axis=1) if layer.lut is None else np.diff(layer.lut.offsets)
-        nodes = [int(n) for n in nodes if n]   # a fully pruned channel costs no logic
+        n_planes = len(block.q_gammas)
+        nodes = [int(n) for n in np.diff(block.offsets) if n]   # a fully pruned channel costs no logic
         popcount = sum(positions * n_planes * popcount_cost(n) for n in nodes)
         other = sum(positions * threshold_cost(n, n_planes, frac_bits) for n in nodes)
         density = float(layer.prune_mask.mean())

@@ -1,16 +1,17 @@
 """Lower a hardened network to its per-layer array blocks (see netlist.py).
 
-Every compute layer becomes one ComputeBlock: its window map (a dense layer
-is one position whose window is the whole input, see model.windows), its
-channel offsets, the don't-care-reduced truth table and kept inputs of every
-node and plane, and the quantised plane scales, thresholds and accumulator
-widths that fold the level scales, the layer scaling factor and the
-following batch norm.  Expanded layers use their hardened truth tables;
-time-multiplexed binary layers become the same block at K=1 with
-buffer/inverter tables (the unrolled equivalent of XNORs with constant
-weights).  A maxpool layer becomes a PoolBlock.  No per-wire or per-cell
+Every compute layer becomes one ComputeBlock: its window map
+(model.windows(...).index_map; a dense layer is one position whose window
+is the whole input), its channel offsets, the don't-care-reduced truth
+table and kept inputs of every node and plane, and the quantised plane
+scales, thresholds and accumulator widths that fold the level scales, the
+layer scaling factor and the following batch norm.  Expanded layers use
+their hardened truth tables; time-multiplexed binary layers become the same
+block at K=1 with buffer/inverter tables (the unrolled equivalent of XNORs
+with constant weights).  A maxpool layer becomes a PoolBlock; its size must tile its
+input (model.pool_out_shape), as in every engine.  No per-wire or per-cell
 object is built: cell order and net names are defined by the blocks
-themselves, in netlist.py."""
+themselves, in netlist.py.  area.area_report prices the same blocks."""
 
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ def _compute_block(li, layer, win, frac_bits):
         raise LoweringError(
             f"l{li}_c{c}: accumulator needs {acc_width[c]} bits (> {ACC_WIDTH_CAP}); "
             f"reduce fixed-point fractional bits")
-    return ComputeBlock(layer=li, index_map=win.index_map(), offsets=np.asarray(offsets, np.int64),
+    return ComputeBlock(layer=li, index_map=win.index_map, offsets=np.asarray(offsets, np.int64),
                         tables=tables.astype(np.uint8), inputs=inputs, k_eff=k_eff,
                         q_gammas=q_gammas, q_tau=q_tau, flip=np.asarray(layer.flip, bool),
                         acc_width=acc_width)
@@ -73,8 +74,7 @@ def lower(net: md.Network) -> Netlist:
     for li, layer in enumerate(net.layers):
         if layer.kind == "maxpool":
             blocks.append(PoolBlock(li, shape, layer.size))
-            c, h, w = shape
-            shape = (c, h // layer.size, w // layer.size)
+            shape = md.pool_out_shape(shape, layer.size)
         elif layer.kind in ("dense", "conv"):
             win = md.windows(layer, shape)
             blocks.append(_compute_block(li, layer, win, net.fx.frac_bits))

@@ -182,8 +182,7 @@ class PoolBlock:
     def _windows(self) -> np.ndarray:
         """(C*OH*OW, s*s) previous-block bit of each window input, row-major."""
         c, oh, ow, s = self._grid()
-        idx = np.arange(int(np.prod(self.in_shape))).reshape(self.in_shape)
-        idx = idx[:, :oh * s, :ow * s].reshape(c, oh, s, ow, s)
+        idx = np.arange(int(np.prod(self.in_shape))).reshape(c, oh, s, ow, s)
         return idx.transpose(0, 1, 3, 2, 4).reshape(c * oh * ow, s * s)
 
     def reads(self) -> np.ndarray:

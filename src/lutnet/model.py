@@ -8,10 +8,11 @@ Every compute layer is one windowed operator.  `windows` gives its geometry:
 the layer reads `positions` windows of its input and writes one value per
 channel and position.  A dense layer is conv over one position, whose window
 is the whole flattened input; a conv layer's windows are its receptive
-fields.  The layer walk turns activations into window rows (one row per
-sample and position) and back, so each engine only maps rows
-(rows, window) -> (rows, C), and the netlist builder and area estimate read
-the same window map.
+fields.  Both are one integer `index_map` (positions, window) into the
+flattened input: the layer walk gathers window rows (one row per sample and
+position) through it and scatters their gradients back through it, so each
+engine only maps rows (rows, window) -> (rows, C), and the netlist builder
+wires each window by the same map.
 
 An expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
 the wiring `indices` (N, K), per-plane `coeffs` and hardened `masks`
@@ -283,79 +284,38 @@ def build_preset(preset: str, seed: int, b_levels: int = 2) -> Network:
 # geometry
 
 
-def conv_out_hw(h, w, kernel, stride):
-    if h < kernel or w < kernel:
-        raise DimensionError(f"kernel {kernel} does not fit input {h}x{w}")
-    if (h - kernel) % stride or (w - kernel) % stride:
-        raise DimensionError(f"stride {stride} does not tile input {h}x{w} with kernel {kernel}")
-    return (h - kernel) // stride + 1, (w - kernel) // stride + 1
-
-
-def im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, P, C*kernel*kernel); each row along P is one flattened
-    receptive-field window in (channel, ky, kx) C-order.  This index space is
-    the window from which LUT node inputs are drawn."""
-    x = nm.as_tensor(x)
-    if x.ndim != 4:
-        raise DimensionError(f"im2col expects (B, C, H, W), got {x.shape}")
-    bsz, c, h, w = x.shape
-    oh, ow = conv_out_hw(h, w, kernel, stride)
-    out = np.empty((bsz, oh * ow, c * kernel * kernel))
-    p = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = x[:, :, i * stride:i * stride + kernel, j * stride:j * stride + kernel]
-            out[:, p, :] = patch.reshape(bsz, -1)
-            p += 1
-    return out
-
-
-def col2im(dcols: np.ndarray, x_shape, kernel: int, stride: int) -> np.ndarray:
-    """Adjoint of im2col: scatter-add window gradients back to input positions."""
-    bsz, c, h, w = x_shape
-    oh, ow = conv_out_hw(h, w, kernel, stride)
-    dx = np.zeros(x_shape)
-    p = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = dcols[:, p, :].reshape(bsz, c, kernel, kernel)
-            dx[:, :, i * stride:i * stride + kernel, j * stride:j * stride + kernel] += patch
-            p += 1
-    return dx
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Windows:
     """How one compute layer reads its input: `positions` windows, each a
     row of inputs, and `out_shape[0]` channels written per position.
 
-    Engines see one row per (sample, position).  A dense layer is one
-    position whose window is the whole flattened input; a conv layer's
-    windows are its receptive fields in im2col order."""
+    index_map[p, j] is the flat index into the per-sample input of slot j of
+    window p.  A dense layer is one position whose window is the whole
+    flattened input, arange(in)[None, :]; a conv layer's windows are its
+    receptive fields, position-major, with slots in (channel, ky, kx)
+    C-order.  Engines see one row per (sample, position), gathered through
+    the map; the netlist wires window slots through the same map."""
 
     in_shape: tuple
     out_shape: tuple        # (C,) for dense, (C, OH, OW) for conv
-    kernel: int = 0         # 0 for dense
-    stride: int = 1
+    index_map: np.ndarray   # (positions, window) int64
 
     @property
     def positions(self) -> int:
-        return int(np.prod(self.out_shape[1:], dtype=np.int64))
+        return self.index_map.shape[0]
 
     def rows(self, h: np.ndarray) -> np.ndarray:
         """(B, *in_shape) -> (B*positions, window)."""
-        if not self.kernel:
-            return h.reshape(h.shape[0], -1)
-        cols = im2col(h, self.kernel, self.stride)
-        return cols.reshape(-1, cols.shape[-1])
+        return h.reshape(h.shape[0], -1)[:, self.index_map].reshape(-1, self.index_map.shape[1])
 
     def rows_backward(self, drows: np.ndarray) -> np.ndarray:
-        """Adjoint of rows: (B*positions, window) -> (B, *in_shape)."""
-        if not self.kernel:
-            return drows.reshape((-1,) + self.in_shape)
+        """Adjoint of rows: (B*positions, window) -> (B, *in_shape).  Each
+        input adds its window gradients in ascending position."""
+        n_in = int(np.prod(self.in_shape))
         bsz = drows.shape[0] // self.positions
-        return col2im(drows.reshape(bsz, self.positions, -1), (bsz,) + self.in_shape,
-                      self.kernel, self.stride)
+        flat = self.index_map[None] + n_in * np.arange(bsz)[:, None, None]
+        dx = np.bincount(flat.reshape(-1), weights=drows.reshape(-1), minlength=bsz * n_in)
+        return dx.reshape((bsz,) + self.in_shape)
 
     def outputs(self, y: np.ndarray) -> np.ndarray:
         """(B*positions, C) -> (B, *out_shape), channels first."""
@@ -368,25 +328,41 @@ class Windows:
         c = self.out_shape[0]
         return np.moveaxis(d.reshape(d.shape[0], c, self.positions), 1, -1).reshape(-1, c)
 
-    def index_map(self) -> np.ndarray:
-        """(positions, window) flat index of the input read by each window slot;
-        for dense this is arange(in)[None, :]."""
-        idx = np.arange(int(np.prod(self.in_shape))).reshape((1,) + self.in_shape)
-        return self.rows(idx.astype(np.float64)).astype(np.int64)
-
 
 def windows(layer, in_shape) -> Windows:
     """Window geometry of a compute layer on a per-sample input shape.  Shared
-    by every engine and by the netlist builder and area estimate."""
+    by every engine and by the netlist builder."""
     in_shape = tuple(int(s) for s in in_shape)
     if layer.kind == "dense":
         if int(np.prod(in_shape)) != layer.in_features:
             raise DimensionError(f"dense layer expects {layer.in_features} inputs, got {in_shape}")
-        return Windows(in_shape, (layer.out_features,))
+        return Windows(in_shape, (layer.out_features,),
+                       np.arange(layer.in_features, dtype=np.int64)[None, :])
     if len(in_shape) != 3 or in_shape[0] != layer.in_channels:
         raise DimensionError(f"conv layer expects ({layer.in_channels}, H, W), got {in_shape}")
-    oh, ow = conv_out_hw(in_shape[1], in_shape[2], layer.kernel, layer.stride)
-    return Windows(in_shape, (layer.out_channels, oh, ow), layer.kernel, layer.stride)
+    c, h, w = in_shape
+    k, s = layer.kernel, layer.stride
+    if h < k or w < k:
+        raise DimensionError(f"kernel {k} does not fit input {h}x{w}")
+    if (h - k) % s or (w - k) % s:
+        raise DimensionError(f"stride {s} does not tile input {h}x{w} with kernel {k}")
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    slot = (np.arange(c)[:, None, None] * (h * w) + np.arange(k)[:, None] * w
+            + np.arange(k)).reshape(-1)
+    start = (np.arange(oh)[:, None] * (s * w) + np.arange(ow) * s).reshape(-1)
+    return Windows(in_shape, (layer.out_channels, oh, ow),
+                   (start[:, None] + slot).astype(np.int64))
+
+
+def pool_out_shape(in_shape, size: int) -> tuple:
+    """(C, H/size, W/size) of a maxpool over (C, H, W) inputs, which size
+    must tile.  Shared by the engines and the netlist builder."""
+    if len(in_shape) != 3:
+        raise DimensionError(f"maxpool expects (C, H, W) inputs, got {tuple(in_shape)}")
+    c, h, w = (int(d) for d in in_shape)
+    if h % size or w % size:
+        raise DimensionError(f"pool size {size} does not tile {h}x{w}")
+    return c, h // size, w // size
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +388,8 @@ def _level_arrays(layer):
 
 
 def _pool_forward(x, size):
-    bsz, c, h, w = x.shape
-    if h % size or w % size:
-        raise DimensionError(f"pool size {size} does not tile {h}x{w}")
-    r = x.reshape(bsz, c, h // size, size, w // size, size)
-    return r.max(axis=(3, 5))
+    c, oh, ow = pool_out_shape(x.shape[1:], size)
+    return x.reshape(x.shape[0], c, oh, size, ow, size).max(axis=(3, 5))
 
 
 def _pool_backward(x, size, dy):
@@ -482,9 +455,11 @@ def _forward_stack(net, x, training, layer_fn, binarise_input):
 
 
 def _backward_stack(net, caches, dlogits, layer_bwd):
-    """Reverse walk.  layer_bwd(idx, layer, cache, drows, grads) maps output
-    gradient rows (B*positions, C) to window-row gradients (B*positions, window)
-    and records the layer's parameter gradients in grads."""
+    """Reverse walk; returns the parameter gradients.  layer_bwd(idx, layer,
+    cache, drows, grads) maps output gradient rows (B*positions, C) to
+    window-row gradients (B*positions, window) and records the layer's
+    parameter gradients in grads.  The gradient of the network input is not
+    formed."""
     grads = {}
     d = nm.as_tensor(dlogits)
     for kind, idx, cache in reversed(caches):
@@ -507,8 +482,9 @@ def _backward_stack(net, caches, dlogits, layer_bwd):
         elif kind == "compute":
             win, inner = cache
             drows = layer_bwd(idx, layer, inner, win.outputs_backward(d), grads)
-            d = win.rows_backward(drows)
-    return grads, d
+            if idx:
+                d = win.rows_backward(drows)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +518,7 @@ def backward_real(net: Network, caches, dlogits):
         grads[f"l{idx}.alpha"] = np.array([dalpha])
         return dx
 
-    grads, _ = _backward_stack(net, caches, dlogits, layer_bwd)
-    return grads
+    return _backward_stack(net, caches, dlogits, layer_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +570,7 @@ def _binary_layer_bwd(idx, layer, rows, d, grads):
 def backward_binary(net: Network, caches, dlogits):
     """STE gradients for phase 2; level scales are refreshed in closed form by
     the training loop, not trained here."""
-    grads, _ = _backward_stack(net, caches, dlogits, _binary_layer_bwd)
-    return grads
+    return _backward_stack(net, caches, dlogits, _binary_layer_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +690,7 @@ def backward_lut(net: Network, caches, dlogits):
     """Phase-3 gradients: LUT coefficients and plane scales for expanded layers,
     STE latent-weight gradients for time-multiplexed layers, batch-norm
     parameters everywhere.  alpha stays frozen after phase 1."""
-    grads, _ = _backward_stack(net, caches, dlogits, _lut_layer_bwd)
-    return grads
+    return _backward_stack(net, caches, dlogits, _lut_layer_bwd)
 
 
 # ---------------------------------------------------------------------------

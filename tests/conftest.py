@@ -64,6 +64,19 @@ def tiny_stages():
     return out
 
 
+def untiled_pool_net():
+    """conv(1->2, k1) on 1x6x6, maxpool 4, dense(2->3), expanded at K=1 and
+    hardened.  The pool size does not tile 6x6, so the net has no
+    reference function."""
+    layers = [md.ConvLayer(1, 2, 1, 1), md.BatchNormLayer(2), md.MaxPoolLayer(4),
+              md.DenseLayer(2, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("untiled", layers, 2, (1, 6, 6), 61))
+    pr.prune_threshold(net, 0.0)
+    pr.binarise_network(net)
+    ex.expand_network(net, k=1, seed=62)
+    return ex.harden_network(net, frac_bits=6)
+
+
 def exhaustive_pm1(n_bits):
     idx = np.arange(1 << n_bits)
     return ((idx[:, None] >> np.arange(n_bits)[None, :]) & 1) * 2.0 - 1.0

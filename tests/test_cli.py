@@ -8,7 +8,7 @@ from lutnet import cli
 from lutnet import data as dataio
 from lutnet.checkpoint import Checkpoint, save_checkpoint, to_dict
 
-from conftest import tiny_stages
+from conftest import tiny_stages, untiled_pool_net
 
 
 @pytest.mark.parametrize("epochs", ["1,2", "1,x,1"])
@@ -100,3 +100,10 @@ def test_pipeline_runs_end_to_end(tmp_path):
         assert (out / name).is_file(), name
     assert sorted(os.listdir(out / "verilog")) == ["lfc_small_l0.v", "lfc_small_l2.v",
                                                    "lfc_small_top.v"]
+
+
+def test_emit_rejects_a_pool_that_does_not_tile(tmp_path, capsys):
+    path = str(tmp_path / "untiled.json")
+    save_checkpoint(Checkpoint(untiled_pool_net()), path)
+    assert cli.main(["emit", "--ckpt", path, "--out", str(tmp_path / "out")]) == 1
+    assert "does not tile" in capsys.readouterr().err

@@ -12,8 +12,9 @@ from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
+from lutnet.errors import DimensionError
 
-from conftest import area_sha, netlist_pin
+from conftest import area_sha, netlist_pin, untiled_pool_net
 
 
 def _randomize_bn(net, seed):
@@ -188,3 +189,11 @@ CONV_STACK_AREA = {
 def test_conv_stack_area_matches_pin(k):
     net = _hardened_conv_stack(k, np.random.default_rng(54 + k))
     assert area_sha(net) == CONV_STACK_AREA[k]
+
+
+@pytest.mark.parametrize("build", [md.forward_hardened_bits, hw.lower, hw.area_report])
+def test_untiled_pool_is_rejected(build):
+    net = untiled_pool_net()
+    args = (np.ones((1, 36)),) if build is md.forward_hardened_bits else ()
+    with pytest.raises(DimensionError, match="pool size 4 does not tile 6x6"):
+        build(net, *args)
