@@ -509,13 +509,13 @@ def forward_real_train(net: Network, x):
 
 
 def backward_real(net: Network, caches, dlogits):
-    """Gradients for phase-1 training: weights, alpha and batch-norm parameters."""
+    """Gradients for phase-1 training: weights and batch-norm parameters
+    (alpha is not trained)."""
 
     def layer_bwd(idx, layer, cache, d, grads):
         rows, w = cache
-        dx, dw, dalpha = nm.dense_backward(rows, w, layer.alpha, d)
+        dx, dw = nm.dense_backward(rows, w, layer.alpha, d)
         grads[f"l{idx}.weights"] = dw * layer.prune_mask
-        grads[f"l{idx}.alpha"] = np.array([dalpha])
         return dx
 
     return _backward_stack(net, caches, dlogits, layer_bwd)
@@ -689,7 +689,7 @@ def _lut_layer_bwd(idx, layer, cache, drows, grads):
 def backward_lut(net: Network, caches, dlogits):
     """Phase-3 gradients: LUT coefficients and plane scales for expanded layers,
     STE latent-weight gradients for time-multiplexed layers, batch-norm
-    parameters everywhere.  alpha stays frozen after phase 1."""
+    parameters everywhere.  alpha is not trained."""
     return _backward_stack(net, caches, dlogits, _lut_layer_bwd)
 
 

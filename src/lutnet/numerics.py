@@ -47,8 +47,7 @@ def dense_forward(x: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def dense_backward(x, w, alpha, dy):
-    """Gradients of dense_forward; dalpha is computed as sum(dy * (x.w)) directly
-    rather than via division by alpha."""
+    """Gradients (dx, dw) of dense_forward at a fixed alpha."""
     x = as_tensor(x)
     w = as_tensor(w)
     dy = as_tensor(dy)
@@ -56,8 +55,7 @@ def dense_backward(x, w, alpha, dy):
         raise DimensionError(f"dy shape {dy.shape} does not match ({x.shape[0]}, {w.shape[0]})")
     dw = alpha * (dy.T @ x)
     dx = alpha * (dy @ w)
-    dalpha = float(np.sum(dy * (x @ w.T)))
-    return dx, dw, dalpha
+    return dx, dw
 
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:

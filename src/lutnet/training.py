@@ -118,11 +118,12 @@ def _run_epochs(net, data, epochs, batch_size, lr, seed, step_fn, phase):
 
 
 def run_phase1(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
-    """High-precision training of weights, scaling factors and batch norms, with
-    the sparsification regulariser added to the loss."""
+    """High-precision training of weights and batch norms, with the
+    sparsification regulariser added to the loss.  Each layer's scaling
+    factor alpha stays at its initial value: every compute layer feeds a
+    batch norm, which makes the network's function independent of it."""
     md.require_stage(net, "real")
     state = nm.AdamState()
-    alpha_boxes = {f"l{i}.alpha": np.array([layer.alpha]) for i, layer in net.compute_layers()}
 
     def step(xb, yb, lr):
         logits, caches = md.forward_real_train(net, xb)
@@ -131,16 +132,10 @@ def run_phase1(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
         omega, omega_grads = l2_group_regulariser(net, cfg.lam)
         for name, g in omega_grads.items():
             grads[name] = grads[name] + g
-        params = {}
-        for i, layer in net.compute_layers():
-            params[f"l{i}.weights"] = layer.weights
-            box = alpha_boxes[f"l{i}.alpha"]
-            box[0] = layer.alpha
-            params[f"l{i}.alpha"] = box
+        params = {f"l{i}.weights": layer.weights for i, layer in net.compute_layers()}
         _bn_params(net, params)
         nm.adam_step(params, grads, state, lr=lr)
-        for i, layer in net.compute_layers():
-            layer.alpha = float(alpha_boxes[f"l{i}.alpha"][0])
+        for _i, layer in net.compute_layers():
             layer.weights *= layer.prune_mask
         correct = int(np.sum(np.argmax(logits, axis=1) == yb))
         return loss + omega, omega, correct
@@ -177,7 +172,7 @@ def run_phase2_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
 def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     """Post-expansion retraining: LUT coefficients and plane scales train by
     gradient through the interpolating extension; time-multiplexed layers keep
-    training their latent binary weights; alpha stays frozen."""
+    training their latent binary weights; alpha stays at its initial value."""
     md.require_stage(net, "expanded")
     state = nm.AdamState()
     lr3 = cfg.lr * cfg.lr3_factor

@@ -7,6 +7,7 @@ from lutnet import expand as ex
 from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
+from lutnet import training as tr
 from lutnet.errors import DimensionError, FoldError, StageError
 
 from conftest import exhaustive_pm1, make_tiny_net
@@ -328,3 +329,15 @@ def test_checkpoint_stage_tags_follow_pipeline():
     assert net.stage == "expanded"
     ex.harden_network(net)
     assert net.stage == "hardened"
+
+
+def test_phase1_keeps_alpha_at_its_initial_value():
+    net = make_tiny_net()
+    alphas = [layer.alpha for _i, layer in net.compute_layers()]
+    weights = [layer.weights.copy() for _i, layer in net.compute_layers()]
+    rng = np.random.default_rng(15)
+    data = (rng.standard_normal((40, 8)), rng.integers(0, 3, 40))
+    tr.run_phase1(net, data, tr.PhaseConfig(epochs1=1, batch_size=20))
+    assert [layer.alpha for _i, layer in net.compute_layers()] == alphas
+    assert not any(np.array_equal(layer.weights, w)
+                   for (_i, layer), w in zip(net.compute_layers(), weights))
