@@ -482,7 +482,7 @@ def _backward_stack(net, caches, dlogits, layer_bwd):
         elif kind == "compute":
             win, inner = cache
             drows = layer_bwd(idx, layer, inner, win.outputs_backward(d), grads)
-            if idx:
+            if idx:   # layer 0 reads the network input
                 d = win.rows_backward(drows)
     return grads
 
