@@ -18,6 +18,8 @@ from lutnet.training import TrainLog
 from conftest import exhaustive_pm1, tiny_stages
 
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v1.json")
+# the expanded stage of tiny_stages(), saved as schema 2
+V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_expanded_v2.json")
 
 # forward_hardened_bits of the fixture on exhaustive_pm1(8), one digit per
 # input: bit j of the digit is output j's bit (+1 -> 1)
@@ -49,6 +51,14 @@ def test_v1_fixture_reproduces_its_hardware():
     assert verilog_sha256(net) == V1_VERILOG_SHA256
     fresh = tiny_stages()[-1][1]
     assert np.array_equal(md.forward_hardened_bits(fresh, x), md.forward_hardened_bits(net, x))
+
+
+def test_v2_fixture_computes_what_the_fresh_net_computes():
+    net = ck.load_checkpoint(V2_FIXTURE).net
+    assert net.stage == "expanded"
+    x = exhaustive_pm1(8)
+    fresh = dict(tiny_stages())["expanded"]
+    assert np.array_equal(md.forward_lut(net, x), md.forward_lut(fresh, x))
 
 
 def _stage_forward(net, x):

@@ -10,7 +10,22 @@ from lutnet import prune as pr
 from lutnet import training as tr
 from lutnet.errors import DimensionError, FoldError, StageError
 
-from conftest import exhaustive_pm1, make_tiny_net
+from conftest import exhaustive_pm1, make_tiny_net, rel_err
+
+
+def _finite_differences(loss, param, h=1e-6):
+    """Central differences of loss() in every entry of param, which is
+    perturbed in place and restored."""
+    fd = np.zeros_like(param)
+    for i in np.ndindex(param.shape):
+        orig = param[i]
+        param[i] = orig + h
+        up = loss()
+        param[i] = orig - h
+        down = loss()
+        param[i] = orig
+        fd[i] = (up - down) / (2 * h)
+    return fd
 
 
 def test_single_layer_scaled_identity():
@@ -42,6 +57,43 @@ def test_forward_real_matches_hand_oracle():
     h = nm.dense_forward(h, w2, a2)
     want = bn2.gamma * (h - bn2.running_mean) / np.sqrt(bn2.running_var + bn2.eps) + bn2.beta
     assert np.array_equal(md.forward_real(net, x), want)
+
+
+class TestBackwardReal:
+    def test_conv_into_head_batchnorm(self):
+        # a 2x2 conv on 1x3x3 writes 4 positions per channel into the head
+        # batch norm, whose gradients sum over samples and positions
+        layers = [md.ConvLayer(1, 2, 2, 1), md.BatchNormLayer(2)]
+        net = md.init_network(md.Network("convhead", layers, 1, (1, 3, 3), 16))
+        rng = np.random.default_rng(17)
+        bn = net.layers[1]
+        bn.gamma = rng.uniform(0.5, 1.5, 2)
+        bn.beta = rng.standard_normal(2)
+        x = rng.standard_normal((5, 9))
+        proj = rng.standard_normal((5, 2, 2, 2))
+
+        def loss():
+            return float(np.sum(md.forward_real_train(net, x)[0] * proj))
+
+        _out, caches = md.forward_real_train(net, x)
+        grads = md.backward_real(net, caches, proj)
+        for name, param in (("l0.weights", net.layers[0].weights),
+                            ("l1.gamma", bn.gamma), ("l1.beta", bn.beta)):
+            assert rel_err(grads[name], _finite_differences(loss, param)) < 1e-6, name
+
+    def test_last_dense_layer_of_two(self):
+        net = make_tiny_net(seed=18)
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((12, 8))
+        labels = rng.integers(0, 3, 12)
+
+        def loss():
+            return nm.softmax_xent(md.forward_real_train(net, x)[0], labels)[0]
+
+        logits, caches = md.forward_real_train(net, x)
+        grads = md.backward_real(net, caches, nm.softmax_xent(logits, labels)[1])
+        fd = _finite_differences(loss, net.layers[2].weights)
+        assert rel_err(grads["l2.weights"], fd) < 1e-6
 
 
 def test_batch_permutation_equivariance():
@@ -309,6 +361,19 @@ class TestLutForms:
             lut.coeffs[b, n, v] += h
             fd = (up - down) / (2 * h)
             assert abs(fd - grads["l2.lut.coeffs"][b, n, v]) <= 1e-6 * max(1.0, abs(fd))
+
+    def test_plane_gamma_gradient(self):
+        net = self._expanded(k=3)
+        x = exhaustive_pm1(8)
+        labels = np.arange(256) % 3
+
+        def loss():
+            return nm.softmax_xent(md.forward_lut_train(net, x)[0], labels)[0]
+
+        logits, caches = md.forward_lut_train(net, x)
+        grads = md.backward_lut(net, caches, nm.softmax_xent(logits, labels)[1])
+        fd = _finite_differences(loss, net.layers[2].lut.gammas)
+        assert rel_err(grads["l2.lut.gammas"], fd) < 1e-6
 
     def test_hardened_bits_requires_hardened_stage(self):
         net = self._expanded()
