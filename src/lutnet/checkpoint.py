@@ -3,18 +3,23 @@ field names.  Floats go through repr (shortest round-trip decimal), so
 load(save(x)) reproduces every tensor bit-for-bit; serialisation is
 key-sorted and therefore byte-deterministic for a given checkpoint.
 
-Schema 2 leaves out what loading can derive.  A compute layer holds
-its latent weights, prune mask, alpha, folded thresholds and, once expanded,
+Schema 3 leaves out what loading can derive.  A compute layer holds
+its latent weights, prune mask, folded thresholds and, once expanded,
 a `lut` block with the flat arrays of model.LutData: k, gammas, offsets,
 indices, coeffs and masks.  Derived on load: the residual levels of every
 layer that computes with binary weights, by prune.refresh_levels, from the
 binarised stage on.  Phase-1 weights are stored until expansion only.
 
-Loading checks every field against the layer dimensions, and the LUT
-offsets and first inputs against the prune mask, and raises SchemaError on
-malformed input.  Schema-1 files still load: their
-per-channel LUT lists are concatenated, and their stored levels, node
-positions and reconnection flags are ignored."""
+Loading checks every field against the layer dimensions, the LUT offsets
+and first inputs against the prune mask, every float for finiteness and
+every batch norm for a positive eps and a non-negative running variance,
+and raises SchemaError on malformed input.  Older files still load:
+  * schema 1: per-channel LUT lists are concatenated, and stored levels,
+    node positions and reconnection flags are ignored;
+  * schemas 1 and 2: each compute layer's scale `alpha` moves into the batch
+    norm after it, whose running mean is divided by alpha and running
+    variance and eps by alpha**2, so the layer computes the same function
+    without the scale."""
 
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from .model import (STAGES, BatchNormLayer, ConvLayer, DenseLayer, FixedPointSpe
 from .prune import refresh_levels
 from .training import TrainLog
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -87,7 +92,10 @@ def _array(raw, dtype, shape, what, optional=False):
         if a.size or np.prod(shape):   # tolist() of an empty array keeps no shape
             raise SchemaError(f"{what} has shape {a.shape}, expected {shape}")
         a = a.reshape(shape)
-    return a.astype(dtype)
+    a = a.astype(dtype)
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
+        raise SchemaError(f"{what} holds non-finite values")
+    return a
 
 
 def _lut_in(raw, prune_mask, b_levels, hardened, what):
@@ -129,7 +137,6 @@ def _compute_in(raw, b_levels, hardened, what):
                           int(raw["kernel"]), int(raw["stride"]))
         n_out = layer.out_channels
     layer.unrolled = bool(raw["unrolled"])
-    layer.alpha = float(raw["alpha"])
     matrix = (n_out, layer.window_size)
     for name, dtype, shape, optional in (
             ("weights", np.float64, matrix, False), ("prune_mask", bool, matrix, False),
@@ -150,6 +157,10 @@ def _layer_in(raw: dict, b_levels: int, hardened: bool, what: str):
             setattr(layer, name, _array(raw[name], np.float64, (layer.num_features,),
                                         f"{what}.{name}"))
         layer.eps = float(raw["eps"])
+        if not 0.0 < layer.eps < np.inf:
+            raise SchemaError(f"{what}.eps must be finite and positive, got {layer.eps}")
+        if np.any(layer.running_var < 0.0):
+            raise SchemaError(f"{what}.running_var must not be negative")
         layer.momentum = float(raw["momentum"])
         return layer
     if kind == "maxpool":
@@ -183,6 +194,29 @@ def _from_v1(raw: dict) -> dict:
     return raw
 
 
+def _from_v2(raw: dict) -> dict:
+    """A schema-2 checkpoint in schema-3 form: each compute layer's scale
+    alpha moves into the batch norm after it, which sees alpha * pre, so its
+    running mean is divided by alpha and its running variance and eps by
+    alpha**2."""
+    raw = dict(raw, layers=[dict(l) for l in raw["layers"]])
+    layers = raw["layers"]
+    for i, layer in enumerate(layers):
+        if layer.get("kind") not in ("dense", "conv"):
+            continue
+        alpha = float(layer.pop("alpha"))
+        if not 0.0 < alpha < np.inf:
+            raise SchemaError(f"l{i}.alpha must be finite and positive, got {alpha}")
+        bn = layers[i + 1] if i + 1 < len(layers) else {}
+        if bn.get("kind") != "batchnorm":
+            raise SchemaError(f"l{i} has no batch norm after it to take its alpha")
+        sq = alpha * alpha
+        bn["running_mean"] = np.asarray(bn["running_mean"], dtype=np.float64) / alpha
+        bn["running_var"] = np.asarray(bn["running_var"], dtype=np.float64) / sq
+        bn["eps"] = float(bn["eps"]) / sq
+    return raw
+
+
 def _checkpoint_in(raw: dict) -> Checkpoint:
     if not isinstance(raw, dict) or "schema_version" not in raw:
         raise SchemaError("not a checkpoint: missing schema_version")
@@ -192,6 +226,8 @@ def _checkpoint_in(raw: dict) -> Checkpoint:
                           f"{SCHEMA_VERSION}; refusing to load")
     if version == 1:
         raw = _from_v1(raw)
+    if version <= 2:
+        raw = _from_v2(raw)
     stage, b_levels = raw["stage"], int(raw["b_levels"])
     if stage not in STAGES:
         raise SchemaError(f"unknown stage {stage!r}")

@@ -219,7 +219,7 @@ def harden_network(net, frac_bits: int = 8):
         bn = net.bn_after(li)
         if bn is None:
             raise FoldError(f"layer l{li} has no following batch-norm to fold")
-        layer.tau, layer.flip = fold_batchnorm(bn, layer.alpha)
+        layer.tau, layer.flip = fold_batchnorm(bn)
     net.fx = FixedPointSpec(frac_bits=frac_bits)
     net.stage = "hardened"
     return net

@@ -4,8 +4,8 @@ Every compute layer becomes one ComputeBlock: its window map
 (model.windows(...).index_map; a dense layer is one position whose window
 is the whole input), its channel offsets, the don't-care-reduced truth
 table and kept inputs of every node and plane, and the quantised plane
-scales, thresholds and accumulator widths that fold the level scales, the
-layer scaling factor and the following batch norm.  Expanded layers use
+scales, thresholds and accumulator widths that fold the level scales and
+the following batch norm.  Expanded layers use
 their hardened truth tables; time-multiplexed binary layers become the same
 block at K=1 with buffer/inverter tables (the unrolled equivalent of XNORs
 with constant weights).  A maxpool layer becomes a PoolBlock; its size must tile its

@@ -24,9 +24,11 @@ Conventions used by every engine and by the hardware path:
     directly feeding the softmax head stays real,
   * from the binarised stage on, the network input is binarised with sign,
   * maxpool over {-1,+1} values is max, which is OR in the bit domain,
-  * level scaling is combined as acc = g1*s1; acc += g2*s2; ...; pre = alpha*acc
-    (see combine_levels) so that binary, hardened and netlist paths agree
-    bit-for-bit.
+  * a compute layer's pre-activation is its plain dot product; level scaling
+    is combined as pre = g1*s1; pre += g2*s2; ... (see combine_levels) so that
+    binary, hardened and netlist paths agree bit-for-bit.  Any positive
+    per-layer scale would fold into the following batch norm, so there is
+    none.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class DenseLayer:
     out_features: int
     unrolled: bool = False
     weights: np.ndarray = None          # (out, in) real latent weights
-    alpha: float = 1.0
     prune_mask: np.ndarray = None       # bool (out, in); False => weight held at 0
     phase1_weights: np.ndarray = None   # pre-pruning copy, kept for reconnection until expansion
     levels: list = None                 # [(w_b pm1 array, gamma_b), ...] while binary
@@ -75,7 +76,6 @@ class ConvLayer:
     stride: int
     unrolled: bool = False
     weights: np.ndarray = None          # (out_channels, in_channels*kernel*kernel)
-    alpha: float = 1.0
     prune_mask: np.ndarray = None
     phase1_weights: np.ndarray = None
     levels: list = None
@@ -191,8 +191,8 @@ def quantise(value: float, frac_bits: int) -> int:
     return int(np.rint(value * (1 << frac_bits)))
 
 
-def combine_levels(s_list, gammas, alpha):
-    """pre = alpha * sum_b gamma_b * s_b, accumulated in ascending b.
+def combine_levels(s_list, gammas):
+    """pre = sum_b gamma_b * s_b, accumulated in ascending b.
 
     Every forward path that must agree bit-exactly (binary, hardened, K=1
     recovery) funnels through this helper so the float op order is identical.
@@ -200,7 +200,7 @@ def combine_levels(s_list, gammas, alpha):
     acc = gammas[0] * s_list[0]
     for b in range(1, len(s_list)):
         acc = acc + gammas[b] * s_list[b]
-    return alpha * acc
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,6 @@ def _init_compute(layer, rng):
     shape = (fan_out, fan_in)
     layer.weights = rng.uniform(-limit, limit, size=shape)
     layer.prune_mask = np.ones(shape, dtype=bool)
-    layer.alpha = float(np.mean(np.abs(layer.weights)))
 
 
 def _init_batchnorm(layer):
@@ -227,7 +226,7 @@ def _init_batchnorm(layer):
 
 def init_network(net: Network) -> Network:
     """Seed-deterministic parameter initialisation (Glorot-uniform weights,
-    alpha = mean |w|, identity batch norm)."""
+    identity batch norm)."""
     seq = np.random.SeedSequence(net.seed)
     children = seq.spawn(len(net.layers))
     for child, layer in zip(children, net.layers):
@@ -493,7 +492,7 @@ def _backward_stack(net, caches, dlogits, layer_bwd):
 
 def _real_layer(layer, rows):
     w = _masked(layer)
-    return nm.dense_forward(rows, w, layer.alpha), (rows, w)
+    return rows @ w.T, (rows, w)
 
 
 def forward_real(net: Network, x) -> np.ndarray:
@@ -509,14 +508,12 @@ def forward_real_train(net: Network, x):
 
 
 def backward_real(net: Network, caches, dlogits):
-    """Gradients for phase-1 training: weights and batch-norm parameters
-    (alpha is not trained)."""
+    """Gradients for phase-1 training: weights and batch-norm parameters."""
 
     def layer_bwd(idx, layer, cache, d, grads):
         rows, w = cache
-        dx, dw = nm.dense_backward(rows, w, layer.alpha, d)
-        grads[f"l{idx}.weights"] = dw * layer.prune_mask
-        return dx
+        grads[f"l{idx}.weights"] = (d.T @ rows) * layer.prune_mask
+        return d @ w
 
     return _backward_stack(net, caches, dlogits, layer_bwd)
 
@@ -536,7 +533,7 @@ def _binary_dots(layer, xt):
 def _binary_layer(layer, rows):
     s_list = _binary_dots(layer, rows)
     gammas = [g for _w, g in layer.levels]
-    return combine_levels(s_list, gammas, layer.alpha), rows
+    return combine_levels(s_list, gammas), rows
 
 
 def forward_binary(net: Network, x) -> np.ndarray:
@@ -561,10 +558,8 @@ def _reconstructed(layer):
 def _binary_layer_bwd(idx, layer, rows, d, grads):
     """STE gradient of a binary layer: the latent real weights receive the
     gradient of the reconstructed binary weights, clip-gated at |w| <= 1."""
-    rec = _reconstructed(layer)
-    dw = layer.alpha * (d.T @ rows)
-    grads[f"l{idx}.weights"] = dw * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
-    return layer.alpha * (d @ rec)
+    grads[f"l{idx}.weights"] = (d.T @ rows) * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
+    return d @ _reconstructed(layer)
 
 
 def backward_binary(net: Network, caches, dlogits):
@@ -577,27 +572,16 @@ def backward_binary(net: Network, caches, dlogits):
 # batch-norm folding for the hardware path
 
 
-def fold_batchnorm(bn: BatchNormLayer, upstream_scale: float):
+def fold_batchnorm(bn: BatchNormLayer):
     """Fold inference-mode batch norm + sign into per-neuron thresholds:
-    sign(bn(scale*s)) == sign(tau - s) if flip else sign(s - tau)."""
-    if upstream_scale <= 0.0 or not np.isfinite(upstream_scale):
-        raise FoldError(f"upstream scale must be positive and finite, got {upstream_scale}")
+    sign(bn(s)) == sign(tau - s) if flip else sign(s - tau)."""
     zero = np.flatnonzero(bn.gamma == 0.0)
     if zero.size:
         raise FoldError(f"batch-norm gamma is zero for neuron(s) {zero.tolist()}; cannot fold")
     sigma = np.sqrt(bn.running_var + bn.eps)
-    tau = (bn.running_mean - bn.beta * sigma / bn.gamma) / upstream_scale
+    tau = bn.running_mean - bn.beta * sigma / bn.gamma
     flip = bn.gamma < 0.0
     return tau, flip
-
-
-def head_affine(bn: BatchNormLayer, upstream_scale: float):
-    """Real affine applied to the head layer's scaled popcount u:
-    logits = a*u + c with a = scale*gamma/sigma."""
-    sigma = np.sqrt(bn.running_var + bn.eps)
-    a = upstream_scale * bn.gamma / sigma
-    c = bn.beta - bn.gamma * bn.running_mean / sigma
-    return a, c
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +615,7 @@ def _lut_layer(layer, rows):
     if layer.lut is None:
         return _binary_layer(layer, rows)
     s_list, ch_caches = _interp_channel_sums(layer.lut, rows)
-    y = combine_levels(s_list, layer.lut.gammas, layer.alpha)
+    y = combine_levels(s_list, layer.lut.gammas)
     return y, (rows, s_list, ch_caches)
 
 
@@ -665,10 +649,9 @@ def _lut_layer_bwd(idx, layer, cache, drows, grads):
     flat, s_list, ch_caches = cache
     lut = layer.lut
     n_planes = lut.gammas.shape[0]
-    alpha = layer.alpha
     dgammas = np.zeros(n_planes)
     for b in range(n_planes):
-        dgammas[b] = alpha * float(np.sum(drows * s_list[b]))
+        dgammas[b] = float(np.sum(drows * s_list[b]))
     dflat = np.zeros_like(flat)
     dcoeffs = np.empty_like(lut.coeffs)
     rows_idx = np.arange(flat.shape[0])[:, None, None]
@@ -676,8 +659,8 @@ def _lut_layer_bwd(idx, layer, cache, drows, grads):
         xg, basis = ch_caches[c]
         dch = drows[:, c]                               # (rows,)
         for b in range(n_planes):
-            dcoeffs[b, a:e] = alpha * lut.gammas[b] * np.einsum("r,rnv->nv", dch, basis)
-        ceff = np.einsum("b,bnv->nv", alpha * lut.gammas, lut.coeffs[:, a:e])
+            dcoeffs[b, a:e] = lut.gammas[b] * np.einsum("r,rnv->nv", dch, basis)
+        ceff = np.einsum("b,bnv->nv", lut.gammas, lut.coeffs[:, a:e])
         partial = ex.interp_dx_partial(xg, lut.k)       # (rows, N~, 2**K, K)
         dxg = np.einsum("nv,rnvk->rnk", ceff, partial) * dch[:, None, None]
         np.add.at(dflat, (rows_idx, lut.indices[None, a:e, :]), dxg)
@@ -689,7 +672,7 @@ def _lut_layer_bwd(idx, layer, cache, drows, grads):
 def backward_lut(net: Network, caches, dlogits):
     """Phase-3 gradients: LUT coefficients and plane scales for expanded layers,
     STE latent-weight gradients for time-multiplexed layers, batch-norm
-    parameters everywhere.  alpha is not trained."""
+    parameters everywhere."""
     return _backward_stack(net, caches, dlogits, _lut_layer_bwd)
 
 
@@ -735,7 +718,7 @@ def forward_hardened_logits(net: Network, x) -> np.ndarray:
 
     def layer_fn(layer, rows):
         s_list, gammas = _hardened_layer_sums(layer, rows)
-        y = combine_levels([s.astype(np.float64) for s in s_list], gammas, layer.alpha)
+        y = combine_levels([s.astype(np.float64) for s in s_list], gammas)
         return y, None
 
     logits, _ = _forward_stack(net, x, False, layer_fn, binarise_input=True)

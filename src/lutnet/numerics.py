@@ -1,10 +1,7 @@
-"""Dense-tensor kernels for training: affine layers, binarisation, batch norm,
-softmax cross-entropy and Adam.
+"""Dense-tensor kernels for training: binarisation, batch norm, softmax
+cross-entropy and Adam.
 
-Tensors are plain float64 numpy arrays in C (row-major) order.  Forward kernels
-that feed bit-exact downstream checks accumulate in a fixed, documented order;
-backward kernels are only required to match finite differences and may use fast
-matrix products.
+Tensors are plain float64 numpy arrays in C (row-major) order.
 """
 
 from __future__ import annotations
@@ -25,49 +22,10 @@ def ensure_finite(name: str, x: np.ndarray) -> None:
         raise NonFiniteError(f"non-finite values in {name}")
 
 
-def dense_forward(x: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
-    """y[b,o] = alpha * sum_n w[o,n] * x[b,n].
-
-    The sum over n runs sequentially in ascending n with the product rounded
-    before each add, so the result is bit-identical to a naive triple loop.
-    alpha multiplies the completed sum.
-    """
-    x = as_tensor(x)
-    w = as_tensor(w)
-    if x.ndim != 2 or w.ndim != 2:
-        raise DimensionError(f"dense_forward expects 2-D inputs, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise DimensionError(f"inner dimensions disagree: x {x.shape} vs w {w.shape}")
-    if not np.isfinite(alpha):
-        raise NonFiniteError("alpha is not finite")
-    acc = np.zeros((x.shape[0], w.shape[0]))
-    for n in range(x.shape[1]):
-        acc += x[:, n][:, None] * w[:, n][None, :]
-    return alpha * acc
-
-
-def dense_backward(x, w, alpha, dy):
-    """Gradients (dx, dw) of dense_forward at a fixed alpha."""
-    x = as_tensor(x)
-    w = as_tensor(w)
-    dy = as_tensor(dy)
-    if dy.shape != (x.shape[0], w.shape[0]):
-        raise DimensionError(f"dy shape {dy.shape} does not match ({x.shape[0]}, {w.shape[0]})")
-    dw = alpha * (dy.T @ x)
-    dx = alpha * (dy @ w)
-    return dx, dw
-
-
 def sign_pm1(x: np.ndarray) -> np.ndarray:
     """Elementwise sign onto {-1, +1} with sign(0) = +1."""
     x = as_tensor(x)
     return np.where(x < 0.0, -1.0, 1.0)
-
-
-def sign_ste_forward(x: np.ndarray) -> np.ndarray:
-    x = as_tensor(x)
-    ensure_finite("sign input", x)
-    return sign_pm1(x)
 
 
 def sign_ste_backward(x, dy):

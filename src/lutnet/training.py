@@ -119,9 +119,9 @@ def _run_epochs(net, data, epochs, batch_size, lr, seed, step_fn, phase):
 
 def run_phase1(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     """High-precision training of weights and batch norms, with the
-    sparsification regulariser added to the loss.  Each layer's scaling
-    factor alpha stays at its initial value: every compute layer feeds a
-    batch norm, which makes the network's function independent of it."""
+    sparsification regulariser added to the loss.  A compute layer's
+    pre-activation is its plain dot product: the batch norm after every
+    compute layer carries its scale."""
     md.require_stage(net, "real")
     state = nm.AdamState()
 
@@ -172,7 +172,7 @@ def run_phase2_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
 def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     """Post-expansion retraining: LUT coefficients and plane scales train by
     gradient through the interpolating extension; time-multiplexed layers keep
-    training their latent binary weights; alpha stays at its initial value."""
+    training their latent binary weights."""
     md.require_stage(net, "expanded")
     state = nm.AdamState()
     lr3 = cfg.lr * cfg.lr3_factor

@@ -19,6 +19,22 @@ def toy_data(tmp_path_factory):
     return dataio.load_dataset(root)
 
 
+def fold_initial_scale(net):
+    """Move the mean |w| of each compute layer's initial weights into the
+    batch norm after it, as the schema-2 checkpoint migration moves a
+    layer's scale: the running mean is divided by it, the running variance
+    and eps by its square.  Nets built with it compute what they computed
+    when each layer multiplied its dot product by that scale, so the pins
+    recorded then hold."""
+    for i, layer in net.compute_layers():
+        bn = net.bn_after(i)
+        a = float(np.mean(np.abs(layer.weights)))
+        sq = a * a
+        bn.running_mean = bn.running_mean / a
+        bn.running_var = bn.running_var / sq
+        bn.eps = bn.eps / sq
+
+
 def make_tiny_net(seed=7, b_levels=2, in_bits=8, hidden=4, classes=3,
                   randomize_bn=True):
     """8 -> 4 -> 3 dense stack; input space small enough for exhaustive checks."""
@@ -39,6 +55,7 @@ def make_tiny_net(seed=7, b_levels=2, in_bits=8, hidden=4, classes=3,
                 layer.running_var = rng.uniform(0.5, 2.0, n)
                 layer.gamma = rng.uniform(0.5, 1.5, n) * np.where(rng.random(n) < 0.3, -1.0, 1.0)
                 layer.beta = rng.standard_normal(n) * 0.2
+        fold_initial_scale(net)
     return net
 
 

@@ -1,6 +1,7 @@
-"""Checkpoints: a schema-1 file keeps loading to the same hardware, a
-save -> load -> save round trip is byte-identical at every pipeline stage,
-schema 2 stores nothing derivable, and malformed input raises SchemaError."""
+"""Checkpoints: a schema-1 file keeps loading to the same hardware and a
+schema-2 file to the same function, a save -> load -> save round trip is
+byte-identical at every pipeline stage, the current schema stores nothing
+derivable, and malformed input raises SchemaError."""
 
 import hashlib
 import json
@@ -94,9 +95,9 @@ def test_schema2_stores_nothing_derivable():
     assert pruned["layers"][2]["phase1_weights"] is not None
     for stage in ("expanded", "hardened"):
         raw = ck.to_dict(ck.Checkpoint(stages[stage]))
-        assert raw["schema_version"] == 2
+        assert raw["schema_version"] == ck.SCHEMA_VERSION
         for layer in raw["layers"]:
-            assert "levels" not in layer
+            assert "levels" not in layer and "alpha" not in layer
             assert layer.get("phase1_weights") is None
         assert sorted(raw["layers"][2]["lut"]) == ["coeffs", "gammas", "indices", "k",
                                                    "masks", "offsets"]
@@ -141,7 +142,14 @@ TAMPERED = {
     "ragged array": _set(("layers", 0, "weights", 1), lambda r: r[:-1]),
     "non-numeric array": _set(LUT + ("coeffs", 0, 0, 0), "x"),
     "null in array": _set(("layers", 1, "gamma", 0), None),
-    "missing field": lambda raw: raw["layers"][0].pop("alpha"),
+    "missing field": lambda raw: raw["layers"][0].pop("unrolled"),
+    "infinite weight": _set(("layers", 0, "weights", 0, 0), float("inf")),
+    "NaN coefficient": _set(LUT + ("coeffs", 1, 2, 3), float("nan")),
+    "infinite tau": _set(("layers", 2, "tau", 0), float("-inf")),
+    "eps negative": _set(("layers", 1, "eps"), -1.0),
+    "eps zero": _set(("layers", 3, "eps"), 0.0),
+    "eps NaN": _set(("layers", 1, "eps"), float("nan")),
+    "running_var negative": _set(("layers", 3, "running_var", 1), -0.5),
     "offsets disagree with prune_mask": _set(LUT + ("offsets",), [0, 1, 5, 9]),
     "prune_mask disagrees with offsets": _set(("layers", 2, "prune_mask"),
                                               lambda m: [[1] * len(r) for r in m]),
@@ -160,4 +168,33 @@ def test_tampered_checkpoint_raises_schema_error(case):
     raw = _hardened_dict()
     TAMPERED[case](raw)
     with pytest.raises(SchemaError):
+        ck.from_dict(raw)
+
+
+def _v2_dict():
+    with open(V2_FIXTURE, encoding="ascii") as f:
+        return json.load(f)
+
+
+TAMPERED_V2 = {
+    # schema 2 still stores alpha, which loading moves into the batch norm
+    # after the layer
+    "alpha zero": (_set(("layers", 0, "alpha"), 0.0), "alpha must be finite and positive"),
+    "alpha negative": (_set(("layers", 2, "alpha"), -0.3), "alpha must be finite and positive"),
+    "alpha infinite": (_set(("layers", 0, "alpha"), float("inf")),
+                       "alpha must be finite and positive"),
+    "no batch norm after the layer": (lambda raw: raw["layers"].pop(3), "no batch norm after"),
+}
+
+
+def test_untampered_v2_dict_loads():
+    assert ck.from_dict(_v2_dict()).net.stage == "expanded"
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_V2))
+def test_tampered_v2_checkpoint_raises_schema_error(case):
+    raw = _v2_dict()
+    tamper, message = TAMPERED_V2[case]
+    tamper(raw)
+    with pytest.raises(SchemaError, match=message):
         ck.from_dict(raw)

@@ -61,6 +61,17 @@ def test_malformed_checkpoint_is_an_operational_failure(content, message, tmp_pa
     assert message in capsys.readouterr().err
 
 
+def test_invalid_batch_norm_is_an_operational_failure(tiny_ckpts, tmp_path, capsys):
+    # harden would fold this eps into NaN thresholds
+    with open(tiny_ckpts["expanded"], encoding="ascii") as f:
+        raw = json.load(f)
+    raw["layers"][1]["eps"] = -1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="ascii")
+    assert cli.main(["harden", "--ckpt", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert "eps must be finite and positive" in capsys.readouterr().err
+
+
 def _idx_set(root, n_images=300, n_labels=300, side=28, first_label=None):
     """IDX train and test files of random images and labels under root."""
     rng = np.random.default_rng(3)

@@ -10,7 +10,7 @@ from lutnet import prune as pr
 from lutnet.errors import LoweringError
 from lutnet.expand import reduce_dont_cares, shannon_decompose
 
-from conftest import area_sha, exhaustive_pm1, netlist_pin
+from conftest import area_sha, exhaustive_pm1, fold_initial_scale, netlist_pin
 
 
 def _bits(v, k):
@@ -160,6 +160,7 @@ def _planted_net(k, sizes=(8, 6, 3)):
             layer.running_var = rng.uniform(0.5, 2.0, n)
             layer.gamma = rng.uniform(0.5, 1.5, n) * np.where(rng.random(n) < 0.3, -1.0, 1.0)
             layer.beta = rng.standard_normal(n) * 0.02
+    fold_initial_scale(net)
     pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.8, tol=0.3))
     first = net.layers[0]
     first.prune_mask[2] = False

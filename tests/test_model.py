@@ -7,7 +7,6 @@ from lutnet import expand as ex
 from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
-from lutnet import training as tr
 from lutnet.errors import DimensionError, FoldError, StageError
 
 from conftest import exhaustive_pm1, make_tiny_net, rel_err
@@ -30,9 +29,8 @@ def _finite_differences(loss, param, h=1e-6):
 
 def test_single_layer_scaled_identity():
     layer = md.DenseLayer(2, 2)
-    layer.weights = np.eye(2)
+    layer.weights = 0.5 * np.eye(2)
     layer.prune_mask = np.ones((2, 2), dtype=bool)
-    layer.alpha = 0.5
     net = md.Network("one", [layer], 1, (2,), 0)
     x = np.array([[3.0, -4.0]])
     assert np.array_equal(md.forward_real(net, x), 0.5 * x)
@@ -49,12 +47,11 @@ def test_forward_real_matches_hand_oracle():
     bn1.running_var = rng.uniform(0.5, 2.0, 2)
     x = rng.standard_normal((4, 2))
 
-    w1, a1 = net.layers[0].weights, net.layers[0].alpha
-    w2, a2 = net.layers[2].weights, net.layers[2].alpha
-    h = nm.dense_forward(x, w1, a1)
+    w1, w2 = net.layers[0].weights, net.layers[2].weights
+    h = x @ w1.T
     h = bn1.gamma * (h - bn1.running_mean) / np.sqrt(bn1.running_var + bn1.eps) + bn1.beta
     h = np.where(h < 0, -1.0, 1.0)
-    h = nm.dense_forward(h, w2, a2)
+    h = h @ w2.T
     want = bn2.gamma * (h - bn2.running_mean) / np.sqrt(bn2.running_var + bn2.eps) + bn2.beta
     assert np.array_equal(md.forward_real(net, x), want)
 
@@ -121,7 +118,6 @@ class TestForwardBinary:
         layer = md.DenseLayer(2, 1, unrolled=True)
         layer.weights = np.array([[1.0, -1.0]])
         layer.prune_mask = np.ones((1, 2), dtype=bool)
-        layer.alpha = 1.0
         net = md.Network("b1", [layer], 1, (2,), 0, stage="pruned")
         pr.binarise_network(net)
         assert md.forward_binary(net, np.array([[1.0, 1.0]])).tolist() == [[0.0]]
@@ -130,7 +126,6 @@ class TestForwardBinary:
         layer = md.DenseLayer(2, 1, unrolled=True)
         layer.weights = np.array([[0.7, -0.3]])
         layer.prune_mask = np.ones((1, 2), dtype=bool)
-        layer.alpha = 1.0
         net = md.Network("b2", [layer], 2, (2,), 0, stage="pruned")
         pr.binarise_network(net)
         gammas = [g for _w, g in net.layers[0].levels]
@@ -147,7 +142,6 @@ class TestForwardBinary:
         g = 0.25
         layer.weights = g * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
         layer.prune_mask = np.ones((2, 3), dtype=bool)
-        layer.alpha = 1.0
         net = md.Network("fp", [layer], 1, (3,), 0, stage="pruned")
         real = copy.deepcopy(net)
         real.stage = "real"
@@ -244,7 +238,7 @@ class TestFoldBatchnorm:
         bn = md.BatchNormLayer(1)
         bn.gamma, bn.beta = np.array([1.0]), np.array([0.0])
         bn.running_mean, bn.running_var = np.array([0.0]), np.array([1.0])
-        tau, flip = md.fold_batchnorm(bn, 1.0)
+        tau, flip = md.fold_batchnorm(bn)
         assert tau[0] == 0.0 and not flip[0]
 
     def test_algebraic_example(self):
@@ -253,7 +247,7 @@ class TestFoldBatchnorm:
         bn.eps = 1e-12
         bn.gamma, bn.beta = np.array([2.0]), np.array([1.0])
         bn.running_mean, bn.running_var = np.array([2.0]), np.array([4.0 - bn.eps])
-        tau, flip = md.fold_batchnorm(bn, 1.0)
+        tau, flip = md.fold_batchnorm(bn)
         assert abs(tau[0] - 1.0) < 1e-9 and not flip[0]
         for s in (0.0, 1.0, 2.0):
             bn_out = bn.gamma[0] * (s - 2.0) / 2.0 + bn.beta[0]
@@ -265,12 +259,11 @@ class TestFoldBatchnorm:
         bn = md.BatchNormLayer(1)
         bn.gamma, bn.beta = np.array([-1.3]), np.array([0.4])
         bn.running_mean, bn.running_var = np.array([0.7]), np.array([1.9])
-        alpha = 0.8
-        tau, flip = md.fold_batchnorm(bn, alpha)
+        tau, flip = md.fold_batchnorm(bn)
         assert flip[0]
         sigma = np.sqrt(bn.running_var[0] + bn.eps)
         for s in rng.standard_normal(1000) * 3:
-            real = nm.sign_pm1(bn.gamma[0] * (alpha * s - bn.running_mean[0]) / sigma
+            real = nm.sign_pm1(bn.gamma[0] * (s - bn.running_mean[0]) / sigma
                                + bn.beta[0])
             folded = 1.0 if tau[0] - s >= 0 else -1.0
             assert real == folded
@@ -281,7 +274,7 @@ class TestFoldBatchnorm:
         bn.beta = np.zeros(3)
         bn.running_mean, bn.running_var = np.zeros(3), np.ones(3)
         with pytest.raises(FoldError, match="1"):
-            md.fold_batchnorm(bn, 1.0)
+            md.fold_batchnorm(bn)
 
 
 class TestLutForms:
@@ -309,7 +302,6 @@ class TestLutForms:
         layer = md.DenseLayer(2, 1, unrolled=True)
         layer.weights = np.array([[0.9, 0.1]])
         layer.prune_mask = np.ones((1, 2), dtype=bool)
-        layer.alpha = 1.0
         net = md.Network("xn", [layer], 1, (2,), 0, stage="pruned")
         pr.binarise_network(net)
         ex.expand_network(net, k=2, seed=5)
@@ -394,15 +386,3 @@ def test_checkpoint_stage_tags_follow_pipeline():
     assert net.stage == "expanded"
     ex.harden_network(net)
     assert net.stage == "hardened"
-
-
-def test_phase1_keeps_alpha_at_its_initial_value():
-    net = make_tiny_net()
-    alphas = [layer.alpha for _i, layer in net.compute_layers()]
-    weights = [layer.weights.copy() for _i, layer in net.compute_layers()]
-    rng = np.random.default_rng(15)
-    data = (rng.standard_normal((40, 8)), rng.integers(0, 3, 40))
-    tr.run_phase1(net, data, tr.PhaseConfig(epochs1=1, batch_size=20))
-    assert [layer.alpha for _i, layer in net.compute_layers()] == alphas
-    assert not any(np.array_equal(layer.weights, w)
-                   for (_i, layer), w in zip(net.compute_layers(), weights))

@@ -2,111 +2,27 @@ import numpy as np
 import pytest
 
 from lutnet import numerics as nm
-from lutnet.errors import ConfigError, DimensionError, NonFiniteError
+from lutnet.errors import ConfigError, NonFiniteError
 
 from conftest import rel_err
 
 
-def naive_dense(x, w, alpha):
-    batch, n_in = x.shape
-    out = w.shape[0]
-    y = np.empty((batch, out))
-    for b in range(batch):
-        for o in range(out):
-            s = 0.0
-            for n in range(n_in):
-                s += x[b, n] * w[o, n]
-            y[b, o] = alpha * s
-    return y
-
-
-class TestDenseForward:
-    def test_cancellation(self):
-        y = nm.dense_forward([[1.0, -1.0]], [[1.0, 1.0]], 1.0)
-        assert y.tolist() == [[0.0]]
-
-    def test_hand_dot(self):
-        y = nm.dense_forward([[1.0, -1.0]], [[1.0, -1.0]], 2.0)
-        assert y.tolist() == [[4.0]]
-
-    def test_matches_triple_loop_exactly(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = rng.standard_normal((3, 5))
-            w = rng.standard_normal((4, 5))
-            alpha = float(rng.standard_normal())
-            assert np.array_equal(nm.dense_forward(x, w, alpha), naive_dense(x, w, alpha))
-
-    def test_triple_loop_on_varied_shapes(self):
-        rng = np.random.default_rng(1)
-        for batch, out, n in [(1, 1, 1), (2, 7, 13), (5, 3, 31)]:
-            x = rng.standard_normal((batch, n)) * 10
-            w = rng.standard_normal((out, n)) * 10
-            assert np.array_equal(nm.dense_forward(x, w, 0.7), naive_dense(x, w, 0.7))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            nm.dense_forward(np.ones((2, 3)), np.ones((4, 5)), 1.0)
-
-    def test_nonfinite_alpha(self):
-        with pytest.raises(NonFiniteError):
-            nm.dense_forward(np.ones((1, 2)), np.ones((1, 2)), np.inf)
-
-
-class TestDenseBackward:
-    def test_one_by_one(self):
-        dx, dw = nm.dense_backward([[2.0]], [[3.0]], 1.0, [[1.0]])
-        assert dx.tolist() == [[3.0]]
-        assert dw.tolist() == [[2.0]]
-
-    def test_zero_upstream(self):
-        dx, dw = nm.dense_backward(np.ones((2, 3)), np.ones((4, 3)), 2.0, np.zeros((2, 4)))
-        assert not dx.any() and not dw.any()
-
-    def test_finite_differences(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 3))
-        w = rng.standard_normal((4, 3))
-        alpha = 0.9
-        dy = rng.standard_normal((2, 4))
-        dx, dw = nm.dense_backward(x, w, alpha, dy)
-        h = 1e-5
-
-        def loss(xv, wv, av):
-            return float(np.sum(nm.dense_forward(xv, wv, av) * dy))
-
-        fd_w = np.zeros_like(w)
-        for i in np.ndindex(w.shape):
-            wp, wm = w.copy(), w.copy()
-            wp[i] += h
-            wm[i] -= h
-            fd_w[i] = (loss(x, wp, alpha) - loss(x, wm, alpha)) / (2 * h)
-        assert rel_err(dw, fd_w) < 1e-6
-        fd_x = np.zeros_like(x)
-        for i in np.ndindex(x.shape):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd_x[i] = (loss(xp, w, alpha) - loss(xm, w, alpha)) / (2 * h)
-        assert rel_err(dx, fd_x) < 1e-6
-
-
 class TestSign:
     def test_sign_convention(self):
-        assert nm.sign_ste_forward([0.3, -0.2, 0.0]).tolist() == [1.0, -1.0, 1.0]
+        assert nm.sign_pm1([0.3, -0.2, 0.0]).tolist() == [1.0, -1.0, 1.0]
 
     def test_negative(self):
-        assert nm.sign_ste_forward([-5.0]).tolist() == [-1.0]
+        assert nm.sign_pm1([-5.0]).tolist() == [-1.0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(100)
-        s = nm.sign_ste_forward(x)
-        assert np.array_equal(nm.sign_ste_forward(s), s)
+        s = nm.sign_pm1(x)
+        assert np.array_equal(nm.sign_pm1(s), s)
 
     def test_range_is_pm1(self):
         rng = np.random.default_rng(4)
-        s = nm.sign_ste_forward(rng.standard_normal(1000))
+        s = nm.sign_pm1(rng.standard_normal(1000))
         assert set(np.unique(s)) <= {-1.0, 1.0}
 
     def test_ste_inside_clip(self):

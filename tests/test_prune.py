@@ -15,7 +15,6 @@ def single_layer_net(weights, unrolled=True):
     layer = md.DenseLayer(w.shape[1], w.shape[0], unrolled=unrolled)
     layer.weights = w.copy()
     layer.prune_mask = np.ones_like(w, dtype=bool)
-    layer.alpha = 1.0
     return md.Network("p", [layer], 1, (w.shape[1],), 0)
 
 

@@ -14,7 +14,7 @@ from lutnet import numerics as nm
 from lutnet import prune as pr
 from lutnet.errors import DimensionError
 
-from conftest import area_sha, netlist_pin, untiled_pool_net
+from conftest import area_sha, fold_initial_scale, netlist_pin, untiled_pool_net
 
 
 def _randomize_bn(net, seed):
@@ -40,7 +40,7 @@ def _pair(first_unrolled):
     md.init_network(conv)
     _randomize_bn(conv, 42)
     for src, dst in zip(conv.layers, dense.layers):
-        for name in ("weights", "alpha", "prune_mask", "gamma", "beta",
+        for name in ("weights", "prune_mask", "gamma", "beta",
                      "running_mean", "running_var"):
             if hasattr(src, name):
                 setattr(dst, name, copy.deepcopy(getattr(src, name)))
@@ -116,6 +116,7 @@ def _conv_stack(seed=51):
     ]
     net = md.init_network(md.Network("convstack", layers, 2, (1, 7, 7), seed))
     _randomize_bn(net, seed + 1)
+    fold_initial_scale(net)
     pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.7, tol=0.3))
     pr.binarise_network(net)
     return net
