@@ -62,7 +62,8 @@ def make_tiny_net(seed=7, b_levels=2, in_bits=8, hidden=4, classes=3,
 def tiny_stages():
     """(stage, network) after each pipeline step of make_tiny_net(): prune,
     binarise, expand at K=3 with perturbed coefficients, harden.  The
-    hardened network is the one data/tiny_hardened_v1.json holds."""
+    expanded network is the one data/tiny_expanded_v2.json holds, the
+    hardened one the one data/tiny_hardened_v1.json holds."""
     net = make_tiny_net()
     out = [("real", copy.deepcopy(net))]
     pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.75, tol=0.3))

@@ -187,10 +187,6 @@ TAMPERED_V2 = {
 }
 
 
-def test_untampered_v2_dict_loads():
-    assert ck.from_dict(_v2_dict()).net.stage == "expanded"
-
-
 @pytest.mark.parametrize("case", sorted(TAMPERED_V2))
 def test_tampered_v2_checkpoint_raises_schema_error(case):
     raw = _v2_dict()

@@ -7,6 +7,7 @@ from lutnet import expand as ex
 from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
+from lutnet import training as tr
 from lutnet.errors import DimensionError, FoldError, StageError
 
 from conftest import exhaustive_pm1, make_tiny_net, rel_err
@@ -386,3 +387,13 @@ def test_checkpoint_stage_tags_follow_pipeline():
     assert net.stage == "expanded"
     ex.harden_network(net)
     assert net.stage == "hardened"
+
+
+def test_phase1_trains_every_compute_layer():
+    net = make_tiny_net()
+    weights = [layer.weights.copy() for _i, layer in net.compute_layers()]
+    rng = np.random.default_rng(15)
+    data = (rng.standard_normal((40, 8)), rng.integers(0, 3, 40))
+    tr.run_phase1(net, data, tr.PhaseConfig(epochs1=1, batch_size=20))
+    assert not any(np.array_equal(layer.weights, w)
+                   for (_i, layer), w in zip(net.compute_layers(), weights))
