@@ -63,7 +63,8 @@ def tiny_stages():
     """(stage, network) after each pipeline step of make_tiny_net(): prune,
     binarise, expand at K=3 with perturbed coefficients, harden.  The
     expanded network is the one data/tiny_expanded_v2.json holds, the
-    hardened one the one data/tiny_hardened_v1.json holds."""
+    hardened one the one data/tiny_hardened_v1.json and
+    data/tiny_hardened_v3.json hold."""
     net = make_tiny_net()
     out = [("real", copy.deepcopy(net))]
     pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.75, tol=0.3))

@@ -21,6 +21,8 @@ from conftest import exhaustive_pm1, tiny_stages
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v1.json")
 # the expanded stage of tiny_stages(), saved as schema 2
 V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_expanded_v2.json")
+# the hardened stage of tiny_stages(), saved as schema 3
+V3_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v3.json")
 
 # forward_hardened_bits of the fixture on exhaustive_pm1(8), one digit per
 # input: bit j of the digit is output j's bit (+1 -> 1)
@@ -60,6 +62,15 @@ def test_v2_fixture_computes_what_the_fresh_net_computes():
     x = exhaustive_pm1(8)
     fresh = dict(tiny_stages())["expanded"]
     assert np.array_equal(md.forward_lut(net, x), md.forward_lut(fresh, x))
+
+
+def test_v3_fixture_reproduces_the_fresh_hardware():
+    net = ck.load_checkpoint(V3_FIXTURE).net
+    assert net.stage == "hardened"
+    x = exhaustive_pm1(8)
+    fresh = tiny_stages()[-1][1]
+    assert np.array_equal(md.forward_hardened_bits(net, x), md.forward_hardened_bits(fresh, x))
+    assert verilog_sha256(net) == verilog_sha256(fresh)
 
 
 def _stage_forward(net, x):
