@@ -3,23 +3,32 @@ field names.  Floats go through repr (shortest round-trip decimal), so
 load(save(x)) reproduces every tensor bit-for-bit; serialisation is
 key-sorted and therefore byte-deterministic for a given checkpoint.
 
-Schema 3 leaves out what loading can derive.  A compute layer holds
-its latent weights, prune mask, folded thresholds and, once expanded,
-a `lut` block with the flat arrays of model.LutData: k, gammas, offsets,
-indices, coeffs and masks.  Derived on load: the residual levels of every
-layer that computes with binary weights, by prune.refresh_levels, from the
-binarised stage on.  Phase-1 weights are stored until expansion only.
+Schema 4 leaves out what loading can derive.  A compute layer holds its
+latent weights, prune mask and, once expanded, a `lut` block with the flat
+arrays of model.LutData: k, gammas, offsets, indices and coeffs.  A hardened
+checkpoint is its expanded checkpoint plus `frac_bits`.  Derived on load:
+  * the residual levels of every layer that computes with binary weights,
+    by prune.refresh_levels, from the binarised stage on;
+  * a hardened net's truth-table masks and folded thresholds (tau, flip),
+    by expand.harden_network, the one place that computes them.
+Phase-1 weights are stored until expansion only.  The LUT offsets and
+column 0 of the indices follow from the prune mask but stay stored: loading
+checks them against it, which is what catches a corrupted mask.
 
 Loading checks every field against the layer dimensions, the LUT offsets
 and first inputs against the prune mask, every float for finiteness and
 every batch norm for a positive eps and a non-negative running variance,
-and raises SchemaError on malformed input.  Older files still load:
+and raises SchemaError on malformed input, including a hardened net that
+harden_network rejects.  Older files still load:
   * schema 1: per-channel LUT lists are concatenated, and stored levels,
     node positions and reconnection flags are ignored;
   * schemas 1 and 2: each compute layer's scale `alpha` moves into the batch
     norm after it, whose running mean is divided by alpha and running
     variance and eps by alpha**2, so the layer computes the same function
-    without the scale."""
+    without the scale;
+  * schemas 1 to 3: frac_bits is read from the fixed-point spec `fx`, and
+    the stored masks, tau, flip and batch-norm momentum are ignored and
+    derived again."""
 
 from __future__ import annotations
 
@@ -29,13 +38,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import SchemaError
-from .model import (STAGES, BatchNormLayer, ConvLayer, DenseLayer, FixedPointSpec,
-                    LutData, MaxPoolLayer, Network, SoftmaxLayer)
+from .errors import LutNetError, SchemaError
+from .expand import harden_network
+from .model import (STAGES, BatchNormLayer, ConvLayer, DenseLayer, LutData, MaxPoolLayer,
+                    Network, SoftmaxLayer)
 from .prune import refresh_levels
 from .training import TrainLog
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
+DERIVED = ("levels", "masks", "tau", "flip")   # fields that loading computes
 
 
 @dataclass
@@ -46,18 +57,19 @@ class Checkpoint:
 
 def _out(value):
     """JSON form of a layer field: arrays as nested lists (bool as 0/1) and
-    the LUT block as a dict of its arrays."""
+    the LUT block as a dict of its stored arrays."""
     if isinstance(value, LutData):
-        return {f.name: _out(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: _out(getattr(value, f.name)) for f in fields(value)
+                if f.name not in DERIVED}
     if isinstance(value, np.ndarray):
         return (value.astype(int) if value.dtype == bool else value).tolist()
     return value
 
 
 def _layer_out(layer):
-    """A layer's fields, less the residual levels, which loading derives."""
+    """A layer's fields, less those loading derives."""
     return {"kind": layer.kind, **{f.name: _out(getattr(layer, f.name))
-                                   for f in fields(layer) if f.name != "levels"}}
+                                   for f in fields(layer) if f.name not in DERIVED}}
 
 
 def to_dict(ckpt: Checkpoint) -> dict:
@@ -69,7 +81,7 @@ def to_dict(ckpt: Checkpoint) -> dict:
         "b_levels": net.b_levels,
         "input_shape": list(net.input_shape),
         "seed": net.seed,
-        "fx": None if net.fx is None else {"frac_bits": net.fx.frac_bits},
+        "frac_bits": net.frac_bits,
         "layers": [_layer_out(l) for l in net.layers],
         "logs": [{"phase": lg.phase, "rows": [list(r) for r in lg.rows]} for lg in ckpt.logs],
     }
@@ -98,7 +110,7 @@ def _array(raw, dtype, shape, what, optional=False):
     return a
 
 
-def _lut_in(raw, prune_mask, b_levels, hardened, what):
+def _lut_in(raw, prune_mask, b_levels, what):
     """The LUT block, checked against the layer's prune mask: channel c owns
     one node per unpruned weight of row c, and node n's first input is that
     weight's column."""
@@ -118,17 +130,13 @@ def _lut_in(raw, prune_mask, b_levels, hardened, what):
     if not np.array_equal(indices[:, 0], np.nonzero(prune_mask)[1]):
         raise SchemaError(f"{what}.indices[:, 0] must be the unpruned columns of prune_mask, "
                           f"row by row")
-    planes = (b_levels, n, 1 << k)
-    masks = _array(raw["masks"], np.int64, planes, f"{what}.masks", optional=not hardened)
-    if masks is not None and np.any(np.abs(masks) != 1):
-        raise SchemaError(f"{what}.masks must hold only -1 and +1")
     return LutData(k=k, gammas=_array(raw["gammas"], np.float64, (b_levels,), f"{what}.gammas"),
                    offsets=offsets, indices=indices,
-                   coeffs=_array(raw["coeffs"], np.float64, planes, f"{what}.coeffs"),
-                   masks=None if masks is None else masks.astype(np.int8))
+                   coeffs=_array(raw["coeffs"], np.float64, (b_levels, n, 1 << k),
+                                 f"{what}.coeffs"))
 
 
-def _compute_in(raw, b_levels, hardened, what):
+def _compute_in(raw, b_levels, what):
     if raw["kind"] == "dense":
         layer = DenseLayer(int(raw["in_features"]), int(raw["out_features"]))
         n_out = layer.out_features
@@ -138,19 +146,17 @@ def _compute_in(raw, b_levels, hardened, what):
         n_out = layer.out_channels
     layer.unrolled = bool(raw["unrolled"])
     matrix = (n_out, layer.window_size)
-    for name, dtype, shape, optional in (
-            ("weights", np.float64, matrix, False), ("prune_mask", bool, matrix, False),
-            ("phase1_weights", np.float64, matrix, True),
-            ("tau", np.float64, (n_out,), not hardened), ("flip", bool, (n_out,), not hardened)):
-        setattr(layer, name, _array(raw[name], dtype, shape, f"{what}.{name}", optional))
-    layer.lut = _lut_in(raw["lut"], layer.prune_mask, b_levels, hardened, f"{what}.lut")
+    for name, dtype, optional in (("weights", np.float64, False), ("prune_mask", bool, False),
+                                  ("phase1_weights", np.float64, True)):
+        setattr(layer, name, _array(raw[name], dtype, matrix, f"{what}.{name}", optional))
+    layer.lut = _lut_in(raw["lut"], layer.prune_mask, b_levels, f"{what}.lut")
     return layer
 
 
-def _layer_in(raw: dict, b_levels: int, hardened: bool, what: str):
+def _layer_in(raw: dict, b_levels: int, what: str):
     kind = raw.get("kind")
     if kind == "dense" or kind == "conv":
-        return _compute_in(raw, b_levels, hardened, what)
+        return _compute_in(raw, b_levels, what)
     if kind == "batchnorm":
         layer = BatchNormLayer(int(raw["num_features"]))
         for name in ("gamma", "beta", "running_mean", "running_var"):
@@ -161,7 +167,6 @@ def _layer_in(raw: dict, b_levels: int, hardened: bool, what: str):
             raise SchemaError(f"{what}.eps must be finite and positive, got {layer.eps}")
         if np.any(layer.running_var < 0.0):
             raise SchemaError(f"{what}.running_var must not be negative")
-        layer.momentum = float(raw["momentum"])
         return layer
     if kind == "maxpool":
         return MaxPoolLayer(int(raw["size"]))
@@ -172,24 +177,20 @@ def _layer_in(raw: dict, b_levels: int, hardened: bool, what: str):
 
 def _from_v1(raw: dict) -> dict:
     """A schema-1 checkpoint in schema-2 form: per-channel LUT lists are
-    concatenated.  Levels, node positions and reconnection flags are left for
-    the reader to ignore."""
+    concatenated.  Levels, node positions, reconnection flags and masks are
+    left for the reader to ignore."""
     raw = dict(raw, layers=[dict(l) for l in raw["layers"]])
     for layer in raw["layers"]:
         lut = layer.get("lut")
         if lut is None:
             continue
         chs = lut["channels"]
-
-        def planes(key):
-            return [[node for ch in chs for node in ch[key][b]] for b in range(len(lut["gammas"]))]
-
         layer["lut"] = {
             "k": lut["k"], "gammas": lut["gammas"],
             "offsets": np.cumsum([0] + [len(ch["indices"]) for ch in chs]).tolist(),
             "indices": [row for ch in chs for row in ch["indices"]],
-            "coeffs": planes("coeffs"),
-            "masks": None if any(ch["masks"] is None for ch in chs) else planes("masks"),
+            "coeffs": [[node for ch in chs for node in ch["coeffs"][b]]
+                       for b in range(len(lut["gammas"]))],
         }
     return raw
 
@@ -228,23 +229,31 @@ def _checkpoint_in(raw: dict) -> Checkpoint:
         raw = _from_v1(raw)
     if version <= 2:
         raw = _from_v2(raw)
+    if version <= 3:
+        fx = raw.get("fx")
+        raw = dict(raw, frac_bits=None if fx is None else fx["frac_bits"])
     stage, b_levels = raw["stage"], int(raw["b_levels"])
     if stage not in STAGES:
         raise SchemaError(f"unknown stage {stage!r}")
     if b_levels < 1:
         raise SchemaError(f"b_levels must be >= 1, got {b_levels}")
-    if stage == "hardened" and raw.get("fx") is None:
-        raise SchemaError("a hardened checkpoint needs its fixed-point spec, fx")
-    layers = [_layer_in(l, b_levels, stage == "hardened", f"l{i}")
-              for i, l in enumerate(raw["layers"])]
+    hardened = stage == "hardened"
+    if hardened and raw.get("frac_bits") is None:
+        raise SchemaError("a hardened checkpoint needs its frac_bits")
+    layers = [_layer_in(l, b_levels, f"l{i}") for i, l in enumerate(raw["layers"])]
     if not layers:
         raise SchemaError("checkpoint has an empty layer list")
-    net = Network(
-        name=raw["name"], layers=layers, b_levels=b_levels,
-        input_shape=tuple(raw["input_shape"]), seed=int(raw["seed"]), stage=stage,
-        fx=None if raw.get("fx") is None else FixedPointSpec(int(raw["fx"]["frac_bits"])))
+    net = Network(name=raw["name"], layers=layers, b_levels=b_levels,
+                  input_shape=tuple(raw["input_shape"]), seed=int(raw["seed"]),
+                  stage="expanded" if hardened else stage)
     if stage not in ("real", "pruned"):
         refresh_levels(net)
+    if hardened:
+        frac_bits = int(raw["frac_bits"])
+        try:
+            harden_network(net, frac_bits)
+        except LutNetError as e:
+            raise SchemaError(f"cannot harden the stored network: {e}") from e
     logs = []
     for lg in raw.get("logs", []):
         log = TrainLog(phase=int(lg["phase"]))

@@ -20,7 +20,7 @@ from . import prune as pr
 from . import training as tr
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_env, parse_config
-from .errors import ConfigError, LutNetError, StageError, TrainingDivergedError
+from .errors import ConfigError, LutNetError, StageError
 
 
 def _build_parser():
@@ -240,9 +240,6 @@ def main(argv=None) -> int:
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except TrainingDivergedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except LutNetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

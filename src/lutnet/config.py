@@ -50,9 +50,14 @@ class RunConfig:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if self.style not in ("behavioral", "vendor-primitive"):
             raise ConfigError(f"unknown emission style {self.style!r}")
-        if not 0 <= self.frac_bits <= 24:
-            raise ConfigError(f"frac_bits must be in [0, 24], got {self.frac_bits}")
+        check_frac_bits(self.frac_bits)
         return self
+
+
+def check_frac_bits(frac_bits: int) -> None:
+    """The fixed point's fractional bits lie in [0, 24]."""
+    if not 0 <= frac_bits <= 24:
+        raise ConfigError(f"frac_bits must be in [0, 24], got {frac_bits}")
 
 
 _FIELDS = {

@@ -22,12 +22,7 @@ class NonFiniteError(LutNetError, FloatingPointError):
 
 
 class TrainingDivergedError(LutNetError):
-    """Training loss became non-finite; carries the last good network."""
-
-    def __init__(self, message, last_good=None, log=None):
-        super().__init__(message)
-        self.last_good = last_good
-        self.log = log
+    """Training loss became non-finite."""
 
 
 class FoldError(LutNetError):

@@ -208,11 +208,14 @@ def expand_network(net, k: int, seed: int):
 
 def harden_network(net, frac_bits: int = 8):
     """Freeze trained coefficients into truth-table masks, fold batch norms into
-    per-neuron thresholds and attach the fixed-point spec.
-    Stage: expanded -> hardened."""
-    from .model import FixedPointSpec, fold_batchnorm, require_stage
+    per-neuron thresholds and set the fractional bits of the fixed point.  The
+    only place masks and thresholds are computed: loading a hardened
+    checkpoint calls it too.  Stage: expanded -> hardened."""
+    from .config import check_frac_bits
+    from .model import fold_batchnorm, require_stage
 
     require_stage(net, "expanded")
+    check_frac_bits(frac_bits)
     for li, layer in net.compute_layers():
         if layer.lut is not None:
             layer.lut.masks = harden_masks(layer.lut.coeffs)
@@ -220,6 +223,6 @@ def harden_network(net, frac_bits: int = 8):
         if bn is None:
             raise FoldError(f"layer l{li} has no following batch-norm to fold")
         layer.tau, layer.flip = fold_batchnorm(bn)
-    net.fx = FixedPointSpec(frac_bits=frac_bits)
+    net.frac_bits = frac_bits
     net.stage = "hardened"
     return net

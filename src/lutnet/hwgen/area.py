@@ -151,7 +151,7 @@ def area_report(net: md.Network) -> AreaReport:
     It prices the blocks of lower(net): the tables, kept inputs and node
     counts the netlist holds."""
     md.require_stage(net, "hardened")
-    frac_bits = net.fx.frac_bits
+    frac_bits = net.frac_bits
     report = AreaReport()
     for block in lower(net).blocks:
         li = block.layer

@@ -22,8 +22,6 @@ from ..errors import LoweringError
 from ..expand import reduce_dont_cares
 from .netlist import ComputeBlock, Netlist, PoolBlock
 
-ACC_WIDTH_CAP = 62   # exact int64 simulation bound
-
 
 def _node_tables(layer):
     """(tables (B, N, 2**K) of 0/1, inputs (N, K), offsets (C+1,)) of a
@@ -53,10 +51,10 @@ def _compute_block(li, layer, win, frac_bits):
     q_tau = np.array([md.quantise(float(t), frac_bits) for t in layer.tau], dtype=np.int64)
     max_abs = np.abs(q_gammas).sum() * np.diff(offsets) + np.abs(q_tau)
     acc_width = np.maximum(1, np.ceil(np.log2(max_abs + 1)).astype(np.int64)) + 1  # two's complement
-    if np.any(acc_width > ACC_WIDTH_CAP):
-        c = int(np.argmax(acc_width > ACC_WIDTH_CAP))
+    if np.any(acc_width > md.ACC_WIDTH_CAP):
+        c = int(np.argmax(acc_width > md.ACC_WIDTH_CAP))
         raise LoweringError(
-            f"l{li}_c{c}: accumulator needs {acc_width[c]} bits (> {ACC_WIDTH_CAP}); "
+            f"l{li}_c{c}: accumulator needs {acc_width[c]} bits (> {md.ACC_WIDTH_CAP}); "
             f"reduce fixed-point fractional bits")
     return ComputeBlock(layer=li, index_map=win.index_map, offsets=np.asarray(offsets, np.int64),
                         tables=tables.astype(np.uint8), inputs=inputs, k_eff=k_eff,
@@ -77,6 +75,6 @@ def lower(net: md.Network) -> Netlist:
             shape = md.pool_out_shape(shape, layer.size)
         elif layer.kind in ("dense", "conv"):
             win = md.windows(layer, shape)
-            blocks.append(_compute_block(li, layer, win, net.fx.frac_bits))
+            blocks.append(_compute_block(li, layer, win, net.frac_bits))
             shape = win.out_shape
     return Netlist(net.name, int(np.prod(net.input_shape)), blocks)

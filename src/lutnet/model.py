@@ -19,6 +19,10 @@ the wiring `indices` (N, K), per-plane `coeffs` and hardened `masks`
 (B, N, 2**K), and channel `offsets` (C+1,), channel c owning nodes
 offsets[c]:offsets[c+1].  `LutData.channels` gives per-channel views of them.
 
+A hardened network is its expanded network plus `frac_bits`: the truth-table
+masks, folded thresholds `tau` and `flip` are computed from the coefficients
+and batch norms by expand.harden_network, and by nothing else.
+
 Conventions used by every engine and by the hardware path:
   * hidden activation is sign(batchnorm(.)) with sign(0) = +1; the batch-norm
     directly feeding the softmax head stays real,
@@ -28,7 +32,9 @@ Conventions used by every engine and by the hardware path:
     is combined as pre = g1*s1; pre += g2*s2; ... (see combine_levels) so that
     binary, hardened and netlist paths agree bit-for-bit.  Any positive
     per-layer scale would fold into the following batch norm, so there is
-    none.
+    none,
+  * quantise rounds scales and thresholds to integers of at most
+    ACC_WIDTH_CAP signed bits, the width of an exact int64 accumulator.
 """
 
 from __future__ import annotations
@@ -38,9 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import DimensionError, FoldError, StageError
+from .errors import DimensionError, FoldError, LoweringError, StageError
 
 STAGES = ("real", "pruned", "binarised", "expanded", "hardened")
+BN_MOMENTUM = 0.9   # running statistics keep this share of their old value per step
+ACC_WIDTH_CAP = 62  # exact int64 simulation bound
 
 
 def require_stage(net: "Network", *allowed: str) -> None:
@@ -98,7 +106,6 @@ class BatchNormLayer:
     running_mean: np.ndarray = None
     running_var: np.ndarray = None
     eps: float = 1e-5
-    momentum: float = 0.9
 
     kind = "batchnorm"
 
@@ -122,7 +129,6 @@ class LutChannel:
 
     indices: np.ndarray          # (N~, K) view
     coeffs: np.ndarray           # (B, N~, 2**K) view
-    masks: np.ndarray = None     # (B, N~, 2**K) view once hardened
 
     @property
     def n_nodes(self) -> int:
@@ -153,17 +159,7 @@ class LutData:
     @property
     def channels(self) -> list:
         """Per-channel views of the flat arrays, in channel order."""
-        return [LutChannel(self.indices[a:e], self.coeffs[:, a:e],
-                           None if self.masks is None else self.masks[:, a:e])
-                for a, e in self.spans()]
-
-
-@dataclass
-class FixedPointSpec:
-    """Fractional bits for quantising level scales and thresholds; the integer
-    width is derived from the popcount range at lowering time."""
-
-    frac_bits: int = 8
+        return [LutChannel(self.indices[a:e], self.coeffs[:, a:e]) for a, e in self.spans()]
 
 
 @dataclass
@@ -174,7 +170,7 @@ class Network:
     input_shape: tuple
     seed: int
     stage: str = "real"
-    fx: FixedPointSpec = None    # attached when hardened
+    frac_bits: int = None   # fractional bits of quantised scales and thresholds, set at harden
 
     def compute_layers(self):
         return [(i, l) for i, l in enumerate(self.layers) if l.kind in ("dense", "conv")]
@@ -187,8 +183,13 @@ class Network:
 
 
 def quantise(value: float, frac_bits: int) -> int:
-    """Shared fixed-point rounding for model reference and netlist lowering."""
-    return int(np.rint(value * (1 << frac_bits)))
+    """Shared fixed-point rounding for model reference and netlist lowering;
+    the result fits ACC_WIDTH_CAP signed bits."""
+    q = np.rint(value * 2.0 ** frac_bits)
+    if not abs(q) < 2.0 ** (ACC_WIDTH_CAP - 1):   # also catches inf and NaN
+        raise LoweringError(f"{value:.6g} at {frac_bits} fractional bits does not fit "
+                            f"a {ACC_WIDTH_CAP}-bit accumulator")
+    return int(q)
 
 
 def combine_levels(s_list, gammas):
@@ -431,8 +432,8 @@ def _forward_stack(net, x, training, layer_fn, binarise_input):
             flat = moved.reshape(-1, shp[-1])
             if training:
                 y, mu, var, bn_cache = nm.batchnorm_train_forward(flat, layer.gamma, layer.beta, layer.eps)
-                layer.running_mean = layer.momentum * layer.running_mean + (1 - layer.momentum) * mu
-                layer.running_var = layer.momentum * layer.running_var + (1 - layer.momentum) * var
+                layer.running_mean = BN_MOMENTUM * layer.running_mean + (1 - BN_MOMENTUM) * mu
+                layer.running_var = BN_MOMENTUM * layer.running_var + (1 - BN_MOMENTUM) * var
             else:
                 y = nm.batchnorm_forward(flat, layer.running_mean, layer.running_var,
                                          layer.gamma, layer.beta, layer.eps)
@@ -579,7 +580,12 @@ def fold_batchnorm(bn: BatchNormLayer):
     if zero.size:
         raise FoldError(f"batch-norm gamma is zero for neuron(s) {zero.tolist()}; cannot fold")
     sigma = np.sqrt(bn.running_var + bn.eps)
-    tau = bn.running_mean - bn.beta * sigma / bn.gamma
+    with np.errstate(over="ignore"):
+        tau = bn.running_mean - bn.beta * sigma / bn.gamma
+    bad = np.flatnonzero(~np.isfinite(tau))
+    if bad.size:
+        raise FoldError(f"batch norm folds to a non-finite threshold for neuron(s) "
+                        f"{bad.tolist()}; cannot fold")
     flip = bn.gamma < 0.0
     return tau, flip
 
@@ -683,8 +689,6 @@ def backward_lut(net: Network, caches, dlogits):
 def _mask_sums(lut, flat_bits):
     """Per-plane integer sums (rows, C) of the truth-table outputs of one
     hardened layer's nodes, per channel; a channel with no nodes sums to 0."""
-    if lut.masks is None:
-        raise StageError("hardened forward requires masks")
     bits = flat_bits > 0
     vertex = np.zeros((bits.shape[0], lut.indices.shape[0]), dtype=np.intp)
     for j in range(lut.k):
@@ -694,19 +698,13 @@ def _mask_sums(lut, flat_bits):
     return list(cum[..., lut.offsets[1:]] - cum[..., lut.offsets[:-1]])
 
 
-def _level_int_dots(layer, flat_bits):
-    outs = []
-    for w_b, _g in _level_arrays(layer):
-        w_eff = (w_b * layer.prune_mask).astype(np.int64)
-        outs.append(flat_bits.astype(np.int64) @ w_eff.T)
-    return outs
-
-
 def _hardened_layer_sums(layer, flat_bits):
+    """Per-plane integer sums and plane scales of one hardened layer; sums of
+    +-1 products are exact in float64, so the binary dots cast exactly."""
     if layer.lut is not None:
         return _mask_sums(layer.lut, flat_bits), layer.lut.gammas
     gammas = np.array([g for _w, g in _level_arrays(layer)])
-    return _level_int_dots(layer, flat_bits), gammas
+    return [s.astype(np.int64) for s in _binary_dots(layer, flat_bits)], gammas
 
 
 def forward_hardened_logits(net: Network, x) -> np.ndarray:
@@ -727,12 +725,10 @@ def forward_hardened_logits(net: Network, x) -> np.ndarray:
 
 def forward_hardened_bits(net: Network, x) -> np.ndarray:
     """Quantised reference of the lowered netlist: integer popcount sums, scales
-    and thresholds quantised to net.fx fractional bits, every layer (including
-    the head) emitting {-1,+1} threshold bits."""
+    and thresholds quantised to net.frac_bits fractional bits, every layer
+    (including the head) emitting {-1,+1} threshold bits."""
     require_stage(net, "hardened")
-    if net.fx is None:
-        raise StageError("hardened network carries no fixed-point spec")
-    frac = net.fx.frac_bits
+    frac = net.frac_bits
     x = nm.as_tensor(x)
     bsz = x.shape[0]
     h = nm.sign_pm1(x.reshape((bsz,) + tuple(net.input_shape)))
@@ -742,8 +738,6 @@ def forward_hardened_bits(net: Network, x) -> np.ndarray:
         if layer.kind == "maxpool":
             h = _pool_forward(h, layer.size)
             continue
-        if layer.tau is None:
-            raise StageError(f"layer l{idx} has no folded thresholds; harden first")
         win = windows(layer, h.shape[1:])
         s_list, gammas = _hardened_layer_sums(layer, win.rows(h))
         acc = np.zeros_like(s_list[0])

@@ -4,7 +4,6 @@ coefficients."""
 
 from __future__ import annotations
 
-import copy
 import io
 from dataclasses import dataclass, field
 
@@ -95,7 +94,6 @@ def _run_epochs(net, data, epochs, batch_size, lr, seed, step_fn, phase):
     n = x.shape[0]
     rng = np.random.default_rng(seed)
     log = TrainLog(phase=phase)
-    last_good = copy.deepcopy(net)
     for epoch in range(epochs):
         tot_loss = 0.0
         tot_omega = 0.0
@@ -105,15 +103,13 @@ def _run_epochs(net, data, epochs, batch_size, lr, seed, step_fn, phase):
             loss, omega, n_correct = step_fn(x[idx], y[idx], lr)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
-                    f"phase {phase} loss became non-finite at epoch {epoch}",
-                    last_good=last_good, log=log)
+                    f"phase {phase} loss became non-finite at epoch {epoch}")
             tot_loss += loss
             tot_omega += omega
             correct += n_correct
             batches += 1
         err = 100.0 * (1.0 - correct / n)
         log.append(epoch, tot_loss / batches, err, tot_omega / batches)
-        last_good = copy.deepcopy(net)
     return log
 
 

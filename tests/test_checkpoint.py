@@ -1,7 +1,8 @@
-"""Checkpoints: a schema-1 file keeps loading to the same hardware and a
-schema-2 file to the same function, a save -> load -> save round trip is
-byte-identical at every pipeline stage, the current schema stores nothing
-derivable, and malformed input raises SchemaError."""
+"""Checkpoints: schema-1 and schema-3 files keep loading to the same hardware
+and a schema-2 file to the same function, a save -> load -> save round trip
+is byte-identical at every pipeline stage, the current schema stores nothing
+derivable, malformed input raises SchemaError, and no malformed input ends
+in a traceback of the command line."""
 
 import hashlib
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from lutnet import checkpoint as ck
+from lutnet import cli
 from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet.errors import SchemaError
@@ -73,6 +75,27 @@ def test_v3_fixture_reproduces_the_fresh_hardware():
     assert verilog_sha256(net) == verilog_sha256(fresh)
 
 
+def test_v3_fixture_ignores_its_stored_derived_fields():
+    with open(V3_FIXTURE, encoding="ascii") as f:
+        raw = json.load(f)
+    want = ck.to_dict(ck.from_dict(raw))
+    for layer in raw["layers"]:
+        if layer["kind"] in ("dense", "conv"):
+            layer["tau"] = [t + 100.0 for t in layer["tau"]]
+            layer["flip"] = [1 - f for f in layer["flip"]]
+            if layer["lut"] is not None:
+                layer["lut"]["masks"] = [[[-m for m in node] for node in plane]
+                                         for plane in layer["lut"]["masks"]]
+        elif layer["kind"] == "batchnorm":
+            layer["momentum"] = 0.5
+    net = ck.from_dict(raw).net
+    assert ck.to_dict(ck.Checkpoint(net)) == want
+    x = exhaustive_pm1(8)
+    fresh = tiny_stages()[-1][1]
+    assert np.array_equal(md.forward_hardened_bits(net, x), md.forward_hardened_bits(fresh, x))
+    assert verilog_sha256(net) == verilog_sha256(fresh)
+
+
 def _stage_forward(net, x):
     if net.stage in ("real", "pruned"):
         return [md.forward_real(net, x)]
@@ -104,14 +127,21 @@ def test_schema2_stores_nothing_derivable():
     stages = dict(tiny_stages())
     pruned = ck.to_dict(ck.Checkpoint(stages["pruned"]))
     assert pruned["layers"][2]["phase1_weights"] is not None
-    for stage in ("expanded", "hardened"):
-        raw = ck.to_dict(ck.Checkpoint(stages[stage]))
-        assert raw["schema_version"] == ck.SCHEMA_VERSION
+    for stage, net in stages.items():
+        raw = ck.to_dict(ck.Checkpoint(net))
+        assert raw["schema_version"] == ck.SCHEMA_VERSION == 4
+        assert "fx" not in raw
+        assert raw["frac_bits"] == (8 if stage == "hardened" else None)
         for layer in raw["layers"]:
-            assert "levels" not in layer and "alpha" not in layer
-            assert layer.get("phase1_weights") is None
-        assert sorted(raw["layers"][2]["lut"]) == ["coeffs", "gammas", "indices", "k",
-                                                   "masks", "offsets"]
+            for derived in ("levels", "alpha", "tau", "flip", "momentum"):
+                assert derived not in layer
+        if stage in ("expanded", "hardened"):
+            assert all(layer.get("phase1_weights") is None for layer in raw["layers"])
+            assert sorted(raw["layers"][2]["lut"]) == ["coeffs", "gammas", "indices", "k",
+                                                       "offsets"]
+    expanded = ck.to_dict(ck.Checkpoint(stages["expanded"]))
+    hardened = ck.to_dict(ck.Checkpoint(stages["hardened"]))
+    assert hardened == dict(expanded, stage="hardened", frac_bits=8)
 
 
 def _hardened_dict():
@@ -143,20 +173,13 @@ TAMPERED = {
     "index past window": _set(LUT + ("indices", 0, 1), 4),
     "negative index": _set(LUT + ("indices", 0, 1), -1),
     "coeffs not (B, N, 2^K)": _set(LUT + ("coeffs",), lambda c: c[:1]),
-    "masks not (B, N, 2^K)": _set(LUT + ("masks",), lambda m: [p[:-1] for p in m]),
-    "mask value not +-1": _set(LUT + ("masks", 0, 0, 0), 0),
     "gammas not (B,)": _set(LUT + ("gammas",), lambda g: g + [0.5]),
-    "hardened without masks": _set(LUT + ("masks",), None),
-    "hardened without tau": _set(("layers", 0, "tau"), None),
-    "tau not C long": _set(("layers", 2, "tau"), lambda t: t[:-1]),
-    "flip not C long": _set(("layers", 0, "flip"), lambda f: f + [0]),
     "ragged array": _set(("layers", 0, "weights", 1), lambda r: r[:-1]),
     "non-numeric array": _set(LUT + ("coeffs", 0, 0, 0), "x"),
     "null in array": _set(("layers", 1, "gamma", 0), None),
     "missing field": lambda raw: raw["layers"][0].pop("unrolled"),
     "infinite weight": _set(("layers", 0, "weights", 0, 0), float("inf")),
     "NaN coefficient": _set(LUT + ("coeffs", 1, 2, 3), float("nan")),
-    "infinite tau": _set(("layers", 2, "tau", 0), float("-inf")),
     "eps negative": _set(("layers", 1, "eps"), -1.0),
     "eps zero": _set(("layers", 3, "eps"), 0.0),
     "eps NaN": _set(("layers", 1, "eps"), float("nan")),
@@ -166,7 +189,11 @@ TAMPERED = {
                                               lambda m: [[1] * len(r) for r in m]),
     "indices[:, 0] not the unpruned columns": _set(LUT + ("indices", 0, 0),
                                                    lambda i: (i + 1) % 4),
-    "hardened without fx": _set(("fx",), None),
+    "hardened without frac_bits": _set(("frac_bits",), None),
+    # rejected by harden_network, which loading runs
+    "frac_bits negative": _set(("frac_bits",), -1),
+    "frac_bits past 24": _set(("frac_bits",), 80),
+    "gamma folds to an infinite tau": _set(("layers", 1, "gamma", 0), 1e-320),
 }
 
 
@@ -180,6 +207,24 @@ def test_tampered_checkpoint_raises_schema_error(case):
     TAMPERED[case](raw)
     with pytest.raises(SchemaError):
         ck.from_dict(raw)
+
+
+EMIT_FAILURES = dict(
+    TAMPERED,
+    # loads, but its threshold does not fit the accumulator at lowering
+    **{"gamma folds to a tau past the accumulator": _set(("layers", 1, "gamma", 0), 1e-300)})
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_FAILURES))
+def test_bad_checkpoint_is_an_operational_failure_of_emit(case, tmp_path, capsys):
+    raw = _hardened_dict()
+    EMIT_FAILURES[case](raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="ascii")
+    assert cli.main(["emit", "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.out + out.err
 
 
 def _v2_dict():

@@ -72,6 +72,19 @@ def test_invalid_batch_norm_is_an_operational_failure(tiny_ckpts, tmp_path, caps
     assert "eps must be finite and positive" in capsys.readouterr().err
 
 
+def test_infinite_threshold_is_an_operational_failure(tiny_ckpts, tmp_path, capsys):
+    # beta * sigma / gamma overflows, so this batch norm folds to an infinite tau
+    with open(tiny_ckpts["expanded"], encoding="ascii") as f:
+        raw = json.load(f)
+    raw["layers"][1]["gamma"][0] = 1e-320
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="ascii")
+    out = tmp_path / "out"
+    assert cli.main(["harden", "--ckpt", str(bad), "--out", str(out)]) == 1
+    assert "non-finite threshold" in capsys.readouterr().err
+    assert not (out / "ckpt_hardened.json").exists()
+
+
 def _idx_set(root, n_images=300, n_labels=300, side=28, first_label=None):
     """IDX train and test files of random images and labels under root."""
     rng = np.random.default_rng(3)

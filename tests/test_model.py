@@ -8,9 +8,11 @@ from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
 from lutnet import training as tr
-from lutnet.errors import DimensionError, FoldError, StageError
+from lutnet import hwgen as hw
+from lutnet.errors import (ConfigError, DimensionError, FoldError, LoweringError, StageError,
+                           TrainingDivergedError)
 
-from conftest import exhaustive_pm1, make_tiny_net, rel_err
+from conftest import exhaustive_pm1, make_tiny_net, rel_err, tiny_stages
 
 
 def _finite_differences(loss, param, h=1e-6):
@@ -277,6 +279,44 @@ class TestFoldBatchnorm:
         with pytest.raises(FoldError, match="1"):
             md.fold_batchnorm(bn)
 
+    def test_non_finite_threshold_reports_index(self):
+        bn = md.BatchNormLayer(3)
+        bn.gamma = np.array([1.0, 1.0, 1e-320])   # beta * sigma / gamma overflows
+        bn.beta = np.full(3, 0.5)
+        bn.running_mean, bn.running_var = np.zeros(3), np.ones(3)
+        with pytest.raises(FoldError, match=r"\[2\]"):
+            md.fold_batchnorm(bn)
+
+
+class TestQuantise:
+    def test_largest_value_that_fits(self):
+        top = 2.0 ** 61 - 256   # the largest float64 below 2**61
+        assert md.quantise(top / 256, 8) == int(top)
+        assert md.quantise(-top / 256, 8) == -int(top)
+
+    @pytest.mark.parametrize("value", [2.0 ** 53, -2.0 ** 53, 2.5e299, np.inf, np.nan])
+    def test_value_outside_the_accumulator_is_a_lowering_error(self, value):
+        with pytest.raises(LoweringError, match="does not fit"):
+            md.quantise(value, 8)
+
+
+def test_threshold_outside_the_accumulator_is_a_lowering_error():
+    net = dict(tiny_stages())["expanded"]
+    net.layers[1].gamma[0] = 1e-300   # tau about 1e299
+    ex.harden_network(net)
+    with pytest.raises(LoweringError, match="does not fit"):
+        md.forward_hardened_bits(net, exhaustive_pm1(8))
+    with pytest.raises(LoweringError, match="does not fit"):
+        hw.lower(net)
+
+
+@pytest.mark.parametrize("frac_bits", [-1, 25, 80])
+def test_harden_rejects_frac_bits_outside_the_config_range(frac_bits):
+    net = dict(tiny_stages())["expanded"]
+    with pytest.raises(ConfigError, match=r"frac_bits must be in \[0, 24\]"):
+        ex.harden_network(net, frac_bits=frac_bits)
+    assert net.stage == "expanded"
+
 
 class TestLutForms:
     def _expanded(self, k=2, seed=21):
@@ -397,3 +437,12 @@ def test_phase1_trains_every_compute_layer():
     tr.run_phase1(net, data, tr.PhaseConfig(epochs1=1, batch_size=20))
     assert not any(np.array_equal(layer.weights, w)
                    for (_i, layer), w in zip(net.compute_layers(), weights))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_phase1_divergence_raises():
+    net = make_tiny_net()
+    rng = np.random.default_rng(15)
+    data = (rng.standard_normal((40, 8)), rng.integers(0, 3, 40))
+    with pytest.raises(TrainingDivergedError, match="phase 1 loss became non-finite"):
+        tr.run_phase1(net, data, tr.PhaseConfig(epochs1=3, batch_size=20, lr=1e10))
