@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from lutnet import expand as ex
+from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
 from lutnet import training as tr
-from lutnet import hwgen as hw
 from lutnet.errors import (ConfigError, DimensionError, FoldError, LoweringError, StageError,
                            TrainingDivergedError)
 
