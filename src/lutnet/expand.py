@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics as nm
+from .config import check_frac_bits
 from .errors import ExpansionError, FoldError
 
 
@@ -211,7 +212,6 @@ def harden_network(net, frac_bits: int = 8):
     per-neuron thresholds and set the fractional bits of the fixed point.  The
     only place masks and thresholds are computed: loading a hardened
     checkpoint calls it too.  Stage: expanded -> hardened."""
-    from .config import check_frac_bits
     from .model import fold_batchnorm, require_stage
 
     require_stage(net, "expanded")
