@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -360,16 +361,13 @@ class TestLutForms:
     def test_hardened_equals_interpolated_at_vertices(self):
         # exhaustive over 2**K vertices per node, random coefficients
         rng = np.random.default_rng(14)
-        for k in (1, 2, 4):
+        for k in range(1, 9):
             coeffs = rng.standard_normal((2, 3, 1 << k))
-            masks = ex.harden_masks(coeffs)
             verts = ex.vertices(k)
-            for b in range(2):
-                for n in range(3):
-                    # g(v) = sum over d of c_d * prod_k (v_k - d_k), term by term
-                    vals = np.array([sum(coeffs[b, n, d] * np.prod(v - verts[d])
-                                         for d in range(1 << k)) for v in verts])
-                    assert np.array_equal(nm.sign_pm1(vals).astype(np.int8), masks[b, n])
+            # g(v) = sum over d of c_d * prod_k (v_k - d_k), term by term
+            terms = np.prod(verts[:, None, :] - verts[None, :, :], axis=-1)   # (v, d)
+            vals = np.einsum("bnd,vd->bnv", coeffs, terms)
+            assert np.array_equal(ex.harden_masks(coeffs), nm.sign_pm1(vals).astype(np.int8))
 
     def test_one_coefficient_gradient_per_expanded_layer(self):
         net = self._expanded(k=3)
@@ -414,6 +412,103 @@ class TestLutForms:
         assert logits.shape == (256, 3) and logits.dtype == np.float64
         with pytest.raises(StageError):
             md.forward_hardened_bits(net, exhaustive_pm1(8))
+
+
+def _phase3_net(k):
+    """An expanded net for the phase-3 pins: make_tiny_net(hidden=8) with its
+    8 -> 3 head expanded at K = k, channel 1 fully pruned, coefficients
+    perturbed; or, for k None, the expanded net of tiny_stages() (K=3)."""
+    if k is None:
+        return copy.deepcopy(dict(tiny_stages())["expanded"])
+    net = make_tiny_net(hidden=8)
+    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.6, tol=0.3))
+    net.layers[2].prune_mask[1] = False
+    pr.binarise_network(net)
+    ex.expand_network(net, k=k, seed=11)
+    lut = net.layers[2].lut
+    lut.coeffs += np.random.default_rng(12).normal(0.0, 0.3, lut.coeffs.shape)
+    return net
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (forward_lut_train logits, backward_lut gradients by sorted name,
+# LUT gammas and coefficients after one run_phase3_retrain step) on all 256
+# inputs, recorded from the per-channel einsum engine
+PHASE3_PINS = {
+    1: ("427fbfaf1328d8d603aadebe548233d7b256c1ff4186b92a387a82ae8c8f1aa9",
+        "671adc36a9d1da53ebcac10d81dcbdf9e57a00896c9dab5412c75d09b99765d7",
+        "3679d8eefdc8a6e2c7e085519200fd1598e87a2f0bd49499694cb0985880c894"),
+    2: ("e134cd598b8d9b08410acd1e8ac25b3e4c57a47369aeec6db4e0c92b744d1c5d",
+        "d2c74b21c3d2c1e51deb03871becc701a7a8bdaa0b59114963e73fb79e9907a6",
+        "501a5259c17159918b57b5aebc7343a3215bf65674c6e73613d1ef0f08557cfc"),
+    3: ("a3b7f6a1c1da214c1216b4097639b343bbe081b13f9c0c20b2e30c5a53bc0b23",
+        "82ec9be29d8a1233ef189a581ca5bbe28985abc152aaa23c51b4cdb00cabc05d",
+        "39e0e0b29e16b3e2968aef51b205e534894f4d9127b4be69622e6b65add69491"),
+    4: ("13fdfcd691d9d0ce806a3919c5408b64f636f1642d6299f68544acd6e4a19950",
+        "045ad5426bb540efc3d52423437fd0f1fa7e1078657d0e769f2ae1a5318b3d16",
+        "299d6d4b86830b0b84d7df66077d4936f20927b4cf3e02d9524a4c077a6c2403"),
+    5: ("8781efeab3f80620c122e60ccc007a595b62e12f330ecb9e70e12526770e38d5",
+        "11fa3367f093981f9f67f057dbea48564b6bf4cc8ad7b18719e4c1d31e4a6dfc",
+        "27f835290b867cdaa9f781d6e806670500d6c7c275646853d35fcc90cdbc7bb2"),
+    6: ("1db488e0b18cbba075e5d4b1e98af2f92687551a8ead12968998de29176081ab",
+        "10e2f08cb4b3407650b36db2c7c140f704cef5af655eb61b00a6bd0172e0998b",
+        "79d556ac976eda73310fa8f54125fc7256dc49fd15e73e9ccc1b6a72596efdff"),
+    None: ("93483de558f795b6010fc1143af2c03d01b3e613019d43ff9015c2d172273044",
+           "3ace22316b3016a9ec2517bf000257d8b61a26d79f530c6db339a09c074e2c59",
+           "99d88dd7c20b14f43ed5223e82d149a77178a7db14e34166e196cefe4bc49cc1"),
+}
+
+
+@pytest.mark.parametrize("k", list(PHASE3_PINS), ids=lambda k: f"K{k}" if k else "tiny_stages")
+def test_phase3_matches_pin(k):
+    x = exhaustive_pm1(8)
+    labels = np.arange(256) % 3
+    net = _phase3_net(k)
+    logits, caches = md.forward_lut_train(net, x)
+    grads = md.backward_lut(net, caches, nm.softmax_xent(logits, labels)[1])
+    h = hashlib.sha256()
+    for name in sorted(grads):
+        h.update(name.encode("ascii") + b"\0" + grads[name].tobytes())
+    net = _phase3_net(k)
+    tr.run_phase3_retrain(net, (x, labels), tr.PhaseConfig(epochs3=1, batch_size=256))
+    lut = net.layers[2].lut
+    assert (_sha(logits), h.hexdigest(), _sha(lut.gammas, lut.coeffs)) == PHASE3_PINS[k]
+
+
+def _extension(lut, rows):
+    """Layer output (rows, C) of an expanded layer, term by term:
+    sum_b gamma_b sum over nodes n of channel c of
+    sum_d c_bnd prod_k (x_{n,k} - d_k)."""
+    verts = ex.vertices(lut.k)
+    terms = np.prod(rows[:, lut.indices][:, :, None, :] - verts, axis=-1)   # (rows, N, 2**K)
+    nodes = np.einsum("rnd,bnd,b->rn", terms, lut.coeffs, lut.gammas)
+    return np.stack([nodes[:, a:e].sum(axis=1) for a, e in lut.spans()], axis=1)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_window_row_gradient_is_the_extension_difference(k):
+    # the extension is affine in each input, so on +-1 inputs its derivative
+    # in x_j is exactly (g(x_j = +1) - g(x_j = -1)) / 2
+    layer = _phase3_net(k).layers[2]
+    rng = np.random.default_rng(30 + k)
+    rows = rng.choice([-1.0, 1.0], size=(16, layer.window_size))
+    drows = rng.standard_normal((16, 3))
+    y, cache = md._lut_layer(layer, rows)
+    assert rel_err(y, _extension(layer.lut, rows)) < 1e-12
+    got = md._lut_layer_bwd(2, layer, cache, drows, {})
+    want = np.empty_like(rows)
+    for j in range(rows.shape[1]):
+        up, down = rows.copy(), rows.copy()
+        up[:, j], down[:, j] = 1.0, -1.0
+        diff = (_extension(layer.lut, up) - _extension(layer.lut, down)) / 2
+        want[:, j] = np.sum(drows * diff, axis=1)
+    assert rel_err(got, want) < 1e-12
 
 
 def test_checkpoint_stage_tags_follow_pipeline():
