@@ -87,6 +87,13 @@ def to_dict(ckpt: Checkpoint) -> dict:
     }
 
 
+def _int(raw, what):
+    """A JSON integer, not a bool: int() would truncate or coerce anything else."""
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise SchemaError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
 def _array(raw, dtype, shape, what, optional=False):
     """A JSON array as a numpy array of dtype and exactly the given shape;
     None stays None if the field is optional."""
@@ -116,7 +123,7 @@ def _lut_in(raw, prune_mask, b_levels, what):
     weight's column."""
     if raw is None:
         return None
-    k = int(raw["k"])
+    k = _int(raw["k"], f"{what}.k")
     if k < 1:
         raise SchemaError(f"{what}.k must be >= 1, got {k}")
     n_out, window = prune_mask.shape
@@ -137,12 +144,13 @@ def _lut_in(raw, prune_mask, b_levels, what):
 
 
 def _compute_in(raw, b_levels, what):
+    size = lambda name: _int(raw[name], f"{what}.{name}")
     if raw["kind"] == "dense":
-        layer = DenseLayer(int(raw["in_features"]), int(raw["out_features"]))
+        layer = DenseLayer(size("in_features"), size("out_features"))
         n_out = layer.out_features
     else:
-        layer = ConvLayer(int(raw["in_channels"]), int(raw["out_channels"]),
-                          int(raw["kernel"]), int(raw["stride"]))
+        layer = ConvLayer(size("in_channels"), size("out_channels"), size("kernel"),
+                          size("stride"))
         n_out = layer.out_channels
     layer.unrolled = bool(raw["unrolled"])
     matrix = (n_out, layer.window_size)
@@ -158,7 +166,7 @@ def _layer_in(raw: dict, b_levels: int, what: str):
     if kind == "dense" or kind == "conv":
         return _compute_in(raw, b_levels, what)
     if kind == "batchnorm":
-        layer = BatchNormLayer(int(raw["num_features"]))
+        layer = BatchNormLayer(_int(raw["num_features"], f"{what}.num_features"))
         for name in ("gamma", "beta", "running_mean", "running_var"):
             setattr(layer, name, _array(raw[name], np.float64, (layer.num_features,),
                                         f"{what}.{name}"))
@@ -169,7 +177,7 @@ def _layer_in(raw: dict, b_levels: int, what: str):
             raise SchemaError(f"{what}.running_var must not be negative")
         return layer
     if kind == "maxpool":
-        return MaxPoolLayer(int(raw["size"]))
+        return MaxPoolLayer(_int(raw["size"], f"{what}.size"))
     if kind == "softmax":
         return SoftmaxLayer()
     raise SchemaError(f"unknown layer kind {kind!r}")
@@ -221,7 +229,7 @@ def _from_v2(raw: dict) -> dict:
 def _checkpoint_in(raw: dict) -> Checkpoint:
     if not isinstance(raw, dict) or "schema_version" not in raw:
         raise SchemaError("not a checkpoint: missing schema_version")
-    version = raw["schema_version"]
+    version = _int(raw["schema_version"], "schema_version")
     if version > SCHEMA_VERSION:
         raise SchemaError(f"checkpoint schema {version} is newer than supported "
                           f"{SCHEMA_VERSION}; refusing to load")
@@ -232,31 +240,30 @@ def _checkpoint_in(raw: dict) -> Checkpoint:
     if version <= 3:
         fx = raw.get("fx")
         raw = dict(raw, frac_bits=None if fx is None else fx["frac_bits"])
-    stage, b_levels = raw["stage"], int(raw["b_levels"])
+    stage, b_levels = raw["stage"], _int(raw["b_levels"], "b_levels")
     if stage not in STAGES:
         raise SchemaError(f"unknown stage {stage!r}")
     if b_levels < 1:
         raise SchemaError(f"b_levels must be >= 1, got {b_levels}")
     hardened = stage == "hardened"
-    if hardened and raw.get("frac_bits") is None:
-        raise SchemaError("a hardened checkpoint needs its frac_bits")
     layers = [_layer_in(l, b_levels, f"l{i}") for i, l in enumerate(raw["layers"])]
     if not layers:
         raise SchemaError("checkpoint has an empty layer list")
     net = Network(name=raw["name"], layers=layers, b_levels=b_levels,
-                  input_shape=tuple(raw["input_shape"]), seed=int(raw["seed"]),
+                  input_shape=tuple(_int(d, "input_shape") for d in raw["input_shape"]),
+                  seed=_int(raw["seed"], "seed"),
                   stage="expanded" if hardened else stage)
     if stage not in ("real", "pruned"):
         refresh_levels(net)
     if hardened:
-        frac_bits = int(raw["frac_bits"])
+        frac_bits = _int(raw["frac_bits"], "frac_bits")
         try:
             harden_network(net, frac_bits)
         except LutNetError as e:
             raise SchemaError(f"cannot harden the stored network: {e}") from e
     logs = []
     for lg in raw.get("logs", []):
-        log = TrainLog(phase=int(lg["phase"]))
+        log = TrainLog(phase=_int(lg["phase"], "logs.phase"))
         for row in lg["rows"]:
             log.append(*row)
         logs.append(log)

@@ -5,10 +5,13 @@ The smooth extension of a node's Boolean function is the multilinear form
     g(x) = sum over d in {-1,1}^K of  c_d * prod_k (x_k - d_k)
 
 which is diagonal over the binary vertices: at a vertex v only the d = -v term
-survives, with value c_{-v} * 2^K * prod_k v_k.  Vertex encoding is fixed
-everywhere (model evaluation, netlist simulation, Verilog INIT masks): vertex v
-maps to the integer with bit k = (v_k + 1) / 2, bit 0 being the node's first
-input.  Truth tables are stored as {-1,+1} int8 vectors indexed that way.
+survives, with value c_{-v} * 2^K * prod_k v_k.  Node inputs are always
++-1, so phase 3 gathers that one coefficient (interp_basis) and, per input,
+the two whose vertices differ from -v only there (interp_dx_partial).
+Vertex encoding is fixed everywhere (model evaluation, netlist simulation,
+Verilog INIT masks): vertex v maps to the integer with bit k = (v_k + 1) / 2,
+bit 0 being the node's first input.  Truth tables are stored as {-1,+1} int8
+vectors indexed that way.
 """
 
 from __future__ import annotations
@@ -29,47 +32,46 @@ def vertices(k: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(k)[None, :]) & 1) * 2.0 - 1.0
 
 
-def interp_basis(x: np.ndarray, k: int) -> np.ndarray:
-    """prod_k (x_k - d_k) for every vertex d; x (..., K) -> (..., 2**K)."""
-    diffs = x[..., None, :] - vertices(k)
-    return diffs.prod(axis=-1)
+def interp_basis(x: np.ndarray, k: int):
+    """(vertex, value) (...) of the one nonzero basis term of the extension at
+    points x (..., K), valid only where every x_k is +-1: only d = -x keeps
+    every factor x_k - d_k = 2 x_k nonzero, so g(x) = value * c[vertex] with
+    vertex = sum_k (x_k < 0) << k and value = 2**K * prod_k x_k."""
+    vertex = ((x < 0) << np.arange(k)).sum(axis=-1)
+    return vertex, (1 << k) * x.prod(axis=-1)
 
 
 def interp_dx_partial(x: np.ndarray, k: int) -> np.ndarray:
-    """(..., 2**K, K) products prod_{j!=k}(x_j - d_j), for backprop through x."""
-    diffs = x[..., None, :] - vertices(k)
-    ones = np.ones(diffs.shape[:-1] + (1,))
-    prefix = np.concatenate([ones, np.cumprod(diffs, axis=-1)], axis=-1)
-    suffix = np.concatenate([np.cumprod(diffs[..., ::-1], axis=-1)[..., ::-1], ones], axis=-1)
-    return prefix[..., :k] * suffix[..., 1:]
+    """(..., K) partials 2**(K-1) * prod_{j!=k} x_j at points x (..., K), valid
+    only where every x_j is +-1.  There the terms that depend on x_k are the
+    two at interp_basis's vertex with bit k clear (lo_k) and set (hi_k), so
+    dg/dx_k = partial_k * (c[lo_k] + c[hi_k])."""
+    return (1 << (k - 1)) * x.prod(axis=-1, keepdims=True) * x
 
 
 def linear_coeffs(wvec: np.ndarray) -> np.ndarray:
     """Coefficients whose extension equals h(x) = sum_k wvec[k] * x_k exactly on
-    every vertex: c_{-v} = h(v) / (2**K * prod_k v_k); -v is the bitwise
-    complement of v's index."""
+    every vertex v: the one coefficient g reads at v is h(v) / value(v)."""
     wvec = nm.as_tensor(wvec)
     k = wvec.shape[-1]
     v = vertices(k)
-    h = wvec @ v.T                                   # (..., 2**K)
-    scaled = h / ((1 << k) * v.prod(axis=-1))
-    out = np.empty_like(scaled)
-    out[..., np.arange(1 << k) ^ ((1 << k) - 1)] = scaled
+    vertex, value = interp_basis(v, k)
+    out = np.empty(wvec.shape[:-1] + (1 << k,))
+    out[..., vertex] = (wvec @ v.T) / value
     return out
 
 
 def harden_masks(coeffs: np.ndarray) -> np.ndarray:
     """Truth tables per plane: mask at vertex v is sign(g(v)) with sign(0)=+1,
-    obtained by evaluating the interpolation at every vertex so hardened and
+    read from the one nonzero term of the interpolation at v, so hardened and
     interpolated forwards agree on the binary domain by construction."""
     coeffs = nm.as_tensor(coeffs)
     n = coeffs.shape[-1]
     k = int(n).bit_length() - 1
     if (1 << k) != n:
         raise ExpansionError(f"coefficient count {n} is not a power of two")
-    basis_at_vertices = interp_basis(vertices(k), k)         # (2**K, 2**K)
-    vals = coeffs @ basis_at_vertices.T
-    return nm.sign_pm1(vals).astype(np.int8)
+    vertex, value = interp_basis(vertices(k), k)
+    return nm.sign_pm1(value * coeffs[..., vertex]).astype(np.int8)
 
 
 def reduce_dont_cares(tables: np.ndarray, k: int):

@@ -46,16 +46,7 @@ def _compute_block(li, layer, win, frac_bits):
     live = np.arange(indices.shape[1]) < k_eff[..., None]
     inputs = np.where(live, np.take_along_axis(indices[None], kept, axis=2), 0)
 
-    gammas = [g for _w, g in layer.levels] if layer.lut is None else layer.lut.gammas
-    q_gammas = np.array([md.quantise(float(g), frac_bits) for g in gammas], dtype=np.int64)
-    q_tau = np.array([md.quantise(float(t), frac_bits) for t in layer.tau], dtype=np.int64)
-    max_abs = np.abs(q_gammas).sum() * np.diff(offsets) + np.abs(q_tau)
-    acc_width = np.maximum(1, np.ceil(np.log2(max_abs + 1)).astype(np.int64)) + 1  # two's complement
-    if np.any(acc_width > md.ACC_WIDTH_CAP):
-        c = int(np.argmax(acc_width > md.ACC_WIDTH_CAP))
-        raise LoweringError(
-            f"l{li}_c{c}: accumulator needs {acc_width[c]} bits (> {md.ACC_WIDTH_CAP}); "
-            f"reduce fixed-point fractional bits")
+    q_gammas, q_tau, acc_width = md.quantise_layer(layer, frac_bits, f"l{li}")
     return ComputeBlock(layer=li, index_map=win.index_map, offsets=np.asarray(offsets, np.int64),
                         tables=tables.astype(np.uint8), inputs=inputs, k_eff=k_eff,
                         q_gammas=q_gammas, q_tau=q_tau, flip=np.asarray(layer.flip, bool),

@@ -18,6 +18,8 @@ An expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
 the wiring `indices` (N, K), per-plane `coeffs` and hardened `masks`
 (B, N, 2**K), and channel `offsets` (C+1,), channel c owning nodes
 offsets[c]:offsets[c+1].  `LutData.channels` gives per-channel views of them.
+Phase 3 evaluates a whole layer's nodes at once as vertex gathers on their +-1
+inputs: one coefficient forward, two per input backward (see expand.py).
 
 A hardened network is its expanded network plus `frac_bits`: the truth-table
 masks, folded thresholds `tau` and `flip` are computed from the coefficients
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expand as ex
 from . import numerics as nm
 from .errors import DimensionError, FoldError, LoweringError, StageError
 
@@ -532,9 +535,7 @@ def _binary_dots(layer, xt):
 
 
 def _binary_layer(layer, rows):
-    s_list = _binary_dots(layer, rows)
-    gammas = [g for _w, g in layer.levels]
-    return combine_levels(s_list, gammas), rows
+    return combine_levels(_binary_dots(layer, rows), _plane_gammas(layer)), rows
 
 
 def forward_binary(net: Network, x) -> np.ndarray:
@@ -591,38 +592,30 @@ def fold_batchnorm(bn: BatchNormLayer):
 
 
 # ---------------------------------------------------------------------------
-# expanded engine (phase 3): interpolated LUT nodes on binarised inputs;
-# time-multiplexed layers (lut is None) keep the binary engine
+# expanded engine (phase 3): interpolated LUT nodes on binarised inputs, as
+# vertex gathers (expand.interp_basis forward, expand.interp_dx_partial
+# backward); time-multiplexed layers (lut is None) keep the binary engine
 
 
-def _interp_channel_sums(lut, flat):
-    """Per-plane node sums for all channels of one expanded layer.
-
-    flat: (rows, window) of +-1; returns s_list of (rows, C) arrays plus the
-    per-channel caches (basis, gathered inputs) for backprop.
-    """
-    from . import expand as ex
-
-    rows = flat.shape[0]
-    n_planes = lut.gammas.shape[0]
-    spans = lut.spans()
-    s_list = [np.zeros((rows, len(spans))) for _ in range(n_planes)]
-    ch_caches = []
-    for c, (a, e) in enumerate(spans):
-        xg = flat[:, lut.indices[a:e]]                  # (rows, N~, K)
-        basis = ex.interp_basis(xg, lut.k)              # (rows, N~, 2**K)
-        for b in range(n_planes):
-            s_list[b][:, c] = np.einsum("rnv,nv->r", basis, lut.coeffs[b, a:e])
-        ch_caches.append((xg, basis))
-    return s_list, ch_caches
+def _channel_sums(lut, terms):
+    """Per-channel sums (rows, C) of node terms (rows, N): one bincount over
+    row * C + channel, which adds each channel's nodes in ascending order; a
+    channel with no nodes sums to 0."""
+    rows, c = terms.shape[0], lut.offsets.shape[0] - 1
+    slot = np.arange(rows)[:, None] * c + np.repeat(np.arange(c), np.diff(lut.offsets))
+    return np.bincount(slot.reshape(-1), weights=terms.reshape(-1),
+                       minlength=rows * c).reshape(rows, c)
 
 
 def _lut_layer(layer, rows):
     if layer.lut is None:
         return _binary_layer(layer, rows)
-    s_list, ch_caches = _interp_channel_sums(layer.lut, rows)
-    y = combine_levels(s_list, layer.lut.gammas)
-    return y, (rows, s_list, ch_caches)
+    lut = layer.lut
+    xg = rows[:, lut.indices]                           # (rows, N, K)
+    vertex, value = ex.interp_basis(xg, lut.k)          # (rows, N) each
+    slot = np.arange(xg.shape[1]) * (1 << lut.k) + vertex   # flat (node, vertex) index
+    s_list = [_channel_sums(lut, value * c.reshape(-1)[slot]) for c in lut.coeffs]
+    return combine_levels(s_list, lut.gammas), (xg, slot, value, s_list)
 
 
 def forward_lut(net: Network, x):
@@ -647,32 +640,26 @@ def forward_lut_train(net: Network, x):
 
 def _lut_layer_bwd(idx, layer, cache, drows, grads):
     """Gradient of one layer in the expanded engine: coefficients, plane scales
-    and inputs for expanded layers, the binary STE otherwise."""
-    from . import expand as ex
-
+    and inputs for expanded layers, the binary STE otherwise.  Each bincount
+    adds in ascending row, then node, then input order."""
     if layer.lut is None:
         return _binary_layer_bwd(idx, layer, cache, drows, grads)
-    flat, s_list, ch_caches = cache
+    xg, slot, value, s_list = cache
     lut = layer.lut
-    n_planes = lut.gammas.shape[0]
-    dgammas = np.zeros(n_planes)
-    for b in range(n_planes):
-        dgammas[b] = float(np.sum(drows * s_list[b]))
-    dflat = np.zeros_like(flat)
-    dcoeffs = np.empty_like(lut.coeffs)
-    rows_idx = np.arange(flat.shape[0])[:, None, None]
-    for c, (a, e) in enumerate(lut.spans()):
-        xg, basis = ch_caches[c]
-        dch = drows[:, c]                               # (rows,)
-        for b in range(n_planes):
-            dcoeffs[b, a:e] = lut.gammas[b] * np.einsum("r,rnv->nv", dch, basis)
-        ceff = np.einsum("b,bnv->nv", lut.gammas, lut.coeffs[:, a:e])
-        partial = ex.interp_dx_partial(xg, lut.k)       # (rows, N~, 2**K, K)
-        dxg = np.einsum("nv,rnvk->rnk", ceff, partial) * dch[:, None, None]
-        np.add.at(dflat, (rows_idx, lut.indices[None, a:e, :]), dxg)
-    grads[f"l{idx}.lut.coeffs"] = dcoeffs
-    grads[f"l{idx}.lut.gammas"] = dgammas
-    return dflat
+    rows, _n, k = xg.shape
+    dnode = np.repeat(drows, np.diff(lut.offsets), axis=1)   # (rows, N)
+    dbasis = np.bincount(slot.reshape(-1), weights=(dnode * value).reshape(-1),
+                         minlength=lut.coeffs[0].size).reshape(lut.coeffs.shape[1:])
+    grads[f"l{idx}.lut.coeffs"] = lut.gammas[:, None, None] * dbasis
+    grads[f"l{idx}.lut.gammas"] = np.array([float(np.sum(drows * s)) for s in s_list])
+    # input k of a node reads the coefficients at its vertex with bit k clear and set
+    ceff = np.einsum("b,bnv->nv", lut.gammas, lut.coeffs).reshape(-1)
+    bit = 1 << np.arange(k)
+    pair = ceff[slot[..., None] & ~bit] + ceff[slot[..., None] | bit]
+    dxg = ex.interp_dx_partial(xg, k) * pair * dnode[..., None]
+    flat = np.arange(rows)[:, None, None] * layer.window_size + lut.indices
+    return np.bincount(flat.reshape(-1), weights=dxg.reshape(-1),
+                       minlength=rows * layer.window_size).reshape(rows, -1)
 
 
 def backward_lut(net: Network, caches, dlogits):
@@ -686,25 +673,42 @@ def backward_lut(net: Network, caches, dlogits):
 # hardened engines
 
 
-def _mask_sums(lut, flat_bits):
-    """Per-plane integer sums (rows, C) of the truth-table outputs of one
-    hardened layer's nodes, per channel; a channel with no nodes sums to 0."""
-    bits = flat_bits > 0
-    vertex = np.zeros((bits.shape[0], lut.indices.shape[0]), dtype=np.intp)
-    for j in range(lut.k):
-        vertex |= bits[:, lut.indices[:, j]].astype(np.intp) << j
-    outs = lut.masks[:, np.arange(vertex.shape[1]), vertex]       # (B, rows, N) of +-1
-    cum = np.pad(np.cumsum(outs, axis=2, dtype=np.int64), ((0, 0), (0, 0), (1, 0)))
-    return list(cum[..., lut.offsets[1:]] - cum[..., lut.offsets[:-1]])
+def _plane_gammas(layer):
+    """(B,) plane scales of a compute layer from the binarised stage on."""
+    if layer.lut is not None:
+        return layer.lut.gammas
+    return np.array([g for _w, g in _level_arrays(layer)])
 
 
 def _hardened_layer_sums(layer, flat_bits):
-    """Per-plane integer sums and plane scales of one hardened layer; sums of
-    +-1 products are exact in float64, so the binary dots cast exactly."""
-    if layer.lut is not None:
-        return _mask_sums(layer.lut, flat_bits), layer.lut.gammas
-    gammas = np.array([g for _w, g in _level_arrays(layer)])
-    return [s.astype(np.int64) for s in _binary_dots(layer, flat_bits)], gammas
+    """Per-plane integer sums (rows, C) of one hardened layer: its binary dots,
+    or its truth-table outputs per channel; sums of +-1 are exact in float64."""
+    if layer.lut is None:
+        return [s.astype(np.int64) for s in _binary_dots(layer, flat_bits)]
+    lut = layer.lut
+    vertex = ((flat_bits[:, lut.indices] > 0) << np.arange(lut.k)).sum(axis=-1)   # (rows, N)
+    node = np.arange(vertex.shape[1])
+    return [_channel_sums(lut, m[node, vertex]).astype(np.int64) for m in lut.masks]
+
+
+def quantise_layer(layer, frac_bits: int, what: str):
+    """(q_gammas (B,), q_tau (C,), acc_width (C,)) of a hardened compute layer,
+    for forward_hardened_bits and the netlist: scales and thresholds at
+    frac_bits, and each channel's two's-complement accumulator bits for
+    sum_b |q_b| * N~ + |q_tau|, in Python integers so that they cannot wrap."""
+    n_tilde = layer.prune_mask.sum(axis=1)   # nodes per channel, as in the LUT offsets
+    q_gammas = np.array([quantise(float(g), frac_bits) for g in _plane_gammas(layer)],
+                        dtype=np.int64)
+    q_tau = np.array([quantise(float(t), frac_bits) for t in layer.tau], dtype=np.int64)
+    scale = sum(abs(q) for q in q_gammas.tolist())
+    acc_width = np.array([max(1, (scale * n + abs(t)).bit_length()) + 1
+                          for n, t in zip(n_tilde.tolist(), q_tau.tolist())], dtype=np.int64)
+    over = np.flatnonzero(acc_width > ACC_WIDTH_CAP)
+    if over.size:
+        c = int(over[0])
+        raise LoweringError(f"{what}_c{c}: accumulator needs {acc_width[c]} bits "
+                            f"(> {ACC_WIDTH_CAP}); reduce fixed-point fractional bits")
+    return q_gammas, q_tau, acc_width
 
 
 def forward_hardened_logits(net: Network, x) -> np.ndarray:
@@ -715,9 +719,8 @@ def forward_hardened_logits(net: Network, x) -> np.ndarray:
     require_stage(net, "hardened")
 
     def layer_fn(layer, rows):
-        s_list, gammas = _hardened_layer_sums(layer, rows)
-        y = combine_levels([s.astype(np.float64) for s in s_list], gammas)
-        return y, None
+        s_list = [s.astype(np.float64) for s in _hardened_layer_sums(layer, rows)]
+        return combine_levels(s_list, _plane_gammas(layer)), None
 
     logits, _ = _forward_stack(net, x, False, layer_fn, binarise_input=True)
     return logits
@@ -728,7 +731,6 @@ def forward_hardened_bits(net: Network, x) -> np.ndarray:
     and thresholds quantised to net.frac_bits fractional bits, every layer
     (including the head) emitting {-1,+1} threshold bits."""
     require_stage(net, "hardened")
-    frac = net.frac_bits
     x = nm.as_tensor(x)
     bsz = x.shape[0]
     h = nm.sign_pm1(x.reshape((bsz,) + tuple(net.input_shape)))
@@ -739,12 +741,9 @@ def forward_hardened_bits(net: Network, x) -> np.ndarray:
             h = _pool_forward(h, layer.size)
             continue
         win = windows(layer, h.shape[1:])
-        s_list, gammas = _hardened_layer_sums(layer, win.rows(h))
-        acc = np.zeros_like(s_list[0])
-        for b, s in enumerate(s_list):
-            acc += quantise(gammas[b], frac) * s
-        q_tau = np.array([quantise(t, frac) for t in layer.tau], dtype=np.int64)
-        ge = acc >= q_tau[None, :]
-        le = acc <= q_tau[None, :]
-        h = win.outputs(np.where(layer.flip[None, :], np.where(le, 1.0, -1.0), np.where(ge, 1.0, -1.0)))
+        q_gammas, q_tau, _width = quantise_layer(layer, net.frac_bits, f"l{idx}")
+        s_list = _hardened_layer_sums(layer, win.rows(h))
+        acc = sum(q * s for q, s in zip(q_gammas, s_list))
+        fire = np.where(layer.flip, acc <= q_tau, acc >= q_tau)
+        h = win.outputs(np.where(fire, 1.0, -1.0))
     return h

@@ -194,6 +194,17 @@ TAMPERED = {
     "frac_bits negative": _set(("frac_bits",), -1),
     "frac_bits past 24": _set(("frac_bits",), 80),
     "gamma folds to an infinite tau": _set(("layers", 1, "gamma", 0), 1e-320),
+    # integer fields take JSON integers only: int() would truncate the rest
+    "frac_bits not an integer": _set(("frac_bits",), 8.7),
+    "frac_bits a bool": _set(("frac_bits",), True),
+    "seed not an integer": _set(("seed",), 7.9),
+    "b_levels not an integer": _set(("b_levels",), 2.5),
+    "schema_version not an integer": _set(("schema_version",), 4.0),
+    "k not an integer": _set(LUT + ("k",), 3.0),
+    "layer size not an integer": _set(("layers", 0, "in_features"), 8.0),
+    "batch-norm size a string": _set(("layers", 1, "num_features"), "4"),
+    "input size not an integer": _set(("input_shape", 0), 8.5),
+    "log phase not an integer": lambda raw: raw["logs"].append({"phase": 1.5, "rows": []}),
 }
 
 
@@ -212,7 +223,9 @@ def test_tampered_checkpoint_raises_schema_error(case):
 EMIT_FAILURES = dict(
     TAMPERED,
     # loads, but its threshold does not fit the accumulator at lowering
-    **{"gamma folds to a tau past the accumulator": _set(("layers", 1, "gamma", 0), 1e-300)})
+    **{"gamma folds to a tau past the accumulator": _set(("layers", 1, "gamma", 0), 1e-300),
+       "weights scale the accumulator past int64": _set(
+           ("layers", 0, "weights"), lambda w: [[v * 2.0 ** 53 for v in r] for r in w])})
 
 
 @pytest.mark.parametrize("case", sorted(EMIT_FAILURES))

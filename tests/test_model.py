@@ -311,6 +311,20 @@ def test_threshold_outside_the_accumulator_is_a_lowering_error():
         hw.lower(net)
 
 
+@pytest.mark.parametrize("exponent, bits", [(51, 63), (53, 65)])
+def test_accumulator_past_the_cap_is_a_lowering_error(exponent, bits):
+    # at 2**53 the int64 bound of the l0 accumulator used to wrap
+    net = dict(tiny_stages())["expanded"]
+    net.layers[0].weights *= 2.0 ** exponent
+    pr.refresh_levels(net)
+    ex.harden_network(net)
+    message = f"l0_c0: accumulator needs {bits} bits"
+    with pytest.raises(LoweringError, match=message):
+        md.forward_hardened_bits(net, exhaustive_pm1(8))
+    with pytest.raises(LoweringError, match=message):
+        hw.lower(net)
+
+
 @pytest.mark.parametrize("frac_bits", [-1, 25, 80])
 def test_harden_rejects_frac_bits_outside_the_config_range(frac_bits):
     net = dict(tiny_stages())["expanded"]
@@ -479,6 +493,26 @@ def test_phase3_matches_pin(k):
     tr.run_phase3_retrain(net, (x, labels), tr.PhaseConfig(epochs3=1, batch_size=256))
     lut = net.layers[2].lut
     assert (_sha(logits), h.hexdigest(), _sha(lut.gammas, lut.coeffs)) == PHASE3_PINS[k]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_vertex_gathers_equal_the_term_by_term_extension(k):
+    # on every +-1 point, against prod_j (x_j - d_j) for every vertex d
+    x = exhaustive_pm1(k)
+    diffs = x[:, None, :] - ex.vertices(k)              # (points, d, K)
+    vertex, value = ex.interp_basis(x, k)
+    want = np.zeros((len(x), 1 << k))
+    want[np.arange(len(x)), vertex] = value
+    assert np.array_equal(np.prod(diffs, axis=-1), want)
+    # d/dx_j of the term of vertex d is prod over i != j of (x_i - d_i)
+    partial = np.stack([np.prod(np.delete(diffs, j, axis=-1), axis=-1) for j in range(k)],
+                       axis=-1)                          # (points, d, K)
+    dx = ex.interp_dx_partial(x, k)
+    bit = 1 << np.arange(k)
+    want = np.zeros_like(partial)
+    for pair in (vertex[:, None] & ~bit, vertex[:, None] | bit):
+        want[np.arange(len(x))[:, None], pair, np.arange(k)] = dx
+    assert np.array_equal(partial, want)
 
 
 def _extension(lut, rows):
