@@ -67,19 +67,40 @@ def test_netlist_readers_run(workloads):
     assert workloads._verilog_tables_match(nl, hw.emit_verilog(nl))
 
 
+# TARGETS entries whose attribute the library no longer has; the tracer
+# skips them.  Dropping them from TARGETS is left to the next change of the
+# benchmark (ROADMAP item 1).
+KNOWN_STALE = {("lutnet.numerics", "dense_forward"),
+               ("lutnet.hwgen.lower", "detect_dont_cares"),
+               ("lutnet.hwgen.area", "detect_dont_cares"),
+               ("lutnet.hwgen.netlist", "Netlist.topo_order")}
+
+
+def _resolve(module, attr):
+    owner = sys.modules[module]
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    return owner
+
+
 def test_tracer_finds_every_target_module():
+    """Every TARGETS attribute resolves and is wrapped while the tracer is
+    installed, except the known-stale ones, and nothing stays wrapped after
+    restore: a refactor that drops a traced name fails here."""
     tracing = _load("tracing")
     restore = tracing.Tracer().install()
     try:
-        for _name, _layer, module, _attr in tracing.TARGETS:
+        for _name, _layer, module, attr in tracing.TARGETS:
             assert module in sys.modules, module
+            traced = _resolve(module, attr)
+            if (module, attr) in KNOWN_STALE:
+                assert traced is None, f"{module}.{attr} is back; take it off KNOWN_STALE"
+            else:
+                assert hasattr(traced, "__wrapped__"), f"{module}.{attr}"
     finally:
         restore()
     for _name, _layer, module, attr in tracing.TARGETS:
-        owner = sys.modules[module]
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        assert not hasattr(owner, "__wrapped__"), attr
+        assert not hasattr(_resolve(module, attr), "__wrapped__"), attr
 
 
 def test_phase3_calls_every_timed_span():

@@ -495,6 +495,81 @@ def test_phase3_matches_pin(k):
     assert (_sha(logits), h.hexdigest(), _sha(lut.gammas, lut.coeffs)) == PHASE3_PINS[k]
 
 
+def _net_sha(net):
+    """sha256 of every compute layer's weights and every batch norm's gamma,
+    beta, running mean and running variance, in layer order."""
+    arrays = []
+    for layer in net.layers:
+        if layer.kind in ("dense", "conv"):
+            arrays.append(layer.weights)
+        elif layer.kind == "batchnorm":
+            arrays += [layer.gamma, layer.beta, layer.running_mean, layer.running_var]
+    return _sha(*arrays)
+
+
+def _trained_phases():
+    """(phase, TrainLog, net) after one epoch of each phase on make_tiny_net():
+    run_phase1, then run_phase2_retrain on the net pruned to 0.6 density and
+    binarised, then run_phase3_retrain on it expanded at K=2.  40 samples in
+    batches of 16 leave a short last batch."""
+    rng = np.random.default_rng(15)
+    data = (rng.standard_normal((40, 8)), rng.integers(0, 3, 40))
+    cfg = tr.PhaseConfig(epochs1=1, epochs2=1, epochs3=1, batch_size=16, lam=1e-3, seed=4)
+    net = make_tiny_net()
+    yield 1, tr.run_phase1(net, data, cfg), net
+    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.6, tol=0.3))
+    pr.binarise_network(net)
+    yield 2, tr.run_phase2_retrain(net, data, cfg), net
+    ex.expand_network(net, k=2, seed=11)
+    yield 3, tr.run_phase3_retrain(net, data, cfg), net
+
+
+# sha256 of (TrainLog.to_csv(), _net_sha, the plane scales of every compute
+# layer and the LUT coefficients) after each phase of _trained_phases(),
+# recorded from one step closure per phase
+TRAINING_PINS = {
+    1: ("31d18cc15b3429b3652a40acd2cd7bb5ae766f633607fda9b0008fdf5ee628d7",
+        "2918fe38ed3454cf379e389b29d7c81c177e2bdf7c15c8cc05a3656f9bce1279", None),
+    2: ("ea5c841d1bcb2465f4b885a27338bb497e92b10c93df5802c0b8b51f9d41cedf",
+        "c2a6478973a07191a9d12b64192e7eeb8dbf413204443d54ea336c8e2a78fb64",
+        "11760614f97df64e6370b8c0e8f5bcc32541f82e8f402c0d4ee608e84e2b8506"),
+    3: ("c5ff88e803afaa29119dac787286180e91fa204c03d0df5374d9b23e04cb00f2",
+        "41c2e8f15596d7c146dcd3cd002a8fa5b3903a790c7343adbbe1158261fc547a",
+        "d98b038c69f40bda4274396586aea4d1e2916aa471209220183ff70ecbc02eed"),
+}
+
+
+def test_training_phases_match_pins():
+    for phase, log, net in _trained_phases():
+        scales = None
+        if phase > 1:
+            layers = [layer for _i, layer in net.compute_layers()]
+            scales = _sha(*[md._plane_gammas(layer) for layer in layers],
+                          *[layer.lut.coeffs for layer in layers if layer.lut is not None])
+        got = (hashlib.sha256(log.to_csv().encode("ascii")).hexdigest(), _net_sha(net), scales)
+        assert got == TRAINING_PINS[phase], phase
+
+
+# sha256 of the inference logits of each tiny_stages() network on all 256
+# inputs, recorded from the per-stage inference forwards
+STAGE_LOGIT_PINS = {
+    "real": "76457f060b262db6502f441874ade0f8bce96b6f6ad062c3fcf32254e96419c4",
+    "pruned": "1dd75c89cdd7ab9d2484100629e6b8f92b112a4fca44bc040083b783bfcf2134",
+    "binarised": "1784f58e2897712c761e1f4e7a95f8f72e3f4ec90022809387bee1cc02fe0034",
+    "expanded": "3c70754d428bbde5ef759b4e67fafcde036ac30c3e7561df06be07bd92d3f44b",
+    "hardened": "19d1dbdd328a412b2aa848f19be785ac30768dfefc0abd0431c74faadce0b149",
+}
+
+
+@pytest.mark.parametrize("stage", md.STAGES)
+def test_stage_logits_match_pin(stage):
+    net = dict(tiny_stages())[stage]
+    forward = {"real": md.forward_real, "pruned": md.forward_real,
+               "binarised": md.forward_binary, "expanded": md.forward_lut,
+               "hardened": md.forward_hardened_logits}[stage]
+    assert _sha(forward(net, exhaustive_pm1(8))) == STAGE_LOGIT_PINS[stage]
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_vertex_gathers_equal_the_term_by_term_extension(k):
     # on every +-1 point, against prod_j (x_j - d_j) for every vertex d
