@@ -174,7 +174,7 @@ def _differential(net, cfg):
     rng = np.random.default_rng(cfg.seed + 9999)
     n_in = int(np.prod(net.input_shape))
     x = rng.choice([-1.0, 1.0], size=(cfg.vectors, n_in))
-    want = hw.encode_pm1(md.forward_lut(net, x))
+    want = hw.encode_pm1(md.forward_hardened_bits(net, x))
     got = hw.simulate(nl, hw.encode_pm1(x))
     mismatches = int(np.sum(np.any(want != got, axis=1)))
     return nl, mismatches

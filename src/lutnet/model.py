@@ -1,8 +1,10 @@
 """Network data model across pipeline stages, plus forward/backward engines.
 
 A network is a sequential stack of dense/conv/batchnorm/maxpool/softmax layers.
-It moves through the stages real -> pruned -> binarised -> expanded -> hardened;
-every engine validates the stage tag of its input.
+It moves through the stages real -> pruned -> binarised -> expanded -> hardened,
+and the stage picks the engine: `forward` returns inference logits at any
+stage through that stage's layer function (_LAYER_FN), and each training
+forward checks that its input is at the stage it trains.
 
 Every compute layer is one windowed operator.  `windows` gives its geometry:
 the layer reads `positions` windows of its input and writes one value per
@@ -408,9 +410,12 @@ def _pool_backward(x, size, dy):
 # layer walk: owns all window geometry, engines see rows only
 
 
-def _forward_stack(net, x, training, layer_fn, binarise_input):
-    """Common layer walk.  layer_fn(layer, rows) maps window rows
-    (B*positions, window) to pre-activation rows (B*positions, C) plus a cache."""
+def _forward_stack(net, x, training):
+    """Common layer walk.  The stage picks the layer function in _LAYER_FN,
+    which maps window rows (B*positions, window) to pre-activation rows
+    (B*positions, C) plus a cache; from the binarised stage on the network
+    input is binarised."""
+    layer_fn = _LAYER_FN[net.stage]
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
     bsz = x.shape[0]
@@ -418,7 +423,7 @@ def _forward_stack(net, x, training, layer_fn, binarise_input):
         raise DimensionError(f"{net.name} takes inputs of {np.prod(net.input_shape)} values "
                              f"{tuple(net.input_shape)}, got {np.prod(x.shape[1:])}")
     h = x.reshape((bsz,) + tuple(net.input_shape))
-    if binarise_input:
+    if net.stage not in ("real", "pruned"):
         h = nm.sign_pm1(h)
     caches = []
     for idx, layer in enumerate(net.layers):
@@ -499,16 +504,9 @@ def _real_layer(layer, rows):
     return rows @ w.T, (rows, w)
 
 
-def forward_real(net: Network, x) -> np.ndarray:
-    """Inference forward for real-weight checkpoints; returns logits."""
-    require_stage(net, "real", "pruned")
-    logits, _ = _forward_stack(net, x, False, _real_layer, binarise_input=False)
-    return logits
-
-
 def forward_real_train(net: Network, x):
     require_stage(net, "real", "pruned")
-    return _forward_stack(net, x, True, _real_layer, binarise_input=False)
+    return _forward_stack(net, x, True)
 
 
 def backward_real(net: Network, caches, dlogits):
@@ -538,16 +536,9 @@ def _binary_layer(layer, rows):
     return combine_levels(_binary_dots(layer, rows), _plane_gammas(layer)), rows
 
 
-def forward_binary(net: Network, x) -> np.ndarray:
-    """Inference forward for residual-binarised checkpoints; returns logits."""
-    require_stage(net, "binarised")
-    logits, _ = _forward_stack(net, x, False, _binary_layer, binarise_input=True)
-    return logits
-
-
 def forward_binary_train(net: Network, x):
     require_stage(net, "binarised")
-    return _forward_stack(net, x, True, _binary_layer, binarise_input=True)
+    return _forward_stack(net, x, True)
 
 
 def _reconstructed(layer):
@@ -618,24 +609,9 @@ def _lut_layer(layer, rows):
     return combine_levels(s_list, lut.gammas), (xg, slot, value, s_list)
 
 
-def forward_lut(net: Network, x):
-    """Forward for LUT-form checkpoints.
-
-    Expanded stage: interpolated node functions on binarised inputs; returns
-    real logits.  Hardened stage: truth-table lookups with quantised scales and
-    folded thresholds; returns the output layer's {-1,+1} threshold bits,
-    bit-exact with the lowered netlist.
-    """
-    require_stage(net, "expanded", "hardened")
-    if net.stage == "expanded":
-        logits, _ = _forward_stack(net, x, False, _lut_layer, binarise_input=True)
-        return logits
-    return forward_hardened_bits(net, x)
-
-
 def forward_lut_train(net: Network, x):
     require_stage(net, "expanded")
-    return _forward_stack(net, x, True, _lut_layer, binarise_input=True)
+    return _forward_stack(net, x, True)
 
 
 def _lut_layer_bwd(idx, layer, cache, drows, grads):
@@ -711,18 +687,25 @@ def quantise_layer(layer, frac_bits: int, what: str):
     return q_gammas, q_tau, acc_width
 
 
-def forward_hardened_logits(net: Network, x) -> np.ndarray:
-    """Real-scaled forward of a hardened network: hidden layers use the truth
-    tables with exact batch-norm sign thresholds, the head layer applies the
-    real batch-norm affine to its scaled popcount.  Bit-compatible with
-    forward_binary for K=1 buffer/inverter masks."""
-    require_stage(net, "hardened")
+def _hardened_layer(layer, rows):
+    """Truth-table sums with real plane scales: hidden layers then meet the
+    real batch norms' sign thresholds, the head their real affine.  Equals
+    the binary engine for K=1 buffer/inverter masks."""
+    s_list = [s.astype(np.float64) for s in _hardened_layer_sums(layer, rows)]
+    return combine_levels(s_list, _plane_gammas(layer)), None
 
-    def layer_fn(layer, rows):
-        s_list = [s.astype(np.float64) for s in _hardened_layer_sums(layer, rows)]
-        return combine_levels(s_list, _plane_gammas(layer)), None
 
-    logits, _ = _forward_stack(net, x, False, layer_fn, binarise_input=True)
+# the engine of each stage: the layer function of its forward
+_LAYER_FN = {"real": _real_layer, "pruned": _real_layer, "binarised": _binary_layer,
+             "expanded": _lut_layer, "hardened": _hardened_layer}
+
+
+def forward(net: Network, x) -> np.ndarray:
+    """Inference logits at any stage, from the stage's engine.  A hardened
+    network is scored with real plane scales and batch norms;
+    forward_hardened_bits is its quantised reference."""
+    require_stage(net, *STAGES)
+    logits, _ = _forward_stack(net, x, False)
     return logits
 
 

@@ -86,30 +86,68 @@ def _check_labels(net, y):
                           f"{net.name}; got {y.min()} to {y.max()}")
 
 
-def _run_epochs(net, data, epochs, batch_size, lr, seed, step_fn, phase):
-    """Shared epoch loop: shuffling, logging, divergence guard.  step_fn runs
-    one optimisation step and returns (loss, omega, n_correct)."""
+# phase -> (the stage it trains, its forward and backward in model); the
+# engines are looked up by name at each call
+_PHASES = {1: ("real", "forward_real_train", "backward_real"),
+           2: ("binarised", "forward_binary_train", "backward_binary"),
+           3: ("expanded", "forward_lut_train", "backward_lut")}
+
+
+def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
+    """One training phase: Adam over shuffled minibatches with a divergence
+    guard.  Layers without LUTs train their latent weights, which keep their
+    pruned positions at zero; expanded layers train their plane scales and
+    coefficients; batch norms train everywhere.  Phase 1 adds the
+    sparsification regulariser to the loss; phases 2 and 3 refresh the
+    binary levels in closed form before every step and once at the end;
+    phase 3 trains at lr * lr3_factor."""
+    stage, forward, backward = _PHASES[phase]
+    md.require_stage(net, stage)
+    forward, backward = getattr(md, forward), getattr(md, backward)
     x, y = data
     _check_labels(net, y)
-    n = x.shape[0]
-    rng = np.random.default_rng(seed)
+    params = {}
+    for i, layer in net.compute_layers():
+        if layer.lut is None:
+            params[f"l{i}.weights"] = layer.weights
+        else:
+            params[f"l{i}.lut.gammas"] = layer.lut.gammas
+            params[f"l{i}.lut.coeffs"] = layer.lut.coeffs
+    _bn_params(net, params)
+    epochs = (cfg.epochs1, cfg.epochs2, cfg.epochs3)[phase - 1]
+    lr = cfg.lr * cfg.lr3_factor if phase == 3 else cfg.lr
+    rng = np.random.default_rng(cfg.seed + phase - 1)
+    state = nm.AdamState()
     log = TrainLog(phase=phase)
     for epoch in range(epochs):
-        tot_loss = 0.0
-        tot_omega = 0.0
-        correct = 0
-        batches = 0
-        for idx in _batches(n, batch_size, rng):
-            loss, omega, n_correct = step_fn(x[idx], y[idx], lr)
+        tot_loss = tot_omega = 0.0
+        correct = batches = 0
+        for idx in _batches(x.shape[0], cfg.batch_size, rng):
+            if phase > 1:
+                pr.refresh_levels(net)
+            logits, caches = forward(net, x[idx])
+            loss, dlogits = nm.softmax_xent(logits, y[idx])
+            grads = backward(net, caches, dlogits)
+            omega, omega_grads = l2_group_regulariser(net, cfg.lam)
+            if phase == 1:
+                loss = loss + omega
+                for name, g in omega_grads.items():
+                    grads[name] = grads[name] + g
+            nm.adam_step(params, grads, state, lr=lr)
+            for _i, layer in net.compute_layers():
+                if layer.lut is None:
+                    layer.weights *= layer.prune_mask
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"phase {phase} loss became non-finite at epoch {epoch}")
             tot_loss += loss
             tot_omega += omega
-            correct += n_correct
+            correct += int(np.sum(np.argmax(logits, axis=1) == y[idx]))
             batches += 1
-        err = 100.0 * (1.0 - correct / n)
-        log.append(epoch, tot_loss / batches, err, tot_omega / batches)
+        log.append(epoch, tot_loss / batches, 100.0 * (1.0 - correct / x.shape[0]),
+                   tot_omega / batches)
+    if phase > 1:
+        pr.refresh_levels(net)
     return log
 
 
@@ -118,102 +156,29 @@ def run_phase1(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     sparsification regulariser added to the loss.  A compute layer's
     pre-activation is its plain dot product: the batch norm after every
     compute layer carries its scale."""
-    md.require_stage(net, "real")
-    state = nm.AdamState()
-
-    def step(xb, yb, lr):
-        logits, caches = md.forward_real_train(net, xb)
-        loss, dlogits = nm.softmax_xent(logits, yb)
-        grads = md.backward_real(net, caches, dlogits)
-        omega, omega_grads = l2_group_regulariser(net, cfg.lam)
-        for name, g in omega_grads.items():
-            grads[name] = grads[name] + g
-        params = {f"l{i}.weights": layer.weights for i, layer in net.compute_layers()}
-        _bn_params(net, params)
-        nm.adam_step(params, grads, state, lr=lr)
-        for _i, layer in net.compute_layers():
-            layer.weights *= layer.prune_mask
-        correct = int(np.sum(np.argmax(logits, axis=1) == yb))
-        return loss + omega, omega, correct
-
-    return _run_epochs(net, data, cfg.epochs1, cfg.batch_size, cfg.lr, cfg.seed, step, phase=1)
+    return _train(net, data, cfg, 1)
 
 
 def run_phase2_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     """Retraining after pruning + residual binarisation.  Forward uses the
     binary reconstruction; latent weights receive STE gradients; level scales
     are refreshed in closed form every step; pruned positions stay zero."""
-    md.require_stage(net, "binarised")
-    state = nm.AdamState()
-
-    def step(xb, yb, lr):
-        pr.refresh_levels(net)
-        logits, caches = md.forward_binary_train(net, xb)
-        loss, dlogits = nm.softmax_xent(logits, yb)
-        grads = md.backward_binary(net, caches, dlogits)
-        omega, _ = l2_group_regulariser(net, cfg.lam)
-        params = {f"l{i}.weights": layer.weights for i, layer in net.compute_layers()}
-        _bn_params(net, params)
-        nm.adam_step(params, grads, state, lr=lr)
-        for _i, layer in net.compute_layers():
-            layer.weights *= layer.prune_mask
-        correct = int(np.sum(np.argmax(logits, axis=1) == yb))
-        return loss, omega, correct
-
-    log = _run_epochs(net, data, cfg.epochs2, cfg.batch_size, cfg.lr, cfg.seed + 1, step, phase=2)
-    pr.refresh_levels(net)
-    return log
+    return _train(net, data, cfg, 2)
 
 
 def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     """Post-expansion retraining: LUT coefficients and plane scales train by
     gradient through the interpolating extension; time-multiplexed layers keep
     training their latent binary weights."""
-    md.require_stage(net, "expanded")
-    state = nm.AdamState()
-    lr3 = cfg.lr * cfg.lr3_factor
-
-    def step(xb, yb, lr):
-        pr.refresh_levels(net)
-        logits, caches = md.forward_lut_train(net, xb)
-        loss, dlogits = nm.softmax_xent(logits, yb)
-        grads = md.backward_lut(net, caches, dlogits)
-        omega, _ = l2_group_regulariser(net, cfg.lam)
-        params = {}
-        for i, layer in net.compute_layers():
-            if layer.lut is None:
-                params[f"l{i}.weights"] = layer.weights
-            else:
-                params[f"l{i}.lut.gammas"] = layer.lut.gammas
-                params[f"l{i}.lut.coeffs"] = layer.lut.coeffs
-        _bn_params(net, params)
-        nm.adam_step(params, grads, state, lr=lr)
-        for _i, layer in net.compute_layers():
-            if layer.lut is None:
-                layer.weights *= layer.prune_mask
-        correct = int(np.sum(np.argmax(logits, axis=1) == yb))
-        return loss, omega, correct
-
-    log = _run_epochs(net, data, cfg.epochs3, cfg.batch_size, lr3, cfg.seed + 2, step, phase=3)
-    pr.refresh_levels(net)
-    return log
+    return _train(net, data, cfg, 3)
 
 
 def evaluate(net: md.Network, x, y, batch_size: int = 500) -> float:
-    """Test accuracy in percent, using the stage-appropriate inference forward
-    (hardened networks are scored with real thresholds and head affine)."""
+    """Test accuracy in percent from md.forward's logits (a hardened network
+    is scored with real plane scales and batch norms)."""
     _check_labels(net, y)
-    n = x.shape[0]
     correct = 0
-    for start in range(0, n, batch_size):
-        xb = x[start:start + batch_size]
-        if net.stage in ("real", "pruned"):
-            logits = md.forward_real(net, xb)
-        elif net.stage == "binarised":
-            logits = md.forward_binary(net, xb)
-        elif net.stage == "expanded":
-            logits = md.forward_lut(net, xb)
-        else:
-            logits = md.forward_hardened_logits(net, xb)
+    for start in range(0, x.shape[0], batch_size):
+        logits = md.forward(net, x[start:start + batch_size])
         correct += int(np.sum(np.argmax(logits, axis=1) == y[start:start + batch_size]))
-    return 100.0 * correct / n
+    return 100.0 * correct / x.shape[0]

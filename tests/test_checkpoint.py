@@ -63,7 +63,7 @@ def test_v2_fixture_computes_what_the_fresh_net_computes():
     assert net.stage == "expanded"
     x = exhaustive_pm1(8)
     fresh = dict(tiny_stages())["expanded"]
-    assert np.array_equal(md.forward_lut(net, x), md.forward_lut(fresh, x))
+    assert np.array_equal(md.forward(net, x), md.forward(fresh, x))
 
 
 def test_v3_fixture_reproduces_the_fresh_hardware():
@@ -97,13 +97,9 @@ def test_v3_fixture_ignores_its_stored_derived_fields():
 
 
 def _stage_forward(net, x):
-    if net.stage in ("real", "pruned"):
-        return [md.forward_real(net, x)]
-    if net.stage == "binarised":
-        return [md.forward_binary(net, x)]
-    if net.stage == "expanded":
-        return [md.forward_lut(net, x)]
-    return [md.forward_hardened_logits(net, x), md.forward_hardened_bits(net, x)]
+    if net.stage != "hardened":
+        return [md.forward(net, x)]
+    return [md.forward(net, x), md.forward_hardened_bits(net, x)]
 
 
 @pytest.mark.parametrize("stage", md.STAGES)

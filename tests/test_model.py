@@ -37,7 +37,7 @@ def test_single_layer_scaled_identity():
     layer.prune_mask = np.ones((2, 2), dtype=bool)
     net = md.Network("one", [layer], 1, (2,), 0)
     x = np.array([[3.0, -4.0]])
-    assert np.array_equal(md.forward_real(net, x), 0.5 * x)
+    assert np.array_equal(md.forward(net, x), 0.5 * x)
 
 
 def test_forward_real_matches_hand_oracle():
@@ -57,7 +57,7 @@ def test_forward_real_matches_hand_oracle():
     h = np.where(h < 0, -1.0, 1.0)
     h = h @ w2.T
     want = bn2.gamma * (h - bn2.running_mean) / np.sqrt(bn2.running_var + bn2.eps) + bn2.beta
-    assert np.array_equal(md.forward_real(net, x), want)
+    assert np.array_equal(md.forward(net, x), want)
 
 
 class TestBackwardReal:
@@ -102,19 +102,27 @@ def test_batch_permutation_equivariance():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((16, 8))
     perm = rng.permutation(16)
-    assert np.array_equal(md.forward_real(net, x)[perm], md.forward_real(net, x[perm]))
+    assert np.array_equal(md.forward(net, x)[perm], md.forward(net, x[perm]))
 
 
 def test_stage_validation():
-    net = make_tiny_net()
+    # each training forward and phase refuses a net at any stage it does not train
+    x, y = np.ones((2, 8)), np.zeros(2, dtype=np.int64)
+    cfg = tr.PhaseConfig(epochs1=1, epochs2=1, epochs3=1)
+    for stage, net in tiny_stages():
+        for allowed, call in (
+                (("real", "pruned"), lambda: md.forward_real_train(net, x)),
+                (("binarised",), lambda: md.forward_binary_train(net, x)),
+                (("expanded",), lambda: md.forward_lut_train(net, x)),
+                (("real",), lambda: tr.run_phase1(net, (x, y), cfg)),
+                (("binarised",), lambda: tr.run_phase2_retrain(net, (x, y), cfg)),
+                (("expanded",), lambda: tr.run_phase3_retrain(net, (x, y), cfg))):
+            if stage not in allowed:
+                with pytest.raises(StageError):
+                    call()
+    net.stage = "quantised"
     with pytest.raises(StageError):
-        md.forward_binary(net, np.ones((1, 8)))
-    with pytest.raises(StageError):
-        md.forward_lut(net, np.ones((1, 8)))
-    pr.prune_threshold(net, 0.0)
-    pr.binarise_network(net)
-    with pytest.raises(StageError):
-        md.forward_real(net, np.ones((1, 8)))
+        md.forward(net, x)
 
 
 class TestForwardBinary:
@@ -124,7 +132,7 @@ class TestForwardBinary:
         layer.prune_mask = np.ones((1, 2), dtype=bool)
         net = md.Network("b1", [layer], 1, (2,), 0, stage="pruned")
         pr.binarise_network(net)
-        assert md.forward_binary(net, np.array([[1.0, 1.0]])).tolist() == [[0.0]]
+        assert md.forward(net, np.array([[1.0, 1.0]])).tolist() == [[0.0]]
 
     def test_b2_reconstruction_reproduces_real_dot(self):
         layer = md.DenseLayer(2, 1, unrolled=True)
@@ -136,7 +144,7 @@ class TestForwardBinary:
         assert abs(gammas[0] - 0.5) < 1e-15
         assert abs(gammas[1] - 0.2) < 1e-15
         for xt in exhaustive_pm1(2):
-            got = md.forward_binary(net, xt[None, :])[0, 0]
+            got = md.forward(net, xt[None, :])[0, 0]
             want = 0.7 * xt[0] - 0.3 * xt[1]
             assert abs(got - want) < 1e-15
 
@@ -151,7 +159,7 @@ class TestForwardBinary:
         real.stage = "real"
         pr.binarise_network(net)
         x = exhaustive_pm1(3)
-        assert np.array_equal(md.forward_binary(net, x), md.forward_real(real, x))
+        assert np.array_equal(md.forward(net, x), md.forward(real, x))
 
 
 def test_pruned_positions_never_influence_outputs():
@@ -160,7 +168,7 @@ def test_pruned_positions_never_influence_outputs():
     pr.prune_threshold(net, theta)
     pr.binarise_network(net)
     x = exhaustive_pm1(8)
-    base = md.forward_binary(net, x)
+    base = md.forward(net, x)
     tampered = copy.deepcopy(net)
     layer = tampered.layers[2]
     # perturb a pruned weight's stored value, then re-zero via the mask
@@ -169,7 +177,7 @@ def test_pruned_positions_never_influence_outputs():
     layer.weights[tuple(pruned_at[0])] = 99.0
     layer.weights *= layer.prune_mask
     pr.refresh_levels(tampered)
-    assert np.array_equal(md.forward_binary(tampered, x), base)
+    assert np.array_equal(md.forward(tampered, x), base)
 
 
 class TestIm2col:
@@ -348,10 +356,10 @@ class TestLutForms:
         binary = copy.deepcopy(net)
         ex.expand_network(net, k=1, seed=3)
         x = exhaustive_pm1(8)
-        want = md.forward_binary(binary, x)
-        assert np.array_equal(md.forward_lut(net, x), want)
+        want = md.forward(binary, x)
+        assert np.array_equal(md.forward(net, x), want)
         ex.harden_network(net)
-        assert np.array_equal(md.forward_hardened_logits(net, x), want)
+        assert np.array_equal(md.forward(net, x), want)
 
     def test_single_node_k2_xnor(self):
         # all-0.25 coefficients make the smooth node x1*x2
@@ -367,7 +375,7 @@ class TestLutForms:
         lut.coeffs[0] = 0.25
         lut.gammas = np.array([1.0])
         for xt in exhaustive_pm1(2):
-            got = md.forward_lut(net, xt[None, :])[0, 0]
+            got = md.forward(net, xt[None, :])[0, 0]
             want = (xt[lut.indices[0, 0]] * xt[lut.indices[0, 1]]
                     + xt[lut.indices[1, 0]] * xt[lut.indices[1, 1]])
             assert abs(got - want) < 1e-12
@@ -422,7 +430,7 @@ class TestLutForms:
 
     def test_hardened_bits_requires_hardened_stage(self):
         net = self._expanded()
-        logits = md.forward_lut(net, exhaustive_pm1(8))   # expanded: real logits
+        logits = md.forward(net, exhaustive_pm1(8))   # expanded: real logits
         assert logits.shape == (256, 3) and logits.dtype == np.float64
         with pytest.raises(StageError):
             md.forward_hardened_bits(net, exhaustive_pm1(8))
@@ -564,10 +572,7 @@ STAGE_LOGIT_PINS = {
 @pytest.mark.parametrize("stage", md.STAGES)
 def test_stage_logits_match_pin(stage):
     net = dict(tiny_stages())[stage]
-    forward = {"real": md.forward_real, "pruned": md.forward_real,
-               "binarised": md.forward_binary, "expanded": md.forward_lut,
-               "hardened": md.forward_hardened_logits}[stage]
-    assert _sha(forward(net, exhaustive_pm1(8))) == STAGE_LOGIT_PINS[stage]
+    assert _sha(md.forward(net, exhaustive_pm1(8))) == STAGE_LOGIT_PINS[stage]
 
 
 @pytest.mark.parametrize("k", range(1, 7))

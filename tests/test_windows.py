@@ -60,7 +60,7 @@ def test_full_kernel_conv_equals_dense(first_unrolled):
     x = rng.standard_normal((32, 18))
     labels = rng.integers(0, 3, 32)
 
-    assert np.array_equal(md.forward_real(conv, x), md.forward_real(dense, x))
+    assert np.array_equal(md.forward(conv, x), md.forward(dense, x))
     grads = []
     for net in (conv, dense):
         logits, caches = md.forward_real_train(net, x)
@@ -72,7 +72,7 @@ def test_full_kernel_conv_equals_dense(first_unrolled):
     for net in (conv, dense):
         pr.prune_threshold(net, theta)
         pr.binarise_network(net)
-    assert np.array_equal(md.forward_binary(conv, x), md.forward_binary(dense, x))
+    assert np.array_equal(md.forward(conv, x), md.forward(dense, x))
     grads = []
     for net in (conv, dense):
         logits, caches = md.forward_binary_train(net, x)
@@ -89,7 +89,7 @@ def test_full_kernel_conv_equals_dense(first_unrolled):
             if lc.lut is not None:
                 lc.lut.coeffs += perturb.normal(0.0, 0.05, lc.lut.coeffs.shape)
                 ld.lut.coeffs[...] = lc.lut.coeffs
-        assert np.array_equal(md.forward_lut(pair[0], x), md.forward_lut(pair[1], x))
+        assert np.array_equal(md.forward(pair[0], x), md.forward(pair[1], x))
         grads = []
         for net in pair:
             logits, caches = md.forward_lut_train(net, x)
@@ -98,8 +98,7 @@ def test_full_kernel_conv_equals_dense(first_unrolled):
         _assert_same_grads(*grads)
         for net in pair:
             ex.harden_network(net, frac_bits=6)
-        assert np.array_equal(md.forward_hardened_logits(pair[0], x),
-                              md.forward_hardened_logits(pair[1], x))
+        assert np.array_equal(md.forward(pair[0], x), md.forward(pair[1], x))
         assert np.array_equal(md.forward_hardened_bits(pair[0], x),
                               md.forward_hardened_bits(pair[1], x))
 
@@ -125,9 +124,9 @@ def _conv_stack(seed=51):
 def test_conv_stack_k1_expansion_equals_binary():
     net = _conv_stack()
     x = np.random.default_rng(52).standard_normal((200, 49))
-    want = md.forward_binary(net, x)
+    want = md.forward(net, x)
     ex.expand_network(net, k=1, seed=3)
-    assert np.array_equal(md.forward_lut(net, x), want)
+    assert np.array_equal(md.forward(net, x), want)
 
 
 def _hardened_conv_stack(k, rng):
