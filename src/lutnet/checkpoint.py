@@ -15,11 +15,12 @@ Phase-1 weights are stored until expansion only.  The LUT offsets and
 column 0 of the indices follow from the prune mask but stay stored: loading
 checks them against it, which is what catches a corrupted mask.
 
-Loading checks every field against the layer dimensions, the LUT offsets
-and first inputs against the prune mask, every float for finiteness and
-every batch norm for a positive eps and a non-negative running variance,
-and raises SchemaError on malformed input, including a hardened net that
-harden_network rejects.  Older files still load:
+Loading checks every field against the layer dimensions, every scalar
+for its JSON type (no string, bool or fraction is coerced), the name for a
+Verilog identifier, the LUT offsets and first inputs against the prune mask,
+every float for finiteness and every batch norm for a positive eps and a
+non-negative running variance, and raises SchemaError on malformed input,
+including a hardened net that harden_network rejects.  Older files still load:
   * schema 1: per-channel LUT lists are concatenated, and stored levels,
     node positions and reconnection flags are ignored;
   * schemas 1 and 2: each compute layer's scale `alpha` moves into the batch
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -91,6 +93,21 @@ def _int(raw, what):
     """A JSON integer, not a bool: int() would truncate or coerce anything else."""
     if not isinstance(raw, int) or isinstance(raw, bool):
         raise SchemaError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
+def _float(raw, what):
+    """A JSON number, not a bool or a string, which float() would take."""
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        raise SchemaError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _name(raw):
+    """A network name, which names the emitted Verilog modules and files, so
+    it must be a Verilog identifier."""
+    if not isinstance(raw, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", raw):
+        raise SchemaError(f"name must match [A-Za-z_][A-Za-z0-9_]*, got {raw!r}")
     return raw
 
 
@@ -152,7 +169,9 @@ def _compute_in(raw, b_levels, what):
         layer = ConvLayer(size("in_channels"), size("out_channels"), size("kernel"),
                           size("stride"))
         n_out = layer.out_channels
-    layer.unrolled = bool(raw["unrolled"])
+    layer.unrolled = raw["unrolled"]
+    if not isinstance(layer.unrolled, bool):
+        raise SchemaError(f"{what}.unrolled must be true or false, got {layer.unrolled!r}")
     matrix = (n_out, layer.window_size)
     for name, dtype, optional in (("weights", np.float64, False), ("prune_mask", bool, False),
                                   ("phase1_weights", np.float64, True)):
@@ -170,7 +189,7 @@ def _layer_in(raw: dict, b_levels: int, what: str):
         for name in ("gamma", "beta", "running_mean", "running_var"):
             setattr(layer, name, _array(raw[name], np.float64, (layer.num_features,),
                                         f"{what}.{name}"))
-        layer.eps = float(raw["eps"])
+        layer.eps = _float(raw["eps"], f"{what}.eps")
         if not 0.0 < layer.eps < np.inf:
             raise SchemaError(f"{what}.eps must be finite and positive, got {layer.eps}")
         if np.any(layer.running_var < 0.0):
@@ -213,7 +232,7 @@ def _from_v2(raw: dict) -> dict:
     for i, layer in enumerate(layers):
         if layer.get("kind") not in ("dense", "conv"):
             continue
-        alpha = float(layer.pop("alpha"))
+        alpha = _float(layer.pop("alpha"), f"l{i}.alpha")
         if not 0.0 < alpha < np.inf:
             raise SchemaError(f"l{i}.alpha must be finite and positive, got {alpha}")
         bn = layers[i + 1] if i + 1 < len(layers) else {}
@@ -222,7 +241,7 @@ def _from_v2(raw: dict) -> dict:
         sq = alpha * alpha
         bn["running_mean"] = np.asarray(bn["running_mean"], dtype=np.float64) / alpha
         bn["running_var"] = np.asarray(bn["running_var"], dtype=np.float64) / sq
-        bn["eps"] = float(bn["eps"]) / sq
+        bn["eps"] = _float(bn["eps"], f"l{i + 1}.eps") / sq
     return raw
 
 
@@ -249,7 +268,7 @@ def _checkpoint_in(raw: dict) -> Checkpoint:
     layers = [_layer_in(l, b_levels, f"l{i}") for i, l in enumerate(raw["layers"])]
     if not layers:
         raise SchemaError("checkpoint has an empty layer list")
-    net = Network(name=raw["name"], layers=layers, b_levels=b_levels,
+    net = Network(name=_name(raw["name"]), layers=layers, b_levels=b_levels,
                   input_shape=tuple(_int(d, "input_shape") for d in raw["input_shape"]),
                   seed=_int(raw["seed"], "seed"),
                   stage="expanded" if hardened else stage)

@@ -201,6 +201,16 @@ TAMPERED = {
     "batch-norm size a string": _set(("layers", 1, "num_features"), "4"),
     "input size not an integer": _set(("input_shape", 0), 8.5),
     "log phase not an integer": lambda raw: raw["logs"].append({"phase": 1.5, "rows": []}),
+    # nor does any other scalar: bool() and float() would take strings
+    "unrolled a string": _set(("layers", 0, "unrolled"), "false"),
+    "unrolled an integer": _set(("layers", 2, "unrolled"), 1),
+    "eps a string": _set(("layers", 1, "eps"), "1e-5"),
+    "eps a bool": _set(("layers", 3, "eps"), True),
+    # the name names the Verilog modules and files
+    "name with a space": _set(("name",), "my net"),
+    "name not a string": _set(("name",), 5),
+    "name starting with a digit": _set(("name",), "5net"),
+    "empty name": _set(("name",), ""),
 }
 
 
@@ -249,6 +259,9 @@ TAMPERED_V2 = {
     "alpha infinite": (_set(("layers", 0, "alpha"), float("inf")),
                        "alpha must be finite and positive"),
     "no batch norm after the layer": (lambda raw: raw["layers"].pop(3), "no batch norm after"),
+    "alpha a string": (_set(("layers", 0, "alpha"), "0.5"), "l0.alpha must be a number"),
+    "alpha a bool": (_set(("layers", 2, "alpha"), True), "l2.alpha must be a number"),
+    "eps a string": (_set(("layers", 1, "eps"), "1e-5"), "l1.eps must be a number"),
 }
 
 
