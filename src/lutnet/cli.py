@@ -19,7 +19,7 @@ from . import model as md
 from . import prune as pr
 from . import training as tr
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import RunConfig, apply_env, parse_config
+from .config import RunConfig, parse_config
 from .errors import ConfigError, LutNetError, StageError
 
 
@@ -61,7 +61,6 @@ def _build_parser():
 
 def _config_from_args(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    apply_env(cfg)
     simple = {"preset": "preset", "k": "k", "b": "b", "lam": "lam", "batch": "batch_size",
               "lr": "lr", "seed": "seed", "frac_bits": "frac_bits", "style": "style",
               "vectors": "vectors", "out": "out_dir", "data": "data_dir"}

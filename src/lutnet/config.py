@@ -97,12 +97,3 @@ def parse_config(path: str) -> RunConfig:
                 setattr(cfg, _RENAME.get(name, name), value)
     return cfg
 
-
-def apply_env(cfg: RunConfig) -> RunConfig:
-    seed = os.environ.get("LUTNET_SEED")
-    if seed is not None:
-        try:
-            cfg.seed = int(seed)
-        except ValueError as e:
-            raise ConfigError(f"LUTNET_SEED must be an integer, got {seed!r}") from e
-    return cfg
