@@ -20,7 +20,7 @@ from .. import model as md
 from ..errors import PackingError
 from ..expand import shannon_decompose
 from .lower import lower
-from .netlist import PoolBlock
+from .netlist import PoolBlock, _width
 
 
 @lru_cache(maxsize=None)
@@ -33,14 +33,13 @@ def popcount_cost(n: int) -> int:
         return 0
     a = (n + 1) // 2
     b = n // 2
-    width = lambda m: max(1, int(np.ceil(np.log2(m + 1))))
-    return popcount_cost(a) + popcount_cost(b) + max(width(a), width(b))
+    return popcount_cost(a) + popcount_cost(b) + _width(a)   # a >= b: the wider sum
 
 
 def threshold_cost(n_tilde: int, n_planes: int, frac_bits: int) -> int:
     """Crude scale/threshold cell estimate: one shift-add constant multiply per
     plane plus the final compare, each costed at the accumulator width."""
-    acc_bits = max(1, int(np.ceil(np.log2(n_tilde + 1)))) + frac_bits + 1
+    acc_bits = _width(n_tilde) + frac_bits + 1
     return (n_planes + 1) * acc_bits
 
 
