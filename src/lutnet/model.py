@@ -382,10 +382,6 @@ def _is_head_bn(net, idx):
     return True
 
 
-def _masked(layer):
-    return layer.weights * layer.prune_mask
-
-
 def _level_arrays(layer):
     if layer.levels is None:
         raise StageError(f"{layer.kind} layer has no residual levels populated")
@@ -500,7 +496,7 @@ def _backward_stack(net, caches, dlogits, layer_bwd):
 
 
 def _real_layer(layer, rows):
-    w = _masked(layer)
+    w = layer.weights * layer.prune_mask
     return rows @ w.T, (rows, w)
 
 

@@ -64,19 +64,6 @@ def l2_group_regulariser(net: md.Network, lam: float):
     return omega, grads
 
 
-def _bn_params(net, params):
-    for i, layer in enumerate(net.layers):
-        if layer.kind == "batchnorm":
-            params[f"l{i}.gamma"] = layer.gamma
-            params[f"l{i}.beta"] = layer.beta
-
-
-def _batches(n, batch_size, rng):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
 def _check_labels(net, y):
     """Labels must index the head's outputs."""
     head = net.compute_layers()[-1][1]
@@ -106,6 +93,7 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
     forward, backward = getattr(md, forward), getattr(md, backward)
     x, y = data
     _check_labels(net, y)
+    n = x.shape[0]
     params = {}
     for i, layer in net.compute_layers():
         if layer.lut is None:
@@ -113,7 +101,9 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
         else:
             params[f"l{i}.lut.gammas"] = layer.lut.gammas
             params[f"l{i}.lut.coeffs"] = layer.lut.coeffs
-    _bn_params(net, params)
+    for i, layer in enumerate(net.layers):
+        if layer.kind == "batchnorm":
+            params[f"l{i}.gamma"], params[f"l{i}.beta"] = layer.gamma, layer.beta
     epochs = (cfg.epochs1, cfg.epochs2, cfg.epochs3)[phase - 1]
     lr = cfg.lr * cfg.lr3_factor if phase == 3 else cfg.lr
     rng = np.random.default_rng(cfg.seed + phase - 1)
@@ -122,7 +112,9 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
     for epoch in range(epochs):
         tot_loss = tot_omega = 0.0
         correct = batches = 0
-        for idx in _batches(x.shape[0], cfg.batch_size, rng):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
             if phase > 1:
                 pr.refresh_levels(net)
             logits, caches = forward(net, x[idx])
@@ -144,8 +136,7 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
             tot_omega += omega
             correct += int(np.sum(np.argmax(logits, axis=1) == y[idx]))
             batches += 1
-        log.append(epoch, tot_loss / batches, 100.0 * (1.0 - correct / x.shape[0]),
-                   tot_omega / batches)
+        log.append(epoch, tot_loss / batches, 100.0 * (1.0 - correct / n), tot_omega / batches)
     if phase > 1:
         pr.refresh_levels(net)
     return log
