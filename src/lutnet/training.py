@@ -103,7 +103,8 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
             params[f"l{i}.lut.coeffs"] = layer.lut.coeffs
     for i, layer in enumerate(net.layers):
         if layer.kind == "batchnorm":
-            params[f"l{i}.gamma"], params[f"l{i}.beta"] = layer.gamma, layer.beta
+            params[f"l{i}.gamma"] = layer.gamma
+            params[f"l{i}.beta"] = layer.beta
     epochs = (cfg.epochs1, cfg.epochs2, cfg.epochs3)[phase - 1]
     lr = cfg.lr * cfg.lr3_factor if phase == 3 else cfg.lr
     rng = np.random.default_rng(cfg.seed + phase - 1)
