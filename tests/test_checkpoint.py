@@ -18,7 +18,7 @@ from lutnet import model as md
 from lutnet.errors import SchemaError
 from lutnet.training import TrainLog
 
-from conftest import exhaustive_pm1, tiny_stages
+from conftest import exhaustive_pm1, netlist_pin, tiny_stages
 
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v1.json")
 # the expanded stage of tiny_stages(), saved as schema 2
@@ -117,6 +117,23 @@ def test_save_load_save_is_byte_identical(stage, tmp_path):
     x = exhaustive_pm1(8)
     for got, want in zip(_stage_forward(loaded.net, x), _stage_forward(net, x)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("stage", ["binarised", "expanded", "hardened"])
+def test_engines_follow_a_weight_change(stage):
+    # scaling the time-multiplexed layer's latent weights in place changes its
+    # residual levels: every engine must compute what the net loaded from the
+    # scaled weights computes
+    net = dict(tiny_stages())[stage]
+    x = exhaustive_pm1(8)
+    before = md.forward(net, x)
+    net.layers[0].weights *= 3.0
+    fresh = ck.from_dict(ck.to_dict(ck.Checkpoint(net))).net
+    assert not np.array_equal(md.forward(fresh, x), before)
+    for got, want in zip(_stage_forward(net, x), _stage_forward(fresh, x)):
+        assert np.array_equal(got, want)
+    if stage == "hardened":
+        assert netlist_pin(hw.lower(net)) == netlist_pin(hw.lower(fresh))
 
 
 def test_schema2_stores_nothing_derivable():
