@@ -6,11 +6,11 @@ key-sorted and therefore byte-deterministic for a given checkpoint.
 Schema 4 leaves out what loading can derive.  A compute layer holds its
 latent weights, prune mask and, once expanded, a `lut` block with the flat
 arrays of model.LutData: k, gammas, offsets, indices and coeffs.  A hardened
-checkpoint is its expanded checkpoint plus `frac_bits`.  Derived on load:
-  * the residual levels of every layer that computes with binary weights,
-    by prune.refresh_levels, from the binarised stage on;
-  * a hardened net's truth-table masks and folded thresholds (tau, flip),
-    by expand.harden_network, the one place that computes them.
+checkpoint is its expanded checkpoint plus `frac_bits`: loading derives a
+hardened net's truth-table masks and folded thresholds (tau, flip) by
+expand.harden_network, the one place that computes them.  The residual
+levels are no field at all: `levels` in model.py derives them from the
+latent weights wherever they are read.
 Phase-1 weights are stored until expansion only.  The LUT offsets and
 column 0 of the indices follow from the prune mask but stay stored: loading
 checks them against it, which is what catches a corrupted mask.
@@ -44,11 +44,10 @@ from .errors import LutNetError, SchemaError
 from .expand import harden_network
 from .model import (STAGES, BatchNormLayer, ConvLayer, DenseLayer, LutData, MaxPoolLayer,
                     Network, SoftmaxLayer)
-from .prune import refresh_levels
 from .training import TrainLog
 
 SCHEMA_VERSION = 4
-DERIVED = ("levels", "masks", "tau", "flip")   # fields that loading computes
+DERIVED = ("masks", "tau", "flip")   # fields that loading computes
 
 
 @dataclass
@@ -272,8 +271,6 @@ def _checkpoint_in(raw: dict) -> Checkpoint:
                   input_shape=tuple(_int(d, "input_shape") for d in raw["input_shape"]),
                   seed=_int(raw["seed"], "seed"),
                   stage="expanded" if hardened else stage)
-    if stage not in ("real", "pruned"):
-        refresh_levels(net)
     if hardened:
         frac_bits = _int(raw["frac_bits"], "frac_bits")
         try:

@@ -156,14 +156,15 @@ def select_inputs(window: int, positions: np.ndarray, k: int, rng: np.random.Gen
     return indices
 
 
-def _plane_coeffs(layer, channel, indices, k, sum_gamma):
+def _plane_coeffs(layer, lv, channel, indices, k, sum_gamma):
     """Initial coefficients for every plane of one channel, from the level-b
-    binary weight of the preserved input plus the phase-1 weights of drawn
-    inputs that were pruned, spread evenly across planes via 1/sum(gamma)."""
+    binary weight (of the levels lv) of the preserved input plus the phase-1
+    weights of drawn inputs that were pruned, spread evenly across planes via
+    1/sum(gamma)."""
     n = indices.shape[0]
     planes = []
     original = layer.phase1_weights if layer.phase1_weights is not None else layer.weights
-    for w_b, _gamma in layer.levels:
+    for w_b, _gamma in lv:
         wvecs = np.zeros((n, k))
         wvecs[:, 0] = w_b[channel, indices[:, 0]]
         if k > 1 and sum_gamma > 0.0:
@@ -177,10 +178,10 @@ def _plane_coeffs(layer, channel, indices, k, sum_gamma):
 def expand_network(net, k: int, seed: int):
     """Convert every surviving XNOR of the unrolled layers into a K-LUT node
     with a deterministic per-channel wiring plan; time-multiplexed layers are
-    untouched.  The preserved-input weights and reconnections are read once
-    here: afterwards the layer's levels and phase-1 weights are dropped.
-    Stage: binarised -> expanded."""
-    from .model import LutData, require_stage
+    untouched.  The residual levels of the latent weights and the phase-1
+    weights are read once here, for the preserved inputs and reconnections:
+    afterwards the phase-1 weights are dropped.  Stage: binarised -> expanded."""
+    from .model import LutData, levels, require_stage
 
     require_stage(net, "binarised")
     if k < 1:
@@ -192,18 +193,18 @@ def expand_network(net, k: int, seed: int):
         if window < k:
             raise ExpansionError(
                 f"layer l{li} ({layer.kind}): window of {window} inputs cannot feed a {k}-LUT")
-        gammas = np.array([g for _w, g in layer.levels])
+        lv = levels(layer, net.b_levels)
+        gammas = np.array([g for _w, g in lv])
         sum_gamma = float(gammas.sum())
         indices, coeffs = [], []
         for c in range(layer.prune_mask.shape[0]):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(li, c)))
             idx = select_inputs(window, np.flatnonzero(layer.prune_mask[c]), k, rng)
             indices.append(idx)
-            coeffs.append(_plane_coeffs(layer, c, idx, k, sum_gamma))
+            coeffs.append(_plane_coeffs(layer, lv, c, idx, k, sum_gamma))
         offsets = np.concatenate(([0], np.cumsum(layer.prune_mask.sum(axis=1))))
         layer.lut = LutData(k=k, gammas=gammas, offsets=offsets.astype(np.int64),
                             indices=np.concatenate(indices), coeffs=np.concatenate(coeffs, axis=1))
-        layer.levels = None
         layer.phase1_weights = None
     net.stage = "expanded"
     return net

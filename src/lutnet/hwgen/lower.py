@@ -20,33 +20,34 @@ import numpy as np
 from .. import model as md
 from ..errors import LoweringError
 from ..expand import reduce_dont_cares
+from ..model import levels
 from .netlist import ComputeBlock, Netlist, PoolBlock
 
 
-def _node_tables(layer):
+def _node_tables(layer, b):
     """(tables (B, N, 2**K) of 0/1, inputs (N, K), offsets (C+1,)) of a
     layer's node LUTs.  Expanded layers read hardened masks; a
     time-multiplexed layer's node for each unpruned weight is a buffer or an
-    inverter after the sign of its level-b binary weight."""
+    inverter after the sign of its level-b binary weight, of the b levels."""
     if layer.lut is not None:
         lut = layer.lut
         return ((lut.masks + 1) // 2).astype(np.uint8), lut.indices, lut.offsets
     rows, cols = np.nonzero(layer.prune_mask)
-    positive = np.stack([w_b[rows, cols] > 0 for w_b, _g in layer.levels])
+    positive = np.stack([w_b[rows, cols] > 0 for w_b, _g in levels(layer, b)])
     tables = np.where(positive[..., None], np.array([0, 1], np.uint8), np.array([1, 0], np.uint8))
     offsets = np.concatenate(([0], np.cumsum(layer.prune_mask.sum(axis=1))))
     return tables, cols[:, None], offsets
 
 
-def _compute_block(li, layer, win, frac_bits):
-    tables, indices, offsets = _node_tables(layer)
+def _compute_block(li, layer, win, b, frac_bits):
+    tables, indices, offsets = _node_tables(layer, b)
     if indices.size and (indices.min() < 0 or indices.max() >= layer.window_size):
         raise LoweringError(f"l{li}: node inputs outside the window of {layer.window_size}")
     k_eff, kept, tables = reduce_dont_cares(tables, indices.shape[1])
     live = np.arange(indices.shape[1]) < k_eff[..., None]
     inputs = np.where(live, np.take_along_axis(indices[None], kept, axis=2), 0)
 
-    q_gammas, q_tau, acc_width = md.quantise_layer(layer, frac_bits, f"l{li}")
+    q_gammas, q_tau, acc_width = md.quantise_layer(layer, b, frac_bits, f"l{li}")
     return ComputeBlock(layer=li, index_map=win.index_map, offsets=np.asarray(offsets, np.int64),
                         tables=tables.astype(np.uint8), inputs=inputs, k_eff=k_eff,
                         q_gammas=q_gammas, q_tau=q_tau, flip=np.asarray(layer.flip, bool),
@@ -66,6 +67,6 @@ def lower(net: md.Network) -> Netlist:
             shape = md.pool_out_shape(shape, layer.size)
         elif layer.kind in ("dense", "conv"):
             win = md.windows(layer, shape)
-            blocks.append(_compute_block(li, layer, win, net.frac_bits))
+            blocks.append(_compute_block(li, layer, win, net.b_levels, net.frac_bits))
             shape = win.out_shape
     return Netlist(net.name, int(np.prod(net.input_shape)), blocks)

@@ -49,6 +49,7 @@ import numpy as np
 
 from . import expand as ex
 from . import numerics as nm
+from . import prune as pr
 from .errors import DimensionError, FoldError, LoweringError, StageError
 
 STAGES = ("real", "pruned", "binarised", "expanded", "hardened")
@@ -69,7 +70,6 @@ class DenseLayer:
     weights: np.ndarray = None          # (out, in) real latent weights
     prune_mask: np.ndarray = None       # bool (out, in); False => weight held at 0
     phase1_weights: np.ndarray = None   # pre-pruning copy, kept for reconnection until expansion
-    levels: list = None                 # [(w_b pm1 array, gamma_b), ...] while binary
     lut: "LutData" = None               # set by logic expansion
     tau: np.ndarray = None              # folded thresholds, set at harden
     flip: np.ndarray = None
@@ -91,7 +91,6 @@ class ConvLayer:
     weights: np.ndarray = None          # (out_channels, in_channels*kernel*kernel)
     prune_mask: np.ndarray = None
     phase1_weights: np.ndarray = None
-    levels: list = None
     lut: "LutData" = None
     tau: np.ndarray = None
     flip: np.ndarray = None
@@ -382,10 +381,10 @@ def _is_head_bn(net, idx):
     return True
 
 
-def _level_arrays(layer):
-    if layer.levels is None:
-        raise StageError(f"{layer.kind} layer has no residual levels populated")
-    return layer.levels
+def levels(layer, b: int) -> list:
+    """[(w_b, gamma_b), ...]: the b residual levels of a layer's latent
+    weights, derived wherever they are read."""
+    return pr.residual_binarise(layer.weights, layer.prune_mask, b)[0]
 
 
 def _pool_forward(x, size):
@@ -425,7 +424,7 @@ def _forward_stack(net, x, training):
     for idx, layer in enumerate(net.layers):
         if layer.kind in ("dense", "conv"):
             win = windows(layer, h.shape[1:])
-            y, cache = layer_fn(layer, win.rows(h))
+            y, cache = layer_fn(layer, win.rows(h), net.b_levels)
             caches.append(("compute", idx, (win, cache)))
             h = win.outputs(y)
         elif layer.kind == "batchnorm":
@@ -495,7 +494,7 @@ def _backward_stack(net, caches, dlogits, layer_bwd):
 # real-weight engine (phase 1)
 
 
-def _real_layer(layer, rows):
+def _real_layer(layer, rows, _b):
     w = layer.weights * layer.prune_mask
     return rows @ w.T, (rows, w)
 
@@ -517,19 +516,18 @@ def backward_real(net: Network, caches, dlogits):
 
 
 # ---------------------------------------------------------------------------
-# binarised engine (phase 2); weights live in residual levels, inputs are +-1
+# binarised engine (phase 2): the forward binarises the latent weights into
+# residual levels and hands them to the backward in its cache; inputs are +-1
 
 
-def _binary_dots(layer, xt):
+def _binary_dots(layer, xt, lv):
     """Per-level integer-exact dot products of +-1 inputs with masked level weights."""
-    outs = []
-    for w_b, _gamma in _level_arrays(layer):
-        outs.append(xt @ (w_b * layer.prune_mask).T)
-    return outs
+    return [xt @ (w_b * layer.prune_mask).T for w_b, _gamma in lv]
 
 
-def _binary_layer(layer, rows):
-    return combine_levels(_binary_dots(layer, rows), _plane_gammas(layer)), rows
+def _binary_layer(layer, rows, b):
+    lv = levels(layer, b)
+    return combine_levels(_binary_dots(layer, rows, lv), [g for _w, g in lv]), (rows, lv)
 
 
 def forward_binary_train(net: Network, x):
@@ -537,23 +535,21 @@ def forward_binary_train(net: Network, x):
     return _forward_stack(net, x, True)
 
 
-def _reconstructed(layer):
-    rec = np.zeros_like(layer.weights)
-    for w_b, g in _level_arrays(layer):
-        rec += g * w_b
-    return rec * layer.prune_mask
-
-
-def _binary_layer_bwd(idx, layer, rows, d, grads):
+def _binary_layer_bwd(idx, layer, cache, d, grads):
     """STE gradient of a binary layer: the latent real weights receive the
-    gradient of the reconstructed binary weights, clip-gated at |w| <= 1."""
+    gradient of the binary weights reconstructed from the forward's levels,
+    clip-gated at |w| <= 1."""
+    rows, lv = cache
     grads[f"l{idx}.weights"] = (d.T @ rows) * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
-    return d @ _reconstructed(layer)
+    rec = np.zeros_like(layer.weights)
+    for w_b, g in lv:
+        rec += g * w_b
+    return d @ (rec * layer.prune_mask)
 
 
 def backward_binary(net: Network, caches, dlogits):
-    """STE gradients for phase 2; level scales are refreshed in closed form by
-    the training loop, not trained here."""
+    """STE gradients for phase 2; the level scales are not trained: each
+    forward derives them in closed form from the latent weights."""
     return _backward_stack(net, caches, dlogits, _binary_layer_bwd)
 
 
@@ -594,9 +590,9 @@ def _channel_sums(lut, terms):
                        minlength=rows * c).reshape(rows, c)
 
 
-def _lut_layer(layer, rows):
+def _lut_layer(layer, rows, b):
     if layer.lut is None:
-        return _binary_layer(layer, rows)
+        return _binary_layer(layer, rows, b)
     lut = layer.lut
     xg = rows[:, lut.indices]                           # (rows, N, K)
     vertex, value = ex.interp_basis(xg, lut.k)          # (rows, N) each
@@ -645,31 +641,31 @@ def backward_lut(net: Network, caches, dlogits):
 # hardened engines
 
 
-def _plane_gammas(layer):
+def _plane_gammas(layer, b):
     """(B,) plane scales of a compute layer from the binarised stage on."""
     if layer.lut is not None:
         return layer.lut.gammas
-    return np.array([g for _w, g in _level_arrays(layer)])
+    return np.array([g for _w, g in levels(layer, b)])
 
 
-def _hardened_layer_sums(layer, flat_bits):
+def _hardened_layer_sums(layer, flat_bits, b):
     """Per-plane integer sums (rows, C) of one hardened layer: its binary dots,
     or its truth-table outputs per channel; sums of +-1 are exact in float64."""
     if layer.lut is None:
-        return [s.astype(np.int64) for s in _binary_dots(layer, flat_bits)]
+        return [s.astype(np.int64) for s in _binary_dots(layer, flat_bits, levels(layer, b))]
     lut = layer.lut
     vertex = ((flat_bits[:, lut.indices] > 0) << np.arange(lut.k)).sum(axis=-1)   # (rows, N)
     node = np.arange(vertex.shape[1])
     return [_channel_sums(lut, m[node, vertex]).astype(np.int64) for m in lut.masks]
 
 
-def quantise_layer(layer, frac_bits: int, what: str):
+def quantise_layer(layer, b: int, frac_bits: int, what: str):
     """(q_gammas (B,), q_tau (C,), acc_width (C,)) of a hardened compute layer,
     for forward_hardened_bits and the netlist: scales and thresholds at
     frac_bits, and each channel's two's-complement accumulator bits for
     sum_b |q_b| * N~ + |q_tau|, in Python integers so that they cannot wrap."""
     n_tilde = layer.prune_mask.sum(axis=1)   # nodes per channel, as in the LUT offsets
-    q_gammas = np.array([quantise(float(g), frac_bits) for g in _plane_gammas(layer)],
+    q_gammas = np.array([quantise(float(g), frac_bits) for g in _plane_gammas(layer, b)],
                         dtype=np.int64)
     q_tau = np.array([quantise(float(t), frac_bits) for t in layer.tau], dtype=np.int64)
     scale = sum(abs(q) for q in q_gammas.tolist())
@@ -683,12 +679,12 @@ def quantise_layer(layer, frac_bits: int, what: str):
     return q_gammas, q_tau, acc_width
 
 
-def _hardened_layer(layer, rows):
+def _hardened_layer(layer, rows, b):
     """Truth-table sums with real plane scales: hidden layers then meet the
     real batch norms' sign thresholds, the head their real affine.  Equals
     the binary engine for K=1 buffer/inverter masks."""
-    s_list = [s.astype(np.float64) for s in _hardened_layer_sums(layer, rows)]
-    return combine_levels(s_list, _plane_gammas(layer)), None
+    s_list = [s.astype(np.float64) for s in _hardened_layer_sums(layer, rows, b)]
+    return combine_levels(s_list, _plane_gammas(layer, b)), None
 
 
 # the engine of each stage: the layer function of its forward
@@ -720,8 +716,8 @@ def forward_hardened_bits(net: Network, x) -> np.ndarray:
             h = _pool_forward(h, layer.size)
             continue
         win = windows(layer, h.shape[1:])
-        q_gammas, q_tau, _width = quantise_layer(layer, net.frac_bits, f"l{idx}")
-        s_list = _hardened_layer_sums(layer, win.rows(h))
+        q_gammas, q_tau, _width = quantise_layer(layer, net.b_levels, net.frac_bits, f"l{idx}")
+        s_list = _hardened_layer_sums(layer, win.rows(h), net.b_levels)
         acc = sum(q * s for q, s in zip(q_gammas, s_list))
         fire = np.where(layer.flip, acc <= q_tau, acc >= q_tau)
         h = win.outputs(np.where(fire, 1.0, -1.0))

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model as md
 from . import numerics as nm
 from .errors import ConfigError
-from .model import Network, require_stage
 
 
 @dataclass
@@ -35,16 +35,16 @@ class DensityReport:
         return out.getvalue()
 
 
-def prunable_layers(net: Network):
+def prunable_layers(net: md.Network):
     """Pruning applies to the unrolled layers only; time-multiplexed layers keep
     dense binary weights."""
     return [(i, l) for i, l in net.compute_layers() if l.unrolled]
 
 
-def prune_threshold(net: Network, theta: float) -> DensityReport:
+def prune_threshold(net: md.Network, theta: float) -> DensityReport:
     """Zero every unrolled-layer weight with |w| <= theta (strict > survives) and
     update the prune masks in place.  Idempotent for a fixed theta."""
-    require_stage(net, "real", "pruned")
+    md.require_stage(net, "real", "pruned")
     if theta < 0:
         raise ConfigError(f"pruning threshold must be >= 0, got {theta}")
     report = DensityReport(theta=float(theta))
@@ -62,7 +62,7 @@ def prune_threshold(net: Network, theta: float) -> DensityReport:
     return report
 
 
-def density_of(net: Network) -> float:
+def density_of(net: md.Network) -> float:
     total = nonzero = 0
     for _i, layer in prunable_layers(net):
         total += layer.prune_mask.size
@@ -70,7 +70,7 @@ def density_of(net: Network) -> float:
     return nonzero / total if total else 1.0
 
 
-def solve_theta_for_density(net: Network, target: float, tol: float = 0.0) -> float:
+def solve_theta_for_density(net: md.Network, target: float, tol: float = 0.0) -> float:
     """Quantile threshold over the unrolled layers' |w| hitting the target
     density; ties are broken by keeping all equal-magnitude weights.  If the
     target is unreachable because of ties, returns the nearest achievable
@@ -124,20 +124,11 @@ def residual_binarise(weights: np.ndarray, mask: np.ndarray, b_levels: int):
     return levels, eps
 
 
-def refresh_levels(net: Network) -> Network:
-    """Re-binarise, from the current latent weights, every compute layer that
-    computes with binary weights (lut is None): all of them before expansion,
-    the time-multiplexed ones after."""
-    for _i, layer in net.compute_layers():
-        if layer.lut is None:
-            layer.levels, _eps = residual_binarise(layer.weights, layer.prune_mask, net.b_levels)
-    return net
-
-
-def binarise_network(net: Network) -> Network:
-    """Populate residual levels for every compute layer from the current latent
-    weights.  Stage: pruned -> binarised."""
-    require_stage(net, "pruned")
-    refresh_levels(net)
+def binarise_network(net: md.Network) -> md.Network:
+    """From here on every compute layer computes with the residual levels of
+    its latent weights, which `levels` in model.py derives wherever they are
+    read.
+    Stage: pruned -> binarised."""
+    md.require_stage(net, "pruned")
     net.stage = "binarised"
     return net

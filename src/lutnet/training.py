@@ -85,9 +85,9 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
     guard.  Layers without LUTs train their latent weights, which keep their
     pruned positions at zero; expanded layers train their plane scales and
     coefficients; batch norms train everywhere.  Phase 1 adds the
-    sparsification regulariser to the loss; phases 2 and 3 refresh the
-    binary levels in closed form before every step and once at the end;
-    phase 3 trains at lr * lr3_factor."""
+    sparsification regulariser to the loss; in phases 2 and 3 each forward
+    binarises the latent weights in closed form; phase 3 trains at
+    lr * lr3_factor."""
     stage, forward, backward = _PHASES[phase]
     md.require_stage(net, stage)
     forward, backward = getattr(md, forward), getattr(md, backward)
@@ -116,8 +116,6 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            if phase > 1:
-                pr.refresh_levels(net)
             logits, caches = forward(net, x[idx])
             loss, dlogits = nm.softmax_xent(logits, y[idx])
             grads = backward(net, caches, dlogits)
@@ -138,8 +136,6 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
             correct += int(np.sum(np.argmax(logits, axis=1) == y[idx]))
             batches += 1
         log.append(epoch, tot_loss / batches, 100.0 * (1.0 - correct / n), tot_omega / batches)
-    if phase > 1:
-        pr.refresh_levels(net)
     return log
 
 
@@ -154,7 +150,7 @@ def run_phase1(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
 def run_phase2_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     """Retraining after pruning + residual binarisation.  Forward uses the
     binary reconstruction; latent weights receive STE gradients; level scales
-    are refreshed in closed form every step; pruned positions stay zero."""
+    follow from the latent weights in closed form; pruned positions stay zero."""
     return _train(net, data, cfg, 2)
 
 

@@ -140,7 +140,7 @@ class TestForwardBinary:
         layer.prune_mask = np.ones((1, 2), dtype=bool)
         net = md.Network("b2", [layer], 2, (2,), 0, stage="pruned")
         pr.binarise_network(net)
-        gammas = [g for _w, g in net.layers[0].levels]
+        gammas = [g for _w, g in md.levels(net.layers[0], 2)]
         assert abs(gammas[0] - 0.5) < 1e-15
         assert abs(gammas[1] - 0.2) < 1e-15
         for xt in exhaustive_pm1(2):
@@ -176,7 +176,6 @@ def test_pruned_positions_never_influence_outputs():
     assert pruned_at.size, "test needs at least one pruned weight"
     layer.weights[tuple(pruned_at[0])] = 99.0
     layer.weights *= layer.prune_mask
-    pr.refresh_levels(tampered)
     assert np.array_equal(md.forward(tampered, x), base)
 
 
@@ -324,7 +323,6 @@ def test_accumulator_past_the_cap_is_a_lowering_error(exponent, bits):
     # at 2**53 the int64 bound of the l0 accumulator used to wrap
     net = dict(tiny_stages())["expanded"]
     net.layers[0].weights *= 2.0 ** exponent
-    pr.refresh_levels(net)
     ex.harden_network(net)
     message = f"l0_c0: accumulator needs {bits} bits"
     with pytest.raises(LoweringError, match=message):
@@ -552,7 +550,7 @@ def test_training_phases_match_pins():
         scales = None
         if phase > 1:
             layers = [layer for _i, layer in net.compute_layers()]
-            scales = _sha(*[md._plane_gammas(layer) for layer in layers],
+            scales = _sha(*[md._plane_gammas(layer, net.b_levels) for layer in layers],
                           *[layer.lut.coeffs for layer in layers if layer.lut is not None])
         got = (hashlib.sha256(log.to_csv().encode("ascii")).hexdigest(), _net_sha(net), scales)
         assert got == TRAINING_PINS[phase], phase
@@ -613,7 +611,7 @@ def test_window_row_gradient_is_the_extension_difference(k):
     rng = np.random.default_rng(30 + k)
     rows = rng.choice([-1.0, 1.0], size=(16, layer.window_size))
     drows = rng.standard_normal((16, 3))
-    y, cache = md._lut_layer(layer, rows)
+    y, cache = md._lut_layer(layer, rows, 2)
     assert rel_err(y, _extension(layer.lut, rows)) < 1e-12
     got = md._lut_layer_bwd(2, layer, cache, drows, {})
     want = np.empty_like(rows)
