@@ -16,6 +16,9 @@ from .errors import ConfigError
 
 @dataclass
 class DensityReport:
+    """One row per unrolled layer, the layers pruning applies to; the model
+    row is over those rows, so it is density_of(net)."""
+
     theta: float
     rows: list = field(default_factory=list)   # (layer label, total, nonzero, density)
 
@@ -48,16 +51,14 @@ def prune_threshold(net: md.Network, theta: float) -> DensityReport:
     if theta < 0:
         raise ConfigError(f"pruning threshold must be >= 0, got {theta}")
     report = DensityReport(theta=float(theta))
-    for i, layer in net.compute_layers():
-        if layer.unrolled:
-            if layer.phase1_weights is None:
-                layer.phase1_weights = layer.weights.copy()
-            keep = np.abs(layer.weights) > theta
-            layer.prune_mask = keep
-            layer.weights = layer.weights * keep
-        total = layer.weights.size
-        nonzero = int(np.count_nonzero(layer.prune_mask))
-        report.rows.append((f"l{i}_{layer.kind}", total, nonzero, nonzero / total))
+    for i, layer in prunable_layers(net):
+        if layer.phase1_weights is None:
+            layer.phase1_weights = layer.weights.copy()
+        keep = np.abs(layer.weights) > theta
+        layer.prune_mask = keep
+        layer.weights = layer.weights * keep
+        nonzero = int(np.count_nonzero(keep))
+        report.rows.append((f"l{i}_{layer.kind}", keep.size, nonzero, nonzero / keep.size))
     net.stage = "pruned"
     return report
 

@@ -182,3 +182,13 @@ def test_density_report_csv_schema():
     assert lines[0] == "layer,total,nonzero,density,theta"
     assert lines[-1].startswith("model,")
     assert len(lines) == 2 + len(report.rows)
+
+
+def test_density_report_model_row_is_the_pruned_density():
+    # the time-multiplexed l0 is never pruned, so it has no row and no share
+    # in the model row
+    net = md.build_preset("lfc-small", seed=3)
+    report = pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.3, tol=0.02))
+    rows = [line.split(",") for line in report.to_csv().strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["l2_dense", "model"]
+    assert rows[-1][3] == f"{pr.density_of(net):.6f}" == "0.300000"
