@@ -46,6 +46,9 @@ class RunConfig:
             raise ConfigError(f"theta must be >= 0, got {self.theta}")
         if min(self.epochs1, self.epochs2, self.epochs3) < 1:
             raise ConfigError("epochs must be >= 1 in every phase")
+        for name in ("n_train", "n_test", "batch_size", "vectors"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if self.style not in ("behavioral", "vendor-primitive"):

@@ -148,6 +148,8 @@ def load_dataset(data_dir, flatten=True):
         if x.shape[0] != y.shape[0]:
             raise FormatError(f"{data_dir}: {images} holds {x.shape[0]} images but "
                               f"{labels} {y.shape[0]} labels")
+        if not x.shape[0]:
+            raise FormatError(f"{data_dir}: {images} holds no images")
     if flatten:
         xtr = xtr.reshape(xtr.shape[0], -1)
         xte = xte.reshape(xte.shape[0], -1)

@@ -17,6 +17,22 @@ def test_malformed_epochs_is_a_usage_error(epochs, capsys):
     assert "--epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, sizes, message", [
+    (["train", "--batch", "0"], {}, "batch_size must be >= 1, got 0"),
+    (["train"], {"n_train": 0}, "n_train must be >= 1, got 0"),
+    (["train"], {"n_test": 0}, "n_test must be >= 1, got 0"),
+    (["simulate", "--vectors", "0"], {}, "vectors must be >= 1, got 0"),
+    (["simulate", "--vectors", "-3"], {}, "vectors must be >= 1, got -3"),
+])
+def test_zero_sized_run_is_a_usage_error(argv, sizes, message, tmp_path, capsys):
+    data = {"data_dir": tmp_path / "data", "n_train": 20, "n_test": 10, **sizes}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[data]\n" + "".join(f"{k} = {v}\n" for k, v in data.items()))
+    argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out"), "--epochs", "1,1,1"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.fixture
 def tiny_ckpts(tmp_path):
     """{stage: path} of the tiny network's checkpoints, written in tmp_path."""
@@ -102,6 +118,7 @@ def _idx_set(root, n_images=300, n_labels=300, side=28, first_label=None):
     (dict(n_labels=200), "200 labels"),
     (dict(first_label=200), "labels must lie in [0, 10)"),
     (dict(side=10), "got 100"),
+    (dict(n_images=0, n_labels=0), "holds no images"),
 ])
 def test_malformed_dataset_is_an_operational_failure(malformed, message, tmp_path, capsys):
     data = _idx_set(tmp_path, **malformed)
