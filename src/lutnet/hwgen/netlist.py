@@ -251,8 +251,8 @@ def encode_pm1(x: np.ndarray) -> np.ndarray:
 def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the netlist on a batch of input-bit vectors.
 
-    inputs: (n_vectors, input bits) of 0/1.  Returns (n_vectors, output bits)
-    of 0/1.  Each block gathers its window bits, looks up the reduced tables
+    inputs: (n_vectors, input bits) of 0/1; any other width or value is a
+    PortError.  Returns (n_vectors, output bits) of 0/1.  Each block gathers its window bits, looks up the reduced tables
     over their kept inputs, takes per-channel popcounts as differences of an
     int64 cumulative sum and applies the integer threshold: exactly the
     tables, inputs and arithmetic the emitted Verilog holds.  Vectors are
@@ -262,6 +262,8 @@ def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:
         inputs = inputs[None, :]
     if inputs.shape[1] != netlist.n_inputs:
         raise PortError(f"input width {inputs.shape[1]} != port width {netlist.n_inputs}")
+    if not np.all((inputs == 0) | (inputs == 1)):
+        raise PortError("input bits must be 0 or 1; encode_pm1 maps +-1 vectors to bits")
     stages = [block.evaluator() for block in netlist.blocks]
     chunks = []
     for start in range(0, inputs.shape[0], CHUNK):

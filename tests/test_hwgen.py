@@ -7,7 +7,7 @@ from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import prune as pr
-from lutnet.errors import LoweringError
+from lutnet.errors import LoweringError, PortError
 from lutnet.expand import reduce_dont_cares, shannon_decompose
 
 from conftest import area_sha, exhaustive_pm1, fold_initial_scale, netlist_pin
@@ -193,6 +193,15 @@ def test_netlist_equals_hardened_bits_exhaustively(k):
     for n in (first, net):
         want = hw.encode_pm1(md.forward_hardened_bits(n, x))
         assert np.array_equal(hw.simulate(hw.lower(n), hw.encode_pm1(x)), want)
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 0.5])
+def test_simulate_rejects_inputs_that_are_not_bits(bad):
+    nl = hw.lower(_planted_net(2))
+    bits = np.zeros((3, 8))
+    bits[1, 4] = bad
+    with pytest.raises(PortError, match="0 or 1"):
+        hw.simulate(nl, bits)
 
 
 @pytest.mark.parametrize("k", [2, 5])
