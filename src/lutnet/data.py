@@ -136,9 +136,9 @@ def generate_toy_dataset(data_dir, n_train=10000, n_test=2000, seed=123):
             save_idx_labels(os.path.join(data_dir, TEST_LABELS), labels)
 
 
-def load_dataset(data_dir, flatten=True):
+def load_dataset(data_dir):
     """(x_train, y_train, x_test, y_test) from IDX files in data_dir; images are
-    scaled to [-1, 1] and flattened to vectors by default."""
+    scaled to [-1, 1] and flattened to vectors."""
     xtr = load_idx_images(os.path.join(data_dir, TRAIN_IMAGES))
     ytr = load_idx_labels(os.path.join(data_dir, TRAIN_LABELS))
     xte = load_idx_images(os.path.join(data_dir, TEST_IMAGES))
@@ -150,10 +150,7 @@ def load_dataset(data_dir, flatten=True):
                               f"{labels} {y.shape[0]} labels")
         if not x.shape[0]:
             raise FormatError(f"{data_dir}: {images} holds no images")
-    if flatten:
-        xtr = xtr.reshape(xtr.shape[0], -1)
-        xte = xte.reshape(xte.shape[0], -1)
-    return xtr, ytr, xte, yte
+    return xtr.reshape(xtr.shape[0], -1), ytr, xte.reshape(xte.shape[0], -1), yte
 
 
 def ensure_dataset(data_dir, n_train=10000, n_test=2000, seed=123):

@@ -107,11 +107,12 @@ def reduce_dont_cares(tables: np.ndarray, k: int):
 
 MUX_TABLE = np.array([-1, 1, -1, 1, -1, -1, 1, 1], dtype=np.int8)
 # 2:1 mux truth table over inputs (bit0=lo, bit1=hi, bit2=sel): out = sel ? hi : lo
+CELL_K = 6   # widest cell of shannon_decompose: a fabric 6-LUT
 
 
-def shannon_decompose(table: np.ndarray, input_ids: list, max_k: int = 6):
-    """Split a wide truth table into cells of at most max_k inputs via recursive
-    Shannon expansion on the highest input.
+def shannon_decompose(table: np.ndarray, input_ids: list):
+    """Split a wide truth table into cells of at most CELL_K inputs via
+    recursive Shannon expansion on the highest input.
 
     Returns a topologically ordered list of (table, inputs) cells computing the
     original function at the last cell; an input is either an id from
@@ -121,7 +122,7 @@ def shannon_decompose(table: np.ndarray, input_ids: list, max_k: int = 6):
 
     def rec(tbl, ids):
         k = len(ids)
-        if k <= max_k:
+        if k <= CELL_K:
             cells.append((np.asarray(tbl, dtype=np.int8), list(ids)))
             return ("cell", len(cells) - 1)
         cube = np.asarray(tbl).reshape((2,) * k)

@@ -14,6 +14,8 @@ from . import numerics as nm
 from . import prune as pr
 from .errors import FormatError, TrainingDivergedError
 
+EVAL_BATCH = 500   # samples per inference forward in evaluate
+
 
 @dataclass
 class PhaseConfig:
@@ -161,12 +163,13 @@ def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     return _train(net, data, cfg, 3)
 
 
-def evaluate(net: md.Network, x, y, batch_size: int = 500) -> float:
+def evaluate(net: md.Network, x, y) -> float:
     """Test accuracy in percent from md.forward's logits (a hardened network
-    is scored with real plane scales and batch norms)."""
+    is scored with real plane scales and batch norms), EVAL_BATCH samples at
+    a time."""
     _check_labels(net, y)
     correct = 0
-    for start in range(0, x.shape[0], batch_size):
-        logits = md.forward(net, x[start:start + batch_size])
-        correct += int(np.sum(np.argmax(logits, axis=1) == y[start:start + batch_size]))
+    for start in range(0, x.shape[0], EVAL_BATCH):
+        logits = md.forward(net, x[start:start + EVAL_BATCH])
+        correct += int(np.sum(np.argmax(logits, axis=1) == y[start:start + EVAL_BATCH]))
     return 100.0 * correct / x.shape[0]
