@@ -159,7 +159,7 @@ def select_inputs(window: int, positions: np.ndarray, k: int, rng: np.random.Gen
 
 def _plane_coeffs(layer, lv, channel, indices, k, sum_gamma):
     """Initial coefficients for every plane of one channel, from the level-b
-    binary weight (of the levels lv) of the preserved input plus the phase-1
+    binary weight in the levels lv of the preserved input plus the phase-1
     weights of drawn inputs that were pruned, spread evenly across planes via
     1/sum(gamma)."""
     n = indices.shape[0]

@@ -252,11 +252,11 @@ def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the netlist on a batch of input-bit vectors.
 
     inputs: (n_vectors, input bits) of 0/1; any other width or value is a
-    PortError.  Returns (n_vectors, output bits) of 0/1.  Each block gathers its window bits, looks up the reduced tables
-    over their kept inputs, takes per-channel popcounts as differences of an
-    int64 cumulative sum and applies the integer threshold: exactly the
-    tables, inputs and arithmetic the emitted Verilog holds.  Vectors are
-    processed CHUNK at a time."""
+    PortError.  Returns (n_vectors, output bits) of 0/1.  Each block gathers
+    its window bits, looks up the reduced tables over their kept inputs,
+    takes per-channel popcounts as differences of an int64 cumulative sum and
+    applies the integer threshold: exactly the tables, inputs and arithmetic
+    the emitted Verilog holds.  Vectors are processed CHUNK at a time."""
     inputs = np.asarray(inputs)
     if inputs.ndim == 1:
         inputs = inputs[None, :]
