@@ -3,6 +3,7 @@ whole input is the same operator as a dense layer over the flattened input,
 and conv stacks with pooling stay bit-exact through expansion and lowering."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
+from lutnet import training as tr
 from lutnet.errors import DimensionError
 
 from conftest import area_sha, fold_initial_scale, netlist_pin, untiled_pool_net
@@ -129,14 +131,65 @@ def test_conv_stack_k1_expansion_equals_binary():
     assert np.array_equal(md.forward(net, x), want)
 
 
-def _hardened_conv_stack(k, rng):
+def _expanded_conv_stack(k, rng):
     net = _conv_stack()
     ex.expand_network(net, k=k, seed=53)
     for _i, layer in net.compute_layers():
         if layer.lut is not None:
             for ch in layer.lut.channels:
                 ch.coeffs += rng.normal(0.0, 0.05, ch.coeffs.shape)
-    return ex.harden_network(net, frac_bits=6)
+    return net
+
+
+def _hardened_conv_stack(k, rng):
+    return ex.harden_network(_expanded_conv_stack(k, rng), frac_bits=6)
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (forward_lut_train logits, backward_lut gradients by sorted name,
+# every LUT's gammas and coefficients after one run_phase3_retrain step) on
+# the conv stack: its unrolled conv reads overlapping windows at 4
+# positions, so each input feeds several nodes in several window rows.
+# Recorded from the engine that gathered every node's inputs as
+# (rows, N, K) floats
+CONV_STACK_PHASE3_PINS = {
+    1: ("63ba59c41a308b7127a7b42b7737f481f5707865e23329ec6f10adf73fa7d2bc",
+        "0660e4ab920ea4e6393df0871e44318e29597248048c31f0c08e7ded3b147f83",
+        "196188d4bb5c29783cc13018806df4dd1b5dc4dc4d5e6673c00e8bc461168abe"),
+    2: ("854534bea409d6694f980bc68ecd40c3759972b344be6e833db2c4abc846b187",
+        "c2c7945b92c3e7715d7cefe74cd5c6caf7574f1c11ce9dea793960c3bfe67a3b",
+        "7cc8cfef465f990bd79a0b98b61cfb2f6e84941085e0a2190d0acfc6e3e059c9"),
+    3: ("6f27e923175fb1908a292c5837a736a66c08cf17ccdc15a18acf606803b9f52d",
+        "326c2003d9eaed4a386f45e4d86ed9eea263bbe3283b9a544c04b8ba3f2ea4fa",
+        "23ee2368adfcb03ebb168f96b5ee37280e172af93ae4b5423dd6181383aebe17"),
+    4: ("8956de1e7c9ba96203353a41dffd5b805b5f07b1788e500c2deaa745774357da",
+        "1f591f189cf6016eb18a62055c83b99433d48c641cc1169b2beb5406fba6471b",
+        "5fbf90648c53e1aba4328ef28958c60e046ef0f84b5395eca331119db05a18e1"),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_stack_phase3_matches_pin(k):
+    rng = np.random.default_rng(70 + k)
+    x = rng.choice([-1.0, 1.0], size=(96, 49))
+    labels = rng.integers(0, 3, 96)
+    net = _expanded_conv_stack(k, np.random.default_rng(54 + k))
+    logits, caches = md.forward_lut_train(net, x)
+    grads = md.backward_lut(net, caches, nm.softmax_xent(logits, labels)[1])
+    h = hashlib.sha256()
+    for name in sorted(grads):
+        h.update(name.encode("ascii") + b"\0" + grads[name].tobytes())
+    net = _expanded_conv_stack(k, np.random.default_rng(54 + k))
+    tr.run_phase3_retrain(net, (x, labels), tr.PhaseConfig(epochs3=1, batch_size=96))
+    luts = [layer.lut for _i, layer in net.compute_layers() if layer.lut is not None]
+    trained = _sha(*[a for lut in luts for a in (lut.gammas, lut.coeffs)])
+    assert (_sha(logits), h.hexdigest(), trained) == CONV_STACK_PHASE3_PINS[k]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
