@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -78,10 +77,20 @@ _RENAME = {"lambda": "lam"}
 
 
 def parse_config(path: str) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    """RunConfig from a UTF-8 file of the sections and keys in _FIELDS; any
+    other section or key, or a file configparser cannot read, is a
+    ConfigError."""
     parser = configparser.ConfigParser()
-    parser.read(path)
+    try:
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f)
+    except FileNotFoundError as e:
+        raise ConfigError(f"config file not found: {path}") from e
+    except (OSError, UnicodeDecodeError, configparser.Error) as e:
+        raise ConfigError(f"{path}: cannot read config: {e}") from e
+    for section in parser.sections():
+        if section not in _FIELDS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
     cfg = RunConfig()
     for section, fields in _FIELDS.items():
         if not parser.has_section(section):
@@ -92,11 +101,13 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
         for name, typ in fields:
             if parser.has_option(section, name):
-                raw = parser.get(section, name)
+                try:
+                    raw = parser.get(section, name)
+                except configparser.Error as e:   # a bad %-interpolation
+                    raise ConfigError(f"{path}: bad value for {section}.{name}: {e}") from e
                 try:
                     value = typ(raw)
                 except ValueError as e:
                     raise ConfigError(f"{path}: bad value for {section}.{name}: {raw}") from e
                 setattr(cfg, _RENAME.get(name, name), value)
     return cfg
-

@@ -6,8 +6,11 @@ The smooth extension of a node's Boolean function is the multilinear form
 
 which is diagonal over the binary vertices: at a vertex v only the d = -v term
 survives, with value c_{-v} * 2^K * prod_k v_k.  Node inputs are always
-+-1, so phase 3 gathers that one coefficient (interp_basis) and, per input,
-the two whose vertices differ from -v only there (interp_dx_partial).
++-1, so a node's output reads that one coefficient (interp_basis) and its
+partial in input k the two whose vertices differ from -v only there
+(interp_dx_partial).  Both depend only on the code of -v, never on the
+sample: phase 3 evaluates them once on the 2^K codes, tabulates each node's
+terms per code, and gathers the tables by slot = node * 2^K + code.
 Vertex encoding is fixed everywhere (model evaluation, netlist simulation,
 Verilog INIT masks): vertex v maps to the integer with bit k = (v_k + 1) / 2,
 bit 0 being the node's first input.  Truth tables are stored as {-1,+1} int8

@@ -20,8 +20,10 @@ An expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
 the wiring `indices` (N, K), per-plane `coeffs` and hardened `masks`
 (B, N, 2**K), and channel `offsets` (C+1,), channel c owning nodes
 offsets[c]:offsets[c+1].  `LutData.channels` gives per-channel views of them.
-Phase 3 evaluates a whole layer's nodes at once as vertex gathers on their +-1
-inputs: one coefficient forward, two per input backward (see expand.py).
+Phase 3 evaluates a whole layer's nodes at once: on +-1 inputs a node reads
+only its vertex, so each layer tabulates its nodes' terms per vertex and
+gathers them by slot, one value per (row, node) forward and one K-vector
+backward (see expand.py).
 
 A hardened network is its expanded network plus `frac_bits`: the truth-table
 masks, folded thresholds `tau` and `flip` are computed from the coefficients
@@ -575,30 +577,52 @@ def fold_batchnorm(bn: BatchNormLayer):
 
 
 # ---------------------------------------------------------------------------
-# expanded engine (phase 3): interpolated LUT nodes on binarised inputs, as
-# vertex gathers (expand.interp_basis forward, expand.interp_dx_partial
-# backward); time-multiplexed layers (lut is None) keep the binary engine
+# expanded engine (phase 3): interpolated LUT nodes on binarised inputs.  On
+# +-1 inputs everything a node reads depends only on its vertex code, so
+# each layer evaluates expand.interp_basis (forward) and
+# expand.interp_dx_partial (backward) once on the 2**K codes, builds
+# per-vertex tables, (N, 2**K) of value * coefficient per plane and
+# (N * 2**K, K) of input partials, and gathers them by slot =
+# node * 2**K + code: one value per (row, node) forward, one contiguous
+# K-vector backward.  Time-multiplexed layers (lut is None) keep the binary
+# engine.
+
+BLOCK_ENTRIES = 1 << 19   # (row, node, input) entries per block of the backward scatter
 
 
-def _channel_sums(lut, terms):
-    """Per-channel sums (rows, C) of node terms (rows, N): one bincount over
-    row * C + channel, which adds each channel's nodes in ascending order; a
-    channel with no nodes sums to 0."""
-    rows, c = terms.shape[0], lut.offsets.shape[0] - 1
-    slot = np.arange(rows)[:, None] * c + np.repeat(np.arange(c), np.diff(lut.offsets))
-    return np.bincount(slot.reshape(-1), weights=terms.reshape(-1),
-                       minlength=rows * c).reshape(rows, c)
+def _vertex_slots(lut, rows):
+    """(rows, N) slots node * 2**K + code of every node on +-1 window rows,
+    bit k of code set iff input k is negative: the coefficient that
+    interp_basis reads.  A truth table reads slot ^ (2**K - 1), the vertex
+    of the inputs themselves."""
+    neg = (rows < 0).view(np.uint8)
+    code = neg[:, lut.indices[:, 0]]
+    for k in range(1, lut.k):
+        code |= neg[:, lut.indices[:, k]] << k
+    return (np.arange(lut.indices.shape[0]) << lut.k) + code
+
+
+def _channel_sums(lut, planes):
+    """Per-channel sums (rows, C) of each plane's node terms (rows, N): one
+    bincount per plane over row * C + channel, an index built once, which
+    adds each channel's nodes in ascending order; a channel with no nodes
+    sums to 0."""
+    rows, c = planes[0].shape[0], lut.offsets.shape[0] - 1
+    index = (np.arange(rows)[:, None] * c
+             + np.repeat(np.arange(c), np.diff(lut.offsets))).reshape(-1)
+    return [np.bincount(index, weights=t.reshape(-1), minlength=rows * c).reshape(rows, c)
+            for t in planes]
 
 
 def _lut_layer(layer, rows, b):
     if layer.lut is None:
         return _binary_layer(layer, rows, b)
     lut = layer.lut
-    xg = rows[:, lut.indices]                           # (rows, N, K)
-    vertex, value = ex.interp_basis(xg, lut.k)          # (rows, N) each
-    slot = np.arange(xg.shape[1]) * (1 << lut.k) + vertex   # flat (node, vertex) index
-    s_list = [_channel_sums(lut, value * c.reshape(-1)[slot]) for c in lut.coeffs]
-    return combine_levels(s_list, lut.gammas), (xg, slot, value, s_list)
+    # row v of -vertices(K) is the point whose code is v
+    value = ex.interp_basis(-ex.vertices(lut.k), lut.k)[1]   # (2**K,)
+    slot = _vertex_slots(lut, rows)
+    s_list = _channel_sums(lut, [np.take((value * c).reshape(-1), slot) for c in lut.coeffs])
+    return combine_levels(s_list, lut.gammas), (slot, value, s_list)
 
 
 def forward_lut_train(net: Network, x):
@@ -612,22 +636,38 @@ def _lut_layer_bwd(idx, layer, cache, drows, grads):
     adds in ascending row, then node, then input order."""
     if layer.lut is None:
         return _binary_layer_bwd(idx, layer, cache, drows, grads)
-    xg, slot, value, s_list = cache
+    slot, value, s_list = cache
     lut = layer.lut
-    rows, _n, k = xg.shape
+    k, n_nodes = lut.k, lut.indices.shape[0]
+    rows, window = slot.shape[0], layer.window_size
     dnode = np.repeat(drows, np.diff(lut.offsets), axis=1)   # (rows, N)
-    dbasis = np.bincount(slot.reshape(-1), weights=(dnode * value).reshape(-1),
-                         minlength=lut.coeffs[0].size).reshape(lut.coeffs.shape[1:])
+    # value is +-2**K in each bin, so scaling the bin sums is exact; + 0.0
+    # turns the -0.0 of an empty bin into the 0.0 a bincount gives
+    dbasis = np.bincount(slot.reshape(-1), weights=dnode.reshape(-1),
+                         minlength=n_nodes << k).reshape(n_nodes, -1) * value + 0.0
     grads[f"l{idx}.lut.coeffs"] = lut.gammas[:, None, None] * dbasis
     grads[f"l{idx}.lut.gammas"] = np.array([float(np.sum(drows * s)) for s in s_list])
-    # input k of a node reads the coefficients at its vertex with bit k clear and set
-    ceff = np.einsum("b,bnv->nv", lut.gammas, lut.coeffs).reshape(-1)
-    bit = 1 << np.arange(k)
-    pair = ceff[slot[..., None] & ~bit] + ceff[slot[..., None] | bit]
-    dxg = ex.interp_dx_partial(xg, k) * pair * dnode[..., None]
-    flat = np.arange(rows)[:, None, None] * layer.window_size + lut.indices
-    return np.bincount(flat.reshape(-1), weights=dxg.reshape(-1),
-                       minlength=rows * layer.window_size).reshape(rows, -1)
+    # input k of a node reads the coefficients at its vertex with bit k clear
+    # and set; row slot of table holds the K partials times those pairs
+    ceff = np.einsum("b,bnv->nv", lut.gammas, lut.coeffs)
+    vertex, bit = np.arange(1 << k)[:, None], 1 << np.arange(k)
+    partial = ex.interp_dx_partial(-ex.vertices(k), k)   # (2**K, K)
+    pair = (np.take(ceff, (vertex & ~bit).reshape(-1), axis=1)
+            + np.take(ceff, (vertex | bit).reshape(-1), axis=1))   # (N, 2**K * K)
+    table = (partial.reshape(-1) * pair).reshape(-1, k)
+    # gather, weight and scatter to the window slots a block of rows at a
+    # time, the blocks sharing one scatter index
+    wires = lut.indices.reshape(-1)
+    block = max(1, min(rows, BLOCK_ENTRIES // max(wires.size, 1)))
+    index = (np.arange(block)[:, None] * window + wires).reshape(-1)
+    drows_in = np.empty((rows, window))
+    for a in range(0, rows, block):
+        e = min(a + block, rows)
+        dxg = np.take(table, slot[a:e], axis=0)   # (e - a, N, K)
+        dxg *= dnode[a:e, :, None]
+        drows_in[a:e] = np.bincount(index[:dxg.size], weights=dxg.reshape(-1),
+                                    minlength=(e - a) * window).reshape(e - a, window)
+    return drows_in
 
 
 def backward_lut(net: Network, caches, dlogits):
@@ -654,9 +694,9 @@ def _hardened_layer_sums(layer, flat_bits, b):
     if layer.lut is None:
         return [s.astype(np.int64) for s in _binary_dots(layer, flat_bits, levels(layer, b))]
     lut = layer.lut
-    vertex = ((flat_bits[:, lut.indices] > 0) << np.arange(lut.k)).sum(axis=-1)   # (rows, N)
-    node = np.arange(vertex.shape[1])
-    return [_channel_sums(lut, m[node, vertex]).astype(np.int64) for m in lut.masks]
+    slot = _vertex_slots(lut, flat_bits) ^ ((1 << lut.k) - 1)
+    return [s.astype(np.int64)
+            for s in _channel_sums(lut, [np.take(m.reshape(-1), slot) for m in lut.masks])]
 
 
 def quantise_layer(layer, b: int, frac_bits: int, what: str):

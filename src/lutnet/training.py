@@ -49,21 +49,24 @@ class TrainLog:
         return self.rows[-1][2] if self.rows else None
 
 
-def l2_group_regulariser(net: md.Network, lam: float):
-    """Omega = lam * sqrt(sum of squared weights over the prunable layers) and
-    its gradient lam * w / (Omega / lam); the all-zero case maps to zero
-    gradient."""
+def _group_norm(net: md.Network) -> float:
+    """sqrt(sum of squared weights over the prunable layers)."""
     sq = 0.0
     for _i, layer in pr.prunable_layers(net):
         w = layer.weights * layer.prune_mask
         sq += float(np.sum(w * w))
-    norm = np.sqrt(sq)
-    omega = lam * norm
+    return np.sqrt(sq)
+
+
+def l2_group_regulariser(net: md.Network, lam: float):
+    """Omega = lam * _group_norm(net) and its gradient lam * w / (Omega / lam);
+    the all-zero case maps to zero gradient."""
+    norm = _group_norm(net)
     grads = {}
     for i, layer in pr.prunable_layers(net):
         w = layer.weights * layer.prune_mask
         grads[f"l{i}.weights"] = np.zeros_like(w) if norm == 0.0 else lam * w / norm
-    return omega, grads
+    return lam * norm, grads
 
 
 def _check_labels(net, y):
@@ -121,11 +124,13 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
             logits, caches = forward(net, x[idx])
             loss, dlogits = nm.softmax_xent(logits, y[idx])
             grads = backward(net, caches, dlogits)
-            omega, omega_grads = l2_group_regulariser(net, cfg.lam)
             if phase == 1:
+                omega, omega_grads = l2_group_regulariser(net, cfg.lam)
                 loss = loss + omega
                 for name, g in omega_grads.items():
                     grads[name] = grads[name] + g
+            else:   # logged only
+                omega = cfg.lam * _group_norm(net)
             nm.adam_step(params, grads, state, lr=lr)
             for _i, layer in net.compute_layers():
                 if layer.lut is None:

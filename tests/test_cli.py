@@ -33,6 +33,25 @@ def test_zero_sized_run_is_a_usage_error(argv, sizes, message, tmp_path, capsys)
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[data]\nn_train = 20\nn_train = 30\n", "option 'n_train' in section 'data' already exists"),
+    (b"n_train = 20\n[data]\nn_test = 10\n", "no section headers"),
+    (b"[data]\nn_train = 20\n# \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (b"[data]\nn_train = 20\n[modle]\nk = 9\n", "unknown section [modle]"),
+    (None, "Is a directory"),
+], ids=["duplicate_key", "no_section_header", "not_utf8", "unknown_section", "directory"])
+def test_malformed_config_is_a_usage_error(content, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    argv = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "out"), "--epochs", "1,1,1"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.fixture
 def tiny_ckpts(tmp_path):
     """{stage: path} of the tiny network's checkpoints, written in tmp_path."""
