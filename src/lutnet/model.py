@@ -595,11 +595,13 @@ def _vertex_slots(lut, rows):
     bit k of code set iff input k is negative: the coefficient that
     interp_basis reads.  A truth table reads slot ^ (2**K - 1), the vertex
     of the inputs themselves."""
-    neg = (rows < 0).view(np.uint8)
-    code = neg[:, lut.indices[:, 0]]
+    # gathered node-major, each node's signs one contiguous row, then
+    # transposed to row-major, the order of every later gather and bincount
+    neg = np.ascontiguousarray((rows < 0).T).view(np.uint8)
+    code = neg[lut.indices[:, 0]]
     for k in range(1, lut.k):
-        code |= neg[:, lut.indices[:, k]] << k
-    return (np.arange(lut.indices.shape[0]) << lut.k) + code
+        code |= neg[lut.indices[:, k]] << k
+    return (np.arange(lut.indices.shape[0]) << lut.k) + np.ascontiguousarray(code.T)
 
 
 def _channel_sums(lut, planes):
