@@ -587,7 +587,7 @@ def fold_batchnorm(bn: BatchNormLayer):
 # K-vector backward.  Time-multiplexed layers (lut is None) keep the binary
 # engine.
 
-BLOCK_ENTRIES = 1 << 19   # (row, node, input) entries per block of the backward scatter
+BLOCK_ENTRIES = 1 << 17   # (row, node, input) entries per block of the backward scatter
 
 
 def _vertex_slots(lut, rows):
