@@ -587,7 +587,9 @@ def fold_batchnorm(bn: BatchNormLayer):
 # K-vector backward.  Time-multiplexed layers (lut is None) keep the binary
 # engine.
 
-BLOCK_ENTRIES = 1 << 17   # (row, node, input) entries per block of the backward scatter
+# (row, node, input) entries per block of the backward scatter: a block's
+# gathered values and scatter index, 1 MB each, stay in a core's L2 cache
+BLOCK_ENTRIES = 1 << 17
 
 
 def _vertex_slots(lut, rows):
