@@ -38,8 +38,10 @@ def test_zero_sized_run_is_a_usage_error(argv, sizes, message, tmp_path, capsys)
     (b"n_train = 20\n[data]\nn_test = 10\n", "no section headers"),
     (b"[data]\nn_train = 20\n# \xff\n", "'utf-8' codec can't decode byte 0xff"),
     (b"[data]\nn_train = 20\n[modle]\nk = 9\n", "unknown section [modle]"),
+    (b"[data]\nn_train = 2%0\n", "bad value for data.n_train: '%' must be followed by"),
     (None, "Is a directory"),
-], ids=["duplicate_key", "no_section_header", "not_utf8", "unknown_section", "directory"])
+], ids=["duplicate_key", "no_section_header", "not_utf8", "unknown_section",
+        "bad_interpolation", "directory"])
 def test_malformed_config_is_a_usage_error(content, message, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     if content is None:
