@@ -25,6 +25,14 @@ them, and verilog.emit_verilog renders what they yield.  `Netlist.cells` and
 counts cells by type and matches Verilog tables by net name; both are views
 that store nothing.
 
+`simulate` evaluates the same arrays the cells are generated from, and
+nothing else: it never reads the network, so comparing it with
+model.forward_hardened_bits checks `lower`.  A node with k_eff <= 1 is a
+constant, a buffer or an inverter, an affine function of one window bit, so
+per plane all such nodes of a block add up to one integer matrix product
+over the window rows (every node of a time-multiplexed layer is one); only
+the nodes with k_eff >= 2 are looked up in their tables.
+
 Bit convention throughout the hardware path: +1 maps to 1, -1 maps to 0.
 LUT tables are 0/1 bit vectors indexed by the shared vertex encoding (bit k
 of the index = input k's bit value)."""
@@ -110,19 +118,22 @@ class ComputeBlock:
         k_eff, inputs = self.k_eff.tolist(), self.inputs.tolist()
         q_gammas, q_tau, flip = self.q_gammas.tolist(), self.q_tau.tolist(), self.flip.tolist()
         acc_width, offsets = self.acc_width.tolist(), self.offsets.tolist()
-        windows, planes = self.index_map.tolist(), range(len(q_gammas))
+        planes = range(len(q_gammas))
+        slot_names = [[in_names[i] for i in window].__getitem__   # per position
+                      for window in self.index_map.tolist()]
         for c in range(len(offsets) - 1):
             a, n_tilde = offsets[c], offsets[c + 1] - offsets[c]
             adders = _adder_tree(n_tilde)
-            for p, window in enumerate(windows):
+            for p, slot_name in enumerate(slot_names):
                 cname = self._cname(c, p)
                 pops = []
                 for b in planes if n_tilde else ():
                     leaves = [f"lut_l{li}_{cname}_n{n}_b{b}" for n in range(n_tilde)]
-                    for n, out in enumerate(leaves):
-                        ke = k_eff[b][a + n]
-                        yield LutCell(self.tables[b, a + n, :1 << ke],
-                                      [in_names[window[i]] for i in inputs[b][a + n][:ke]], out)
+                    tables, k_b, inputs_b = self.tables[b], k_eff[b], inputs[b]
+                    for n, out in enumerate(leaves, a):
+                        ke = k_b[n]
+                        yield LutCell(tables[n, :1 << ke],
+                                      list(map(slot_name, inputs_b[n][:ke])), out)
                     sums = []
                     for x, y, width in adders:
                         sums.append(f"pop_l{li}_{cname}_b{b}_s{len(sums)}")
@@ -136,30 +147,58 @@ class ComputeBlock:
     def evaluator(self):
         """A function (V, previous bits) uint8 -> (V, C*P) uint8.
 
-        Table b, node n at position p reads bit index_map[p, inputs[b, n, j]]
-        for j < k_eff[b, n]; the slots past k_eff read bit -1, a constant 0
-        the function appends, so they add nothing to the vertex index."""
-        k = self.inputs.shape[2]
-        live = np.arange(k) < self.k_eff[..., None]                    # (B, N, K)
-        source = np.where(live.transpose(0, 2, 1)[:, :, None],
-                          self.index_map[:, self.inputs].transpose(1, 3, 0, 2), -1)  # (B, K, P, N)
-        base = np.arange(self.tables.shape[1]) << k                     # first entry of each table
-        flat = self.tables.reshape(self.tables.shape[0], -1)
+        Node n of plane b at position p reads bit index_map[p, inputs[b, n, j]]
+        for j < k_eff[b, n].  A node with k_eff <= 1 is the affine function
+        t[0] + bit * (t[1] - t[0]) of its table t and its one input bit (t[0]
+        alone when k_eff = 0), so each plane's such nodes add up to
+        const[b] + rows @ m[b], with rows = bits[:, index_map]: m[b] (W, C)
+        holds per window slot and channel the summed t[1] - t[0] of the nodes
+        reading that slot, const[b] (C,) the summed t[0].  The product is
+        taken in float64, exact because every sum is an integer far below
+        2**53.  The nodes with k_eff >= 2 are looked up by vertex index and
+        added per channel as differences of an int64 cumulative sum; their
+        slots past k_eff read bit -1, a constant 0 the function appends, so
+        they add nothing to the vertex index."""
+        n_planes, _nodes, k = self.inputs.shape
         n_tilde = np.diff(self.offsets)
+        n_ch = len(n_tilde)
+        channel = np.repeat(np.arange(n_ch), n_tilde)                      # (N,) of each node
+        t0 = self.tables[..., 0].astype(np.int64)
+        t1 = self.tables[..., 1].astype(np.int64)
+
+        const = np.zeros((n_planes, n_ch), np.int64)
+        b, n = np.nonzero(self.k_eff <= 1)
+        np.add.at(const, (b, channel[n]), t0[b, n])
+        m = np.zeros((n_planes, self.index_map.shape[1], n_ch))
+        b, n = np.nonzero(self.k_eff == 1)
+        np.add.at(m, (b, self.inputs[b, n, 0], channel[n]), t1[b, n] - t0[b, n])
+
+        lookups = []
+        for b in range(n_planes):
+            nodes = np.flatnonzero(self.k_eff[b] >= 2)
+            live = np.arange(k) < self.k_eff[b, nodes, None]               # (L, K)
+            source = np.where(live.T[:, None], self.index_map[:, self.inputs[b, nodes]]
+                              .transpose(2, 0, 1), -1)                      # (K, P, L)
+            lookups.append((source, nodes << k, self.tables[b].reshape(-1),
+                            np.searchsorted(nodes, self.offsets)))          # channel offsets in L
 
         def evaluate(bits):
-            bits = np.concatenate([bits, np.zeros((bits.shape[0], 1), np.uint8)], axis=1)
-            cum = np.zeros(bits.shape[:1] + source.shape[2:3] + (len(base) + 1,), np.int64)
+            v, (positions, width) = bits.shape[0], self.index_map.shape
+            rows = bits[:, self.index_map].reshape(v * positions, width).astype(np.float64)
+            bits = np.concatenate([bits, np.zeros((v, 1), np.uint8)], axis=1)
             acc = 0
             for b, q in enumerate(self.q_gammas.tolist()):
-                vertex = bits[:, source[b, 0]]                           # (V, P, N)
+                source, base, entries, bounds = lookups[b]
+                vertex = bits[:, source[0]]                                 # (V, P, L)
                 for j in range(1, k):
-                    vertex |= bits[:, source[b, j]] << j
-                np.cumsum(flat[b][vertex + base], axis=2, out=cum[..., 1:])
-                pop = cum[..., self.offsets[1:]] - cum[..., self.offsets[:-1]]   # (V, P, C)
+                    vertex |= bits[:, source[j]] << j
+                cum = np.zeros(vertex.shape[:2] + (vertex.shape[2] + 1,), np.int64)
+                np.cumsum(entries[vertex + base], axis=2, out=cum[..., 1:])
+                pop = (rows @ m[b]).astype(np.int64).reshape(v, positions, n_ch) + const[b]
+                pop += cum[..., bounds[1:]] - cum[..., bounds[:-1]]
                 acc = acc + q * (2 * pop - n_tilde)
             fire = np.where(self.flip, acc <= self.q_tau, acc >= self.q_tau)
-            return np.swapaxes(fire, 1, 2).reshape(bits.shape[0], -1).astype(np.uint8)
+            return np.swapaxes(fire, 1, 2).reshape(v, n_ch * positions).astype(np.uint8)
 
         return evaluate
 
@@ -251,22 +290,28 @@ def encode_pm1(x: np.ndarray) -> np.ndarray:
 def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the netlist on a batch of input-bit vectors.
 
-    inputs: (n_vectors, input bits) of 0/1; any other width or value is a
-    PortError.  Returns (n_vectors, output bits) of 0/1.  Each block gathers
-    its window bits, looks up the reduced tables over their kept inputs,
-    takes per-channel popcounts as differences of an int64 cumulative sum and
-    applies the integer threshold: exactly the tables, inputs and arithmetic
-    the emitted Verilog holds.  Vectors are processed CHUNK at a time."""
+    inputs: one vector or (n_vectors, input bits) of 0/1; any other rank,
+    width or value is a PortError.  Returns (n_vectors, output bits) of 0/1.
+    Each compute block gathers its window bits and takes per-channel
+    popcounts from exactly the tables and kept inputs the emitted Verilog
+    holds: the nodes with at most one kept input (a constant, buffer or
+    inverter, such as every weight of a time-multiplexed layer) as one
+    float64 matrix product per plane, exact on these integer sums, the
+    others by table lookup.  It then applies the integer threshold.  Vectors
+    are processed CHUNK at a time."""
     inputs = np.asarray(inputs)
     if inputs.ndim == 1:
         inputs = inputs[None, :]
+    if inputs.ndim != 2:
+        raise PortError(f"inputs must be a vector or a 2-D batch, not rank {inputs.ndim}")
     if inputs.shape[1] != netlist.n_inputs:
         raise PortError(f"input width {inputs.shape[1]} != port width {netlist.n_inputs}")
     if not np.all((inputs == 0) | (inputs == 1)):
         raise PortError("input bits must be 0 or 1; encode_pm1 maps +-1 vectors to bits")
     stages = [block.evaluator() for block in netlist.blocks]
     chunks = []
-    for start in range(0, inputs.shape[0], CHUNK):
+    # at least one pass, so that no vectors still give (0, output bits)
+    for start in range(0, max(inputs.shape[0], 1), CHUNK):
         bits = inputs[start:start + CHUNK].astype(np.uint8)
         for evaluate in stages:
             bits = evaluate(bits)

@@ -44,33 +44,29 @@ def _table_literal(table: np.ndarray) -> str:
     return f"{len(table)}'b{bits}"
 
 
-def _lut_assign(cell: LutCell) -> str:
+def _init_mask(table: np.ndarray) -> str:
+    nbits = len(table)
+    value = 0
+    for i, b in enumerate(table):
+        value |= int(b) << i
+    return f"{nbits}'h{value:0{(nbits + 3) // 4}X}"
+
+
+def _lut_assign(cell: LutCell, literal) -> str:
     if not cell.inputs:
         return f"assign {cell.out} = 1'b{int(cell.table[0])};"
     ins = ", ".join(reversed(cell.inputs))
-    return f"assign {cell.out} = ({_table_literal(cell.table)} >> {{{ins}}}) & 1'b1;"
+    return f"assign {cell.out} = ({literal(cell.table)} >> {{{ins}}}) & 1'b1;"
 
 
-def _lut_primitive(cell: LutCell) -> str:
+def _lut_primitive(cell: LutCell, init) -> str:
     k = len(cell.inputs)
     if k == 0:
-        return _lut_assign(cell)
+        return _lut_assign(cell, init)
     if k > 6:
         raise PackingError(f"vendor mode cannot instantiate a {k}-input LUT (max 6)")
-    nbits = 1 << k
-    hexdigits = (nbits + 3) // 4
-    value = 0
-    for i, b in enumerate(cell.table):
-        value |= int(b) << i
-    init = f"{nbits}'h{value:0{hexdigits}X}"
     pins = ", ".join(f".I{j}({name})" for j, name in enumerate(cell.inputs))
-    return f"LUT{k} #(.INIT({init})) {cell.out}_i ({pins}, .O({cell.out}));"
-
-
-def _decl(name: str, width: int = 1) -> str:
-    if width == 1:
-        return f"wire {name};"
-    return f"wire [{width - 1}:0] {name};"
+    return f"LUT{k} #(.INIT({init(cell.table)})) {cell.out}_i ({pins}, .O({cell.out}));"
 
 
 def _threshold_lines(cell: ScaleThresholdCell) -> list:
@@ -97,7 +93,18 @@ def emit_verilog(netlist: Netlist, style: str = "behavioral") -> dict:
     exports, in cell order."""
     if style not in ("behavioral", "vendor-primitive"):
         raise ValueError(f"unknown emission style '{style}'")
-    lut_line = _lut_primitive if style == "vendor-primitive" else _lut_assign
+    vendor = style == "vendor-primitive"
+    lut_line = _lut_primitive if vendor else _lut_assign
+    render = _init_mask if vendor else _table_literal
+    rendered = {}   # table bytes -> its literal or INIT mask: few distinct tables recur
+
+    def table_text(table):
+        key = table.tobytes()
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = render(table)
+        return text
+
     files = {}
     top_wires = []
     top_insts = []
@@ -109,17 +116,19 @@ def emit_verilog(netlist: Netlist, style: str = "behavioral") -> dict:
         ext_in = {}
         decls, body = [], []
         for cell in cells:
-            width = 1
-            if isinstance(cell, LutCell):
+            kind = type(cell)
+            if kind is LutCell:
                 ext_in.update(dict.fromkeys(cell.inputs))
-                body.append(lut_line(cell))
-            elif isinstance(cell, AddCell):
-                width = cell.width
+                body.append(lut_line(cell, table_text))
+                decl = f"wire {cell.out};"
+            elif kind is AddCell:   # adds two or more bits, so at least 2 wide
                 body.append(f"assign {cell.out} = {cell.a} + {cell.b};")
+                decl = f"wire [{cell.width - 1}:0] {cell.out};"
             else:
                 body.extend(_threshold_lines(cell))
+                decl = f"wire {cell.out};"
             if cell.out not in ext_out:
-                decls.append(_decl(cell.out, width))
+                decls.append(decl)
         mod = f"{netlist.name}_l{li}"
         files[f"{mod}.v"] = _module(mod, ext_in, exported, decls + body)
         inst_ports = [f".{n}({n})" for n in list(ext_in) + exported]

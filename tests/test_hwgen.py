@@ -9,6 +9,7 @@ from lutnet import model as md
 from lutnet import prune as pr
 from lutnet.errors import LoweringError, PortError
 from lutnet.expand import reduce_dont_cares, shannon_decompose
+from lutnet.hwgen.netlist import ComputeBlock
 
 from conftest import area_sha, exhaustive_pm1, fold_initial_scale, netlist_pin
 
@@ -202,6 +203,90 @@ def test_simulate_rejects_inputs_that_are_not_bits(bad):
     bits[1, 4] = bad
     with pytest.raises(PortError, match="0 or 1"):
         hw.simulate(nl, bits)
+
+
+def test_simulate_of_no_vectors_has_the_output_width():
+    out = hw.simulate(hw.lower(_planted_net(2)), np.zeros((0, 8), np.uint8))
+    assert out.dtype == np.uint8 and out.shape == (0, 3)
+
+
+def test_simulate_names_the_rank_of_a_3d_input():
+    with pytest.raises(PortError, match="rank 3"):
+        hw.simulate(hw.lower(_planted_net(2)), np.zeros((2, 3, 8), np.uint8))
+
+
+def interpret_cells(nl, bits):
+    """Output bits of a netlist computed from the cell views of Netlist.walk
+    alone: every net a (vectors,) array looked up by name.  A LutCell reads
+    its table at the vertex index of its input nets, an AddCell adds two
+    nets and a ScaleThresholdCell compares sum_b q_b * (2*pop_b - N~) with
+    q_tau, or the reverse when flipped."""
+    values = dict(zip(nl.input_names(), bits.T.astype(np.int64)))
+    for _layer, cells, _exported in nl.walk():
+        for cell in cells:
+            if isinstance(cell, hw.LutCell):
+                vertex = np.zeros(len(bits), np.int64)
+                for j, name in enumerate(cell.inputs):
+                    vertex |= values[name] << j
+                values[cell.out] = cell.table[vertex].astype(np.int64)
+            elif isinstance(cell, hw.AddCell):
+                values[cell.out] = values[cell.a] + values[cell.b]
+            else:
+                acc = sum(q * (2 * values[pop] - cell.n_tilde)
+                          for q, pop in zip(cell.q_gammas, cell.pops))
+                fire = acc <= cell.q_tau if cell.flip else acc >= cell.q_tau
+                values[cell.out] = np.broadcast_to(fire, len(bits)).astype(np.int64)
+    return np.stack([values[name] for name in nl.output_names()], axis=1).astype(np.uint8)
+
+
+def _hand_block(planes):
+    """One block over 8 bits at P = 3 overlapping windows of 6 slots, K = 6.
+    Channel 0 holds nodes of k_eff 0..6 in each plane, channel 1 a buffer
+    and an inverter of slot 2 and a 3-input node, channel 2 no node, and
+    channel 3 two 2-input nodes; channels 1 and 3 fire at or below q_tau."""
+    rng = np.random.default_rng(40 + planes)
+    k = 6
+    k_rows = [[0, 1, 2, 3, 4, 5, 6, 1, 1, 3, 2, 2], [6, 5, 4, 3, 2, 1, 0, 1, 1, 3, 2, 2]]
+    k_eff = np.array(k_rows[:planes])
+    tables = np.zeros(k_eff.shape + (1 << k,), np.uint8)
+    inputs = np.zeros(k_eff.shape + (k,), np.int64)
+    for b, n in np.ndindex(k_eff.shape):
+        ke = k_eff[b, n]
+        tables[b, n, :1 << ke] = rng.integers(0, 2, 1 << ke)
+        inputs[b, n, :ke] = rng.permutation(k)[:ke]
+    tables[:, 7, :2], tables[:, 8, :2] = [0, 1], [1, 0]
+    inputs[:, 7:9, 0] = 2
+    block = ComputeBlock(
+        layer=0, index_map=np.arange(3)[:, None] + np.arange(6),
+        offsets=np.array([0, 7, 10, 10, 12]), tables=tables, inputs=inputs, k_eff=k_eff,
+        q_gammas=np.array([3, 2][:planes]), q_tau=np.array([1, 0, 0, -1]),
+        flip=np.array([False, True, False, True]), acc_width=np.full(4, 8))
+    return hw.Netlist("hand", 8, [block])
+
+
+@pytest.mark.parametrize("planes", [1, 2])
+def test_simulate_equals_cell_interpreter_on_a_hand_built_block(planes):
+    nl = _hand_block(planes)
+    bits = hw.encode_pm1(exhaustive_pm1(8))
+    got = hw.simulate(nl, bits)
+    assert got.shape == (256, 12) and 0 < got.mean() < 1
+    assert np.array_equal(got, interpret_cells(nl, bits))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, None])   # None: the unread-column net
+def test_simulate_equals_cell_interpreter_exhaustively(k):
+    net = _planted_net(k) if k else _unread_column_net()
+    nl = hw.lower(net)
+    bits = hw.encode_pm1(exhaustive_pm1(net.input_shape[0]))
+    want = interpret_cells(nl, bits)
+    assert np.array_equal(hw.simulate(nl, bits), want)
+    # the netlist keeps no reference to the weights it was lowered from
+    for _i, layer in net.compute_layers():
+        layer.weights[...] = 0.0
+        if layer.lut is not None:
+            for field in (layer.lut.coeffs, layer.lut.masks, layer.lut.gammas):
+                field[...] = 0
+    assert np.array_equal(hw.simulate(nl, bits), want)
 
 
 @pytest.mark.parametrize("k", [2, 5])
