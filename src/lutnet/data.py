@@ -103,31 +103,59 @@ def _glyph_array(digit):
     return np.array([[1.0 if ch == "#" else 0.0 for ch in row] for row in g])
 
 
-def render_digit(digit, rng):
-    """One noisy 28x28 u8 rendering of a digit glyph."""
-    base = np.kron(_glyph_array(digit), np.ones((2, 2)))     # 16x16
-    if rng.random() < 0.5:   # thicken strokes
-        base = np.clip(base + np.roll(base, 1, axis=rng.integers(0, 2)), 0, 1)
-    img = np.zeros((28, 28))
-    dy, dx = rng.integers(-4, 5), rng.integers(-4, 5)
-    y0, x0 = 6 + dy, 6 + dx
-    img[y0:y0 + 16, x0:x0 + 16] = base * rng.uniform(0.65, 1.0)
-    if rng.random() < 0.6:   # 3x3 box blur
-        padded = np.pad(img, 1)
-        img = sum(padded[i:i + 28, j:j + 28] for i in range(3) for j in range(3)) / 9.0
-    img = img * 255.0 + rng.normal(0.0, 14.0, size=img.shape)
-    salt = rng.random(img.shape) < 0.01
-    img[salt] = rng.uniform(0, 255, size=int(salt.sum()))
+RENDER_CHUNK = 1000   # images per batch: keeps the float64 temporaries to a few MB
+
+
+def _glyph_bases():
+    """(10, 3, 16, 16): each digit glyph at twice its size, then thickened by
+    adding it rolled one pixel along axis 0, then along axis 1."""
+    bases = np.empty((10, 3, 16, 16))
+    for digit in range(10):
+        base = np.kron(_glyph_array(digit), np.ones((2, 2)))
+        bases[digit, 0] = base
+        for axis in (0, 1):
+            bases[digit, 1 + axis] = np.clip(base + np.roll(base, 1, axis=axis), 0, 1)
+    return bases
+
+
+def _render_digits(bases, labels, rng):
+    """One noisy 28x28 u8 rendering per label: the glyph (its strokes
+    thickened half the time), shifted by up to 4 pixels, intensity-jittered,
+    3x3 box-blurred 60 % of the time, plus Gaussian and salt noise.  Each
+    image draws from rng in turn; the pixel arithmetic runs on the batch."""
+    n = len(labels)
+    variant, scale, blur = np.zeros(n, np.int64), np.empty(n), np.empty(n, bool)
+    shift = np.empty((n, 2), np.int64)
+    noise, salt, salt_values = np.empty((n, 28, 28)), np.empty((n, 28, 28), bool), []
+    for i in range(n):
+        if rng.random() < 0.5:   # thicken strokes
+            variant[i] = 1 + rng.integers(0, 2)
+        shift[i] = rng.integers(-4, 5), rng.integers(-4, 5)
+        scale[i] = rng.uniform(0.65, 1.0)
+        blur[i] = rng.random() < 0.6
+        noise[i] = rng.normal(0.0, 14.0, size=(28, 28))
+        salt[i] = rng.random((28, 28)) < 0.01
+        salt_values.append(rng.uniform(0, 255, size=int(salt[i].sum())))
+    img = np.zeros((n, 28, 28))
+    y = (6 + shift[:, 0, None, None]) + np.arange(16)[:, None]
+    x = (6 + shift[:, 1, None, None]) + np.arange(16)
+    img[np.arange(n)[:, None, None], y, x] = bases[labels, variant] * scale[:, None, None]
+    padded = np.pad(img[blur], ((0, 0), (1, 1), (1, 1)))
+    img[blur] = sum(padded[:, i:i + 28, j:j + 28] for i in range(3) for j in range(3)) / 9.0
+    img = img * 255.0 + noise
+    img[salt] = np.concatenate(salt_values)
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
 def generate_toy_dataset(data_dir, n_train=10000, n_test=2000, seed=123):
     """Write the deterministic toy digit set as IDX files under data_dir."""
     os.makedirs(data_dir, exist_ok=True)
+    bases = _glyph_bases()
     for split, count, salt in (("train", n_train, 0), ("test", n_test, 1)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(salt,)))
         labels = rng.integers(0, 10, size=count)
-        images = np.stack([render_digit(int(d), rng) for d in labels])
+        images = np.concatenate([_render_digits(bases, labels[i:i + RENDER_CHUNK], rng)
+                                 for i in range(0, count, RENDER_CHUNK)])
         if split == "train":
             save_idx_images(os.path.join(data_dir, TRAIN_IMAGES), images)
             save_idx_labels(os.path.join(data_dir, TRAIN_LABELS), labels)

@@ -17,13 +17,18 @@ acyclic and every net has one driver by construction.
   reverse where flip[c].
 - A PoolBlock is a maxpool over bits: one OR LUT per output window.
 
-Nothing is stored per wire or per cell.  The cells and net names of a block
-are generated, in emission order, by its `cells` method, and the names of
-its output bits by `out_names`: this module is the one place that defines
-them, and verilog.emit_verilog renders what they yield.  `Netlist.cells` and
-`Netlist.nets` exist only for the benchmark (bench/workloads.py), which
-counts cells by type and matches Verilog tables by net name; both are views
-that store nothing.
+Nothing is stored per wire or per cell, and this module is the one place
+that defines cell order and net names.  A compute block's cells come in
+groups, one per channel and position, in the order of `groups`: per plane
+the node LUTs, then the adders of their popcount tree, then one threshold
+cell.  `plane_nets` names the nets of one plane of a group, `threshold`
+builds a group's threshold cell and `out_names` names the output bits;
+`port_reads` lists the previous bits a block's cells read, in order of first
+use.  `cells` generates the cell views from these, and verilog.emit_verilog
+renders the same groups a plane at a time straight from the arrays.
+`Netlist.cells` and `Netlist.nets` exist only for the benchmark
+(bench/workloads.py), which counts cells by type and matches Verilog tables
+by net name; both are views that store nothing.
 
 `simulate` evaluates the same arrays the cells are generated from, and
 nothing else: it never reads the network, so comparing it with
@@ -82,6 +87,26 @@ def _adder_tree(n: int) -> tuple:
     return tuple(adders)
 
 
+def plane_nets(stem: str, n_tilde: int, plane) -> tuple:
+    """Names of the nets of one plane of the cell group `stem`, which adds up
+    n_tilde >= 1 node outputs: (the node LUTs' output names in node order,
+    the adders as (a, b, out, width) in post order, the popcount net, which
+    is the last adder's output or, for one node, the node's)."""
+    leaves = [f"lut_{stem}_n{n}_b{plane}" for n in range(n_tilde)]
+    adders = []
+    for x, y, width in _adder_tree(n_tilde):
+        adders.append((leaves[x] if x >= 0 else adders[-x - 1][2],
+                       leaves[y] if y >= 0 else adders[-y - 1][2],
+                       f"pop_{stem}_b{plane}_s{len(adders)}", width))
+    return leaves, adders, adders[-1][2] if adders else leaves[0]
+
+
+def _first_use(reads: np.ndarray) -> np.ndarray:
+    """The distinct values of reads in order of first occurrence."""
+    _values, first = np.unique(reads, return_index=True)
+    return reads[np.sort(first)]
+
+
 @dataclass
 class ComputeBlock:
     layer: int                 # index of the layer in the network
@@ -99,50 +124,58 @@ class ComputeBlock:
     def positions(self) -> int:
         return self.index_map.shape[0]
 
-    def _cname(self, c: int, p: int) -> str:
-        return f"c{c}" if self.positions == 1 else f"c{c}_p{p}"
+    def groups(self):
+        """(channel, position, stem) of each cell group, in emission order:
+        per channel c and position p.  Group stem holds, per plane b, the
+        LUTs of nodes offsets[c]:offsets[c+1] and the adders that
+        plane_nets(stem, n_tilde, b) names, then one threshold cell."""
+        cname = "c{}" if self.positions == 1 else "c{}_p{}"
+        for c in range(len(self.offsets) - 1):
+            for p in range(self.positions):
+                yield c, p, f"l{self.layer}_" + cname.format(c, p)
 
     def out_names(self) -> list:
-        return [f"act_l{self.layer}_{self._cname(c, p)}"
-                for c in range(len(self.offsets) - 1) for p in range(self.positions)]
+        return [f"act_{stem}" for _c, _p, stem in self.groups()]
+
+    def threshold(self, c: int, stem: str, pops: list, out: str) -> ScaleThresholdCell:
+        """The threshold cell of group stem of channel c, reading pops."""
+        n_tilde = int(self.offsets[c + 1] - self.offsets[c])
+        return ScaleThresholdCell(pops, _width(n_tilde), n_tilde, self.q_gammas.tolist(),
+                                  int(self.q_tau[c]), bool(self.flip[c]),
+                                  int(self.acc_width[c]), out, f"th_{stem}")
 
     def reads(self) -> np.ndarray:
         """Indices of the previous block's bits that some table depends on."""
         live = np.arange(self.inputs.shape[2]) < self.k_eff[..., None]
         return np.unique(self.index_map[:, np.unique(self.inputs[live])])
 
+    def port_reads(self) -> np.ndarray:
+        """The bits of reads() in order of first use by the cells."""
+        live = np.arange(self.inputs.shape[2]) < self.k_eff[..., None]
+        offsets = self.offsets.tolist()
+        slots = [self.inputs[:, a:e][live[:, a:e]] for a, e in zip(offsets, offsets[1:])]
+        return _first_use(np.concatenate(
+            [self.index_map[p, slots[c]] for c, p, _stem in self.groups()]))
+
     def cells(self, in_names: list, out_names: list):
-        """Per channel and position: per plane the node LUTs, then the
-        post-order adder tree; then the threshold."""
-        li = self.layer
-        k_eff, inputs = self.k_eff.tolist(), self.inputs.tolist()
-        q_gammas, q_tau, flip = self.q_gammas.tolist(), self.q_tau.tolist(), self.flip.tolist()
-        acc_width, offsets = self.acc_width.tolist(), self.offsets.tolist()
-        planes = range(len(q_gammas))
+        """The cell views of each group of groups(), in emission order."""
+        k_eff, inputs, offsets = self.k_eff.tolist(), self.inputs.tolist(), self.offsets.tolist()
+        planes = range(self.inputs.shape[0])
         slot_names = [[in_names[i] for i in window].__getitem__   # per position
                       for window in self.index_map.tolist()]
-        for c in range(len(offsets) - 1):
+        for c, p, stem in self.groups():
             a, n_tilde = offsets[c], offsets[c + 1] - offsets[c]
-            adders = _adder_tree(n_tilde)
-            for p, slot_name in enumerate(slot_names):
-                cname = self._cname(c, p)
-                pops = []
-                for b in planes if n_tilde else ():
-                    leaves = [f"lut_l{li}_{cname}_n{n}_b{b}" for n in range(n_tilde)]
-                    tables, k_b, inputs_b = self.tables[b], k_eff[b], inputs[b]
-                    for n, out in enumerate(leaves, a):
-                        ke = k_b[n]
-                        yield LutCell(tables[n, :1 << ke],
-                                      list(map(slot_name, inputs_b[n][:ke])), out)
-                    sums = []
-                    for x, y, width in adders:
-                        sums.append(f"pop_l{li}_{cname}_b{b}_s{len(sums)}")
-                        yield AddCell(leaves[x] if x >= 0 else sums[-x - 1],
-                                      leaves[y] if y >= 0 else sums[-y - 1], sums[-1], width)
-                    pops.append(sums[-1] if sums else leaves[0])
-                yield ScaleThresholdCell(pops, _width(n_tilde), n_tilde, q_gammas, q_tau[c],
-                                         flip[c], acc_width[c],
-                                         out_names[c * self.positions + p], f"th_l{li}_{cname}")
+            slot_name, pops = slot_names[p], []
+            for b in planes if n_tilde else ():
+                leaves, adders, pop = plane_nets(stem, n_tilde, b)
+                tables, k_b, inputs_b = self.tables[b], k_eff[b], inputs[b]
+                for n, out in enumerate(leaves, a):
+                    ke = k_b[n]
+                    yield LutCell(tables[n, :1 << ke], list(map(slot_name, inputs_b[n][:ke])), out)
+                for adder in adders:
+                    yield AddCell(*adder)
+                pops.append(pop)
+            yield self.threshold(c, stem, pops, out_names[c * self.positions + p])
 
     def evaluator(self):
         """A function (V, previous bits) uint8 -> (V, C*P) uint8.
@@ -218,23 +251,26 @@ class PoolBlock:
         c, oh, ow, _s = self._grid()
         return [f"pool_l{self.layer}_c{ci}_p{p}" for ci in range(c) for p in range(oh * ow)]
 
-    def _windows(self) -> np.ndarray:
+    def windows(self) -> np.ndarray:
         """(C*OH*OW, s*s) previous-block bit of each window input, row-major."""
         c, oh, ow, s = self._grid()
         idx = np.arange(int(np.prod(self.in_shape))).reshape(c, oh, s, ow, s)
         return idx.transpose(0, 1, 3, 2, 4).reshape(c * oh * ow, s * s)
 
     def reads(self) -> np.ndarray:
-        return np.unique(self._windows())
+        return np.unique(self.windows())
+
+    def port_reads(self) -> np.ndarray:
+        return _first_use(self.windows().reshape(-1))
 
     def cells(self, in_names: list, out_names: list):
         or_table = np.ones(1 << (self.size * self.size), dtype=np.uint8)
         or_table[0] = 0
-        for out, window in zip(out_names, self._windows().tolist()):
+        for out, window in zip(out_names, self.windows().tolist()):
             yield LutCell(or_table, [in_names[i] for i in window], out)
 
     def evaluator(self):
-        windows = self._windows()
+        windows = self.windows()
         return lambda bits: bits[:, windows].max(axis=2)
 
 
@@ -248,9 +284,10 @@ class Netlist:
         return [f"x{i}" for i in range(self.n_inputs)]
 
     def walk(self):
-        """Per block, in order: (layer index, its cells in emission order,
-        names of its output bits that leave its module).  Those are all of
-        the last block's bits, and the bits the next block reads."""
+        """Per block, in order: (the block, the names of the bits it reads,
+        the names of its output bits, those of them that leave its module).
+        The last are all of the last block's bits, and the bits the next
+        block reads."""
         in_names = self.input_names()
         for i, block in enumerate(self.blocks):
             out_names = block.out_names()
@@ -258,7 +295,7 @@ class Netlist:
                 exported = [out_names[j] for j in self.blocks[i + 1].reads()]
             else:
                 exported = out_names
-            yield block.layer, block.cells(in_names, out_names), exported
+            yield block, in_names, out_names, exported
             in_names = out_names
 
     def output_names(self) -> list:
@@ -267,8 +304,8 @@ class Netlist:
     @property
     def cells(self):
         """Every cell view, block by block (benchmark only; stores nothing)."""
-        for _layer, cells, _exported in self.walk():
-            yield from cells
+        for block, in_names, out_names, _exported in self.walk():
+            yield from block.cells(in_names, out_names)
 
     @property
     def nets(self):

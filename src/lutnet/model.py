@@ -45,6 +45,7 @@ Conventions used by every engine and by the hardware path:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,7 +313,8 @@ class Windows:
 
     def rows(self, h: np.ndarray) -> np.ndarray:
         """(B, *in_shape) -> (B*positions, window)."""
-        return h.reshape(h.shape[0], -1)[:, self.index_map].reshape(-1, self.index_map.shape[1])
+        flat = h.reshape(h.shape[0], math.prod(self.in_shape))   # not -1: B may be 0
+        return flat[:, self.index_map].reshape(-1, self.index_map.shape[1])
 
     def rows_backward(self, drows: np.ndarray) -> np.ndarray:
         """Adjoint of rows: (B*positions, window) -> (B, *in_shape).  Each
@@ -326,7 +328,7 @@ class Windows:
     def outputs(self, y: np.ndarray) -> np.ndarray:
         """(B*positions, C) -> (B, *out_shape), channels first."""
         bsz = y.shape[0] // self.positions
-        return np.moveaxis(y.reshape(bsz, self.positions, -1), -1, 1).reshape(
+        return np.moveaxis(y.reshape(bsz, self.positions, self.out_shape[0]), -1, 1).reshape(
             (bsz,) + self.out_shape)
 
     def outputs_backward(self, d: np.ndarray) -> np.ndarray:

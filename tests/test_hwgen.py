@@ -7,7 +7,7 @@ from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import prune as pr
-from lutnet.errors import LoweringError, PortError
+from lutnet.errors import LoweringError, PackingError, PortError
 from lutnet.expand import reduce_dont_cares, shannon_decompose
 from lutnet.hwgen.netlist import ComputeBlock
 
@@ -210,32 +210,39 @@ def test_simulate_of_no_vectors_has_the_output_width():
     assert out.dtype == np.uint8 and out.shape == (0, 3)
 
 
+def test_forward_of_no_vectors_has_the_output_width():
+    net = _planted_net(2)
+    x = np.zeros((0, 8))
+    assert md.forward_hardened_bits(net, x).shape == (0, 3)
+    assert md.forward(net, x).shape == (0, 3)
+    assert hw.simulate(hw.lower(net), hw.encode_pm1(x)).shape == (0, 3)
+
+
 def test_simulate_names_the_rank_of_a_3d_input():
     with pytest.raises(PortError, match="rank 3"):
         hw.simulate(hw.lower(_planted_net(2)), np.zeros((2, 3, 8), np.uint8))
 
 
 def interpret_cells(nl, bits):
-    """Output bits of a netlist computed from the cell views of Netlist.walk
+    """Output bits of a netlist computed from its cell views (Netlist.cells)
     alone: every net a (vectors,) array looked up by name.  A LutCell reads
     its table at the vertex index of its input nets, an AddCell adds two
     nets and a ScaleThresholdCell compares sum_b q_b * (2*pop_b - N~) with
     q_tau, or the reverse when flipped."""
     values = dict(zip(nl.input_names(), bits.T.astype(np.int64)))
-    for _layer, cells, _exported in nl.walk():
-        for cell in cells:
-            if isinstance(cell, hw.LutCell):
-                vertex = np.zeros(len(bits), np.int64)
-                for j, name in enumerate(cell.inputs):
-                    vertex |= values[name] << j
-                values[cell.out] = cell.table[vertex].astype(np.int64)
-            elif isinstance(cell, hw.AddCell):
-                values[cell.out] = values[cell.a] + values[cell.b]
-            else:
-                acc = sum(q * (2 * values[pop] - cell.n_tilde)
-                          for q, pop in zip(cell.q_gammas, cell.pops))
-                fire = acc <= cell.q_tau if cell.flip else acc >= cell.q_tau
-                values[cell.out] = np.broadcast_to(fire, len(bits)).astype(np.int64)
+    for cell in nl.cells:
+        if isinstance(cell, hw.LutCell):
+            vertex = np.zeros(len(bits), np.int64)
+            for j, name in enumerate(cell.inputs):
+                vertex |= values[name] << j
+            values[cell.out] = cell.table[vertex].astype(np.int64)
+        elif isinstance(cell, hw.AddCell):
+            values[cell.out] = values[cell.a] + values[cell.b]
+        else:
+            acc = sum(q * (2 * values[pop] - cell.n_tilde)
+                      for q, pop in zip(cell.q_gammas, cell.pops))
+            fire = acc <= cell.q_tau if cell.flip else acc >= cell.q_tau
+            values[cell.out] = np.broadcast_to(fire, len(bits)).astype(np.int64)
     return np.stack([values[name] for name in nl.output_names()], axis=1).astype(np.uint8)
 
 
@@ -264,6 +271,37 @@ def _hand_block(planes):
     return hw.Netlist("hand", 8, [block])
 
 
+def _single_block(k, k_eff, offsets, seed):
+    """One dense block over 8 bits, K = k: channel c owns nodes
+    offsets[c]:offsets[c+1], node n of plane b has k_eff[b][n] random
+    inputs and a random table; channel 1 fires at or below q_tau."""
+    rng = np.random.default_rng(seed)
+    k_eff = np.array(k_eff)
+    tables = np.zeros(k_eff.shape + (1 << k,), np.uint8)
+    inputs = np.zeros(k_eff.shape + (k,), np.int64)
+    for b, n in np.ndindex(k_eff.shape):
+        ke = k_eff[b, n]
+        tables[b, n, :1 << ke] = rng.integers(0, 2, 1 << ke)
+        inputs[b, n, :ke] = rng.permutation(8)[:ke]
+    n_ch = len(offsets) - 1
+    block = ComputeBlock(
+        layer=1, index_map=np.arange(8)[None], offsets=np.array(offsets), tables=tables,
+        inputs=inputs, k_eff=k_eff, q_gammas=np.array([3, 2][:len(k_eff)]),
+        q_tau=np.arange(n_ch) - 1, flip=np.arange(n_ch) == 1, acc_width=np.full(n_ch, 8))
+    return hw.Netlist("single", 8, [block])
+
+
+def _one_node_block():
+    """Two planes; channel 0 holds one 2-input node, so no adder runs and its
+    pop is the leaf, channel 1 one constant and channel 2 three nodes."""
+    return _single_block(4, [[2, 0, 1, 3, 2], [4, 0, 2, 1, 0]], [0, 1, 2, 5], seed=45)
+
+
+def _seven_input_block():
+    """One plane of one channel: a 7-input node and a 2-input node."""
+    return _single_block(7, [[7, 2]], [0, 2], seed=46)
+
+
 @pytest.mark.parametrize("planes", [1, 2])
 def test_simulate_equals_cell_interpreter_on_a_hand_built_block(planes):
     nl = _hand_block(planes)
@@ -271,6 +309,47 @@ def test_simulate_equals_cell_interpreter_on_a_hand_built_block(planes):
     got = hw.simulate(nl, bits)
     assert got.shape == (256, 12) and 0 < got.mean() < 1
     assert np.array_equal(got, interpret_cells(nl, bits))
+
+
+@pytest.mark.parametrize("make", [_one_node_block, _seven_input_block],
+                         ids=["one-node", "seven-input"])
+def test_simulate_equals_cell_interpreter_on_a_dense_block(make):
+    nl = make()
+    bits = hw.encode_pm1(exhaustive_pm1(8))
+    got = hw.simulate(nl, bits)
+    assert 0 < got.mean() < 1
+    assert np.array_equal(got, interpret_cells(nl, bits))
+
+
+# netlist_pin of _hand_block(planes) and of _one_node_block(), recorded from
+# the emitter that rendered compute blocks cell by cell
+HAND_PINS = {
+    1: ("43955f72b9aaf685726834c3ce4c8657955e17341f4e24fc60cf65f027fa05a5",
+        "23c83b5f032d0a3de5ecaa15542d032cc03a8844a40e87bb829c3d515874a683",
+        {"lut": 36, "add": 27, "threshold": 12}),
+    2: ("1e605ef550ca72a35204c13a2f12b56e12389fa2facfa626ea0fe4ee62df71a0",
+        "7a63cb57e2ff65f3f63fbfb70eef589e21287863e6104308b56e0ea2524391c4",
+        {"lut": 72, "add": 54, "threshold": 12}),
+    "one-node": ("a2f5169a1ea473eab46684ac19359c754fc6b975ce0f65bfeea3f7a165fd545e",
+                 "cd6cff48affc7ad74f5aa8e46eccceabc8da6f8b3feaabbfc98200921cd1cc86",
+                 {"lut": 10, "add": 4, "threshold": 3}),
+}
+
+
+@pytest.mark.parametrize("name", list(HAND_PINS))
+def test_hand_built_netlist_matches_pin(name):
+    nl = _one_node_block() if name == "one-node" else _hand_block(name)
+    assert netlist_pin(nl) == HAND_PINS[name]
+    if name == "one-node":   # the one leaf is the pop
+        assert "{1'b0, lut_l1_c0_n0_b0[0:0]}" in hw.emit_verilog(nl)["single_l1.v"]
+
+
+def test_vendor_style_rejects_a_seven_input_lut():
+    nl = _seven_input_block()
+    text = hw.emit_verilog(nl)["single_l1.v"]
+    assert "(128'b" in text and "(4'b" in text
+    with pytest.raises(PackingError, match="7-input.*max 6"):
+        hw.emit_verilog(nl, style="vendor-primitive")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, None])   # None: the unread-column net
