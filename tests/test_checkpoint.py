@@ -119,17 +119,37 @@ def test_save_load_save_is_byte_identical(stage, tmp_path):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("stage", ["binarised", "expanded", "hardened"])
-def test_engines_follow_a_weight_change(stage):
-    # scaling the time-multiplexed layer's latent weights in place changes its
-    # residual levels: every engine must compute what the net loaded from the
-    # scaled weights computes
+def _scale_tm_weights(net):
+    # the time-multiplexed layer's residual levels
+    net.layers[0].weights *= 3.0
+
+
+def _negate_coeffs(net):
+    # the expanded layer's extension and hardened truth tables
+    net.layers[2].lut.coeffs *= -1.0
+
+
+def _raise_beta(net):
+    # the folded thresholds of the layer before the batch norm
+    net.layers[1].beta += 3.0
+
+
+@pytest.mark.parametrize("stage, change", [
+    ("binarised", _scale_tm_weights), ("expanded", _scale_tm_weights),
+    ("hardened", _scale_tm_weights), ("expanded", _negate_coeffs),
+    ("hardened", _negate_coeffs), ("hardened", _raise_beta)],
+    ids=["binarised", "expanded", "hardened", "expanded-coeffs", "hardened-coeffs",
+         "hardened-beta"])
+def test_engines_follow_a_weight_change(stage, change):
+    # an in-place change to a stored field changes what is derived from it:
+    # every engine must compute what the net loaded from the changed fields
+    # computes
     net = dict(tiny_stages())[stage]
     x = exhaustive_pm1(8)
-    before = md.forward(net, x)
-    net.layers[0].weights *= 3.0
+    before = _stage_forward(net, x)
+    change(net)
     fresh = ck.from_dict(ck.to_dict(ck.Checkpoint(net))).net
-    assert not np.array_equal(md.forward(fresh, x), before)
+    assert any(not np.array_equal(a, b) for a, b in zip(_stage_forward(fresh, x), before))
     for got, want in zip(_stage_forward(net, x), _stage_forward(fresh, x)):
         assert np.array_equal(got, want)
     if stage == "hardened":
