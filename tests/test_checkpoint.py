@@ -1,4 +1,4 @@
-"""Checkpoints: schema-1 and schema-3 files keep loading to the same hardware
+"""Checkpoints: schema-1, -3 and -4 files keep loading to the same hardware
 and a schema-2 file to the same function, a save -> load -> save round trip
 is byte-identical at every pipeline stage, the current schema stores nothing
 derivable, malformed input raises SchemaError, and no malformed input ends
@@ -25,6 +25,9 @@ V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v1.j
 V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_expanded_v2.json")
 # the hardened stage of tiny_stages(), saved as schema 3
 V3_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v3.json")
+# the hardened stage of tiny_stages(), saved as schema 4 by the writer that
+# still held masks and thresholds as layer fields
+V4_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v4.json")
 
 # forward_hardened_bits of the fixture on exhaustive_pm1(8), one digit per
 # input: bit j of the digit is output j's bit (+1 -> 1)
@@ -94,6 +97,18 @@ def test_v3_fixture_ignores_its_stored_derived_fields():
     fresh = tiny_stages()[-1][1]
     assert np.array_equal(md.forward_hardened_bits(net, x), md.forward_hardened_bits(fresh, x))
     assert verilog_sha256(net) == verilog_sha256(fresh)
+
+
+def test_v4_fixture_round_trips_and_reproduces_its_hardware():
+    # the v1 fixture holds the same net, so the same bits and Verilog
+    with open(V4_FIXTURE, encoding="ascii") as f:
+        raw = json.load(f)
+    loaded = ck.load_checkpoint(V4_FIXTURE)
+    assert ck.to_dict(loaded) == raw
+    net = loaded.net
+    assert net.stage == "hardened"
+    assert bits_digits(md.forward_hardened_bits(net, exhaustive_pm1(8))) == V1_BITS
+    assert verilog_sha256(net) == V1_VERILOG_SHA256
 
 
 def _stage_forward(net, x):
