@@ -3,24 +3,25 @@ field names.  Floats go through repr (shortest round-trip decimal), so
 load(save(x)) reproduces every tensor bit-for-bit; serialisation is
 key-sorted and therefore byte-deterministic for a given checkpoint.
 
-Schema 4 leaves out what loading can derive.  A compute layer holds its
+Schema 4 writes every field of every layer.  A compute layer holds its
 latent weights, prune mask and, once expanded, a `lut` block with the flat
-arrays of model.LutData: k, gammas, offsets, indices and coeffs.  A hardened
-checkpoint is its expanded checkpoint plus `frac_bits`: loading derives a
-hardened net's truth-table masks and folded thresholds (tau, flip) by
-expand.harden_network, the one place that computes them.  The residual
-levels are no field at all: `levels` in model.py derives them from the
-latent weights wherever they are read.
+arrays of model.LutData: k, gammas, offsets, indices and coeffs.  A
+hardened checkpoint is its expanded checkpoint plus `frac_bits`, as a
+hardened net is: truth tables, folded thresholds and residual levels are no
+fields at all, but derived from the stored ones wherever they are read
+(see model.py).  Loading a hardened checkpoint runs expand.harden_network
+for its checks.
 Phase-1 weights are stored until expansion only.  The LUT offsets and
 column 0 of the indices follow from the prune mask but stay stored: loading
 checks them against it, which is what catches a corrupted mask.
 
 Loading checks every field against the layer dimensions, every scalar
-for its JSON type (no string, bool or fraction is coerced), the name for a
-Verilog identifier, the LUT offsets and first inputs against the prune mask,
-every float for finiteness and every batch norm for a positive eps and a
-non-negative running variance, and raises SchemaError on malformed input,
-including a hardened net that harden_network rejects.  Older files still load:
+for its JSON type (no string, bool or fraction is coerced), K against the
+fabric's LUT (config.FABRIC_K), the name for a Verilog identifier, the LUT
+offsets and first inputs against the prune mask, every float for
+finiteness and every batch norm for a positive eps and a non-negative
+running variance, and raises SchemaError on malformed input, including a
+hardened net that harden_network rejects.  Older files still load:
   * schema 1: per-channel LUT lists are concatenated, and stored levels,
     node positions and reconnection flags are ignored;
   * schemas 1 and 2: each compute layer's scale `alpha` moves into the batch
@@ -28,8 +29,7 @@ including a hardened net that harden_network rejects.  Older files still load:
     variance and eps by alpha**2, so the layer computes the same function
     without the scale;
   * schemas 1 to 3: frac_bits is read from the fixed-point spec `fx`, and
-    the stored masks, tau, flip and batch-norm momentum are ignored and
-    derived again."""
+    the stored masks, tau, flip and batch-norm momentum are ignored."""
 
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .config import FABRIC_K
 from .errors import LutNetError, SchemaError
 from .expand import harden_network
 from .model import (STAGES, BatchNormLayer, ConvLayer, DenseLayer, LutData, MaxPoolLayer,
@@ -47,7 +48,6 @@ from .model import (STAGES, BatchNormLayer, ConvLayer, DenseLayer, LutData, MaxP
 from .training import TrainLog
 
 SCHEMA_VERSION = 4
-DERIVED = ("masks", "tau", "flip")   # fields that loading computes
 
 
 @dataclass
@@ -58,19 +58,16 @@ class Checkpoint:
 
 def _out(value):
     """JSON form of a layer field: arrays as nested lists (bool as 0/1) and
-    the LUT block as a dict of its stored arrays."""
+    the LUT block as a dict of its fields."""
     if isinstance(value, LutData):
-        return {f.name: _out(getattr(value, f.name)) for f in fields(value)
-                if f.name not in DERIVED}
+        return {f.name: _out(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
         return (value.astype(int) if value.dtype == bool else value).tolist()
     return value
 
 
 def _layer_out(layer):
-    """A layer's fields, less those loading derives."""
-    return {"kind": layer.kind, **{f.name: _out(getattr(layer, f.name))
-                                   for f in fields(layer) if f.name not in DERIVED}}
+    return {"kind": layer.kind, **{f.name: _out(getattr(layer, f.name)) for f in fields(layer)}}
 
 
 def to_dict(ckpt: Checkpoint) -> dict:
@@ -112,7 +109,8 @@ def _name(raw):
 
 def _array(raw, dtype, shape, what, optional=False):
     """A JSON array as a numpy array of dtype and exactly the given shape;
-    None stays None if the field is optional."""
+    None stays None if the field is optional.  An empty array has no values
+    to type: tolist() writes it as [], which numpy reads back as float64."""
     if raw is None:
         if optional:
             return None
@@ -121,7 +119,7 @@ def _array(raw, dtype, shape, what, optional=False):
         a = np.asarray(raw)
     except ValueError as e:
         raise SchemaError(f"{what} is a ragged array") from e
-    if a.dtype.kind not in ("biuf" if np.dtype(dtype).kind == "f" else "biu"):
+    if a.size and a.dtype.kind not in ("biuf" if np.dtype(dtype).kind == "f" else "biu"):
         raise SchemaError(f"{what} holds values of type {a.dtype}, expected {np.dtype(dtype)}")
     if a.shape != shape:
         if a.size or np.prod(shape):   # tolist() of an empty array keeps no shape
@@ -140,8 +138,8 @@ def _lut_in(raw, prune_mask, b_levels, what):
     if raw is None:
         return None
     k = _int(raw["k"], f"{what}.k")
-    if k < 1:
-        raise SchemaError(f"{what}.k must be >= 1, got {k}")
+    if not 1 <= k <= FABRIC_K:
+        raise SchemaError(f"{what}.k must be in [1, {FABRIC_K}], got {k}")
     n_out, window = prune_mask.shape
     offsets = _array(raw["offsets"], np.int64, (n_out + 1,), f"{what}.offsets")
     if not np.array_equal(offsets, np.concatenate(([0], np.cumsum(prune_mask.sum(axis=1))))):

@@ -31,7 +31,7 @@ def _build_parser():
             ("train", "phase-1 high-precision training"),
             ("prune", "threshold pruning, binarisation and phase-2 retraining"),
             ("expand", "logic expansion and phase-3 retraining"),
-            ("harden", "freeze masks, fold thresholds, attach fixed point"),
+            ("harden", "check batch norms fold to thresholds, attach fixed point"),
             ("simulate", "model-vs-netlist differential check"),
             ("emit", "write Verilog for the lowered netlist"),
             ("area", "physical LUT area report"),
@@ -164,7 +164,7 @@ def cmd_harden(cfg, args):
     net = ckpt.net
     ex.harden_network(net, frac_bits=cfg.frac_bits)
     save_checkpoint(ckpt, _ckpt_path(cfg, "hardened"))
-    print(f"harden: masks frozen, thresholds folded (F={cfg.frac_bits})")
+    print(f"harden: batch norms fold, fixed point F={cfg.frac_bits}")
     return 0
 
 

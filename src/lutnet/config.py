@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
+FABRIC_K = 6   # inputs of the fabric's LUT: the widest node K a network may have
+
 
 @dataclass
 class RunConfig:
@@ -35,8 +37,8 @@ class RunConfig:
     vectors: int = 10000
 
     def validate(self):
-        if not 1 <= self.k <= 8:
-            raise ConfigError(f"K must be in [1, 8], got {self.k}")
+        if not 1 <= self.k <= FABRIC_K:
+            raise ConfigError(f"K must be in [1, {FABRIC_K}], got {self.k}")
         if self.b < 1:
             raise ConfigError(f"B must be >= 1, got {self.b}")
         if self.target_density is not None and not 0.0 < self.target_density <= 1.0:

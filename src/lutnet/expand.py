@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics as nm
-from .config import check_frac_bits
+from .config import FABRIC_K, check_frac_bits
 from .errors import ExpansionError, FoldError
 
 
@@ -108,36 +108,6 @@ def reduce_dont_cares(tables: np.ndarray, k: int):
     return k_eff, kept, reduced
 
 
-MUX_TABLE = np.array([-1, 1, -1, 1, -1, -1, 1, 1], dtype=np.int8)
-# 2:1 mux truth table over inputs (bit0=lo, bit1=hi, bit2=sel): out = sel ? hi : lo
-CELL_K = 6   # widest cell of shannon_decompose: a fabric 6-LUT
-
-
-def shannon_decompose(table: np.ndarray, input_ids: list):
-    """Split a wide truth table into cells of at most CELL_K inputs via
-    recursive Shannon expansion on the highest input.
-
-    Returns a topologically ordered list of (table, inputs) cells computing the
-    original function at the last cell; an input is either an id from
-    input_ids or ("cell", j), the output of the j-th returned cell.
-    """
-    cells = []
-
-    def rec(tbl, ids):
-        k = len(ids)
-        if k <= CELL_K:
-            cells.append((np.asarray(tbl, dtype=np.int8), list(ids)))
-            return ("cell", len(cells) - 1)
-        cube = np.asarray(tbl).reshape((2,) * k)
-        lo_ref = rec(np.take(cube, 0, axis=0).reshape(-1), ids[:-1])
-        hi_ref = rec(np.take(cube, 1, axis=0).reshape(-1), ids[:-1])
-        cells.append((MUX_TABLE.copy(), [lo_ref, hi_ref, ids[-1]]))
-        return ("cell", len(cells) - 1)
-
-    rec(table, list(input_ids))
-    return cells
-
-
 # ---------------------------------------------------------------------------
 # network-level expansion
 
@@ -188,8 +158,8 @@ def expand_network(net, k: int, seed: int):
     from .model import LutData, levels, require_stage
 
     require_stage(net, "binarised")
-    if k < 1:
-        raise ExpansionError(f"K must be >= 1, got {k}")
+    if not 1 <= k <= FABRIC_K:
+        raise ExpansionError(f"K must be in [1, {FABRIC_K}], got {k}")
     for li, layer in net.compute_layers():
         if not layer.unrolled:
             continue
@@ -215,21 +185,20 @@ def expand_network(net, k: int, seed: int):
 
 
 def harden_network(net, frac_bits: int = 8):
-    """Freeze trained coefficients into truth-table masks, fold batch norms into
-    per-neuron thresholds and set the fractional bits of the fixed point.  The
-    only place masks and thresholds are computed: loading a hardened
-    checkpoint calls it too.  Stage: expanded -> hardened."""
+    """Set the fractional bits of the fixed point, once every compute layer's
+    following batch norm folds into thresholds.  Nothing is stored: the
+    engines and the netlist take truth tables from harden_masks and
+    thresholds from model.fold_batchnorm where they read them.  Loading a
+    hardened checkpoint calls it too.  Stage: expanded -> hardened."""
     from .model import fold_batchnorm, require_stage
 
     require_stage(net, "expanded")
     check_frac_bits(frac_bits)
-    for li, layer in net.compute_layers():
-        if layer.lut is not None:
-            layer.lut.masks = harden_masks(layer.lut.coeffs)
+    for li, _layer in net.compute_layers():
         bn = net.bn_after(li)
         if bn is None:
             raise FoldError(f"layer l{li} has no following batch-norm to fold")
-        layer.tau, layer.flip = fold_batchnorm(bn)
+        fold_batchnorm(bn)
     net.frac_bits = frac_bits
     net.stage = "hardened"
     return net

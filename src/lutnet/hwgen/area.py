@@ -5,8 +5,8 @@ Packing rules: a fabric 6-LUT hosts one logical 6-LUT, or two smaller logical
 LUTs whose combined distinct inputs fit in 5 (equivalently: 5-LUT pairs need
 >= 5 shared inputs, 4-LUT pairs >= 3, 3-LUT pairs >= 1, 1-/2-LUT pairs pack
 unconditionally).  Buffers, inverters and constants cost nothing: they are
-absorbed into the downstream adder logic.  Tables wider than 6 inputs are
-split by Shannon expansion before packing."""
+absorbed into the downstream adder logic.  No table is wider than the
+fabric's LUT (config.FABRIC_K); pack_estimate rejects one that is."""
 
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .. import model as md
+from ..config import FABRIC_K
 from ..errors import PackingError
-from ..expand import shannon_decompose
 from .lower import lower
 from .netlist import PoolBlock, _width
 
@@ -44,8 +44,6 @@ def threshold_cost(n_tilde: int, n_planes: int, frac_bits: int) -> int:
 
 
 def can_pack(k1: int, inputs1: frozenset, k2: int, inputs2: frozenset) -> bool:
-    if k1 > 6 or k2 > 6:
-        raise PackingError(f"logical LUT wider than 6 inputs (K={max(k1, k2)})")
     if k1 == 6 or k2 == 6:
         return False
     return len(inputs1 | inputs2) <= 5
@@ -57,8 +55,8 @@ def pack_estimate(luts: list) -> int:
     items = sorted(((int(k), frozenset(ins)) for k, ins in luts),
                    key=lambda t: -t[0])
     for k, _ins in items:
-        if k > 6:
-            raise PackingError(f"logical LUT wider than 6 inputs (K={k})")
+        if k > FABRIC_K:
+            raise PackingError(f"logical LUT wider than {FABRIC_K} inputs (K={k})")
     used = [False] * len(items)
     physical = 0
     for i, (k1, in1) in enumerate(items):
@@ -129,18 +127,9 @@ def _block_logical_luts(block):
     for ci, b, n in wide:
         keff = int(k_eff[b, n])
         ins = block.inputs[b, n, :keff].tolist()
-        if keff > 6:
-            cells = shannon_decompose(block.tables[b, n, :1 << keff], ins)
-            for p in range(positions):
-                for _tbl, ids in cells:
-                    uniq = frozenset((ci, b, n, p, "cell", i[1]) if isinstance(i, tuple)
-                                     else (ci, p, i) for i in ids)
-                    luts.append((len(ids), uniq))
-                logical += len(cells)
-        else:
-            for p in range(positions):
-                luts.append((keff, frozenset((ci, p, i) for i in ins)))
-            logical += positions
+        for p in range(positions):
+            luts.append((keff, frozenset((ci, p, i) for i in ins)))
+        logical += positions
     return luts, hist, logical
 
 

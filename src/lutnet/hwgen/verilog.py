@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import FABRIC_K
 from ..errors import PackingError
 from .netlist import ComputeBlock, Netlist, PoolBlock, ScaleThresholdCell, plane_nets
 
@@ -61,8 +62,8 @@ def _table_head(table: np.ndarray, vendor: bool) -> str:
     if not k:
         return f"1'b{table[0]}"
     if vendor:
-        if k > 6:
-            raise PackingError(f"vendor mode cannot instantiate a {k}-input LUT (max 6)")
+        if k > FABRIC_K:
+            raise PackingError(f"vendor mode cannot instantiate a {k}-input LUT (max {FABRIC_K})")
         value = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
         return f"LUT{k} #(.INIT({len(table)}'h{value:0{(len(table) + 3) // 4}X})) "
     return f"({len(table)}'b{(table[::-1] + ord('0')).tobytes().decode()} >> {{"

@@ -17,17 +17,18 @@ engine only maps rows (rows, window) -> (rows, C), and the netlist builder
 wires each window by the same map.
 
 An expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
-the wiring `indices` (N, K), per-plane `coeffs` and hardened `masks`
-(B, N, 2**K), and channel `offsets` (C+1,), channel c owning nodes
-offsets[c]:offsets[c+1].  `LutData.channels` gives per-channel views of them.
+the wiring `indices` (N, K), per-plane `coeffs` (B, N, 2**K), and channel
+`offsets` (C+1,), channel c owning nodes offsets[c]:offsets[c+1].
+`LutData.channels` gives per-channel views of them.
 Phase 3 evaluates a whole layer's nodes at once: on +-1 inputs a node reads
 only its vertex, so each layer tabulates its nodes' terms per vertex and
 gathers them by slot, one value per (row, node) forward and one K-vector
 backward (see expand.py).
 
-A hardened network is its expanded network plus `frac_bits`: the truth-table
-masks, folded thresholds `tau` and `flip` are computed from the coefficients
-and batch norms by expand.harden_network, and by nothing else.
+A hardened network is its expanded network plus `frac_bits`: no mask or
+threshold is stored.  The hardened engines and the netlist read each node's
+truth tables as expand.harden_masks of its coefficients, and each layer's
+thresholds as fold_batchnorm of the batch norm after it.
 
 Conventions used by every engine and by the hardware path:
   * hidden activation is sign(batchnorm(.)) with sign(0) = +1; the batch-norm
@@ -74,8 +75,6 @@ class DenseLayer:
     prune_mask: np.ndarray = None       # bool (out, in); False => weight held at 0
     phase1_weights: np.ndarray = None   # pre-pruning copy, kept for reconnection until expansion
     lut: "LutData" = None               # set by logic expansion
-    tau: np.ndarray = None              # folded thresholds, set at harden
-    flip: np.ndarray = None
 
     kind = "dense"
 
@@ -95,8 +94,6 @@ class ConvLayer:
     prune_mask: np.ndarray = None
     phase1_weights: np.ndarray = None
     lut: "LutData" = None
-    tau: np.ndarray = None
-    flip: np.ndarray = None
 
     kind = "conv"
 
@@ -150,14 +147,14 @@ class LutData:
     position of their preserved input, which is column 0 of `indices`; the
     other K-1 columns are the drawn inputs.  Node n of plane b computes the
     interpolating extension with coefficients coeffs[b, n] and, once
-    hardened, the truth table masks[b, n] (vertex encoding of expand.py)."""
+    hardened, the truth table expand.harden_masks(coeffs)[b, n] (vertex
+    encoding of expand.py)."""
 
     k: int
     gammas: np.ndarray           # (B,) per-plane output scales
     offsets: np.ndarray          # (C+1,) int64 node offsets per channel
     indices: np.ndarray          # (N, K) int64 window index of each node input
     coeffs: np.ndarray           # (B, N, 2**K) interpolation coefficients
-    masks: np.ndarray = None     # (B, N, 2**K) int8 in {-1,+1} once hardened
 
     def spans(self) -> list:
         """(start, end) node range of each channel, in channel order."""
@@ -701,19 +698,22 @@ def _hardened_layer_sums(layer, flat_bits, b):
         return [s.astype(np.int64) for s in _binary_dots(layer, flat_bits, levels(layer, b))]
     lut = layer.lut
     slot = _vertex_slots(lut, flat_bits) ^ ((1 << lut.k) - 1)
+    masks = ex.harden_masks(lut.coeffs)
     return [s.astype(np.int64)
-            for s in _channel_sums(lut, [np.take(m.reshape(-1), slot) for m in lut.masks])]
+            for s in _channel_sums(lut, [np.take(m.reshape(-1), slot) for m in masks])]
 
 
-def quantise_layer(layer, b: int, frac_bits: int, what: str):
-    """(q_gammas (B,), q_tau (C,), acc_width (C,)) of a hardened compute layer,
-    for forward_hardened_bits and the netlist: scales and thresholds at
-    frac_bits, and each channel's two's-complement accumulator bits for
+def quantise_layer(layer, bn, b: int, frac_bits: int, what: str):
+    """(q_gammas (B,), q_tau (C,), flip (C,), acc_width (C,)) of a hardened
+    compute layer and the batch norm bn after it, for forward_hardened_bits
+    and the netlist: scales and the thresholds bn folds to at frac_bits, and
+    each channel's two's-complement accumulator bits for
     sum_b |q_b| * N~ + |q_tau|, in Python integers so that they cannot wrap."""
     n_tilde = layer.prune_mask.sum(axis=1)   # nodes per channel, as in the LUT offsets
     q_gammas = np.array([quantise(float(g), frac_bits) for g in _plane_gammas(layer, b)],
                         dtype=np.int64)
-    q_tau = np.array([quantise(float(t), frac_bits) for t in layer.tau], dtype=np.int64)
+    tau, flip = fold_batchnorm(bn)
+    q_tau = np.array([quantise(float(t), frac_bits) for t in tau], dtype=np.int64)
     scale = sum(abs(q) for q in q_gammas.tolist())
     acc_width = np.array([max(1, (scale * n + abs(t)).bit_length()) + 1
                           for n, t in zip(n_tilde.tolist(), q_tau.tolist())], dtype=np.int64)
@@ -722,7 +722,7 @@ def quantise_layer(layer, b: int, frac_bits: int, what: str):
         c = int(over[0])
         raise LoweringError(f"{what}_c{c}: accumulator needs {acc_width[c]} bits "
                             f"(> {ACC_WIDTH_CAP}); reduce fixed-point fractional bits")
-    return q_gammas, q_tau, acc_width
+    return q_gammas, q_tau, flip, acc_width
 
 
 def _hardened_layer(layer, rows, b):
@@ -762,9 +762,10 @@ def forward_hardened_bits(net: Network, x) -> np.ndarray:
             h = _pool_forward(h, layer.size)
             continue
         win = windows(layer, h.shape[1:])
-        q_gammas, q_tau, _width = quantise_layer(layer, net.b_levels, net.frac_bits, f"l{idx}")
+        q_gammas, q_tau, flip, _width = quantise_layer(layer, net.bn_after(idx), net.b_levels,
+                                                       net.frac_bits, f"l{idx}")
         s_list = _hardened_layer_sums(layer, win.rows(h), net.b_levels)
         acc = sum(q * s for q, s in zip(q_gammas, s_list))
-        fire = np.where(layer.flip, acc <= q_tau, acc >= q_tau)
+        fire = np.where(flip, acc <= q_tau, acc >= q_tau)
         h = win.outputs(np.where(fire, 1.0, -1.0))
     return h

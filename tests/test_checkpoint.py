@@ -4,6 +4,7 @@ is byte-identical at every pipeline stage, the current schema stores nothing
 derivable, malformed input raises SchemaError, and no malformed input ends
 in a traceback of the command line."""
 
+import copy
 import hashlib
 import json
 import os
@@ -13,12 +14,14 @@ import pytest
 
 from lutnet import checkpoint as ck
 from lutnet import cli
+from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
+from lutnet import prune as pr
 from lutnet.errors import SchemaError
 from lutnet.training import TrainLog
 
-from conftest import exhaustive_pm1, netlist_pin, tiny_stages
+from conftest import exhaustive_pm1, make_tiny_net, netlist_pin, tiny_stages
 
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v1.json")
 # the expanded stage of tiny_stages(), saved as schema 2
@@ -171,6 +174,58 @@ def test_engines_follow_a_weight_change(stage, change):
         assert netlist_pin(hw.lower(net)) == netlist_pin(hw.lower(fresh))
 
 
+def _fully_pruned_stages():
+    """{stage: net} of make_tiny_net() with every weight of l2 pruned,
+    expanded at K=3 and hardened: l2 has no LUT node."""
+    net = make_tiny_net()
+    pr.prune_threshold(net, 0.0)
+    net.layers[2].prune_mask[:] = False
+    net.layers[2].weights[:] = 0.0
+    pr.binarise_network(net)
+    ex.expand_network(net, k=3, seed=11)
+    expanded = copy.deepcopy(net)
+    return {"expanded": expanded, "hardened": ex.harden_network(net)}
+
+
+@pytest.mark.parametrize("stage", ["expanded", "hardened"])
+def test_fully_pruned_layer_round_trips(stage, tmp_path):
+    # tolist() of the (0, K) indices is [], which numpy reads as float64
+    net = _fully_pruned_stages()[stage]
+    assert net.layers[2].lut.indices.shape == (0, 3)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    ck.save_checkpoint(ck.Checkpoint(net), str(first))
+    loaded = ck.load_checkpoint(str(first)).net
+    ck.save_checkpoint(ck.Checkpoint(loaded), str(second))
+    assert first.read_bytes() == second.read_bytes()
+    x = exhaustive_pm1(8)
+    for got, want in zip(_stage_forward(loaded, x), _stage_forward(net, x)):
+        assert np.array_equal(got, want)
+    if stage == "hardened":
+        assert np.array_equal(hw.simulate(hw.lower(loaded), hw.encode_pm1(x)),
+                              hw.encode_pm1(md.forward_hardened_bits(loaded, x)))
+
+
+def _prune_all_of_l2(k):
+    """Tamper: prune every weight of the tiny net's expanded l2 and store its
+    empty LUT block at K = k."""
+    def tamper(raw):
+        layer = raw["layers"][2]
+        layer["prune_mask"] = [[0] * len(r) for r in layer["prune_mask"]]
+        layer["lut"].update(k=k, offsets=[0, 0, 0, 0], indices=[], coeffs=[[], []])
+    return tamper
+
+
+def test_loader_bounds_k_at_the_fabric_lut():
+    # an empty layer holds no coefficient to size, so only the bound stops a
+    # K whose 2**K vertices would not fit in memory
+    raw = _hardened_dict()
+    _prune_all_of_l2(6)(raw)
+    assert ck.from_dict(raw).net.layers[2].lut.k == 6
+    _prune_all_of_l2(7)(raw)
+    with pytest.raises(SchemaError, match=r"l2.lut.k must be in \[1, 6\], got 7"):
+        ck.from_dict(raw)
+
+
 def test_schema2_stores_nothing_derivable():
     stages = dict(tiny_stages())
     pruned = ck.to_dict(ck.Checkpoint(stages["pruned"]))
@@ -249,6 +304,7 @@ TAMPERED = {
     "b_levels not an integer": _set(("b_levels",), 2.5),
     "schema_version not an integer": _set(("schema_version",), 4.0),
     "k not an integer": _set(LUT + ("k",), 3.0),
+    "k past the fabric's 6 on a fully pruned layer": _prune_all_of_l2(7),
     "layer size not an integer": _set(("layers", 0, "in_features"), 8.0),
     "batch-norm size a string": _set(("layers", 1, "num_features"), "4"),
     "input size not an integer": _set(("input_shape", 0), 8.5),

@@ -80,6 +80,13 @@ def test_prune_without_a_setting_is_a_usage_error(tiny_ckpts, tmp_path, capsys):
     assert "theta / target_density" in capsys.readouterr().err
 
 
+def test_expand_past_the_fabric_lut_is_a_usage_error(tiny_ckpts, tmp_path, capsys):
+    argv = ["expand", "--k", "7", "--ckpt", tiny_ckpts["binarised"], "--out", str(tmp_path),
+            "--data", str(tmp_path / "data")]
+    assert cli.main(argv) == 2
+    assert "K must be in [1, 6], got 7" in capsys.readouterr().err
+
+
 def _bad_offsets():
     raw = to_dict(Checkpoint(tiny_stages()[-1][1]))
     raw["layers"][2]["lut"]["offsets"] = [0, 9, 7, 9]

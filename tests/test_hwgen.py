@@ -8,7 +8,8 @@ from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import prune as pr
 from lutnet.errors import LoweringError, PackingError, PortError
-from lutnet.expand import reduce_dont_cares, shannon_decompose
+from lutnet.expand import reduce_dont_cares
+from lutnet.hwgen import area
 from lutnet.hwgen.netlist import ComputeBlock
 
 from conftest import area_sha, exhaustive_pm1, fold_initial_scale, netlist_pin
@@ -109,28 +110,6 @@ class TestDetectDontCares:
         _assert_reduction(table[None], 5)
 
 
-def eval_cells(cells, assignment: dict) -> int:
-    """Evaluate a shannon_decompose cell list on a {-1,+1} input assignment."""
-    values = {}
-    for j, (tbl, ids) in enumerate(cells):
-        coords = [values[i[1]] if isinstance(i, tuple) and i[0] == "cell" else assignment[i]
-                  for i in ids]
-        values[j] = int(tbl[sum(1 << i for i, c in enumerate(coords) if c > 0)])
-    return values[len(cells) - 1]
-
-
-@pytest.mark.parametrize("k", [7, 8])
-def test_shannon_decompose_matches_table(k):
-    rng = np.random.default_rng(70 + k)
-    table = rng.choice(np.array([-1, 1], dtype=np.int8), size=1 << k)
-    ids = [f"x{j}" for j in range(k)]
-    cells = shannon_decompose(table, ids)
-    assert all(len(ins) <= 6 for _tbl, ins in cells)
-    for v in range(1 << k):
-        assignment = {ids[j]: 2 * b - 1 for j, b in enumerate(_bits(v, k))}
-        assert eval_cells(cells, assignment) == table[v]
-
-
 def _coeffs_for_tables(tables):
     """Interpolation coefficients whose hardened masks are exactly the given
     {-1,+1} tables (..., 2**K): c at the complement of vertex v is
@@ -143,12 +122,11 @@ def _coeffs_for_tables(tables):
     return coeffs
 
 
-def _planted_net(k, sizes=(8, 6, 3)):
-    """sizes[0] -> sizes[1] -> sizes[2], both layers expanded at K, channel 2
-    of the first layer fully pruned; every node table is planted: constants,
-    functions of a random subset of the node's inputs, and full random
-    functions."""
-    n_in, hidden, classes = sizes
+def _planted_net(k):
+    """8 -> 6 -> 3, both layers expanded at K, channel 2 of the first layer
+    fully pruned; every node table is planted: constants, functions of a
+    random subset of the node's inputs, and full random functions."""
+    n_in, hidden, classes = 8, 6, 3
     layers = [md.DenseLayer(n_in, hidden, unrolled=True), md.BatchNormLayer(hidden),
               md.DenseLayer(hidden, classes, unrolled=True), md.BatchNormLayer(classes),
               md.SoftmaxLayer()]
@@ -352,6 +330,13 @@ def test_vendor_style_rejects_a_seven_input_lut():
         hw.emit_verilog(nl, style="vendor-primitive")
 
 
+def test_area_rejects_a_seven_input_lut():
+    luts, hist, _logical = area._block_logical_luts(_seven_input_block().blocks[0])
+    assert hist == {2: 1, 7: 1}
+    with pytest.raises(PackingError, match=r"wider than 6 inputs \(K=7\)"):
+        area.pack_estimate(luts)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, None])   # None: the unread-column net
 def test_simulate_equals_cell_interpreter_exhaustively(k):
     net = _planted_net(k) if k else _unread_column_net()
@@ -363,7 +348,7 @@ def test_simulate_equals_cell_interpreter_exhaustively(k):
     for _i, layer in net.compute_layers():
         layer.weights[...] = 0.0
         if layer.lut is not None:
-            for field in (layer.lut.coeffs, layer.lut.masks, layer.lut.gammas):
+            for field in (layer.lut.coeffs, layer.lut.gammas):
                 field[...] = 0
     assert np.array_equal(hw.simulate(nl, bits), want)
 
@@ -454,25 +439,12 @@ PLANTED_AREA = {
     5: "e6bfd0842b54346d358a51322ea5a0cba792e0e3e876e92b720f20abc1cee3f0",
     6: "bb2d3fa3663d38de6454ee78cd60c1654412abe3d67f8e2ad22f180d8830ffad",
 }
-# the 10 -> 8 -> 3 planted net at K > 6, whose full-width tables are priced
-# through shannon_decompose
-WIDE_AREA = {
-    7: "b5c79ff065115c0047ab6c55df54a812b4d107b14a24ec7fcb19bf233e42ef5f",
-    8: "931aa1a67443110c4323d54a8c359826798158d008f47650bb2a154096c060e9",
-}
 UNREAD_AREA = "ba7f05a4ab25cfcc338a1a506688cbcbfa3026ac23a41aa3805fa26e538661e5"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_planted_area_matches_pin(k):
     assert area_sha(_planted_net(k)) == PLANTED_AREA[k]
-
-
-@pytest.mark.parametrize("k", [7, 8])
-def test_wide_planted_area_matches_pin(k):
-    net = _planted_net(k, (10, 8, 3))
-    assert max(hw.area_report(net).rows[0]["keff_hist"]) == k
-    assert area_sha(net) == WIDE_AREA[k]
 
 
 def test_unread_column_area_matches_pin():

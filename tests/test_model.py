@@ -10,8 +10,8 @@ from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
 from lutnet import training as tr
-from lutnet.errors import (ConfigError, DimensionError, FoldError, LoweringError, StageError,
-                           TrainingDivergedError)
+from lutnet.errors import (ConfigError, DimensionError, ExpansionError, FoldError,
+                           LoweringError, StageError, TrainingDivergedError)
 
 from conftest import exhaustive_pm1, make_tiny_net, rel_err, tiny_stages
 
@@ -337,6 +337,16 @@ def test_harden_rejects_frac_bits_outside_the_config_range(frac_bits):
     with pytest.raises(ConfigError, match=r"frac_bits must be in \[0, 24\]"):
         ex.harden_network(net, frac_bits=frac_bits)
     assert net.stage == "expanded"
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_expand_rejects_k_outside_the_fabric_lut(k):
+    net = make_tiny_net(hidden=8)   # l2 reads a window of 8, wide enough for K = 7
+    pr.prune_threshold(net, 0.0)
+    pr.binarise_network(net)
+    with pytest.raises(ExpansionError, match=rf"K must be in \[1, 6\], got {k}"):
+        ex.expand_network(net, k=k, seed=1)
+    assert net.stage == "binarised" and net.layers[2].lut is None
 
 
 class TestLutForms:
