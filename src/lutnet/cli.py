@@ -149,8 +149,8 @@ def cmd_prune(cfg, args):
 def cmd_expand(cfg, args):
     ckpt = _load_stage(cfg, args, "binarised")
     net = ckpt.net
-    xtr, ytr, xte, yte = _train_data(cfg)
     ex.expand_network(net, cfg.k, seed=cfg.seed)
+    xtr, ytr, xte, yte = _train_data(cfg)
     log = tr.run_phase3_retrain(net, (xtr, ytr), _phase_cfg(cfg))
     save_checkpoint(Checkpoint(net, ckpt.logs + [log]), _ckpt_path(cfg, "expanded"))
     _write(os.path.join(cfg.out_dir, "train_log_phase3.csv"), log.to_csv())

@@ -1,12 +1,22 @@
 """Physical-LUT area estimation of the netlist's blocks: logical-to-physical
 6-LUT packing, popcount adder cost and the per-layer breakdown report.
 
-Packing rules: a fabric 6-LUT hosts one logical 6-LUT, or two smaller logical
-LUTs whose combined distinct inputs fit in 5 (equivalently: 5-LUT pairs need
->= 5 shared inputs, 4-LUT pairs >= 3, 3-LUT pairs >= 1, 1-/2-LUT pairs pack
-unconditionally).  Buffers, inverters and constants cost nothing: they are
-absorbed into the downstream adder logic.  No table is wider than the
-fabric's LUT (config.FABRIC_K); pack_estimate rejects one that is."""
+Packing: a fabric 6-LUT hosts one logical 6-LUT, or two smaller logical LUTs
+whose distinct inputs fit in 5.  Buffers, inverters and constants cost
+nothing: they are absorbed into the downstream adder logic.  No table is
+wider than the fabric's LUT (config.FABRIC_K); pack_estimate rejects one.
+
+pack_estimate counts what a greedy gives that visits a block's LUTs with
+k_eff >= 2 largest first and pairs each with the first unused later LUT it
+fits with.  LUTs of different neurons (channel, position) share no input, so
+they fit only when k1 + k2 <= 5: a 3- with a 2-input LUT, or two 2-input
+ones.  LUTs of 3 or more inputs come first, so each pairs within its neuron
+if it can; each of a channel's P positions holds the same LUTs, so that is
+done once per channel and counts P times.  The rest is counts: each 3-input LUT
+left single (need3) takes an unused 2-input LUT (spare2) while any is left,
+and the other 2-input LUTs pair up, so physical = P*wide +
+ceil(max(P*(spare2 - need3), 0) / 2).  A 3-input LUT paired with a 2-input
+LUT of its own neuron takes one off both need3 and spare2: the same count."""
 
 from __future__ import annotations
 
@@ -20,20 +30,18 @@ from .. import model as md
 from ..config import FABRIC_K
 from ..errors import PackingError
 from .lower import lower
-from .netlist import PoolBlock, _width
+from .netlist import PoolBlock, _adder_tree, _width
 
 
 @lru_cache(maxsize=None)
 def popcount_cost(n: int) -> int:
-    """Physical LUTs of a balanced popcount tree over n bits, counting a w-bit
-    addition as w LUTs.  An estimate: monotone in n and asymptotically linear."""
+    """Physical LUTs of the netlist's balanced popcount tree over n bits,
+    counting each addition as the width of its wider, left operand.  An
+    estimate: monotone in n and asymptotically linear."""
     if n < 1:
         raise ValueError(f"popcount over {n} bits")
-    if n == 1:
-        return 0
-    a = (n + 1) // 2
-    b = n // 2
-    return popcount_cost(a) + popcount_cost(b) + _width(a)   # a >= b: the wider sum
+    tree = _adder_tree(n)
+    return sum(1 if a >= 0 else tree[-a - 1][2] for a, _b, _w in tree)
 
 
 def threshold_cost(n_tilde: int, n_planes: int, frac_bits: int) -> int:
@@ -43,37 +51,45 @@ def threshold_cost(n_tilde: int, n_planes: int, frac_bits: int) -> int:
     return (n_planes + 1) * acc_bits
 
 
-def can_pack(k1: int, inputs1: frozenset, k2: int, inputs2: frozenset) -> bool:
-    if k1 == 6 or k2 == 6:
-        return False
-    return len(inputs1 | inputs2) <= 5
+def _pack_channel(k_eff: np.ndarray, inputs: np.ndarray) -> tuple:
+    """(wide, need3, spare2) of the module docstring for one neuron of a
+    channel whose planes hold k_eff (B, m) and inputs (B, m, K).  LUTs go
+    largest first, then by plane, then by node."""
+    b, n = np.nonzero(k_eff > 1)
+    order = np.argsort(-k_eff[b, n], kind="stable")
+    ks = k_eff[b, n][order].tolist()
+    masks = [sum(1 << s for s in row[:k]) for row, k in zip(inputs[b, n][order].tolist(), ks)]
+    wide = need3 = 0
+    while ks and ks[0] > 2:
+        k, mask = ks.pop(0), masks.pop(0)
+        wide += 1
+        j = next((j for j, other in enumerate(masks) if (mask | other).bit_count() <= 5), None)
+        if j is None:
+            need3 += k == 3
+        else:
+            del ks[j], masks[j]
+    return wide, need3, len(ks)
 
 
-def pack_estimate(luts: list) -> int:
-    """Greedy largest-first pairing of logical LUTs [(k_eff, input net set)]
-    into physical 6-LUTs; unpaired LUTs cost one each."""
-    items = sorted(((int(k), frozenset(ins)) for k, ins in luts),
-                   key=lambda t: -t[0])
-    for k, _ins in items:
-        if k > FABRIC_K:
-            raise PackingError(f"logical LUT wider than {FABRIC_K} inputs (K={k})")
-    used = [False] * len(items)
-    physical = 0
-    for i, (k1, in1) in enumerate(items):
-        if used[i]:
-            continue
-        used[i] = True
-        physical += 1
-        if k1 == 6:
-            continue
-        for j in range(i + 1, len(items)):
-            if used[j]:
-                continue
-            k2, in2 = items[j]
-            if can_pack(k1, in1, k2, in2):
-                used[j] = True
-                break
-    return physical
+def pack_estimate(block) -> int:
+    """Physical 6-LUTs of the logical LUTs with k_eff >= 2 of one compute
+    block, paired channel by channel as the module docstring says."""
+    k_max = int(block.k_eff.max(initial=0))
+    if k_max > FABRIC_K:
+        raise PackingError(f"logical LUT wider than {FABRIC_K} inputs (K={k_max})")
+    offsets = block.offsets.tolist()
+    counts = np.array([_pack_channel(block.k_eff[:, a:e], block.inputs[:, a:e])
+                       for a, e in zip(offsets, offsets[1:])]).reshape(-1, 3).sum(0)
+    wide, need3, spare2 = (block.positions * counts).tolist()
+    return wide + (max(spare2 - need3, 0) + 1) // 2
+
+
+def _histogram(block) -> tuple:
+    """({k_eff: logical LUTs}, logical LUTs) of one compute block over all its
+    positions; buffers, inverters and constants count here but cost nothing."""
+    widths, counts = np.unique(block.k_eff, return_counts=True)
+    hist = {int(k): int(n) * block.positions for k, n in zip(widths, counts)}
+    return hist, block.positions * block.k_eff.size
 
 
 @dataclass
@@ -112,27 +128,6 @@ class AreaReport:
         return "\n".join(lines)
 
 
-def _block_logical_luts(block):
-    """Logical LUTs of one compute block as [(k_eff, input ids)], with the
-    histogram over reduced widths.  Input ids are (channel, position, window
-    slot) so sharing within one neuron instance is visible to the packer;
-    buffers/inverters/constants are zero-cost and excluded."""
-    k_eff, positions = block.k_eff, block.positions
-    widths, counts = np.unique(k_eff, return_counts=True)
-    hist = {int(k): int(n) * positions for k, n in zip(widths, counts)}
-    logical = int((k_eff <= 1).sum()) * positions
-    luts = []
-    channel = np.repeat(np.arange(len(block.offsets) - 1), np.diff(block.offsets))
-    wide = sorted((int(channel[n]), int(b), int(n)) for b, n in zip(*np.nonzero(k_eff > 1)))
-    for ci, b, n in wide:
-        keff = int(k_eff[b, n])
-        ins = block.inputs[b, n, :keff].tolist()
-        for p in range(positions):
-            luts.append((keff, frozenset((ci, p, i) for i in ins)))
-        logical += positions
-    return luts, hist, logical
-
-
 def area_report(net: md.Network) -> AreaReport:
     """Physical 6-LUT estimate of a hardened network, split into popcount
     operators, inference operators and other logic (thresholds, pooling).
@@ -152,8 +147,8 @@ def area_report(net: md.Network) -> AreaReport:
             continue
         layer = net.layers[li]
         positions = block.positions
-        luts, hist, logical = _block_logical_luts(block)
-        inference = pack_estimate(luts)
+        hist, logical = _histogram(block)
+        inference = pack_estimate(block)
 
         n_planes = len(block.q_gammas)
         nodes = [int(n) for n in np.diff(block.offsets) if n]   # a fully pruned channel costs no logic

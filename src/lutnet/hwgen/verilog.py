@@ -30,6 +30,8 @@ timestamps)."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from ..config import FABRIC_K
@@ -231,12 +233,10 @@ def _module(name: str, inputs, outputs, body: list) -> str:
 def parse_tables(text: str) -> dict:
     """Recover truth tables from behavioral LUT assigns: {lut name: bit array}.
     The table literal is MSB-first, so it is reversed back to index order."""
-    import re
-
     out = {}
     for m in re.finditer(r"assign (\w+) = \((\d+)'b([01]+) >>", text):
         name, nbits, bits = m.group(1), int(m.group(2)), m.group(3)
         if len(bits) != nbits:
             continue
-        out[name] = np.array([int(b) for b in reversed(bits)], dtype=np.uint8)
+        out[name] = np.frombuffer(bits.encode()[::-1], np.uint8) - ord("0")
     return out

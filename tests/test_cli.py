@@ -87,6 +87,15 @@ def test_expand_past_the_fabric_lut_is_a_usage_error(tiny_ckpts, tmp_path, capsy
     assert "K must be in [1, 6], got 7" in capsys.readouterr().err
 
 
+def test_expand_checks_k_before_it_loads_the_data(tiny_ckpts, tmp_path, capsys):
+    data = tmp_path / "data"
+    argv = ["expand", "--k", "5", "--ckpt", tiny_ckpts["binarised"], "--out", str(tmp_path),
+            "--data", str(data)]
+    assert cli.main(argv) == 1
+    assert "cannot feed a 5-LUT" in capsys.readouterr().err
+    assert not data.exists()
+
+
 def _bad_offsets():
     raw = to_dict(Checkpoint(tiny_stages()[-1][1]))
     raw["layers"][2]["lut"]["offsets"] = [0, 9, 7, 9]

@@ -7,6 +7,7 @@ from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import prune as pr
+from lutnet.config import FABRIC_K
 from lutnet.errors import LoweringError, PackingError, PortError
 from lutnet.expand import reduce_dont_cares
 from lutnet.hwgen import area
@@ -331,10 +332,97 @@ def test_vendor_style_rejects_a_seven_input_lut():
 
 
 def test_area_rejects_a_seven_input_lut():
-    luts, hist, _logical = area._block_logical_luts(_seven_input_block().blocks[0])
+    block = _seven_input_block().blocks[0]
+    hist, _logical = area._histogram(block)
     assert hist == {2: 1, 7: 1}
     with pytest.raises(PackingError, match=r"wider than 6 inputs \(K=7\)"):
-        area.pack_estimate(luts)
+        area.pack_estimate(block)
+
+
+# The packer that area.pack_estimate replaced, kept unchanged as its
+# reference: one greedy largest-first pass over every logical LUT of a block,
+# each identified by its input ids (channel, position, window slot).
+def reference_can_pack(k1: int, inputs1: frozenset, k2: int, inputs2: frozenset) -> bool:
+    if k1 == 6 or k2 == 6:
+        return False
+    return len(inputs1 | inputs2) <= 5
+
+
+def reference_pack_estimate(luts: list) -> int:
+    """Greedy largest-first pairing of logical LUTs [(k_eff, input net set)]
+    into physical 6-LUTs; unpaired LUTs cost one each."""
+    items = sorted(((int(k), frozenset(ins)) for k, ins in luts),
+                   key=lambda t: -t[0])
+    for k, _ins in items:
+        if k > FABRIC_K:
+            raise PackingError(f"logical LUT wider than {FABRIC_K} inputs (K={k})")
+    used = [False] * len(items)
+    physical = 0
+    for i, (k1, in1) in enumerate(items):
+        if used[i]:
+            continue
+        used[i] = True
+        physical += 1
+        if k1 == 6:
+            continue
+        for j in range(i + 1, len(items)):
+            if used[j]:
+                continue
+            k2, in2 = items[j]
+            if reference_can_pack(k1, in1, k2, in2):
+                used[j] = True
+                break
+    return physical
+
+
+def reference_logical_luts(block):
+    """Logical LUTs of one compute block as [(k_eff, input ids)], with the
+    histogram over reduced widths.  Input ids are (channel, position, window
+    slot) so sharing within one neuron instance is visible to the packer;
+    buffers/inverters/constants are zero-cost and excluded."""
+    k_eff, positions = block.k_eff, block.positions
+    widths, counts = np.unique(k_eff, return_counts=True)
+    hist = {int(k): int(n) * positions for k, n in zip(widths, counts)}
+    logical = int((k_eff <= 1).sum()) * positions
+    luts = []
+    channel = np.repeat(np.arange(len(block.offsets) - 1), np.diff(block.offsets))
+    wide = sorted((int(channel[n]), int(b), int(n)) for b, n in zip(*np.nonzero(k_eff > 1)))
+    for ci, b, n in wide:
+        keff = int(k_eff[b, n])
+        ins = block.inputs[b, n, :keff].tolist()
+        for p in range(positions):
+            luts.append((keff, frozenset((ci, p, i) for i in ins)))
+        logical += positions
+    return luts, hist, logical
+
+
+def _packing_block(rng):
+    """A compute block for the packer only (tables, thresholds and scales are
+    zeros): P = 1..3 positions of a window of at most 8 slots, so that LUTs
+    share inputs often, B = 1..3 planes, K = 2..6 and 1..5 channels of 0..5
+    nodes, each reading k_eff = 0..K distinct slots."""
+    positions, planes, n_ch = rng.integers(1, 4, 2).tolist() + [rng.integers(1, 6)]
+    k = rng.integers(2, 7)
+    slots = rng.integers(k, 9)
+    offsets = np.concatenate([[0], np.cumsum(rng.integers(0, 6, n_ch))])
+    k_eff = rng.integers(0, k + 1, (planes, offsets[-1]))
+    inputs = np.zeros(k_eff.shape + (k,), np.int64)
+    for b, n in np.ndindex(k_eff.shape):
+        inputs[b, n, :k_eff[b, n]] = rng.permutation(slots)[:k_eff[b, n]]
+    return ComputeBlock(
+        layer=0, index_map=np.arange(positions)[:, None] + np.arange(slots), offsets=offsets,
+        tables=np.zeros(k_eff.shape + (1 << k,), np.uint8), inputs=inputs, k_eff=k_eff,
+        q_gammas=np.zeros(planes, np.int64), q_tau=np.zeros(n_ch, np.int64),
+        flip=np.zeros(n_ch, bool), acc_width=np.full(n_ch, 8))
+
+
+def test_pack_estimate_equals_the_global_greedy():
+    rng = np.random.default_rng(48)
+    for _ in range(300):
+        block = _packing_block(rng)
+        luts, hist, logical = reference_logical_luts(block)
+        assert area.pack_estimate(block) == reference_pack_estimate(luts)
+        assert area._histogram(block) == (hist, logical)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, None])   # None: the unread-column net
