@@ -39,14 +39,18 @@ def _build_parser():
     ]:
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", default=None, help="config file (key=value sections)")
-        sp.add_argument("--ckpt", default=None, help="input checkpoint path override")
+        if name in ("train", "pipeline"):   # these start from a fresh network
+            sp.set_defaults(ckpt=None)
+        else:
+            sp.add_argument("--ckpt", default=None, help="input checkpoint path override")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--data", default=None, help="dataset directory override")
         sp.add_argument("--preset", default=None)
         sp.add_argument("--k", type=int, default=None)
         sp.add_argument("--b", type=int, default=None)
-        sp.add_argument("--theta", type=float, default=None)
-        sp.add_argument("--density", type=float, default=None)
+        prune_by = sp.add_mutually_exclusive_group()
+        prune_by.add_argument("--theta", type=float, default=None)
+        prune_by.add_argument("--density", type=float, default=None)
         sp.add_argument("--lambda", dest="lam", type=float, default=None)
         sp.add_argument("--epochs", default=None, help="E1,E2,E3")
         sp.add_argument("--batch", type=int, default=None)
@@ -211,7 +215,6 @@ def cmd_pipeline(cfg, args):
         code = step(cfg, args)
         if code:
             return code
-        args.ckpt = None   # subsequent stages read the files just written
     code = cmd_simulate(cfg, args)
     if code:
         print("pipeline: differential check FAILED")

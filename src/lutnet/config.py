@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -43,15 +44,18 @@ class RunConfig:
             raise ConfigError(f"B must be >= 1, got {self.b}")
         if self.target_density is not None and not 0.0 < self.target_density <= 1.0:
             raise ConfigError(f"target density must be in (0, 1], got {self.target_density}")
-        if self.theta is not None and self.theta < 0:
-            raise ConfigError(f"theta must be >= 0, got {self.theta}")
+        if self.theta is not None and not 0 <= self.theta < math.inf:   # also catches NaN
+            raise ConfigError(f"theta must be finite and >= 0, got {self.theta}")
         if min(self.epochs1, self.epochs2, self.epochs3) < 1:
             raise ConfigError("epochs must be >= 1 in every phase")
         for name in ("n_train", "n_test", "batch_size", "vectors"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        for name in ("lr", "lr3_factor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.style not in ("behavioral", "vendor-primitive"):
             raise ConfigError(f"unknown emission style {self.style!r}")
         check_frac_bits(self.frac_bits)

@@ -40,15 +40,16 @@ def _node_tables(layer, b):
     return tables, cols[:, None], offsets
 
 
-def _compute_block(li, layer, bn, win, b, frac_bits):
-    tables, indices, offsets = _node_tables(layer, b)
+def _compute_block(net, li, win):
+    layer = net.layers[li]
+    tables, indices, offsets = _node_tables(layer, net.b_levels)
     if indices.size and (indices.min() < 0 or indices.max() >= layer.window_size):
         raise LoweringError(f"l{li}: node inputs outside the window of {layer.window_size}")
     k_eff, kept, tables = reduce_dont_cares(tables, indices.shape[1])
     live = np.arange(indices.shape[1]) < k_eff[..., None]
     inputs = np.where(live, np.take_along_axis(indices[None], kept, axis=2), 0)
 
-    q_gammas, q_tau, flip, acc_width = md.quantise_layer(layer, bn, b, frac_bits, f"l{li}")
+    q_gammas, q_tau, flip, acc_width = md.quantise_layer(net, li)
     return ComputeBlock(layer=li, index_map=win.index_map, offsets=np.asarray(offsets, np.int64),
                         tables=tables.astype(np.uint8), inputs=inputs, k_eff=k_eff,
                         q_gammas=q_gammas, q_tau=q_tau, flip=flip, acc_width=acc_width)
@@ -67,7 +68,6 @@ def lower(net: md.Network) -> Netlist:
             shape = md.pool_out_shape(shape, layer.size)
         elif layer.kind in ("dense", "conv"):
             win = md.windows(layer, shape)
-            blocks.append(_compute_block(li, layer, net.bn_after(li), win, net.b_levels,
-                                         net.frac_bits))
+            blocks.append(_compute_block(net, li, win))
             shape = win.out_shape
     return Netlist(net.name, int(np.prod(net.input_shape)), blocks)

@@ -2,9 +2,11 @@
 
 A network is a sequential stack of dense/conv/batchnorm/maxpool/softmax layers.
 It moves through the stages real -> pruned -> binarised -> expanded -> hardened,
-and the stage picks the engine: `forward` returns inference logits at any
-stage through that stage's layer function (_LAYER_FN), and each training
-forward checks that its input is at the stage it trains.
+and the stage picks the engine: the layer forward and backward in
+_ENGINES[stage] for the one layer walk and its reverse, `backward`.  Each
+training forward checks that its input is at the stage it trains; `forward`
+and the quantised reference forward_hardened_bits (the walk with
+_bits_layer) infer INFER_BATCH samples at a time.
 
 Every compute layer is one windowed operator.  `windows` gives its geometry:
 the layer reads `positions` windows of its input and writes one value per
@@ -59,6 +61,7 @@ from .errors import DimensionError, FoldError, LoweringError, StageError
 STAGES = ("real", "pruned", "binarised", "expanded", "hardened")
 BN_MOMENTUM = 0.9   # running statistics keep this share of their old value per step
 ACC_WIDTH_CAP = 62  # exact int64 simulation bound
+INFER_BATCH = 500   # samples per block of an inference walk
 
 
 def require_stage(net: "Network", *allowed: str) -> None:
@@ -406,12 +409,13 @@ def _pool_backward(x, size, dy):
 # layer walk: owns all window geometry, engines see rows only
 
 
-def _forward_stack(net, x, training):
-    """Common layer walk.  The stage picks the layer function in _LAYER_FN,
-    which maps window rows (B*positions, window) to pre-activation rows
-    (B*positions, C) plus a cache; from the binarised stage on the network
-    input is binarised."""
-    layer_fn = _LAYER_FN[net.stage]
+def _forward_stack(net, x, training, layer_fn=None):
+    """Common layer walk.  layer_fn, by default the stage's forward in
+    _ENGINES, maps the window rows (B*positions, window) of compute layer idx
+    to its outputs (B*positions, C) plus a cache; from the binarised stage on
+    the network input is binarised.  _bits_layer folds the batch norm after
+    its layer into thresholds, so the walk skips batch norms for it."""
+    layer_fn = layer_fn or _ENGINES[net.stage][0]
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
     bsz = x.shape[0]
@@ -425,13 +429,14 @@ def _forward_stack(net, x, training):
     for idx, layer in enumerate(net.layers):
         if layer.kind in ("dense", "conv"):
             win = windows(layer, h.shape[1:])
-            y, cache = layer_fn(layer, win.rows(h), net.b_levels)
+            y, cache = layer_fn(net, idx, win.rows(h))
             caches.append(("compute", idx, (win, cache)))
             h = win.outputs(y)
         elif layer.kind == "batchnorm":
+            if layer_fn is _bits_layer:
+                continue
             head = _is_head_bn(net, idx)
-            feat = h
-            moved = feat if feat.ndim == 2 else np.moveaxis(feat, 1, -1)
+            moved = h if h.ndim == 2 else np.moveaxis(h, 1, -1)
             shp = moved.shape
             flat = moved.reshape(-1, shp[-1])
             if training:
@@ -442,34 +447,28 @@ def _forward_stack(net, x, training):
                 y = nm.batchnorm_forward(flat, layer.running_mean, layer.running_var,
                                          layer.gamma, layer.beta, layer.eps)
                 bn_cache = None
-            if head:
-                caches.append(("batchnorm", idx, (bn_cache, None, shp, head)))
-            else:
-                caches.append(("batchnorm", idx, (bn_cache, y, shp, head)))
+            caches.append(("batchnorm", idx, (bn_cache, None if head else y, shp, head)))
+            if not head:
                 y = nm.sign_pm1(y)
             h = y.reshape(shp) if len(shp) == 2 else np.moveaxis(y.reshape(shp), -1, 1)
         elif layer.kind == "maxpool":
             caches.append(("maxpool", idx, h))
             h = _pool_forward(h, layer.size)
-        elif layer.kind == "softmax":
-            caches.append(("softmax", idx, None))
-        else:
+        elif layer.kind != "softmax":
             raise ValueError(f"unknown layer kind {layer.kind}")
     return h, caches
 
 
-def _backward_stack(net, caches, dlogits, layer_bwd):
-    """Reverse walk; returns the parameter gradients.  layer_bwd(idx, layer,
-    cache, drows, grads) maps output gradient rows (B*positions, C) to
-    window-row gradients (B*positions, window) and records the layer's
-    parameter gradients in grads.  The gradient of the network input is not
-    formed."""
+def backward(net: Network, caches, dlogits):
+    """Parameter gradients of a training forward, by the reverse walk over
+    its caches.  The stage's layer backward in _ENGINES maps output gradient
+    rows (B*positions, C) to window-row gradients (B*positions, window) and
+    records the layer's parameter gradients.  The gradient of the network
+    input is not formed."""
+    layer_bwd = _ENGINES[net.stage][1]
     grads = {}
     d = nm.as_tensor(dlogits)
     for kind, idx, cache in reversed(caches):
-        layer = net.layers[idx]
-        if kind == "softmax":
-            continue
         if kind == "batchnorm":
             bn_cache, pre_sign, shp, head = cache
             if d.ndim > 2:
@@ -482,22 +481,34 @@ def _backward_stack(net, caches, dlogits, layer_bwd):
             grads[f"l{idx}.beta"] = dbeta
             d = dx.reshape(shp) if len(shp) == 2 else np.moveaxis(dx.reshape(shp), -1, 1)
         elif kind == "maxpool":
-            d = _pool_backward(cache, layer.size, d)
-        elif kind == "compute":
+            d = _pool_backward(cache, net.layers[idx].size, d)
+        else:
             win, inner = cache
-            drows = layer_bwd(idx, layer, inner, win.outputs_backward(d), grads)
+            drows = layer_bwd(net, idx, inner, win.outputs_backward(d), grads)
             if idx:   # layer 0 reads the network input
                 d = win.rows_backward(drows)
     return grads
+
+
+# the backward of each training phase, under the names that training._PHASES
+# calls so that the benchmark's tracer times each phase's backward
+backward_real = backward_binary = backward_lut = backward
 
 
 # ---------------------------------------------------------------------------
 # real-weight engine (phase 1)
 
 
-def _real_layer(layer, rows, _b):
+def _real_layer(net, idx, rows):
+    layer = net.layers[idx]
     w = layer.weights * layer.prune_mask
     return rows @ w.T, (rows, w)
+
+
+def _real_layer_bwd(net, idx, cache, drows, grads):
+    rows, w = cache
+    grads[f"l{idx}.weights"] = (drows.T @ rows) * net.layers[idx].prune_mask
+    return drows @ w
 
 
 def forward_real_train(net: Network, x):
@@ -505,20 +516,10 @@ def forward_real_train(net: Network, x):
     return _forward_stack(net, x, True)
 
 
-def backward_real(net: Network, caches, dlogits):
-    """Gradients for phase-1 training: weights and batch-norm parameters."""
-
-    def layer_bwd(idx, layer, cache, d, grads):
-        rows, w = cache
-        grads[f"l{idx}.weights"] = (d.T @ rows) * layer.prune_mask
-        return d @ w
-
-    return _backward_stack(net, caches, dlogits, layer_bwd)
-
-
 # ---------------------------------------------------------------------------
 # binarised engine (phase 2): the forward binarises the latent weights into
-# residual levels and hands them to the backward in its cache; inputs are +-1
+# residual levels, scales in closed form, untrained, and hands them to the
+# backward in its cache; inputs are +-1
 
 
 def _binary_dots(layer, xt, lv):
@@ -526,8 +527,9 @@ def _binary_dots(layer, xt, lv):
     return [xt @ (w_b * layer.prune_mask).T for w_b, _gamma in lv]
 
 
-def _binary_layer(layer, rows, b):
-    lv = levels(layer, b)
+def _binary_layer(net, idx, rows):
+    layer = net.layers[idx]
+    lv = levels(layer, net.b_levels)
     return combine_levels(_binary_dots(layer, rows, lv), [g for _w, g in lv]), (rows, lv)
 
 
@@ -536,22 +538,17 @@ def forward_binary_train(net: Network, x):
     return _forward_stack(net, x, True)
 
 
-def _binary_layer_bwd(idx, layer, cache, d, grads):
+def _binary_layer_bwd(net, idx, cache, d, grads):
     """STE gradient of a binary layer: the latent real weights receive the
     gradient of the binary weights reconstructed from the forward's levels,
     clip-gated at |w| <= 1."""
+    layer = net.layers[idx]
     rows, lv = cache
     grads[f"l{idx}.weights"] = (d.T @ rows) * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
     rec = np.zeros_like(layer.weights)
     for w_b, g in lv:
         rec += g * w_b
     return d @ (rec * layer.prune_mask)
-
-
-def backward_binary(net: Network, caches, dlogits):
-    """STE gradients for phase 2; the level scales are not trained: each
-    forward derives them in closed form from the latent weights."""
-    return _backward_stack(net, caches, dlogits, _binary_layer_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +614,10 @@ def _channel_sums(lut, planes):
             for t in planes]
 
 
-def _lut_layer(layer, rows, b):
-    if layer.lut is None:
-        return _binary_layer(layer, rows, b)
-    lut = layer.lut
+def _lut_layer(net, idx, rows):
+    lut = net.layers[idx].lut
+    if lut is None:
+        return _binary_layer(net, idx, rows)
     # row v of -vertices(K) is the point whose code is v
     value = ex.interp_basis(-ex.vertices(lut.k), lut.k)[1]   # (2**K,)
     slot = _vertex_slots(lut, rows)
@@ -633,16 +630,16 @@ def forward_lut_train(net: Network, x):
     return _forward_stack(net, x, True)
 
 
-def _lut_layer_bwd(idx, layer, cache, drows, grads):
+def _lut_layer_bwd(net, idx, cache, drows, grads):
     """Gradient of one layer in the expanded engine: coefficients, plane scales
     and inputs for expanded layers, the binary STE otherwise.  Each bincount
     adds in ascending row, then node, then input order."""
-    if layer.lut is None:
-        return _binary_layer_bwd(idx, layer, cache, drows, grads)
+    lut = net.layers[idx].lut
+    if lut is None:
+        return _binary_layer_bwd(net, idx, cache, drows, grads)
     slot, value, s_list = cache
-    lut = layer.lut
     k, n_nodes = lut.k, lut.indices.shape[0]
-    rows, window = slot.shape[0], layer.window_size
+    rows, window = slot.shape[0], net.layers[idx].window_size
     dnode = np.repeat(drows, np.diff(lut.offsets), axis=1)   # (rows, N)
     # value is +-2**K in each bin, so scaling the bin sums is exact; + 0.0
     # turns the -0.0 of an empty bin into the 0.0 a bincount gives
@@ -673,13 +670,6 @@ def _lut_layer_bwd(idx, layer, cache, drows, grads):
     return drows_in
 
 
-def backward_lut(net: Network, caches, dlogits):
-    """Phase-3 gradients: LUT coefficients and plane scales for expanded layers,
-    STE latent-weight gradients for time-multiplexed layers, batch-norm
-    parameters everywhere."""
-    return _backward_stack(net, caches, dlogits, _lut_layer_bwd)
-
-
 # ---------------------------------------------------------------------------
 # hardened engines
 
@@ -691,11 +681,13 @@ def _plane_gammas(layer, b):
     return np.array([g for _w, g in levels(layer, b)])
 
 
-def _hardened_layer_sums(layer, flat_bits, b):
-    """Per-plane integer sums (rows, C) of one hardened layer: its binary dots,
+def _hardened_layer_sums(net, idx, flat_bits):
+    """Per-plane integer sums (rows, C) of hardened layer idx: its binary dots,
     or its truth-table outputs per channel; sums of +-1 are exact in float64."""
+    layer = net.layers[idx]
     if layer.lut is None:
-        return [s.astype(np.int64) for s in _binary_dots(layer, flat_bits, levels(layer, b))]
+        return [s.astype(np.int64)
+                for s in _binary_dots(layer, flat_bits, levels(layer, net.b_levels))]
     lut = layer.lut
     slot = _vertex_slots(lut, flat_bits) ^ ((1 << lut.k) - 1)
     masks = ex.harden_masks(lut.coeffs)
@@ -703,39 +695,59 @@ def _hardened_layer_sums(layer, flat_bits, b):
             for s in _channel_sums(lut, [np.take(m.reshape(-1), slot) for m in masks])]
 
 
-def quantise_layer(layer, bn, b: int, frac_bits: int, what: str):
-    """(q_gammas (B,), q_tau (C,), flip (C,), acc_width (C,)) of a hardened
-    compute layer and the batch norm bn after it, for forward_hardened_bits
-    and the netlist: scales and the thresholds bn folds to at frac_bits, and
-    each channel's two's-complement accumulator bits for
+def quantise_layer(net: Network, idx: int):
+    """(q_gammas (B,), q_tau (C,), flip (C,), acc_width (C,)) of hardened
+    compute layer idx and the batch norm after it, for _bits_layer and the
+    netlist: scales and the thresholds the batch norm folds to at
+    net.frac_bits, and each channel's two's-complement accumulator bits for
     sum_b |q_b| * N~ + |q_tau|, in Python integers so that they cannot wrap."""
+    layer = net.layers[idx]
     n_tilde = layer.prune_mask.sum(axis=1)   # nodes per channel, as in the LUT offsets
-    q_gammas = np.array([quantise(float(g), frac_bits) for g in _plane_gammas(layer, b)],
-                        dtype=np.int64)
-    tau, flip = fold_batchnorm(bn)
-    q_tau = np.array([quantise(float(t), frac_bits) for t in tau], dtype=np.int64)
+    q_gammas = np.array([quantise(float(g), net.frac_bits)
+                         for g in _plane_gammas(layer, net.b_levels)], dtype=np.int64)
+    tau, flip = fold_batchnorm(net.bn_after(idx))
+    q_tau = np.array([quantise(float(t), net.frac_bits) for t in tau], dtype=np.int64)
     scale = sum(abs(q) for q in q_gammas.tolist())
     acc_width = np.array([max(1, (scale * n + abs(t)).bit_length()) + 1
                           for n, t in zip(n_tilde.tolist(), q_tau.tolist())], dtype=np.int64)
     over = np.flatnonzero(acc_width > ACC_WIDTH_CAP)
     if over.size:
         c = int(over[0])
-        raise LoweringError(f"{what}_c{c}: accumulator needs {acc_width[c]} bits "
+        raise LoweringError(f"l{idx}_c{c}: accumulator needs {acc_width[c]} bits "
                             f"(> {ACC_WIDTH_CAP}); reduce fixed-point fractional bits")
     return q_gammas, q_tau, flip, acc_width
 
 
-def _hardened_layer(layer, rows, b):
+def _hardened_layer(net, idx, rows):
     """Truth-table sums with real plane scales: hidden layers then meet the
     real batch norms' sign thresholds, the head their real affine.  Equals
     the binary engine for K=1 buffer/inverter masks."""
-    s_list = [s.astype(np.float64) for s in _hardened_layer_sums(layer, rows, b)]
-    return combine_levels(s_list, _plane_gammas(layer, b)), None
+    s_list = [s.astype(np.float64) for s in _hardened_layer_sums(net, idx, rows)]
+    return combine_levels(s_list, _plane_gammas(net.layers[idx], net.b_levels)), None
 
 
-# the engine of each stage: the layer function of its forward
-_LAYER_FN = {"real": _real_layer, "pruned": _real_layer, "binarised": _binary_layer,
-             "expanded": _lut_layer, "hardened": _hardened_layer}
+def _bits_layer(net, idx, rows):
+    """The quantised reference of layer idx and the batch norm after it, as
+    the netlist computes them: integer sums, scales and thresholds quantised
+    to net.frac_bits fractional bits, {-1,+1} threshold bits out."""
+    q_gammas, q_tau, flip, _width = quantise_layer(net, idx)
+    acc = sum(q * s for q, s in zip(q_gammas, _hardened_layer_sums(net, idx, rows)))
+    return np.where(np.where(flip, acc <= q_tau, acc >= q_tau), 1.0, -1.0), None
+
+
+# stage -> (layer forward, layer backward); a hardened net does not train
+_ENGINES = {"real": (_real_layer, _real_layer_bwd), "pruned": (_real_layer, _real_layer_bwd),
+            "binarised": (_binary_layer, _binary_layer_bwd),
+            "expanded": (_lut_layer, _lut_layer_bwd), "hardened": (_hardened_layer, None)}
+
+
+def _infer(net, x, layer_fn=None):
+    """The inference walk, INFER_BATCH samples at a time (an empty batch in
+    one block): samples are independent at inference, so blocks change no
+    output but bound memory."""
+    x = nm.as_tensor(x)
+    return np.concatenate([_forward_stack(net, x[a:a + INFER_BATCH], False, layer_fn)[0]
+                           for a in range(0, max(x.shape[0], 1), INFER_BATCH)])
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -743,29 +755,12 @@ def forward(net: Network, x) -> np.ndarray:
     network is scored with real plane scales and batch norms;
     forward_hardened_bits is its quantised reference."""
     require_stage(net, *STAGES)
-    logits, _ = _forward_stack(net, x, False)
-    return logits
+    return _infer(net, x)
 
 
 def forward_hardened_bits(net: Network, x) -> np.ndarray:
-    """Quantised reference of the lowered netlist: integer popcount sums, scales
-    and thresholds quantised to net.frac_bits fractional bits, every layer
-    (including the head) emitting {-1,+1} threshold bits."""
+    """Quantised reference of the lowered netlist: the inference walk with
+    the _bits_layer engine, every compute layer (including the head)
+    emitting {-1,+1} threshold bits."""
     require_stage(net, "hardened")
-    x = nm.as_tensor(x)
-    bsz = x.shape[0]
-    h = nm.sign_pm1(x.reshape((bsz,) + tuple(net.input_shape)))
-    for idx, layer in enumerate(net.layers):
-        if layer.kind in ("batchnorm", "softmax"):
-            continue
-        if layer.kind == "maxpool":
-            h = _pool_forward(h, layer.size)
-            continue
-        win = windows(layer, h.shape[1:])
-        q_gammas, q_tau, flip, _width = quantise_layer(layer, net.bn_after(idx), net.b_levels,
-                                                       net.frac_bits, f"l{idx}")
-        s_list = _hardened_layer_sums(layer, win.rows(h), net.b_levels)
-        acc = sum(q * s for q, s in zip(q_gammas, s_list))
-        fire = np.where(flip, acc <= q_tau, acc >= q_tau)
-        h = win.outputs(np.where(fire, 1.0, -1.0))
-    return h
+    return _infer(net, x, _bits_layer)

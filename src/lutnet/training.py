@@ -14,8 +14,6 @@ from . import numerics as nm
 from . import prune as pr
 from .errors import FormatError, TrainingDivergedError
 
-EVAL_BATCH = 500   # samples per inference forward in evaluate
-
 
 @dataclass
 class PhaseConfig:
@@ -78,8 +76,10 @@ def _check_labels(net, y):
                           f"{net.name}; got {y.min()} to {y.max()}")
 
 
-# phase -> (the stage it trains, its forward and backward in model); the
-# engines are looked up by name at each call
+# phase -> (the stage it trains, its forward and backward in model).  The
+# three backwards are one model.backward under three names, and all six are
+# looked up by name at each call, so that the benchmark's tracer times each
+# phase's passes
 _PHASES = {1: ("real", "forward_real_train", "backward_real"),
            2: ("binarised", "forward_binary_train", "backward_binary"),
            3: ("expanded", "forward_lut_train", "backward_lut")}
@@ -170,11 +170,7 @@ def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
 
 def evaluate(net: md.Network, x, y) -> float:
     """Test accuracy in percent from md.forward's logits (a hardened network
-    is scored with real plane scales and batch norms), EVAL_BATCH samples at
-    a time."""
+    is scored with real plane scales and batch norms)."""
     _check_labels(net, y)
-    correct = 0
-    for start in range(0, x.shape[0], EVAL_BATCH):
-        logits = md.forward(net, x[start:start + EVAL_BATCH])
-        correct += int(np.sum(np.argmax(logits, axis=1) == y[start:start + EVAL_BATCH]))
+    correct = int(np.sum(np.argmax(md.forward(net, x), axis=1) == y))
     return 100.0 * correct / x.shape[0]

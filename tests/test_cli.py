@@ -33,6 +33,51 @@ def test_zero_sized_run_is_a_usage_error(argv, sizes, message, tmp_path, capsys)
     assert message in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    """cli.main's exit code, also where argparse exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def _small_run(tmp_path, extra=""):
+    """argv tail of a config for a 20-sample toy run under tmp_path."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[data]\ndata_dir = {tmp_path / 'data'}\nn_train = 20\nn_test = 10\n{extra}")
+    return ["--config", str(cfg), "--out", str(tmp_path / "out"), "--epochs", "1,1,1",
+            "--vectors", "10"]
+
+
+@pytest.mark.parametrize("argv, extra, message", [
+    (["prune", "--theta", "nan"], "", "theta must be finite and >= 0, got nan"),
+    (["prune", "--theta", "inf"], "", "theta must be finite and >= 0, got inf"),
+    (["train", "--lr", "-1"], "", "lr must be finite and > 0, got -1.0"),
+    (["train", "--lr", "0"], "", "lr must be finite and > 0, got 0.0"),
+    (["train", "--lr", "nan"], "", "lr must be finite and > 0, got nan"),
+    (["train"], "[train]\nlr3_factor = -1\n", "lr3_factor must be finite and > 0, got -1.0"),
+    (["train", "--lambda", "nan"], "", "lambda must be finite and >= 0, got nan"),
+    (["train", "--lambda", "inf"], "", "lambda must be finite and >= 0, got inf"),
+])
+def test_non_finite_or_non_positive_number_is_a_usage_error(argv, extra, message, tmp_path,
+                                                             capsys):
+    assert cli.main(argv + _small_run(tmp_path, extra)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_theta_and_density_together_are_a_usage_error(tmp_path, capsys):
+    argv = ["pipeline", "--theta", "0.1", "--density", "0.5"] + _small_run(tmp_path)
+    assert _exit_code(argv) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_commands_that_load_no_checkpoint_reject_ckpt(command, tmp_path, capsys):
+    argv = [command, "--ckpt", "x", "--density", "0.5"] + _small_run(tmp_path)
+    assert _exit_code(argv) == 2
+    assert "unrecognized arguments: --ckpt x" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content, message", [
     (b"[data]\nn_train = 20\nn_train = 30\n", "option 'n_train' in section 'data' already exists"),
     (b"n_train = 20\n[data]\nn_test = 10\n", "no section headers"),

@@ -11,7 +11,7 @@ from lutnet import numerics as nm
 from lutnet import prune as pr
 from lutnet import training as tr
 from lutnet.errors import (ConfigError, DimensionError, ExpansionError, FoldError,
-                           LoweringError, StageError, TrainingDivergedError)
+                           LoweringError, NonFiniteError, StageError, TrainingDivergedError)
 
 from conftest import exhaustive_pm1, make_tiny_net, rel_err, tiny_stages
 
@@ -444,6 +444,13 @@ class TestLutForms:
             md.forward_hardened_bits(net, exhaustive_pm1(8))
 
 
+@pytest.mark.parametrize("x, error", [(np.full((2, 8), np.nan), NonFiniteError),
+                                      (np.ones((2, 9)), DimensionError)], ids=["nan", "width"])
+def test_hardened_bits_checks_its_input(x, error):
+    with pytest.raises(error):
+        md.forward_hardened_bits(dict(tiny_stages())["hardened"], x)
+
+
 def _phase3_net(k):
     """An expanded net for the phase-3 pins: make_tiny_net(hidden=8) with its
     8 -> 3 head expanded at K = k, channel 1 fully pruned, coefficients
@@ -617,13 +624,14 @@ def _extension(lut, rows):
 def test_window_row_gradient_is_the_extension_difference(k):
     # the extension is affine in each input, so on +-1 inputs its derivative
     # in x_j is exactly (g(x_j = +1) - g(x_j = -1)) / 2
-    layer = _phase3_net(k).layers[2]
+    net = _phase3_net(k)
+    layer = net.layers[2]
     rng = np.random.default_rng(30 + k)
     rows = rng.choice([-1.0, 1.0], size=(16, layer.window_size))
     drows = rng.standard_normal((16, 3))
-    y, cache = md._lut_layer(layer, rows, 2)
+    y, cache = md._lut_layer(net, 2, rows)
     assert rel_err(y, _extension(layer.lut, rows)) < 1e-12
-    got = md._lut_layer_bwd(2, layer, cache, drows, {})
+    got = md._lut_layer_bwd(net, 2, cache, drows, {})
     want = np.empty_like(rows)
     for j in range(rows.shape[1]):
         up, down = rows.copy(), rows.copy()

@@ -16,7 +16,7 @@ from lutnet import prune as pr
 from lutnet import training as tr
 from lutnet.errors import DimensionError
 
-from conftest import area_sha, fold_initial_scale, netlist_pin, untiled_pool_net
+from conftest import area_sha, fold_initial_scale, netlist_pin, tiny_stages, untiled_pool_net
 
 
 def _randomize_bn(net, seed):
@@ -190,6 +190,17 @@ def test_conv_stack_phase3_matches_pin(k):
     luts = [layer.lut for _i, layer in net.compute_layers() if layer.lut is not None]
     trained = _sha(*[a for lut in luts for a in (lut.gammas, lut.coeffs)])
     assert (_sha(logits), h.hexdigest(), trained) == CONV_STACK_PHASE3_PINS[k]
+
+
+@pytest.mark.parametrize("infer", [md.forward, md.forward_hardened_bits])
+@pytest.mark.parametrize("build", [lambda: dict(tiny_stages())["hardened"],
+                                   lambda: _hardened_conv_stack(3, np.random.default_rng(57))],
+                         ids=["tiny", "conv_stack"])
+def test_inference_blocks_equal_one_call_per_row(build, infer):
+    # INFER_BATCH + 1 rows make a full block and a block of one row
+    net = build()
+    x = np.random.default_rng(58).standard_normal((md.INFER_BATCH + 1, np.prod(net.input_shape)))
+    assert np.array_equal(infer(net, x), np.concatenate([infer(net, row[None]) for row in x]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
