@@ -1,8 +1,18 @@
 """Pipeline command line: train / prune / expand / harden / simulate / emit /
 area / pipeline, all driven by a config file plus flag overrides.
 
+Each command is one function: train, prune, expand and harden map the
+checkpoint they start from to the one they save; simulate, emit and area take
+the hardened network and its netlist.  A stand-alone command loads its input
+checkpoint and calls its function.  `pipeline` calls them all on one network
+in memory: it loads the data set once, lowers the hardened network once, and
+writes what the commands write (ckpt_{real,binarised,expanded,hardened}.json,
+train_log_phase{1,2,3}.csv, density.csv, verilog/, area.csv) but reads none
+of it back.
+
 Exit codes: 0 success, 1 operational failure (including a failed differential
-check), 2 usage errors, 3 pipeline-stage violations."""
+check and a file-system error on a given path), 2 usage errors, 3
+pipeline-stage violations."""
 
 from __future__ import annotations
 
@@ -85,12 +95,6 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _phase_cfg(cfg: RunConfig) -> tr.PhaseConfig:
-    return tr.PhaseConfig(epochs1=cfg.epochs1, epochs2=cfg.epochs2, epochs3=cfg.epochs3,
-                          batch_size=cfg.batch_size, lr=cfg.lr, lr3_factor=cfg.lr3_factor,
-                          lam=cfg.lam, seed=cfg.seed)
-
-
 def _ckpt_path(cfg, stage):
     return os.path.join(cfg.out_dir, f"ckpt_{stage}.json")
 
@@ -113,86 +117,70 @@ def _write(path, text):
         f.write(text)
 
 
-def cmd_train(cfg, args):
-    xtr, ytr, xte, yte = _train_data(cfg)
+def _trained(cfg, net, logs, data, run_phase):
+    """Train one phase of net on data, save the checkpoint of the net's stage
+    and the phase's log; returns (checkpoint, log, test accuracy)."""
+    xtr, ytr, xte, yte = data
+    log = run_phase(net, (xtr, ytr), cfg)
+    ckpt = Checkpoint(net, logs + [log])
+    save_checkpoint(ckpt, _ckpt_path(cfg, net.stage))
+    _write(os.path.join(cfg.out_dir, f"train_log_phase{log.phase}.csv"), log.to_csv())
+    return ckpt, log, tr.evaluate(net, xte, yte)
+
+
+# Stage functions: the checkpoint a stage starts from -> the one it saves.
+
+def train(cfg, _ckpt, load_data):
+    data = load_data()
     net = md.build_preset(cfg.preset, cfg.seed, cfg.b)
-    log = tr.run_phase1(net, (xtr, ytr), _phase_cfg(cfg))
-    save_checkpoint(Checkpoint(net, [log]), _ckpt_path(cfg, "real"))
-    _write(os.path.join(cfg.out_dir, "train_log_phase1.csv"), log.to_csv())
-    acc = tr.evaluate(net, xte, yte)
+    ckpt, log, acc = _trained(cfg, net, [], data, tr.run_phase1)
     print(f"train: phase 1 done, train err {log.final_err:.2f}%, test acc {acc:.2f}%")
-    return 0
+    return ckpt
 
 
-def _require_one_prune_setting(cfg):
-    if (cfg.theta is None) == (cfg.target_density is None):
-        raise ConfigError("exactly one of theta / target_density must be set")
-
-
-def cmd_prune(cfg, args):
-    _require_one_prune_setting(cfg)
-    ckpt = _load_stage(cfg, args, "real")
+def prune(cfg, ckpt, load_data):
     net = ckpt.net
-    xtr, ytr, xte, yte = _train_data(cfg)
-    if cfg.theta is not None:
-        theta = cfg.theta
-    else:
+    data = load_data()
+    theta = cfg.theta
+    if theta is None:
         theta = pr.solve_theta_for_density(net, cfg.target_density, tol=0.02)
     report = pr.prune_threshold(net, theta)
     pr.binarise_network(net)
-    log = tr.run_phase2_retrain(net, (xtr, ytr), _phase_cfg(cfg))
-    save_checkpoint(Checkpoint(net, ckpt.logs + [log]), _ckpt_path(cfg, "binarised"))
+    ckpt, _log, acc = _trained(cfg, net, ckpt.logs, data, tr.run_phase2_retrain)
     _write(os.path.join(cfg.out_dir, "density.csv"), report.to_csv())
-    _write(os.path.join(cfg.out_dir, "train_log_phase2.csv"), log.to_csv())
-    acc = tr.evaluate(net, xte, yte)
     print(f"prune: theta={theta:.6g}, density={pr.density_of(net):.4f}, "
           f"test acc {acc:.2f}%")
-    return 0
+    return ckpt
 
 
-def cmd_expand(cfg, args):
-    ckpt = _load_stage(cfg, args, "binarised")
-    net = ckpt.net
-    ex.expand_network(net, cfg.k, seed=cfg.seed)
-    xtr, ytr, xte, yte = _train_data(cfg)
-    log = tr.run_phase3_retrain(net, (xtr, ytr), _phase_cfg(cfg))
-    save_checkpoint(Checkpoint(net, ckpt.logs + [log]), _ckpt_path(cfg, "expanded"))
-    _write(os.path.join(cfg.out_dir, "train_log_phase3.csv"), log.to_csv())
-    acc = tr.evaluate(net, xte, yte)
+def expand(cfg, ckpt, load_data):
+    ex.expand_network(ckpt.net, cfg.k, seed=cfg.seed)   # checks K before the data loads
+    ckpt, _log, acc = _trained(cfg, ckpt.net, ckpt.logs, load_data(), tr.run_phase3_retrain)
     print(f"expand: K={cfg.k}, phase 3 done, test acc {acc:.2f}%")
-    return 0
+    return ckpt
 
 
-def cmd_harden(cfg, args):
-    ckpt = _load_stage(cfg, args, "expanded")
-    net = ckpt.net
-    ex.harden_network(net, frac_bits=cfg.frac_bits)
+def harden(cfg, ckpt, _load_data):
+    ex.harden_network(ckpt.net, frac_bits=cfg.frac_bits)
     save_checkpoint(ckpt, _ckpt_path(cfg, "hardened"))
     print(f"harden: batch norms fold, fixed point F={cfg.frac_bits}")
-    return 0
+    return ckpt
 
 
-def _differential(net, cfg):
-    nl = hw.lower(net)
+# Hardware functions of the hardened net and its netlist -> exit code.
+
+def simulate(cfg, net, nl):
+    """Netlist against the quantised reference on seeded +-1 vectors."""
     rng = np.random.default_rng(cfg.seed + 9999)
-    n_in = int(np.prod(net.input_shape))
-    x = rng.choice([-1.0, 1.0], size=(cfg.vectors, n_in))
+    x = rng.choice([-1.0, 1.0], size=(cfg.vectors, int(np.prod(net.input_shape))))
     want = hw.encode_pm1(md.forward_hardened_bits(net, x))
     got = hw.simulate(nl, hw.encode_pm1(x))
     mismatches = int(np.sum(np.any(want != got, axis=1)))
-    return nl, mismatches
-
-
-def cmd_simulate(cfg, args):
-    ckpt = _load_stage(cfg, args, "hardened")
-    _nl, mismatches = _differential(ckpt.net, cfg)
     print(f"simulate: {cfg.vectors} vectors, {mismatches} mismatching outputs")
     return 0 if mismatches == 0 else 1
 
 
-def cmd_emit(cfg, args):
-    ckpt = _load_stage(cfg, args, "hardened")
-    nl = hw.lower(ckpt.net)
+def emit(cfg, _net, nl):
     files = hw.emit_verilog(nl, style=cfg.style)
     vdir = os.path.join(cfg.out_dir, "verilog")
     for name, text in sorted(files.items()):
@@ -201,50 +189,59 @@ def cmd_emit(cfg, args):
     return 0
 
 
-def cmd_area(cfg, args):
-    ckpt = _load_stage(cfg, args, "hardened")
-    report = hw.area_report(ckpt.net)
+def area(cfg, net, _nl):
+    report = hw.area_report(net)   # prices a netlist it lowers itself
     _write(os.path.join(cfg.out_dir, "area.csv"), report.to_csv())
     print(report.to_table())
     return 0
 
 
-def cmd_pipeline(cfg, args):
-    _require_one_prune_setting(cfg)   # fail before phase 1, not after it
-    for step in (cmd_train, cmd_prune, cmd_expand, cmd_harden, cmd_emit, cmd_area):
-        code = step(cfg, args)
-        if code:
-            return code
-    code = cmd_simulate(cfg, args)
-    if code:
+def pipeline(cfg):
+    data, ckpt = _train_data(cfg), None
+    for stage in (train, prune, expand):
+        ckpt = stage(cfg, ckpt, lambda: data)
+    del data   # frees the data set before the hardware stages
+    net = harden(cfg, ckpt, None).net
+    nl = hw.lower(net)
+    emit(cfg, net, nl)
+    area(cfg, net, nl)
+    if simulate(cfg, net, nl):
         print("pipeline: differential check FAILED")
-        return code
+        return 1
     print("pipeline: all stages complete, differential check passed")
     return 0
 
 
-COMMANDS = {
-    "train": cmd_train, "prune": cmd_prune, "expand": cmd_expand,
-    "harden": cmd_harden, "simulate": cmd_simulate, "emit": cmd_emit,
-    "area": cmd_area, "pipeline": cmd_pipeline,
-}
+# stage command -> (the stage of the checkpoint it starts from, its function)
+STAGES = {"train": (None, train), "prune": ("real", prune),
+          "expand": ("binarised", expand), "harden": ("expanded", harden)}
+HARDWARE = {"simulate": simulate, "emit": emit, "area": area}
+
+
+def _run(cfg, args):
+    if args.command in ("prune", "pipeline") and \
+            (cfg.theta is None) == (cfg.target_density is None):   # before phase 1 runs
+        raise ConfigError("exactly one of theta / target_density must be set")
+    if args.command == "pipeline":
+        return pipeline(cfg)
+    if args.command in HARDWARE:
+        net = _load_stage(cfg, args, "hardened").net
+        nl = None if args.command == "area" else hw.lower(net)   # area_report lowers its own
+        return HARDWARE[args.command](cfg, net, nl)
+    loads, stage = STAGES[args.command]
+    ckpt = None if loads is None else _load_stage(cfg, args, loads)
+    stage(cfg, ckpt, lambda: _train_data(cfg))
+    return 0
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return COMMANDS[args.command](cfg, args)
-    except ConfigError as e:
+        return _run(_config_from_args(args), args)
+    except (LutNetError, OSError) as e:   # OSError: a given path the run cannot use
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except StageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except LutNetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ConfigError) else 3 if isinstance(e, StageError) else 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 FABRIC_K = 6   # inputs of the fabric's LUT: the widest node K a network may have
+PRESETS = ("lfc-small", "lfc", "cnv")   # the architectures model.build_preset builds
 
 
 @dataclass
@@ -29,8 +30,8 @@ class RunConfig:
     epochs3: int = 200
     batch_size: int = 100
     lr: float = 1e-3
-    lr3_factor: float = 0.1
-    lam: float = 5e-7
+    lr3_factor: float = 0.1     # binarised-forward training wants lower rates
+    lam: float = 5e-7           # sparsification regulariser factor
     seed: int = 0
 
     frac_bits: int = 8
@@ -38,6 +39,10 @@ class RunConfig:
     vectors: int = 10000
 
     def validate(self):
+        if self.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {self.preset!r}, expected one of {', '.join(PRESETS)}")
+        if self.seed < 0:   # numpy seeds its generators from non-negative integers only
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.k <= FABRIC_K:
             raise ConfigError(f"K must be in [1, {FABRIC_K}], got {self.k}")
         if self.b < 1:

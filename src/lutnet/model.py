@@ -414,7 +414,8 @@ def _forward_stack(net, x, training, layer_fn=None):
     _ENGINES, maps the window rows (B*positions, window) of compute layer idx
     to its outputs (B*positions, C) plus a cache; from the binarised stage on
     the network input is binarised.  _bits_layer folds the batch norm after
-    its layer into thresholds, so the walk skips batch norms for it."""
+    its layer into thresholds, so the walk skips batch norms for it.  Only a
+    training walk keeps the caches, which only `backward` reads."""
     layer_fn = layer_fn or _ENGINES[net.stage][0]
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
@@ -430,7 +431,8 @@ def _forward_stack(net, x, training, layer_fn=None):
         if layer.kind in ("dense", "conv"):
             win = windows(layer, h.shape[1:])
             y, cache = layer_fn(net, idx, win.rows(h))
-            caches.append(("compute", idx, (win, cache)))
+            if training:
+                caches.append(("compute", idx, (win, cache)))
             h = win.outputs(y)
         elif layer.kind == "batchnorm":
             if layer_fn is _bits_layer:
@@ -443,16 +445,16 @@ def _forward_stack(net, x, training, layer_fn=None):
                 y, mu, var, bn_cache = nm.batchnorm_train_forward(flat, layer.gamma, layer.beta, layer.eps)
                 layer.running_mean = BN_MOMENTUM * layer.running_mean + (1 - BN_MOMENTUM) * mu
                 layer.running_var = BN_MOMENTUM * layer.running_var + (1 - BN_MOMENTUM) * var
+                caches.append(("batchnorm", idx, (bn_cache, None if head else y, shp, head)))
             else:
                 y = nm.batchnorm_forward(flat, layer.running_mean, layer.running_var,
                                          layer.gamma, layer.beta, layer.eps)
-                bn_cache = None
-            caches.append(("batchnorm", idx, (bn_cache, None if head else y, shp, head)))
             if not head:
                 y = nm.sign_pm1(y)
             h = y.reshape(shp) if len(shp) == 2 else np.moveaxis(y.reshape(shp), -1, 1)
         elif layer.kind == "maxpool":
-            caches.append(("maxpool", idx, h))
+            if training:
+                caches.append(("maxpool", idx, h))
             h = _pool_forward(h, layer.size)
         elif layer.kind != "softmax":
             raise ValueError(f"unknown layer kind {layer.kind}")

@@ -12,19 +12,12 @@ import numpy as np
 from . import model as md
 from . import numerics as nm
 from . import prune as pr
+from .config import RunConfig
 from .errors import FormatError, TrainingDivergedError
 
-
-@dataclass
-class PhaseConfig:
-    epochs1: int = 200
-    epochs2: int = 50
-    epochs3: int = 200
-    batch_size: int = 100
-    lr: float = 1e-3
-    lr3_factor: float = 0.1     # binarised-forward training wants lower rates
-    lam: float = 5e-7           # sparsification regulariser factor
-    seed: int = 0
+# the name the benchmark constructs a phase's settings by; _train reads its
+# epochs, batch size, rates, lambda and seed from the RunConfig it is given
+PhaseConfig = RunConfig
 
 
 @dataclass
@@ -85,7 +78,7 @@ _PHASES = {1: ("real", "forward_real_train", "backward_real"),
            3: ("expanded", "forward_lut_train", "backward_lut")}
 
 
-def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
+def _train(net: md.Network, data, cfg: RunConfig, phase: int) -> TrainLog:
     """One training phase: Adam over shuffled minibatches with a divergence
     guard.  Layers without LUTs train their latent weights, which keep their
     pruned positions at zero; expanded layers train their plane scales and
@@ -146,7 +139,7 @@ def _train(net: md.Network, data, cfg: PhaseConfig, phase: int) -> TrainLog:
     return log
 
 
-def run_phase1(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
+def run_phase1(net: md.Network, data, cfg: RunConfig) -> TrainLog:
     """High-precision training of weights and batch norms, with the
     sparsification regulariser added to the loss.  A compute layer's
     pre-activation is its plain dot product: the batch norm after every
@@ -154,14 +147,14 @@ def run_phase1(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
     return _train(net, data, cfg, 1)
 
 
-def run_phase2_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
+def run_phase2_retrain(net: md.Network, data, cfg: RunConfig) -> TrainLog:
     """Retraining after pruning + residual binarisation.  Forward uses the
     binary reconstruction; latent weights receive STE gradients; level scales
     follow from the latent weights in closed form; pruned positions stay zero."""
     return _train(net, data, cfg, 2)
 
 
-def run_phase3_retrain(net: md.Network, data, cfg: PhaseConfig) -> TrainLog:
+def run_phase3_retrain(net: md.Network, data, cfg: RunConfig) -> TrainLog:
     """Post-expansion retraining: LUT coefficients and plane scales train by
     gradient through the interpolating extension; time-multiplexed layers keep
     training their latent binary weights."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from lutnet import cli
 from lutnet import data as dataio
+from lutnet import hwgen as hw
 from lutnet.checkpoint import Checkpoint, save_checkpoint, to_dict
 
 from conftest import tiny_stages, untiled_pool_net
@@ -63,6 +65,29 @@ def test_non_finite_or_non_positive_number_is_a_usage_error(argv, extra, message
                                                              capsys):
     assert cli.main(argv + _small_run(tmp_path, extra)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--preset", "foo"], "unknown preset 'foo'"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_unknown_preset_or_negative_seed_is_a_usage_error(flags, message, tmp_path, capsys):
+    assert cli.main(["train"] + _small_run(tmp_path) + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("argv, make, message", [
+    (["area", "--ckpt"], "mkdir", "Is a directory"),
+    (["train", "--data"], "touch", "File exists"),
+    (["train", "--out"], "touch", "File exists"),
+], ids=["area_ckpt_directory", "train_data_file", "train_out_file"])
+def test_unusable_path_is_an_operational_failure(argv, make, message, tmp_path, capsys):
+    given = tmp_path / "given"
+    getattr(given, make)()
+    assert cli.main(argv[:1] + _small_run(tmp_path) + argv[1:] + [str(given)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_theta_and_density_together_are_a_usage_error(tmp_path, capsys):
@@ -223,6 +248,61 @@ def test_pipeline_runs_end_to_end(tmp_path):
         assert (out / name).is_file(), name
     assert sorted(os.listdir(out / "verilog")) == ["lfc_small_l0.v", "lfc_small_l2.v",
                                                    "lfc_small_top.v"]
+
+
+def _tree(root):
+    """sha256 of every file under root, by relative path."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_pipeline_equals_the_commands_one_by_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[data]\ndata_dir = {tmp_path / 'data'}\nn_train = 300\nn_test = 100\n")
+    flags = ["--config", str(cfg), "--epochs", "1,1,1", "--k", "2", "--density", "0.3",
+             "--vectors", "50"]
+    assert cli.main(["pipeline", "--out", str(tmp_path / "pipeline")] + flags) == 0
+    lines = capsys.readouterr().out.replace(str(tmp_path / "pipeline"), "OUT").splitlines()
+    files, one_by_one = _tree(tmp_path / "pipeline"), {}
+    steps = [("train", None), ("prune", "train/ckpt_real.json"),
+             ("expand", "prune/ckpt_binarised.json"), ("harden", "expand/ckpt_expanded.json"),
+             ("emit", "harden/ckpt_hardened.json"), ("area", "harden/ckpt_hardened.json"),
+             ("simulate", "harden/ckpt_hardened.json")]
+    for command, ckpt in steps:
+        argv = [command, "--out", str(tmp_path / command)] + flags
+        assert cli.main(argv + (["--ckpt", str(tmp_path / ckpt)] if ckpt else [])) == 0, command
+        one_by_one.update(_tree(tmp_path / command))
+        lines_now = capsys.readouterr().out.replace(str(tmp_path / command), "OUT").splitlines()
+        assert lines[:len(lines_now)] == lines_now, command
+        lines = lines[len(lines_now):]
+    assert lines == ["pipeline: all stages complete, differential check passed"]
+    assert len(files) == 12
+    assert files == one_by_one
+
+
+def test_pipeline_reads_no_file_back(tmp_path, monkeypatch):
+    calls = []
+    for module, name in ((cli, "load_checkpoint"), (dataio, "load_dataset")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(["pipeline", "--density", "0.5"] + _small_run(tmp_path)) == 0
+    assert calls == ["load_dataset"]
+
+
+def test_failed_differential_exits_1(tiny_ckpts, tmp_path, monkeypatch, capsys):
+    def one_bit_flipped(nl, bits, _simulate=hw.simulate):
+        out = _simulate(nl, bits)
+        out[0, 0] ^= 1
+        return out
+    monkeypatch.setattr(hw, "simulate", one_bit_flipped)
+    argv = ["simulate", "--ckpt", tiny_ckpts["hardened"], "--vectors", "20",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert "simulate: 20 vectors, 1 mismatching outputs" in capsys.readouterr().out
+    assert cli.main(["pipeline", "--density", "0.5"] + _small_run(tmp_path)) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "pipeline: differential check FAILED"
 
 
 def test_emit_rejects_a_pool_that_does_not_tile(tmp_path, capsys):
