@@ -105,9 +105,10 @@ def test_full_kernel_conv_equals_dense(first_unrolled):
                               md.forward_hardened_bits(pair[1], x))
 
 
-def _conv_stack(seed=51):
+def _conv_stack(seed=51, binarise=True):
     """conv -> bn -> maxpool -> conv (unrolled) -> bn -> dense (unrolled) ->
-    bn -> softmax on a 1x7x7 input."""
+    bn -> softmax on a 1x7x7 input, pruned and binarised unless binarise is
+    False."""
     layers = [
         md.ConvLayer(1, 3, 2, 1), md.BatchNormLayer(3),
         md.MaxPoolLayer(2),
@@ -118,8 +119,9 @@ def _conv_stack(seed=51):
     net = md.init_network(md.Network("convstack", layers, 2, (1, 7, 7), seed))
     _randomize_bn(net, seed + 1)
     fold_initial_scale(net)
-    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.7, tol=0.3))
-    pr.binarise_network(net)
+    if binarise:
+        pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.7, tol=0.3))
+        pr.binarise_network(net)
     return net
 
 
@@ -129,6 +131,52 @@ def test_conv_stack_k1_expansion_equals_binary():
     want = md.forward(net, x)
     ex.expand_network(net, k=1, seed=3)
     assert np.array_equal(md.forward(net, x), want)
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _grads_sha(grads):
+    h = hashlib.sha256()
+    for name in sorted(grads):
+        h.update(name.encode("ascii") + b"\0" + grads[name].tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the conv stack's binarised `forward` logits, and of its
+# (logits, gradients by sorted name) of one phase-1 forward_real_train +
+# backward_real (before pruning) and one phase-2 forward_binary_train +
+# backward_binary: both backwards route gradients through the maxpool.
+# Recorded from the walk that pooled by 6-D reshapes
+CONV_STACK_BINARISED_LOGITS = "8b62ec55b3df46750f66c9e78f83110f15dd6e6a0e227629f33b518ba147cd00"
+CONV_STACK_PHASE_PINS = {
+    1: ("f3d27c4e19a9b5fc6d7d90f83b66700c50134edb917ab6fbf520ba5376dc268d",
+        "07deb81f9174b5436f38109a2ddb5a9a24a46b9d88b02ba8c0cd27647b277d65"),
+    2: ("e95697ee8e432d88737fc78db761cf143cb40f599d17a76e8b54428d7da3604e",
+        "33a75a9ad9b9b5717c05dc0a7d1c8c195662978eb53396ca54358bd5c8603a26"),
+}
+
+
+def test_conv_stack_binarised_logits_match_pin():
+    x = np.random.default_rng(59).standard_normal((200, 49))
+    assert _sha(md.forward(_conv_stack(), x)) == CONV_STACK_BINARISED_LOGITS
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_conv_stack_phase_step_matches_pin(phase):
+    rng = np.random.default_rng(60 + phase)
+    x = rng.standard_normal((96, 49))
+    labels = rng.integers(0, 3, 96)
+    net = _conv_stack(binarise=phase == 2)
+    train, back = ((md.forward_real_train, md.backward_real) if phase == 1
+                   else (md.forward_binary_train, md.backward_binary))
+    logits, caches = train(net, x)
+    grads = back(net, caches, nm.softmax_xent(logits, labels)[1])
+    assert (_sha(logits), _grads_sha(grads)) == CONV_STACK_PHASE_PINS[phase]
 
 
 def _expanded_conv_stack(k, rng):
@@ -143,13 +191,6 @@ def _expanded_conv_stack(k, rng):
 
 def _hardened_conv_stack(k, rng):
     return ex.harden_network(_expanded_conv_stack(k, rng), frac_bits=6)
-
-
-def _sha(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(a.tobytes())
-    return h.hexdigest()
 
 
 # sha256 of (forward_lut_train logits, backward_lut gradients by sorted name,
@@ -182,14 +223,11 @@ def test_conv_stack_phase3_matches_pin(k):
     net = _expanded_conv_stack(k, np.random.default_rng(54 + k))
     logits, caches = md.forward_lut_train(net, x)
     grads = md.backward_lut(net, caches, nm.softmax_xent(logits, labels)[1])
-    h = hashlib.sha256()
-    for name in sorted(grads):
-        h.update(name.encode("ascii") + b"\0" + grads[name].tobytes())
     net = _expanded_conv_stack(k, np.random.default_rng(54 + k))
     tr.run_phase3_retrain(net, (x, labels), tr.PhaseConfig(epochs3=1, batch_size=96))
     luts = [layer.lut for _i, layer in net.compute_layers() if layer.lut is not None]
     trained = _sha(*[a for lut in luts for a in (lut.gammas, lut.coeffs)])
-    assert (_sha(logits), h.hexdigest(), trained) == CONV_STACK_PHASE3_PINS[k]
+    assert (_sha(logits), _grads_sha(grads), trained) == CONV_STACK_PHASE3_PINS[k]
 
 
 @pytest.mark.parametrize("infer", [md.forward, md.forward_hardened_bits])
@@ -260,4 +298,24 @@ def test_untiled_pool_is_rejected(build):
     net = untiled_pool_net()
     args = (np.ones((1, 36)),) if build is md.forward_hardened_bits else ()
     with pytest.raises(DimensionError, match="pool size 4 does not tile 6x6"):
+        build(net, *args)
+
+
+def _dense_pool_net():
+    """dense(4->8) -> bn -> maxpool 2 -> dense(8->3) -> bn -> softmax,
+    expanded at K=1 and hardened: the maxpool reads a flat vector."""
+    layers = [md.DenseLayer(4, 8), md.BatchNormLayer(8), md.MaxPoolLayer(2),
+              md.DenseLayer(8, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("densepool", layers, 2, (4,), 63))
+    pr.prune_threshold(net, 0.0)
+    pr.binarise_network(net)
+    ex.expand_network(net, k=1, seed=64)
+    return ex.harden_network(net, frac_bits=6)
+
+
+@pytest.mark.parametrize("build", [md.forward_hardened_bits, hw.lower, hw.area_report])
+def test_pool_after_dense_is_rejected(build):
+    net = _dense_pool_net()
+    args = (np.ones((1, 4)),) if build is md.forward_hardened_bits else ()
+    with pytest.raises(DimensionError, match=r"maxpool expects \(C, H, W\) inputs"):
         build(net, *args)
