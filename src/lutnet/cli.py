@@ -119,8 +119,11 @@ def _write(path, text):
 
 def _trained(cfg, net, logs, data, run_phase):
     """Train one phase of net on data, save the checkpoint of the net's stage
-    and the phase's log; returns (checkpoint, log, test accuracy)."""
+    and the phase's log; returns (checkpoint, log, test accuracy).  The
+    test labels are checked before the phase trains, so that a bad one
+    leaves no file behind."""
     xtr, ytr, xte, yte = data
+    tr.check_labels(net, yte)
     log = run_phase(net, (xtr, ytr), cfg)
     ckpt = Checkpoint(net, logs + [log])
     save_checkpoint(ckpt, _ckpt_path(cfg, net.stage))

@@ -139,7 +139,7 @@ def area_report(net: md.Network) -> AreaReport:
     for block in lower(net).blocks:
         li = block.layer
         if isinstance(block, PoolBlock):
-            n_pool = int(np.prod(block.in_shape)) // block.size ** 2
+            n_pool = block.index_map.shape[0] * block.index_map.shape[1]
             report.rows.append(dict(layer=f"l{li}", kind="maxpool", unrolled=False,
                                     density=1.0, n_tilde=0, keff_hist={},
                                     logical=n_pool, inference=0, popcount=0,

@@ -9,10 +9,10 @@ the following batch norm.  Expanded layers use the truth tables
 expand.harden_masks reads from their coefficients; time-multiplexed binary
 layers become the same block at K=1 with buffer/inverter tables (the
 unrolled equivalent of XNORs with constant weights).  A maxpool layer
-becomes a PoolBlock; its size must tile its input (model.pool_out_shape),
-as in every engine.  No per-wire or per-cell
-object is built: cell order and net names are defined by the blocks
-themselves, in netlist.py.  area.area_report prices the same blocks."""
+becomes a PoolBlock of its model.windows index map, whose size must tile
+its input as in every engine.  No per-wire or per-cell object is built:
+cell order and net names are defined by the blocks themselves, in
+netlist.py.  area.area_report prices the same blocks."""
 
 from __future__ import annotations
 
@@ -63,11 +63,9 @@ def lower(net: md.Network) -> Netlist:
     blocks = []
     shape = tuple(net.input_shape)
     for li, layer in enumerate(net.layers):
-        if layer.kind == "maxpool":
-            blocks.append(PoolBlock(li, shape, layer.size))
-            shape = md.pool_out_shape(shape, layer.size)
-        elif layer.kind in ("dense", "conv"):
+        if layer.kind in ("dense", "conv", "maxpool"):
             win = md.windows(layer, shape)
-            blocks.append(_compute_block(net, li, win))
+            blocks.append(PoolBlock(li, win.index_map.reshape(win.positions, win.out_shape[0], -1))
+                          if layer.kind == "maxpool" else _compute_block(net, li, win))
             shape = win.out_shape
     return Netlist(net.name, int(np.prod(net.input_shape)), blocks)

@@ -15,7 +15,10 @@ acyclic and every net has one driver by construction.
   node outputs are added up by a balanced popcount tree and one threshold
   cell compares sum_b q_gammas[b] * (2*pop_b - N~) with q_tau[c], or the
   reverse where flip[c].
-- A PoolBlock is a maxpool over bits: one OR LUT per output window.
+- A PoolBlock is a maxpool over bits, one OR LUT per channel and window
+  position, in the order ComputeBlock outputs use.  Its index_map is the
+  layer's model.windows map, each window's slots split per channel: output
+  bit c*P + p ORs the previous bits index_map[p, c].
 
 Nothing is stored per wire or per cell, and this module is the one place
 that defines cell order and net names.  A compute block's cells come in
@@ -52,6 +55,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..errors import PortError
+from ..model import INFER_BATCH
 
 # Cell views.  Nets are named by strings: `out` is the output net's name and
 # `inputs`, `a`, `b` and `pops` hold the names of the nets read.
@@ -59,9 +63,6 @@ LutCell = namedtuple("LutCell", "table inputs out")
 AddCell = namedtuple("AddCell", "a b out width")
 ScaleThresholdCell = namedtuple(
     "ScaleThresholdCell", "pops pop_width n_tilde q_gammas q_tau flip acc_width out name")
-
-CHUNK = 16   # vectors per pass: keeps the (vectors, positions, nodes) temporaries near cache size
-
 
 def _width(count: int) -> int:
     """Bits of an unsigned net that counts up to count."""
@@ -144,13 +145,9 @@ class ComputeBlock:
                                   int(self.q_tau[c]), bool(self.flip[c]),
                                   int(self.acc_width[c]), out, f"th_{stem}")
 
-    def reads(self) -> np.ndarray:
-        """Indices of the previous block's bits that some table depends on."""
-        live = np.arange(self.inputs.shape[2]) < self.k_eff[..., None]
-        return np.unique(self.index_map[:, np.unique(self.inputs[live])])
-
     def port_reads(self) -> np.ndarray:
-        """The bits of reads() in order of first use by the cells."""
+        """The previous block's bits that some table depends on, in order of
+        first use by the cells."""
         live = np.arange(self.inputs.shape[2]) < self.k_eff[..., None]
         offsets = self.offsets.tolist()
         slots = [self.inputs[:, a:e][live[:, a:e]] for a, e in zip(offsets, offsets[1:])]
@@ -239,35 +236,27 @@ class ComputeBlock:
 @dataclass
 class PoolBlock:
     layer: int
-    in_shape: tuple            # (C, H, W) of the previous block's bits
-    size: int
-
-    def _grid(self):
-        c, h, w = self.in_shape
-        s = self.size
-        return c, h // s, w // s, s
+    index_map: np.ndarray      # (P, C, s*s) int64 previous-block bit read by each window slot
 
     def out_names(self) -> list:
-        c, oh, ow, _s = self._grid()
-        return [f"pool_l{self.layer}_c{ci}_p{p}" for ci in range(c) for p in range(oh * ow)]
+        positions, channels, _area = self.index_map.shape
+        return [f"pool_l{self.layer}_c{c}_p{p}" for c in range(channels) for p in range(positions)]
 
     def windows(self) -> np.ndarray:
-        """(C*OH*OW, s*s) previous-block bit of each window input, row-major."""
-        c, oh, ow, s = self._grid()
-        idx = np.arange(int(np.prod(self.in_shape))).reshape(c, oh, s, ow, s)
-        return idx.transpose(0, 1, 3, 2, 4).reshape(c * oh * ow, s * s)
+        """(C*P, s*s) the previous-block bits each output ORs, in output order."""
+        return np.swapaxes(self.index_map, 0, 1).reshape(-1, self.index_map.shape[2])
 
-    def reads(self) -> np.ndarray:
-        return np.unique(self.windows())
+    def table(self) -> np.ndarray:
+        """The OR truth table of every output's LUT."""
+        return (np.arange(1 << self.index_map.shape[2]) > 0).astype(np.uint8)
 
     def port_reads(self) -> np.ndarray:
         return _first_use(self.windows().reshape(-1))
 
     def cells(self, in_names: list, out_names: list):
-        or_table = np.ones(1 << (self.size * self.size), dtype=np.uint8)
-        or_table[0] = 0
+        table = self.table()
         for out, window in zip(out_names, self.windows().tolist()):
-            yield LutCell(or_table, [in_names[i] for i in window], out)
+            yield LutCell(table, [in_names[i] for i in window], out)
 
     def evaluator(self):
         windows = self.windows()
@@ -292,7 +281,7 @@ class Netlist:
         for i, block in enumerate(self.blocks):
             out_names = block.out_names()
             if i + 1 < len(self.blocks):
-                exported = [out_names[j] for j in self.blocks[i + 1].reads()]
+                exported = [out_names[j] for j in np.sort(self.blocks[i + 1].port_reads())]
             else:
                 exported = out_names
             yield block, in_names, out_names, exported
@@ -335,7 +324,8 @@ def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:
     inverter, such as every weight of a time-multiplexed layer) as one
     float64 matrix product per plane, exact on these integer sums, the
     others by table lookup.  It then applies the integer threshold.  Vectors
-    are processed CHUNK at a time."""
+    are processed model.INFER_BATCH at a time, as forward_hardened_bits
+    walks them."""
     inputs = np.asarray(inputs)
     if inputs.ndim == 1:
         inputs = inputs[None, :]
@@ -348,8 +338,8 @@ def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:
     stages = [block.evaluator() for block in netlist.blocks]
     chunks = []
     # at least one pass, so that no vectors still give (0, output bits)
-    for start in range(0, max(inputs.shape[0], 1), CHUNK):
-        bits = inputs[start:start + CHUNK].astype(np.uint8)
+    for start in range(0, max(inputs.shape[0], 1), INFER_BATCH):
+        bits = inputs[start:start + INFER_BATCH].astype(np.uint8)
         for evaluate in stages:
             bits = evaluate(bits)
         chunks.append(bits)

@@ -184,9 +184,7 @@ def _pool_lines(block: PoolBlock, in_names: list, out_names: list, internal: set
                 vendor: bool) -> tuple:
     """(declarations, body) of a maxpool block: one OR LUT per window."""
     windows = block.windows()
-    or_table = np.ones(1 << windows.shape[1], dtype=np.uint8)
-    or_table[0] = 0
-    heads = [_table_head(or_table, vendor)] * len(windows)
+    heads = [_table_head(block.table(), vendor)] * len(windows)
     ins = _input_texts(windows, np.full(len(windows), windows.shape[1]),
                        _sources(in_names, windows.shape[1], vendor), vendor)
     decls = [f"wire {out};" for out in out_names if out in internal]

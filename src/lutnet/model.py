@@ -8,15 +8,23 @@ training forward checks that its input is at the stage it trains; `forward`
 and the quantised reference forward_hardened_bits (the walk with
 _bits_layer) infer INFER_BATCH samples at a time.
 
-Every compute layer is one windowed operator.  `windows` gives its geometry:
-the layer reads `positions` windows of its input and writes one value per
-channel and position.  A dense layer is conv over one position, whose window
-is the whole flattened input; a conv layer's windows are its receptive
-fields.  Both are one integer `index_map` (positions, window) into the
-flattened input: the layer walk gathers window rows (one row per sample and
-position) through it and scatters their gradients back through it, so each
-engine only maps rows (rows, window) -> (rows, C), and the netlist builder
-wires each window by the same map.
+Every layer but batch norm and softmax is one windowed operator.  `windows`
+gives its geometry: the layer reads `positions` windows of its input and
+writes one value per channel and position.  A dense layer is conv over one
+position, whose window is the whole flattened input; a conv layer's windows
+are its receptive fields, and a maxpool's are conv windows with
+kernel = stride = size, reduced by a max per channel (_pool_layer).  Each is
+one integer `index_map` (positions, window) into the flattened input: the
+layer walk gathers window rows (one row per sample and position) through it
+and scatters their gradients back through it, so each engine only maps rows
+(rows, window) -> (rows, C), and the netlist builder wires each window by
+the same map.
+
+From the binarised stage on, every engine reads one per-plane sum,
+_plane_sums: per residual plane and channel, the sum of Boolean functions of
+the window's +-1 inputs, which are XNORs with the binary levels of a layer
+without LUTs, an expanded layer's interpolated K-LUT nodes, and their truth
+tables once hardened.
 
 An expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
 the wiring `indices` (N, K), per-plane `coeffs` (B, N, 2**K), and channel
@@ -28,9 +36,10 @@ gathers them by slot, one value per (row, node) forward and one K-vector
 backward (see expand.py).
 
 A hardened network is its expanded network plus `frac_bits`: no mask or
-threshold is stored.  The hardened engines and the netlist read each node's
-truth tables as expand.harden_masks of its coefficients, and each layer's
-thresholds as fold_batchnorm of the batch norm after it.
+threshold is stored.  Each node's truth tables are the signs of its terms,
+which the hardened engines read as _plane_sums does and the netlist as
+expand.harden_masks of its coefficients, and each layer's thresholds are
+fold_batchnorm of the batch norm after it.
 
 Conventions used by every engine and by the hardware path:
   * hidden activation is sign(batchnorm(.)) with sign(0) = +1; the batch-norm
@@ -293,18 +302,21 @@ def build_preset(preset: str, seed: int, b_levels: int = 2) -> Network:
 
 @dataclass(frozen=True, eq=False)
 class Windows:
-    """How one compute layer reads its input: `positions` windows, each a
-    row of inputs, and `out_shape[0]` channels written per position.
+    """How one dense, conv or maxpool layer reads its input: `positions`
+    windows, each a row of inputs, and `out_shape[0]` channels written per
+    position.
 
     index_map[p, j] is the flat index into the per-sample input of slot j of
     window p.  A dense layer is one position whose window is the whole
     flattened input, arange(in)[None, :]; a conv layer's windows are its
     receptive fields, position-major, with slots in (channel, ky, kx)
-    C-order.  Engines see one row per (sample, position), gathered through
-    the map; the netlist wires window slots through the same map."""
+    C-order.  A maxpool's are the conv windows with kernel = stride = size,
+    so a window row reshapes to (C, size**2).  Engines see one row per
+    (sample, position), gathered through the map; the netlist wires window
+    slots through the same map."""
 
     in_shape: tuple
-    out_shape: tuple        # (C,) for dense, (C, OH, OW) for conv
+    out_shape: tuple        # (C,) for dense, (C, OH, OW) for conv and maxpool
     index_map: np.ndarray   # (positions, window) int64
 
     @property
@@ -338,18 +350,28 @@ class Windows:
 
 
 def windows(layer, in_shape) -> Windows:
-    """Window geometry of a compute layer on a per-sample input shape.  Shared
-    by every engine and by the netlist builder."""
+    """Window geometry of a dense, conv or maxpool layer on a per-sample
+    input shape.  A maxpool is conv geometry with kernel = stride = size and
+    one output channel per input channel.  Shared by every engine and by the
+    netlist builder."""
     in_shape = tuple(int(s) for s in in_shape)
     if layer.kind == "dense":
         if int(np.prod(in_shape)) != layer.in_features:
             raise DimensionError(f"dense layer expects {layer.in_features} inputs, got {in_shape}")
         return Windows(in_shape, (layer.out_features,),
                        np.arange(layer.in_features, dtype=np.int64)[None, :])
-    if len(in_shape) != 3 or in_shape[0] != layer.in_channels:
-        raise DimensionError(f"conv layer expects ({layer.in_channels}, H, W), got {in_shape}")
+    if layer.kind == "maxpool":
+        if len(in_shape) != 3:
+            raise DimensionError(f"maxpool expects (C, H, W) inputs, got {in_shape}")
+        k = s = layer.size
+        if in_shape[1] % k or in_shape[2] % k:
+            raise DimensionError(f"pool size {k} does not tile {in_shape[1]}x{in_shape[2]}")
+        out_channels = in_shape[0]
+    else:
+        if len(in_shape) != 3 or in_shape[0] != layer.in_channels:
+            raise DimensionError(f"conv layer expects ({layer.in_channels}, H, W), got {in_shape}")
+        k, s, out_channels = layer.kernel, layer.stride, layer.out_channels
     c, h, w = in_shape
-    k, s = layer.kernel, layer.stride
     if h < k or w < k:
         raise DimensionError(f"kernel {k} does not fit input {h}x{w}")
     if (h - k) % s or (w - k) % s:
@@ -358,19 +380,7 @@ def windows(layer, in_shape) -> Windows:
     slot = (np.arange(c)[:, None, None] * (h * w) + np.arange(k)[:, None] * w
             + np.arange(k)).reshape(-1)
     start = (np.arange(oh)[:, None] * (s * w) + np.arange(ow) * s).reshape(-1)
-    return Windows(in_shape, (layer.out_channels, oh, ow),
-                   (start[:, None] + slot).astype(np.int64))
-
-
-def pool_out_shape(in_shape, size: int) -> tuple:
-    """(C, H/size, W/size) of a maxpool over (C, H, W) inputs, which size
-    must tile.  Shared by the engines and the netlist builder."""
-    if len(in_shape) != 3:
-        raise DimensionError(f"maxpool expects (C, H, W) inputs, got {tuple(in_shape)}")
-    c, h, w = (int(d) for d in in_shape)
-    if h % size or w % size:
-        raise DimensionError(f"pool size {size} does not tile {h}x{w}")
-    return c, h // size, w // size
+    return Windows(in_shape, (out_channels, oh, ow), (start[:, None] + slot).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +401,19 @@ def levels(layer, b: int) -> list:
     return pr.residual_binarise(layer.weights, layer.prune_mask, b)[0]
 
 
-def _pool_forward(x, size):
-    c, oh, ow = pool_out_shape(x.shape[1:], size)
-    return x.reshape(x.shape[0], c, oh, size, ow, size).max(axis=(3, 5))
+def _pool_layer(net, idx, rows):
+    """Maxpool rows (rows, C*size**2) -> (rows, C): the max of each channel's
+    slots, an OR in the bit domain; every stage and _bits_layer run it."""
+    area = net.layers[idx].size ** 2
+    r = rows.reshape(rows.shape[0], rows.shape[1] // area, area)   # not -1: rows may be 0
+    y = r.max(axis=2)
+    return y, (r, y)
 
 
-def _pool_backward(x, size, dy):
-    bsz, c, h, w = x.shape
-    r = x.reshape(bsz, c, h // size, size, w // size, size)
-    m = r.max(axis=(3, 5), keepdims=True)
-    # ties route the gradient to every argmax position
-    grad = (r == m) * dy.reshape(bsz, c, h // size, 1, w // size, 1)
-    return grad.reshape(bsz, c, h, w)
+def _pool_layer_bwd(net, idx, cache, drows, grads):
+    r, y = cache
+    # ties route the gradient to every maximum
+    return ((r == y[..., None]) * drows[..., None]).reshape(r.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +423,11 @@ def _pool_backward(x, size, dy):
 def _forward_stack(net, x, training, layer_fn=None):
     """Common layer walk.  layer_fn, by default the stage's forward in
     _ENGINES, maps the window rows (B*positions, window) of compute layer idx
-    to its outputs (B*positions, C) plus a cache; from the binarised stage on
-    the network input is binarised.  _bits_layer folds the batch norm after
-    its layer into thresholds, so the walk skips batch norms for it.  Only a
-    training walk keeps the caches, which only `backward` reads."""
+    to its outputs (B*positions, C) plus a cache, as _pool_layer does for a
+    maxpool; from the binarised stage on the network input is binarised.
+    _bits_layer folds the batch norm after its layer into thresholds, so the
+    walk skips batch norms for it.  Only a training walk keeps the caches,
+    which only `backward` reads."""
     layer_fn = layer_fn or _ENGINES[net.stage][0]
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
@@ -428,13 +440,7 @@ def _forward_stack(net, x, training, layer_fn=None):
         h = nm.sign_pm1(h)
     caches = []
     for idx, layer in enumerate(net.layers):
-        if layer.kind in ("dense", "conv"):
-            win = windows(layer, h.shape[1:])
-            y, cache = layer_fn(net, idx, win.rows(h))
-            if training:
-                caches.append(("compute", idx, (win, cache)))
-            h = win.outputs(y)
-        elif layer.kind == "batchnorm":
+        if layer.kind == "batchnorm":
             if layer_fn is _bits_layer:
                 continue
             head = _is_head_bn(net, idx)
@@ -452,21 +458,21 @@ def _forward_stack(net, x, training, layer_fn=None):
             if not head:
                 y = nm.sign_pm1(y)
             h = y.reshape(shp) if len(shp) == 2 else np.moveaxis(y.reshape(shp), -1, 1)
-        elif layer.kind == "maxpool":
-            if training:
-                caches.append(("maxpool", idx, h))
-            h = _pool_forward(h, layer.size)
         elif layer.kind != "softmax":
-            raise ValueError(f"unknown layer kind {layer.kind}")
+            win = windows(layer, h.shape[1:])
+            y, cache = (_pool_layer if layer.kind == "maxpool" else layer_fn)(net, idx, win.rows(h))
+            if training:
+                caches.append(("window", idx, (win, cache)))
+            h = win.outputs(y)
     return h, caches
 
 
 def backward(net: Network, caches, dlogits):
     """Parameter gradients of a training forward, by the reverse walk over
-    its caches.  The stage's layer backward in _ENGINES maps output gradient
-    rows (B*positions, C) to window-row gradients (B*positions, window) and
-    records the layer's parameter gradients.  The gradient of the network
-    input is not formed."""
+    its caches.  The stage's layer backward in _ENGINES, or _pool_layer_bwd,
+    maps output gradient rows (B*positions, C) to window-row gradients
+    (B*positions, window) and records the layer's parameter gradients.  The
+    gradient of the network input is not formed."""
     layer_bwd = _ENGINES[net.stage][1]
     grads = {}
     d = nm.as_tensor(dlogits)
@@ -482,11 +488,10 @@ def backward(net: Network, caches, dlogits):
             grads[f"l{idx}.gamma"] = dgamma
             grads[f"l{idx}.beta"] = dbeta
             d = dx.reshape(shp) if len(shp) == 2 else np.moveaxis(dx.reshape(shp), -1, 1)
-        elif kind == "maxpool":
-            d = _pool_backward(cache, net.layers[idx].size, d)
         else:
             win, inner = cache
-            drows = layer_bwd(net, idx, inner, win.outputs_backward(d), grads)
+            bwd = _pool_layer_bwd if net.layers[idx].kind == "maxpool" else layer_bwd
+            drows = bwd(net, idx, inner, win.outputs_backward(d), grads)
             if idx:   # layer 0 reads the network input
                 d = win.rows_backward(drows)
     return grads
@@ -519,20 +524,10 @@ def forward_real_train(net: Network, x):
 
 
 # ---------------------------------------------------------------------------
-# binarised engine (phase 2): the forward binarises the latent weights into
-# residual levels, scales in closed form, untrained, and hands them to the
-# backward in its cache; inputs are +-1
-
-
-def _binary_dots(layer, xt, lv):
-    """Per-level integer-exact dot products of +-1 inputs with masked level weights."""
-    return [xt @ (w_b * layer.prune_mask).T for w_b, _gamma in lv]
-
-
-def _binary_layer(net, idx, rows):
-    layer = net.layers[idx]
-    lv = levels(layer, net.b_levels)
-    return combine_levels(_binary_dots(layer, rows, lv), [g for _w, g in lv]), (rows, lv)
+# binarised layers (phase 2, and the time-multiplexed layers after it): the
+# plane sums binarise the latent weights into residual levels, scales in
+# closed form, untrained, which the forward hands to the backward in its
+# cache; inputs are +-1
 
 
 def forward_binary_train(net: Network, x):
@@ -575,15 +570,16 @@ def fold_batchnorm(bn: BatchNormLayer):
 
 
 # ---------------------------------------------------------------------------
-# expanded engine (phase 3): interpolated LUT nodes on binarised inputs.  On
-# +-1 inputs everything a node reads depends only on its vertex code, so
-# each layer evaluates expand.interp_basis (forward) and
-# expand.interp_dx_partial (backward) once on the 2**K codes, builds
-# per-vertex tables, (N, 2**K) of value * coefficient per plane and
+# plane-sum engine (phases 2 and 3, and the hardened stage): per residual
+# plane, the sum over each channel of Boolean functions of the window's +-1
+# inputs.  A layer without LUTs sums XNORs, the dots of its residual levels.
+# An expanded layer's node reads only its vertex code, so each layer
+# evaluates expand.interp_basis (forward) and expand.interp_dx_partial
+# (backward) once on the 2**K codes, builds per-vertex tables, (N, 2**K) of
+# value * coefficient per plane, or their signs once hardened, and
 # (N * 2**K, K) of input partials, and gathers them by slot =
 # node * 2**K + code: one value per (row, node) forward, one contiguous
-# K-vector backward.  Time-multiplexed layers (lut is None) keep the binary
-# engine.
+# K-vector backward.
 
 # (row, node, input) entries per block of the backward scatter: a block's
 # gathered values and scatter index, 1 MB each, stay in a core's L2 cache
@@ -593,8 +589,7 @@ BLOCK_ENTRIES = 1 << 17
 def _vertex_slots(lut, rows):
     """(rows, N) slots node * 2**K + code of every node on +-1 window rows,
     bit k of code set iff input k is negative: the coefficient that
-    interp_basis reads.  A truth table reads slot ^ (2**K - 1), the vertex
-    of the inputs themselves."""
+    interp_basis reads, and the term whose sign is the hardened output."""
     # gathered node-major, each node's signs one contiguous row, then
     # transposed to row-major, the order of every later gather and bincount
     neg = np.ascontiguousarray((rows < 0).T).view(np.uint8)
@@ -616,15 +611,33 @@ def _channel_sums(lut, planes):
             for t in planes]
 
 
-def _lut_layer(net, idx, rows):
-    lut = net.layers[idx].lut
+def _plane_sums(net, idx, rows, hardened):
+    """(sums, gammas, state) of compute layer idx on +-1 window rows: per
+    plane the sums (rows, C), exact integers in float64, the plane scales
+    (B,), and what the backward reads besides the sums.  A layer without
+    LUTs sums the dots of its residual levels, its state (rows, levels).  An
+    expanded layer sums per channel its nodes' terms, value * coefficient at
+    their vertex, or the terms' signs once hardened, which are the truth
+    tables harden_masks reads at the inputs' vertex; its state is
+    (slot, value)."""
+    layer = net.layers[idx]
+    lut = layer.lut
     if lut is None:
-        return _binary_layer(net, idx, rows)
+        lv = levels(layer, net.b_levels)
+        return ([rows @ (w_b * layer.prune_mask).T for w_b, _g in lv],
+                np.array([g for _w, g in lv]), (rows, lv))
     # row v of -vertices(K) is the point whose code is v
     value = ex.interp_basis(-ex.vertices(lut.k), lut.k)[1]   # (2**K,)
     slot = _vertex_slots(lut, rows)
-    s_list = _channel_sums(lut, [np.take((value * c).reshape(-1), slot) for c in lut.coeffs])
-    return combine_levels(s_list, lut.gammas), (slot, value, s_list)
+    terms = [np.take((nm.sign_pm1(value * c) if hardened else value * c).reshape(-1), slot)
+             for c in lut.coeffs]
+    return _channel_sums(lut, terms), lut.gammas, (slot, value)
+
+
+def _lut_layer(net, idx, rows):
+    s_list, gammas, state = _plane_sums(net, idx, rows, False)
+    # only an expanded layer's backward reads the sums, for its plane scales
+    return combine_levels(s_list, gammas), (state, None if net.layers[idx].lut is None else s_list)
 
 
 def forward_lut_train(net: Network, x):
@@ -633,13 +646,14 @@ def forward_lut_train(net: Network, x):
 
 
 def _lut_layer_bwd(net, idx, cache, drows, grads):
-    """Gradient of one layer in the expanded engine: coefficients, plane scales
-    and inputs for expanded layers, the binary STE otherwise.  Each bincount
-    adds in ascending row, then node, then input order."""
+    """Gradient of one layer in the plane-sum engine: coefficients, plane
+    scales and inputs for expanded layers, the binary STE otherwise.  Each
+    bincount adds in ascending row, then node, then input order."""
     lut = net.layers[idx].lut
+    state, s_list = cache
     if lut is None:
-        return _binary_layer_bwd(net, idx, cache, drows, grads)
-    slot, value, s_list = cache
+        return _binary_layer_bwd(net, idx, state, drows, grads)
+    slot, value = state
     k, n_nodes = lut.k, lut.indices.shape[0]
     rows, window = slot.shape[0], net.layers[idx].window_size
     dnode = np.repeat(drows, np.diff(lut.offsets), axis=1)   # (rows, N)
@@ -683,20 +697,6 @@ def _plane_gammas(layer, b):
     return np.array([g for _w, g in levels(layer, b)])
 
 
-def _hardened_layer_sums(net, idx, flat_bits):
-    """Per-plane integer sums (rows, C) of hardened layer idx: its binary dots,
-    or its truth-table outputs per channel; sums of +-1 are exact in float64."""
-    layer = net.layers[idx]
-    if layer.lut is None:
-        return [s.astype(np.int64)
-                for s in _binary_dots(layer, flat_bits, levels(layer, net.b_levels))]
-    lut = layer.lut
-    slot = _vertex_slots(lut, flat_bits) ^ ((1 << lut.k) - 1)
-    masks = ex.harden_masks(lut.coeffs)
-    return [s.astype(np.int64)
-            for s in _channel_sums(lut, [np.take(m.reshape(-1), slot) for m in masks])]
-
-
 def quantise_layer(net: Network, idx: int):
     """(q_gammas (B,), q_tau (C,), flip (C,), acc_width (C,)) of hardened
     compute layer idx and the batch norm after it, for _bits_layer and the
@@ -724,8 +724,8 @@ def _hardened_layer(net, idx, rows):
     """Truth-table sums with real plane scales: hidden layers then meet the
     real batch norms' sign thresholds, the head their real affine.  Equals
     the binary engine for K=1 buffer/inverter masks."""
-    s_list = [s.astype(np.float64) for s in _hardened_layer_sums(net, idx, rows)]
-    return combine_levels(s_list, _plane_gammas(net.layers[idx], net.b_levels)), None
+    s_list, gammas, _state = _plane_sums(net, idx, rows, True)
+    return combine_levels(s_list, gammas), None
 
 
 def _bits_layer(net, idx, rows):
@@ -733,14 +733,16 @@ def _bits_layer(net, idx, rows):
     the netlist computes them: integer sums, scales and thresholds quantised
     to net.frac_bits fractional bits, {-1,+1} threshold bits out."""
     q_gammas, q_tau, flip, _width = quantise_layer(net, idx)
-    acc = sum(q * s for q, s in zip(q_gammas, _hardened_layer_sums(net, idx, rows)))
+    s_list = _plane_sums(net, idx, rows, True)[0]
+    acc = sum(q * s.astype(np.int64) for q, s in zip(q_gammas, s_list))
     return np.where(np.where(flip, acc <= q_tau, acc >= q_tau), 1.0, -1.0), None
 
 
-# stage -> (layer forward, layer backward); a hardened net does not train
+# stage -> (layer forward, layer backward): the binarised and expanded stages
+# share the plane-sum engine; a hardened net does not train
 _ENGINES = {"real": (_real_layer, _real_layer_bwd), "pruned": (_real_layer, _real_layer_bwd),
-            "binarised": (_binary_layer, _binary_layer_bwd),
-            "expanded": (_lut_layer, _lut_layer_bwd), "hardened": (_hardened_layer, None)}
+            "binarised": (_lut_layer, _lut_layer_bwd), "expanded": (_lut_layer, _lut_layer_bwd),
+            "hardened": (_hardened_layer, None)}
 
 
 def _infer(net, x, layer_fn=None):

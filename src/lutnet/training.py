@@ -60,7 +60,7 @@ def l2_group_regulariser(net: md.Network, lam: float):
     return lam * norm, grads
 
 
-def _check_labels(net, y):
+def check_labels(net, y):
     """Labels must index the head's outputs."""
     head = net.compute_layers()[-1][1]
     classes = head.out_features if head.kind == "dense" else head.out_channels
@@ -90,7 +90,7 @@ def _train(net: md.Network, data, cfg: RunConfig, phase: int) -> TrainLog:
     md.require_stage(net, stage)
     forward, backward = getattr(md, forward), getattr(md, backward)
     x, y = data
-    _check_labels(net, y)
+    check_labels(net, y)
     n = x.shape[0]
     params = {}
     for i, layer in net.compute_layers():
@@ -164,6 +164,6 @@ def run_phase3_retrain(net: md.Network, data, cfg: RunConfig) -> TrainLog:
 def evaluate(net: md.Network, x, y) -> float:
     """Test accuracy in percent from md.forward's logits (a hardened network
     is scored with real plane scales and batch norms)."""
-    _check_labels(net, y)
+    check_labels(net, y)
     correct = int(np.sum(np.argmax(md.forward(net, x), axis=1) == y))
     return 100.0 * correct / x.shape[0]

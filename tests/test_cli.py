@@ -208,8 +208,10 @@ def test_infinite_threshold_is_an_operational_failure(tiny_ckpts, tmp_path, caps
     assert not (out / "ckpt_hardened.json").exists()
 
 
-def _idx_set(root, n_images=300, n_labels=300, side=28, first_label=None):
-    """IDX train and test files of random images and labels under root."""
+def _idx_set(root, n_images=300, n_labels=300, side=28, first_label=None, test_label=None):
+    """IDX train and test files of random images and labels under root;
+    first_label replaces the first label of both sets, test_label the
+    fourth of the test set."""
     rng = np.random.default_rng(3)
     for images, labels in ((dataio.TRAIN_IMAGES, dataio.TRAIN_LABELS),
                            (dataio.TEST_IMAGES, dataio.TEST_LABELS)):
@@ -217,6 +219,8 @@ def _idx_set(root, n_images=300, n_labels=300, side=28, first_label=None):
         y = rng.integers(0, 10, n_labels)
         if first_label is not None:
             y[0] = first_label
+        if test_label is not None and labels == dataio.TEST_LABELS:
+            y[3] = test_label
         dataio.save_idx_labels(root / labels, y)
     return str(root)
 
@@ -232,6 +236,14 @@ def test_malformed_dataset_is_an_operational_failure(malformed, message, tmp_pat
     argv = ["train", "--data", data, "--out", str(tmp_path / "out"), "--epochs", "1,1,1"]
     assert cli.main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+def test_bad_test_label_fails_before_training(tmp_path, capsys):
+    data = _idx_set(tmp_path, test_label=12)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--data", data, "--out", str(out), "--epochs", "1,1,1"]) == 1
+    assert "labels must lie in [0, 10)" in capsys.readouterr().err
+    assert not any(out.rglob("*"))
 
 
 def test_pipeline_runs_end_to_end(tmp_path):
