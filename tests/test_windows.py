@@ -230,6 +230,37 @@ def test_conv_stack_phase3_matches_pin(k):
     assert (_sha(logits), _grads_sha(grads), trained) == CONV_STACK_PHASE3_PINS[k]
 
 
+# sha256 of the conv stack's inference on 700 rows, which cross an
+# INFER_BATCH block: `forward` expanded, then `forward` and
+# `forward_hardened_bits` hardened.  The inference batch norms read rows of
+# several positions after binarisation.  Recorded from the walk that ran
+# each batch norm as a layer of its own on channel-first tensors
+CONV_STACK_INFER_PINS = {
+    1: ("d757310ad07e524f06826bdb7a4c91724ae2ab9c5a93d8edc08b078db5945bff",
+        "9bb57bd269a8b7a05ef04cf8a9b4fbef619553e780d153637e10536ae0c8b3fe",
+        "784ec4ec927306fe575ec80d9d0e4d31c9a070977b3b13fde522069d72d20658"),
+    2: ("da52c08900383d11d616fefae24d3ffd2d29734e92ab3b854fa9c0607a5b954b",
+        "d77a3d7e667573a2bc5d249b522b8fd47be6d66f1a1e688e08a46c250bbcc12c",
+        "16267a09eb637f6bd519517ab629884b7294956ff39f84fad62a55663fd4f565"),
+    3: ("324818e6f406b8a598b2b04c084d26117c017f176c62193ddd34045345ecc40b",
+        "1350b938aeea52a4077ae7013d19ec4e89e823534e40376648a6eac0752cf17f",
+        "4817820d527abd6890a3ce657ebfdddbbcc69dbdc892e05a54ada177add205fc"),
+    4: ("7e0b0ca5cbc5de1bef33939d33d238dda86ff2ecca77ed752dcc9a696f6a8328",
+        "121524eafca1fecedda52aea297592967393338cdefc2894e51430b5f32607e9",
+        "4ae6b0bbe1774350204cf86eb19033b2d7a8ccc0b436fbc6f250ec3cb8f9bcee"),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_stack_inference_matches_pin(k):
+    x = np.random.default_rng(80 + k).standard_normal((700, 49))
+    net = _expanded_conv_stack(k, np.random.default_rng(54 + k))
+    expanded = _sha(md.forward(net, x))
+    ex.harden_network(net, frac_bits=6)
+    got = (expanded, _sha(md.forward(net, x)), _sha(md.forward_hardened_bits(net, x)))
+    assert got == CONV_STACK_INFER_PINS[k]
+
+
 @pytest.mark.parametrize("infer", [md.forward, md.forward_hardened_bits])
 @pytest.mark.parametrize("build", [lambda: dict(tiny_stages())["hardened"],
                                    lambda: _hardened_conv_stack(3, np.random.default_rng(57))],
