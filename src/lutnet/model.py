@@ -8,23 +8,25 @@ training forward checks that its input is at the stage it trains; `forward`
 and the quantised reference forward_hardened_bits (the walk with
 _bits_layer) infer INFER_BATCH samples at a time.
 
-Every layer but batch norm and softmax is one windowed operator.  `windows`
-gives its geometry: the layer reads `positions` windows of its input and
+Every dense, conv and maxpool layer is one windowed operator and one step
+of the walk, which runs the batch norm after the layer on the layer's own
+output rows, so a batch norm must directly follow one.  `windows` gives its
+geometry: the layer reads `positions` windows of its input and
 writes one value per channel and position.  A dense layer is conv over one
 position, whose window is the whole flattened input; a conv layer's windows
 are its receptive fields, and a maxpool's are conv windows with
 kernel = stride = size, reduced by a max per channel (_pool_layer).  Each is
 one integer `index_map` (positions, window) into the flattened input: the
 layer walk gathers window rows (one row per sample and position) through it
-and scatters their gradients back through it, so each engine only maps rows
-(rows, window) -> (rows, C), and the netlist builder wires each window by
-the same map.
+and scatters their gradients back through it, so each engine and batch norm
+only maps rows, (rows, window) -> (rows, C) -> (rows, C), and the netlist
+builder wires each window by the same map.
 
 From the binarised stage on, every engine reads one per-plane sum,
 _plane_sums: per residual plane and channel, the sum of Boolean functions of
 the window's +-1 inputs, which are XNORs with the binary levels of a layer
 without LUTs, an expanded layer's interpolated K-LUT nodes, and their truth
-tables once hardened.
+tables once hardened; so _ENGINES holds two engines, real and plane-sum.
 
 An expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
 the wiring `indices` (N, K), per-plane `coeffs` (B, N, 2**K), and channel
@@ -37,9 +39,9 @@ backward (see expand.py).
 
 A hardened network is its expanded network plus `frac_bits`: no mask or
 threshold is stored.  Each node's truth tables are the signs of its terms,
-which the hardened engines read as _plane_sums does and the netlist as
-expand.harden_masks of its coefficients, and each layer's thresholds are
-fold_batchnorm of the batch norm after it.
+which the plane-sum engine and _bits_layer read as _plane_sums does and
+the netlist as expand.harden_masks of its coefficients, and each layer's
+thresholds are fold_batchnorm of the batch norm after it.
 
 Conventions used by every engine and by the hardware path:
   * hidden activation is sign(batchnorm(.)) with sign(0) = +1; the batch-norm
@@ -68,6 +70,7 @@ from . import prune as pr
 from .errors import DimensionError, FoldError, LoweringError, StageError
 
 STAGES = ("real", "pruned", "binarised", "expanded", "hardened")
+WINDOWED = ("dense", "conv", "maxpool")   # the layer kinds the walk steps through
 BN_MOMENTUM = 0.9   # running statistics keep this share of their old value per step
 ACC_WIDTH_CAP = 62  # exact int64 simulation bound
 INFER_BATCH = 500   # samples per block of an inference walk
@@ -421,13 +424,17 @@ def _pool_layer_bwd(net, idx, cache, drows, grads):
 
 
 def _forward_stack(net, x, training, layer_fn=None):
-    """Common layer walk.  layer_fn, by default the stage's forward in
-    _ENGINES, maps the window rows (B*positions, window) of compute layer idx
-    to its outputs (B*positions, C) plus a cache, as _pool_layer does for a
-    maxpool; from the binarised stage on the network input is binarised.
-    _bits_layer folds the batch norm after its layer into thresholds, so the
-    walk skips batch norms for it.  Only a training walk keeps the caches,
-    which only `backward` reads."""
+    """Common layer walk, one step per dense, conv or maxpool layer idx: the
+    window rows (B*positions, window) go through layer_fn, by default the
+    stage's forward in _ENGINES, or _pool_layer for a maxpool, to outputs
+    (B*positions, C) plus a cache; the batch norm after the layer runs on
+    those rows, then the sign unless that batch norm feeds the head, before
+    the rows become the next layer's input.  From the binarised stage on the
+    network input is binarised.  _bits_layer folds the batch norm after its
+    layer into thresholds, so the walk skips batch norms for it.  A batch
+    norm that does not directly follow a windowed layer raises
+    DimensionError.  Only a training walk keeps the caches, which only
+    `backward` reads."""
     layer_fn = layer_fn or _ENGINES[net.stage][0]
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
@@ -435,65 +442,59 @@ def _forward_stack(net, x, training, layer_fn=None):
     if np.prod(x.shape[1:]) != np.prod(net.input_shape):
         raise DimensionError(f"{net.name} takes inputs of {np.prod(net.input_shape)} values "
                              f"{tuple(net.input_shape)}, got {np.prod(x.shape[1:])}")
+    stray = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"
+             and (i == 0 or net.layers[i - 1].kind not in WINDOWED)]
+    if stray:
+        raise DimensionError(f"batch norm l{stray[0]} does not follow a dense, conv or "
+                             f"maxpool layer")
     h = x.reshape((bsz,) + tuple(net.input_shape))
     if net.stage not in ("real", "pruned"):
         h = nm.sign_pm1(h)
     caches = []
     for idx, layer in enumerate(net.layers):
-        if layer.kind == "batchnorm":
-            if layer_fn is _bits_layer:
-                continue
-            head = _is_head_bn(net, idx)
-            moved = h if h.ndim == 2 else np.moveaxis(h, 1, -1)
-            shp = moved.shape
-            flat = moved.reshape(-1, shp[-1])
+        if layer.kind not in WINDOWED:   # a batch norm runs in its layer's step
+            continue
+        win = windows(layer, h.shape[1:])
+        y, cache = (_pool_layer if layer.kind == "maxpool" else layer_fn)(net, idx, win.rows(h))
+        bn = None if layer_fn is _bits_layer else net.bn_after(idx)
+        bn_cache = pre_sign = None
+        if bn is not None:
             if training:
-                y, mu, var, bn_cache = nm.batchnorm_train_forward(flat, layer.gamma, layer.beta, layer.eps)
-                layer.running_mean = BN_MOMENTUM * layer.running_mean + (1 - BN_MOMENTUM) * mu
-                layer.running_var = BN_MOMENTUM * layer.running_var + (1 - BN_MOMENTUM) * var
-                caches.append(("batchnorm", idx, (bn_cache, None if head else y, shp, head)))
+                y, mu, var, bn_cache = nm.batchnorm_train_forward(y, bn.gamma, bn.beta, bn.eps)
+                bn.running_mean = BN_MOMENTUM * bn.running_mean + (1 - BN_MOMENTUM) * mu
+                bn.running_var = BN_MOMENTUM * bn.running_var + (1 - BN_MOMENTUM) * var
             else:
-                y = nm.batchnorm_forward(flat, layer.running_mean, layer.running_var,
-                                         layer.gamma, layer.beta, layer.eps)
-            if not head:
-                y = nm.sign_pm1(y)
-            h = y.reshape(shp) if len(shp) == 2 else np.moveaxis(y.reshape(shp), -1, 1)
-        elif layer.kind != "softmax":
-            win = windows(layer, h.shape[1:])
-            y, cache = (_pool_layer if layer.kind == "maxpool" else layer_fn)(net, idx, win.rows(h))
-            if training:
-                caches.append(("window", idx, (win, cache)))
-            h = win.outputs(y)
+                y = nm.batchnorm_forward(y, bn.running_mean, bn.running_var,
+                                         bn.gamma, bn.beta, bn.eps)
+            if not _is_head_bn(net, idx + 1):
+                pre_sign, y = y, nm.sign_pm1(y)
+        if training:
+            caches.append((idx, win, cache, bn_cache, pre_sign))
+        h = win.outputs(y)
     return h, caches
 
 
 def backward(net: Network, caches, dlogits):
     """Parameter gradients of a training forward, by the reverse walk over
-    its caches.  The stage's layer backward in _ENGINES, or _pool_layer_bwd,
-    maps output gradient rows (B*positions, C) to window-row gradients
-    (B*positions, window) and records the layer's parameter gradients.  The
-    gradient of the network input is not formed."""
+    its steps: output gradient rows (B*positions, C) go back through the
+    sign STE and the batch norm, then through the stage's layer backward in
+    _ENGINES, or _pool_layer_bwd, to window-row gradients (B*positions,
+    window), recording the parameter gradients on the way.  The gradient of
+    the network input is not formed."""
     layer_bwd = _ENGINES[net.stage][1]
     grads = {}
     d = nm.as_tensor(dlogits)
-    for kind, idx, cache in reversed(caches):
-        if kind == "batchnorm":
-            bn_cache, pre_sign, shp, head = cache
-            if d.ndim > 2:
-                d = np.moveaxis(d, 1, -1)
-            dflat = d.reshape(-1, shp[-1])
-            if not head:
-                dflat = nm.sign_ste_backward(pre_sign, dflat)
-            dx, dgamma, dbeta = nm.batchnorm_backward(bn_cache, dflat)
-            grads[f"l{idx}.gamma"] = dgamma
-            grads[f"l{idx}.beta"] = dbeta
-            d = dx.reshape(shp) if len(shp) == 2 else np.moveaxis(dx.reshape(shp), -1, 1)
-        else:
-            win, inner = cache
-            bwd = _pool_layer_bwd if net.layers[idx].kind == "maxpool" else layer_bwd
-            drows = bwd(net, idx, inner, win.outputs_backward(d), grads)
-            if idx:   # layer 0 reads the network input
-                d = win.rows_backward(drows)
+    for idx, win, inner, bn_cache, pre_sign in reversed(caches):
+        drows = win.outputs_backward(d)
+        if pre_sign is not None:
+            drows = nm.sign_ste_backward(pre_sign, drows)
+        if bn_cache is not None:
+            drows, grads[f"l{idx + 1}.gamma"], grads[f"l{idx + 1}.beta"] = \
+                nm.batchnorm_backward(bn_cache, drows)
+        bwd = _pool_layer_bwd if net.layers[idx].kind == "maxpool" else layer_bwd
+        drows = bwd(net, idx, inner, drows, grads)
+        if idx:   # layer 0 reads the network input
+            d = win.rows_backward(drows)
     return grads
 
 
@@ -635,7 +636,10 @@ def _plane_sums(net, idx, rows, hardened):
 
 
 def _lut_layer(net, idx, rows):
-    s_list, gammas, state = _plane_sums(net, idx, rows, False)
+    """Plane sums combined with real plane scales.  Once hardened they are
+    truth-table sums: hidden layers then meet the real batch norms' sign
+    thresholds, the head their real affine."""
+    s_list, gammas, state = _plane_sums(net, idx, rows, net.stage == "hardened")
     # only an expanded layer's backward reads the sums, for its plane scales
     return combine_levels(s_list, gammas), (state, None if net.layers[idx].lut is None else s_list)
 
@@ -687,7 +691,8 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
 
 
 # ---------------------------------------------------------------------------
-# hardened engines
+# quantised reference: a hardened layer and the batch norm after it, folded
+# into thresholds, as the netlist computes them
 
 
 def _plane_gammas(layer, b):
@@ -720,14 +725,6 @@ def quantise_layer(net: Network, idx: int):
     return q_gammas, q_tau, flip, acc_width
 
 
-def _hardened_layer(net, idx, rows):
-    """Truth-table sums with real plane scales: hidden layers then meet the
-    real batch norms' sign thresholds, the head their real affine.  Equals
-    the binary engine for K=1 buffer/inverter masks."""
-    s_list, gammas, _state = _plane_sums(net, idx, rows, True)
-    return combine_levels(s_list, gammas), None
-
-
 def _bits_layer(net, idx, rows):
     """The quantised reference of layer idx and the batch norm after it, as
     the netlist computes them: integer sums, scales and thresholds quantised
@@ -738,11 +735,10 @@ def _bits_layer(net, idx, rows):
     return np.where(np.where(flip, acc <= q_tau, acc >= q_tau), 1.0, -1.0), None
 
 
-# stage -> (layer forward, layer backward): the binarised and expanded stages
-# share the plane-sum engine; a hardened net does not train
-_ENGINES = {"real": (_real_layer, _real_layer_bwd), "pruned": (_real_layer, _real_layer_bwd),
-            "binarised": (_lut_layer, _lut_layer_bwd), "expanded": (_lut_layer, _lut_layer_bwd),
-            "hardened": (_hardened_layer, None)}
+# stage -> (layer forward, layer backward): the real engine before
+# binarisation, the plane-sum engine from it on; a hardened net does not train
+_ENGINES = {stage: (_real_layer, _real_layer_bwd) if stage in ("real", "pruned")
+            else (_lut_layer, _lut_layer_bwd) for stage in STAGES}
 
 
 def _infer(net, x, layer_fn=None):

@@ -97,6 +97,18 @@ class TestBackwardReal:
         assert rel_err(grads["l2.weights"], fd) < 1e-6
 
 
+@pytest.mark.parametrize("layers", [
+    [md.BatchNormLayer(2), md.DenseLayer(2, 2), md.BatchNormLayer(2), md.SoftmaxLayer()],
+    [md.DenseLayer(2, 2), md.BatchNormLayer(2), md.BatchNormLayer(2), md.SoftmaxLayer()],
+], ids=["first", "after_batchnorm"])
+@pytest.mark.parametrize("walk", [md.forward, md.forward_real_train])
+def test_batchnorm_not_after_windowed_layer_is_rejected(layers, walk):
+    # the walk runs a batch norm in the step of the layer in front of it
+    net = md.init_network(md.Network("straybn", layers, 1, (2,), 3))
+    with pytest.raises(DimensionError, match="does not follow a dense, conv or maxpool"):
+        walk(net, np.ones((4, 2)))
+
+
 def test_batch_permutation_equivariance():
     net = make_tiny_net()
     rng = np.random.default_rng(10)
