@@ -186,7 +186,9 @@ def expand_network(net, k: int, seed: int):
 
 def harden_network(net, frac_bits: int = 8):
     """Set the fractional bits of the fixed point, once every compute layer's
-    following batch norm folds into thresholds.  Nothing is stored: the
+    following batch norm folds into thresholds and every batch norm is one
+    that follows a compute layer, which the hardware folds; any other would
+    change `forward` and not the netlist.  Nothing is stored: the
     engines and the netlist take truth tables from harden_masks and
     thresholds from model.fold_batchnorm where they read them.  Loading a
     hardened checkpoint calls it too.  Stage: expanded -> hardened."""
@@ -194,11 +196,15 @@ def harden_network(net, frac_bits: int = 8):
 
     require_stage(net, "expanded")
     check_frac_bits(frac_bits)
-    for li, _layer in net.compute_layers():
-        bn = net.bn_after(li)
-        if bn is None:
-            raise FoldError(f"layer l{li} has no following batch-norm to fold")
-        fold_batchnorm(bn)
+    for li, layer in enumerate(net.layers):
+        if layer.kind in ("dense", "conv"):
+            bn = net.bn_after(li)
+            if bn is None:
+                raise FoldError(f"layer l{li} has no following batch-norm to fold")
+            fold_batchnorm(bn)
+        elif layer.kind == "batchnorm" and (not li or net.layers[li - 1].kind not in
+                                            ("dense", "conv")):
+            raise FoldError(f"batch norm l{li} follows no dense or conv layer; cannot fold")
     net.frac_bits = frac_bits
     net.stage = "hardened"
     return net

@@ -8,13 +8,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from lutnet import checkpoint as ck
 from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
 from lutnet import training as tr
-from lutnet.errors import DimensionError
+from lutnet.errors import DimensionError, FoldError, SchemaError
 
 from conftest import area_sha, fold_initial_scale, netlist_pin, tiny_stages, untiled_pool_net
 
@@ -330,6 +331,25 @@ def test_untiled_pool_is_rejected(build):
     args = (np.ones((1, 36)),) if build is md.forward_hardened_bits else ()
     with pytest.raises(DimensionError, match="pool size 4 does not tile 6x6"):
         build(net, *args)
+
+
+def test_batchnorm_after_pool_is_not_hardened():
+    # the hardware folds a batch norm into the threshold of the layer in
+    # front of it; one after a maxpool would change `forward`, not the netlist
+    layers = [md.ConvLayer(1, 3, 2, 1), md.BatchNormLayer(3), md.MaxPoolLayer(2),
+              md.BatchNormLayer(3), md.ConvLayer(3, 4, 2, 1, unrolled=True),
+              md.BatchNormLayer(4), md.DenseLayer(16, 3, unrolled=True),
+              md.BatchNormLayer(3), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("poolbn", layers, 2, (1, 7, 7), 66))
+    _randomize_bn(net, 67)
+    pr.prune_threshold(net, 0.0)
+    pr.binarise_network(net)
+    ex.expand_network(net, k=2, seed=68)
+    raw = dict(ck.to_dict(ck.Checkpoint(net)), stage="hardened", frac_bits=6)
+    with pytest.raises(FoldError, match="batch norm l3 follows no dense or conv layer"):
+        ex.harden_network(net, frac_bits=6)
+    with pytest.raises(SchemaError, match="cannot harden"):
+        ck.from_dict(raw)
 
 
 def _dense_pool_net():
