@@ -18,7 +18,8 @@ checks them against it, which is what catches a corrupted mask.
 Loading checks every field against the layer dimensions, every scalar
 for its JSON type (no string, bool or fraction is coerced), K against the
 fabric's LUT (config.FABRIC_K), the name for a Verilog identifier, the LUT
-offsets and first inputs against the prune mask, every float for
+offsets and first inputs against the prune mask, every size for an
+integer of at least 1, every prune mask for 0 and 1 only, every float for
 finiteness and every batch norm for a positive eps and a non-negative
 running variance, and raises SchemaError on malformed input, including a
 hardened net that harden_network rejects.  Older files still load:
@@ -92,6 +93,13 @@ def _int(raw, what):
     return raw
 
 
+def _size(raw, what):
+    """A size field: a JSON integer of at least 1."""
+    if _int(raw, what) < 1:
+        raise SchemaError(f"{what} must be >= 1, got {raw}")
+    return raw
+
+
 def _float(raw, what):
     """A JSON number, not a bool or a string, which float() would take."""
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
@@ -125,6 +133,8 @@ def _array(raw, dtype, shape, what, optional=False):
         if a.size or np.prod(shape):   # tolist() of an empty array keeps no shape
             raise SchemaError(f"{what} has shape {a.shape}, expected {shape}")
         a = a.reshape(shape)
+    if np.dtype(dtype) == bool and np.any((a != 0) & (a != 1)):   # astype would take any
+        raise SchemaError(f"{what} must hold only 0 and 1")
     a = a.astype(dtype)
     if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
         raise SchemaError(f"{what} holds non-finite values")
@@ -158,7 +168,7 @@ def _lut_in(raw, prune_mask, b_levels, what):
 
 
 def _compute_in(raw, b_levels, what):
-    size = lambda name: _int(raw[name], f"{what}.{name}")
+    size = lambda name: _size(raw[name], f"{what}.{name}")
     if raw["kind"] == "dense":
         layer = DenseLayer(size("in_features"), size("out_features"))
         n_out = layer.out_features
@@ -182,7 +192,7 @@ def _layer_in(raw: dict, b_levels: int, what: str):
     if kind == "dense" or kind == "conv":
         return _compute_in(raw, b_levels, what)
     if kind == "batchnorm":
-        layer = BatchNormLayer(_int(raw["num_features"], f"{what}.num_features"))
+        layer = BatchNormLayer(_size(raw["num_features"], f"{what}.num_features"))
         for name in ("gamma", "beta", "running_mean", "running_var"):
             setattr(layer, name, _array(raw[name], np.float64, (layer.num_features,),
                                         f"{what}.{name}"))
@@ -193,7 +203,7 @@ def _layer_in(raw: dict, b_levels: int, what: str):
             raise SchemaError(f"{what}.running_var must not be negative")
         return layer
     if kind == "maxpool":
-        return MaxPoolLayer(_int(raw["size"], f"{what}.size"))
+        return MaxPoolLayer(_size(raw["size"], f"{what}.size"))
     if kind == "softmax":
         return SoftmaxLayer()
     raise SchemaError(f"unknown layer kind {kind!r}")
@@ -256,17 +266,15 @@ def _checkpoint_in(raw: dict) -> Checkpoint:
     if version <= 3:
         fx = raw.get("fx")
         raw = dict(raw, frac_bits=None if fx is None else fx["frac_bits"])
-    stage, b_levels = raw["stage"], _int(raw["b_levels"], "b_levels")
+    stage, b_levels = raw["stage"], _size(raw["b_levels"], "b_levels")
     if stage not in STAGES:
         raise SchemaError(f"unknown stage {stage!r}")
-    if b_levels < 1:
-        raise SchemaError(f"b_levels must be >= 1, got {b_levels}")
     hardened = stage == "hardened"
     layers = [_layer_in(l, b_levels, f"l{i}") for i, l in enumerate(raw["layers"])]
     if not layers:
         raise SchemaError("checkpoint has an empty layer list")
     net = Network(name=_name(raw["name"]), layers=layers, b_levels=b_levels,
-                  input_shape=tuple(_int(d, "input_shape") for d in raw["input_shape"]),
+                  input_shape=tuple(_size(d, "input_shape") for d in raw["input_shape"]),
                   seed=_int(raw["seed"], "seed"),
                   stage="expanded" if hardened else stage)
     if hardened:

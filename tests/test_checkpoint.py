@@ -308,6 +308,12 @@ TAMPERED = {
     "layer size not an integer": _set(("layers", 0, "in_features"), 8.0),
     "batch-norm size a string": _set(("layers", 1, "num_features"), "4"),
     "input size not an integer": _set(("input_shape", 0), 8.5),
+    # every size is at least 1: [-1, -8] has the 8 inputs the net reads
+    "input size zero": _set(("input_shape", 0), 0),
+    "input sizes negative": _set(("input_shape",), [-1, -8]),
+    # astype(bool) would read any other integer as True
+    "prune_mask entry 2": _set(("layers", 0, "prune_mask", 0, 0), 2),
+    "prune_mask entry -1": _set(("layers", 2, "prune_mask", 0, 0), -1),
     "log phase not an integer": lambda raw: raw["logs"].append({"phase": 1.5, "rows": []}),
     # nor does any other scalar: bool() and float() would take strings
     "unrolled a string": _set(("layers", 0, "unrolled"), "false"),
@@ -351,6 +357,34 @@ def test_bad_checkpoint_is_an_operational_failure_of_emit(case, tmp_path, capsys
     assert cli.main(["emit", "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 1
     out = capsys.readouterr()
     assert out.err.startswith("error: ")
+    assert "Traceback" not in out.out + out.err
+
+
+def _conv_pool_dict():
+    """conv(1->2, k2) on 1x5x5 -> bn -> maxpool 2 -> dense(8->3) -> bn ->
+    softmax, expanded at K=2 and hardened, as a checkpoint dict."""
+    layers = [md.ConvLayer(1, 2, 2, 1), md.BatchNormLayer(2), md.MaxPoolLayer(2),
+              md.DenseLayer(8, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("convpool", layers, 2, (1, 5, 5), 65))
+    pr.prune_threshold(net, 0.0)
+    pr.binarise_network(net)
+    ex.expand_network(net, k=2, seed=66)
+    ex.harden_network(net, frac_bits=6)
+    return json.loads(json.dumps(ck.to_dict(ck.Checkpoint(net))))
+
+
+@pytest.mark.parametrize("field, value", [("l2.size", 0), ("l2.size", -2), ("l0.stride", 0)])
+@pytest.mark.parametrize("command", sorted(cli.HARDWARE))
+def test_non_positive_geometry_is_an_operational_failure(field, value, command, tmp_path,
+                                                         capsys):
+    raw = _conv_pool_dict()
+    layer, name = field.split(".")
+    raw["layers"][int(layer[1:])][name] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="ascii")
+    assert cli.main([command, "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and f"{field} must be >= 1" in out.err
     assert "Traceback" not in out.out + out.err
 
 
