@@ -107,7 +107,7 @@ def _load_stage(cfg, args, stage):
 
 
 def _train_data(cfg):
-    dataio.ensure_dataset(cfg.data_dir, cfg.n_train, cfg.n_test, seed=123)
+    dataio.ensure_dataset(cfg.data_dir, cfg.n_train, cfg.n_test)
     return dataio.load_dataset(cfg.data_dir)
 
 

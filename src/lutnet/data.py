@@ -20,6 +20,7 @@ TRAIN_IMAGES = "train-images-idx3-ubyte"
 TRAIN_LABELS = "train-labels-idx1-ubyte"
 TEST_IMAGES = "t10k-images-idx3-ubyte"
 TEST_LABELS = "t10k-labels-idx1-ubyte"
+TOY_SEED = 123   # the seed of the bundled toy set
 
 
 def _read_u32(f, path, offset):
@@ -147,7 +148,7 @@ def _render_digits(bases, labels, rng):
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
-def generate_toy_dataset(data_dir, n_train=10000, n_test=2000, seed=123):
+def generate_toy_dataset(data_dir, n_train=10000, n_test=2000, seed=TOY_SEED):
     """Write the deterministic toy digit set as IDX files under data_dir."""
     os.makedirs(data_dir, exist_ok=True)
     bases = _glyph_bases()
@@ -181,8 +182,8 @@ def load_dataset(data_dir):
     return xtr.reshape(xtr.shape[0], -1), ytr, xte.reshape(xte.shape[0], -1), yte
 
 
-def ensure_dataset(data_dir, n_train=10000, n_test=2000, seed=123):
+def ensure_dataset(data_dir, n_train, n_test):
     """Materialise the bundled toy set if data_dir has no IDX files yet."""
     if not os.path.exists(os.path.join(data_dir, TRAIN_IMAGES)):
-        generate_toy_dataset(data_dir, n_train, n_test, seed)
+        generate_toy_dataset(data_dir, n_train, n_test)
     return data_dir

@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NonFiniteError
 
+# Adam's decay of its first and second moment estimates, and its denominator's floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def as_tensor(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
@@ -101,8 +104,7 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState,
-              lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState, lr=1e-3) -> None:
     """One in-place Adam update with bias correction.  Raises on non-finite
     gradients instead of corrupting the parameters."""
     for name, g in grads.items():
@@ -117,10 +119,10 @@ def adam_step(params: dict, grads: dict, state: AdamState,
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        mhat = m / (1.0 - beta1 ** t)
-        vhat = v / (1.0 - beta2 ** t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        mhat = m / (1.0 - ADAM_BETA1 ** t)
+        vhat = v / (1.0 - ADAM_BETA2 ** t)
+        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
