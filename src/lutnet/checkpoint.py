@@ -20,9 +20,9 @@ for its JSON type (no string, bool or fraction is coerced), K against the
 fabric's LUT (config.FABRIC_K), the name for a Verilog identifier, the LUT
 offsets and first inputs against the prune mask, every size for an
 integer of at least 1, every prune mask for 0 and 1 only, every float for
-finiteness and every batch norm for a positive eps and a non-negative
-running variance, and raises SchemaError on malformed input, including a
-hardened net that harden_network rejects.  Older files still load:
+finiteness, every batch norm for a positive eps and a non-negative running
+variance and the layers with model.steps; SchemaError on malformed input,
+including a hardened net that harden_network rejects.  Old files still load:
   * schema 1: per-channel LUT lists are concatenated, and stored levels,
     node positions and reconnection flags are ignored;
   * schemas 1 and 2: each compute layer's scale `alpha` moves into the batch
@@ -42,10 +42,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .config import FABRIC_K
-from .errors import LutNetError, SchemaError
+from .errors import DimensionError, LutNetError, SchemaError
 from .expand import harden_network
 from .model import (STAGES, BatchNormLayer, ConvLayer, DenseLayer, LutData, MaxPoolLayer,
-                    Network, SoftmaxLayer)
+                    Network, SoftmaxLayer, steps)
 from .training import TrainLog
 
 SCHEMA_VERSION = 4
@@ -277,6 +277,10 @@ def _checkpoint_in(raw: dict) -> Checkpoint:
                   input_shape=tuple(_size(d, "input_shape") for d in raw["input_shape"]),
                   seed=_int(raw["seed"], "seed"),
                   stage="expanded" if hardened else stage)
+    try:
+        steps(net)
+    except DimensionError as e:
+        raise SchemaError(f"the stored layers do not fit: {e}") from e
     if hardened:
         frac_bits = _int(raw["frac_bits"], "frac_bits")
         try:

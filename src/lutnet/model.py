@@ -9,8 +9,9 @@ and the quantised reference forward_hardened_bits (the walk with
 _bits_layer) infer INFER_BATCH samples at a time.
 
 Every dense, conv and maxpool layer is one windowed operator and one step
-of the walk, which runs the batch norm after the layer on the layer's own
-output rows, so a batch norm must directly follow one.  `windows` gives its
+of `steps`, the one checked layer plan, which the walk, `backward`,
+hwgen.lower, the label check and the loader read; the walk runs the batch
+norm after the layer on the layer's own output rows.  `windows` gives its
 geometry: the layer reads `positions` windows of its input and
 writes one value per channel and position.  A dense layer is conv over one
 position, whose window is the whole flattened input; a conv layer's windows
@@ -60,6 +61,7 @@ Conventions used by every engine and by the hardware path:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,16 +388,36 @@ def windows(layer, in_shape) -> Windows:
     return Windows(in_shape, (out_channels, oh, ow), (start[:, None] + slot).astype(np.int64))
 
 
+Step = namedtuple("Step", "idx layer win bn head")
+
+
+def steps(net: "Network") -> list:
+    """The layer plan of net: per dense, conv and maxpool layer idx, in
+    order, its windows on the shape in front of it, the batch norm after it
+    or None, and whether it is the head, the last step, whose batch norm
+    stays real.  DimensionError unless each window fits, each batch norm
+    directly follows a windowed layer and has its channels, and a dense or
+    conv layer computes."""
+    plan, shape = [], tuple(net.input_shape)
+    for idx, layer in enumerate(net.layers):
+        if layer.kind == "batchnorm" and (not idx or net.layers[idx - 1].kind not in WINDOWED):
+            raise DimensionError(f"batch norm l{idx} does not follow a dense, conv or maxpool "
+                                 f"layer")
+        if layer.kind in WINDOWED:
+            win, bn = windows(layer, shape), net.bn_after(idx)
+            if bn is not None and bn.num_features != win.out_shape[0]:
+                raise DimensionError(f"batch norm l{idx + 1} has {bn.num_features} features, "
+                                     f"l{idx} has {win.out_shape[0]} channels")
+            plan.append(Step(idx, layer, win, bn, False))
+            shape = win.out_shape
+    if not net.compute_layers():
+        raise DimensionError(f"{net.name} has no dense or conv layer")
+    plan[-1] = plan[-1]._replace(head=True)
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # shared layer plumbing
-
-
-def _is_head_bn(net, idx):
-    """True if layer idx is the batch-norm feeding the softmax head (kept real)."""
-    for later in net.layers[idx + 1:]:
-        if later.kind != "softmax":
-            return False
-    return True
 
 
 def levels(layer, b: int) -> list:
@@ -424,39 +446,29 @@ def _pool_layer_bwd(net, idx, cache, drows, grads):
 
 
 def _forward_stack(net, x, training, layer_fn=None):
-    """Common layer walk, one step per dense, conv or maxpool layer idx: the
-    window rows (B*positions, window) go through layer_fn, by default the
-    stage's forward in _ENGINES, or _pool_layer for a maxpool, to outputs
-    (B*positions, C) plus a cache; the batch norm after the layer runs on
-    those rows, then the sign unless that batch norm feeds the head, before
-    the rows become the next layer's input.  From the binarised stage on the
-    network input is binarised.  _bits_layer folds the batch norm after its
-    layer into thresholds, so the walk skips batch norms for it.  A batch
-    norm that does not directly follow a windowed layer raises
-    DimensionError.  Only a training walk keeps the caches, which only
-    `backward` reads."""
+    """Common layer walk over steps(net): each step's window rows
+    (B*positions, window) go through layer_fn, by default the stage's
+    forward in _ENGINES, or _pool_layer for a maxpool, to outputs
+    (B*positions, C) plus a cache; the step's batch norm runs on those rows,
+    then the sign unless the step is the head, before the rows become the
+    next step's input.  From the binarised stage on the network input is
+    binarised.  _bits_layer folds the batch norm after its layer into
+    thresholds, so the walk skips batch norms for it.  Only a training walk
+    keeps the caches, which only `backward` reads."""
     layer_fn = layer_fn or _ENGINES[net.stage][0]
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
-    bsz = x.shape[0]
     if np.prod(x.shape[1:]) != np.prod(net.input_shape):
         raise DimensionError(f"{net.name} takes inputs of {np.prod(net.input_shape)} values "
                              f"{tuple(net.input_shape)}, got {np.prod(x.shape[1:])}")
-    stray = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"
-             and (i == 0 or net.layers[i - 1].kind not in WINDOWED)]
-    if stray:
-        raise DimensionError(f"batch norm l{stray[0]} does not follow a dense, conv or "
-                             f"maxpool layer")
-    h = x.reshape((bsz,) + tuple(net.input_shape))
+    h = x.reshape((x.shape[0],) + tuple(net.input_shape))
     if net.stage not in ("real", "pruned"):
         h = nm.sign_pm1(h)
     caches = []
-    for idx, layer in enumerate(net.layers):
-        if layer.kind not in WINDOWED:   # a batch norm runs in its layer's step
-            continue
-        win = windows(layer, h.shape[1:])
-        y, cache = (_pool_layer if layer.kind == "maxpool" else layer_fn)(net, idx, win.rows(h))
-        bn = None if layer_fn is _bits_layer else net.bn_after(idx)
+    for step in steps(net):
+        fn = _pool_layer if step.layer.kind == "maxpool" else layer_fn
+        y, cache = fn(net, step.idx, step.win.rows(h))
+        bn = None if layer_fn is _bits_layer else step.bn
         bn_cache = pre_sign = None
         if bn is not None:
             if training:
@@ -466,11 +478,11 @@ def _forward_stack(net, x, training, layer_fn=None):
             else:
                 y = nm.batchnorm_forward(y, bn.running_mean, bn.running_var,
                                          bn.gamma, bn.beta, bn.eps)
-            if not _is_head_bn(net, idx + 1):
+            if not step.head:
                 pre_sign, y = y, nm.sign_pm1(y)
         if training:
-            caches.append((idx, win, cache, bn_cache, pre_sign))
-        h = win.outputs(y)
+            caches.append((step, cache, bn_cache, pre_sign))
+        h = step.win.outputs(y)
     return h, caches
 
 
@@ -484,17 +496,17 @@ def backward(net: Network, caches, dlogits):
     layer_bwd = _ENGINES[net.stage][1]
     grads = {}
     d = nm.as_tensor(dlogits)
-    for idx, win, inner, bn_cache, pre_sign in reversed(caches):
-        drows = win.outputs_backward(d)
+    for step, inner, bn_cache, pre_sign in reversed(caches):
+        drows = step.win.outputs_backward(d)
         if pre_sign is not None:
             drows = nm.sign_ste_backward(pre_sign, drows)
         if bn_cache is not None:
-            drows, grads[f"l{idx + 1}.gamma"], grads[f"l{idx + 1}.beta"] = \
+            drows, grads[f"l{step.idx + 1}.gamma"], grads[f"l{step.idx + 1}.beta"] = \
                 nm.batchnorm_backward(bn_cache, drows)
-        bwd = _pool_layer_bwd if net.layers[idx].kind == "maxpool" else layer_bwd
-        drows = bwd(net, idx, inner, drows, grads)
-        if idx:   # layer 0 reads the network input
-            d = win.rows_backward(drows)
+        bwd = _pool_layer_bwd if step.layer.kind == "maxpool" else layer_bwd
+        drows = bwd(net, step.idx, inner, drows, grads)
+        if step.idx:   # layer 0 reads the network input
+            d = step.win.rows_backward(drows)
     return grads
 
 
@@ -695,23 +707,15 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
 # into thresholds, as the netlist computes them
 
 
-def _plane_gammas(layer, b):
-    """(B,) plane scales of a compute layer from the binarised stage on."""
-    if layer.lut is not None:
-        return layer.lut.gammas
-    return np.array([g for _w, g in levels(layer, b)])
-
-
-def quantise_layer(net: Network, idx: int):
+def quantise_layer(net: Network, idx: int, gammas):
     """(q_gammas (B,), q_tau (C,), flip (C,), acc_width (C,)) of hardened
-    compute layer idx and the batch norm after it, for _bits_layer and the
-    netlist: scales and the thresholds the batch norm folds to at
-    net.frac_bits, and each channel's two's-complement accumulator bits for
-    sum_b |q_b| * N~ + |q_tau|, in Python integers so that they cannot wrap."""
-    layer = net.layers[idx]
-    n_tilde = layer.prune_mask.sum(axis=1)   # nodes per channel, as in the LUT offsets
-    q_gammas = np.array([quantise(float(g), net.frac_bits)
-                         for g in _plane_gammas(layer, net.b_levels)], dtype=np.int64)
+    compute layer idx, whose plane scales are gammas, and the batch norm
+    after it, for _bits_layer and the netlist: scales and the thresholds the
+    batch norm folds to at net.frac_bits, and each channel's two's-complement
+    accumulator bits for sum_b |q_b| * N~ + |q_tau|, in Python integers so
+    that they cannot wrap."""
+    n_tilde = net.layers[idx].prune_mask.sum(axis=1)   # nodes per channel, as in the LUT offsets
+    q_gammas = np.array([quantise(float(g), net.frac_bits) for g in gammas], dtype=np.int64)
     tau, flip = fold_batchnorm(net.bn_after(idx))
     q_tau = np.array([quantise(float(t), net.frac_bits) for t in tau], dtype=np.int64)
     scale = sum(abs(q) for q in q_gammas.tolist())
@@ -729,8 +733,8 @@ def _bits_layer(net, idx, rows):
     """The quantised reference of layer idx and the batch norm after it, as
     the netlist computes them: integer sums, scales and thresholds quantised
     to net.frac_bits fractional bits, {-1,+1} threshold bits out."""
-    q_gammas, q_tau, flip, _width = quantise_layer(net, idx)
-    s_list = _plane_sums(net, idx, rows, True)[0]
+    s_list, gammas, _state = _plane_sums(net, idx, rows, True)
+    q_gammas, q_tau, flip, _width = quantise_layer(net, idx, gammas)
     acc = sum(q * s.astype(np.int64) for q, s in zip(q_gammas, s_list))
     return np.where(np.where(flip, acc <= q_tau, acc >= q_tau), 1.0, -1.0), None
 

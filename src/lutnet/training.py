@@ -62,8 +62,7 @@ def l2_group_regulariser(net: md.Network, lam: float):
 
 def check_labels(net, y):
     """Labels must index the head's outputs."""
-    head = net.compute_layers()[-1][1]
-    classes = head.out_features if head.kind == "dense" else head.out_channels
+    classes = md.steps(net)[-1].win.out_shape[0]
     if y.size and (y.min() < 0 or y.max() >= classes):
         raise FormatError(f"labels must lie in [0, {classes}), the classes of the head of "
                           f"{net.name}; got {y.min()} to {y.max()}")

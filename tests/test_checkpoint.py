@@ -261,10 +261,27 @@ def _set(path, value):
     return tamper
 
 
+def _bn_features(n):
+    """Tamper: l1, the batch norm after the 4 channels of l0, gets n features."""
+    def tamper(raw):
+        bn = raw["layers"][1]
+        bn["num_features"] = n
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            bn[name] = (bn[name] * 2)[:n]
+    return tamper
+
+
 LUT = ("layers", 2, "lut")
+# loaded fields that fit each other, but layers that do not fit together
+UNFIT = {
+    "batch norm wider than its layer": _bn_features(5),
+    "batch norm of one feature": _bn_features(1),
+    "no dense or conv layer": _set(("layers",), [{"kind": "softmax"}]),
+}
 TAMPERED = {
     # the tiny net: l0 dense 8 -> 4 (time-multiplexed), l2 dense 4 -> 3 expanded
     # at K=3 with 9 nodes, offsets [0, 3, 7, 9], 2 planes
+    **UNFIT,
     "unknown stage": _set(("stage",), "quantised"),
     "weights not (out, window)": _set(("layers", 0, "weights"), lambda w: [r[:-1] for r in w]),
     "prune_mask not (out, window)": _set(("layers", 2, "prune_mask"), lambda m: m[:-1]),
@@ -358,6 +375,20 @@ def test_bad_checkpoint_is_an_operational_failure_of_emit(case, tmp_path, capsys
     out = capsys.readouterr()
     assert out.err.startswith("error: ")
     assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("case", sorted(UNFIT))
+@pytest.mark.parametrize("command", sorted(cli.HARDWARE))
+def test_unfit_layers_are_an_operational_failure(case, command, tmp_path, capsys):
+    raw = _hardened_dict()
+    UNFIT[case](raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="ascii")
+    assert cli.main([command, "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "the stored layers do not fit" in out.err
+    assert "Traceback" not in out.out + out.err
+    assert not (tmp_path / "out").exists()
 
 
 def _conv_pool_dict():

@@ -208,6 +208,23 @@ def test_infinite_threshold_is_an_operational_failure(tiny_ckpts, tmp_path, caps
     assert not (out / "ckpt_hardened.json").exists()
 
 
+def test_batch_norm_wider_than_its_layer_is_not_hardened(tiny_ckpts, tmp_path, capsys):
+    # l1 follows the 4 channels of l0
+    with open(tiny_ckpts["expanded"], encoding="ascii") as f:
+        raw = json.load(f)
+    bn = raw["layers"][1]
+    bn["num_features"] = 5
+    for name in ("gamma", "beta", "running_mean", "running_var"):
+        bn[name].append(bn[name][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw), encoding="ascii")
+    out = tmp_path / "out"
+    assert cli.main(["harden", "--ckpt", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "batch norm l1 has 5 features, l0 has 4 channels" in err
+    assert not (out / "ckpt_hardened.json").exists()
+
+
 def _idx_set(root, n_images=300, n_labels=300, side=28, first_label=None, test_label=None):
     """IDX train and test files of random images and labels under root;
     first_label replaces the first label of both sets, test_label the

@@ -13,7 +13,7 @@ from lutnet.expand import reduce_dont_cares
 from lutnet.hwgen import area
 from lutnet.hwgen.netlist import ComputeBlock
 
-from conftest import area_sha, exhaustive_pm1, fold_initial_scale, netlist_pin
+from conftest import area_sha, exhaustive_pm1, fold_initial_scale, netlist_pin, tiny_stages
 
 
 def _bits(v, k):
@@ -544,3 +544,19 @@ def test_lower_rejects_node_inputs_outside_the_window():
     net.layers[2].lut.indices[0, 1] = net.layers[2].window_size
     with pytest.raises(LoweringError, match="outside the window"):
         hw.lower(net)
+
+
+def test_each_time_multiplexed_layer_is_binarised_once_per_use(monkeypatch):
+    # the quantised reference and lower quantise the plane scales that they
+    # derive with the layer's residual levels, in each block of rows
+    net = tiny_stages()[-1][1]
+    calls = []
+
+    def counted(*args, _binarise=pr.residual_binarise):
+        calls.append(args)
+        return _binarise(*args)
+    monkeypatch.setattr(pr, "residual_binarise", counted)
+    md.forward_hardened_bits(net, np.ones((1200, 8)))
+    assert len(calls) == 3   # l0, in each of the 3 blocks of INFER_BATCH rows
+    hw.lower(net)
+    assert len(calls) == 4

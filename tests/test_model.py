@@ -97,15 +97,20 @@ class TestBackwardReal:
         assert rel_err(grads["l2.weights"], fd) < 1e-6
 
 
-@pytest.mark.parametrize("layers", [
-    [md.BatchNormLayer(2), md.DenseLayer(2, 2), md.BatchNormLayer(2), md.SoftmaxLayer()],
-    [md.DenseLayer(2, 2), md.BatchNormLayer(2), md.BatchNormLayer(2), md.SoftmaxLayer()],
-], ids=["first", "after_batchnorm"])
+@pytest.mark.parametrize("layers, message", [
+    ([md.BatchNormLayer(2), md.DenseLayer(2, 2), md.BatchNormLayer(2), md.SoftmaxLayer()],
+     "batch norm l0 does not follow a dense, conv or maxpool"),
+    ([md.DenseLayer(2, 2), md.BatchNormLayer(2), md.BatchNormLayer(2), md.SoftmaxLayer()],
+     "batch norm l2 does not follow a dense, conv or maxpool"),
+    ([md.DenseLayer(2, 3), md.BatchNormLayer(2), md.SoftmaxLayer()],
+     "batch norm l1 has 2 features, l0 has 3 channels"),
+], ids=["first", "after_batchnorm", "narrower_than_its_layer"])
 @pytest.mark.parametrize("walk", [md.forward, md.forward_real_train])
-def test_batchnorm_not_after_windowed_layer_is_rejected(layers, walk):
-    # the walk runs a batch norm in the step of the layer in front of it
+def test_batchnorm_not_after_windowed_layer_is_rejected(layers, message, walk):
+    # the walk runs a batch norm in the step of the layer in front of it, on
+    # that layer's channels
     net = md.init_network(md.Network("straybn", layers, 1, (2,), 3))
-    with pytest.raises(DimensionError, match="does not follow a dense, conv or maxpool"):
+    with pytest.raises(DimensionError, match=message):
         walk(net, np.ones((4, 2)))
 
 
@@ -579,7 +584,8 @@ def test_training_phases_match_pins():
         scales = None
         if phase > 1:
             layers = [layer for _i, layer in net.compute_layers()]
-            scales = _sha(*[md._plane_gammas(layer, net.b_levels) for layer in layers],
+            scales = _sha(*[np.array([g for _w, g in md.levels(layer, net.b_levels)])
+                            if layer.lut is None else layer.lut.gammas for layer in layers],
                           *[layer.lut.coeffs for layer in layers if layer.lut is not None])
         got = (hashlib.sha256(log.to_csv().encode("ascii")).hexdigest(), _net_sha(net), scales)
         assert got == TRAINING_PINS[phase], phase
