@@ -14,7 +14,8 @@ terms per code, and gathers the tables by slot = node * 2^K + code.
 Vertex encoding is fixed everywhere (model evaluation, netlist simulation,
 Verilog INIT masks): vertex v maps to the integer with bit k = (v_k + 1) / 2,
 bit 0 being the node's first input.  Truth tables are stored as {-1,+1} int8
-vectors indexed that way.
+vectors indexed that way.  Expansion wires each layer by a per-layer wiring
+plan, all of its nodes drawn at once by one generator seeded per layer.
 """
 
 from __future__ import annotations
@@ -113,48 +114,50 @@ def reduce_dont_cares(tables: np.ndarray, k: int):
 
 
 def select_inputs(window: int, positions: np.ndarray, k: int, rng: np.random.Generator):
-    """Wiring plan (N~, K) for one channel's surviving nodes.
+    """Wiring plan (N, K) of nodes whose preserved inputs are positions (N,).
 
-    Input 1 of each node preserves the original connection; the K-1 further
-    inputs are drawn uniformly without replacement from the remaining window
-    positions (a node is never multiply connected to the same input).
-    """
+    Column 0 of each node preserves the original connection; the K-1 further
+    inputs are drawn for all nodes at once, uniformly over ordered tuples of
+    distinct window inputs other than column 0 (a node is never multiply
+    connected to the same input): K-1 rounds of Floyd's algorithm draw a set
+    from the window-1 other inputs, a shuffle orders it, and each drawn index
+    at or past the preserved input steps over it."""
     n = positions.shape[0]
-    indices = np.empty((n, k), dtype=np.int64)
-    indices[:, 0] = positions
-    all_idx = np.arange(window)
-    for row, pos in enumerate(positions):
-        others = all_idx[all_idx != pos]
-        if k > 1:
-            indices[row, 1:] = rng.choice(others, size=k - 1, replace=False)
-    return indices
+    other = np.empty((n, k - 1), dtype=np.int64)
+    for r, j in enumerate(range(window - k, window - 1)):
+        val = rng.integers(0, j + 1, size=n)
+        taken = (other[:, :r] == val[:, None]).any(axis=1)
+        other[:, r] = np.where(taken, j, val)
+    other = rng.permuted(other, axis=1)
+    other += other >= positions[:, None]
+    return np.concatenate((positions[:, None], other), axis=1)
 
 
 def _plane_coeffs(layer, lv, channel, indices, k, sum_gamma):
-    """Initial coefficients for every plane of one channel, from the level-b
-    binary weight in the levels lv of the preserved input plus the phase-1
-    weights of drawn inputs that were pruned, spread evenly across planes via
-    1/sum(gamma)."""
-    n = indices.shape[0]
-    planes = []
+    """Initial coefficients (B, N, 2**K) of every plane of a layer's nodes,
+    node n of channel[n], from the level-b binary weight in the levels lv of
+    the preserved input plus the phase-1 weights of drawn inputs that were
+    pruned, spread evenly across planes via 1/sum(gamma)."""
+    rows, planes = channel[:, None], []
     original = layer.phase1_weights if layer.phase1_weights is not None else layer.weights
     for w_b, _gamma in lv:
-        wvecs = np.zeros((n, k))
+        wvecs = np.zeros(indices.shape)
         wvecs[:, 0] = w_b[channel, indices[:, 0]]
         if k > 1 and sum_gamma > 0.0:
-            recon_w = original[channel][indices] / sum_gamma
-            reconnected = ~layer.prune_mask[channel][indices]
+            recon_w = original[rows, indices] / sum_gamma
+            reconnected = ~layer.prune_mask[rows, indices]
             wvecs[:, 1:] = np.where(reconnected[:, 1:], recon_w[:, 1:], 0.0)
         planes.append(linear_coeffs(wvecs))
-    return np.stack(planes)   # (B, N~, 2**K)
+    return np.stack(planes)   # (B, N, 2**K)
 
 
 def expand_network(net, k: int, seed: int):
     """Convert every surviving XNOR of the unrolled layers into a K-LUT node
-    with a deterministic per-channel wiring plan; time-multiplexed layers are
-    untouched.  The residual levels of the latent weights and the phase-1
-    weights are read once here, for the preserved inputs and reconnections:
-    afterwards the phase-1 weights are dropped.  Stage: binarised -> expanded."""
+    with a deterministic per-layer wiring plan, drawn by one generator per
+    layer; time-multiplexed layers are untouched.  The residual levels of
+    the latent weights and the phase-1 weights are read once here, for the
+    preserved inputs and reconnections: afterwards the phase-1 weights are
+    dropped.  Stage: binarised -> expanded."""
     from .model import LutData, levels, require_stage
 
     require_stage(net, "binarised")
@@ -169,16 +172,13 @@ def expand_network(net, k: int, seed: int):
                 f"layer l{li} ({layer.kind}): window of {window} inputs cannot feed a {k}-LUT")
         lv = levels(layer, net.b_levels)
         gammas = np.array([g for _w, g in lv])
-        sum_gamma = float(gammas.sum())
-        indices, coeffs = [], []
-        for c in range(layer.prune_mask.shape[0]):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(li, c)))
-            idx = select_inputs(window, np.flatnonzero(layer.prune_mask[c]), k, rng)
-            indices.append(idx)
-            coeffs.append(_plane_coeffs(layer, lv, c, idx, k, sum_gamma))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(li,)))
+        channel, positions = np.nonzero(layer.prune_mask)   # channel-major, ascending
+        indices = select_inputs(window, positions, k, rng)
         offsets = np.concatenate(([0], np.cumsum(layer.prune_mask.sum(axis=1))))
+        coeffs = _plane_coeffs(layer, lv, channel, indices, k, float(gammas.sum()))
         layer.lut = LutData(k=k, gammas=gammas, offsets=offsets.astype(np.int64),
-                            indices=np.concatenate(indices), coeffs=np.concatenate(coeffs, axis=1))
+                            indices=indices, coeffs=coeffs)
         layer.phase1_weights = None
     net.stage = "expanded"
     return net

@@ -62,9 +62,9 @@ def make_tiny_net(seed=7, b_levels=2, in_bits=8, hidden=4, classes=3,
 def tiny_stages():
     """(stage, network) after each pipeline step of make_tiny_net(): prune,
     binarise, expand at K=3 with perturbed coefficients, harden.  The
-    expanded network is the one data/tiny_expanded_v2.json holds, the
-    hardened one the one data/tiny_hardened_v1.json,
-    data/tiny_hardened_v3.json and data/tiny_hardened_v4.json hold."""
+    checkpoints under data/ hold these nets as they were wired before
+    expansion drew one wiring plan per layer, so they compute other
+    functions."""
     net = make_tiny_net()
     out = [("real", copy.deepcopy(net))]
     pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.75, tol=0.3))

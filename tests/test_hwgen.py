@@ -455,25 +455,26 @@ def test_verilog_tables_equal_netlist_tables(k):
 
 # netlist_pin of lower(_planted_net(k)): Verilog sha256 in the behavioral and
 # vendor-primitive styles and the cell counts, recorded from the object-per-bit
-# netlist that the per-layer arrays replaced
+# netlist that the per-layer arrays replaced; K >= 2 re-recorded when
+# expansion drew one wiring plan per layer
 PLANTED_PINS = {
     1: ("d4323e0f0e29585391806f6de0275a1d628c3927228caab57ab3d5215953e857",
         "3186ebf7ec6521116af70bc25f337e6ec53419af7bfc2f4d7b5a02f871f8226d",
         {"lut": 96, "add": 80, "threshold": 9}),
-    2: ("31452e6d407d3c05621e7debbb042149b2b3faa9a7d82c02dc264e472d8ff634",
-        "5c4067e20b79ce6c856da6a4d7cc6637f004ed0237cfb3d1b3e75e00018bd9de",
+    2: ("7d27fb420d1d3ef03d3ac47d31e50e7d37bcc5c9a7d26c32a2b86533d2e46253",
+        "103db21481f9d9baa820d6aecd9bb2c5f42e368f878d5fc937effa60acfa9efe",
         {"lut": 92, "add": 76, "threshold": 9}),
-    3: ("4833fa8e0f114e353b823028216b9e82f778bdeb4bb380d05515aba184c5956e",
-        "2e54cd21f577d307a196fb97a14bf644e27eadeb8c7a5644880ab13a60c08c2c",
+    3: ("75b12d0594b715ea071b3e7c0d8cdd7e907d9bb8808a31d84552a9942351ba98",
+        "c6515eca90e26341c094b068e8e7ab2b100a0c6eb1e7c33e2cb581053f30a4d6",
         {"lut": 92, "add": 76, "threshold": 9}),
-    4: ("7f895e48907eaac0f0d52b4ddb4042aa2117abb75cf1d3dad1a2083d264403dc",
-        "451fbf818e774558ad6a3956e587cda661774ecf1085e150c57738ff5aab3627",
+    4: ("761665365a2fbe127f91fd4ff9c4d31e6ac60b9521e71fcd790cd3fa2d45ad77",
+        "741178444aa7328d6b986be94063489329983078d1d4119d0eb88e9a84dd310d",
         {"lut": 96, "add": 80, "threshold": 9}),
-    5: ("214bd1730214f28b599b7bfab1eeca03d0ad143c90b375ae168a33b50a4cd143",
-        "bcc6a53bcf3a98a9bb6ee9f204f676f7e2bf0351bff8db3d5158f8f42c418658",
+    5: ("19ac51db8a61c3b18d5d8e231dc0e7c381e6f43d8478373b53d11ca4f8c79695",
+        "f305933fc0158c4401e860e44e13c4ab2da78f8745d91740f10c1ace4dc51e6f",
         {"lut": 90, "add": 74, "threshold": 9}),
-    6: ("5369c0e756c37a1608a40252836a85c6d6e6488584c65ef534e8d4437c4bf248",
-        "466a677499b4e05d112984f7b6421e398351c844d4e8f2285f250ccdac8af0ee",
+    6: ("1a418088173617b0cf4191665ca55aad4c71abc4bc94ad60b0e823a2a16fb309",
+        "765e6084326a9797006d433560723c7d1c145161db78d2c9967a77de1aa8df90",
         {"lut": 92, "add": 76, "threshold": 9}),
 }
 
@@ -518,13 +519,14 @@ def test_unread_activation_is_an_internal_wire():
 
 
 # sha256 of area_report(...).to_csv(), recorded from the area estimate that
-# walked the network itself, before it priced lower's blocks
+# walked the network itself, before it priced lower's blocks; K = 5
+# re-recorded when expansion drew one wiring plan per layer
 PLANTED_AREA = {
     1: "6d31a1226fe630a3a1296d7a29ff9ac8600d480619f86e4d44284e5a3f86c74a",
     2: "20a7e8dae8982a658b16b6231bf45d82247eb73a0fc9c337f767084f23882ae0",
     3: "13661eb0163aac3e29a53fc2bd4dd9788f4fd76d8f27992814e413e3d62d1ffd",
     4: "319e3fdafe6fc1a2e930e2247c6bc6efc36e287b90ea4567464829ec3071513f",
-    5: "e6bfd0842b54346d358a51322ea5a0cba792e0e3e876e92b720f20abc1cee3f0",
+    5: "39ce2e8c70a9acb67453593bbf6b23423366c887194bebfb8daf5df635d2fd86",
     6: "bb2d3fa3663d38de6454ee78cd60c1654412abe3d67f8e2ad22f180d8830ffad",
 }
 UNREAD_AREA = "ba7f05a4ab25cfcc338a1a506688cbcbfa3026ac23a41aa3805fa26e538661e5"

@@ -493,29 +493,30 @@ def _sha(*arrays):
 
 # sha256 of (forward_lut_train logits, backward_lut gradients by sorted name,
 # LUT gammas and coefficients after one run_phase3_retrain step) on all 256
-# inputs, recorded from the per-channel einsum engine
+# inputs, recorded from the per-channel einsum engine; K >= 2 and
+# tiny_stages() re-recorded when expansion drew one wiring plan per layer
 PHASE3_PINS = {
     1: ("427fbfaf1328d8d603aadebe548233d7b256c1ff4186b92a387a82ae8c8f1aa9",
         "671adc36a9d1da53ebcac10d81dcbdf9e57a00896c9dab5412c75d09b99765d7",
         "3679d8eefdc8a6e2c7e085519200fd1598e87a2f0bd49499694cb0985880c894"),
-    2: ("e134cd598b8d9b08410acd1e8ac25b3e4c57a47369aeec6db4e0c92b744d1c5d",
-        "d2c74b21c3d2c1e51deb03871becc701a7a8bdaa0b59114963e73fb79e9907a6",
-        "501a5259c17159918b57b5aebc7343a3215bf65674c6e73613d1ef0f08557cfc"),
-    3: ("a3b7f6a1c1da214c1216b4097639b343bbe081b13f9c0c20b2e30c5a53bc0b23",
-        "82ec9be29d8a1233ef189a581ca5bbe28985abc152aaa23c51b4cdb00cabc05d",
-        "39e0e0b29e16b3e2968aef51b205e534894f4d9127b4be69622e6b65add69491"),
-    4: ("13fdfcd691d9d0ce806a3919c5408b64f636f1642d6299f68544acd6e4a19950",
-        "045ad5426bb540efc3d52423437fd0f1fa7e1078657d0e769f2ae1a5318b3d16",
-        "299d6d4b86830b0b84d7df66077d4936f20927b4cf3e02d9524a4c077a6c2403"),
-    5: ("8781efeab3f80620c122e60ccc007a595b62e12f330ecb9e70e12526770e38d5",
-        "11fa3367f093981f9f67f057dbea48564b6bf4cc8ad7b18719e4c1d31e4a6dfc",
-        "27f835290b867cdaa9f781d6e806670500d6c7c275646853d35fcc90cdbc7bb2"),
-    6: ("1db488e0b18cbba075e5d4b1e98af2f92687551a8ead12968998de29176081ab",
-        "10e2f08cb4b3407650b36db2c7c140f704cef5af655eb61b00a6bd0172e0998b",
-        "79d556ac976eda73310fa8f54125fc7256dc49fd15e73e9ccc1b6a72596efdff"),
-    None: ("93483de558f795b6010fc1143af2c03d01b3e613019d43ff9015c2d172273044",
-           "3ace22316b3016a9ec2517bf000257d8b61a26d79f530c6db339a09c074e2c59",
-           "99d88dd7c20b14f43ed5223e82d149a77178a7db14e34166e196cefe4bc49cc1"),
+    2: ("78a6b08868a2e9d3414930cc551ba2f2daa5013e14b27313849bb6aa28d76016",
+        "01d3db743c7a53e8707c05c4ff9bbc5836c74c8ae1be5fc239ed67c3281f4c28",
+        "55682a50d0ee84562c488f48f188d7a2c29ae281c4cf360276c93906db2a4b8b"),
+    3: ("e42c7aae8a2d92b1e93dc4f8f71cb9ae4dea0f2a93b3b28960a65bc18b506140",
+        "8a6da75eb20f4e88a1241974f034165a7a8f69e180091345af287c65a4b92e4d",
+        "5b78e6cc13b2ee30352219e56052fc744bd11844455e68b9aa727357bec157c7"),
+    4: ("8f145f1a891f57feb544771b432cf24e3dfc8ecff147809ec8baadaea28a91a2",
+        "cba20d64a4a29c096b5344a6f08d66c5cbee48852c8d3ca378594a69c0c2d2f6",
+        "3c99e0057b3bfc2edc9c4a22d7a5cf8f5e88a67a2e72575c103f5ca8d8992713"),
+    5: ("fb868829c4e3935b8cd0aa0bf81aa382d99d478bf1e68eb944c1cd0c18476cfe",
+        "e935cc87be8b6b114b4cf9d46998997605486f8315fd8f48219f31b9ca0a8b83",
+        "aba35d646949ad02d21c184529c3fe6d3a5ffd5dca71511e92608d4469ee611b"),
+    6: ("87f15df63b5cad3d09331f286ccb373335d00d053567ad745ad2a1b278e1d3d2",
+        "010236c281f8657c760da5e96fdfd8caa8fa0e9163da3586d525ca672178d82e",
+        "df0bb3a8eb2c0c562887a739768b11ce1c24cad81f9568f5e655df53969efc4d"),
+    None: ("ce397cf4bc7a53d0ba08d02c97b7e95dce6c2edba9e98639bc09c5a68a6c2af7",
+           "a8919a6292bc881af61eee0ad55b43b48395bc7ec3efedfb2e7f9cbbea79f351",
+           "c76a27b7fefdb577a0a34f0b87a448bad7c02d1a6be63713722d64547d869abc"),
 }
 
 
@@ -566,16 +567,17 @@ def _trained_phases():
 
 # sha256 of (TrainLog.to_csv(), _net_sha, the plane scales of every compute
 # layer and the LUT coefficients) after each phase of _trained_phases(),
-# recorded from one step closure per phase
+# recorded from one step closure per phase; phase 3 re-recorded when
+# expansion drew one wiring plan per layer
 TRAINING_PINS = {
     1: ("31d18cc15b3429b3652a40acd2cd7bb5ae766f633607fda9b0008fdf5ee628d7",
         "2918fe38ed3454cf379e389b29d7c81c177e2bdf7c15c8cc05a3656f9bce1279", None),
     2: ("ea5c841d1bcb2465f4b885a27338bb497e92b10c93df5802c0b8b51f9d41cedf",
         "c2a6478973a07191a9d12b64192e7eeb8dbf413204443d54ea336c8e2a78fb64",
         "11760614f97df64e6370b8c0e8f5bcc32541f82e8f402c0d4ee608e84e2b8506"),
-    3: ("c5ff88e803afaa29119dac787286180e91fa204c03d0df5374d9b23e04cb00f2",
-        "41c2e8f15596d7c146dcd3cd002a8fa5b3903a790c7343adbbe1158261fc547a",
-        "d98b038c69f40bda4274396586aea4d1e2916aa471209220183ff70ecbc02eed"),
+    3: ("a1da7c0de22c4351966dca8511618465ca4c67d18229878b0d8bb12231261997",
+        "63645856d1661b9afab4f76200a9b72df3b86107ae416384b8650f4e23d2a4b1",
+        "0925ea07347b3170ac4c453b31f39bfe9b99d5a52a1c02b00990482071aef04a"),
 }
 
 
@@ -592,13 +594,14 @@ def test_training_phases_match_pins():
 
 
 # sha256 of the inference logits of each tiny_stages() network on all 256
-# inputs, recorded from the per-stage inference forwards
+# inputs, recorded from the per-stage inference forwards; expanded and
+# hardened re-recorded when expansion drew one wiring plan per layer
 STAGE_LOGIT_PINS = {
     "real": "76457f060b262db6502f441874ade0f8bce96b6f6ad062c3fcf32254e96419c4",
     "pruned": "1dd75c89cdd7ab9d2484100629e6b8f92b112a4fca44bc040083b783bfcf2134",
     "binarised": "1784f58e2897712c761e1f4e7a95f8f72e3f4ec90022809387bee1cc02fe0034",
-    "expanded": "3c70754d428bbde5ef759b4e67fafcde036ac30c3e7561df06be07bd92d3f44b",
-    "hardened": "19d1dbdd328a412b2aa848f19be785ac30768dfefc0abd0431c74faadce0b149",
+    "expanded": "9b96a63276c082b2ac24e0b62a3fa348086a056319c7d65de31bf9692f30a4e8",
+    "hardened": "8ddc4b0286ac0c453b7affa4bd8e71f2655cf2a2a514dc868fcaa854ef99dbd6",
 }
 
 

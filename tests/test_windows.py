@@ -199,20 +199,21 @@ def _hardened_conv_stack(k, rng):
 # the conv stack: its unrolled conv reads overlapping windows at 4
 # positions, so each input feeds several nodes in several window rows.
 # Recorded from the engine that gathered every node's inputs as
-# (rows, N, K) floats
+# (rows, N, K) floats; K >= 2 re-recorded when expansion drew one wiring
+# plan per layer
 CONV_STACK_PHASE3_PINS = {
     1: ("63ba59c41a308b7127a7b42b7737f481f5707865e23329ec6f10adf73fa7d2bc",
         "0660e4ab920ea4e6393df0871e44318e29597248048c31f0c08e7ded3b147f83",
         "196188d4bb5c29783cc13018806df4dd1b5dc4dc4d5e6673c00e8bc461168abe"),
-    2: ("854534bea409d6694f980bc68ecd40c3759972b344be6e833db2c4abc846b187",
-        "c2c7945b92c3e7715d7cefe74cd5c6caf7574f1c11ce9dea793960c3bfe67a3b",
-        "7cc8cfef465f990bd79a0b98b61cfb2f6e84941085e0a2190d0acfc6e3e059c9"),
-    3: ("6f27e923175fb1908a292c5837a736a66c08cf17ccdc15a18acf606803b9f52d",
-        "326c2003d9eaed4a386f45e4d86ed9eea263bbe3283b9a544c04b8ba3f2ea4fa",
-        "23ee2368adfcb03ebb168f96b5ee37280e172af93ae4b5423dd6181383aebe17"),
-    4: ("8956de1e7c9ba96203353a41dffd5b805b5f07b1788e500c2deaa745774357da",
-        "1f591f189cf6016eb18a62055c83b99433d48c641cc1169b2beb5406fba6471b",
-        "5fbf90648c53e1aba4328ef28958c60e046ef0f84b5395eca331119db05a18e1"),
+    2: ("fac546fff77a315dd1e7d4ec9ed434740efbf664e08c9d406b6935e91e479b22",
+        "63fe90958c249c5bafe208f63c7839c2010da197296bb869296a0ae434f439fb",
+        "912cff1ec5d662a12c89fa09420e5ca35866d27c10d9d0d1e21df219df60c71c"),
+    3: ("c2e19e322ceb1340bd226bd0655cf004c4fc4c0b36217d9a6a491c242581cf14",
+        "8cc6340cba621cf40e7d42cfe922bc783d7e3e97627d7358543f49cf57828949",
+        "be316126410a6d141adc5a6a3d308d1a98671db8de41bbcc97f559d9d4dba825"),
+    4: ("6f191adae16b6ec7a2be5f9c7ce0d6c2d9486d04e88dab138d5a59026c6b87a5",
+        "f6a1f13c721a7bd4154195f9d87b228d63d9d2d6fe5b0764dcd5efdf48c85a4a",
+        "f6469503b5c2182b99a72454cb15efff9808f7b3b115aeef582c27c4001740b4"),
 }
 
 
@@ -235,20 +236,21 @@ def test_conv_stack_phase3_matches_pin(k):
 # INFER_BATCH block: `forward` expanded, then `forward` and
 # `forward_hardened_bits` hardened.  The inference batch norms read rows of
 # several positions after binarisation.  Recorded from the walk that ran
-# each batch norm as a layer of its own on channel-first tensors
+# each batch norm as a layer of its own on channel-first tensors; K >= 2
+# re-recorded when expansion drew one wiring plan per layer
 CONV_STACK_INFER_PINS = {
     1: ("d757310ad07e524f06826bdb7a4c91724ae2ab9c5a93d8edc08b078db5945bff",
         "9bb57bd269a8b7a05ef04cf8a9b4fbef619553e780d153637e10536ae0c8b3fe",
         "784ec4ec927306fe575ec80d9d0e4d31c9a070977b3b13fde522069d72d20658"),
-    2: ("da52c08900383d11d616fefae24d3ffd2d29734e92ab3b854fa9c0607a5b954b",
+    2: ("8d92c35116e94fe96dfd0694cbf5d19b6f6bc5fdccb93d3336b5872598c9cb70",
         "d77a3d7e667573a2bc5d249b522b8fd47be6d66f1a1e688e08a46c250bbcc12c",
         "16267a09eb637f6bd519517ab629884b7294956ff39f84fad62a55663fd4f565"),
-    3: ("324818e6f406b8a598b2b04c084d26117c017f176c62193ddd34045345ecc40b",
-        "1350b938aeea52a4077ae7013d19ec4e89e823534e40376648a6eac0752cf17f",
+    3: ("ab8ff0330e3cc1630eda88ae8304509b98d206cf0f3ad46ab9b2987e5b391c77",
+        "c0fa7f51b84e1f0e7d3cf4cbcac92b6181ccf1f5d63bb65715c62fd5d5523d3f",
         "4817820d527abd6890a3ce657ebfdddbbcc69dbdc892e05a54ada177add205fc"),
-    4: ("7e0b0ca5cbc5de1bef33939d33d238dda86ff2ecca77ed752dcc9a696f6a8328",
-        "121524eafca1fecedda52aea297592967393338cdefc2894e51430b5f32607e9",
-        "4ae6b0bbe1774350204cf86eb19033b2d7a8ccc0b436fbc6f250ec3cb8f9bcee"),
+    4: ("b270c144c8d7ed958330c6105027f1dd7ccea07167e1dd606d6bc381510b7efa",
+        "a3710f33dffbcf00f90feb5a7e1855e37e58db3f83ad682d6ace2c9cb8d89d67",
+        "b0b054036fa9e3a77bb61d23033d927d58eaefd186072bdf312972aa0cb58ffa"),
 }
 
 
@@ -285,7 +287,8 @@ def test_conv_stack_netlist_equals_hardened_bits(k):
 
 # netlist_pin of the lowered conv stack: Verilog sha256 in both styles and the
 # cell counts, recorded from the object-per-bit netlist that the per-layer
-# arrays replaced
+# arrays replaced; K = 3 and 4 re-recorded when expansion drew one wiring
+# plan per layer
 CONV_STACK_PINS = {
     1: ("aa6b7863aef70d0154a6976449517b40090872d4d73c766de4e768c2d8f46a19",
         "7bf7084023e7c75c77fbe95fcd68d9229fbe880bf4a09f5843ced8767fac47a9",
@@ -293,11 +296,11 @@ CONV_STACK_PINS = {
     2: ("aa6b7863aef70d0154a6976449517b40090872d4d73c766de4e768c2d8f46a19",
         "7bf7084023e7c75c77fbe95fcd68d9229fbe880bf4a09f5843ced8767fac47a9",
         {"lut": 1229, "add": 948, "threshold": 127}),
-    3: ("3586c9478740f5a8d75e8900cb5beef7e150aa9692a88995efb11a4e89c7154b",
-        "f470ba20ffd8e4290417996f2ab5aa7e97248d4d9127f8c2bc74f461ef19b552",
+    3: ("8d85f2b0cfef1e38c48e9421884c1f9bc2cd5d82a2c54eb93cc88cb07875be4b",
+        "94be8de4f2bfbcb6218039ca66294f5a7e672da3271d7eab11e1a8ad0f40a6e3",
         {"lut": 1229, "add": 948, "threshold": 127}),
-    4: ("18aba3335e86e3a69589b81755c197bcd0ddf4857f68941e53f1046be12b8e41",
-        "025987bdcfdc799e55cf3392ce72c14ce45427a7c1a8615f733be85cd66193f1",
+    4: ("8c75906af33a46a15078bdd079089b8fc381dd2567021a4121424cd982b0174b",
+        "de7f8c980e9d62caac7a2dc25e8a1f415c55e10ebcd0de2413b56e636af51c0b",
         {"lut": 1229, "add": 948, "threshold": 127}),
 }
 
@@ -310,12 +313,13 @@ def test_conv_stack_netlist_matches_pin(k):
 
 # sha256 of area_report(...).to_csv() of the conv stack (a time-multiplexed
 # conv, a maxpool row, positions > 1), recorded from the area estimate that
-# walked the network itself, before it priced lower's blocks
+# walked the network itself, before it priced lower's blocks; K = 3 and 4
+# re-recorded when expansion drew one wiring plan per layer
 CONV_STACK_AREA = {
     1: "138096939aebe72a527d79cb8016e9e30f9250db24d1b907e9cf96f693849714",
     2: "138096939aebe72a527d79cb8016e9e30f9250db24d1b907e9cf96f693849714",
-    3: "d164bdcb6fbdc4ea67124a614e86069615d1f4125c6e534091b62949a2d03441",
-    4: "a11e92c06607c3d03f09055561722c8f6682710b43e4958ec035c55bfc2ebbdf",
+    3: "7edda2c6756cebdb2d51499c47de67828e0bf9217e4522a63e4f9cff1a96b0f1",
+    4: "60d701a08481c5578de9f645a203bb96459e185acb0a6e2235e9e19a4f11ca4a",
 }
 
 
