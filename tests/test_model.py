@@ -366,6 +366,76 @@ def test_expand_rejects_k_outside_the_fabric_lut(k):
     assert net.stage == "binarised" and net.layers[2].lut is None
 
 
+class TestWiring:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_drawn_inputs_are_distinct_window_inputs_past_column_0(self, k):
+        positions = np.random.default_rng(30).integers(0, 9, 2000)
+        idx = ex.select_inputs(9, positions, k, np.random.default_rng(31))
+        assert idx.shape == (2000, k) and np.array_equal(idx[:, 0], positions)
+        assert idx.min() >= 0 and idx.max() < 9
+        assert all(len(set(row)) == k for row in idx.tolist())
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_a_window_of_k_inputs_is_taken_whole(self, k):
+        positions = np.arange(k).repeat(50)
+        idx = ex.select_inputs(k, positions, k, np.random.default_rng(32))
+        assert np.array_equal(np.sort(idx, axis=1), np.broadcast_to(np.arange(k), idx.shape))
+
+    def test_k1_draws_nothing(self):
+        rng = np.random.default_rng(33)
+        before = rng.bit_generator.state
+        positions = np.array([3, 0, 7, 7])
+        idx = ex.select_inputs(8, positions, 1, rng)
+        assert np.array_equal(idx, positions[:, None]) and rng.bit_generator.state == before
+
+    def test_the_same_seed_gives_the_same_wiring(self):
+        positions = np.random.default_rng(34).integers(0, 12, 300)
+        a, b = (ex.select_inputs(12, positions, 4, np.random.default_rng(35)) for _ in range(2))
+        assert np.array_equal(a, b)
+        nets = [make_tiny_net(hidden=8) for _ in range(2)]
+        for net in nets:
+            pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.6, tol=0.3))
+            pr.binarise_network(net)
+            ex.expand_network(net, k=4, seed=36)
+        assert np.array_equal(nets[0].layers[2].lut.indices, nets[1].layers[2].lut.indices)
+
+    def test_ordered_pairs_are_drawn_uniformly(self):
+        # window 6, K 3, preserved input 2: 20 ordered pairs of the other 5
+        idx = ex.select_inputs(6, np.full(200_000, 2), 3, np.random.default_rng(37))
+        pairs, counts = np.unique(idx[:, 1] * 6 + idx[:, 2], return_counts=True)
+        want = [a * 6 + b for a in (0, 1, 3, 4, 5) for b in (0, 1, 3, 4, 5) if a != b]
+        assert pairs.tolist() == want
+        assert np.all(np.abs(counts - counts.mean()) <= 0.1 * counts.mean())
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_coefficients_equal_the_per_node_formula(self, k):
+        net = make_tiny_net(hidden=8)
+        pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.6, tol=0.3))
+        pr.binarise_network(net)
+        layer = net.layers[2]
+        original = layer.phase1_weights.copy()
+        lv = md.levels(layer, net.b_levels)
+        sum_gamma = sum(g for _w, g in lv)
+        ex.expand_network(net, k=k, seed=38)
+        lut = layer.lut
+        reconnected = 0
+        for c, (a, e) in enumerate(lut.spans()):
+            for n in range(a, e):
+                wires = lut.indices[n]
+                for b, (w_b, _g) in enumerate(lv):
+                    w = np.zeros(k)
+                    w[0] = w_b[c, wires[0]]
+                    for j in range(1, k):
+                        if not layer.prune_mask[c, wires[j]]:
+                            w[j] = original[c, wires[j]] / sum_gamma
+                            reconnected += 1
+                    # two rows: BLAS may hand a one-row product to a
+                    # matrix-vector kernel, which adds in another order
+                    got = ex.linear_coeffs(np.stack([w, w]))[0]
+                    assert np.array_equal(lut.coeffs[b, n], got), (c, n, b)
+        assert (reconnected > 0) == (k > 1)
+
+
 class TestLutForms:
     def _expanded(self, k=2, seed=21):
         net = make_tiny_net(seed=seed)
