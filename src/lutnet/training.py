@@ -13,7 +13,7 @@ from . import model as md
 from . import numerics as nm
 from . import prune as pr
 from .config import RunConfig
-from .errors import FormatError, TrainingDivergedError
+from .errors import DimensionError, FormatError, TrainingDivergedError
 
 # the name the benchmark constructs a phase's settings by; _train reads its
 # epochs, batch size, rates, lambda and seed from the RunConfig it is given
@@ -61,8 +61,13 @@ def l2_group_regulariser(net: md.Network, lam: float):
 
 
 def check_labels(net, y):
-    """Labels must index the head's outputs."""
-    classes = md.steps(net)[-1].win.out_shape[0]
+    """Labels must index the head's outputs, one logit per class, so the
+    head must write one position."""
+    head = md.steps(net)[-1].win
+    if head.positions != 1:
+        raise DimensionError(f"the head of {net.name} writes {head.positions} positions per "
+                             f"class; a classifier's head writes one")
+    classes = head.out_shape[0]
     if y.size and (y.min() < 0 or y.max() >= classes):
         raise FormatError(f"labels must lie in [0, {classes}), the classes of the head of "
                           f"{net.name}; got {y.min()} to {y.max()}")

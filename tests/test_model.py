@@ -114,6 +114,17 @@ def test_batchnorm_not_after_windowed_layer_is_rejected(layers, message, walk):
         walk(net, np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("call", [lambda net, x, y: tr.evaluate(net, x, y),
+                                  lambda net, x, y: tr.run_phase1(net, (x, y), tr.PhaseConfig())],
+                         ids=["evaluate", "run_phase1"])
+def test_head_of_more_than_one_position_is_rejected(call):
+    # a 2x2 conv on 1x3x3 writes 4 positions of its 3 channels into the head
+    layers = [md.ConvLayer(1, 3, 2, 1), md.BatchNormLayer(3), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("convhead", layers, 1, (1, 3, 3), 16))
+    with pytest.raises(DimensionError, match="head of convhead writes 4 positions"):
+        call(net, np.ones((8, 9)), np.zeros(8, dtype=np.int64))
+
+
 def test_batch_permutation_equivariance():
     net = make_tiny_net()
     rng = np.random.default_rng(10)
