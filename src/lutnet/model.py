@@ -436,6 +436,8 @@ def _pool_layer(net, idx, rows):
 
 
 def _pool_layer_bwd(net, idx, cache, drows, grads):
+    if not idx:   # layer 0 reads the network input, whose gradient is not formed
+        return None
     r, y = cache
     # ties route the gradient to every maximum
     return ((r == y[..., None]) * drows[..., None]).reshape(r.shape[0], -1)
@@ -492,7 +494,8 @@ def backward(net: Network, caches, dlogits):
     sign STE and the batch norm, then through the stage's layer backward in
     _ENGINES, or _pool_layer_bwd, to window-row gradients (B*positions,
     window), recording the parameter gradients on the way.  The gradient of
-    the network input is not formed."""
+    the network input is not formed: every layer backward returns None at
+    layer 0."""
     layer_bwd = _ENGINES[net.stage][1]
     grads = {}
     d = nm.as_tensor(dlogits)
@@ -505,7 +508,7 @@ def backward(net: Network, caches, dlogits):
                 nm.batchnorm_backward(bn_cache, drows)
         bwd = _pool_layer_bwd if step.layer.kind == "maxpool" else layer_bwd
         drows = bwd(net, step.idx, inner, drows, grads)
-        if step.idx:   # layer 0 reads the network input
+        if drows is not None:
             d = step.win.rows_backward(drows)
     return grads
 
@@ -528,7 +531,7 @@ def _real_layer(net, idx, rows):
 def _real_layer_bwd(net, idx, cache, drows, grads):
     rows, w = cache
     grads[f"l{idx}.weights"] = (drows.T @ rows) * net.layers[idx].prune_mask
-    return drows @ w
+    return drows @ w if idx else None
 
 
 def forward_real_train(net: Network, x):
@@ -555,6 +558,8 @@ def _binary_layer_bwd(net, idx, cache, d, grads):
     layer = net.layers[idx]
     rows, lv = cache
     grads[f"l{idx}.weights"] = (d.T @ rows) * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
+    if not idx:
+        return None
     rec = np.zeros_like(layer.weights)
     for w_b, g in lv:
         rec += g * w_b
@@ -679,6 +684,8 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
                          minlength=n_nodes << k).reshape(n_nodes, -1) * value + 0.0
     grads[f"l{idx}.lut.coeffs"] = lut.gammas[:, None, None] * dbasis
     grads[f"l{idx}.lut.gammas"] = np.array([float(np.sum(drows * s)) for s in s_list])
+    if not idx:
+        return None
     # input k of a node reads the coefficients at its vertex with bit k clear
     # and set; row slot of table holds the K partials times those pairs
     ceff = np.einsum("b,bnv->nv", lut.gammas, lut.coeffs)

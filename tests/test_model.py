@@ -97,6 +97,32 @@ class TestBackwardReal:
         assert rel_err(grads["l2.weights"], fd) < 1e-6
 
 
+def _layer0_net(kind):
+    """A net whose layer 0 is of kind, at the stage that trains that layer."""
+    if kind == "maxpool":
+        layers = [md.MaxPoolLayer(2), md.DenseLayer(4, 3), md.BatchNormLayer(3), md.SoftmaxLayer()]
+        return md.init_network(md.Network("pool0", layers, 2, (1, 4, 4), 23))
+    net = make_tiny_net(seed=23)
+    if kind == "real":
+        return net
+    net.layers[0].unrolled = kind == "lut"
+    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.6, tol=0.3))
+    pr.binarise_network(net)
+    return ex.expand_network(net, k=2, seed=24) if kind == "lut" else net
+
+
+@pytest.mark.parametrize("kind", ["real", "maxpool", "binary", "lut"])
+def test_layer_0_forms_no_input_gradient(kind):
+    net = _layer0_net(kind)
+    train = {"real": md.forward_real_train, "binarised": md.forward_binary_train,
+             "expanded": md.forward_lut_train}[net.stage]
+    x = np.random.default_rng(25).standard_normal((6, 8 if kind != "maxpool" else 16))
+    for step, inner, _bn, _pre in train(net, x)[1]:
+        bwd = md._pool_layer_bwd if step.layer.kind == "maxpool" else md._ENGINES[net.stage][1]
+        drows = np.ones((x.shape[0] * step.win.positions, step.win.out_shape[0]))
+        assert (bwd(net, step.idx, inner, drows, {}) is None) == (step.idx == 0), step.idx
+
+
 @pytest.mark.parametrize("layers, message", [
     ([md.BatchNormLayer(2), md.DenseLayer(2, 2), md.BatchNormLayer(2), md.SoftmaxLayer()],
      "batch norm l0 does not follow a dense, conv or maxpool"),
