@@ -27,8 +27,10 @@ def ensure_finite(name: str, x: np.ndarray) -> None:
 
 def sign_pm1(x: np.ndarray) -> np.ndarray:
     """Elementwise sign onto {-1, +1} with sign(0) = +1."""
-    x = as_tensor(x)
-    return np.where(x < 0.0, -1.0, 1.0)
+    out = np.less(as_tensor(x), 0.0).astype(np.float64)
+    out *= -2.0
+    out += 1.0
+    return out
 
 
 def sign_ste_backward(x, dy):

@@ -111,15 +111,12 @@ def residual_binarise(weights: np.ndarray, mask: np.ndarray, b_levels: int):
         raise ConfigError(f"residual depth must be >= 1, got {b_levels}")
     w = nm.as_tensor(weights)
     mask = np.asarray(mask, dtype=bool)
-    n_unpruned = int(mask.sum())
+    kept = np.flatnonzero(mask)   # the unpruned entries, in the order mask selects them
     eps = w * mask
     levels = []
     for _b in range(b_levels):
         w_b = nm.sign_pm1(eps)
-        if n_unpruned == 0:
-            gamma = 0.0
-        else:
-            gamma = float(np.abs(eps[mask]).mean())
+        gamma = float(np.abs(eps.reshape(-1).take(kept)).mean()) if kept.size else 0.0
         levels.append((w_b, gamma))
         eps = (eps - gamma * w_b) * mask
     return levels, eps

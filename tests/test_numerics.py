@@ -14,6 +14,11 @@ class TestSign:
     def test_negative(self):
         assert nm.sign_pm1([-5.0]).tolist() == [-1.0]
 
+    def test_special_values(self):
+        # -0.0 and NaN are not negative; no output is -0.0
+        s = nm.sign_pm1([-0.0, np.nan, np.inf, -np.inf, -5e-324])
+        assert s.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0] and not np.signbit(s[:3]).any()
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(100)

@@ -167,6 +167,16 @@ class TestResidualBinarise:
             assert np.array_equal(w_b, np.ones(4))
         assert not eps.any()
 
+    def test_gamma_is_the_mean_over_the_unpruned_entries(self):
+        # the masked mean, bit for bit, on a 2-D mask
+        rng = np.random.default_rng(38)
+        w, mask = rng.standard_normal((5, 9)), rng.random((5, 9)) < 0.4
+        levels, _eps = pr.residual_binarise(w, mask, 3)
+        eps = w * mask
+        for w_b, g in levels:
+            assert g == float(np.abs(eps[mask]).mean())
+            eps = (eps - g * w_b) * mask
+
     def test_pruned_positions_stay_zero_at_every_level(self):
         w = np.array([0.5, 0.0, -0.8])
         mask = np.array([True, False, True])
