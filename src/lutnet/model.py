@@ -6,7 +6,8 @@ and the stage picks the engine: the layer forward and backward in
 _ENGINES[stage] for the one layer walk and its reverse, `backward`.  Each
 training forward checks that its input is at the stage it trains; `forward`
 and the quantised reference forward_hardened_bits (the walk with
-_bits_layer) infer INFER_BATCH samples at a time.
+_bits_layer, each layer quantised once per call) infer INFER_BATCH samples
+at a time.
 
 Every dense, conv and maxpool layer is one windowed operator and one step
 of `steps`, the one checked layer plan, which the walk, `backward`,
@@ -33,16 +34,19 @@ An expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
 the wiring `indices` (N, K), per-plane `coeffs` (B, N, 2**K), and channel
 `offsets` (C+1,), channel c owning nodes offsets[c]:offsets[c+1].
 `LutData.channels` gives per-channel views of them.
-Phase 3 evaluates a whole layer's nodes at once: on +-1 inputs a node reads
-only its vertex, so each layer tabulates its nodes' terms per vertex and
-gathers them by slot, one value per (row, node) forward and one K-vector
-backward (see expand.py).
+The plane-sum engine evaluates all of a layer's nodes together: on +-1
+inputs a node reads only its vertex, so a layer tabulates its nodes' terms
+per vertex, keeps the vertex codes of its rows as (rows, N) uint8, and
+gathers its terms by slot, one value per (row, node) forward and one
+K-vector backward (see expand.py), a block of about numerics.BLOCK_ENTRIES
+entries at a time.  The blocks bound each pass's temporaries by entries
+rather than rows, whatever the batch, and change no result.
 
 A hardened network is its expanded network plus `frac_bits`: no mask or
 threshold is stored.  Each node's truth tables are the signs of its terms,
-which the plane-sum engine and _bits_layer read as _plane_sums does and
-the netlist as expand.harden_masks of its coefficients, and each layer's
-thresholds are fold_batchnorm of the batch norm after it.
+which the plane-sum engine and _bits_layer read as _plane_terms tabulates
+them and the netlist as expand.harden_masks of its coefficients, and each
+layer's thresholds are fold_batchnorm of the batch norm after it.
 
 Conventions used by every engine and by the hardware path:
   * hidden activation is sign(batchnorm(.)) with sign(0) = +1; the batch-norm
@@ -60,6 +64,7 @@ Conventions used by every engine and by the hardware path:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -447,17 +452,19 @@ def _pool_layer_bwd(net, idx, cache, drows, grads):
 # layer walk: owns all window geometry, engines see rows only
 
 
-def _forward_stack(net, x, training, layer_fn=None):
+def _forward_stack(net, x, training, quantised=None):
     """Common layer walk over steps(net): each step's window rows
-    (B*positions, window) go through layer_fn, by default the stage's
-    forward in _ENGINES, or _pool_layer for a maxpool, to outputs
-    (B*positions, C) plus a cache; the step's batch norm runs on those rows,
-    then the sign unless the step is the head, before the rows become the
-    next step's input.  From the binarised stage on the network input is
-    binarised.  _bits_layer folds the batch norm after its layer into
-    thresholds, so the walk skips batch norms for it.  Only a training walk
-    keeps the caches, which only `backward` reads."""
-    layer_fn = layer_fn or _ENGINES[net.stage][0]
+    (B*positions, window) go through the stage's forward in _ENGINES, or
+    _pool_layer for a maxpool, to outputs (B*positions, C) plus a cache; the
+    step's batch norm runs on those rows, then the sign unless the step is
+    the head, before the rows become the next step's input.  From the
+    binarised stage on the network input is binarised.  Given the
+    _quantised_layers of a hardened net, the walk runs _bits_layer instead,
+    which folds the batch norm after its layer into thresholds, so the walk
+    skips batch norms for it.  Only a training walk keeps the caches, which
+    only `backward` reads."""
+    layer_fn = (_ENGINES[net.stage][0] if quantised is None
+                else functools.partial(_bits_layer, quantised))
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
     if np.prod(x.shape[1:]) != np.prod(net.input_shape):
@@ -470,7 +477,7 @@ def _forward_stack(net, x, training, layer_fn=None):
     for step in steps(net):
         fn = _pool_layer if step.layer.kind == "maxpool" else layer_fn
         y, cache = fn(net, step.idx, step.win.rows(h))
-        bn = None if layer_fn is _bits_layer else step.bn
+        bn = step.bn if quantised is None else None
         bn_cache = pre_sign = None
         if bn is not None:
             if training:
@@ -593,70 +600,94 @@ def fold_batchnorm(bn: BatchNormLayer):
 # inputs.  A layer without LUTs sums XNORs, the dots of its residual levels.
 # An expanded layer's node reads only its vertex code, so each layer
 # evaluates expand.interp_basis (forward) and expand.interp_dx_partial
-# (backward) once on the 2**K codes, builds per-vertex tables, (N, 2**K) of
-# value * coefficient per plane, or their signs once hardened, and
-# (N * 2**K, K) of input partials, and gathers them by slot =
-# node * 2**K + code: one value per (row, node) forward, one contiguous
-# K-vector backward.
+# (backward) once on the 2**K codes and builds per-vertex tables: per plane
+# (N * 2**K,) of value * coefficient, or their signs once hardened, and
+# (N * 2**K, K) of input partials, both indexed by slot = node * 2**K + code.
+# A pass keeps the codes as (rows, N) uint8 and forms slots, gathers and
+# scatter indices only for a block of about nm.BLOCK_ENTRIES entries: rows
+# for the channel sums and the input gradient, nodes for the coefficient
+# gradient.  Each bincount bin still adds its entries in the order of the
+# whole-layer pass, so the blocks change no result.
 
-# (row, node, input) entries per block of the backward scatter: a block's
-# gathered values and scatter index, 1 MB each, stay in a core's L2 cache
-BLOCK_ENTRIES = 1 << 17
 
-
-def _vertex_slots(lut, rows):
-    """(rows, N) slots node * 2**K + code of every node on +-1 window rows,
-    bit k of code set iff input k is negative: the coefficient that
-    interp_basis reads, and the term whose sign is the hardened output."""
+def _vertex_codes(lut, rows):
+    """(rows, N) uint8 vertex code of every node on +-1 window rows, bit k
+    set iff input k is negative: the slot node * 2**K + code is the
+    coefficient that interp_basis reads, and the term whose sign is the
+    hardened output."""
     # gathered node-major, each node's signs one contiguous row, then
     # transposed to row-major, the order of every later gather and bincount
     neg = np.ascontiguousarray((rows < 0).T).view(np.uint8)
     code = neg[lut.indices[:, 0]]
     for k in range(1, lut.k):
-        code |= neg[lut.indices[:, k]] << k
-    return (np.arange(lut.indices.shape[0]) << lut.k) + np.ascontiguousarray(code.T)
+        bits = neg[lut.indices[:, k]]
+        bits <<= k
+        code |= bits
+    return np.ascontiguousarray(code.T)
 
 
-def _channel_sums(lut, planes):
-    """Per-channel sums (rows, C) of each plane's node terms (rows, N): one
-    bincount per plane over row * C + channel, an index built once, which
-    adds each channel's nodes in ascending order; a channel with no nodes
-    sums to 0."""
-    rows, c = planes[0].shape[0], lut.offsets.shape[0] - 1
-    index = (np.arange(rows)[:, None] * c
-             + np.repeat(np.arange(c), np.diff(lut.offsets))).reshape(-1)
-    return [np.bincount(index, weights=t.reshape(-1), minlength=rows * c).reshape(rows, c)
-            for t in planes]
+def _block(entries_per_item, items):
+    """Items per block of a pass over `items` items of `entries_per_item`
+    entries each: about nm.BLOCK_ENTRIES entries, at least one item."""
+    return max(1, min(items, nm.BLOCK_ENTRIES // max(entries_per_item, 1)))
 
 
-def _plane_sums(net, idx, rows, hardened):
-    """(sums, gammas, state) of compute layer idx on +-1 window rows: per
-    plane the sums (rows, C), exact integers in float64, the plane scales
-    (B,), and what the backward reads besides the sums.  A layer without
-    LUTs sums the dots of its residual levels, its state (rows, levels).  An
-    expanded layer sums per channel its nodes' terms, value * coefficient at
-    their vertex, or the terms' signs once hardened, which are the truth
-    tables harden_masks reads at the inputs' vertex; its state is
-    (slot, value)."""
+def _plane_terms(net, idx, hardened):
+    """(gammas, terms) of compute layer idx, all that its plane sums read
+    besides the rows, fixed by the net: the plane scales (B,), and per plane
+    what it sums.  For a layer without LUTs that is its residual levels
+    [(w_b, gamma_b), ...]; for an expanded layer the (N * 2**K,) table by
+    slot of its nodes' terms, value * coefficient at their vertex, or the
+    terms' signs once hardened, which are the truth tables harden_masks
+    reads at the inputs' vertex."""
     layer = net.layers[idx]
     lut = layer.lut
     if lut is None:
         lv = levels(layer, net.b_levels)
-        return ([rows @ (w_b * layer.prune_mask).T for w_b, _g in lv],
-                np.array([g for _w, g in lv]), (rows, lv))
+        return np.array([g for _w, g in lv]), lv
     # row v of -vertices(K) is the point whose code is v
     value = ex.interp_basis(-ex.vertices(lut.k), lut.k)[1]   # (2**K,)
-    slot = _vertex_slots(lut, rows)
-    terms = [np.take((nm.sign_pm1(value * c) if hardened else value * c).reshape(-1), slot)
-             for c in lut.coeffs]
-    return _channel_sums(lut, terms), lut.gammas, (slot, value)
+    return lut.gammas, [(nm.sign_pm1(value * c) if hardened else value * c).reshape(-1)
+                        for c in lut.coeffs]
+
+
+def _plane_sums(net, idx, rows, terms):
+    """(sums, state) of compute layer idx on +-1 window rows, given its
+    _plane_terms: per plane the sums (rows, C), exact integers in float64,
+    and what the backward reads besides the sums.  A layer without LUTs
+    sums the dots of its residual levels, its state (rows, levels).  An
+    expanded layer sums per channel its nodes' terms at their vertex, a
+    block of rows at a time with one bincount per plane over
+    row * C + channel, an index built once, which adds each channel's nodes
+    in ascending order (a channel with no nodes sums to 0); its state is
+    the vertex codes."""
+    layer = net.layers[idx]
+    lut = layer.lut
+    if lut is None:
+        return [rows @ (w_b * layer.prune_mask).T for w_b, _g in terms], (rows, terms)
+    codes = _vertex_codes(lut, rows)
+    n_rows, n_nodes = codes.shape
+    c = lut.offsets.shape[0] - 1
+    sums = [np.empty((n_rows, c)) for _t in terms]
+    block = _block(n_nodes, n_rows)
+    index = (np.arange(block)[:, None] * c
+             + np.repeat(np.arange(c), np.diff(lut.offsets))).reshape(-1)
+    node = np.arange(n_nodes) << lut.k
+    for a in range(0, n_rows, block):
+        e = min(a + block, n_rows)
+        slot = node + codes[a:e]
+        for s, t in zip(sums, terms):
+            s[a:e] = np.bincount(index[:slot.size], weights=np.take(t, slot).reshape(-1),
+                                 minlength=(e - a) * c).reshape(e - a, c)
+    return sums, codes
 
 
 def _lut_layer(net, idx, rows):
     """Plane sums combined with real plane scales.  Once hardened they are
     truth-table sums: hidden layers then meet the real batch norms' sign
     thresholds, the head their real affine."""
-    s_list, gammas, state = _plane_sums(net, idx, rows, net.stage == "hardened")
+    gammas, terms = _plane_terms(net, idx, net.stage == "hardened")
+    s_list, state = _plane_sums(net, idx, rows, terms)
     # only an expanded layer's backward reads the sums, for its plane scales
     return combine_levels(s_list, gammas), (state, None if net.layers[idx].lut is None else s_list)
 
@@ -674,14 +705,24 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
     state, s_list = cache
     if lut is None:
         return _binary_layer_bwd(net, idx, state, drows, grads)
-    slot, value = state
-    k, n_nodes = lut.k, lut.indices.shape[0]
-    rows, window = slot.shape[0], net.layers[idx].window_size
-    dnode = np.repeat(drows, np.diff(lut.offsets), axis=1)   # (rows, N)
-    # value is +-2**K in each bin, so scaling the bin sums is exact; + 0.0
-    # turns the -0.0 of an empty bin into the 0.0 a bincount gives
-    dbasis = np.bincount(slot.reshape(-1), weights=dnode.reshape(-1),
-                         minlength=n_nodes << k).reshape(n_nodes, -1) * value + 0.0
+    codes, k = state, lut.k
+    rows, n_nodes = codes.shape
+    counts = np.diff(lut.offsets)
+    channel = np.repeat(np.arange(counts.size), counts)
+    # a block of nodes at a time, each node's rows weighted by its channel's
+    # output gradient; value is +-2**K in each bin, so scaling the bin sums
+    # is exact, and + 0.0 turns the -0.0 of an empty bin into the 0.0 a
+    # bincount gives
+    dbasis = np.empty((n_nodes, 1 << k))
+    block = _block(rows, n_nodes)
+    local = np.arange(block) << k
+    for a in range(0, n_nodes, block):
+        e = min(a + block, n_nodes)
+        dbasis[a:e] = np.bincount((local[:e - a] + codes[:, a:e]).reshape(-1),
+                                  weights=drows[:, channel[a:e]].reshape(-1),
+                                  minlength=(e - a) << k).reshape(e - a, -1)
+    dbasis *= ex.interp_basis(-ex.vertices(k), k)[1]
+    dbasis += 0.0
     grads[f"l{idx}.lut.coeffs"] = lut.gammas[:, None, None] * dbasis
     grads[f"l{idx}.lut.gammas"] = np.array([float(np.sum(drows * s)) for s in s_list])
     if not idx:
@@ -690,21 +731,23 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
     # and set; row slot of table holds the K partials times those pairs
     ceff = np.einsum("b,bnv->nv", lut.gammas, lut.coeffs)
     vertex, bit = np.arange(1 << k)[:, None], 1 << np.arange(k)
-    partial = ex.interp_dx_partial(-ex.vertices(k), k)   # (2**K, K)
-    pair = (np.take(ceff, (vertex & ~bit).reshape(-1), axis=1)
-            + np.take(ceff, (vertex | bit).reshape(-1), axis=1))   # (N, 2**K * K)
-    table = (partial.reshape(-1) * pair).reshape(-1, k)
-    # gather, weight and scatter to the window slots a block of rows at a
-    # time, the blocks sharing one scatter index
-    wires = lut.indices.reshape(-1)
-    block = max(1, min(rows, BLOCK_ENTRIES // max(wires.size, 1)))
+    table = np.take(ceff, (vertex & ~bit).reshape(-1), axis=1)   # (N, 2**K * K)
+    table += np.take(ceff, (vertex | bit).reshape(-1), axis=1)
+    table *= ex.interp_dx_partial(-ex.vertices(k), k).reshape(-1)
+    table = table.reshape(-1, k)
+    # gather, weight by the node's channel gradient and scatter to the
+    # window slots a block of rows at a time, the blocks sharing one
+    # scatter index
+    wires, window = lut.indices.reshape(-1), net.layers[idx].window_size
+    block = _block(wires.size, rows)
     index = (np.arange(block)[:, None] * window + wires).reshape(-1)
+    node = np.arange(n_nodes) << k
     drows_in = np.empty((rows, window))
     for a in range(0, rows, block):
         e = min(a + block, rows)
-        dxg = np.take(table, slot[a:e], axis=0)   # (e - a, N, K)
-        dxg *= dnode[a:e, :, None]
-        drows_in[a:e] = np.bincount(index[:dxg.size], weights=dxg.reshape(-1),
+        dxg = np.take(table, node + codes[a:e], axis=0).reshape(-1)   # (e - a) * N * K
+        dxg *= np.repeat(drows[a:e], counts * k, axis=1).reshape(-1)
+        drows_in[a:e] = np.bincount(index[:dxg.size], weights=dxg,
                                     minlength=(e - a) * window).reshape(e - a, window)
     return drows_in
 
@@ -736,12 +779,26 @@ def quantise_layer(net: Network, idx: int, gammas):
     return q_gammas, q_tau, flip, acc_width
 
 
-def _bits_layer(net, idx, rows):
+def _quantised_layers(net):
+    """Per compute layer idx of hardened net, what _bits_layer reads: its
+    _plane_terms and its quantise_layer scales, thresholds and flips.  All
+    of it depends only on the net, so forward_hardened_bits derives it once
+    per call."""
+    quantised = {}
+    for step in steps(net):
+        if step.layer.kind != "maxpool":
+            gammas, terms = _plane_terms(net, step.idx, True)
+            quantised[step.idx] = (terms, *quantise_layer(net, step.idx, gammas)[:3])
+    return quantised
+
+
+def _bits_layer(quantised, net, idx, rows):
     """The quantised reference of layer idx and the batch norm after it, as
-    the netlist computes them: integer sums, scales and thresholds quantised
-    to net.frac_bits fractional bits, {-1,+1} threshold bits out."""
-    s_list, gammas, _state = _plane_sums(net, idx, rows, True)
-    q_gammas, q_tau, flip, _width = quantise_layer(net, idx, gammas)
+    the netlist computes them from _quantised_layers: integer sums, scales
+    and thresholds quantised to net.frac_bits fractional bits, {-1,+1}
+    threshold bits out."""
+    terms, q_gammas, q_tau, flip = quantised[idx]
+    s_list, _state = _plane_sums(net, idx, rows, terms)
     acc = sum(q * s.astype(np.int64) for q, s in zip(q_gammas, s_list))
     return np.where(np.where(flip, acc <= q_tau, acc >= q_tau), 1.0, -1.0), None
 
@@ -752,12 +809,12 @@ _ENGINES = {stage: (_real_layer, _real_layer_bwd) if stage in ("real", "pruned")
             else (_lut_layer, _lut_layer_bwd) for stage in STAGES}
 
 
-def _infer(net, x, layer_fn=None):
+def _infer(net, x, quantised=None):
     """The inference walk, INFER_BATCH samples at a time (an empty batch in
     one block): samples are independent at inference, so blocks change no
     output but bound memory."""
     x = nm.as_tensor(x)
-    return np.concatenate([_forward_stack(net, x[a:a + INFER_BATCH], False, layer_fn)[0]
+    return np.concatenate([_forward_stack(net, x[a:a + INFER_BATCH], False, quantised)[0]
                            for a in range(0, max(x.shape[0], 1), INFER_BATCH)])
 
 
@@ -772,6 +829,7 @@ def forward(net: Network, x) -> np.ndarray:
 def forward_hardened_bits(net: Network, x) -> np.ndarray:
     """Quantised reference of the lowered netlist: the inference walk with
     the _bits_layer engine, every compute layer (including the head)
-    emitting {-1,+1} threshold bits."""
+    emitting {-1,+1} threshold bits.  Each layer is quantised once per
+    call, before the walk."""
     require_stage(net, "hardened")
-    return _infer(net, x, _bits_layer)
+    return _infer(net, x, _quantised_layers(net))

@@ -550,7 +550,8 @@ def test_lower_rejects_node_inputs_outside_the_window():
 
 def test_each_time_multiplexed_layer_is_binarised_once_per_use(monkeypatch):
     # the quantised reference and lower quantise the plane scales that they
-    # derive with the layer's residual levels, in each block of rows
+    # derive with the layer's residual levels, the reference once per call
+    # before its blocks of rows
     net = tiny_stages()[-1][1]
     calls = []
 
@@ -559,6 +560,6 @@ def test_each_time_multiplexed_layer_is_binarised_once_per_use(monkeypatch):
         return _binarise(*args)
     monkeypatch.setattr(pr, "residual_binarise", counted)
     md.forward_hardened_bits(net, np.ones((1200, 8)))
-    assert len(calls) == 3   # l0, in each of the 3 blocks of INFER_BATCH rows
+    assert len(calls) == 1   # l0, once for the 3 blocks of INFER_BATCH rows
     hw.lower(net)
-    assert len(calls) == 4
+    assert len(calls) == 2

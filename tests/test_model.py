@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -716,6 +717,41 @@ STAGE_LOGIT_PINS = {
 def test_stage_logits_match_pin(stage):
     net = dict(tiny_stages())[stage]
     assert _sha(md.forward(net, exhaustive_pm1(8))) == STAGE_LOGIT_PINS[stage]
+
+
+# 1 entry makes every block one row or node and every Adam block one entry;
+# 7 leaves layers of up to 7 nodes blocks of several rows; 1000 makes blocks
+# of several rows and nodes whose last block is short
+@pytest.mark.parametrize("entries", [1, 7, 1000])
+def test_blocks_change_no_pin(monkeypatch, entries):
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", entries)
+    for k in PHASE3_PINS:
+        test_phase3_matches_pin(k)
+    test_training_phases_match_pins()
+    for stage in md.STAGES:
+        test_stage_logits_match_pin(stage)
+
+
+def test_an_expanded_layer_runs_in_bounded_memory():
+    # an lfc hidden layer at K=4 and density 0.1 (about 6,400 nodes) on one
+    # INFER_BATCH of rows: numpy reports its buffers to tracemalloc, and no
+    # pass may form a (rows, nodes) array of 8-byte entries, 25 MB here
+    net = md.build_preset("lfc", 31, 2)
+    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.1, tol=0.02))
+    pr.binarise_network(net)
+    ex.expand_network(net, 4, seed=31)
+    rows = np.random.default_rng(3).choice([-1.0, 1.0], size=(md.INFER_BATCH, 256))
+    tracemalloc.start()
+    try:
+        y, cache = md._lut_layer(net, 2, rows)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        md._lut_layer_bwd(net, 2, cache, np.ones_like(y), {})
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.layers[2].lut.indices.shape[0] > 6000
+    assert forward_peak < 16e6 and backward_peak < 32e6, (forward_peak, backward_peak)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

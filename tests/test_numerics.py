@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lutnet import numerics as nm
-from lutnet.errors import ConfigError, NonFiniteError
+from lutnet.errors import ConfigError, DimensionError, NonFiniteError
 
 from conftest import rel_err
 
@@ -160,6 +160,48 @@ class TestAdam:
         for _ in range(200):
             nm.adam_step(params, {"w": 2.0 * params["w"]}, state, lr=0.1)
         assert abs(params["w"][0]) < 0.05
+
+    def test_blocks_equal_the_whole_array_update(self, monkeypatch):
+        # the whole-array update, operation for operation, over 3 steps of
+        # parameters spanning several blocks, the last one short
+        def reference(p, g, m, v, t, lr):
+            m *= nm.ADAM_BETA1
+            m += (1.0 - nm.ADAM_BETA1) * g
+            v *= nm.ADAM_BETA2
+            v += (1.0 - nm.ADAM_BETA2) * g * g
+            mhat = m / (1.0 - nm.ADAM_BETA1 ** t)
+            vhat = v / (1.0 - nm.ADAM_BETA2 ** t)
+            p -= lr * mhat / (np.sqrt(vhat) + nm.ADAM_EPS)
+
+        monkeypatch.setattr(nm, "BLOCK_ENTRIES", 8 * 7)
+        rng = np.random.default_rng(9)
+        params = {"a": rng.standard_normal((5, 9)), "b": rng.standard_normal(3)}
+        want = {name: p.copy() for name, p in params.items()}
+        moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in want.items()}
+        state = nm.AdamState()
+        for t in (1, 2, 3):
+            grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+            nm.adam_step(params, grads, state, lr=0.03)
+            for name, g in grads.items():
+                reference(want[name], g, *moments[name], t, 0.03)
+        for name in want:
+            assert np.array_equal(params[name], want[name]), name
+            assert np.array_equal(state.m[name], moments[name][0])
+            assert np.array_equal(state.v[name], moments[name][1])
+
+    def test_parameter_that_is_not_contiguous_is_rejected(self):
+        # a transposed view would only be updated through a copy
+        params = {"w": np.arange(6.0).reshape(2, 3).T}
+        state = nm.AdamState()
+        with pytest.raises(DimensionError, match="'w' is not C-contiguous"):
+            nm.adam_step(params, {"w": np.ones((3, 2))}, state)
+        assert np.array_equal(params["w"], np.arange(6.0).reshape(2, 3).T) and state.t == 0
+
+    def test_gradient_of_another_shape_is_rejected(self):
+        params = {"w": np.ones(4)}
+        with pytest.raises(DimensionError, match="shape"):
+            nm.adam_step(params, {"w": np.ones((4, 1))}, nm.AdamState())
+        assert np.array_equal(params["w"], np.ones(4))
 
     def test_nonfinite_grad_aborts(self):
         params = {"w": np.array([1.0])}

@@ -264,6 +264,17 @@ def test_conv_stack_inference_matches_pin(k):
     assert got == CONV_STACK_INFER_PINS[k]
 
 
+# the conv stack's rows are samples x positions, so blocks of rows end
+# mid-sample (see test_model.test_blocks_change_no_pin for the sizes)
+@pytest.mark.parametrize("entries", [1, 7, 1000])
+def test_conv_stack_blocks_change_no_pin(monkeypatch, entries):
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", entries)
+    for k in CONV_STACK_PHASE3_PINS:
+        test_conv_stack_phase3_matches_pin(k)
+    for k in CONV_STACK_INFER_PINS:
+        test_conv_stack_inference_matches_pin(k)
+
+
 @pytest.mark.parametrize("infer", [md.forward, md.forward_hardened_bits])
 @pytest.mark.parametrize("build", [lambda: dict(tiny_stages())["hardened"],
                                    lambda: _hardened_conv_stack(3, np.random.default_rng(57))],
