@@ -1,17 +1,16 @@
 """Time one phase-3 epoch of lfc at K=4 and density 0.1 on the toy digit set.
 
-    PYTHONPATH=src python experiments/phase3_epoch.py [--samples 10000] [--seed 0]
+    PYTHONPATH=src python experiments/phase3_epoch.py [--samples 10000]
 
-The net is the benchmark's lfc-k4 net: the lfc preset at the seed, pruned to
-density 0.1, binarised with B=2 and expanded at K=4 (phase 1 is not run, and
-an epoch's cost does not depend on the weights' values).  It retrains for
-one epoch on the first --samples digits of the toy set, written to a
-temporary directory, with the batch size, rates and seed of
-configs/toy.cfg.  Only the epoch is timed.  The script prints its wall
-time, samples per second, the process's peak RSS (ru_maxrss) and the minor
-page faults per optimisation step, each as `name value unit`.  Set
-OPENBLAS_NUM_THREADS=1 to compare with the benchmark, which runs one BLAS
-thread.
+The net is built as the benchmark's lfc-k4 net is: the lfc preset pruned
+to density 0.1, binarised with B=2 and expanded at K=4 (phase 1 is not run,
+and an epoch's cost does not depend on the weights' values).  It retrains
+for one epoch on --samples digits of the toy set, written to a temporary
+directory, with the seed, batch size and rates of configs/toy.cfg.  Only
+the epoch is timed.  The script prints its wall time, samples per second,
+the process's peak RSS (ru_maxrss) and the minor page faults per
+optimisation step, each as `name value unit`.  Set OPENBLAS_NUM_THREADS=1
+to compare with the benchmark, which runs one BLAS thread.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ def lfc_k4(seed):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=10000)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.samples < 1:
         parser.error(f"--samples must be >= 1, got {args.samples}")
@@ -55,7 +53,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         data.generate_toy_dataset(tmp, n_train=args.samples, n_test=1)
         x, y, _x_test, _y_test = data.load_dataset(tmp)
-    net = lfc_k4(args.seed)
+    net = lfc_k4(cfg.seed)
     steps = math.ceil(args.samples / cfg.batch_size)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
