@@ -6,8 +6,8 @@ and the stage picks the engine: the layer forward and backward in
 _ENGINES[stage] for the one layer walk and its reverse, `backward`.  Each
 training forward checks that its input is at the stage it trains; `forward`
 and the quantised reference forward_hardened_bits (the walk with
-_bits_layer, each layer quantised once per call) infer INFER_BATCH samples
-at a time.
+_bits_layer) derive what each layer reads of the net once per call, then
+infer INFER_BATCH samples at a time.
 
 Every dense, conv and maxpool layer is one windowed operator and one step
 of `steps`, the one checked layer plan, which the walk, `backward`,
@@ -452,19 +452,20 @@ def _pool_layer_bwd(net, idx, cache, drows, grads):
 # layer walk: owns all window geometry, engines see rows only
 
 
-def _forward_stack(net, x, training, quantised=None):
+def _forward_stack(net, x, training, layer_fn=None, folded=False):
     """Common layer walk over steps(net): each step's window rows
-    (B*positions, window) go through the stage's forward in _ENGINES, or
-    _pool_layer for a maxpool, to outputs (B*positions, C) plus a cache; the
-    step's batch norm runs on those rows, then the sign unless the step is
-    the head, before the rows become the next step's input.  From the
-    binarised stage on the network input is binarised.  Given the
-    _quantised_layers of a hardened net, the walk runs _bits_layer instead,
-    which folds the batch norm after its layer into thresholds, so the walk
-    skips batch norms for it.  Only a training walk keeps the caches, which
-    only `backward` reads."""
-    layer_fn = (_ENGINES[net.stage][0] if quantised is None
-                else functools.partial(_bits_layer, quantised))
+    (B*positions, window) go through layer_fn, by default the stage's
+    forward in _ENGINES, or _pool_layer for a maxpool, to outputs
+    (B*positions, C) plus a cache; the step's batch norm runs on those rows,
+    then the sign unless the step is the head, before the rows become the
+    next step's input.  From the binarised stage on the network input is
+    binarised.  An inference walk passes a layer_fn bound to what the net
+    fixes: _lut_layer over _net_plane_terms, or _bits_layer over
+    _quantised_layers, which folds the batch norm after its layer into
+    thresholds, so that walk is `folded` and skips batch norms.  Only a
+    training walk keeps the caches, which only `backward` reads."""
+    if layer_fn is None:
+        layer_fn = _ENGINES[net.stage][0]
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
     if np.prod(x.shape[1:]) != np.prod(net.input_shape):
@@ -477,7 +478,7 @@ def _forward_stack(net, x, training, quantised=None):
     for step in steps(net):
         fn = _pool_layer if step.layer.kind == "maxpool" else layer_fn
         y, cache = fn(net, step.idx, step.win.rows(h))
-        bn = step.bn if quantised is None else None
+        bn = None if folded else step.bn
         bn_cache = pre_sign = None
         if bn is not None:
             if training:
@@ -502,11 +503,14 @@ def backward(net: Network, caches, dlogits):
     _ENGINES, or _pool_layer_bwd, to window-row gradients (B*positions,
     window), recording the parameter gradients on the way.  The gradient of
     the network input is not formed: every layer backward returns None at
-    layer 0."""
+    layer 0.  The walk consumes `caches`: it pops each step's entry as it
+    reaches it, so a layer's cache is freed once its backward has run and
+    the list is empty on return."""
     layer_bwd = _ENGINES[net.stage][1]
     grads = {}
     d = nm.as_tensor(dlogits)
-    for step, inner, bn_cache, pre_sign in reversed(caches):
+    while caches:
+        step, inner, bn_cache, pre_sign = caches.pop()
         drows = step.win.outputs_backward(d)
         if pre_sign is not None:
             drows = nm.sign_ste_backward(pre_sign, drows)
@@ -602,7 +606,8 @@ def fold_batchnorm(bn: BatchNormLayer):
 # evaluates expand.interp_basis (forward) and expand.interp_dx_partial
 # (backward) once on the 2**K codes and builds per-vertex tables: per plane
 # (N * 2**K,) of value * coefficient, or their signs once hardened, and
-# (N * 2**K, K) of input partials, both indexed by slot = node * 2**K + code.
+# (N * 2**K, K) of input partials times coefficient pair sums, both indexed
+# by slot = node * 2**K + code.
 # A pass keeps the codes as (rows, N) uint8 and forms slots, gathers and
 # scatter indices only for a block of about nm.BLOCK_ENTRIES entries: rows
 # for the channel sums and the input gradient, nodes for the coefficient
@@ -651,6 +656,15 @@ def _plane_terms(net, idx, hardened):
                         for c in lut.coeffs]
 
 
+def _net_plane_terms(net):
+    """{idx: _plane_terms} of every compute layer of a net at the binarised
+    stage or later, as the net's stage reads them.  They depend only on the
+    net, so an inference walk derives them once per call."""
+    hardened = net.stage == "hardened"
+    return {step.idx: _plane_terms(net, step.idx, hardened)
+            for step in steps(net) if step.layer.kind != "maxpool"}
+
+
 def _plane_sums(net, idx, rows, terms):
     """(sums, state) of compute layer idx on +-1 window rows, given its
     _plane_terms: per plane the sums (rows, C), exact integers in float64,
@@ -682,11 +696,14 @@ def _plane_sums(net, idx, rows, terms):
     return sums, codes
 
 
-def _lut_layer(net, idx, rows):
+def _lut_layer(net, idx, rows, planes=None):
     """Plane sums combined with real plane scales.  Once hardened they are
     truth-table sums: hidden layers then meet the real batch norms' sign
-    thresholds, the head their real affine."""
-    gammas, terms = _plane_terms(net, idx, net.stage == "hardened")
+    thresholds, the head their real affine.  A training walk derives the
+    layer's _plane_terms, which change with every step; an inference walk
+    passes them in `planes`, its _net_plane_terms."""
+    gammas, terms = (_plane_terms(net, idx, net.stage == "hardened") if planes is None
+                     else planes[idx])
     s_list, state = _plane_sums(net, idx, rows, terms)
     # only an expanded layer's backward reads the sums, for its plane scales
     return combine_levels(s_list, gammas), (state, None if net.layers[idx].lut is None else s_list)
@@ -719,7 +736,7 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
     for a in range(0, n_nodes, block):
         e = min(a + block, n_nodes)
         dbasis[a:e] = np.bincount((local[:e - a] + codes[:, a:e]).reshape(-1),
-                                  weights=drows[:, channel[a:e]].reshape(-1),
+                                  weights=np.take(drows, channel[a:e], axis=1).reshape(-1),
                                   minlength=(e - a) << k).reshape(e - a, -1)
     dbasis *= ex.interp_basis(-ex.vertices(k), k)[1]
     dbasis += 0.0
@@ -727,13 +744,20 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
     grads[f"l{idx}.lut.gammas"] = np.array([float(np.sum(drows * s)) for s in s_list])
     if not idx:
         return None
-    # input k of a node reads the coefficients at its vertex with bit k clear
-    # and set; row slot of table holds the K partials times those pairs
+    # input j of a node reads the coefficients at its vertex with bit j clear
+    # and set, a pair that vertices v and v ^ 2**j share: viewed as
+    # (N, 2**(K-1-j), 2, 2**j), ceff's two halves on axis 2 are those pairs,
+    # so each pair sum is formed once and multiplied by the partials straight
+    # into input j of the (N, 2**K, K) table, whose row slot holds the K
+    # partials times the pair sums of vertex slot % 2**K
     ceff = np.einsum("b,bnv->nv", lut.gammas, lut.coeffs)
-    vertex, bit = np.arange(1 << k)[:, None], 1 << np.arange(k)
-    table = np.take(ceff, (vertex & ~bit).reshape(-1), axis=1)   # (N, 2**K * K)
-    table += np.take(ceff, (vertex | bit).reshape(-1), axis=1)
-    table *= ex.interp_dx_partial(-ex.vertices(k), k).reshape(-1)
+    partial = ex.interp_dx_partial(-ex.vertices(k), k)   # (2**K, K)
+    table = np.empty((n_nodes, 1 << k, k))
+    for j in range(k):
+        split = (1 << (k - 1 - j), 2, 1 << j)
+        pairs = ceff.reshape((n_nodes,) + split)
+        np.multiply(pairs[:, :, :1] + pairs[:, :, 1:], partial[:, j].reshape(split),
+                    out=table.reshape((n_nodes,) + split + (k,))[..., j])
     table = table.reshape(-1, k)
     # gather, weight by the node's channel gradient and scatter to the
     # window slots a block of rows at a time, the blocks sharing one
@@ -784,12 +808,8 @@ def _quantised_layers(net):
     _plane_terms and its quantise_layer scales, thresholds and flips.  All
     of it depends only on the net, so forward_hardened_bits derives it once
     per call."""
-    quantised = {}
-    for step in steps(net):
-        if step.layer.kind != "maxpool":
-            gammas, terms = _plane_terms(net, step.idx, True)
-            quantised[step.idx] = (terms, *quantise_layer(net, step.idx, gammas)[:3])
-    return quantised
+    return {idx: (terms, *quantise_layer(net, idx, gammas)[:3])
+            for idx, (gammas, terms) in _net_plane_terms(net).items()}
 
 
 def _bits_layer(quantised, net, idx, rows):
@@ -809,21 +829,25 @@ _ENGINES = {stage: (_real_layer, _real_layer_bwd) if stage in ("real", "pruned")
             else (_lut_layer, _lut_layer_bwd) for stage in STAGES}
 
 
-def _infer(net, x, quantised=None):
-    """The inference walk, INFER_BATCH samples at a time (an empty batch in
-    one block): samples are independent at inference, so blocks change no
-    output but bound memory."""
+def _infer(net, x, layer_fn, folded=False):
+    """The inference walk with layer_fn, INFER_BATCH samples at a time (an
+    empty batch in one block): samples are independent at inference, so
+    blocks change no output but bound memory."""
     x = nm.as_tensor(x)
-    return np.concatenate([_forward_stack(net, x[a:a + INFER_BATCH], False, quantised)[0]
+    return np.concatenate([_forward_stack(net, x[a:a + INFER_BATCH], False, layer_fn, folded)[0]
                            for a in range(0, max(x.shape[0], 1), INFER_BATCH)])
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Inference logits at any stage, from the stage's engine.  A hardened
-    network is scored with real plane scales and batch norms;
+    """Inference logits at any stage, from the stage's engine; the
+    plane-sum engine reads each layer's _plane_terms, derived once per call.
+    A hardened network is scored with real plane scales and batch norms;
     forward_hardened_bits is its quantised reference."""
     require_stage(net, *STAGES)
-    return _infer(net, x)
+    layer_fn = _ENGINES[net.stage][0]
+    if layer_fn is _lut_layer:
+        layer_fn = functools.partial(_lut_layer, planes=_net_plane_terms(net))
+    return _infer(net, x, layer_fn)
 
 
 def forward_hardened_bits(net: Network, x) -> np.ndarray:
@@ -832,4 +856,4 @@ def forward_hardened_bits(net: Network, x) -> np.ndarray:
     emitting {-1,+1} threshold bits.  Each layer is quantised once per
     call, before the walk."""
     require_stage(net, "hardened")
-    return _infer(net, x, _quantised_layers(net))
+    return _infer(net, x, functools.partial(_bits_layer, _quantised_layers(net)), folded=True)

@@ -19,6 +19,9 @@ def test_phase3_epoch_reports_its_epoch(capsys):
     assert lines[0] == "phase3_epoch: lfc K=4 density 0.1, 250 toy samples, batch 100, 3 steps"
     report = {name: (float(value), unit) for name, value, unit in
               (line.split(" ", 2) for line in lines[1:])}
-    assert list(report) == ["seconds", "samples_per_s", "ru_maxrss_mb", "minor_faults_per_step"]
-    assert [unit for _value, unit in report.values()] == ["s", "samples/s", "MB", "faults"]
-    assert min(value for value, _unit in report.values()) >= 0 and report["seconds"][0] > 0
+    assert list(report) == ["cold_step_ms", "cold_step_faults", "seconds", "samples_per_s",
+                            "ru_maxrss_mb", "minor_faults_per_step"]
+    assert [unit for _value, unit in report.values()] == ["ms", "faults", "s", "samples/s", "MB",
+                                                          "faults"]
+    assert min(value for value, _unit in report.values()) >= 0
+    assert report["cold_step_ms"][0] > 0 and report["seconds"][0] > 0

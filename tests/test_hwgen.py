@@ -550,8 +550,9 @@ def test_lower_rejects_node_inputs_outside_the_window():
 
 def test_each_time_multiplexed_layer_is_binarised_once_per_use(monkeypatch):
     # the quantised reference and lower quantise the plane scales that they
-    # derive with the layer's residual levels, the reference once per call
-    # before its blocks of rows
+    # derive with the layer's residual levels, and the inference forward sums
+    # those levels; each inference walk derives them once per call, before
+    # its blocks of rows
     net = tiny_stages()[-1][1]
     calls = []
 
@@ -563,3 +564,5 @@ def test_each_time_multiplexed_layer_is_binarised_once_per_use(monkeypatch):
     assert len(calls) == 1   # l0, once for the 3 blocks of INFER_BATCH rows
     hw.lower(net)
     assert len(calls) == 2
+    md.forward(net, np.ones((1200, 8)))
+    assert len(calls) == 3

@@ -732,14 +732,27 @@ def test_blocks_change_no_pin(monkeypatch, entries):
         test_stage_logits_match_pin(stage)
 
 
-def test_an_expanded_layer_runs_in_bounded_memory():
-    # an lfc hidden layer at K=4 and density 0.1 (about 6,400 nodes) on one
-    # INFER_BATCH of rows: numpy reports its buffers to tracemalloc, and no
-    # pass may form a (rows, nodes) array of 8-byte entries, 25 MB here
+@pytest.fixture(scope="module")
+def _lfc_k4_built():
     net = md.build_preset("lfc", 31, 2)
     pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.1, tol=0.02))
     pr.binarise_network(net)
     ex.expand_network(net, 4, seed=31)
+    return net
+
+
+@pytest.fixture
+def lfc_k4(_lfc_k4_built):
+    """lfc pruned to density 0.1, binarised and expanded at K=4, built once
+    per module and copied per test."""
+    return copy.deepcopy(_lfc_k4_built)
+
+
+def test_an_expanded_layer_runs_in_bounded_memory(lfc_k4):
+    # an lfc hidden layer at K=4 and density 0.1 (about 6,400 nodes) on one
+    # INFER_BATCH of rows: numpy reports its buffers to tracemalloc, and no
+    # pass may form a (rows, nodes) array of 8-byte entries, 25 MB here
+    net = lfc_k4
     rows = np.random.default_rng(3).choice([-1.0, 1.0], size=(md.INFER_BATCH, 256))
     tracemalloc.start()
     try:
@@ -752,6 +765,31 @@ def test_an_expanded_layer_runs_in_bounded_memory():
         tracemalloc.stop()
     assert net.layers[2].lut.indices.shape[0] > 6000
     assert forward_peak < 16e6 and backward_peak < 32e6, (forward_peak, backward_peak)
+
+
+def test_a_phase3_step_peaks_at_its_gradients_and_adam_state(lfc_k4, monkeypatch):
+    # one cold phase-3 step of lfc at K=4 on 100 rows: its gradients (about
+    # 7 MB) and fresh Adam moments (about 13 MB) must not meet the forward's
+    # caches (about 9 MB), which backward frees layer by layer
+    left = []
+
+    def consuming(net, caches, dlogits, _backward=md.backward_lut):
+        grads = _backward(net, caches, dlogits)
+        left.append(len(caches))
+        return grads
+    monkeypatch.setattr(md, "backward_lut", consuming)
+    rng = np.random.default_rng(5)
+    data = rng.choice([-1.0, 1.0], size=(100, 784)), rng.integers(0, 10, size=100)
+    cfg = tr.PhaseConfig(epochs3=1, batch_size=100, seed=31)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr.run_phase3_retrain(lfc_k4, data, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert left == [0]
+    assert peak < 24e6, peak
 
 
 @pytest.mark.parametrize("k", range(1, 7))
