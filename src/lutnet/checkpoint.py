@@ -21,7 +21,9 @@ fabric's LUT (config.FABRIC_K), the name for a Verilog identifier, the LUT
 offsets and first inputs against the prune mask, every size for an
 integer of at least 1, every prune mask for 0 and 1 only, every float for
 finiteness, every batch norm for a positive eps and a non-negative running
-variance and the layers with model.steps; SchemaError on malformed input,
+variance, and the layers with model.steps, which also places the `lut`
+blocks: an unrolled layer has one exactly when the stage is expanded or
+hardened, a time-multiplexed layer never.  SchemaError on malformed input,
 including a hardened net that harden_network rejects.  Old files still load:
   * schema 1: per-channel LUT lists are concatenated, and stored levels,
     node positions and reconnection flags are ignored;

@@ -123,7 +123,7 @@ def _trained(cfg, net, logs, data, run_phase):
     test labels are checked before the phase trains, so that a bad one
     leaves no file behind."""
     xtr, ytr, xte, yte = data
-    tr.check_labels(net, yte)
+    tr.check_labels(net, xte, yte)
     log = run_phase(net, (xtr, ytr), cfg)
     ckpt = Checkpoint(net, logs + [log])
     save_checkpoint(ckpt, _ckpt_path(cfg, net.stage))

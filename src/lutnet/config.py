@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -67,10 +68,14 @@ class RunConfig:
         return self
 
 
-def check_frac_bits(frac_bits: int) -> None:
-    """The fixed point's fractional bits lie in [0, 24]."""
+def check_frac_bits(frac_bits) -> int:
+    """The fixed point's fractional bits, an integer in [0, 24] and no bool,
+    as a Python int, which a checkpoint stores."""
+    if isinstance(frac_bits, bool) or not isinstance(frac_bits, numbers.Integral):
+        raise ConfigError(f"frac_bits must be an integer, got {frac_bits!r}")
     if not 0 <= frac_bits <= 24:
         raise ConfigError(f"frac_bits must be in [0, 24], got {frac_bits}")
+    return int(frac_bits)
 
 
 _FIELDS = {

@@ -185,26 +185,25 @@ def expand_network(net, k: int, seed: int):
 
 
 def harden_network(net, frac_bits: int = 8):
-    """Set the fractional bits of the fixed point, once every compute layer's
-    following batch norm folds into thresholds and every batch norm is one
-    that follows a compute layer, which the hardware folds; any other would
-    change `forward` and not the netlist.  Nothing is stored: the
-    engines and the netlist take truth tables from harden_masks and
-    thresholds from model.fold_batchnorm where they read them.  Loading a
-    hardened checkpoint calls it too.  Stage: expanded -> hardened."""
-    from .model import fold_batchnorm, require_stage
+    """Set the fractional bits of the fixed point, once every step of
+    model.steps folds as the hardware folds it: a dense or conv step's batch
+    norm into thresholds, and no batch norm after a maxpool, which would
+    change `forward` and not the netlist.  Nothing is stored: the engines
+    read truth tables from model._plane_terms, the netlist from harden_masks,
+    and both thresholds from model.fold_batchnorm.  Loading a hardened
+    checkpoint calls it too.  Stage: expanded -> hardened."""
+    from .model import fold_batchnorm, require_stage, steps
 
     require_stage(net, "expanded")
-    check_frac_bits(frac_bits)
-    for li, layer in enumerate(net.layers):
-        if layer.kind in ("dense", "conv"):
-            bn = net.bn_after(li)
-            if bn is None:
-                raise FoldError(f"layer l{li} has no following batch-norm to fold")
-            fold_batchnorm(bn)
-        elif layer.kind == "batchnorm" and (not li or net.layers[li - 1].kind not in
-                                            ("dense", "conv")):
-            raise FoldError(f"batch norm l{li} follows no dense or conv layer; cannot fold")
+    frac_bits = check_frac_bits(frac_bits)
+    for step in steps(net):
+        if step.layer.kind != "maxpool":
+            if step.bn is None:
+                raise FoldError(f"layer l{step.idx} has no following batch-norm to fold")
+            fold_batchnorm(step.bn)
+        elif step.bn is not None:
+            raise FoldError(f"batch norm l{step.idx + 1} follows no dense or conv layer; "
+                            f"cannot fold")
     net.frac_bits = frac_bits
     net.stage = "hardened"
     return net

@@ -43,8 +43,8 @@ def _node_tables(layer, b):
     return tables, cols[:, None], offsets, np.array([g for _w, g in lv])
 
 
-def _compute_block(net, li, win):
-    layer = net.layers[li]
+def _compute_block(net, step):
+    li, layer, win = step.idx, step.layer, step.win
     tables, indices, offsets, gammas = _node_tables(layer, net.b_levels)
     if indices.size and (indices.min() < 0 or indices.max() >= layer.window_size):
         raise LoweringError(f"l{li}: node inputs outside the window of {layer.window_size}")
@@ -52,7 +52,7 @@ def _compute_block(net, li, win):
     live = np.arange(indices.shape[1]) < k_eff[..., None]
     inputs = np.where(live, np.take_along_axis(indices[None], kept, axis=2), 0)
 
-    q_gammas, q_tau, flip, acc_width = md.quantise_layer(net, li, gammas)
+    q_gammas, q_tau, flip, acc_width = md.quantise_layer(net, step, gammas)
     return ComputeBlock(layer=li, index_map=win.index_map, offsets=np.asarray(offsets, np.int64),
                         tables=tables.astype(np.uint8), inputs=inputs, k_eff=k_eff,
                         q_gammas=q_gammas, q_tau=q_tau, flip=flip, acc_width=acc_width)
@@ -64,6 +64,6 @@ def lower(net: md.Network) -> Netlist:
     the datapath an unsigned popcount per plane."""
     md.require_stage(net, "hardened")
     blocks = [PoolBlock(s.idx, s.win.index_map.reshape(s.win.positions, s.win.out_shape[0], -1))
-              if s.layer.kind == "maxpool" else _compute_block(net, s.idx, s.win)
+              if s.layer.kind == "maxpool" else _compute_block(net, s)
               for s in md.steps(net)]
     return Netlist(net.name, int(np.prod(net.input_shape)), blocks)

@@ -11,10 +11,11 @@ infer INFER_BATCH samples at a time.
 
 Every dense, conv and maxpool layer is one windowed operator and one step
 of `steps`, the one checked layer plan, which the walk, `backward`,
-hwgen.lower, the label check and the loader read; the walk runs the batch
-norm after the layer on the layer's own output rows.  `windows` gives its
-geometry: the layer reads `positions` windows of its input and
-writes one value per channel and position.  A dense layer is conv over one
+expand.harden_network, hwgen.lower, the label check and the loader read;
+it alone pairs each layer with the batch norm after it, which the walk
+runs on the layer's own output rows.  `windows` gives its geometry: the
+layer reads `positions` windows of its input and writes one value per
+channel and position.  A dense layer is conv over one
 position, whose window is the whole flattened input; a conv layer's windows
 are its receptive fields, and a maxpool's are conv windows with
 kernel = stride = size, reduced by a max per channel (_pool_layer).  Each is
@@ -30,7 +31,9 @@ the window's +-1 inputs, which are XNORs with the binary levels of a layer
 without LUTs, an expanded layer's interpolated K-LUT nodes, and their truth
 tables once hardened; so _ENGINES holds two engines, real and plane-sum.
 
-An expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
+K-LUT nodes sit in the unrolled dense and conv layers only, each of which
+has them exactly from the expanded stage on, as `steps` checks.  An
+expanded layer keeps its K-LUT nodes in one `LutData` of flat arrays:
 the wiring `indices` (N, K), per-plane `coeffs` (B, N, 2**K), and channel
 `offsets` (C+1,), channel c owning nodes offsets[c]:offsets[c+1].
 `LutData.channels` gives per-channel views of them.
@@ -46,7 +49,7 @@ A hardened network is its expanded network plus `frac_bits`: no mask or
 threshold is stored.  Each node's truth tables are the signs of its terms,
 which the plane-sum engine and _bits_layer read as _plane_terms tabulates
 them and the netlist as expand.harden_masks of its coefficients, and each
-layer's thresholds are fold_batchnorm of the batch norm after it.
+layer's thresholds are fold_batchnorm of its step's batch norm.
 
 Conventions used by every engine and by the hardware path:
   * hidden activation is sign(batchnorm(.)) with sign(0) = +1; the batch-norm
@@ -200,12 +203,6 @@ class Network:
 
     def compute_layers(self):
         return [(i, l) for i, l in enumerate(self.layers) if l.kind in ("dense", "conv")]
-
-    def bn_after(self, idx: int):
-        """The batch-norm layer immediately following layer idx, or None."""
-        if idx + 1 < len(self.layers) and self.layers[idx + 1].kind == "batchnorm":
-            return self.layers[idx + 1]
-        return None
 
 
 def quantise(value: float, frac_bits: int) -> int:
@@ -398,21 +395,30 @@ Step = namedtuple("Step", "idx layer win bn head")
 
 def steps(net: "Network") -> list:
     """The layer plan of net: per dense, conv and maxpool layer idx, in
-    order, its windows on the shape in front of it, the batch norm after it
-    or None, and whether it is the head, the last step, whose batch norm
-    stays real.  DimensionError unless each window fits, each batch norm
-    directly follows a windowed layer and has its channels, and a dense or
-    conv layer computes."""
+    order, its windows on the shape in front of it, the batch norm directly
+    after it or None, and whether it is the head, the last step, whose batch
+    norm stays real.  DimensionError unless each window fits, each batch
+    norm directly follows a windowed layer and has its channels, a dense or
+    conv layer computes, and K-LUT nodes sit where expansion puts them: an
+    unrolled dense or conv layer has a `lut` exactly when the net is
+    expanded or hardened, a time-multiplexed one never."""
     plan, shape = [], tuple(net.input_shape)
     for idx, layer in enumerate(net.layers):
         if layer.kind == "batchnorm" and (not idx or net.layers[idx - 1].kind not in WINDOWED):
             raise DimensionError(f"batch norm l{idx} does not follow a dense, conv or maxpool "
                                  f"layer")
         if layer.kind in WINDOWED:
-            win, bn = windows(layer, shape), net.bn_after(idx)
+            win = windows(layer, shape)
+            bn = next((l for l in net.layers[idx + 1:idx + 2] if l.kind == "batchnorm"), None)
             if bn is not None and bn.num_features != win.out_shape[0]:
                 raise DimensionError(f"batch norm l{idx + 1} has {bn.num_features} features, "
                                      f"l{idx} has {win.out_shape[0]} channels")
+            if layer.kind != "maxpool" and (layer.lut is not None) != (
+                    layer.unrolled and net.stage in ("expanded", "hardened")):
+                raise DimensionError(
+                    f"l{idx} carries K-LUT nodes, which only the unrolled layers of an "
+                    f"expanded or hardened net carry" if layer.lut is not None else
+                    f"unrolled l{idx} of a {net.stage} net has no K-LUT nodes")
             plan.append(Step(idx, layer, win, bn, False))
             shape = win.out_shape
     if not net.compute_layers():
@@ -781,16 +787,16 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
 # into thresholds, as the netlist computes them
 
 
-def quantise_layer(net: Network, idx: int, gammas):
-    """(q_gammas (B,), q_tau (C,), flip (C,), acc_width (C,)) of hardened
-    compute layer idx, whose plane scales are gammas, and the batch norm
-    after it, for _bits_layer and the netlist: scales and the thresholds the
-    batch norm folds to at net.frac_bits, and each channel's two's-complement
-    accumulator bits for sum_b |q_b| * N~ + |q_tau|, in Python integers so
-    that they cannot wrap."""
-    n_tilde = net.layers[idx].prune_mask.sum(axis=1)   # nodes per channel, as in the LUT offsets
+def quantise_layer(net: Network, step: Step, gammas):
+    """(q_gammas (B,), q_tau (C,), flip (C,), acc_width (C,)) of the compute
+    layer of a hardened net's step, whose plane scales are gammas, and the
+    step's batch norm, for _bits_layer and the netlist: scales and the
+    thresholds the batch norm folds to at net.frac_bits, and each channel's
+    two's-complement accumulator bits for sum_b |q_b| * N~ + |q_tau|, in
+    Python integers so that they cannot wrap."""
+    n_tilde = step.layer.prune_mask.sum(axis=1)   # nodes per channel, as in the LUT offsets
     q_gammas = np.array([quantise(float(g), net.frac_bits) for g in gammas], dtype=np.int64)
-    tau, flip = fold_batchnorm(net.bn_after(idx))
+    tau, flip = fold_batchnorm(step.bn)
     q_tau = np.array([quantise(float(t), net.frac_bits) for t in tau], dtype=np.int64)
     scale = sum(abs(q) for q in q_gammas.tolist())
     acc_width = np.array([max(1, (scale * n + abs(t)).bit_length()) + 1
@@ -798,18 +804,19 @@ def quantise_layer(net: Network, idx: int, gammas):
     over = np.flatnonzero(acc_width > ACC_WIDTH_CAP)
     if over.size:
         c = int(over[0])
-        raise LoweringError(f"l{idx}_c{c}: accumulator needs {acc_width[c]} bits "
+        raise LoweringError(f"l{step.idx}_c{c}: accumulator needs {acc_width[c]} bits "
                             f"(> {ACC_WIDTH_CAP}); reduce fixed-point fractional bits")
     return q_gammas, q_tau, flip, acc_width
 
 
 def _quantised_layers(net):
     """Per compute layer idx of hardened net, what _bits_layer reads: its
-    _plane_terms and its quantise_layer scales, thresholds and flips.  All
-    of it depends only on the net, so forward_hardened_bits derives it once
-    per call."""
-    return {idx: (terms, *quantise_layer(net, idx, gammas)[:3])
-            for idx, (gammas, terms) in _net_plane_terms(net).items()}
+    _plane_terms and the quantise_layer scales, thresholds and flips of its
+    step.  All of it depends only on the net, so forward_hardened_bits
+    derives it once per call."""
+    planes = _net_plane_terms(net)
+    return {s.idx: (planes[s.idx][1], *quantise_layer(net, s, planes[s.idx][0])[:3])
+            for s in steps(net) if s.idx in planes}
 
 
 def _bits_layer(quantised, net, idx, rows):

@@ -60,9 +60,13 @@ def l2_group_regulariser(net: md.Network, lam: float):
     return lam * norm, grads
 
 
-def check_labels(net, y):
-    """Labels must index the head's outputs, one logit per class, so the
+def check_labels(net, x, y):
+    """Samples x and labels y must pair one to one, at least one pair, and
+    the labels must index the head's outputs, one logit per class, so the
     head must write one position."""
+    if len(x) != len(y) or not len(y):
+        raise FormatError(f"a data set needs as many labels as samples, at least one; got "
+                          f"{len(x)} samples and {len(y)} labels")
     head = md.steps(net)[-1].win
     if head.positions != 1:
         raise DimensionError(f"the head of {net.name} writes {head.positions} positions per "
@@ -94,7 +98,7 @@ def _train(net: md.Network, data, cfg: RunConfig, phase: int) -> TrainLog:
     md.require_stage(net, stage)
     forward, backward = getattr(md, forward), getattr(md, backward)
     x, y = data
-    check_labels(net, y)
+    check_labels(net, x, y)
     n = x.shape[0]
     params = {}
     for i, layer in net.compute_layers():
@@ -168,6 +172,6 @@ def run_phase3_retrain(net: md.Network, data, cfg: RunConfig) -> TrainLog:
 def evaluate(net: md.Network, x, y) -> float:
     """Test accuracy in percent from md.forward's logits (a hardened network
     is scored with real plane scales and batch norms)."""
-    check_labels(net, y)
+    check_labels(net, x, y)
     correct = int(np.sum(np.argmax(md.forward(net, x), axis=1) == y))
     return 100.0 * correct / x.shape[0]

@@ -27,7 +27,7 @@ def fold_initial_scale(net):
     when each layer multiplied its dot product by that scale, so the pins
     recorded then hold."""
     for i, layer in net.compute_layers():
-        bn = net.bn_after(i)
+        bn = net.layers[i + 1]
         a = float(np.mean(np.abs(layer.weights)))
         sq = a * a
         bn.running_mean = bn.running_mean / a
@@ -85,7 +85,8 @@ def tiny_stages():
 
 def untiled_pool_net():
     """conv(1->2, k1) on 1x6x6, maxpool 4, dense(2->3), expanded at K=1 and
-    hardened.  The pool size does not tile 6x6, so the net has no
+    set to the hardened stage at 6 fractional bits, which harden_network
+    would refuse: the pool size does not tile 6x6, so the net has no
     reference function."""
     layers = [md.ConvLayer(1, 2, 1, 1), md.BatchNormLayer(2), md.MaxPoolLayer(4),
               md.DenseLayer(2, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
@@ -93,7 +94,8 @@ def untiled_pool_net():
     pr.prune_threshold(net, 0.0)
     pr.binarise_network(net)
     ex.expand_network(net, k=1, seed=62)
-    return ex.harden_network(net, frac_bits=6)
+    net.stage, net.frac_bits = "hardened", 6
+    return net
 
 
 def exhaustive_pm1(n_bits):

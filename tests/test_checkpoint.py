@@ -269,12 +269,23 @@ def _bn_features(n):
     return tamper
 
 
+def _expanded_without_lut(raw):
+    """Tamper: the expanded checkpoint of the hardened one, without l2's LUT
+    block."""
+    raw.update(stage="expanded", frac_bits=None)
+    raw["layers"][2]["lut"] = None
+
+
 LUT = ("layers", 2, "lut")
 # loaded fields that fit each other, but layers that do not fit together
 UNFIT = {
     "batch norm wider than its layer": _bn_features(5),
     "batch norm of one feature": _bn_features(1),
     "no dense or conv layer": _set(("layers",), [{"kind": "softmax"}]),
+    # K-LUT nodes sit in exactly the unrolled layers of an expanded or hardened net
+    "binarised with a LUT block": _set(("stage",), "binarised"),
+    "LUT block on a time-multiplexed layer": _set(("layers", 2, "unrolled"), False),
+    "expanded without a LUT block": _expanded_without_lut,
 }
 TAMPERED = {
     # the tiny net: l0 dense 8 -> 4 (time-multiplexed), l2 dense 4 -> 3 expanded
@@ -341,6 +352,15 @@ TAMPERED = {
     "name starting with a digit": _set(("name",), "5net"),
     "empty name": _set(("name",), ""),
 }
+
+
+@pytest.mark.parametrize("frac_bits", [np.int64(8), np.uint8(8)], ids=["int64", "uint8"])
+def test_numpy_integer_frac_bits_save_and_load(frac_bits, tmp_path):
+    net = ex.harden_network(dict(tiny_stages())["expanded"], frac_bits=frac_bits)
+    assert type(net.frac_bits) is int
+    path = str(tmp_path / "hardened.json")
+    ck.save_checkpoint(ck.Checkpoint(net), path)
+    assert ck.load_checkpoint(path).net.frac_bits == 8
 
 
 def test_untampered_dict_loads():

@@ -166,6 +166,20 @@ def test_expand_checks_k_before_it_loads_the_data(tiny_ckpts, tmp_path, capsys):
     assert not data.exists()
 
 
+def test_prune_rejects_a_real_checkpoint_carrying_k_luts(tmp_path, capsys):
+    # phase 2 would train the LUT coefficients in place of the latent weights
+    raw = dict(to_dict(Checkpoint(dict(tiny_stages())["expanded"])), stage="real")
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(raw), encoding="ascii")
+    out, data = tmp_path / "out", tmp_path / "data"
+    argv = ["prune", "--ckpt", str(path), "--theta", "0", "--epochs", "1,1,1",
+            "--out", str(out), "--data", str(data)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "l2 carries K-LUT nodes" in err
+    assert not out.exists() and not data.exists()
+
+
 def _bad_offsets():
     raw = to_dict(Checkpoint(tiny_stages()[-1][1]))
     raw["layers"][2]["lut"]["offsets"] = [0, 9, 7, 9]

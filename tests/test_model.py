@@ -11,7 +11,7 @@ from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
 from lutnet import training as tr
-from lutnet.errors import (ConfigError, DimensionError, ExpansionError, FoldError,
+from lutnet.errors import (ConfigError, DimensionError, ExpansionError, FoldError, FormatError,
                            LoweringError, NonFiniteError, StageError, TrainingDivergedError)
 
 from conftest import exhaustive_pm1, make_tiny_net, rel_err, tiny_stages
@@ -150,6 +150,17 @@ def test_head_of_more_than_one_position_is_rejected(call):
     net = md.init_network(md.Network("convhead", layers, 1, (1, 3, 3), 16))
     with pytest.raises(DimensionError, match="head of convhead writes 4 positions"):
         call(net, np.ones((8, 9)), np.zeros(8, dtype=np.int64))
+
+
+@pytest.mark.parametrize("call", [lambda net, x, y: tr.evaluate(net, x, y),
+                                  lambda net, x, y: tr.run_phase1(net, (x, y),
+                                                                  tr.PhaseConfig(epochs1=1))],
+                         ids=["evaluate", "run_phase1"])
+@pytest.mark.parametrize("n_x, n_y", [(0, 0), (5, 4), (4, 5)])
+def test_data_without_one_label_per_sample_is_rejected(call, n_x, n_y):
+    net = make_tiny_net()
+    with pytest.raises(FormatError, match=f"got {n_x} samples and {n_y} labels"):
+        call(net, np.ones((n_x, 8)), np.zeros(n_y, dtype=np.int64))
 
 
 def test_batch_permutation_equivariance():
@@ -390,6 +401,16 @@ def test_accumulator_past_the_cap_is_a_lowering_error(exponent, bits):
 def test_harden_rejects_frac_bits_outside_the_config_range(frac_bits):
     net = dict(tiny_stages())["expanded"]
     with pytest.raises(ConfigError, match=r"frac_bits must be in \[0, 24\]"):
+        ex.harden_network(net, frac_bits=frac_bits)
+    assert net.stage == "expanded"
+
+
+@pytest.mark.parametrize("frac_bits", [8.5, 8.0, True, np.True_, "8"],
+                         ids=["8.5", "8.0", "True", "np.True_", "str"])
+def test_harden_rejects_frac_bits_that_are_no_integer(frac_bits):
+    # a hardened net stores frac_bits, which the loader reads as a JSON integer
+    net = dict(tiny_stages())["expanded"]
+    with pytest.raises(ConfigError, match="frac_bits must be an integer"):
         ex.harden_network(net, frac_bits=frac_bits)
     assert net.stage == "expanded"
 

@@ -286,7 +286,7 @@ def test_inference_blocks_equal_one_call_per_row(build, infer):
     assert np.array_equal(infer(net, x), np.concatenate([infer(net, row[None]) for row in x]))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_conv_stack_netlist_equals_hardened_bits(k):
     rng = np.random.default_rng(54 + k)
     net = _hardened_conv_stack(k, rng)
@@ -340,7 +340,15 @@ def test_conv_stack_area_matches_pin(k):
     assert area_sha(net) == CONV_STACK_AREA[k]
 
 
-@pytest.mark.parametrize("build", [md.forward_hardened_bits, hw.lower, hw.area_report])
+def harden_from_expanded(net):
+    """harden_network on a net set to the hardened stage, as if it were the
+    expanded net it was set from."""
+    net.stage = "expanded"
+    return ex.harden_network(net, frac_bits=net.frac_bits)
+
+
+@pytest.mark.parametrize("build", [md.forward_hardened_bits, hw.lower, hw.area_report,
+                                   harden_from_expanded])
 def test_untiled_pool_is_rejected(build):
     net = untiled_pool_net()
     args = (np.ones((1, 36)),) if build is md.forward_hardened_bits else ()
@@ -369,17 +377,20 @@ def test_batchnorm_after_pool_is_not_hardened():
 
 def _dense_pool_net():
     """dense(4->8) -> bn -> maxpool 2 -> dense(8->3) -> bn -> softmax,
-    expanded at K=1 and hardened: the maxpool reads a flat vector."""
+    expanded at K=1 and set to the hardened stage at 6 fractional bits,
+    which harden_network would refuse: the maxpool reads a flat vector."""
     layers = [md.DenseLayer(4, 8), md.BatchNormLayer(8), md.MaxPoolLayer(2),
               md.DenseLayer(8, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
     net = md.init_network(md.Network("densepool", layers, 2, (4,), 63))
     pr.prune_threshold(net, 0.0)
     pr.binarise_network(net)
     ex.expand_network(net, k=1, seed=64)
-    return ex.harden_network(net, frac_bits=6)
+    net.stage, net.frac_bits = "hardened", 6
+    return net
 
 
-@pytest.mark.parametrize("build", [md.forward_hardened_bits, hw.lower, hw.area_report])
+@pytest.mark.parametrize("build", [md.forward_hardened_bits, hw.lower, hw.area_report,
+                                   harden_from_expanded])
 def test_pool_after_dense_is_rejected(build):
     net = _dense_pool_net()
     args = (np.ones((1, 4)),) if build is md.forward_hardened_bits else ()
