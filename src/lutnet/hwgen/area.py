@@ -1,6 +1,11 @@
 """Physical-LUT area estimation of the netlist's blocks: logical-to-physical
 6-LUT packing, popcount adder cost and the per-layer breakdown report.
 
+The LUTs priced are LUTNet's: those of the unrolled layers and the
+maxpools.  A time-multiplexed layer runs on the shared XNOR-popcount engine
+of the designs LUTNet is compared against, so its row costs 0 LUTs and
+reports the engine's weight bits and popcount width instead.
+
 Packing: a fabric 6-LUT hosts one logical 6-LUT, or two smaller logical LUTs
 whose distinct inputs fit in 5.  Buffers, inverters and constants cost
 nothing: they are absorbed into the downstream adder logic.  No table is
@@ -30,7 +35,7 @@ from .. import model as md
 from ..config import FABRIC_K
 from ..errors import PackingError
 from .lower import lower
-from .netlist import PoolBlock, _adder_tree, _width
+from .netlist import EngineBlock, PoolBlock, _adder_tree, _width
 
 
 @lru_cache(maxsize=None)
@@ -92,71 +97,95 @@ def _histogram(block) -> tuple:
     return hist, block.positions * block.k_eff.size
 
 
+def _is_engine(row: dict) -> bool:
+    return row["kind"] != "maxpool" and not row["unrolled"]
+
+
 @dataclass
 class AreaReport:
     rows: list = field(default_factory=list)
     # each row: dict(layer, kind, unrolled, density, n_tilde, keff_hist,
-    #                logical, inference, popcount, other, total)
+    #                logical, inference, popcount, other, total,
+    #                engine_bits, engine_popcount)
 
     def totals(self) -> dict:
         keys = ("logical", "inference", "popcount", "other", "total")
         return {k: sum(r[k] for r in self.rows) for k in keys}
 
     def to_csv(self) -> str:
+        """One line per row and a total line; the engine columns only when
+        some row is an engine."""
+        engines = any(map(_is_engine, self.rows))
         out = io.StringIO()
         out.write("layer,kind,unrolled,density,n_tilde,keff_hist,logical,"
-                  "inference,popcount,other,total\n")
+                  "inference,popcount,other,total"
+                  + (",engine_bits,engine_popcount\n" if engines else "\n"))
         for r in self.rows:
             hist = ";".join(f"{k}:{v}" for k, v in sorted(r["keff_hist"].items()))
             out.write(f"{r['layer']},{r['kind']},{int(r['unrolled'])},"
                       f"{r['density']:.6f},{r['n_tilde']},{hist},{r['logical']},"
-                      f"{r['inference']},{r['popcount']},{r['other']},{r['total']}\n")
+                      f"{r['inference']},{r['popcount']},{r['other']},{r['total']}"
+                      + (f",{r['engine_bits']},{r['engine_popcount']}\n" if engines else "\n"))
         t = self.totals()
         out.write(f"total,,,,,,{t['logical']},{t['inference']},{t['popcount']},"
-                  f"{t['other']},{t['total']}\n")
+                  f"{t['other']},{t['total']}"
+                  + (f",{sum(r['engine_bits'] for r in self.rows)},\n" if engines else "\n"))
         return out.getvalue()
 
     def to_table(self) -> str:
+        """The rows as aligned columns; the engine columns only when some
+        row is an engine."""
+        engines = any(map(_is_engine, self.rows))
         lines = [f"{'layer':<12}{'density':>9}{'logical':>9}{'infer':>7}"
-                 f"{'popcnt':>8}{'other':>7}{'total':>8}"]
+                 f"{'popcnt':>8}{'other':>7}{'total':>8}"
+                 + (f"{'eng_bits':>10}{'eng_pop':>9}" if engines else "")]
         for r in self.rows:
             lines.append(f"{r['layer']:<12}{r['density']:>9.3f}{r['logical']:>9}"
-                         f"{r['inference']:>7}{r['popcount']:>8}{r['other']:>7}{r['total']:>8}")
+                         f"{r['inference']:>7}{r['popcount']:>8}{r['other']:>7}{r['total']:>8}"
+                         + (f"{r['engine_bits']:>10}{r['engine_popcount']:>9}" if engines else ""))
         t = self.totals()
         lines.append(f"{'total':<12}{'':>9}{t['logical']:>9}{t['inference']:>7}"
-                     f"{t['popcount']:>8}{t['other']:>7}{t['total']:>8}")
+                     f"{t['popcount']:>8}{t['other']:>7}{t['total']:>8}"
+                     + (f"{sum(r['engine_bits'] for r in self.rows):>10}" if engines else ""))
         return "\n".join(lines)
 
 
 def area_report(net: md.Network) -> AreaReport:
-    """Physical 6-LUT estimate of a hardened network, split into popcount
-    operators, inference operators and other logic (thresholds, pooling).
-    It prices the blocks of lower(net): the tables, kept inputs and node
-    counts the netlist holds."""
+    """Physical 6-LUT estimate of a hardened network's LUTNet logic, split
+    into popcount operators, inference operators and other logic
+    (thresholds, pooling).  It prices the blocks of lower(net): the tables,
+    kept inputs and node counts the netlist holds.  A time-multiplexed layer
+    runs on the shared XNOR-popcount engine, which is not LUTNet logic: its
+    row costs 0 LUTs and records instead the weight bits the engine stores,
+    B * sum(mask), and the bits of its widest channel's popcount."""
     md.require_stage(net, "hardened")
     frac_bits = net.frac_bits
     report = AreaReport()
     for block in lower(net).blocks:
         li = block.layer
+        row = dict(layer=f"l{li}", unrolled=False, keff_hist={}, logical=0, inference=0,
+                   popcount=0, other=0, total=0, engine_bits=0, engine_popcount=0)
         if isinstance(block, PoolBlock):
             n_pool = block.index_map.shape[0] * block.index_map.shape[1]
-            report.rows.append(dict(layer=f"l{li}", kind="maxpool", unrolled=False,
-                                    density=1.0, n_tilde=0, keff_hist={},
-                                    logical=n_pool, inference=0, popcount=0,
-                                    other=n_pool, total=n_pool))
+            report.rows.append(dict(row, kind="maxpool", density=1.0, n_tilde=0,
+                                    logical=n_pool, other=n_pool, total=n_pool))
             continue
         layer = net.layers[li]
+        row.update(kind=layer.kind, density=float(layer.prune_mask.mean()),
+                   n_tilde=int(block.n_tilde.sum()))
+        if isinstance(block, EngineBlock):
+            report.rows.append(dict(row, engine_bits=len(block.q_gammas) * row["n_tilde"],
+                                    engine_popcount=block.pop_width))
+            continue
         positions = block.positions
         hist, logical = _histogram(block)
         inference = pack_estimate(block)
 
         n_planes = len(block.q_gammas)
-        nodes = [int(n) for n in np.diff(block.offsets) if n]   # a fully pruned channel costs no logic
+        nodes = [int(n) for n in block.n_tilde if n]   # a fully pruned channel costs no logic
         popcount = sum(positions * n_planes * popcount_cost(n) for n in nodes)
         other = sum(positions * threshold_cost(n, n_planes, frac_bits) for n in nodes)
-        density = float(layer.prune_mask.mean())
-        report.rows.append(dict(layer=f"l{li}", kind=layer.kind, unrolled=layer.unrolled,
-                                density=density, n_tilde=sum(nodes), keff_hist=hist,
-                                logical=logical, inference=inference, popcount=popcount,
-                                other=other, total=inference + popcount + other))
+        report.rows.append(dict(row, unrolled=layer.unrolled, keff_hist=hist, logical=logical,
+                                inference=inference, popcount=popcount, other=other,
+                                total=inference + popcount + other))
     return report

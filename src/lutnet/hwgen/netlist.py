@@ -5,41 +5,49 @@ maxpool layer, in layer order.  Each block reads only the previous block's
 output bit vector (the network input for the first), so the netlist is
 acyclic and every net has one driver by construction.
 
-- A ComputeBlock is one compute layer.  Output bit c*P + p is the neuron of
-  channel c at window position p (P = 1 for dense), the order
-  model.windows(...).outputs uses.  Window position p reads the previous
-  bits index_map[p].  Channel c owns nodes offsets[c]:offsets[c+1]; node n
-  of plane b is the truth table tables[b, n, :2**k_eff[b, n]] over window
-  slots inputs[b, n, :k_eff[b, n]], its don't-care inputs already dropped
-  (both arrays are zero past k_eff).  Per channel and position, each plane's
-  node outputs are added up by a balanced popcount tree and one threshold
-  cell compares sum_b q_gammas[b] * (2*pop_b - N~) with q_tau[c], or the
-  reverse where flip[c].
+Every dense or conv layer ends in threshold neurons, one per channel c and
+window position p (P = 1 for dense): output bit c*P + p, the order
+model.windows(...).outputs uses.  Window position p reads the previous bits
+index_map[p].  Per channel and position, one threshold cell compares
+sum_b q_gammas[b] * (2*pop_b - N~) with q_tau[c], or the reverse where
+flip[c], where pop_b is plane b's popcount over the channel's N~ inputs.
+
+- A ComputeBlock is an unrolled (expanded) layer.  Channel c owns nodes
+  offsets[c]:offsets[c+1]; node n of plane b is the truth table
+  tables[b, n, :2**k_eff[b, n]] over window slots inputs[b, n, :k_eff[b, n]],
+  its don't-care inputs already dropped (both arrays are zero past k_eff).
+  Each plane's node outputs are added up by a balanced popcount tree.
+- An EngineBlock is a time-multiplexed layer on the XNOR-popcount engine
+  (the matrix-vector-threshold unit of FINN and ReBNet): plane b's popcount
+  of channel c at position p counts the window slots j of mask[c] whose bit
+  equals the weight bit of weights[b, c, j], one XNOR per weight.
 - A PoolBlock is a maxpool over bits, one OR LUT per channel and window
-  position, in the order ComputeBlock outputs use.  Its index_map is the
-  layer's model.windows map, each window's slots split per channel: output
-  bit c*P + p ORs the previous bits index_map[p, c].
+  position, in the order the other blocks' outputs use.  Its index_map is
+  the layer's model.windows map, each window's slots split per channel:
+  output bit c*P + p ORs the previous bits index_map[p, c].
 
 Nothing is stored per wire or per cell, and this module is the one place
-that defines cell order and net names.  A compute block's cells come in
-groups, one per channel and position, in the order of `groups`: per plane
-the node LUTs, then the adders of their popcount tree, then one threshold
-cell.  `plane_nets` names the nets of one plane of a group, `threshold`
+that defines cell order and net names.  A block's cells come in groups, one
+per channel and position, in the order of `groups`: for a compute block per
+plane the node LUTs, then the adders of their popcount tree, then one
+threshold cell; an engine block's cells are its threshold cells alone, its
+popcounts being the engine.  `plane_nets` names the nets of one plane of a
+compute group, `EngineBlock.pops` an engine group's popcounts, `threshold`
 builds a group's threshold cell and `out_names` names the output bits;
-`port_reads` lists the previous bits a block's cells read, in order of first
-use.  `cells` generates the cell views from these, and verilog.emit_verilog
-renders the same groups a plane at a time straight from the arrays.
-`Netlist.cells` and `Netlist.nets` exist only for the benchmark
-(bench/workloads.py), which counts cells by type and matches Verilog tables
-by net name; both are views that store nothing.
+`port_reads` lists the previous bits a block reads, in order of first use.
+`cells` generates the cell views from these, and verilog.emit_verilog
+renders the same groups straight from the arrays.  `Netlist.cells` and
+`Netlist.nets` exist only for the benchmark (bench/workloads.py), which
+counts cells by type and matches Verilog tables by net name; both are views
+that store nothing.
 
-`simulate` evaluates the same arrays the cells are generated from, and
-nothing else: it never reads the network, so comparing it with
-model.forward_hardened_bits checks `lower`.  A node with k_eff <= 1 is a
-constant, a buffer or an inverter, an affine function of one window bit, so
-per plane all such nodes of a block add up to one integer matrix product
-over the window rows (every node of a time-multiplexed layer is one); only
-the nodes with k_eff >= 2 are looked up in their tables.
+`simulate` evaluates the same arrays the cells and the engines are
+generated from, and nothing else: it never reads the network, so comparing
+it with model.forward_hardened_bits checks `lower`.  A node with k_eff <= 1
+is a constant, a buffer or an inverter, an affine function of one window
+bit, and so is an engine's XNOR with a constant weight: per plane all of
+them add up to one integer matrix product over the window rows; only the
+nodes with k_eff >= 2 are looked up in their tables.
 
 Bit convention throughout the hardware path: +1 maps to 1, -1 maps to 0.
 LUT tables are 0/1 bit vectors indexed by the shared vertex encoding (bit k
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,8 +116,60 @@ def _first_use(reads: np.ndarray) -> np.ndarray:
     return reads[np.sort(first)]
 
 
+class _Neurons:
+    """The threshold neurons a compute or engine block ends in, one per
+    channel c and window position p: output bit c*P + p, cell group stem
+    l{layer}_c{c}[_p{p}], and one threshold cell over the group's per-plane
+    popcounts of n_tilde[c] inputs."""
+
+    @property
+    def positions(self) -> int:
+        return self.index_map.shape[0]
+
+    def groups(self):
+        """(channel, position, stem) of each cell group, in emission order:
+        per channel c and position p."""
+        cname = "c{}" if self.positions == 1 else "c{}_p{}"
+        for c in range(len(self.q_tau)):
+            for p in range(self.positions):
+                yield c, p, f"l{self.layer}_" + cname.format(c, p)
+
+    def out_names(self) -> list:
+        return [f"act_{stem}" for _c, _p, stem in self.groups()]
+
+    def threshold(self, c: int, stem: str, pops: list, out: str) -> ScaleThresholdCell:
+        """The threshold cell of group stem of channel c, reading pops."""
+        n_tilde = int(self.n_tilde[c])
+        return ScaleThresholdCell(pops, _width(n_tilde), n_tilde, self.q_gammas.tolist(),
+                                  int(self.q_tau[c]), bool(self.flip[c]),
+                                  int(self.acc_width[c]), out, f"th_{stem}")
+
+    def _evaluator(self, const: np.ndarray, m: np.ndarray, lookup=None):
+        """A function (V, previous bits) uint8 -> (V, C*P) uint8 of a block
+        whose plane-b popcount at each position is const[b] (C,) plus
+        rows @ m[b] (W, C), rows = bits[:, index_map], plus lookup(bits)[b]
+        (V, P, C) if lookup is given.  The product is taken in float64, exact
+        because every sum is an integer far below 2**53."""
+        n_tilde, n_ch = self.n_tilde, len(self.q_tau)
+
+        def evaluate(bits):
+            v, (positions, width) = bits.shape[0], self.index_map.shape
+            rows = bits[:, self.index_map].reshape(v * positions, width).astype(np.float64)
+            looked_up = lookup(bits) if lookup is not None else None
+            acc = 0
+            for b, q in enumerate(self.q_gammas.tolist()):
+                pop = (rows @ m[b]).astype(np.int64).reshape(v, positions, n_ch) + const[b]
+                if looked_up is not None:
+                    pop += looked_up[b]
+                acc = acc + q * (2 * pop - n_tilde)
+            fire = np.where(self.flip, acc <= self.q_tau, acc >= self.q_tau)
+            return np.swapaxes(fire, 1, 2).reshape(v, n_ch * positions).astype(np.uint8)
+
+        return evaluate
+
+
 @dataclass
-class ComputeBlock:
+class ComputeBlock(_Neurons):
     layer: int                 # index of the layer in the network
     index_map: np.ndarray      # (P, W) int64 previous-block bit read by each window slot
     offsets: np.ndarray        # (C+1,) int64 node range of each channel
@@ -121,29 +181,10 @@ class ComputeBlock:
     flip: np.ndarray           # (C,) bool: fire when the sum is <= q_tau instead of >=
     acc_width: np.ndarray      # (C,) int64 two's-complement accumulator bits
 
-    @property
-    def positions(self) -> int:
-        return self.index_map.shape[0]
-
-    def groups(self):
-        """(channel, position, stem) of each cell group, in emission order:
-        per channel c and position p.  Group stem holds, per plane b, the
-        LUTs of nodes offsets[c]:offsets[c+1] and the adders that
-        plane_nets(stem, n_tilde, b) names, then one threshold cell."""
-        cname = "c{}" if self.positions == 1 else "c{}_p{}"
-        for c in range(len(self.offsets) - 1):
-            for p in range(self.positions):
-                yield c, p, f"l{self.layer}_" + cname.format(c, p)
-
-    def out_names(self) -> list:
-        return [f"act_{stem}" for _c, _p, stem in self.groups()]
-
-    def threshold(self, c: int, stem: str, pops: list, out: str) -> ScaleThresholdCell:
-        """The threshold cell of group stem of channel c, reading pops."""
-        n_tilde = int(self.offsets[c + 1] - self.offsets[c])
-        return ScaleThresholdCell(pops, _width(n_tilde), n_tilde, self.q_gammas.tolist(),
-                                  int(self.q_tau[c]), bool(self.flip[c]),
-                                  int(self.acc_width[c]), out, f"th_{stem}")
+    @cached_property
+    def n_tilde(self) -> np.ndarray:
+        """(C,) nodes of each channel."""
+        return np.diff(self.offsets)
 
     def port_reads(self) -> np.ndarray:
         """The previous block's bits that some table depends on, in order of
@@ -155,7 +196,9 @@ class ComputeBlock:
             [self.index_map[p, slots[c]] for c, p, _stem in self.groups()]))
 
     def cells(self, in_names: list, out_names: list):
-        """The cell views of each group of groups(), in emission order."""
+        """The cell views of each group of groups(), in emission order: per
+        plane the LUTs of nodes offsets[c]:offsets[c+1] and the adders that
+        plane_nets(stem, n_tilde, b) names, then one threshold cell."""
         k_eff, inputs, offsets = self.k_eff.tolist(), self.inputs.tolist(), self.offsets.tolist()
         planes = range(self.inputs.shape[0])
         slot_names = [[in_names[i] for i in window].__getitem__   # per position
@@ -181,18 +224,16 @@ class ComputeBlock:
         for j < k_eff[b, n].  A node with k_eff <= 1 is the affine function
         t[0] + bit * (t[1] - t[0]) of its table t and its one input bit (t[0]
         alone when k_eff = 0), so each plane's such nodes add up to
-        const[b] + rows @ m[b], with rows = bits[:, index_map]: m[b] (W, C)
-        holds per window slot and channel the summed t[1] - t[0] of the nodes
-        reading that slot, const[b] (C,) the summed t[0].  The product is
-        taken in float64, exact because every sum is an integer far below
-        2**53.  The nodes with k_eff >= 2 are looked up by vertex index and
-        added per channel as differences of an int64 cumulative sum; their
-        slots past k_eff read bit -1, a constant 0 the function appends, so
-        they add nothing to the vertex index."""
+        const[b] + rows @ m[b] (see _Neurons._evaluator): m[b] (W, C) holds
+        per window slot and channel the summed t[1] - t[0] of the nodes
+        reading that slot, const[b] (C,) the summed t[0].  The nodes with
+        k_eff >= 2 are looked up by vertex index and added per channel as
+        differences of an int64 cumulative sum; their slots past k_eff read
+        bit -1, a constant 0 the lookup appends, so they add nothing to the
+        vertex index."""
         n_planes, _nodes, k = self.inputs.shape
-        n_tilde = np.diff(self.offsets)
-        n_ch = len(n_tilde)
-        channel = np.repeat(np.arange(n_ch), n_tilde)                      # (N,) of each node
+        n_ch = len(self.n_tilde)
+        channel = np.repeat(np.arange(n_ch), self.n_tilde)                 # (N,) of each node
         t0 = self.tables[..., 0].astype(np.int64)
         t1 = self.tables[..., 1].astype(np.int64)
 
@@ -212,25 +253,73 @@ class ComputeBlock:
             lookups.append((source, nodes << k, self.tables[b].reshape(-1),
                             np.searchsorted(nodes, self.offsets)))          # channel offsets in L
 
-        def evaluate(bits):
-            v, (positions, width) = bits.shape[0], self.index_map.shape
-            rows = bits[:, self.index_map].reshape(v * positions, width).astype(np.float64)
-            bits = np.concatenate([bits, np.zeros((v, 1), np.uint8)], axis=1)
-            acc = 0
-            for b, q in enumerate(self.q_gammas.tolist()):
-                source, base, entries, bounds = lookups[b]
+        def lookup(bits):
+            bits = np.concatenate([bits, np.zeros((bits.shape[0], 1), np.uint8)], axis=1)
+            pops = []
+            for source, base, entries, bounds in lookups:
                 vertex = bits[:, source[0]]                                 # (V, P, L)
                 for j in range(1, k):
                     vertex |= bits[:, source[j]] << j
                 cum = np.zeros(vertex.shape[:2] + (vertex.shape[2] + 1,), np.int64)
                 np.cumsum(entries[vertex + base], axis=2, out=cum[..., 1:])
-                pop = (rows @ m[b]).astype(np.int64).reshape(v, positions, n_ch) + const[b]
-                pop += cum[..., bounds[1:]] - cum[..., bounds[:-1]]
-                acc = acc + q * (2 * pop - n_tilde)
-            fire = np.where(self.flip, acc <= self.q_tau, acc >= self.q_tau)
-            return np.swapaxes(fire, 1, 2).reshape(v, n_ch * positions).astype(np.uint8)
+                pops.append(cum[..., bounds[1:]] - cum[..., bounds[:-1]])
+            return pops
 
-        return evaluate
+        return self._evaluator(const, m, lookup)
+
+
+@dataclass
+class EngineBlock(_Neurons):
+    layer: int                 # index of the layer in the network
+    index_map: np.ndarray      # (P, W) int64 previous-block bit read by each window slot
+    weights: np.ndarray        # (B, C, W) int8 +-1 weight sign of each plane, channel and slot
+    mask: np.ndarray           # (C, W) bool: the slots each channel counts
+    q_gammas: np.ndarray       # (B,) int64 fixed-point plane scales
+    q_tau: np.ndarray          # (C,) int64 fixed-point thresholds
+    flip: np.ndarray           # (C,) bool: fire when the sum is <= q_tau instead of >=
+    acc_width: np.ndarray      # (C,) int64 two's-complement accumulator bits
+
+    @cached_property
+    def n_tilde(self) -> np.ndarray:
+        """(C,) weights each channel counts."""
+        return self.mask.sum(axis=1)
+
+    @property
+    def pop_width(self) -> int:
+        """Bits of the widest channel's popcount, 0 if no channel counts a
+        weight."""
+        return int(self.n_tilde.max(initial=0)).bit_length()
+
+    def pops(self, c: int, stem: str) -> list:
+        """The per-plane popcount nets of group stem of channel c, none for
+        a channel that counts no weight."""
+        return [f"pop_{stem}_b{b}" for b in range(len(self.q_gammas))] if self.n_tilde[c] else []
+
+    def port_reads(self) -> np.ndarray:
+        """The previous block's bits some channel counts, in order of first
+        use by the groups: group (c, p) reads index_map[p, j] for each slot j
+        of mask[c], so a bit is first read by the first channel that counts
+        one of its slots, at the first such position and slot."""
+        live = np.broadcast_to(self.mask.any(axis=0), self.index_map.shape)
+        p, j = np.nonzero(live)                                            # position-major
+        order = np.argsort(self.mask.argmax(axis=0)[j], kind="stable")
+        return _first_use(self.index_map[p, j][order])
+
+    def cells(self, in_names: list, out_names: list):
+        """The threshold cell of each group of groups(), in emission order;
+        the engine itself is one module, not cells."""
+        for c, p, stem in self.groups():
+            yield self.threshold(c, stem, self.pops(c, stem), out_names[c * self.positions + p])
+
+    def evaluator(self):
+        """A function (V, previous bits) uint8 -> (V, C*P) uint8.  Plane b's
+        popcount of XNORs is const[b] + rows @ m[b] (see
+        _Neurons._evaluator): a weight +1 counts its bit, a weight -1 counts
+        1 - bit, so const[b] (C,) counts the masked -1 weights and m[b] (W, C)
+        is the masked weights, transposed."""
+        const = ((self.weights < 0) & self.mask).sum(axis=2)
+        m = np.transpose(self.weights * self.mask, (0, 2, 1)).astype(np.float64)
+        return self._evaluator(const, m)
 
 
 @dataclass
@@ -318,12 +407,12 @@ def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:
 
     inputs: one vector or (n_vectors, input bits) of 0/1; any other rank,
     width or value is a PortError.  Returns (n_vectors, output bits) of 0/1.
-    Each compute block gathers its window bits and takes per-channel
-    popcounts from exactly the tables and kept inputs the emitted Verilog
-    holds: the nodes with at most one kept input (a constant, buffer or
-    inverter, such as every weight of a time-multiplexed layer) as one
-    float64 matrix product per plane, exact on these integer sums, the
-    others by table lookup.  It then applies the integer threshold.  Vectors
+    Each compute or engine block gathers its window bits and takes
+    per-channel popcounts from exactly the tables, kept inputs, weights and
+    masks the emitted Verilog holds: an engine's XNORs and the nodes with at
+    most one kept input (a constant, buffer or inverter) as one float64
+    matrix product per plane, exact on these integer sums, the other nodes
+    by table lookup.  It then applies the integer threshold.  Vectors
     are processed model.INFER_BATCH at a time, as forward_hardened_bits
     walks them."""
     inputs = np.asarray(inputs)

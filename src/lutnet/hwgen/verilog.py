@@ -2,9 +2,9 @@
 
 The netlist is stored as per-layer array blocks, and netlist.py defines the
 cell order and every net name.  Each layer module declares its internal
-nets, then writes its cells in that order; its input ports are the previous
-layer's bits its cells read, in order of first use, and its output ports the
-bits it exports.
+nets, then writes its logic in that order; its input ports are the previous
+layer's bits it reads, in order of first use, and its output ports the bits
+it exports.
 
 A compute block is rendered a cell group (channel, position) at a time,
 straight from its arrays; no cell object is built.  Each distinct
@@ -25,8 +25,14 @@ input 0 in the low index bit, matching the vertex encoding used everywhere
 else.  Vendor-primitive style instead instantiates generic LUT<K> cells with
 the same bits as INIT masks; a LUT wider than the fabric's 6 inputs is a
 PackingError.  In both styles a LUT over no input is a constant assign.
-Output is a deterministic function of the netlist (stable names, no
-timestamps)."""
+
+An engine block (a time-multiplexed layer) is one behavioural XNOR-popcount
+module in both styles: per position a W-bit window of its slot bits, per
+channel and plane a W-bit ROM literal of the weight bits and per channel a
+W-bit literal of the mask, both MSB first with slot j at bit j, one popcount
+function, per group and plane a popcount of ~(window ^ weights) & mask, and
+per group the same threshold lines as a compute block.  Output is a
+deterministic function of the netlist (stable names, no timestamps)."""
 
 from __future__ import annotations
 
@@ -36,7 +42,8 @@ import numpy as np
 
 from ..config import FABRIC_K
 from ..errors import PackingError
-from .netlist import ComputeBlock, Netlist, PoolBlock, ScaleThresholdCell, plane_nets
+from .netlist import (ComputeBlock, EngineBlock, Netlist, PoolBlock, ScaleThresholdCell,
+                      plane_nets)
 
 HEADER = """\
 // {title}
@@ -57,6 +64,11 @@ def _sdec(width: int, value: int) -> str:
     return f"{width}'sd{value}"
 
 
+def _bit_literal(bits: np.ndarray) -> str:
+    """A W-bit binary literal of 0/1 bits, bit j at index j, MSB first."""
+    return f"{len(bits)}'b{(bits[::-1].astype(np.uint8) + ord('0')).tobytes().decode()}"
+
+
 def _table_head(table: np.ndarray, vendor: bool) -> str:
     """What a LUT line writes before its inputs: a constant for a table over
     no input, else the table as a literal, MSB first, or as an INIT mask."""
@@ -68,7 +80,7 @@ def _table_head(table: np.ndarray, vendor: bool) -> str:
             raise PackingError(f"vendor mode cannot instantiate a {k}-input LUT (max {FABRIC_K})")
         value = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
         return f"LUT{k} #(.INIT({len(table)}'h{value:0{(len(table) + 3) // 4}X})) "
-    return f"({len(table)}'b{(table[::-1] + ord('0')).tobytes().decode()} >> {{"
+    return f"({_bit_literal(table)} >> {{"
 
 
 def _lut_lines(vendor: bool, outs: list, heads: list, ins: list) -> list:
@@ -153,7 +165,8 @@ def _compute_lines(block: ComputeBlock, in_names: list, out_names: list, interna
     STEM."""
     n_planes, n_nodes, k = block.inputs.shape
     planes = range(n_planes)
-    heads = _heads(block.tables.reshape(n_planes * n_nodes, -1), block.k_eff.reshape(-1), vendor)
+    heads = _heads(block.tables.reshape(n_planes * n_nodes, block.tables.shape[2]),
+                   block.k_eff.reshape(-1), vendor)
     sources = [_sources([in_names[i] for i in window], k, vendor)
                for window in block.index_map.tolist()]
     offsets = block.offsets.tolist()
@@ -180,6 +193,44 @@ def _compute_lines(block: ComputeBlock, in_names: list, out_names: list, interna
     return decls, body
 
 
+def _engine_lines(block: EngineBlock, in_names: list, out_names: list, internal: set,
+                  vendor: bool) -> tuple:
+    """(declarations, body) of an engine block, the same in both styles: per
+    position a W-bit window of its slots' bits (1'b0 for a slot no channel
+    counts), per channel and plane a ROM literal of the weight bits and per
+    channel one of the mask, one popcount function, and per group and plane
+    a popcount of ~(window ^ weights) & mask feeding the group's threshold
+    cell."""
+    n_planes, n_ch, width = block.weights.shape
+    stem = f"l{block.layer}"
+    live = block.mask.any(axis=0).tolist()
+    decls, body = [], []
+    for c in range(n_ch):
+        for b in range(n_planes):
+            decls.append(f"localparam [{width - 1}:0] w_{stem}_c{c}_b{b} = "
+                         f"{_bit_literal(block.weights[b, c] > 0)};")
+        decls.append(f"localparam [{width - 1}:0] m_{stem}_c{c} = {_bit_literal(block.mask[c])};")
+    for p, window in enumerate(block.index_map.tolist()):
+        decls.append(f"wire [{width - 1}:0] win_{stem}_p{p};")
+        names = [in_names[i] if read else "1'b0" for i, read in zip(window, live)]
+        body.append(f"assign win_{stem}_p{p} = {{{', '.join(reversed(names))}}};")
+    if block.pop_width:
+        decls += [f"function [{block.pop_width - 1}:0] popcount;", f"    input [{width - 1}:0] v;",
+                  "    integer i;", "    begin", "        popcount = 0;",
+                  f"        for (i = 0; i < {width}; i = i + 1)",
+                  "            popcount = popcount + v[i];", "    end", "endfunction"]
+    for c, p, group in block.groups():
+        cell = block.threshold(c, group, block.pops(c, group), out_names[c * block.positions + p])
+        for b, pop in enumerate(cell.pops):
+            decls.append(f"wire [{cell.pop_width - 1}:0] {pop};")
+            body.append(f"assign {pop} = popcount(~(win_{stem}_p{p} ^ w_{stem}_c{c}_b{b}) "
+                        f"& m_{stem}_c{c});")
+        if cell.out in internal:
+            decls.append(f"wire {cell.out};")
+        body.append(_threshold_lines(cell))
+    return decls, body
+
+
 def _pool_lines(block: PoolBlock, in_names: list, out_names: list, internal: set,
                 vendor: bool) -> tuple:
     """(declarations, body) of a maxpool block: one OR LUT per window."""
@@ -189,6 +240,9 @@ def _pool_lines(block: PoolBlock, in_names: list, out_names: list, internal: set
                        _sources(in_names, windows.shape[1], vendor), vendor)
     decls = [f"wire {out};" for out in out_names if out in internal]
     return decls, _lut_lines(vendor, out_names, heads, ins)
+
+
+_LINES = {ComputeBlock: _compute_lines, EngineBlock: _engine_lines, PoolBlock: _pool_lines}
 
 
 def emit_verilog(netlist: Netlist, style: str = "behavioral") -> dict:
@@ -208,7 +262,7 @@ def emit_verilog(netlist: Netlist, style: str = "behavioral") -> dict:
 
     for block, in_names, out_names, exported in netlist.walk():
         internal = set(out_names).difference(exported)
-        lines = _compute_lines if isinstance(block, ComputeBlock) else _pool_lines
+        lines = _LINES[type(block)]
         decls, body = lines(block, in_names, out_names, internal, vendor)
         ext_in = [in_names[i] for i in block.port_reads().tolist()]
         mod = f"{netlist.name}_l{block.layer}"

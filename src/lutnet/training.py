@@ -61,9 +61,13 @@ def l2_group_regulariser(net: md.Network, lam: float):
 
 
 def check_labels(net, x, y):
-    """Samples x and labels y must pair one to one, at least one pair, and
-    the labels must index the head's outputs, one logit per class, so the
-    head must write one position."""
+    """Samples x and labels y must pair one to one, at least one pair, the
+    labels must be a 1-D integer array, and they must index the head's
+    outputs, one logit per class, so the head must write one position."""
+    y = np.asarray(y)
+    if y.ndim != 1 or not np.issubdtype(y.dtype, np.integer):
+        raise FormatError(f"labels must be a 1-D array of integers; got shape {y.shape} "
+                          f"of {y.dtype}")
     if len(x) != len(y) or not len(y):
         raise FormatError(f"a data set needs as many labels as samples, at least one; got "
                           f"{len(x)} samples and {len(y)} labels")

@@ -55,16 +55,24 @@ def test_coefficient_writes_through_channels_land_in_the_layer():
     assert np.array_equal(lut.coeffs, before + 1.0)
 
 
-# cells of lower(tiny hardened net), recorded from the object-per-bit netlist
-TINY_CELLS = {"lut": 82, "add": 68, "threshold": 7}
+# cells of lower(tiny hardened net), recorded from the object-per-bit netlist;
+# re-recorded when the time-multiplexed l0 became an engine, whose only
+# cells are its 4 threshold cells
+TINY_CELLS = {"lut": 18, "add": 12, "threshold": 7}
 
 
 def test_netlist_readers_run(workloads):
-    nl = hw.lower(dict(tiny_stages())["hardened"])
+    net = dict(tiny_stages())["hardened"]
+    nl = hw.lower(net)
     counts = workloads._cell_counts(nl)
     assert counts == TINY_CELLS
     assert sum(1 for _cell in nl.cells) == sum(TINY_CELLS.values())
     assert workloads._verilog_tables_match(nl, hw.emit_verilog(nl))
+    # the engine row carries every key the benchmark reads, and no LUT
+    engine, expanded = workloads._area_rows(hw.area_report(net))
+    assert engine == {"layer": "l0", "logical": 0, "inference": 0, "popcount": 0, "other": 0,
+                      "total": 0, "keff_hist": {}}
+    assert expanded["layer"] == "l2" and expanded["total"] > 0
 
 
 # TARGETS entries whose attribute the library no longer has; the tracer

@@ -21,7 +21,7 @@ from lutnet import prune as pr
 from lutnet.errors import SchemaError
 from lutnet.training import TrainLog
 
-from conftest import exhaustive_pm1, make_tiny_net, netlist_pin, tiny_stages
+from conftest import exhaustive_pm1, make_tiny_net, netlist_pin, run_netlist_text, tiny_stages
 
 # the fixtures hold the nets of tiny_stages() as they were when expansion drew
 # each channel's wiring with a generator of its own: the hardened one here,
@@ -41,7 +41,8 @@ V1_BITS = ("0200023022222222020022322222222230303020322322223020222322222222"
            "0000300032303220000002006230222230303330333333233030302033232222"
            "0230223222622222223222322222222230202223636222222223222322622262"
            "3000322063662362620032303262236233303323666663623020232363666266")
-V1_VERILOG_SHA256 = "f69162c880fcd136c161a88e9f8b790354d313286a643ec4c9e15eda861f0098"
+# re-recorded when the time-multiplexed l0 became an engine block
+V1_VERILOG_SHA256 = "36b57ee4ef0a6e4794d344b2993d4b05439d13155aa3dafab2183f1e7f659475"
 
 
 def bits_digits(bits):
@@ -63,6 +64,12 @@ def test_v1_fixture_reproduces_its_hardware():
     x = exhaustive_pm1(8)
     assert bits_digits(md.forward_hardened_bits(net, x)) == V1_BITS
     assert verilog_sha256(net) == V1_VERILOG_SHA256
+
+
+def test_v1_fixture_engine_verilog_runs_as_simulated():
+    nl = hw.lower(ck.load_checkpoint(V1_FIXTURE).net)
+    bits = hw.encode_pm1(exhaustive_pm1(8))
+    assert np.array_equal(run_netlist_text(nl, hw.emit_verilog(nl), bits), hw.simulate(nl, bits))
 
 
 def test_v2_fixture_hardens_to_the_v1_hardware():

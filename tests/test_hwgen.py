@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from lutnet.expand import reduce_dont_cares
 from lutnet.hwgen import area
 from lutnet.hwgen.netlist import ComputeBlock
 
-from conftest import area_sha, exhaustive_pm1, fold_initial_scale, netlist_pin, tiny_stages
+from conftest import (area_sha, exhaustive_pm1, fold_initial_scale, netlist_pin, run_netlist_text,
+                      tiny_stages)
 
 
 def _bits(v, k):
@@ -427,14 +429,17 @@ def test_pack_estimate_equals_the_global_greedy():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, None])   # None: the unread-column net
 def test_simulate_equals_cell_interpreter_exhaustively(k):
+    # the unread-column net's first layer is an engine, which has no LUT
+    # cells to interpret, so its Verilog text is run instead
     net = _planted_net(k) if k else _unread_column_net()
     nl = hw.lower(net)
     bits = hw.encode_pm1(exhaustive_pm1(net.input_shape[0]))
-    want = interpret_cells(nl, bits)
+    want = interpret_cells(nl, bits) if k else run_netlist_text(nl, hw.emit_verilog(nl), bits)
     assert np.array_equal(hw.simulate(nl, bits), want)
     # the netlist keeps no reference to the weights it was lowered from
     for _i, layer in net.compute_layers():
         layer.weights[...] = 0.0
+        layer.prune_mask[...] = False
         if layer.lut is not None:
             for field in (layer.lut.coeffs, layer.lut.gammas):
                 field[...] = 0
@@ -500,9 +505,11 @@ def _unread_column_net():
     return net
 
 
-UNREAD_PIN = ("83c4fcc88c8c5a1a1d5dca3dfc2992ce68e248a7dc70a98d7a175d264b8310c3",
-              "8163dcd52726b89bad570a078f518ff7f7673132a8923775c31b5b8eef1be624",
-              {"lut": 66, "add": 52, "threshold": 7})
+# netlist_pin of the unread-column net, re-recorded when its time-multiplexed
+# l0 became an engine block
+UNREAD_PIN = ("9989b24e0bb5de5f698830d4dcae407288d2cc65359c23aa1e18c804c2619d6e",
+              "88e79ee2582f67e3ac5240783ab693e5cb4796a155d45872ba987da5f0787f16",
+              {"lut": 18, "add": 12, "threshold": 7})
 
 
 def test_unread_activation_is_an_internal_wire():
@@ -520,7 +527,9 @@ def test_unread_activation_is_an_internal_wire():
 
 # sha256 of area_report(...).to_csv(), recorded from the area estimate that
 # walked the network itself, before it priced lower's blocks; K = 5
-# re-recorded when expansion drew one wiring plan per layer
+# re-recorded when expansion drew one wiring plan per layer; the
+# unread-column net's re-recorded when its l0 became an engine block, a row
+# of 0 LUTs with the engine columns
 PLANTED_AREA = {
     1: "6d31a1226fe630a3a1296d7a29ff9ac8600d480619f86e4d44284e5a3f86c74a",
     2: "20a7e8dae8982a658b16b6231bf45d82247eb73a0fc9c337f767084f23882ae0",
@@ -529,7 +538,7 @@ PLANTED_AREA = {
     5: "39ce2e8c70a9acb67453593bbf6b23423366c887194bebfb8daf5df635d2fd86",
     6: "bb2d3fa3663d38de6454ee78cd60c1654412abe3d67f8e2ad22f180d8830ffad",
 }
-UNREAD_AREA = "ba7f05a4ab25cfcc338a1a506688cbcbfa3026ac23a41aa3805fa26e538661e5"
+UNREAD_AREA = "053cb2caa754c936d73cd9f2236c78424db09df2e5d076411d3301d2546149c5"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -546,6 +555,67 @@ def test_lower_rejects_node_inputs_outside_the_window():
     net.layers[2].lut.indices[0, 1] = net.layers[2].window_size
     with pytest.raises(LoweringError, match="outside the window"):
         hw.lower(net)
+
+
+@pytest.mark.parametrize("build", [lambda: dict(tiny_stages())["hardened"], _unread_column_net],
+                         ids=["tiny", "unread"])
+def test_engine_verilog_runs_as_simulated(build):
+    # a time-multiplexed layer is one engine module, the same text in both
+    # styles, whose ROMs, windows, popcounts and thresholds compute what the
+    # engine block and simulate compute, on every input
+    nl = hw.lower(build())
+    files = hw.emit_verilog(nl)
+    engine = f"{nl.name}_l0.v"
+    assert isinstance(nl.blocks[0], hw.EngineBlock)
+    assert hw.emit_verilog(nl, style="vendor-primitive")[engine] == files[engine]
+    bits = hw.encode_pm1(exhaustive_pm1(nl.n_inputs))
+    assert np.array_equal(run_netlist_text(nl, files, bits), hw.simulate(nl, bits))
+
+
+def _engine_fault(nl, pattern, fault):
+    """Run nl's text with fault applied to the first match of pattern in its
+    engine module l0; an AssertionError means the fault was caught."""
+    files = hw.emit_verilog(nl)
+    text = files[f"{nl.name}_l0.v"]
+    found = re.search(pattern, text)
+    files[f"{nl.name}_l0.v"] = text[:found.start()] + fault(found) + text[found.end():]
+    run_netlist_text(nl, files, hw.encode_pm1(exhaustive_pm1(nl.n_inputs)))
+
+
+def test_engine_text_reader_catches_a_flipped_rom_bit():
+    nl = hw.lower(dict(tiny_stages())["hardened"])
+    with pytest.raises(AssertionError, match="engine l0"):
+        _engine_fault(nl, r"w_l0_c0_b0 = 8'b([01])",
+                      lambda m: m[0][:-1] + "10"[int(m[1])])
+
+
+def test_engine_text_reader_catches_an_accumulator_one_bit_narrower():
+    # channel 0 of the unread-column net reaches the edge of its accumulator
+    nl = hw.lower(_unread_column_net())
+    with pytest.raises(AssertionError, match="engine l0"):
+        _engine_fault(nl, r"wire signed \[(\d+):0\] th_l0_c0_acc;",
+                      lambda m: f"wire signed [{int(m[1]) - 1}:0] th_l0_c0_acc;")
+
+
+def test_a_layer_without_nodes_emits_constant_thresholds():
+    # every unrolled weight pruned: l2 has no node, so each of its channels
+    # compares the constant 0 with its threshold
+    net = md.build_preset("lfc-small", 3, 2)
+    pr.prune_threshold(net, 1e9)
+    pr.binarise_network(net)
+    ex.expand_network(net, k=2, seed=4)
+    ex.harden_network(net)
+    nl = hw.lower(net)
+    assert nl.blocks[1].offsets[-1] == 0
+    x = np.random.default_rng(5).choice([-1.0, 1.0], size=(200, 784))
+    bits = hw.encode_pm1(x)
+    assert np.array_equal(hw.simulate(nl, bits), hw.encode_pm1(md.forward_hardened_bits(net, x)))
+    for style in ("behavioral", "vendor-primitive"):
+        files = hw.emit_verilog(nl, style=style)
+        text = files["lfc_small_l2.v"]
+        assert "lut_" not in text and "input wire" not in text
+        assert text.count("_acc = 2'sd0;") == 10
+    assert np.array_equal(run_netlist_text(nl, files, bits), hw.simulate(nl, bits))
 
 
 def test_each_time_multiplexed_layer_is_binarised_once_per_use(monkeypatch):

@@ -163,6 +163,23 @@ def test_data_without_one_label_per_sample_is_rejected(call, n_x, n_y):
         call(net, np.ones((n_x, 8)), np.zeros(n_y, dtype=np.int64))
 
 
+@pytest.mark.parametrize("call", [lambda net, x, y: tr.evaluate(net, x, y),
+                                  lambda net, x, y: tr.run_phase1(net, (x, y),
+                                                                  tr.PhaseConfig(epochs1=1))],
+                         ids=["evaluate", "run_phase1"])
+@pytest.mark.parametrize("relabel", [lambda y: y[:, None], lambda y: y + 0.25],
+                         ids=["column", "fractional"])
+def test_labels_that_are_not_one_integer_per_sample_are_rejected(call, relabel):
+    # labelled with the net's own predictions, a column of labels scored 648 %
+    # by broadcasting and fractional ones trained as their truncation
+    net = make_tiny_net()
+    x = np.random.default_rng(15).standard_normal((50, 8))
+    y = np.argmax(md.forward(net, x), axis=1)
+    assert tr.evaluate(net, x, y) == 100.0
+    with pytest.raises(FormatError, match="labels must be a 1-D array of integers"):
+        call(net, x, relabel(y))
+
+
 def test_batch_permutation_equivariance():
     net = make_tiny_net()
     rng = np.random.default_rng(10)

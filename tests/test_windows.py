@@ -17,7 +17,8 @@ from lutnet import prune as pr
 from lutnet import training as tr
 from lutnet.errors import DimensionError, FoldError, SchemaError
 
-from conftest import area_sha, fold_initial_scale, netlist_pin, tiny_stages, untiled_pool_net
+from conftest import (area_sha, fold_initial_scale, netlist_pin, run_netlist_text, tiny_stages,
+                      untiled_pool_net)
 
 
 def _randomize_bn(net, seed):
@@ -296,23 +297,32 @@ def test_conv_stack_netlist_equals_hardened_bits(k):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_stack_engine_verilog_runs_as_simulated(k):
+    # the time-multiplexed conv is an engine of 36 positions
+    nl = hw.lower(_hardened_conv_stack(k, np.random.default_rng(54 + k)))
+    bits = np.random.default_rng(90 + k).integers(0, 2, (256, 49)).astype(np.uint8)
+    assert np.array_equal(run_netlist_text(nl, hw.emit_verilog(nl), bits), hw.simulate(nl, bits))
+
+
 # netlist_pin of the lowered conv stack: Verilog sha256 in both styles and the
 # cell counts, recorded from the object-per-bit netlist that the per-layer
 # arrays replaced; K = 3 and 4 re-recorded when expansion drew one wiring
-# plan per layer
+# plan per layer, and all when the time-multiplexed conv became an engine
+# block
 CONV_STACK_PINS = {
-    1: ("aa6b7863aef70d0154a6976449517b40090872d4d73c766de4e768c2d8f46a19",
-        "7bf7084023e7c75c77fbe95fcd68d9229fbe880bf4a09f5843ced8767fac47a9",
-        {"lut": 1229, "add": 948, "threshold": 127}),
-    2: ("aa6b7863aef70d0154a6976449517b40090872d4d73c766de4e768c2d8f46a19",
-        "7bf7084023e7c75c77fbe95fcd68d9229fbe880bf4a09f5843ced8767fac47a9",
-        {"lut": 1229, "add": 948, "threshold": 127}),
-    3: ("8d85f2b0cfef1e38c48e9421884c1f9bc2cd5d82a2c54eb93cc88cb07875be4b",
-        "94be8de4f2bfbcb6218039ca66294f5a7e672da3271d7eab11e1a8ad0f40a6e3",
-        {"lut": 1229, "add": 948, "threshold": 127}),
-    4: ("8c75906af33a46a15078bdd079089b8fc381dd2567021a4121424cd982b0174b",
-        "de7f8c980e9d62caac7a2dc25e8a1f415c55e10ebcd0de2413b56e636af51c0b",
-        {"lut": 1229, "add": 948, "threshold": 127}),
+    1: ("258bf9517294330d93cb3f1c56b00c49ed17bdac0d82d808c31047b987a9d309",
+        "47bc26e5ccfbbab59ab13bb9b314e0fae987de711ffb29a1e4b38acc2d1bc564",
+        {"lut": 365, "add": 300, "threshold": 127}),
+    2: ("258bf9517294330d93cb3f1c56b00c49ed17bdac0d82d808c31047b987a9d309",
+        "47bc26e5ccfbbab59ab13bb9b314e0fae987de711ffb29a1e4b38acc2d1bc564",
+        {"lut": 365, "add": 300, "threshold": 127}),
+    3: ("cde5edaff421223458424d9d58a064ad1fa5a72ba8a3e4c9631024cb0a5bcf7a",
+        "e7b9cd65f9044c4fbc4a878b832d289e1bbbe28e231d24c4a96c054c42102150",
+        {"lut": 365, "add": 300, "threshold": 127}),
+    4: ("927b98081371ab17707a5006a4581eefb33f9e54e81eb80e5387eb71ef0d87fb",
+        "0f980f071d358737e0c4b50b7cc4f3417d73dd708af493ac14fc6dcdd7ccd5f6",
+        {"lut": 365, "add": 300, "threshold": 127}),
 }
 
 
@@ -325,12 +335,13 @@ def test_conv_stack_netlist_matches_pin(k):
 # sha256 of area_report(...).to_csv() of the conv stack (a time-multiplexed
 # conv, a maxpool row, positions > 1), recorded from the area estimate that
 # walked the network itself, before it priced lower's blocks; K = 3 and 4
-# re-recorded when expansion drew one wiring plan per layer
+# re-recorded when expansion drew one wiring plan per layer, and all when
+# the time-multiplexed conv became an engine row of 0 LUTs
 CONV_STACK_AREA = {
-    1: "138096939aebe72a527d79cb8016e9e30f9250db24d1b907e9cf96f693849714",
-    2: "138096939aebe72a527d79cb8016e9e30f9250db24d1b907e9cf96f693849714",
-    3: "7edda2c6756cebdb2d51499c47de67828e0bf9217e4522a63e4f9cff1a96b0f1",
-    4: "60d701a08481c5578de9f645a203bb96459e185acb0a6e2235e9e19a4f11ca4a",
+    1: "528cfc7dbef7ae74f47d942afa98882db4c677796e0dfef36504cb37024cd49f",
+    2: "528cfc7dbef7ae74f47d942afa98882db4c677796e0dfef36504cb37024cd49f",
+    3: "8ca040d7edfe9c2f61da04a3cee40be99b2b43893725f9c58456c42c49bdcd7f",
+    4: "42e145c075326e0c273e5cbff340e47e187eddbf39f632d9b20b1b4d360ca4e3",
 }
 
 
