@@ -173,12 +173,20 @@ def harden(cfg, ckpt, _load_data):
 # Hardware functions of the hardened net and its netlist -> exit code.
 
 def simulate(cfg, net, nl):
-    """Netlist against the quantised reference on seeded +-1 vectors."""
+    """Netlist against the quantised reference on cfg.vectors seeded +-1
+    vectors, drawn and checked one md.INFER_BATCH block at a time, so that
+    memory holds one block of vectors whatever their number.  Each block is
+    2d - 1 of a 0/1 draw d, and the blocks concatenate to
+    default_rng(seed + 9999).choice([-1.0, 1.0], size=(vectors, width)),
+    which draws the same integers."""
     rng = np.random.default_rng(cfg.seed + 9999)
-    x = rng.choice([-1.0, 1.0], size=(cfg.vectors, int(np.prod(net.input_shape))))
-    want = hw.encode_pm1(md.forward_hardened_bits(net, x))
-    got = hw.simulate(nl, hw.encode_pm1(x))
-    mismatches = int(np.sum(np.any(want != got, axis=1)))
+    width = int(np.prod(net.input_shape))
+    mismatches = 0
+    for start in range(0, cfg.vectors, md.INFER_BATCH):
+        x = 2.0 * rng.integers(0, 2, size=(min(md.INFER_BATCH, cfg.vectors - start), width)) - 1.0
+        want = hw.encode_pm1(md.forward_hardened_bits(net, x))
+        got = hw.simulate(nl, hw.encode_pm1(x))
+        mismatches += int(np.sum(np.any(want != got, axis=1)))
     print(f"simulate: {cfg.vectors} vectors, {mismatches} mismatching outputs")
     return 0 if mismatches == 0 else 1
 

@@ -1,5 +1,10 @@
 """IDX dataset ingestion plus the bundled toy digit set.
 
+Images stay in their stored form, uint8 pixel intensities, until a batch
+reaches the network: the layer walk (model._forward_stack) reads a uint8
+input p as p/127.5 - 1, one batch at a time, so a data set holds one byte
+per pixel.
+
 The toy set is a deterministic, seeded render of 10 digit glyphs onto 28x28
 u8 images (shifts, intensity jitter, blur, salt noise), written as standard
 IDX files so the loader path is exercised end to end.  No downloading."""
@@ -30,29 +35,31 @@ def _read_u32(f, path, offset):
     return struct.unpack(">I", raw)[0]
 
 
+def _read_body(f, path, offset, want, what):
+    """The want bytes of f from offset.  A file too short to hold them is a
+    FormatError before any is read, whatever size the header claims."""
+    have = max(os.fstat(f.fileno()).st_size - offset, 0)
+    if have < want:
+        raise FormatError(f"{path}: truncated at byte {offset + have} "
+                          f"(wanted {want} {what} bytes, got {have})")
+    return f.read(want)
+
+
 def load_idx(path):
-    """Parse an IDX file; images come back as float64 in [-1, 1] via
-    x/127.5 - 1, labels as int64."""
+    """Parse an IDX file: images come back as the stored uint8 pixels, shape
+    (count, rows, cols), labels as int64.  A bad magic number or a file cut
+    short is a FormatError."""
     with open(path, "rb") as f:
         magic = _read_u32(f, path, 0)
         if magic == LABEL_MAGIC:
-            count = _read_u32(f, path, 4)
-            raw = f.read(count)
-            if len(raw) != count:
-                raise FormatError(f"{path}: truncated at byte {8 + len(raw)} "
-                                  f"(wanted {count} label bytes, got {len(raw)})")
+            raw = _read_body(f, path, 8, _read_u32(f, path, 4), "label")
             return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
         if magic == IMAGE_MAGIC:
             count = _read_u32(f, path, 4)
             rows = _read_u32(f, path, 8)
             cols = _read_u32(f, path, 12)
-            want = count * rows * cols
-            raw = f.read(want)
-            if len(raw) != want:
-                raise FormatError(f"{path}: truncated at byte {16 + len(raw)} "
-                                  f"(wanted {want} pixel bytes, got {len(raw)})")
-            pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-            return pixels.astype(np.float64) / 127.5 - 1.0
+            raw = _read_body(f, path, 16, count * rows * cols, "pixel")
+            return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
         raise FormatError(f"{path}: bad magic 0x{magic:08x} at byte 0")
 
 
@@ -70,16 +77,32 @@ def load_idx_labels(path):
     return y
 
 
-def save_idx_images(path, images_u8):
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
-    n, rows, cols = images_u8.shape
+def _as_u8(path, values, ndim, what):
+    """values as uint8, FormatError unless they are integers in 0..255 of
+    rank ndim: a plain uint8 cast would wrap 300 to 44 and -1 to 255 and
+    truncate 1.7 to 1."""
+    values = np.asarray(values)
+    if values.ndim != ndim or not np.issubdtype(values.dtype, np.integer):
+        raise FormatError(f"{path}: {what} must be a rank-{ndim} integer array; got shape "
+                          f"{values.shape} of {values.dtype}")
+    if values.size and (values.min() < 0 or values.max() > 255):
+        raise FormatError(f"{path}: {what} must lie in 0..255; got {values.min()} to "
+                          f"{values.max()}")
+    return values.astype(np.uint8)
+
+
+def save_idx_images(path, images):
+    """Write (n, rows, cols) integer pixels in 0..255 as an IDX image file."""
+    images = _as_u8(path, images, 3, "images")
+    n, rows, cols = images.shape
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(images_u8.tobytes())
+        f.write(images.tobytes())
 
 
 def save_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
+    """Write (n,) integer labels in 0..255 as an IDX label file."""
+    labels = _as_u8(path, labels, 1, "labels")
     with open(path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())
@@ -166,8 +189,9 @@ def generate_toy_dataset(data_dir, n_train=10000, n_test=2000, seed=TOY_SEED):
 
 
 def load_dataset(data_dir):
-    """(x_train, y_train, x_test, y_test) from IDX files in data_dir; images are
-    scaled to [-1, 1] and flattened to vectors."""
+    """(x_train, y_train, x_test, y_test) from IDX files in data_dir: images
+    as (n, rows*cols) uint8 pixels, labels as int64.  FormatError unless each
+    split holds as many labels as images, at least one."""
     xtr = load_idx_images(os.path.join(data_dir, TRAIN_IMAGES))
     ytr = load_idx_labels(os.path.join(data_dir, TRAIN_LABELS))
     xte = load_idx_images(os.path.join(data_dir, TEST_IMAGES))

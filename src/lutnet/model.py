@@ -54,6 +54,9 @@ layer's thresholds are fold_batchnorm of its step's batch norm.
 Conventions used by every engine and by the hardware path:
   * hidden activation is sign(batchnorm(.)) with sign(0) = +1; the batch-norm
     directly feeding the softmax head stays real,
+  * a uint8 network input holds pixel intensities p and reads as
+    p/127.5 - 1, a batch at a time in the walk; inputs of hardware bits
+    (0/1) go to hwgen.simulate only,
   * from the binarised stage on, the network input is binarised with sign,
   * maxpool over {-1,+1} values is max, which is OR in the bit domain,
   * a compute layer's pre-activation is its plain dot product; level scaling
@@ -464,14 +467,18 @@ def _forward_stack(net, x, training, layer_fn=None, folded=False):
     forward in _ENGINES, or _pool_layer for a maxpool, to outputs
     (B*positions, C) plus a cache; the step's batch norm runs on those rows,
     then the sign unless the step is the head, before the rows become the
-    next step's input.  From the binarised stage on the network input is
-    binarised.  An inference walk passes a layer_fn bound to what the net
-    fixes: _lut_layer over _net_plane_terms, or _bits_layer over
+    next step's input.  A uint8 input reads as p/127.5 - 1 of its pixels p.
+    From the binarised stage on the network input is binarised.  An
+    inference walk passes a layer_fn bound to what the net fixes:
+    _lut_layer over _net_plane_terms, or _bits_layer over
     _quantised_layers, which folds the batch norm after its layer into
     thresholds, so that walk is `folded` and skips batch norms.  Only a
     training walk keeps the caches, which only `backward` reads."""
     if layer_fn is None:
         layer_fn = _ENGINES[net.stage][0]
+    x = np.asarray(x)
+    if x.dtype == np.uint8:
+        x = x.astype(np.float64) / 127.5 - 1.0
     x = nm.as_tensor(x)
     nm.ensure_finite("network input", x)
     if np.prod(x.shape[1:]) != np.prod(net.input_shape):
@@ -839,8 +846,9 @@ _ENGINES = {stage: (_real_layer, _real_layer_bwd) if stage in ("real", "pruned")
 def _infer(net, x, layer_fn, folded=False):
     """The inference walk with layer_fn, INFER_BATCH samples at a time (an
     empty batch in one block): samples are independent at inference, so
-    blocks change no output but bound memory."""
-    x = nm.as_tensor(x)
+    blocks change no output but bound memory.  Each block becomes float64
+    in the walk, so a uint8 data set is never widened whole."""
+    x = np.asarray(x)
     return np.concatenate([_forward_stack(net, x[a:a + INFER_BATCH], False, layer_fn, folded)[0]
                            for a in range(0, max(x.shape[0], 1), INFER_BATCH)])
 

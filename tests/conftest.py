@@ -13,11 +13,19 @@ from lutnet import prune as pr
 
 
 @pytest.fixture(scope="session")
-def toy_data(tmp_path_factory):
-    """Small slice of the bundled digit set, shared across training tests."""
+def toy_dir(tmp_path_factory):
+    """Directory of the bundled digit set at 300 training and 100 test
+    images, the size TOY_SET_PIN records, written once per session."""
     root = tmp_path_factory.mktemp("toy")
-    dataio.generate_toy_dataset(root, n_train=1500, n_test=400, seed=123)
-    return dataio.load_dataset(root)
+    dataio.generate_toy_dataset(root, n_train=300, n_test=100, seed=123)
+    return root
+
+
+@pytest.fixture(scope="session")
+def toy_data(toy_dir):
+    """load_dataset(toy_dir): read-only (300, 784) and (100, 784) uint8
+    images, and int64 labels."""
+    return dataio.load_dataset(toy_dir)
 
 
 def fold_initial_scale(net):
@@ -78,6 +86,26 @@ def tiny_stages():
         if layer.lut is not None:
             for ch in layer.lut.channels:
                 ch.coeffs += rng.normal(0.0, 0.3, ch.coeffs.shape)
+    out.append(("expanded", copy.deepcopy(net)))
+    ex.harden_network(net)
+    out.append(("hardened", net))
+    return out
+
+
+def lfc_small_stages(seed=5):
+    """(stage, network) of an untrained lfc-small (784-64-10): real; pruned
+    to density 0.3 and binarised; expanded at K=2 with perturbed
+    coefficients; hardened at 8 fractional bits."""
+    net = md.build_preset("lfc-small", seed)
+    out = [("real", copy.deepcopy(net))]
+    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.3, tol=0.02))
+    pr.binarise_network(net)
+    out.append(("binarised", copy.deepcopy(net)))
+    ex.expand_network(net, k=2, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for _i, layer in net.compute_layers():
+        if layer.lut is not None:
+            layer.lut.coeffs += rng.normal(0.0, 0.05, layer.lut.coeffs.shape)
     out.append(("expanded", copy.deepcopy(net)))
     ex.harden_network(net)
     out.append(("hardened", net))

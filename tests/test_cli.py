@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from lutnet import cli
 from lutnet import data as dataio
 from lutnet import hwgen as hw
+from lutnet import model as md
 from lutnet.checkpoint import Checkpoint, save_checkpoint, to_dict
+from lutnet.config import RunConfig
 
-from conftest import tiny_stages, untiled_pool_net
+from conftest import lfc_small_stages, tiny_stages, untiled_pool_net
 
 
 @pytest.mark.parametrize("epochs", ["1,2", "1,x,1"])
@@ -346,6 +349,64 @@ def test_failed_differential_exits_1(tiny_ckpts, tmp_path, monkeypatch, capsys):
     assert "simulate: 20 vectors, 1 mismatching outputs" in capsys.readouterr().out
     assert cli.main(["pipeline", "--density", "0.5"] + _small_run(tmp_path)) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "pipeline: differential check FAILED"
+
+
+@pytest.fixture(scope="module")
+def lfc_small_hardened(tmp_path_factory):
+    """Path of the hardened lfc_small_stages() network's checkpoint."""
+    path = str(tmp_path_factory.mktemp("lfc_small") / "hardened.json")
+    save_checkpoint(Checkpoint(dict(lfc_small_stages())["hardened"]), path)
+    return path
+
+
+def test_the_differential_checks_one_seeded_draw_block_by_block(lfc_small_hardened, tmp_path,
+                                                                 monkeypatch, capsys):
+    # 1,234 vectors are no multiple of INFER_BATCH: the last block is short
+    seen = []
+
+    def recorded(net, x, _forward=md.forward_hardened_bits):
+        seen.append(x.copy())
+        return _forward(net, x)
+    monkeypatch.setattr(md, "forward_hardened_bits", recorded)
+    argv = ["simulate", "--ckpt", lfc_small_hardened, "--vectors", "1234", "--seed", "5",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert "simulate: 1234 vectors, 0 mismatching outputs" in capsys.readouterr().out
+    assert len(seen) == 3 and all(len(x) <= md.INFER_BATCH for x in seen)
+    want = np.random.default_rng(5 + 9999).choice([-1.0, 1.0], size=(1234, 784))
+    assert np.array_equal(np.concatenate(seen), want)
+
+
+def test_a_mismatch_in_the_last_block_exits_1(tiny_ckpts, tmp_path, monkeypatch, capsys):
+    checked = []
+
+    def last_bit_flipped(nl, bits, _simulate=hw.simulate):
+        out = _simulate(nl, bits)
+        checked.append(len(bits))
+        if sum(checked) == 1234:
+            out[-1, 0] ^= 1
+        return out
+    monkeypatch.setattr(hw, "simulate", last_bit_flipped)
+    argv = ["simulate", "--ckpt", tiny_ckpts["hardened"], "--vectors", "1234",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert len(checked) > 1
+    assert "simulate: 1234 vectors, 1 mismatching outputs" in capsys.readouterr().out
+
+
+def test_the_differential_holds_one_block_of_vectors():
+    # 4,000 vectors of 784 inputs: eight blocks, 25 MB as float64 all at once
+    net = dict(lfc_small_stages())["hardened"]
+    nl = hw.lower(net)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert cli.simulate(RunConfig(vectors=4000), net, nl) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block = md.INFER_BATCH * 784 * 8
+    assert peak < 5 * block, peak / block
 
 
 def test_emit_rejects_a_pool_that_does_not_tile(tmp_path, capsys):

@@ -14,7 +14,7 @@ from lutnet import training as tr
 from lutnet.errors import (ConfigError, DimensionError, ExpansionError, FoldError, FormatError,
                            LoweringError, NonFiniteError, StageError, TrainingDivergedError)
 
-from conftest import exhaustive_pm1, make_tiny_net, rel_err, tiny_stages
+from conftest import exhaustive_pm1, lfc_small_stages, make_tiny_net, rel_err, tiny_stages
 
 
 def _finite_differences(loss, param, h=1e-6):
@@ -768,6 +768,40 @@ def test_blocks_change_no_pin(monkeypatch, entries):
     test_training_phases_match_pins()
     for stage in md.STAGES:
         test_stage_logits_match_pin(stage)
+
+
+def _scaled(u8):
+    """What the walk reads of uint8 pixels p: p/127.5 - 1, as float64."""
+    return u8.astype(np.float64) / 127.5 - 1.0
+
+
+@pytest.mark.parametrize("stage", ["real", "binarised", "expanded", "hardened"])
+def test_uint8_pixels_read_as_their_scaled_values(stage, toy_data, monkeypatch):
+    # 7 samples per block leaves the 100 test images a short last block
+    monkeypatch.setattr(md, "INFER_BATCH", 7)
+    net = dict(lfc_small_stages())[stage]
+    x = toy_data[2]
+    assert x.dtype == np.uint8
+    assert np.array_equal(md.forward(net, x), md.forward(net, _scaled(x)))
+    if stage == "hardened":
+        assert np.array_equal(md.forward_hardened_bits(net, x),
+                              md.forward_hardened_bits(net, _scaled(x)))
+
+
+@pytest.mark.parametrize("phase, stage", [(1, "real"), (2, "binarised"), (3, "expanded")])
+def test_a_training_step_on_uint8_pixels_equals_one_on_their_scaled_values(phase, stage,
+                                                                           toy_data):
+    x, y = toy_data[0][:100], toy_data[1][:100]
+    cfg = tr.PhaseConfig(epochs1=1, epochs2=1, epochs3=1, batch_size=100, seed=4)
+    run = (tr.run_phase1, tr.run_phase2_retrain, tr.run_phase3_retrain)[phase - 1]
+    nets = []
+    for data in ((x, y), (_scaled(x), y)):
+        net = dict(lfc_small_stages())[stage]
+        log = run(net, data, cfg)
+        lut = net.layers[2].lut
+        nets.append((log.to_csv(), _net_sha(net),
+                     None if lut is None else _sha(lut.gammas, lut.coeffs)))
+    assert nets[0] == nets[1]
 
 
 @pytest.fixture(scope="module")
