@@ -15,24 +15,18 @@ Phase-1 weights are stored until expansion only.  The LUT offsets and
 column 0 of the indices follow from the prune mask but stay stored: loading
 checks them against it, which is what catches a corrupted mask.
 
-Loading checks every field against the layer dimensions, every scalar
-for its JSON type (no string, bool or fraction is coerced), K against the
-fabric's LUT (config.FABRIC_K), the name for a Verilog identifier, the LUT
-offsets and first inputs against the prune mask, every size for an
-integer of at least 1, every prune mask for 0 and 1 only, every float for
-finiteness, every batch norm for a positive eps and a non-negative running
-variance, and the layers with model.steps, which also places the `lut`
-blocks: an unrolled layer has one exactly when the stage is expanded or
-hardened, a time-multiplexed layer never.  SchemaError on malformed input,
-including a hardened net that harden_network rejects.  Old files still load:
-  * schema 1: per-channel LUT lists are concatenated, and stored levels,
-    node positions and reconnection flags are ignored;
-  * schemas 1 and 2: each compute layer's scale `alpha` moves into the batch
-    norm after it, whose running mean is divided by alpha and running
-    variance and eps by alpha**2, so the layer computes the same function
-    without the scale;
-  * schemas 1 to 3: frac_bits is read from the fixed-point spec `fx`, and
-    the stored masks, tau, flip and batch-norm momentum are ignored."""
+Loading reads schema 4 only: any other schema_version is a SchemaError, and
+the stage that wrote the file must be re-run.  It checks every field against
+the layer dimensions and for its JSON type (no string, bool, fraction, array
+or object is coerced into another), K against the fabric's LUT
+(config.FABRIC_K), the name for a Verilog identifier, the LUT offsets and
+first inputs against the prune mask, every size for an integer of at least
+1, every prune mask for 0 and 1 only, every float for finiteness, every
+batch norm for a positive eps and a non-negative running variance, each log
+for a phase of 1 to 3, and the layers with model.steps, which also places
+the `lut` blocks: an unrolled layer has one exactly when the stage is
+expanded or hardened, a time-multiplexed layer never.  SchemaError on
+malformed input, including a hardened net that harden_network rejects."""
 
 from __future__ import annotations
 
@@ -103,10 +97,19 @@ def _size(raw, what):
 
 
 def _float(raw, what):
-    """A JSON number, not a bool or a string, which float() would take."""
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise SchemaError(f"{what} must be a number, got {raw!r}")
+    """A finite JSON number, not a bool or a string, which float() would take."""
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not np.isfinite(raw):
+        raise SchemaError(f"{what} must be a finite number, got {raw!r}")
     return float(raw)
+
+
+def _typed(raw, kind, what):
+    """A JSON value of the Python type kind (list, dict or bool), not
+    coerced: a loop over a string or an object as a list would read its
+    characters or keys as entries."""
+    if not isinstance(raw, kind):
+        raise SchemaError(f"{what} must be a {kind.__name__}, got {type(raw).__name__}")
+    return raw
 
 
 def _name(raw):
@@ -149,7 +152,7 @@ def _lut_in(raw, prune_mask, b_levels, what):
     weight's column."""
     if raw is None:
         return None
-    k = _int(raw["k"], f"{what}.k")
+    k = _int(_typed(raw, dict, what)["k"], f"{what}.k")
     if not 1 <= k <= FABRIC_K:
         raise SchemaError(f"{what}.k must be in [1, {FABRIC_K}], got {k}")
     n_out, window = prune_mask.shape
@@ -178,9 +181,7 @@ def _compute_in(raw, b_levels, what):
         layer = ConvLayer(size("in_channels"), size("out_channels"), size("kernel"),
                           size("stride"))
         n_out = layer.out_channels
-    layer.unrolled = raw["unrolled"]
-    if not isinstance(layer.unrolled, bool):
-        raise SchemaError(f"{what}.unrolled must be true or false, got {layer.unrolled!r}")
+    layer.unrolled = _typed(raw["unrolled"], bool, f"{what}.unrolled")
     matrix = (n_out, layer.window_size)
     for name, dtype, optional in (("weights", np.float64, False), ("prune_mask", bool, False),
                                   ("phase1_weights", np.float64, True)):
@@ -190,7 +191,7 @@ def _compute_in(raw, b_levels, what):
 
 
 def _layer_in(raw: dict, b_levels: int, what: str):
-    kind = raw.get("kind")
+    kind = _typed(raw, dict, what).get("kind")
     if kind == "dense" or kind == "conv":
         return _compute_in(raw, b_levels, what)
     if kind == "batchnorm":
@@ -199,7 +200,7 @@ def _layer_in(raw: dict, b_levels: int, what: str):
             setattr(layer, name, _array(raw[name], np.float64, (layer.num_features,),
                                         f"{what}.{name}"))
         layer.eps = _float(raw["eps"], f"{what}.eps")
-        if not 0.0 < layer.eps < np.inf:
+        if layer.eps <= 0.0:
             raise SchemaError(f"{what}.eps must be finite and positive, got {layer.eps}")
         if np.any(layer.running_var < 0.0):
             raise SchemaError(f"{what}.running_var must not be negative")
@@ -211,72 +212,37 @@ def _layer_in(raw: dict, b_levels: int, what: str):
     raise SchemaError(f"unknown layer kind {kind!r}")
 
 
-def _from_v1(raw: dict) -> dict:
-    """A schema-1 checkpoint in schema-2 form: per-channel LUT lists are
-    concatenated.  Levels, node positions, reconnection flags and masks are
-    left for the reader to ignore."""
-    raw = dict(raw, layers=[dict(l) for l in raw["layers"]])
-    for layer in raw["layers"]:
-        lut = layer.get("lut")
-        if lut is None:
-            continue
-        chs = lut["channels"]
-        layer["lut"] = {
-            "k": lut["k"], "gammas": lut["gammas"],
-            "offsets": np.cumsum([0] + [len(ch["indices"]) for ch in chs]).tolist(),
-            "indices": [row for ch in chs for row in ch["indices"]],
-            "coeffs": [[node for ch in chs for node in ch["coeffs"][b]]
-                       for b in range(len(lut["gammas"]))],
-        }
-    return raw
-
-
-def _from_v2(raw: dict) -> dict:
-    """A schema-2 checkpoint in schema-3 form: each compute layer's scale
-    alpha moves into the batch norm after it, which sees alpha * pre, so its
-    running mean is divided by alpha and its running variance and eps by
-    alpha**2."""
-    raw = dict(raw, layers=[dict(l) for l in raw["layers"]])
-    layers = raw["layers"]
-    for i, layer in enumerate(layers):
-        if layer.get("kind") not in ("dense", "conv"):
-            continue
-        alpha = _float(layer.pop("alpha"), f"l{i}.alpha")
-        if not 0.0 < alpha < np.inf:
-            raise SchemaError(f"l{i}.alpha must be finite and positive, got {alpha}")
-        bn = layers[i + 1] if i + 1 < len(layers) else {}
-        if bn.get("kind") != "batchnorm":
-            raise SchemaError(f"l{i} has no batch norm after it to take its alpha")
-        sq = alpha * alpha
-        bn["running_mean"] = np.asarray(bn["running_mean"], dtype=np.float64) / alpha
-        bn["running_var"] = np.asarray(bn["running_var"], dtype=np.float64) / sq
-        bn["eps"] = _float(bn["eps"], f"l{i + 1}.eps") / sq
-    return raw
+def _log_in(raw) -> TrainLog:
+    """One phase's training log: rows of an integer epoch and a finite loss,
+    error and omega."""
+    log = TrainLog(phase=_int(_typed(raw, dict, "logs entry")["phase"], "logs.phase"))
+    if log.phase not in (1, 2, 3):
+        raise SchemaError(f"logs.phase must be 1, 2 or 3, got {log.phase}")
+    for row in _typed(raw["rows"], list, "logs.rows"):
+        if len(_typed(row, list, "logs row")) != 4:
+            raise SchemaError(f"logs row must be [epoch, loss, err, omega], got {row!r}")
+        log.append(_int(row[0], "logs epoch"), *(_float(v, "logs value") for v in row[1:]))
+    return log
 
 
 def _checkpoint_in(raw: dict) -> Checkpoint:
     if not isinstance(raw, dict) or "schema_version" not in raw:
         raise SchemaError("not a checkpoint: missing schema_version")
     version = _int(raw["schema_version"], "schema_version")
-    if version > SCHEMA_VERSION:
-        raise SchemaError(f"checkpoint schema {version} is newer than supported "
-                          f"{SCHEMA_VERSION}; refusing to load")
-    if version == 1:
-        raw = _from_v1(raw)
-    if version <= 2:
-        raw = _from_v2(raw)
-    if version <= 3:
-        fx = raw.get("fx")
-        raw = dict(raw, frac_bits=None if fx is None else fx["frac_bits"])
+    if version != SCHEMA_VERSION:
+        raise SchemaError(f"checkpoint schema {version} is not the supported {SCHEMA_VERSION}; "
+                          f"re-run the stage that wrote it")
     stage, b_levels = raw["stage"], _size(raw["b_levels"], "b_levels")
     if stage not in STAGES:
         raise SchemaError(f"unknown stage {stage!r}")
     hardened = stage == "hardened"
-    layers = [_layer_in(l, b_levels, f"l{i}") for i, l in enumerate(raw["layers"])]
+    layers = [_layer_in(l, b_levels, f"l{i}")
+              for i, l in enumerate(_typed(raw["layers"], list, "layers"))]
     if not layers:
         raise SchemaError("checkpoint has an empty layer list")
     net = Network(name=_name(raw["name"]), layers=layers, b_levels=b_levels,
-                  input_shape=tuple(_size(d, "input_shape") for d in raw["input_shape"]),
+                  input_shape=tuple(_size(d, "input_shape")
+                                    for d in _typed(raw["input_shape"], list, "input_shape")),
                   seed=_int(raw["seed"], "seed"),
                   stage="expanded" if hardened else stage)
     try:
@@ -289,13 +255,7 @@ def _checkpoint_in(raw: dict) -> Checkpoint:
             harden_network(net, frac_bits)
         except LutNetError as e:
             raise SchemaError(f"cannot harden the stored network: {e}") from e
-    logs = []
-    for lg in raw.get("logs", []):
-        log = TrainLog(phase=_int(lg["phase"], "logs.phase"))
-        for row in lg["rows"]:
-            log.append(*row)
-        logs.append(log)
-    return Checkpoint(net=net, logs=logs)
+    return Checkpoint(net=net, logs=[_log_in(lg) for lg in _typed(raw["logs"], list, "logs")])
 
 
 def from_dict(raw: dict) -> Checkpoint:

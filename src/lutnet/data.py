@@ -36,19 +36,25 @@ def _read_u32(f, path, offset):
 
 
 def _read_body(f, path, offset, want, what):
-    """The want bytes of f from offset.  A file too short to hold them is a
-    FormatError before any is read, whatever size the header claims."""
+    """The want bytes of f from offset.  A file that does not end right
+    after them is a FormatError before any is read, whatever size the header
+    claims: one too short is cut off, one too long holds more than its
+    header declares."""
     have = max(os.fstat(f.fileno()).st_size - offset, 0)
     if have < want:
         raise FormatError(f"{path}: truncated at byte {offset + have} "
+                          f"(wanted {want} {what} bytes, got {have})")
+    if have > want:
+        raise FormatError(f"{path}: trailing bytes from byte {offset + want} "
                           f"(wanted {want} {what} bytes, got {have})")
     return f.read(want)
 
 
 def load_idx(path):
     """Parse an IDX file: images come back as the stored uint8 pixels, shape
-    (count, rows, cols), labels as int64.  A bad magic number or a file cut
-    short is a FormatError."""
+    (count, rows, cols), labels as int64.  A bad magic number, or a file cut
+    short of or running past the count its header declares, is a
+    FormatError."""
     with open(path, "rb") as f:
         magic = _read_u32(f, path, 0)
         if magic == LABEL_MAGIC:

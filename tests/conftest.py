@@ -30,11 +30,11 @@ def toy_data(toy_dir):
 
 def fold_initial_scale(net):
     """Move the mean |w| of each compute layer's initial weights into the
-    batch norm after it, as the schema-2 checkpoint migration moves a
-    layer's scale: the running mean is divided by it, the running variance
-    and eps by its square.  Nets built with it compute what they computed
-    when each layer multiplied its dot product by that scale, so the pins
-    recorded then hold."""
+    batch norm after it: the running mean is divided by it, the running
+    variance and eps by its square, so the batch norm reads the unscaled dot
+    product as it read the scaled one.  Nets built with it compute what they
+    computed when each layer multiplied its dot product by that scale, so
+    the pins recorded then hold."""
     for i, layer in net.compute_layers():
         bn = net.layers[i + 1]
         a = float(np.mean(np.abs(layer.weights)))

@@ -1,8 +1,8 @@
-"""Checkpoints: schema-1, -3 and -4 files keep loading to the same hardware
-and a schema-2 file to the same function, a save -> load -> save round trip
-is byte-identical at every pipeline stage, the current schema stores nothing
-derivable, malformed input raises SchemaError, and no malformed input ends
-in a traceback of the command line."""
+"""Checkpoints: a stored schema-4 file keeps loading to the same hardware,
+and its expanded form hardens to it; a save -> load -> save round trip is
+byte-identical at every pipeline stage; the schema stores nothing
+derivable; a file of any other schema, and any malformed input, raises
+SchemaError, and none ends in a traceback of the command line."""
 
 import copy
 import hashlib
@@ -23,20 +23,14 @@ from lutnet.training import TrainLog
 
 from conftest import exhaustive_pm1, make_tiny_net, netlist_pin, run_netlist_text, tiny_stages
 
-# the fixtures hold the nets of tiny_stages() as they were when expansion drew
-# each channel's wiring with a generator of its own: the hardened one here,
-# schema 1
-V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v1.json")
-# the expanded one, saved as schema 2
-V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_expanded_v2.json")
-# the hardened one, saved as schema 3
-V3_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v3.json")
-# the hardened one, saved as schema 4 by the writer that still held masks and
-# thresholds as layer fields
+# the hardened net of tiny_stages() as it was when expansion drew each
+# channel's wiring with a generator of its own, saved as schema 4 by the
+# writer that still held masks and thresholds as layer fields
 V4_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v4.json")
 
 # forward_hardened_bits of the fixture on exhaustive_pm1(8), one digit per
-# input: bit j of the digit is output j's bit (+1 -> 1)
+# input: bit j of the digit is output j's bit (+1 -> 1); named for the
+# schema-1 file of the same net they were first recorded from
 V1_BITS = ("0200023022222222020022322222222230303020322322223020222322222222"
            "0000300032303220000002006230222230303330333333233030302033232222"
            "0230223222622222223222322222222230202223636222222223222322622262"
@@ -58,65 +52,40 @@ def verilog_sha256(net):
     return h.hexdigest()
 
 
-def test_v1_fixture_reproduces_its_hardware():
-    net = ck.load_checkpoint(V1_FIXTURE).net
-    assert net.stage == "hardened"
-    x = exhaustive_pm1(8)
-    assert bits_digits(md.forward_hardened_bits(net, x)) == V1_BITS
-    assert verilog_sha256(net) == V1_VERILOG_SHA256
-
-
-def test_v1_fixture_engine_verilog_runs_as_simulated():
-    nl = hw.lower(ck.load_checkpoint(V1_FIXTURE).net)
-    bits = hw.encode_pm1(exhaustive_pm1(8))
-    assert np.array_equal(run_netlist_text(nl, hw.emit_verilog(nl), bits), hw.simulate(nl, bits))
-
-
-def test_v2_fixture_hardens_to_the_v1_hardware():
-    # the v1 fixture holds this net hardened at 8 fractional bits
-    net = ck.load_checkpoint(V2_FIXTURE).net
-    assert net.stage == "expanded"
-    ex.harden_network(net, frac_bits=8)
-    assert bits_digits(md.forward_hardened_bits(net, exhaustive_pm1(8))) == V1_BITS
-    assert verilog_sha256(net) == V1_VERILOG_SHA256
-
-
-def test_v3_fixture_reproduces_the_v1_hardware():
-    net = ck.load_checkpoint(V3_FIXTURE).net
-    assert net.stage == "hardened"
-    assert bits_digits(md.forward_hardened_bits(net, exhaustive_pm1(8))) == V1_BITS
-    assert verilog_sha256(net) == V1_VERILOG_SHA256
-
-
-def test_v3_fixture_ignores_its_stored_derived_fields():
-    with open(V3_FIXTURE, encoding="ascii") as f:
-        raw = json.load(f)
-    want = ck.to_dict(ck.from_dict(raw))
-    for layer in raw["layers"]:
-        if layer["kind"] in ("dense", "conv"):
-            layer["tau"] = [t + 100.0 for t in layer["tau"]]
-            layer["flip"] = [1 - f for f in layer["flip"]]
-            if layer["lut"] is not None:
-                layer["lut"]["masks"] = [[[-m for m in node] for node in plane]
-                                         for plane in layer["lut"]["masks"]]
-        elif layer["kind"] == "batchnorm":
-            layer["momentum"] = 0.5
-    net = ck.from_dict(raw).net
-    assert ck.to_dict(ck.Checkpoint(net)) == want
-    assert bits_digits(md.forward_hardened_bits(net, exhaustive_pm1(8))) == V1_BITS
-    assert verilog_sha256(net) == V1_VERILOG_SHA256
+def _v4_dict():
+    with open(V4_FIXTURE, encoding="ascii") as f:
+        return json.load(f)
 
 
 def test_v4_fixture_round_trips_and_reproduces_its_hardware():
-    # the v1 fixture holds the same net, so the same bits and Verilog
-    with open(V4_FIXTURE, encoding="ascii") as f:
-        raw = json.load(f)
+    raw = _v4_dict()
     loaded = ck.load_checkpoint(V4_FIXTURE)
     assert ck.to_dict(loaded) == raw
     net = loaded.net
     assert net.stage == "hardened"
     assert bits_digits(md.forward_hardened_bits(net, exhaustive_pm1(8))) == V1_BITS
     assert verilog_sha256(net) == V1_VERILOG_SHA256
+
+
+def test_v4_fixture_engine_verilog_runs_as_simulated():
+    nl = hw.lower(ck.load_checkpoint(V4_FIXTURE).net)
+    bits = hw.encode_pm1(exhaustive_pm1(8))
+    assert np.array_equal(run_netlist_text(nl, hw.emit_verilog(nl), bits), hw.simulate(nl, bits))
+
+
+def test_v4_fixture_expanded_hardens_to_its_hardware():
+    # a hardened checkpoint is its expanded checkpoint plus frac_bits
+    net = ck.from_dict(dict(_v4_dict(), stage="expanded", frac_bits=None)).net
+    assert net.stage == "expanded"
+    ex.harden_network(net, frac_bits=8)
+    assert bits_digits(md.forward_hardened_bits(net, exhaustive_pm1(8))) == V1_BITS
+    assert verilog_sha256(net) == V1_VERILOG_SHA256
+
+
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 5])
+def test_other_schema_raises_schema_error(version):
+    with pytest.raises(SchemaError, match=f"checkpoint schema {version} is not the supported 4"):
+        ck.from_dict(dict(_v4_dict(), schema_version=version))
 
 
 def _stage_forward(net, x):
@@ -283,6 +252,11 @@ def _expanded_without_lut(raw):
     raw["layers"][2]["lut"] = None
 
 
+def _log_row(*row, phase=1):
+    """Tamper: append the log of one phase, holding the one row given."""
+    return lambda raw: raw["logs"].append({"phase": phase, "rows": [list(row)]})
+
+
 LUT = ("layers", 2, "lut")
 # loaded fields that fit each other, but layers that do not fit together
 UNFIT = {
@@ -294,10 +268,17 @@ UNFIT = {
     "LUT block on a time-multiplexed layer": _set(("layers", 2, "unrolled"), False),
     "expanded without a LUT block": _expanded_without_lut,
 }
+# layers that are no list of JSON objects
+NOT_OBJECTS = {
+    "layers a string": _set(("layers",), "abc"),
+    "layers an object": _set(("layers",), {"a": 1}),
+    "layer a number": _set(("layers", 0), 5),
+}
 TAMPERED = {
     # the tiny net: l0 dense 8 -> 4 (time-multiplexed), l2 dense 4 -> 3 expanded
     # at K=3 with 9 nodes, offsets [0, 3, 7, 9], 2 planes
     **UNFIT,
+    **NOT_OBJECTS,
     "unknown stage": _set(("stage",), "quantised"),
     "weights not (out, window)": _set(("layers", 0, "weights"), lambda w: [r[:-1] for r in w]),
     "prune_mask not (out, window)": _set(("layers", 2, "prune_mask"), lambda m: m[:-1]),
@@ -327,6 +308,7 @@ TAMPERED = {
                                                    lambda i: (i + 1) % 4),
     "hardened without frac_bits": _set(("frac_bits",), None),
     # rejected by harden_network, which loading runs
+    "no batch norm after the layer": lambda raw: raw["layers"].pop(3),
     "frac_bits negative": _set(("frac_bits",), -1),
     "frac_bits past 24": _set(("frac_bits",), 80),
     "gamma folds to an infinite tau": _set(("layers", 1, "gamma", 0), 1e-320),
@@ -336,6 +318,7 @@ TAMPERED = {
     "seed not an integer": _set(("seed",), 7.9),
     "b_levels not an integer": _set(("b_levels",), 2.5),
     "schema_version not an integer": _set(("schema_version",), 4.0),
+    "schema_version older": _set(("schema_version",), 2),
     "k not an integer": _set(LUT + ("k",), 3.0),
     "k past the fabric's 6 on a fully pruned layer": _prune_all_of_l2(7),
     "layer size not an integer": _set(("layers", 0, "in_features"), 8.0),
@@ -348,6 +331,22 @@ TAMPERED = {
     "prune_mask entry 2": _set(("layers", 0, "prune_mask", 0, 0), 2),
     "prune_mask entry -1": _set(("layers", 2, "prune_mask", 0, 0), -1),
     "log phase not an integer": lambda raw: raw["logs"].append({"phase": 1.5, "rows": []}),
+    # a log row is an integer epoch, then the loss, error and omega as finite
+    # numbers, and the phase is one of the three
+    "log epoch a string": _log_row("3", 1.0, 2.0, 3.0),
+    "log epoch a fraction": _log_row(2.7, 1.0, 2.0, 3.0),
+    "log loss a bool": _log_row(0, True, 2.0, 3.0),
+    "log loss NaN": _log_row(0, float("nan"), 2.0, 3.0),
+    "log err infinite": _log_row(0, 1.0, float("inf"), 3.0),
+    "log omega a string": _log_row(0, 1.0, 2.0, "3"),
+    "log phase -1": _log_row(0, 1.0, 2.0, 3.0, phase=-1),
+    "log phase 4": _log_row(0, 1.0, 2.0, 3.0, phase=4),
+    "log row of 3 values": _log_row(0, 1.0, 2.0),
+    "log row of 5 values": _log_row(0, 1.0, 2.0, 3.0, 4.0),
+    "log row a string": lambda raw: raw["logs"].append({"phase": 1, "rows": ["0123"]}),
+    "log rows an object": lambda raw: raw["logs"].append({"phase": 1, "rows": {}}),
+    "log a list": lambda raw: raw["logs"].append([1, []]),
+    "logs an object": _set(("logs",), {}),
     # nor does any other scalar: bool() and float() would take strings
     "unrolled a string": _set(("layers", 0, "unrolled"), "false"),
     "unrolled an integer": _set(("layers", 2, "unrolled"), 1),
@@ -416,6 +415,54 @@ def test_unfit_layers_are_an_operational_failure(case, command, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", sorted(NOT_OBJECTS))
+@pytest.mark.parametrize("command", sorted(cli.HARDWARE))
+def test_layers_not_objects_are_an_operational_failure(case, command, tmp_path, capsys):
+    raw = _hardened_dict()
+    NOT_OBJECTS[case](raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="ascii")
+    assert cli.main([command, "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.out + out.err
+
+
+def _field_paths(node, path=()):
+    """Every field path of a checkpoint dict: each key of the top level, of
+    each layer, of the lut block and of the logs, and each entry of a list
+    other than a layer's arrays (the layers, input_shape, logs, rows and the
+    values of each row)."""
+    for key in (node if isinstance(node, dict) else range(len(node))):
+        yield path + (key,)
+        child = node[key]
+        if isinstance(child, dict) or (isinstance(child, list) and path[:1] != ("layers",)):
+            yield from _field_paths(child, path + (key,))
+
+
+# every JSON type, and an integer past int64
+SWEEP_VALUES = ({}, [], "x", 1.5, True, None, 5, -1, 2**63, [[1]], {"a": 1})
+
+
+def test_any_json_value_in_any_field_loads_or_raises_schema_error():
+    base = _v4_dict()
+    _log_row(0, 1.25, 50.0, 1e-3)(base)
+    paths = list(_field_paths(base))
+    assert ("layers", 2, "lut", "k") in paths and ("logs", 0, "rows", 0, 3) in paths
+    wrong = []
+    for path in paths:
+        for value in SWEEP_VALUES:
+            raw = copy.deepcopy(base)
+            _set(path, copy.deepcopy(value))(raw)
+            try:
+                ck.from_dict(raw)
+            except SchemaError:
+                pass
+            except Exception as e:   # any other type is the failure
+                wrong.append(f"{path} = {value!r}: {e!r}")
+    assert not wrong, f"{len(wrong)} of {len(paths) * len(SWEEP_VALUES)} cases:\n" + "\n".join(wrong)
+
+
 def _conv_pool_dict():
     """conv(1->2, k2) on 1x5x5 -> bn -> maxpool 2 -> dense(8->3) -> bn ->
     softmax, expanded at K=2 and hardened, as a checkpoint dict."""
@@ -442,31 +489,3 @@ def test_non_positive_geometry_is_an_operational_failure(field, value, command, 
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and f"{field} must be >= 1" in out.err
     assert "Traceback" not in out.out + out.err
-
-
-def _v2_dict():
-    with open(V2_FIXTURE, encoding="ascii") as f:
-        return json.load(f)
-
-
-TAMPERED_V2 = {
-    # schema 2 still stores alpha, which loading moves into the batch norm
-    # after the layer
-    "alpha zero": (_set(("layers", 0, "alpha"), 0.0), "alpha must be finite and positive"),
-    "alpha negative": (_set(("layers", 2, "alpha"), -0.3), "alpha must be finite and positive"),
-    "alpha infinite": (_set(("layers", 0, "alpha"), float("inf")),
-                       "alpha must be finite and positive"),
-    "no batch norm after the layer": (lambda raw: raw["layers"].pop(3), "no batch norm after"),
-    "alpha a string": (_set(("layers", 0, "alpha"), "0.5"), "l0.alpha must be a number"),
-    "alpha a bool": (_set(("layers", 2, "alpha"), True), "l2.alpha must be a number"),
-    "eps a string": (_set(("layers", 1, "eps"), "1e-5"), "l1.eps must be a number"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(TAMPERED_V2))
-def test_tampered_v2_checkpoint_raises_schema_error(case):
-    raw = _v2_dict()
-    tamper, message = TAMPERED_V2[case]
-    tamper(raw)
-    with pytest.raises(SchemaError, match=message):
-        ck.from_dict(raw)

@@ -65,6 +65,10 @@ def _set_u32(path, offset, value):
     path.write_bytes(raw[:offset] + struct.pack(">I", value) + raw[offset + 4:])
 
 
+def _extend(path, size):
+    path.write_bytes(path.read_bytes() + bytes(size))
+
+
 def _swap(path, other):
     path.write_bytes(other.read_bytes())
 
@@ -82,6 +86,12 @@ IDX_FAULTS = {
                               "truncated at byte 1016 (wanted 235200 pixel bytes, got 1000)"),
     "label bytes cut short": (dataio.TEST_LABELS, lambda p: _cut(p, 8 + 99),
                               "truncated at byte 107 (wanted 100 label bytes, got 99)"),
+    # one image or one label more than the header declares
+    "extra pixel bytes": (dataio.TRAIN_IMAGES, lambda p: _extend(p, 784),
+                          "trailing bytes from byte 235216 (wanted 235200 pixel bytes, "
+                          "got 235984)"),
+    "extra label bytes": (dataio.TEST_LABELS, lambda p: _extend(p, 1),
+                          "trailing bytes from byte 108 (wanted 100 label bytes, got 101)"),
     "labels for images": (dataio.TEST_IMAGES,
                           lambda p: _swap(p, p.parent / dataio.TEST_LABELS),
                           "expected an image file, found labels"),
