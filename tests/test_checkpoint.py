@@ -381,6 +381,23 @@ def test_tampered_checkpoint_raises_schema_error(case):
         ck.from_dict(raw)
 
 
+# the error names the layer and field, and says what the value must be
+NAMED_IN_THE_ERROR = {
+    "eps a string": "l1.eps must be a finite number",
+    "eps a bool": "l3.eps must be a finite number",
+    "unrolled a string": "l0.unrolled must be a bool",
+    "schema_version not an integer": "schema_version must be an integer",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_IN_THE_ERROR))
+def test_tampered_field_is_named_in_the_schema_error(case):
+    raw = _hardened_dict()
+    TAMPERED[case](raw)
+    with pytest.raises(SchemaError, match=NAMED_IN_THE_ERROR[case]):
+        ck.from_dict(raw)
+
+
 EMIT_FAILURES = dict(
     TAMPERED,
     # loads, but its threshold does not fit the accumulator at lowering
