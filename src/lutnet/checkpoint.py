@@ -18,15 +18,16 @@ checks them against it, which is what catches a corrupted mask.
 Loading reads schema 4 only: any other schema_version is a SchemaError, and
 the stage that wrote the file must be re-run.  It checks every field against
 the layer dimensions and for its JSON type (no string, bool, fraction, array
-or object is coerced into another), K against the fabric's LUT
-(config.FABRIC_K), the name for a Verilog identifier, the LUT offsets and
-first inputs against the prune mask, every size for an integer of at least
-1, every prune mask for 0 and 1 only, every float for finiteness, every
-batch norm for a positive eps and a non-negative running variance, each log
-for a phase of 1 to 3, and the layers with model.steps, which also places
-the `lut` blocks: an unrolled layer has one exactly when the stage is
-expanded or hardened, a time-multiplexed layer never.  SchemaError on
-malformed input, including a hardened net that harden_network rejects."""
+or object is coerced into another, save a bool among an array's numbers), K
+against the fabric's LUT (config.FABRIC_K), the name for a Verilog
+identifier, the LUT offsets and first inputs against the prune mask, every
+size for an integer of at least 1, every prune mask for 0 and 1 only, every
+float for finiteness, every batch norm for a positive eps and a
+non-negative running variance, each log for a phase of 1 to 3, and the
+layers with model.steps, which also places the `lut` blocks: an unrolled
+layer has one exactly when the stage is expanded or hardened, a
+time-multiplexed layer never.  SchemaError on malformed input, including a
+hardened net that harden_network rejects."""
 
 from __future__ import annotations
 
@@ -123,7 +124,9 @@ def _name(raw):
 def _array(raw, dtype, shape, what, optional=False):
     """A JSON array as a numpy array of dtype and exactly the given shape;
     None stays None if the field is optional.  An empty array has no values
-    to type: tolist() writes it as [], which numpy reads back as float64."""
+    to type: tolist() writes it as [], which numpy reads back as float64.
+    An array of JSON booleans is rejected, masks included, but a boolean
+    among numbers is not: np.asarray reads [1, true] as [1, 1]."""
     if raw is None:
         if optional:
             return None
@@ -132,7 +135,9 @@ def _array(raw, dtype, shape, what, optional=False):
         a = np.asarray(raw)
     except ValueError as e:
         raise SchemaError(f"{what} is a ragged array") from e
-    if a.size and a.dtype.kind not in ("biuf" if np.dtype(dtype).kind == "f" else "biu"):
+    if a.dtype.kind == "b":
+        raise SchemaError(f"{what} holds JSON booleans, which are not numbers")
+    if a.size and a.dtype.kind not in ("iuf" if np.dtype(dtype).kind == "f" else "iu"):
         raise SchemaError(f"{what} holds values of type {a.dtype}, expected {np.dtype(dtype)}")
     if a.shape != shape:
         if a.size or np.prod(shape):   # tolist() of an empty array keeps no shape

@@ -43,11 +43,12 @@ that store nothing.
 
 `simulate` evaluates the same arrays the cells and the engines are
 generated from, and nothing else: it never reads the network, so comparing
-it with model.forward_hardened_bits checks `lower`.  A node with k_eff <= 1
-is a constant, a buffer or an inverter, an affine function of one window
-bit, and so is an engine's XNOR with a constant weight: per plane all of
-them add up to one integer matrix product over the window rows; only the
-nodes with k_eff >= 2 are looked up in their tables.
+it with model.forward_hardened_bits checks `lower`.  Every node, whatever
+its k_eff, is looked up in its table at its vertex code and the entries
+added per channel by numerics' node-sum kernel (vertex_codes and
+channel_sums), the one the model's plane-sum engine runs; an engine's
+XNORs with constant weights are affine in the window bits, so per plane
+they add up to one integer matrix product over the window rows.
 
 Bit convention throughout the hardware path: +1 maps to 1, -1 maps to 0.
 LUT tables are 0/1 bit vectors indexed by the shared vertex encoding (bit k
@@ -62,6 +63,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .. import numerics as nm
 from ..errors import PortError
 from ..model import INFER_BATCH
 
@@ -144,26 +146,18 @@ class _Neurons:
                                   int(self.q_tau[c]), bool(self.flip[c]),
                                   int(self.acc_width[c]), out, f"th_{stem}")
 
-    def _evaluator(self, const: np.ndarray, m: np.ndarray, lookup=None):
+    def _evaluator(self, pops):
         """A function (V, previous bits) uint8 -> (V, C*P) uint8 of a block
-        whose plane-b popcount at each position is const[b] (C,) plus
-        rows @ m[b] (W, C), rows = bits[:, index_map], plus lookup(bits)[b]
-        (V, P, C) if lookup is given.  The product is taken in float64, exact
-        because every sum is an integer far below 2**53."""
-        n_tilde, n_ch = self.n_tilde, len(self.q_tau)
-
+        whose per-plane popcounts (V*P, C) int64 on the window rows
+        bits[:, index_map], row v*P + p, are pops(rows)."""
         def evaluate(bits):
-            v, (positions, width) = bits.shape[0], self.index_map.shape
-            rows = bits[:, self.index_map].reshape(v * positions, width).astype(np.float64)
-            looked_up = lookup(bits) if lookup is not None else None
-            acc = 0
-            for b, q in enumerate(self.q_gammas.tolist()):
-                pop = (rows @ m[b]).astype(np.int64).reshape(v, positions, n_ch) + const[b]
-                if looked_up is not None:
-                    pop += looked_up[b]
-                acc = acc + q * (2 * pop - n_tilde)
+            v, (positions, width), n_ch = bits.shape[0], self.index_map.shape, len(self.q_tau)
+            rows = bits[:, self.index_map].reshape(v * positions, width)
+            acc = sum(q * (2 * pop - self.n_tilde)
+                      for q, pop in zip(self.q_gammas.tolist(), pops(rows)))
             fire = np.where(self.flip, acc <= self.q_tau, acc >= self.q_tau)
-            return np.swapaxes(fire, 1, 2).reshape(v, n_ch * positions).astype(np.uint8)
+            fire = np.swapaxes(fire.reshape(v, positions, n_ch), 1, 2)
+            return fire.reshape(v, n_ch * positions).astype(np.uint8)
 
         return evaluate
 
@@ -221,51 +215,23 @@ class ComputeBlock(_Neurons):
         """A function (V, previous bits) uint8 -> (V, C*P) uint8.
 
         Node n of plane b at position p reads bit index_map[p, inputs[b, n, j]]
-        for j < k_eff[b, n].  A node with k_eff <= 1 is the affine function
-        t[0] + bit * (t[1] - t[0]) of its table t and its one input bit (t[0]
-        alone when k_eff = 0), so each plane's such nodes add up to
-        const[b] + rows @ m[b] (see _Neurons._evaluator): m[b] (W, C) holds
-        per window slot and channel the summed t[1] - t[0] of the nodes
-        reading that slot, const[b] (C,) the summed t[0].  The nodes with
-        k_eff >= 2 are looked up by vertex index and added per channel as
-        differences of an int64 cumulative sum; their slots past k_eff read
-        bit -1, a constant 0 the lookup appends, so they add nothing to the
-        vertex index."""
+        for j < k_eff[b, n], and every node, whatever its k_eff, is looked
+        up in its table by numerics' node-sum kernel, as the model's
+        plane-sum engine looks up its terms.  Each window row gets a
+        constant-0 bit as slot W, which a node's slots past k_eff read, so
+        they add nothing to its vertex code.  The 0/1 sums are exact in
+        float64."""
         n_planes, _nodes, k = self.inputs.shape
-        n_ch = len(self.n_tilde)
-        channel = np.repeat(np.arange(n_ch), self.n_tilde)                 # (N,) of each node
-        t0 = self.tables[..., 0].astype(np.int64)
-        t1 = self.tables[..., 1].astype(np.int64)
+        width = self.index_map.shape[1]
+        sources = np.where(np.arange(k) < self.k_eff[..., None], self.inputs, width)
+        tables = self.tables.reshape(n_planes, -1)
 
-        const = np.zeros((n_planes, n_ch), np.int64)
-        b, n = np.nonzero(self.k_eff <= 1)
-        np.add.at(const, (b, channel[n]), t0[b, n])
-        m = np.zeros((n_planes, self.index_map.shape[1], n_ch))
-        b, n = np.nonzero(self.k_eff == 1)
-        np.add.at(m, (b, self.inputs[b, n, 0], channel[n]), t1[b, n] - t0[b, n])
+        def pops(rows):
+            cols = np.concatenate([rows.T, np.zeros((1, len(rows)), np.uint8)])
+            return [nm.channel_sums(nm.vertex_codes(cols, s), k, self.n_tilde, [t])[0]
+                    .astype(np.int64) for s, t in zip(sources, tables)]
 
-        lookups = []
-        for b in range(n_planes):
-            nodes = np.flatnonzero(self.k_eff[b] >= 2)
-            live = np.arange(k) < self.k_eff[b, nodes, None]               # (L, K)
-            source = np.where(live.T[:, None], self.index_map[:, self.inputs[b, nodes]]
-                              .transpose(2, 0, 1), -1)                      # (K, P, L)
-            lookups.append((source, nodes << k, self.tables[b].reshape(-1),
-                            np.searchsorted(nodes, self.offsets)))          # channel offsets in L
-
-        def lookup(bits):
-            bits = np.concatenate([bits, np.zeros((bits.shape[0], 1), np.uint8)], axis=1)
-            pops = []
-            for source, base, entries, bounds in lookups:
-                vertex = bits[:, source[0]]                                 # (V, P, L)
-                for j in range(1, k):
-                    vertex |= bits[:, source[j]] << j
-                cum = np.zeros(vertex.shape[:2] + (vertex.shape[2] + 1,), np.int64)
-                np.cumsum(entries[vertex + base], axis=2, out=cum[..., 1:])
-                pops.append(cum[..., bounds[1:]] - cum[..., bounds[:-1]])
-            return pops
-
-        return self._evaluator(const, m, lookup)
+        return self._evaluator(pops)
 
 
 @dataclass
@@ -313,13 +279,19 @@ class EngineBlock(_Neurons):
 
     def evaluator(self):
         """A function (V, previous bits) uint8 -> (V, C*P) uint8.  Plane b's
-        popcount of XNORs is const[b] + rows @ m[b] (see
-        _Neurons._evaluator): a weight +1 counts its bit, a weight -1 counts
-        1 - bit, so const[b] (C,) counts the masked -1 weights and m[b] (W, C)
-        is the masked weights, transposed."""
+        popcount of XNORs is const[b] + rows @ m[b]: a weight +1 counts its
+        bit, a weight -1 counts 1 - bit, so const[b] (C,) counts the masked
+        -1 weights and m[b] (W, C) is the masked weights, transposed.  The
+        product is taken in float64, exact because every sum is an integer
+        far below 2**53."""
         const = ((self.weights < 0) & self.mask).sum(axis=2)
         m = np.transpose(self.weights * self.mask, (0, 2, 1)).astype(np.float64)
-        return self._evaluator(const, m)
+
+        def pops(rows):
+            rows = rows.astype(np.float64)
+            return [(rows @ m_b).astype(np.int64) + c_b for c_b, m_b in zip(const, m)]
+
+        return self._evaluator(pops)
 
 
 @dataclass
@@ -409,12 +381,11 @@ def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:
     width or value is a PortError.  Returns (n_vectors, output bits) of 0/1.
     Each compute or engine block gathers its window bits and takes
     per-channel popcounts from exactly the tables, kept inputs, weights and
-    masks the emitted Verilog holds: an engine's XNORs and the nodes with at
-    most one kept input (a constant, buffer or inverter) as one float64
-    matrix product per plane, exact on these integer sums, the other nodes
-    by table lookup.  It then applies the integer threshold.  Vectors
-    are processed model.INFER_BATCH at a time, as forward_hardened_bits
-    walks them."""
+    masks the emitted Verilog holds: a compute block's nodes by table lookup
+    in numerics.channel_sums, an engine's XNORs as one float64 matrix
+    product per plane, exact on these integer sums.  It then applies the
+    integer threshold.  Vectors are processed model.INFER_BATCH at a time,
+    as forward_hardened_bits walks them."""
     inputs = np.asarray(inputs)
     if inputs.ndim == 1:
         inputs = inputs[None, :]

@@ -43,7 +43,8 @@ per vertex, keeps the vertex codes of its rows as (rows, N) uint8, and
 gathers its terms by slot, one value per (row, node) forward and one
 K-vector backward (see expand.py), a block of about numerics.BLOCK_ENTRIES
 entries at a time.  The blocks bound each pass's temporaries by entries
-rather than rows, whatever the batch, and change no result.
+rather than rows, whatever the batch, and change no result.  The forward is
+numerics' node-sum kernel, which hwgen.simulate runs on truth tables too.
 
 A hardened network is its expanded network plus `frac_bits`: no mask or
 threshold is stored.  Each node's truth tables are the signs of its terms,
@@ -621,33 +622,11 @@ def fold_batchnorm(bn: BatchNormLayer):
 # (N * 2**K,) of value * coefficient, or their signs once hardened, and
 # (N * 2**K, K) of input partials times coefficient pair sums, both indexed
 # by slot = node * 2**K + code.
-# A pass keeps the codes as (rows, N) uint8 and forms slots, gathers and
-# scatter indices only for a block of about nm.BLOCK_ENTRIES entries: rows
-# for the channel sums and the input gradient, nodes for the coefficient
-# gradient.  Each bincount bin still adds its entries in the order of the
-# whole-layer pass, so the blocks change no result.
-
-
-def _vertex_codes(lut, rows):
-    """(rows, N) uint8 vertex code of every node on +-1 window rows, bit k
-    set iff input k is negative: the slot node * 2**K + code is the
-    coefficient that interp_basis reads, and the term whose sign is the
-    hardened output."""
-    # gathered node-major, each node's signs one contiguous row, then
-    # transposed to row-major, the order of every later gather and bincount
-    neg = np.ascontiguousarray((rows < 0).T).view(np.uint8)
-    code = neg[lut.indices[:, 0]]
-    for k in range(1, lut.k):
-        bits = neg[lut.indices[:, k]]
-        bits <<= k
-        code |= bits
-    return np.ascontiguousarray(code.T)
-
-
-def _block(entries_per_item, items):
-    """Items per block of a pass over `items` items of `entries_per_item`
-    entries each: about nm.BLOCK_ENTRIES entries, at least one item."""
-    return max(1, min(items, nm.BLOCK_ENTRIES // max(entries_per_item, 1)))
+# A pass keeps the nm.vertex_codes as (rows, N) uint8 and forms slots, gathers
+# and scatter indices only for a block of nm.block_items: rows for the
+# nm.channel_sums and the input gradient, nodes for the coefficient gradient.
+# Each bincount bin still adds its entries in the order of the whole-layer
+# pass, so the blocks change no result.
 
 
 def _plane_terms(net, idx, hardened):
@@ -683,30 +662,16 @@ def _plane_sums(net, idx, rows, terms):
     _plane_terms: per plane the sums (rows, C), exact integers in float64,
     and what the backward reads besides the sums.  A layer without LUTs
     sums the dots of its residual levels, its state (rows, levels).  An
-    expanded layer sums per channel its nodes' terms at their vertex, a
-    block of rows at a time with one bincount per plane over
-    row * C + channel, an index built once, which adds each channel's nodes
-    in ascending order (a channel with no nodes sums to 0); its state is
-    the vertex codes."""
+    expanded layer sums per channel (nm.channel_sums) its nodes' terms at
+    their vertex, its state; bit k of a node's code (nm.vertex_codes) is set
+    iff input k is negative, so that slot node * 2**K + code holds the term
+    of the coefficient that interp_basis reads."""
     layer = net.layers[idx]
     lut = layer.lut
     if lut is None:
         return [rows @ (w_b * layer.prune_mask).T for w_b, _g in terms], (rows, terms)
-    codes = _vertex_codes(lut, rows)
-    n_rows, n_nodes = codes.shape
-    c = lut.offsets.shape[0] - 1
-    sums = [np.empty((n_rows, c)) for _t in terms]
-    block = _block(n_nodes, n_rows)
-    index = (np.arange(block)[:, None] * c
-             + np.repeat(np.arange(c), np.diff(lut.offsets))).reshape(-1)
-    node = np.arange(n_nodes) << lut.k
-    for a in range(0, n_rows, block):
-        e = min(a + block, n_rows)
-        slot = node + codes[a:e]
-        for s, t in zip(sums, terms):
-            s[a:e] = np.bincount(index[:slot.size], weights=np.take(t, slot).reshape(-1),
-                                 minlength=(e - a) * c).reshape(e - a, c)
-    return sums, codes
+    codes = nm.vertex_codes(np.ascontiguousarray((rows < 0).T, np.uint8), lut.indices)
+    return nm.channel_sums(codes, lut.k, np.diff(lut.offsets), terms), codes
 
 
 def _lut_layer(net, idx, rows, planes=None):
@@ -744,7 +709,7 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
     # is exact, and + 0.0 turns the -0.0 of an empty bin into the 0.0 a
     # bincount gives
     dbasis = np.empty((n_nodes, 1 << k))
-    block = _block(rows, n_nodes)
+    block = nm.block_items(rows, n_nodes)
     local = np.arange(block) << k
     for a in range(0, n_nodes, block):
         e = min(a + block, n_nodes)
@@ -776,7 +741,7 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
     # window slots a block of rows at a time, the blocks sharing one
     # scatter index
     wires, window = lut.indices.reshape(-1), net.layers[idx].window_size
-    block = _block(wires.size, rows)
+    block = nm.block_items(wires.size, rows)
     index = (np.arange(block)[:, None] * window + wires).reshape(-1)
     node = np.arange(n_nodes) << k
     drows_in = np.empty((rows, window))

@@ -1,5 +1,7 @@
-"""Dense-tensor kernels for training: binarisation, batch norm, softmax
-cross-entropy and Adam.
+"""Dense-tensor kernels: binarisation, batch norm, softmax cross-entropy
+and Adam for training, and the node-sum kernel (vertex_codes and
+channel_sums) that the model's plane-sum engine and hwgen.simulate share:
+each K-LUT node's table entry at its vertex code, added per channel.
 
 Tensors are plain float64 numpy arrays in C (row-major) order.
 """
@@ -152,3 +154,45 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr=1e-3) -> None:
             np.divide(mb, m_scale, out=step)             # mhat
             step *= lr
             pb -= np.divide(step, root, out=step)
+
+
+def block_items(entries_per_item, items):
+    """Items per block of a pass over `items` items of `entries_per_item`
+    entries each: about BLOCK_ENTRIES entries, at least one item."""
+    return max(1, min(items, BLOCK_ENTRIES // max(entries_per_item, 1)))
+
+
+def vertex_codes(cols, sources):
+    """(rows, N) uint8 vertex code of each of N nodes on each row: cols
+    (W, rows) uint8 holds the 0/1 bit of each of W inputs, one contiguous
+    row per input, and sources (N, K) the inputs of each node; bit k of a
+    code is the bit of input sources[n, k]."""
+    # gathered node-major, each node's bits one contiguous row, then
+    # transposed to row-major, the order of every later gather and bincount
+    code = cols[sources[:, 0]]
+    for k in range(1, sources.shape[1]):
+        bits = cols[sources[:, k]]
+        bits <<= k
+        code |= bits
+    return np.ascontiguousarray(code.T)
+
+
+def channel_sums(codes, k, counts, tables):
+    """Per table (N * 2**K,), the (rows, C) float64 sums over each channel's
+    nodes of the entry at slot node * 2**K + code of the (rows, N) codes,
+    channel c owning the counts[c] nodes after those of channels < c.  Each
+    block of rows forms its slots once for all tables and bincounts them
+    over row * C + channel, which adds each channel's nodes in ascending
+    order (none sums to 0), so the blocks change no result."""
+    (n_rows, n_nodes), c = codes.shape, counts.size
+    sums = [np.empty((n_rows, c)) for _t in tables]
+    block = block_items(n_nodes, n_rows)
+    index = (np.arange(block)[:, None] * c + np.repeat(np.arange(c), counts)).reshape(-1)
+    node = np.arange(n_nodes) << k
+    for a in range(0, n_rows, block):
+        e = min(a + block, n_rows)
+        slot = node + codes[a:e]
+        for s, t in zip(sums, tables):
+            s[a:e] = np.bincount(index[:slot.size], weights=np.take(t, slot).reshape(-1),
+                                 minlength=(e - a) * c).reshape(e - a, c)
+    return sums

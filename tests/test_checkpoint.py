@@ -330,6 +330,13 @@ TAMPERED = {
     # astype(bool) would read any other integer as True
     "prune_mask entry 2": _set(("layers", 0, "prune_mask", 0, 0), 2),
     "prune_mask entry -1": _set(("layers", 2, "prune_mask", 0, 0), -1),
+    # a JSON boolean is no number, not even in a mask of 0s and 1s
+    "gamma all true": _set(("layers", 1, "gamma"), lambda g: [True] * len(g)),
+    "weights all true": _set(("layers", 0, "weights"), lambda w: [[True] * len(r) for r in w]),
+    "coeffs all true": _set(LUT + ("coeffs",),
+                            lambda c: [[[True] * len(t) for t in plane] for plane in c]),
+    "prune_mask of booleans": _set(("layers", 2, "prune_mask"),
+                                   lambda m: [[bool(v) for v in r] for r in m]),
     "log phase not an integer": lambda raw: raw["logs"].append({"phase": 1.5, "rows": []}),
     # a log row is an integer epoch, then the loss, error and omega as finite
     # numbers, and the phase is one of the three
@@ -387,6 +394,7 @@ NAMED_IN_THE_ERROR = {
     "eps a bool": "l3.eps must be a finite number",
     "unrolled a string": "l0.unrolled must be a bool",
     "schema_version not an integer": "schema_version must be an integer",
+    "prune_mask of booleans": "l2.prune_mask holds JSON booleans, which are not numbers",
 }
 
 

@@ -1,5 +1,6 @@
 import copy
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
+from lutnet import numerics as nm
 from lutnet import prune as pr
 from lutnet.config import FABRIC_K
 from lutnet.errors import LoweringError, PackingError, PortError
@@ -300,6 +302,37 @@ def test_simulate_equals_cell_interpreter_on_a_dense_block(make):
     got = hw.simulate(nl, bits)
     assert 0 < got.mean() < 1
     assert np.array_equal(got, interpret_cells(nl, bits))
+
+
+# 1 entry makes every block of the node sums one row, 7 blocks of one row of
+# up to 7 nodes, 1000 blocks of several rows whose last block is short
+@pytest.mark.parametrize("entries", [1, 7, 1000])
+def test_blocks_change_no_simulate_output(monkeypatch, entries):
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", entries)
+    for planes in (1, 2):
+        test_simulate_equals_cell_interpreter_on_a_hand_built_block(planes)
+    for make in (_one_node_block, _seven_input_block):
+        test_simulate_equals_cell_interpreter_on_a_dense_block(make)
+    for k in range(1, 7):
+        test_netlist_equals_hardened_bits_exhaustively(k)
+
+
+def test_simulate_of_a_wide_block_runs_in_bounded_memory():
+    # 256 channels of 25 K=4 nodes in 2 planes on one INFER_BATCH of vectors:
+    # the node sums hold a few copies of one plane's uint8 vertex codes
+    # (3.2 MB each), where a whole-plane gather of int64 entries takes 25.6 MB
+    rng = np.random.default_rng(48)
+    nl = _single_block(4, rng.integers(0, 5, (2, 256 * 25)), np.arange(257) * 25, seed=48)
+    bits = rng.integers(0, 2, (md.INFER_BATCH, 8), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = hw.simulate(nl, bits)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (md.INFER_BATCH, 256) and 0 < got.mean() < 1
+    assert peak < 16e6, peak
 
 
 # netlist_pin of _hand_block(planes) and of _one_node_block(), recorded from
