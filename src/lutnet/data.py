@@ -181,17 +181,14 @@ def generate_toy_dataset(data_dir, n_train=10000, n_test=2000, seed=TOY_SEED):
     """Write the deterministic toy digit set as IDX files under data_dir."""
     os.makedirs(data_dir, exist_ok=True)
     bases = _glyph_bases()
-    for split, count, salt in (("train", n_train, 0), ("test", n_test, 1)):
+    for images_file, labels_file, count, salt in ((TRAIN_IMAGES, TRAIN_LABELS, n_train, 0),
+                                                  (TEST_IMAGES, TEST_LABELS, n_test, 1)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(salt,)))
         labels = rng.integers(0, 10, size=count)
         images = np.concatenate([_render_digits(bases, labels[i:i + RENDER_CHUNK], rng)
                                  for i in range(0, count, RENDER_CHUNK)])
-        if split == "train":
-            save_idx_images(os.path.join(data_dir, TRAIN_IMAGES), images)
-            save_idx_labels(os.path.join(data_dir, TRAIN_LABELS), labels)
-        else:
-            save_idx_images(os.path.join(data_dir, TEST_IMAGES), images)
-            save_idx_labels(os.path.join(data_dir, TEST_LABELS), labels)
+        save_idx_images(os.path.join(data_dir, images_file), images)
+        save_idx_labels(os.path.join(data_dir, labels_file), labels)
 
 
 def load_dataset(data_dir):

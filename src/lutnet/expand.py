@@ -55,14 +55,18 @@ def interp_dx_partial(x: np.ndarray, k: int) -> np.ndarray:
 
 def linear_coeffs(wvec: np.ndarray) -> np.ndarray:
     """Coefficients whose extension equals h(x) = sum_k wvec[k] * x_k exactly on
-    every vertex v: the one coefficient g reads at v is h(v) / value(v)."""
+    every vertex: the one coefficient g reads at the point x of code c (x_k =
+    -1 iff bit k of c, as interp_basis reads it) is h(x) / value(x).  The
+    table of h by code doubles with each input, so h adds its K products in
+    ascending k and a node's coefficients do not depend on how many nodes
+    share the call."""
     wvec = nm.as_tensor(wvec)
     k = wvec.shape[-1]
-    v = vertices(k)
-    vertex, value = interp_basis(v, k)
-    out = np.empty(wvec.shape[:-1] + (1 << k,))
-    out[..., vertex] = (wvec @ v.T) / value
-    return out
+    h = np.stack([wvec[..., 0], -wvec[..., 0]], axis=-1)
+    for j in range(1, k):
+        h = np.concatenate([h + wvec[..., j, None], h - wvec[..., j, None]], axis=-1)
+    # row c of -vertices(K) is the point whose code is c
+    return h / interp_basis(-vertices(k), k)[1]
 
 
 def harden_masks(coeffs: np.ndarray) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 A network is a sequential stack of dense/conv/batchnorm/maxpool/softmax layers.
 It moves through the stages real -> pruned -> binarised -> expanded -> hardened,
-and the stage picks the engine: the layer forward and backward in
-_ENGINES[stage] for the one layer walk and its reverse, `backward`.  Each
-training forward checks that its input is at the stage it trains; `forward`
-and the quantised reference forward_hardened_bits (the walk with
-_bits_layer) derive what each layer reads of the net once per call, then
-infer INFER_BATCH samples at a time.
+and one engine, the plane-sum engine's _plane_layer and _plane_layer_bwd,
+serves every stage in the one layer walk and its reverse, `backward`; the
+stage fixes what each layer's planes are.  Each training forward checks that
+its input is at the stage it trains; `forward` and the quantised reference
+forward_hardened_bits (the walk with _bits_layer) derive what each layer
+reads of the net once per call, then infer INFER_BATCH samples at a time.
 
 Every dense, conv and maxpool layer is one windowed operator and one step
 of `steps`, the one checked layer plan, which the walk, `backward`,
@@ -25,11 +25,13 @@ and scatters their gradients back through it, so each engine and batch norm
 only maps rows, (rows, window) -> (rows, C) -> (rows, C), and the netlist
 builder wires each window by the same map.
 
-From the binarised stage on, every engine reads one per-plane sum,
-_plane_sums: per residual plane and channel, the sum of Boolean functions of
-the window's +-1 inputs, which are XNORs with the binary levels of a layer
+Every layer forward reads one per-plane sum, _plane_sums: per plane and
+channel, the sum of functions of the window's inputs.  Before binarisation
+a layer has one plane, its latent weights at scale 1, on real inputs (a
+real layer is a residual sum of one level); from then on the inputs are
++-1 and the functions are Boolean: XNORs with the binary levels of a layer
 without LUTs, an expanded layer's interpolated K-LUT nodes, and their truth
-tables once hardened; so _ENGINES holds two engines, real and plane-sum.
+tables once hardened.
 
 K-LUT nodes sit in the unrolled dense and conv layers only, each of which
 has them exactly from the expanded stage on, as `steps` checks.  An
@@ -84,6 +86,7 @@ from . import prune as pr
 from .errors import DimensionError, FoldError, LoweringError, StageError
 
 STAGES = ("real", "pruned", "binarised", "expanded", "hardened")
+REAL_STAGES = STAGES[:2]   # before binarisation: real inputs and latent weights
 WINDOWED = ("dense", "conv", "maxpool")   # the layer kinds the walk steps through
 BN_MOMENTUM = 0.9   # running statistics keep this share of their old value per step
 ACC_WIDTH_CAP = 62  # exact int64 simulation bound
@@ -222,8 +225,10 @@ def quantise(value: float, frac_bits: int) -> int:
 def combine_levels(s_list, gammas):
     """pre = sum_b gamma_b * s_b, accumulated in ascending b.
 
-    Every forward path that must agree bit-exactly (binary, hardened, K=1
-    recovery) funnels through this helper so the float op order is identical.
+    Every layer forward of the plane-sum engine, at every stage, funnels
+    through this helper so the float op order is identical on the paths that
+    must agree bit-exactly (binary, hardened, K=1 recovery); the backward of
+    a layer without LUTs combines its masked planes the same way.
     """
     acc = gammas[0] * s_list[0]
     for b in range(1, len(s_list)):
@@ -464,19 +469,19 @@ def _pool_layer_bwd(net, idx, cache, drows, grads):
 
 def _forward_stack(net, x, training, layer_fn=None, folded=False):
     """Common layer walk over steps(net): each step's window rows
-    (B*positions, window) go through layer_fn, by default the stage's
-    forward in _ENGINES, or _pool_layer for a maxpool, to outputs
+    (B*positions, window) go through layer_fn, by default the plane-sum
+    engine's _plane_layer, or _pool_layer for a maxpool, to outputs
     (B*positions, C) plus a cache; the step's batch norm runs on those rows,
     then the sign unless the step is the head, before the rows become the
     next step's input.  A uint8 input reads as p/127.5 - 1 of its pixels p.
     From the binarised stage on the network input is binarised.  An
     inference walk passes a layer_fn bound to what the net fixes:
-    _lut_layer over _net_plane_terms, or _bits_layer over
+    _plane_layer over _net_plane_terms, or _bits_layer over
     _quantised_layers, which folds the batch norm after its layer into
     thresholds, so that walk is `folded` and skips batch norms.  Only a
     training walk keeps the caches, which only `backward` reads."""
     if layer_fn is None:
-        layer_fn = _ENGINES[net.stage][0]
+        layer_fn = _plane_layer
     x = np.asarray(x)
     if x.dtype == np.uint8:
         x = x.astype(np.float64) / 127.5 - 1.0
@@ -486,7 +491,7 @@ def _forward_stack(net, x, training, layer_fn=None, folded=False):
         raise DimensionError(f"{net.name} takes inputs of {np.prod(net.input_shape)} values "
                              f"{tuple(net.input_shape)}, got {np.prod(x.shape[1:])}")
     h = x.reshape((x.shape[0],) + tuple(net.input_shape))
-    if net.stage not in ("real", "pruned"):
+    if net.stage not in REAL_STAGES:
         h = nm.sign_pm1(h)
     caches = []
     for step in steps(net):
@@ -513,14 +518,13 @@ def _forward_stack(net, x, training, layer_fn=None, folded=False):
 def backward(net: Network, caches, dlogits):
     """Parameter gradients of a training forward, by the reverse walk over
     its steps: output gradient rows (B*positions, C) go back through the
-    sign STE and the batch norm, then through the stage's layer backward in
-    _ENGINES, or _pool_layer_bwd, to window-row gradients (B*positions,
+    sign STE and the batch norm, then through _plane_layer_bwd, or
+    _pool_layer_bwd for a maxpool, to window-row gradients (B*positions,
     window), recording the parameter gradients on the way.  The gradient of
     the network input is not formed: every layer backward returns None at
     layer 0.  The walk consumes `caches`: it pops each step's entry as it
     reaches it, so a layer's cache is freed once its backward has run and
     the list is empty on return."""
-    layer_bwd = _ENGINES[net.stage][1]
     grads = {}
     d = nm.as_tensor(dlogits)
     while caches:
@@ -531,7 +535,7 @@ def backward(net: Network, caches, dlogits):
         if bn_cache is not None:
             drows, grads[f"l{step.idx + 1}.gamma"], grads[f"l{step.idx + 1}.beta"] = \
                 nm.batchnorm_backward(bn_cache, drows)
-        bwd = _pool_layer_bwd if step.layer.kind == "maxpool" else layer_bwd
+        bwd = _pool_layer_bwd if step.layer.kind == "maxpool" else _plane_layer_bwd
         drows = bwd(net, step.idx, inner, drows, grads)
         if drows is not None:
             d = step.win.rows_backward(drows)
@@ -544,78 +548,12 @@ backward_real = backward_binary = backward_lut = backward
 
 
 # ---------------------------------------------------------------------------
-# real-weight engine (phase 1)
-
-
-def _real_layer(net, idx, rows):
-    layer = net.layers[idx]
-    w = layer.weights * layer.prune_mask
-    return rows @ w.T, (rows, w)
-
-
-def _real_layer_bwd(net, idx, cache, drows, grads):
-    rows, w = cache
-    grads[f"l{idx}.weights"] = (drows.T @ rows) * net.layers[idx].prune_mask
-    return drows @ w if idx else None
-
-
-def forward_real_train(net: Network, x):
-    require_stage(net, "real", "pruned")
-    return _forward_stack(net, x, True)
-
-
-# ---------------------------------------------------------------------------
-# binarised layers (phase 2, and the time-multiplexed layers after it): the
-# plane sums binarise the latent weights into residual levels, scales in
-# closed form, untrained, which the forward hands to the backward in its
-# cache; inputs are +-1
-
-
-def forward_binary_train(net: Network, x):
-    require_stage(net, "binarised")
-    return _forward_stack(net, x, True)
-
-
-def _binary_layer_bwd(net, idx, cache, d, grads):
-    """STE gradient of a binary layer: the latent real weights receive the
-    gradient of the binary weights reconstructed from the forward's levels,
-    clip-gated at |w| <= 1."""
-    layer = net.layers[idx]
-    rows, lv = cache
-    grads[f"l{idx}.weights"] = (d.T @ rows) * layer.prune_mask * (np.abs(layer.weights) <= 1.0)
-    if not idx:
-        return None
-    rec = np.zeros_like(layer.weights)
-    for w_b, g in lv:
-        rec += g * w_b
-    return d @ (rec * layer.prune_mask)
-
-
-# ---------------------------------------------------------------------------
-# batch-norm folding for the hardware path
-
-
-def fold_batchnorm(bn: BatchNormLayer):
-    """Fold inference-mode batch norm + sign into per-neuron thresholds:
-    sign(bn(s)) == sign(tau - s) if flip else sign(s - tau)."""
-    zero = np.flatnonzero(bn.gamma == 0.0)
-    if zero.size:
-        raise FoldError(f"batch-norm gamma is zero for neuron(s) {zero.tolist()}; cannot fold")
-    sigma = np.sqrt(bn.running_var + bn.eps)
-    with np.errstate(over="ignore"):
-        tau = bn.running_mean - bn.beta * sigma / bn.gamma
-    bad = np.flatnonzero(~np.isfinite(tau))
-    if bad.size:
-        raise FoldError(f"batch norm folds to a non-finite threshold for neuron(s) "
-                        f"{bad.tolist()}; cannot fold")
-    flip = bn.gamma < 0.0
-    return tau, flip
-
-
-# ---------------------------------------------------------------------------
-# plane-sum engine (phases 2 and 3, and the hardened stage): per residual
-# plane, the sum over each channel of Boolean functions of the window's +-1
-# inputs.  A layer without LUTs sums XNORs, the dots of its residual levels.
+# plane-sum engine (every stage): per plane, the sum over each channel of
+# functions of the window's inputs, the planes combined with their scales.
+# Before binarisation a layer has one plane, its latent weights at scale 1,
+# and the rows are real.  From then on the inputs are +-1, and a layer
+# without LUTs sums XNORs, the dots of its residual levels, scales in closed
+# form, untrained.
 # An expanded layer's node reads only its vertex code, so each layer
 # evaluates expand.interp_basis (forward) and expand.interp_dx_partial
 # (backward) once on the 2**K codes and builds per-vertex tables: per plane
@@ -632,15 +570,16 @@ def fold_batchnorm(bn: BatchNormLayer):
 def _plane_terms(net, idx, hardened):
     """(gammas, terms) of compute layer idx, all that its plane sums read
     besides the rows, fixed by the net: the plane scales (B,), and per plane
-    what it sums.  For a layer without LUTs that is its residual levels
-    [(w_b, gamma_b), ...]; for an expanded layer the (N * 2**K,) table by
-    slot of its nodes' terms, value * coefficient at their vertex, or the
-    terms' signs once hardened, which are the truth tables harden_masks
-    reads at the inputs' vertex."""
+    what it sums.  For a layer without LUTs that is [(w_b, gamma_b), ...]:
+    before binarisation the one plane of its latent weights at scale 1,
+    from then on its residual levels.  For an expanded layer it is the
+    (N * 2**K,) table by slot of its nodes' terms, value * coefficient at
+    their vertex, or the terms' signs once hardened, which are the truth
+    tables harden_masks reads at the inputs' vertex."""
     layer = net.layers[idx]
     lut = layer.lut
     if lut is None:
-        lv = levels(layer, net.b_levels)
+        lv = [(layer.weights, 1.0)] if net.stage in REAL_STAGES else levels(layer, net.b_levels)
         return np.array([g for _w, g in lv]), lv
     # row v of -vertices(K) is the point whose code is v
     value = ex.interp_basis(-ex.vertices(lut.k), lut.k)[1]   # (2**K,)
@@ -649,32 +588,34 @@ def _plane_terms(net, idx, hardened):
 
 
 def _net_plane_terms(net):
-    """{idx: _plane_terms} of every compute layer of a net at the binarised
-    stage or later, as the net's stage reads them.  They depend only on the
-    net, so an inference walk derives them once per call."""
+    """{idx: _plane_terms} of every compute layer of a net, as the net's
+    stage reads them.  They depend only on the net, so an inference walk
+    derives them once per call."""
     hardened = net.stage == "hardened"
     return {step.idx: _plane_terms(net, step.idx, hardened)
             for step in steps(net) if step.layer.kind != "maxpool"}
 
 
 def _plane_sums(net, idx, rows, terms):
-    """(sums, state) of compute layer idx on +-1 window rows, given its
-    _plane_terms: per plane the sums (rows, C), exact integers in float64,
-    and what the backward reads besides the sums.  A layer without LUTs
-    sums the dots of its residual levels, its state (rows, levels).  An
-    expanded layer sums per channel (nm.channel_sums) its nodes' terms at
-    their vertex, its state; bit k of a node's code (nm.vertex_codes) is set
-    iff input k is negative, so that slot node * 2**K + code holds the term
-    of the coefficient that interp_basis reads."""
+    """(sums, state) of compute layer idx on window rows, given its
+    _plane_terms: per plane the sums (rows, C), and what the backward reads
+    besides the sums.  A layer without LUTs sums the dots of its planes
+    masked by its prune mask, its state (rows, [(masked plane, gamma_b),
+    ...]).  An expanded layer sums per channel (nm.channel_sums) its nodes'
+    terms at their vertex, exact integers in float64 on +-1 rows, its state;
+    bit k of a node's code (nm.vertex_codes) is set iff input k is negative,
+    so that slot node * 2**K + code holds the term of the coefficient that
+    interp_basis reads."""
     layer = net.layers[idx]
     lut = layer.lut
     if lut is None:
-        return [rows @ (w_b * layer.prune_mask).T for w_b, _g in terms], (rows, terms)
+        masked = [(w_b * layer.prune_mask, g) for w_b, g in terms]
+        return [rows @ w.T for w, _g in masked], (rows, masked)
     codes = nm.vertex_codes(np.ascontiguousarray((rows < 0).T, np.uint8), lut.indices)
     return nm.channel_sums(codes, lut.k, np.diff(lut.offsets), terms), codes
 
 
-def _lut_layer(net, idx, rows, planes=None):
+def _plane_layer(net, idx, rows, planes=None):
     """Plane sums combined with real plane scales.  Once hardened they are
     truth-table sums: hidden layers then meet the real batch norms' sign
     thresholds, the head their real affine.  A training walk derives the
@@ -687,19 +628,45 @@ def _lut_layer(net, idx, rows, planes=None):
     return combine_levels(s_list, gammas), (state, None if net.layers[idx].lut is None else s_list)
 
 
+def forward_real_train(net: Network, x):
+    require_stage(net, *REAL_STAGES)
+    return _forward_stack(net, x, True)
+
+
+def forward_binary_train(net: Network, x):
+    require_stage(net, "binarised")
+    return _forward_stack(net, x, True)
+
+
 def forward_lut_train(net: Network, x):
     require_stage(net, "expanded")
     return _forward_stack(net, x, True)
 
 
-def _lut_layer_bwd(net, idx, cache, drows, grads):
+def _levels_layer_bwd(net, idx, cache, d, grads):
+    """Gradient of a layer without LUTs: the latent weights receive the
+    gradient of the plane sum the forward combined, from the binarised stage
+    on the STE of its residual levels, clip-gated at |w| <= 1."""
+    layer = net.layers[idx]
+    rows, masked = cache
+    grad = (d.T @ rows) * layer.prune_mask
+    if net.stage not in REAL_STAGES:
+        grad *= np.abs(layer.weights) <= 1.0
+    grads[f"l{idx}.weights"] = grad
+    if not idx:
+        return None
+    return d @ combine_levels([w for w, _g in masked], [g for _w, g in masked])
+
+
+def _plane_layer_bwd(net, idx, cache, drows, grads):
     """Gradient of one layer in the plane-sum engine: coefficients, plane
-    scales and inputs for expanded layers, the binary STE otherwise.  Each
-    bincount adds in ascending row, then node, then input order."""
+    scales and inputs for expanded layers, the latent weights and inputs
+    otherwise.  Each bincount adds in ascending row, then node, then input
+    order."""
     lut = net.layers[idx].lut
     state, s_list = cache
     if lut is None:
-        return _binary_layer_bwd(net, idx, state, drows, grads)
+        return _levels_layer_bwd(net, idx, state, drows, grads)
     codes, k = state, lut.k
     rows, n_nodes = codes.shape
     counts = np.diff(lut.offsets)
@@ -755,6 +722,27 @@ def _lut_layer_bwd(net, idx, cache, drows, grads):
 
 
 # ---------------------------------------------------------------------------
+# batch-norm folding for the hardware path
+
+
+def fold_batchnorm(bn: BatchNormLayer):
+    """Fold inference-mode batch norm + sign into per-neuron thresholds:
+    sign(bn(s)) == sign(tau - s) if flip else sign(s - tau)."""
+    zero = np.flatnonzero(bn.gamma == 0.0)
+    if zero.size:
+        raise FoldError(f"batch-norm gamma is zero for neuron(s) {zero.tolist()}; cannot fold")
+    sigma = np.sqrt(bn.running_var + bn.eps)
+    with np.errstate(over="ignore"):
+        tau = bn.running_mean - bn.beta * sigma / bn.gamma
+    bad = np.flatnonzero(~np.isfinite(tau))
+    if bad.size:
+        raise FoldError(f"batch norm folds to a non-finite threshold for neuron(s) "
+                        f"{bad.tolist()}; cannot fold")
+    flip = bn.gamma < 0.0
+    return tau, flip
+
+
+# ---------------------------------------------------------------------------
 # quantised reference: a hardened layer and the batch norm after it, folded
 # into thresholds, as the netlist computes them
 
@@ -802,12 +790,6 @@ def _bits_layer(quantised, net, idx, rows):
     return np.where(np.where(flip, acc <= q_tau, acc >= q_tau), 1.0, -1.0), None
 
 
-# stage -> (layer forward, layer backward): the real engine before
-# binarisation, the plane-sum engine from it on; a hardened net does not train
-_ENGINES = {stage: (_real_layer, _real_layer_bwd) if stage in ("real", "pruned")
-            else (_lut_layer, _lut_layer_bwd) for stage in STAGES}
-
-
 def _infer(net, x, layer_fn, folded=False):
     """The inference walk with layer_fn, INFER_BATCH samples at a time (an
     empty batch in one block): samples are independent at inference, so
@@ -819,15 +801,12 @@ def _infer(net, x, layer_fn, folded=False):
 
 
 def forward(net: Network, x) -> np.ndarray:
-    """Inference logits at any stage, from the stage's engine; the
-    plane-sum engine reads each layer's _plane_terms, derived once per call.
+    """Inference logits at any stage from the plane-sum engine, which reads
+    each layer's _plane_terms as the stage fixes them, derived once per call.
     A hardened network is scored with real plane scales and batch norms;
     forward_hardened_bits is its quantised reference."""
     require_stage(net, *STAGES)
-    layer_fn = _ENGINES[net.stage][0]
-    if layer_fn is _lut_layer:
-        layer_fn = functools.partial(_lut_layer, planes=_net_plane_terms(net))
-    return _infer(net, x, layer_fn)
+    return _infer(net, x, functools.partial(_plane_layer, planes=_net_plane_terms(net)))
 
 
 def forward_hardened_bits(net: Network, x) -> np.ndarray:

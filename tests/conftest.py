@@ -9,6 +9,7 @@ from lutnet import data as dataio
 from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import model as md
+from lutnet import numerics as nm
 from lutnet import prune as pr
 
 
@@ -125,6 +126,58 @@ def untiled_pool_net():
     ex.expand_network(net, k=1, seed=62)
     net.stage, net.frac_bits = "hardened", 6
     return net
+
+
+def traced_training_step(net, x, labels, monkeypatch):
+    """(grads, layers, binarise_calls) of one training forward and
+    `backward` of net at its stage on (x, labels), recorded through the
+    walk's window geometry and batch norms rather than through any layer
+    engine: per compute layer idx, layers[idx] is (rows, y, d, drows) of its
+    window rows, its output rows (the batch norm's input), the output
+    gradient rows its backward read (the batch norm backward's result) and
+    the window-row gradient it returned, None at layer 0.  Every compute
+    layer must have a batch norm after it."""
+    rows, drows, outs, ds, calls = {}, {}, [], [], []
+    win_rows, win_rows_backward = md.Windows.rows, md.Windows.rows_backward
+    bn_forward, bn_backward = nm.batchnorm_train_forward, nm.batchnorm_backward
+    binarise = pr.residual_binarise
+
+    def rows_spy(win, h):
+        rows[id(win)] = win_rows(win, h)
+        return rows[id(win)]
+
+    def rows_backward_spy(win, g):
+        drows[id(win)] = g
+        return win_rows_backward(win, g)
+
+    def bn_forward_spy(y, *args):
+        outs.append(y)
+        return bn_forward(y, *args)
+
+    def bn_backward_spy(*args):
+        out = bn_backward(*args)
+        ds.append(out[0])
+        return out
+
+    def binarise_spy(*args):
+        calls.append(args)
+        return binarise(*args)
+    for owner, name, spy in ((md.Windows, "rows", rows_spy),
+                             (md.Windows, "rows_backward", rows_backward_spy),
+                             (nm, "batchnorm_train_forward", bn_forward_spy),
+                             (nm, "batchnorm_backward", bn_backward_spy),
+                             (pr, "residual_binarise", binarise_spy)):
+        monkeypatch.setattr(owner, name, spy)
+    train = {"real": md.forward_real_train, "pruned": md.forward_real_train,
+             "binarised": md.forward_binary_train, "expanded": md.forward_lut_train}[net.stage]
+    logits, caches = train(net, x)
+    walk = [step for step, _inner, _bn, _pre in caches]
+    grads = md.backward(net, caches, nm.softmax_xent(logits, labels)[1])
+    normed = [step.idx for step in walk if step.bn is not None]
+    out, d = dict(zip(normed, outs)), dict(zip(normed[::-1], ds))
+    layers = {step.idx: (rows[id(step.win)], out[step.idx], d[step.idx], drows.get(id(step.win)))
+              for step in walk if step.layer.kind != "maxpool"}
+    return grads, layers, len(calls)
 
 
 def exhaustive_pm1(n_bits):

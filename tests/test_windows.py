@@ -18,7 +18,7 @@ from lutnet import training as tr
 from lutnet.errors import DimensionError, FoldError, SchemaError
 
 from conftest import (area_sha, fold_initial_scale, netlist_pin, run_netlist_text, tiny_stages,
-                      untiled_pool_net)
+                      traced_training_step, untiled_pool_net)
 
 
 def _randomize_bn(net, seed):
@@ -179,6 +179,33 @@ def test_conv_stack_phase_step_matches_pin(phase):
     logits, caches = train(net, x)
     grads = back(net, caches, nm.softmax_xent(logits, labels)[1])
     assert (_sha(logits), _grads_sha(grads)) == CONV_STACK_PHASE_PINS[phase]
+
+
+@pytest.mark.parametrize("stage", ["real", "pruned"])
+@pytest.mark.parametrize("build", ["tiny", "conv_stack"])
+def test_real_stages_train_by_the_masked_weight_products(build, stage, monkeypatch):
+    # before binarisation a layer is its masked latent weights: its output
+    # rows, weight gradient and window-row gradient are the plain products,
+    # bit for bit, and no residual levels are formed
+    if build == "tiny":
+        net, n_in = dict(tiny_stages())[stage], 8
+    else:
+        net, n_in = _conv_stack(binarise=False), 49
+        if stage == "pruned":
+            pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.7, tol=0.3))
+    assert (stage == "pruned") == any(not l.prune_mask.all() for _i, l in net.compute_layers())
+    rng = np.random.default_rng(70)
+    x, labels = rng.standard_normal((24, n_in)), rng.integers(0, 3, 24)
+    grads, layers, binarise_calls = traced_training_step(net, x, labels, monkeypatch)
+    assert binarise_calls == 0
+    assert sorted(layers) == [i for i, _l in net.compute_layers()]
+    for idx, (rows, y, d, drows) in layers.items():
+        layer = net.layers[idx]
+        w = layer.weights * layer.prune_mask
+        assert np.array_equal(y, rows @ w.T), idx
+        assert np.array_equal(grads[f"l{idx}.weights"], (d.T @ rows) * layer.prune_mask), idx
+        assert (drows is None) == (idx == 0), idx
+        assert idx == 0 or np.array_equal(drows, d @ w), idx
 
 
 def _expanded_conv_stack(k, rng):
