@@ -11,11 +11,14 @@ partial in input k the two whose vertices differ from -v only there
 (interp_dx_partial).  Both depend only on the code of -v, never on the
 sample: phase 3 evaluates them once on the 2^K codes, tabulates each node's
 terms per code, and gathers the tables by slot = node * 2^K + code.
-Vertex encoding is fixed everywhere (model evaluation, netlist simulation,
-Verilog INIT masks): vertex v maps to the integer with bit k = (v_k + 1) / 2,
-bit 0 being the node's first input.  Truth tables are stored as {-1,+1} int8
-vectors indexed that way.  Expansion wires each layer by a per-layer wiring
-plan, all of its nodes drawn at once by one generator seeded per layer.
+Truth tables, the netlist and the Verilog (simulation, table literals and
+INIT masks) index vertex v by the integer with bit k = (v_k + 1) / 2, bit 0
+being the node's first input; truth tables are stored as {-1,+1} int8
+vectors indexed that way.  The coefficients and model._plane_sums' codes
+use the complement, the code of -v: bit k is set when input k is negative.
+harden_masks converts from the one to the other.  Expansion wires each
+layer by a per-layer wiring plan, all of its nodes drawn at once by one
+generator seeded per layer.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ reports the engine's weight bits and popcount width instead.
 
 Packing: a fabric 6-LUT hosts one logical 6-LUT, or two smaller logical LUTs
 whose distinct inputs fit in 5.  Buffers, inverters and constants cost
-nothing: they are absorbed into the downstream adder logic.  No table is
-wider than the fabric's LUT (config.FABRIC_K); pack_estimate rejects one.
+nothing: they are absorbed into the downstream adder logic.  No LUT may be
+wider than the fabric's (config.FABRIC_K): pack_estimate rejects a wider
+node table, and area_report a maxpool window of more inputs.
 
 pack_estimate counts what a greedy gives that visits a block's LUTs with
 k_eff >= 2 largest first and pairs each with the first unused later LUT it
@@ -166,7 +167,10 @@ def area_report(net: md.Network) -> AreaReport:
         row = dict(layer=f"l{li}", unrolled=False, keff_hist={}, logical=0, inference=0,
                    popcount=0, other=0, total=0, engine_bits=0, engine_popcount=0)
         if isinstance(block, PoolBlock):
-            n_pool = block.index_map.shape[0] * block.index_map.shape[1]
+            positions, channels, window = block.index_map.shape
+            if window > FABRIC_K:
+                raise PackingError(f"l{li}: maxpool LUT wider than {FABRIC_K} inputs (K={window})")
+            n_pool = positions * channels
             report.rows.append(dict(row, kind="maxpool", density=1.0, n_tilde=0,
                                     logical=n_pool, other=n_pool, total=n_pool))
             continue

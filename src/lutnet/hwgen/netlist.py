@@ -36,10 +36,11 @@ compute group, `EngineBlock.pops` an engine group's popcounts, `threshold`
 builds a group's threshold cell and `out_names` names the output bits;
 `port_reads` lists the previous bits a block reads, in order of first use.
 `cells` generates the cell views from these, and verilog.emit_verilog
-renders the same groups straight from the arrays.  `Netlist.cells` and
-`Netlist.nets` exist only for the benchmark (bench/workloads.py), which
-counts cells by type and matches Verilog tables by net name; both are views
-that store nothing.
+renders the same groups straight from the arrays in a walk of its own, so
+the cell views stay an independent reference for the emitted text.
+`Netlist.cells` and `Netlist.nets` exist only for the benchmark
+(bench/workloads.py), which counts cells by type and matches Verilog tables
+by net name; both are views that store nothing.
 
 `simulate` evaluates the same arrays the cells and the engines are
 generated from, and nothing else: it never reads the network, so comparing
@@ -118,11 +119,19 @@ def _first_use(reads: np.ndarray) -> np.ndarray:
     return reads[np.sort(first)]
 
 
+@dataclass
 class _Neurons:
     """The threshold neurons a compute or engine block ends in, one per
     channel c and window position p: output bit c*P + p, cell group stem
     l{layer}_c{c}[_p{p}], and one threshold cell over the group's per-plane
     popcounts of n_tilde[c] inputs."""
+
+    layer: int                 # index of the layer in the network
+    index_map: np.ndarray      # (P, W) int64 previous-block bit read by each window slot
+    q_gammas: np.ndarray       # (B,) int64 fixed-point plane scales
+    q_tau: np.ndarray          # (C,) int64 fixed-point thresholds
+    flip: np.ndarray           # (C,) bool: fire when the sum is <= q_tau instead of >=
+    acc_width: np.ndarray      # (C,) int64 two's-complement accumulator bits
 
     @property
     def positions(self) -> int:
@@ -164,16 +173,10 @@ class _Neurons:
 
 @dataclass
 class ComputeBlock(_Neurons):
-    layer: int                 # index of the layer in the network
-    index_map: np.ndarray      # (P, W) int64 previous-block bit read by each window slot
     offsets: np.ndarray        # (C+1,) int64 node range of each channel
     tables: np.ndarray         # (B, N, 2**K) uint8 reduced truth tables, 0 past 2**k_eff
     inputs: np.ndarray         # (B, N, K) int64 window slot of each kept input, 0 past k_eff
     k_eff: np.ndarray          # (B, N) int64 inputs each table depends on
-    q_gammas: np.ndarray       # (B,) int64 fixed-point plane scales
-    q_tau: np.ndarray          # (C,) int64 fixed-point thresholds
-    flip: np.ndarray           # (C,) bool: fire when the sum is <= q_tau instead of >=
-    acc_width: np.ndarray      # (C,) int64 two's-complement accumulator bits
 
     @cached_property
     def n_tilde(self) -> np.ndarray:
@@ -194,18 +197,16 @@ class ComputeBlock(_Neurons):
         plane the LUTs of nodes offsets[c]:offsets[c+1] and the adders that
         plane_nets(stem, n_tilde, b) names, then one threshold cell."""
         k_eff, inputs, offsets = self.k_eff.tolist(), self.inputs.tolist(), self.offsets.tolist()
-        planes = range(self.inputs.shape[0])
-        slot_names = [[in_names[i] for i in window].__getitem__   # per position
-                      for window in self.index_map.tolist()]
+        windows = [[in_names[i] for i in window] for window in self.index_map.tolist()]
         for c, p, stem in self.groups():
             a, n_tilde = offsets[c], offsets[c + 1] - offsets[c]
-            slot_name, pops = slot_names[p], []
-            for b in planes if n_tilde else ():
+            window, pops = windows[p], []
+            for b in range(self.inputs.shape[0]) if n_tilde else ():
                 leaves, adders, pop = plane_nets(stem, n_tilde, b)
-                tables, k_b, inputs_b = self.tables[b], k_eff[b], inputs[b]
                 for n, out in enumerate(leaves, a):
-                    ke = k_b[n]
-                    yield LutCell(tables[n, :1 << ke], list(map(slot_name, inputs_b[n][:ke])), out)
+                    ke = k_eff[b][n]
+                    names = [window[i] for i in inputs[b][n][:ke]]
+                    yield LutCell(self.tables[b, n, :1 << ke], names, out)
                 for adder in adders:
                     yield AddCell(*adder)
                 pops.append(pop)
@@ -236,14 +237,8 @@ class ComputeBlock(_Neurons):
 
 @dataclass
 class EngineBlock(_Neurons):
-    layer: int                 # index of the layer in the network
-    index_map: np.ndarray      # (P, W) int64 previous-block bit read by each window slot
     weights: np.ndarray        # (B, C, W) int8 +-1 weight sign of each plane, channel and slot
     mask: np.ndarray           # (C, W) bool: the slots each channel counts
-    q_gammas: np.ndarray       # (B,) int64 fixed-point plane scales
-    q_tau: np.ndarray          # (C,) int64 fixed-point thresholds
-    flip: np.ndarray           # (C,) bool: fire when the sum is <= q_tau instead of >=
-    acc_width: np.ndarray      # (C,) int64 two's-complement accumulator bits
 
     @cached_property
     def n_tilde(self) -> np.ndarray:

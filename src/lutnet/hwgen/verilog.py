@@ -6,25 +6,27 @@ nets, then writes its logic in that order; its input ports are the previous
 layer's bits it reads, in order of first use, and its output ports the bits
 it exports.
 
-A compute block is rendered a cell group (channel, position) at a time,
-straight from its arrays; no cell object is built.  Each distinct
-(k_eff, table) of a block is rendered once, and each LUT line is one
-f-string over that text and the names of its inputs, the window's slot
-names at that position.  The declarations and adder lines of a group depend
-only on its node count: they are built once per count from
-netlist.plane_nets with the placeholder STEM for the group's stem, and
-filled in with str.replace.  A maxpool block's OR LUTs go through the same
-per-LUT formatter.
+A compute block is rendered straight from its arrays, a cell group
+(channel, position) at a time; no cell object is built.  The blocks' cell
+views are a separate walk, which tests and the benchmark check this text
+against.  Per plane, a group's LUT and adder declarations and its adder
+lines come from netlist.plane_nets.  Every LUT line, of a compute or a
+maxpool block, comes from _lut_line: the output net, the table cut to its
+2**k_eff entries and the names of its inputs, a node's being the window's
+slot names at its position.  _table_head renders each distinct table of a
+block once, memoised by the table's bytes; as the table is cut first, a
+1-input [0, 1] and a 2-input [0, 1, 0, 0] stay apart.
 
 Behavioral style renders every LUT as a shift-and-mask constant lookup
 
     assign <name> = (<2**K>'b<table MSB..LSB> >> {in_{K-1}, ..., in_0}) & 1'b1;
 
 so the table literal reads bit 2**K-1 down to bit 0 and the concatenation puts
-input 0 in the low index bit, matching the vertex encoding used everywhere
-else.  Vendor-primitive style instead instantiates generic LUT<K> cells with
-the same bits as INIT masks; a LUT wider than the fabric's 6 inputs is a
-PackingError.  In both styles a LUT over no input is a constant assign.
+input 0 in the low index bit, matching the truth tables' vertex encoding
+(expand.py).  Vendor-primitive style instead instantiates generic LUT<K>
+cells with the same bits as INIT masks; a LUT wider than the fabric's 6
+inputs is a PackingError.  In both styles a LUT over no input is a constant
+assign.
 
 An engine block (a time-multiplexed layer) is one behavioural XNOR-popcount
 module in both styles: per position a W-bit window of its slot bits, per
@@ -55,9 +57,6 @@ HEADER = """\
 """
 
 
-STEM = "\0"   # stands for a group's stem in the text cached per group size
-
-
 def _sdec(width: int, value: int) -> str:
     if value < 0:
         return f"-{width}'sd{-value}"
@@ -83,49 +82,19 @@ def _table_head(table: np.ndarray, vendor: bool) -> str:
     return f"({_bit_literal(table)} >> {{"
 
 
-def _lut_lines(vendor: bool, outs: list, heads: list, ins: list) -> list:
-    """One line per LUT from its output net, _table_head and _input_texts."""
+def _lut_line(out: str, table: np.ndarray, names: list, vendor: bool, heads: dict) -> str:
+    """The line of one LUT: output net out, table (2**k,) over the nets
+    names (k,), input 0 first.  heads memoises _table_head per table bytes."""
+    key = table.tobytes()
+    head = heads.get(key)
+    if head is None:
+        head = heads[key] = _table_head(table, vendor)
+    if not names:
+        return f"assign {out} = {head};"
     if vendor:
-        return [f"{h}{o}_i ({i}, .O({o}));" if i else f"assign {o} = {h};"
-                for o, h, i in zip(outs, heads, ins)]
-    return [f"assign {o} = {h}{i}}}) & 1'b1;" if i else f"assign {o} = {h};"
-            for o, h, i in zip(outs, heads, ins)]
-
-
-def _sources(names: list, k: int, vendor: bool) -> list:
-    """The texts a LUT writes for its inputs: the names themselves
-    (behavioral), or pin j reading name i at j * len(names) + i (vendor)."""
-    return [f".I{j}({n})" for j in range(k) for n in names] if vendor else names
-
-
-def _input_texts(inputs: np.ndarray, k_eff: np.ndarray, sources: list, vendor: bool) -> list:
-    """Per LUT the text of its inputs, '' for none: inputs (L, K) index the
-    names of _sources, k_eff (L,) of them live.  A behavioral concatenation
-    lists input 0 last.  Most LUTs have one input, whose text is a source."""
-    texts = list(map(sources.__getitem__, inputs[:, 0].tolist()))
-    width = len(sources) // inputs.shape[1] if vendor else 0
-    for n in np.flatnonzero(k_eff != 1).tolist():
-        row = inputs[n, :k_eff[n]].tolist()
-        texts[n] = ", ".join([sources[j * width + i] for j, i in enumerate(row)] if vendor else
-                             [sources[i] for i in reversed(row)])
-    return texts
-
-
-def _heads(tables: np.ndarray, k_eff: np.ndarray, vendor: bool) -> list:
-    """_table_head of every node of tables (L, 2**K) and k_eff (L,), each
-    distinct (k_eff, table) rendered once.  A node with k_eff <= 1 is keyed
-    by (k_eff, t0, t1) alone, the others by their packed tables."""
-    key = 4 * k_eff + tables[:, 0] + 2 * tables[:, 1]   # (k_eff, t0, t1) -> 0..7
-    wide = np.flatnonzero(k_eff > 1)
-    rows = np.concatenate([k_eff[wide, None].astype(np.uint8),
-                           np.packbits(tables[wide], axis=1, bitorder="little")], axis=1)
-    _rows, inverse = np.unique(rows, axis=0, return_inverse=True)
-    key[wide] = 8 + inverse.reshape(-1)
-    node = np.full(key.max(initial=7) + 1, -1)
-    node[key] = np.arange(len(key))                    # a node of each key
-    texts = [None if n < 0 else _table_head(tables[n, :1 << k_eff[n]], vendor)
-             for n in node.tolist()]
-    return [texts[k] for k in key.tolist()]
+        pins = ", ".join([f".I{j}({name})" for j, name in enumerate(names)])
+        return f"{head}{out}_i ({pins}, .O({out}));"
+    return f"assign {out} = {head}{', '.join(reversed(names))}}}) & 1'b1;"
 
 
 def _threshold_lines(cell: ScaleThresholdCell) -> str:
@@ -142,54 +111,32 @@ def _threshold_lines(cell: ScaleThresholdCell) -> str:
             f"assign {cell.out} = ({acc_name} {cmp_op} {_sdec(w, cell.q_tau)});")
 
 
-def _group_text(n_tilde: int, planes: range) -> tuple:
-    """The parts of a cell group of n_tilde >= 1 nodes that depend on n_tilde
-    alone, with STEM for its stem: (its LUT and adder declarations, per plane
-    the LUT outputs, the adder lines and the popcount net)."""
-    nets = [plane_nets(STEM, n_tilde, b) for b in planes]
-    decls = []
-    for leaves, adders, _pop in nets:
-        decls += [f"wire {out};" for out in leaves]
-        decls += [f"wire [{width - 1}:0] {out};" for _a, _b, out, width in adders]
-    adds = ["\n".join(f"assign {out} = {a} + {b};" for a, b, out, _width in adders)
-            for _leaves, adders, _pop in nets]
-    return "\n".join(decls), [leaves for leaves, *_x in nets], adds, [pop for *_x, pop in nets]
-
-
 def _compute_lines(block: ComputeBlock, in_names: list, out_names: list, internal: set,
                    vendor: bool) -> tuple:
-    """(declarations, body) of a compute block, a string per cell group.
-    Every LUT line of a group is one f-string over its node's rendered table
-    and its inputs' names, which per position are the window's slot names;
-    the declarations and adders come from _group_text by one replace of
-    STEM."""
-    n_planes, n_nodes, k = block.inputs.shape
-    planes = range(n_planes)
-    heads = _heads(block.tables.reshape(n_planes * n_nodes, block.tables.shape[2]),
-                   block.k_eff.reshape(-1), vendor)
-    sources = [_sources([in_names[i] for i in window], k, vendor)
-               for window in block.index_map.tolist()]
-    offsets = block.offsets.tolist()
-    texts, decls, body = {}, [], []
+    """(declarations, body) of a compute block, group by group: per plane
+    the nets plane_nets names, its node LUTs and its adders, then the
+    group's threshold cell."""
+    k_eff, inputs, offsets = block.k_eff.tolist(), block.inputs.tolist(), block.offsets.tolist()
+    windows = [[in_names[i] for i in window] for window in block.index_map.tolist()]
+    heads, decls, body = {}, [], []
     for c, p, stem in block.groups():
-        a, e = offsets[c], offsets[c + 1]
-        pops, lines = [], []
-        if e > a:
-            if e - a not in texts:
-                texts[e - a] = _group_text(e - a, planes)
-            group_decls, leaves, adds, pops = texts[e - a]
-            decls.append(group_decls.replace(STEM, stem))
-            for b in planes:
-                ins = _input_texts(block.inputs[b, a:e], block.k_eff[b, a:e], sources[p], vendor)
-                lines += _lut_lines(vendor, leaves[b], heads[b * n_nodes + a:b * n_nodes + e], ins)
-                if adds[b]:
-                    lines.append(adds[b])
-            pops = [pop.replace(STEM, stem) for pop in pops]
+        a, n_tilde = offsets[c], offsets[c + 1] - offsets[c]
+        window, pops = windows[p], []
+        for b in range(block.inputs.shape[0]) if n_tilde else ():
+            leaves, adders, pop = plane_nets(stem, n_tilde, b)
+            decls += [f"wire {out};" for out in leaves]
+            decls += [f"wire [{width - 1}:0] {out};" for _x, _y, out, width in adders]
+            tables, k_b, inputs_b = block.tables[b], k_eff[b], inputs[b]
+            for n, out in enumerate(leaves, a):
+                ke = k_b[n]
+                names = [window[i] for i in inputs_b[n][:ke]]
+                body.append(_lut_line(out, tables[n, :1 << ke], names, vendor, heads))
+            body += [f"assign {out} = {x} + {y};" for x, y, out, _width in adders]
+            pops.append(pop)
         cell = block.threshold(c, stem, pops, out_names[c * block.positions + p])
         if cell.out in internal:
             decls.append(f"wire {cell.out};")
-        lines.append(_threshold_lines(cell))
-        body.append("\n".join(lines).replace(STEM, stem))
+        body.append(_threshold_lines(cell))
     return decls, body
 
 
@@ -234,12 +181,10 @@ def _engine_lines(block: EngineBlock, in_names: list, out_names: list, internal:
 def _pool_lines(block: PoolBlock, in_names: list, out_names: list, internal: set,
                 vendor: bool) -> tuple:
     """(declarations, body) of a maxpool block: one OR LUT per window."""
-    windows = block.windows()
-    heads = [_table_head(block.table(), vendor)] * len(windows)
-    ins = _input_texts(windows, np.full(len(windows), windows.shape[1]),
-                       _sources(in_names, windows.shape[1], vendor), vendor)
+    table, heads = block.table(), {}
     decls = [f"wire {out};" for out in out_names if out in internal]
-    return decls, _lut_lines(vendor, out_names, heads, ins)
+    return decls, [_lut_line(out, table, [in_names[i] for i in window], vendor, heads)
+                   for out, window in zip(out_names, block.windows().tolist())]
 
 
 _LINES = {ComputeBlock: _compute_lines, EngineBlock: _engine_lines, PoolBlock: _pool_lines}

@@ -13,10 +13,11 @@ import sys
 import numpy as np
 import pytest
 
+from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import training as tr
 
-from conftest import tiny_stages
+from conftest import netlist_pin, tiny_stages
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH = os.path.join(ROOT, "bench")
@@ -73,6 +74,21 @@ def test_netlist_readers_run(workloads):
     assert engine == {"layer": "l0", "logical": 0, "inference": 0, "popcount": 0, "other": 0,
                       "total": 0, "keff_hist": {}}
     assert expanded["layer"] == "l2" and expanded["total"] > 0
+
+
+# netlist_pin of the lfc-k4-hw workload's netlist, hardened at 8 fractional
+# bits: channels of ~25 nodes, deep adder trees and thousands of cell groups,
+# which no hand-built net reaches; the behavioral sha256 is the benchmark's
+# recorded Verilog fingerprint
+LFC_K4_HW_PIN = ("a74f5aba07ad1bf33ab62fade4c37914b0dff26c64d63ab17836a8489c04b7db",
+                 "17820f90ef435c9fc6676309ec417b9e9994f32a8cbc101b044cfa1b70ecc2f6",
+                 {"lut": 39834, "add": 38278, "threshold": 1034})
+
+
+def test_lfc_k4_hw_netlist_matches_pin(workloads, tmp_path):
+    net = workloads.LfcK4Hw().setup(31, str(tmp_path))["net"]
+    ex.harden_network(net, frac_bits=8)
+    assert netlist_pin(hw.lower(net)) == LFC_K4_HW_PIN
 
 
 # TARGETS entries whose attribute the library no longer has; the tracer

@@ -374,6 +374,45 @@ def test_area_rejects_a_seven_input_lut():
         area.pack_estimate(block)
 
 
+def test_area_rejects_a_maxpool_wider_than_the_fabric():
+    # a 3x3 maxpool ORs 9 bits per output, more than a 6-LUT takes, which
+    # the vendor style refuses to instantiate as well
+    layers = [md.ConvLayer(1, 2, 1, 1), md.BatchNormLayer(2), md.MaxPoolLayer(3),
+              md.DenseLayer(8, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("wide_pool", layers, 2, (1, 6, 6), 61))
+    pr.prune_threshold(net, 0.0)
+    pr.binarise_network(net)
+    ex.expand_network(net, k=1, seed=62)
+    ex.harden_network(net, frac_bits=6)
+    with pytest.raises(PackingError, match=r"l2: maxpool LUT wider than 6 inputs \(K=9\)"):
+        hw.area_report(net)
+    with pytest.raises(PackingError, match="9-input.*max 6"):
+        hw.emit_verilog(hw.lower(net), style="vendor-primitive")
+
+
+def test_lut_heads_tell_table_lengths_apart():
+    # a constant, a k_eff = 1 table [0, 1] (stored padded as [0, 1, 0, 0])
+    # and a k_eff = 2 table [0, 1, 0, 0]: the same leading entries, so each
+    # table is rendered from its own 2**k_eff entries
+    block = ComputeBlock(
+        layer=0, index_map=np.arange(2)[None], offsets=np.array([0, 3]),
+        tables=np.array([[[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, 0]]], np.uint8),
+        inputs=np.array([[[0, 0], [1, 0], [0, 1]]]), k_eff=np.array([[0, 1, 2]]),
+        q_gammas=np.array([1]), q_tau=np.array([0]), flip=np.array([False]),
+        acc_width=np.array([8]))
+    nl = hw.Netlist("heads", 2, [block])
+    behavioral = hw.emit_verilog(nl)["heads_l0.v"].splitlines()
+    assert "assign lut_l0_c0_n0_b0 = 1'b1;" in behavioral
+    assert "assign lut_l0_c0_n1_b0 = (2'b10 >> {x1}) & 1'b1;" in behavioral
+    assert "assign lut_l0_c0_n2_b0 = (4'b0010 >> {x1, x0}) & 1'b1;" in behavioral
+    vendor = hw.emit_verilog(nl, style="vendor-primitive")["heads_l0.v"].splitlines()
+    assert "assign lut_l0_c0_n0_b0 = 1'b1;" in vendor
+    assert ("LUT1 #(.INIT(2'h2)) lut_l0_c0_n1_b0_i (.I0(x1), .O(lut_l0_c0_n1_b0));"
+            in vendor)
+    assert ("LUT2 #(.INIT(4'h2)) lut_l0_c0_n2_b0_i (.I0(x0), .I1(x1), .O(lut_l0_c0_n2_b0));"
+            in vendor)
+
+
 # The packer that area.pack_estimate replaced, kept unchanged as its
 # reference: one greedy largest-first pass over every logical LUT of a block,
 # each identified by its input ids (channel, position, window slot).
