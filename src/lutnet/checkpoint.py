@@ -1,39 +1,39 @@
-"""Checkpoint persistence: a self-describing JSON text format with explicit
-field names.  Floats go through repr (shortest round-trip decimal), so
-load(save(x)) reproduces every tensor bit-for-bit; serialisation is
-key-sorted and therefore byte-deterministic for a given checkpoint.
+"""Checkpoint persistence, schema 5: one key-sorted, so byte-deterministic,
+JSON file in which each array is {"dtype": "<f8" | "<i8" | "|b1", "shape":
+[...], "data": base64 of its little-endian C-order bytes}, so load(save(x))
+reproduces every tensor bit for bit.  Scalars, names, input_shape and log
+rows are plain JSON.
 
-Schema 4 writes every field of every layer.  A compute layer holds its
-latent weights, prune mask and, once expanded, a `lut` block with the flat
-arrays of model.LutData: k, gammas, offsets, indices and coeffs.  A
-hardened checkpoint is its expanded checkpoint plus `frac_bits`, as a
-hardened net is: truth tables, folded thresholds and residual levels are no
-fields at all, but derived from the stored ones wherever they are read
-(see model.py).  Loading a hardened checkpoint runs expand.harden_network
-for its checks.
-Phase-1 weights are stored until expansion only.  The LUT offsets and
-column 0 of the indices follow from the prune mask but stay stored: loading
-checks them against it, which is what catches a corrupted mask.
+A compute layer stores its latent weights, prune mask and, once expanded,
+a `lut` block with the flat arrays of model.LutData.  A hardened checkpoint
+is its expanded checkpoint plus `frac_bits`: truth tables, folded
+thresholds and residual levels are derived where they are read (see
+model.py), and loading runs expand.harden_network for its checks.  Phase-1
+weights are stored until expansion only.  The LUT offsets and column 0 of
+the indices follow from the prune mask but stay stored: loading checks
+them against it, which is what catches a corrupted mask.
 
-Loading reads schema 4 only: any other schema_version is a SchemaError, and
-the stage that wrote the file must be re-run.  It checks every field against
-the layer dimensions and for its JSON type (no string, bool, fraction, array
-or object is coerced into another, save a bool among an array's numbers), K
-against the fabric's LUT (config.FABRIC_K), the name for a Verilog
-identifier, the LUT offsets and first inputs against the prune mask, every
-size for an integer of at least 1, every prune mask for 0 and 1 only, every
-float for finiteness, every batch norm for a positive eps and a
-non-negative running variance, each log for a phase of 1 to 3, and the
-layers with model.steps, which also places the `lut` blocks: an unrolled
-layer has one exactly when the stage is expanded or hardened, a
-time-multiplexed layer never.  SchemaError on malformed input, including a
-hardened net that harden_network rejects."""
+Loading reads schema 5 only; any other schema_version is a SchemaError, and
+the stage that wrote the file must be re-run.  Each array must carry its
+field's exact dtype, a shape of JSON integers equal to the one the layer
+dimensions give and strict base64 of exactly that many bytes; it loads as a
+writable native array.  Every other field is checked for its JSON type (no
+value is coerced into another), K against the fabric's LUT
+(config.FABRIC_K), the name for a Verilog identifier, every size for an
+integer of at least 1, every mask byte for 0 or 1, every float for
+finiteness, every batch norm for a positive eps and a non-negative running
+variance, each log for a phase of 1 to 3, and the layers with model.steps,
+which also places the `lut` blocks: an unrolled layer has one exactly when
+the stage is expanded or hardened, a time-multiplexed layer never."""
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -45,7 +45,7 @@ from .model import (STAGES, BatchNormLayer, ConvLayer, DenseLayer, LutData, MaxP
                     Network, SoftmaxLayer, steps)
 from .training import TrainLog
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass
@@ -55,12 +55,13 @@ class Checkpoint:
 
 
 def _out(value):
-    """JSON form of a layer field: arrays as nested lists (bool as 0/1) and
-    the LUT block as a dict of its fields."""
+    """JSON form of a layer field: an array as a typed array and the LUT
+    block as a dict of its fields."""
     if isinstance(value, LutData):
         return {f.name: _out(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
-        return (value.astype(int) if value.dtype == bool else value).tolist()
+        a = np.ascontiguousarray(value, value.dtype.newbyteorder("<"))
+        return {"dtype": a.dtype.str, "shape": list(a.shape), "data": base64.b64encode(a).decode()}
     return value
 
 
@@ -98,8 +99,10 @@ def _size(raw, what):
 
 
 def _float(raw, what):
-    """A finite JSON number, not a bool or a string, which float() would take."""
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not np.isfinite(raw):
+    """A finite JSON number, not a bool or a string, which float() would
+    take, nor an integer past the float range."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
+            or not abs(raw) <= sys.float_info.max:
         raise SchemaError(f"{what} must be a finite number, got {raw!r}")
     return float(raw)
 
@@ -122,33 +125,29 @@ def _name(raw):
 
 
 def _array(raw, dtype, shape, what, optional=False):
-    """A JSON array as a numpy array of dtype and exactly the given shape;
-    None stays None if the field is optional.  An empty array has no values
-    to type: tolist() writes it as [], which numpy reads back as float64.
-    An array of JSON booleans is rejected, masks included, but a boolean
-    among numbers is not: np.asarray reads [1, true] as [1, 1]."""
-    if raw is None:
-        if optional:
-            return None
-        raise SchemaError(f"{what} is missing")
+    """A typed array of dtype and exactly the given shape, as a writable
+    native array; None stays None if the field is optional."""
+    if raw is None and optional:
+        return None
+    wire = np.dtype(dtype).newbyteorder("<")
+    if _typed(raw, dict, what)["dtype"] != wire.str:
+        raise SchemaError(f"{what} has dtype {raw['dtype']!r}, expected {wire.str!r}")
+    dims = _typed(raw["shape"], list, f"{what}.shape")
+    if any(type(d) is not int for d in dims) or dims != list(shape):   # True == 1
+        raise SchemaError(f"{what} has shape {dims!r}, expected {list(shape)}")
     try:
-        a = np.asarray(raw)
-    except ValueError as e:
-        raise SchemaError(f"{what} is a ragged array") from e
-    if a.dtype.kind == "b":
-        raise SchemaError(f"{what} holds JSON booleans, which are not numbers")
-    if a.size and a.dtype.kind not in ("iuf" if np.dtype(dtype).kind == "f" else "iu"):
-        raise SchemaError(f"{what} holds values of type {a.dtype}, expected {np.dtype(dtype)}")
-    if a.shape != shape:
-        if a.size or np.prod(shape):   # tolist() of an empty array keeps no shape
-            raise SchemaError(f"{what} has shape {a.shape}, expected {shape}")
-        a = a.reshape(shape)
-    if np.dtype(dtype) == bool and np.any((a != 0) & (a != 1)):   # astype would take any
+        data = base64.b64decode(raw["data"], validate=True)
+    except (TypeError, ValueError) as e:   # not a string, or not strict base64
+        raise SchemaError(f"{what}.data must be a base64 string: {e}") from e
+    size = math.prod(shape) * wire.itemsize
+    if len(data) != size:
+        raise SchemaError(f"{what}.data holds {len(data)} bytes, expected {size}")
+    a = np.frombuffer(data, wire).reshape(shape)
+    if wire.kind == "b" and np.any(a.view(np.uint8) > 1):   # astype(bool) would take any
         raise SchemaError(f"{what} must hold only 0 and 1")
-    a = a.astype(dtype)
-    if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
+    if wire.kind == "f" and not np.all(np.isfinite(a)):
         raise SchemaError(f"{what} holds non-finite values")
-    return a
+    return a.astype(dtype)
 
 
 def _lut_in(raw, prune_mask, b_levels, what):
@@ -171,10 +170,9 @@ def _lut_in(raw, prune_mask, b_levels, what):
     if not np.array_equal(indices[:, 0], np.nonzero(prune_mask)[1]):
         raise SchemaError(f"{what}.indices[:, 0] must be the unpruned columns of prune_mask, "
                           f"row by row")
-    return LutData(k=k, gammas=_array(raw["gammas"], np.float64, (b_levels,), f"{what}.gammas"),
-                   offsets=offsets, indices=indices,
-                   coeffs=_array(raw["coeffs"], np.float64, (b_levels, n, 1 << k),
-                                 f"{what}.coeffs"))
+    gammas = _array(raw["gammas"], np.float64, (b_levels,), f"{what}.gammas")
+    coeffs = _array(raw["coeffs"], np.float64, (b_levels, n, 1 << k), f"{what}.coeffs")
+    return LutData(k=k, gammas=gammas, offsets=offsets, indices=indices, coeffs=coeffs)
 
 
 def _compute_in(raw, b_levels, what):
@@ -273,10 +271,9 @@ def from_dict(raw: dict) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    text = json.dumps(to_dict(ckpt), sort_keys=True, separators=(",", ":"))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="ascii") as f:
-        f.write(text)
+        json.dump(to_dict(ckpt), f, sort_keys=True, separators=(",", ":"))
         f.write("\n")
 
 
@@ -285,6 +282,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         data = f.read()
     try:
         raw = json.loads(data.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:   # bad bytes or JSON, too deep, too many digits
         raise SchemaError(f"{path}: corrupt checkpoint: {e}") from e
     return from_dict(raw)

@@ -102,6 +102,28 @@ def _is_engine(row: dict) -> bool:
     return row["kind"] != "maxpool" and not row["unrolled"]
 
 
+# every column of the report: (row key, which is also its CSV header, its
+# table header and alignment, or None for a CSV-only column); the last two,
+# the engine columns, appear only when some row is an engine
+COLUMNS = (("layer", "layer", "<12"), ("kind", None, None), ("unrolled", None, None),
+           ("density", "density", ">9"), ("n_tilde", None, None), ("keff_hist", None, None),
+           ("logical", "logical", ">9"), ("inference", "infer", ">7"),
+           ("popcount", "popcnt", ">8"), ("other", "other", ">7"), ("total", "total", ">8"),
+           ("engine_bits", "eng_bits", ">10"), ("engine_popcount", "eng_pop", ">9"))
+
+
+def _cell(key, value, decimals) -> str:
+    """The text of one value of column key; the density has the given
+    decimals, and a value the total line has not is blank."""
+    if value is None:
+        return ""
+    if key == "density":
+        return f"{value:.{decimals}f}"
+    if key == "keff_hist":
+        return ";".join(f"{k}:{v}" for k, v in sorted(value.items()))
+    return str(int(value) if isinstance(value, bool) else value)
+
+
 @dataclass
 class AreaReport:
     rows: list = field(default_factory=list)
@@ -113,42 +135,30 @@ class AreaReport:
         keys = ("logical", "inference", "popcount", "other", "total")
         return {k: sum(r[k] for r in self.rows) for k in keys}
 
+    def _columns(self) -> tuple:
+        return COLUMNS if any(map(_is_engine, self.rows)) else COLUMNS[:-2]
+
+    def _lines(self) -> list:
+        """The rows, then the total line as a row that leaves blank what
+        does not add up."""
+        return self.rows + [dict(self.totals(), layer="total",
+                                 engine_bits=sum(r["engine_bits"] for r in self.rows))]
+
     def to_csv(self) -> str:
-        """One line per row and a total line; the engine columns only when
-        some row is an engine."""
-        engines = any(map(_is_engine, self.rows))
-        out = io.StringIO()
-        out.write("layer,kind,unrolled,density,n_tilde,keff_hist,logical,"
-                  "inference,popcount,other,total"
-                  + (",engine_bits,engine_popcount\n" if engines else "\n"))
-        for r in self.rows:
-            hist = ";".join(f"{k}:{v}" for k, v in sorted(r["keff_hist"].items()))
-            out.write(f"{r['layer']},{r['kind']},{int(r['unrolled'])},"
-                      f"{r['density']:.6f},{r['n_tilde']},{hist},{r['logical']},"
-                      f"{r['inference']},{r['popcount']},{r['other']},{r['total']}"
-                      + (f",{r['engine_bits']},{r['engine_popcount']}\n" if engines else "\n"))
-        t = self.totals()
-        out.write(f"total,,,,,,{t['logical']},{t['inference']},{t['popcount']},"
-                  f"{t['other']},{t['total']}"
-                  + (f",{sum(r['engine_bits'] for r in self.rows)},\n" if engines else "\n"))
-        return out.getvalue()
+        """A header, one line per row and a total line."""
+        keys = [key for key, _name, _align in self._columns()]
+        lines = [keys] + [[_cell(key, r.get(key), 6) for key in keys] for r in self._lines()]
+        return "".join(",".join(line) + "\n" for line in lines)
 
     def to_table(self) -> str:
-        """The rows as aligned columns; the engine columns only when some
-        row is an engine."""
-        engines = any(map(_is_engine, self.rows))
-        lines = [f"{'layer':<12}{'density':>9}{'logical':>9}{'infer':>7}"
-                 f"{'popcnt':>8}{'other':>7}{'total':>8}"
-                 + (f"{'eng_bits':>10}{'eng_pop':>9}" if engines else "")]
-        for r in self.rows:
-            lines.append(f"{r['layer']:<12}{r['density']:>9.3f}{r['logical']:>9}"
-                         f"{r['inference']:>7}{r['popcount']:>8}{r['other']:>7}{r['total']:>8}"
-                         + (f"{r['engine_bits']:>10}{r['engine_popcount']:>9}" if engines else ""))
-        t = self.totals()
-        lines.append(f"{'total':<12}{'':>9}{t['logical']:>9}{t['inference']:>7}"
-                     f"{t['popcount']:>8}{t['other']:>7}{t['total']:>8}"
-                     + (f"{sum(r['engine_bits'] for r in self.rows):>10}" if engines else ""))
-        return "\n".join(lines)
+        """The CSV's lines as aligned columns, of its columns those with a
+        table header."""
+        columns = [c for c in self._columns() if c[1]]
+        lines = [[name for _key, name, _align in columns]]
+        lines += [[_cell(key, r.get(key), 3) for key, _name, _align in columns]
+                  for r in self._lines()]
+        return "\n".join("".join(f"{text:{align}}" for text, (_k, _n, align) in zip(line, columns))
+                         .rstrip() for line in lines)
 
 
 def area_report(net: md.Network) -> AreaReport:

@@ -1,3 +1,4 @@
+import base64
 import copy
 import hashlib
 import re
@@ -214,6 +215,26 @@ def netlist_pin(nl):
 def area_sha(net):
     """sha256 of area_report(net).to_csv()."""
     return hashlib.sha256(hw.area_report(net).to_csv().encode("ascii")).hexdigest()
+
+
+def table_sha(net):
+    """sha256 of area_report(net).to_table()."""
+    return hashlib.sha256(hw.area_report(net).to_table().encode("ascii")).hexdigest()
+
+
+def decode_array(field):
+    """The numpy array of a checkpoint's typed-array field, writable."""
+    data = base64.b64decode(field["data"])
+    return np.frombuffer(data, field["dtype"]).reshape(field["shape"]).copy()
+
+
+def edit_array(field, change):
+    """A checkpoint's typed-array field, decoded, replaced by change(array)
+    and encoded again in the result's own dtype and shape, which need not be
+    those the loader expects."""
+    a = np.ascontiguousarray(change(decode_array(field)))
+    return {"dtype": a.dtype.str, "shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 # A reader of the emitted engine modules (verilog._engine_lines) that runs

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from lutnet import checkpoint as ck
 from lutnet import expand as ex
 from lutnet import hwgen as hw
 from lutnet import training as tr
@@ -85,10 +86,24 @@ LFC_K4_HW_PIN = ("a74f5aba07ad1bf33ab62fade4c37914b0dff26c64d63ab17836a8489c04b7
                  {"lut": 39834, "add": 38278, "threshold": 1034})
 
 
-def test_lfc_k4_hw_netlist_matches_pin(workloads, tmp_path):
-    net = workloads.LfcK4Hw().setup(31, str(tmp_path))["net"]
-    ex.harden_network(net, frac_bits=8)
-    assert netlist_pin(hw.lower(net)) == LFC_K4_HW_PIN
+@pytest.fixture(scope="module")
+def lfc_k4_hw(workloads, tmp_path_factory):
+    """The lfc-k4-hw workload's net, hardened at 8 fractional bits."""
+    net = workloads.LfcK4Hw().setup(31, str(tmp_path_factory.mktemp("lfc_k4_hw")))["net"]
+    return ex.harden_network(net, frac_bits=8)
+
+
+def test_lfc_k4_hw_netlist_matches_pin(lfc_k4_hw):
+    assert netlist_pin(hw.lower(lfc_k4_hw)) == LFC_K4_HW_PIN
+
+
+def test_lfc_k4_hw_checkpoint_round_trips_under_13_mb(lfc_k4_hw, tmp_path):
+    # 19,917 nodes: a schema-4 file of repr'd floats was 19.79 MB
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    ck.save_checkpoint(ck.Checkpoint(lfc_k4_hw), str(first))
+    ck.save_checkpoint(ck.load_checkpoint(str(first)), str(second))
+    assert first.read_bytes() == second.read_bytes()
+    assert first.stat().st_size < 13_000_000
 
 
 # TARGETS entries whose attribute the library no longer has; the tracer

@@ -1,9 +1,11 @@
-"""Checkpoints: a stored schema-4 file keeps loading to the same hardware,
+"""Checkpoints: a stored schema-5 file keeps loading to the same hardware,
 and its expanded form hardens to it; a save -> load -> save round trip is
 byte-identical at every pipeline stage; the schema stores nothing
-derivable; a file of any other schema, and any malformed input, raises
-SchemaError, and none ends in a traceback of the command line."""
+derivable; a file of any other schema, an array in any form but a typed
+array, and any malformed input raise SchemaError, and none ends in a
+traceback of the command line."""
 
+import base64
 import copy
 import hashlib
 import json
@@ -21,12 +23,14 @@ from lutnet import prune as pr
 from lutnet.errors import SchemaError
 from lutnet.training import TrainLog
 
-from conftest import exhaustive_pm1, make_tiny_net, netlist_pin, run_netlist_text, tiny_stages
+from conftest import (decode_array, edit_array, exhaustive_pm1, make_tiny_net, netlist_pin,
+                      run_netlist_text, tiny_stages)
 
 # the hardened net of tiny_stages() as it was when expansion drew each
 # channel's wiring with a generator of its own, saved as schema 4 by the
-# writer that still held masks and thresholds as layer fields
-V4_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v4.json")
+# writer that still held masks and thresholds as layer fields, then loaded
+# by the schema-4 reader and saved as schema 5
+V5_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v5.json")
 
 # forward_hardened_bits of the fixture on exhaustive_pm1(8), one digit per
 # input: bit j of the digit is output j's bit (+1 -> 1); named for the
@@ -52,14 +56,14 @@ def verilog_sha256(net):
     return h.hexdigest()
 
 
-def _v4_dict():
-    with open(V4_FIXTURE, encoding="ascii") as f:
+def _v5_dict():
+    with open(V5_FIXTURE, encoding="ascii") as f:
         return json.load(f)
 
 
-def test_v4_fixture_round_trips_and_reproduces_its_hardware():
-    raw = _v4_dict()
-    loaded = ck.load_checkpoint(V4_FIXTURE)
+def test_v5_fixture_round_trips_and_reproduces_its_hardware():
+    raw = _v5_dict()
+    loaded = ck.load_checkpoint(V5_FIXTURE)
     assert ck.to_dict(loaded) == raw
     net = loaded.net
     assert net.stage == "hardened"
@@ -67,25 +71,70 @@ def test_v4_fixture_round_trips_and_reproduces_its_hardware():
     assert verilog_sha256(net) == V1_VERILOG_SHA256
 
 
-def test_v4_fixture_engine_verilog_runs_as_simulated():
-    nl = hw.lower(ck.load_checkpoint(V4_FIXTURE).net)
+def test_v5_fixture_engine_verilog_runs_as_simulated():
+    nl = hw.lower(ck.load_checkpoint(V5_FIXTURE).net)
     bits = hw.encode_pm1(exhaustive_pm1(8))
     assert np.array_equal(run_netlist_text(nl, hw.emit_verilog(nl), bits), hw.simulate(nl, bits))
 
 
-def test_v4_fixture_expanded_hardens_to_its_hardware():
+def test_v5_fixture_expanded_hardens_to_its_hardware():
     # a hardened checkpoint is its expanded checkpoint plus frac_bits
-    net = ck.from_dict(dict(_v4_dict(), stage="expanded", frac_bits=None)).net
+    net = ck.from_dict(dict(_v5_dict(), stage="expanded", frac_bits=None)).net
     assert net.stage == "expanded"
     ex.harden_network(net, frac_bits=8)
     assert bits_digits(md.forward_hardened_bits(net, exhaustive_pm1(8))) == V1_BITS
     assert verilog_sha256(net) == V1_VERILOG_SHA256
 
 
-@pytest.mark.parametrize("version", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6])
 def test_other_schema_raises_schema_error(version):
-    with pytest.raises(SchemaError, match=f"checkpoint schema {version} is not the supported 4"):
-        ck.from_dict(dict(_v4_dict(), schema_version=version))
+    with pytest.raises(SchemaError, match=f"checkpoint schema {version} is not the supported 5"):
+        ck.from_dict(dict(_v5_dict(), schema_version=version))
+
+
+def _as_lists(raw):
+    """raw with every typed array written as schema 4 wrote it: nested JSON
+    lists, a mask as 0s and 1s."""
+    def lists(node):
+        if isinstance(node, dict) and sorted(node) == ["data", "dtype", "shape"]:
+            a = decode_array(node)
+            return (a.astype(int) if a.dtype == bool else a).tolist()
+        if isinstance(node, dict):
+            return {key: lists(value) for key, value in node.items()}
+        return [lists(value) for value in node] if isinstance(node, list) else node
+    return dict(raw, layers=lists(raw["layers"]))
+
+
+@pytest.mark.parametrize("version, message", [
+    (4, "checkpoint schema 4 is not the supported 5"),
+    (5, "l0.weights must be a dict, got list")], ids=["schema 4", "lists"])
+def test_list_arrays_are_an_operational_failure(version, message, tmp_path, capsys):
+    # the fixture in the form schema 4 stored it, under its own schema
+    # number and under the current one
+    path = tmp_path / "lists.json"
+    path.write_text(json.dumps(dict(_as_lists(_v5_dict()), schema_version=version)),
+                    encoding="ascii")
+    with pytest.raises(SchemaError, match=message):
+        ck.load_checkpoint(str(path))
+    assert cli.main(["emit", "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and message in out.err
+    assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("text", [b"[" * 200000 + b"]" * 200000,
+                                  b'{"schema_version": 5, "seed": 1' + b"0" * 5000 + b"}"],
+                         ids=["nested 200000 deep", "integer of 5001 digits"])
+def test_undecodable_json_is_an_operational_failure(text, tmp_path, capsys):
+    # json raises RecursionError and ValueError for these, not JSONDecodeError
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    with pytest.raises(SchemaError, match=f"{path}: corrupt checkpoint"):
+        ck.load_checkpoint(str(path))
+    assert cli.main(["emit", "--ckpt", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and str(path) in out.err
+    assert "Traceback" not in out.out + out.err
 
 
 def _stage_forward(net, x):
@@ -163,7 +212,7 @@ def _fully_pruned_stages():
 
 @pytest.mark.parametrize("stage", ["expanded", "hardened"])
 def test_fully_pruned_layer_round_trips(stage, tmp_path):
-    # tolist() of the (0, K) indices is [], which numpy reads as float64
+    # the (0, K) indices hold no bytes: their shape alone has the K
     net = _fully_pruned_stages()[stage]
     assert net.layers[2].lut.indices.shape == (0, 3)
     first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -184,8 +233,11 @@ def _prune_all_of_l2(k):
     empty LUT block at K = k."""
     def tamper(raw):
         layer = raw["layers"][2]
-        layer["prune_mask"] = [[0] * len(r) for r in layer["prune_mask"]]
-        layer["lut"].update(k=k, offsets=[0, 0, 0, 0], indices=[], coeffs=[[], []])
+        layer["prune_mask"] = edit_array(layer["prune_mask"], np.zeros_like)
+        lut = layer["lut"]
+        lut.update(k=k, offsets=edit_array(lut["offsets"], np.zeros_like),
+                   indices=edit_array(lut["indices"], lambda ix: np.zeros((0, k), np.int64)),
+                   coeffs=edit_array(lut["coeffs"], lambda c: np.zeros((2, 0, 1 << k))))
     return tamper
 
 
@@ -206,7 +258,7 @@ def test_schema2_stores_nothing_derivable():
     assert pruned["layers"][2]["phase1_weights"] is not None
     for stage, net in stages.items():
         raw = ck.to_dict(ck.Checkpoint(net))
-        assert raw["schema_version"] == ck.SCHEMA_VERSION == 4
+        assert raw["schema_version"] == ck.SCHEMA_VERSION == 5
         assert "fx" not in raw
         assert raw["frac_bits"] == (8 if stage == "hardened" else None)
         for layer in raw["layers"]:
@@ -235,13 +287,40 @@ def _set(path, value):
     return tamper
 
 
+def _edit(path, change):
+    """Tamper: replace the typed array at path by change(array), encoded in
+    its own dtype and shape."""
+    return _set(path, lambda field: edit_array(field, change))
+
+
+def _entry(path, index, value):
+    """Tamper: set entry index of the typed array at path to value, or to
+    value(entry) if it is callable."""
+    def change(a):
+        a[index] = value(a[index]) if callable(value) else value
+        return a
+    return _edit(path, change)
+
+
+def _values(path, values):
+    """Tamper: the typed array at path holds values, in its dtype."""
+    return _edit(path, lambda a: np.array(values, a.dtype))
+
+
+def _bytes(path, change):
+    """Tamper: replace the data of the typed array at path by change(bytes),
+    base64-encoded."""
+    return _set(path + ("data",),
+                lambda data: base64.b64encode(change(base64.b64decode(data))).decode("ascii"))
+
+
 def _bn_features(n):
     """Tamper: l1, the batch norm after the 4 channels of l0, gets n features."""
     def tamper(raw):
         bn = raw["layers"][1]
         bn["num_features"] = n
         for name in ("gamma", "beta", "running_mean", "running_var"):
-            bn[name] = (bn[name] * 2)[:n]
+            bn[name] = edit_array(bn[name], lambda v: np.tile(v, 2)[:n])
     return tamper
 
 
@@ -280,38 +359,41 @@ TAMPERED = {
     **UNFIT,
     **NOT_OBJECTS,
     "unknown stage": _set(("stage",), "quantised"),
-    "weights not (out, window)": _set(("layers", 0, "weights"), lambda w: [r[:-1] for r in w]),
-    "prune_mask not (out, window)": _set(("layers", 2, "prune_mask"), lambda m: m[:-1]),
-    "offsets not from 0": _set(LUT + ("offsets",), [1, 3, 7, 9]),
-    "offsets decreasing": _set(LUT + ("offsets",), [0, 4, 3, 9]),
-    "offsets not C+1 long": _set(LUT + ("offsets",), [0, 3, 9]),
-    "offsets past N": _set(LUT + ("offsets",), [0, 3, 7, 10]),
-    "indices not (N, K)": _set(LUT + ("indices",), lambda ix: [r[:-1] for r in ix]),
-    "index past window": _set(LUT + ("indices", 0, 1), 4),
-    "negative index": _set(LUT + ("indices", 0, 1), -1),
-    "coeffs not (B, N, 2^K)": _set(LUT + ("coeffs",), lambda c: c[:1]),
-    "gammas not (B,)": _set(LUT + ("gammas",), lambda g: g + [0.5]),
-    "ragged array": _set(("layers", 0, "weights", 1), lambda r: r[:-1]),
-    "non-numeric array": _set(LUT + ("coeffs", 0, 0, 0), "x"),
-    "null in array": _set(("layers", 1, "gamma", 0), None),
+    "weights not (out, window)": _edit(("layers", 0, "weights"), lambda w: w[:, :-1]),
+    "prune_mask not (out, window)": _edit(("layers", 2, "prune_mask"), lambda m: m[:-1]),
+    "offsets not from 0": _values(LUT + ("offsets",), [1, 3, 7, 9]),
+    "offsets decreasing": _values(LUT + ("offsets",), [0, 4, 3, 9]),
+    "offsets not C+1 long": _values(LUT + ("offsets",), [0, 3, 9]),
+    "offsets past N": _values(LUT + ("offsets",), [0, 3, 7, 10]),
+    "indices not (N, K)": _edit(LUT + ("indices",), lambda ix: ix[:, :-1]),
+    "index past window": _entry(LUT + ("indices",), (0, 1), 4),
+    "negative index": _entry(LUT + ("indices",), (0, 1), -1),
+    "coeffs not (B, N, 2^K)": _edit(LUT + ("coeffs",), lambda c: c[:1]),
+    "gammas not (B,)": _edit(LUT + ("gammas",), lambda g: np.append(g, 0.5)),
+    # a typed array holds no ragged rows: a JSON list of them is no typed array
+    "ragged array": _set(("layers", 0, "weights"),
+                         lambda w: [r[:-1] if i == 1 else r
+                                    for i, r in enumerate(decode_array(w).tolist())]),
+    "non-numeric array": _edit(LUT + ("coeffs",), lambda c: c.astype(str)),
+    "null in array": _set(("layers", 1, "gamma", "data"), None),
     "missing field": lambda raw: raw["layers"][0].pop("unrolled"),
-    "infinite weight": _set(("layers", 0, "weights", 0, 0), float("inf")),
-    "NaN coefficient": _set(LUT + ("coeffs", 1, 2, 3), float("nan")),
+    "infinite weight": _entry(("layers", 0, "weights"), (0, 0), np.inf),
+    "NaN coefficient": _entry(LUT + ("coeffs",), (1, 2, 3), np.nan),
     "eps negative": _set(("layers", 1, "eps"), -1.0),
     "eps zero": _set(("layers", 3, "eps"), 0.0),
     "eps NaN": _set(("layers", 1, "eps"), float("nan")),
-    "running_var negative": _set(("layers", 3, "running_var", 1), -0.5),
-    "offsets disagree with prune_mask": _set(LUT + ("offsets",), [0, 1, 5, 9]),
-    "prune_mask disagrees with offsets": _set(("layers", 2, "prune_mask"),
-                                              lambda m: [[1] * len(r) for r in m]),
-    "indices[:, 0] not the unpruned columns": _set(LUT + ("indices", 0, 0),
-                                                   lambda i: (i + 1) % 4),
+    "eps past the float range": _set(("layers", 1, "eps"), 10**400),
+    "running_var negative": _entry(("layers", 3, "running_var"), 1, -0.5),
+    "offsets disagree with prune_mask": _values(LUT + ("offsets",), [0, 1, 5, 9]),
+    "prune_mask disagrees with offsets": _edit(("layers", 2, "prune_mask"), np.ones_like),
+    "indices[:, 0] not the unpruned columns": _entry(LUT + ("indices",), (0, 0),
+                                                     lambda i: (i + 1) % 4),
     "hardened without frac_bits": _set(("frac_bits",), None),
     # rejected by harden_network, which loading runs
     "no batch norm after the layer": lambda raw: raw["layers"].pop(3),
     "frac_bits negative": _set(("frac_bits",), -1),
     "frac_bits past 24": _set(("frac_bits",), 80),
-    "gamma folds to an infinite tau": _set(("layers", 1, "gamma", 0), 1e-320),
+    "gamma folds to an infinite tau": _entry(("layers", 1, "gamma"), 0, 1e-320),
     # integer fields take JSON integers only: int() would truncate the rest
     "frac_bits not an integer": _set(("frac_bits",), 8.7),
     "frac_bits a bool": _set(("frac_bits",), True),
@@ -327,16 +409,28 @@ TAMPERED = {
     # every size is at least 1: [-1, -8] has the 8 inputs the net reads
     "input size zero": _set(("input_shape", 0), 0),
     "input sizes negative": _set(("input_shape",), [-1, -8]),
-    # astype(bool) would read any other integer as True
-    "prune_mask entry 2": _set(("layers", 0, "prune_mask", 0, 0), 2),
-    "prune_mask entry -1": _set(("layers", 2, "prune_mask", 0, 0), -1),
-    # a JSON boolean is no number, not even in a mask of 0s and 1s
-    "gamma all true": _set(("layers", 1, "gamma"), lambda g: [True] * len(g)),
-    "weights all true": _set(("layers", 0, "weights"), lambda w: [[True] * len(r) for r in w]),
-    "coeffs all true": _set(LUT + ("coeffs",),
-                            lambda c: [[[True] * len(t) for t in plane] for plane in c]),
+    # astype(bool) would read any other byte as True
+    "prune_mask entry 2": _bytes(("layers", 0, "prune_mask"), lambda data: b"\2" + data[1:]),
+    "prune_mask entry -1": _bytes(("layers", 2, "prune_mask"), lambda data: b"\xff" + data[1:]),
+    # each array has the one dtype of its field: a bool is no number, a
+    # mask no integer, and a float64 no float32
+    "gamma all true": _edit(("layers", 1, "gamma"), lambda g: np.ones_like(g, bool)),
+    "weights all true": _edit(("layers", 0, "weights"), lambda w: np.ones_like(w, bool)),
+    "coeffs all true": _edit(LUT + ("coeffs",), lambda c: np.ones_like(c, bool)),
     "prune_mask of booleans": _set(("layers", 2, "prune_mask"),
-                                   lambda m: [[bool(v) for v in r] for r in m]),
+                                   lambda m: decode_array(m).tolist()),
+    "prune_mask of integers": _edit(("layers", 2, "prune_mask"), lambda m: m.astype(np.int64)),
+    "weights as float32": _edit(("layers", 0, "weights"), lambda w: w.astype("<f4")),
+    # the shape is JSON integers equal to the field's, and the data strict
+    # base64 of exactly its bytes
+    "weights shape off by one": _set(("layers", 0, "weights", "shape"),
+                                     lambda shape: [shape[0], shape[1] + 1]),
+    "weights shape of floats": _set(("layers", 0, "weights", "shape"),
+                                    lambda shape: [float(d) for d in shape]),
+    "coeffs data with a non-base64 character": _set(LUT + ("coeffs", "data"),
+                                                    lambda data: data[:4] + "*" + data[4:]),
+    "beta data one byte short": _bytes(("layers", 1, "beta"), lambda data: data[:-1]),
+    "coeffs holding the bytes of +inf": _entry(LUT + ("coeffs",), (0, 0, 0), np.inf),
     "log phase not an integer": lambda raw: raw["logs"].append({"phase": 1.5, "rows": []}),
     # a log row is an integer epoch, then the loss, error and omega as finite
     # numbers, and the phase is one of the three
@@ -394,7 +488,16 @@ NAMED_IN_THE_ERROR = {
     "eps a bool": "l3.eps must be a finite number",
     "unrolled a string": "l0.unrolled must be a bool",
     "schema_version not an integer": "schema_version must be an integer",
-    "prune_mask of booleans": "l2.prune_mask holds JSON booleans, which are not numbers",
+    "prune_mask of booleans": "l2.prune_mask must be a dict, got list",
+    "eps past the float range": "l1.eps must be a finite number",
+    "prune_mask of integers": "l2.prune_mask has dtype '<i8', expected '|b1'",
+    "weights as float32": "l0.weights has dtype '<f4', expected '<f8'",
+    "weights shape off by one": r"l0.weights has shape \[4, 9\], expected \[4, 8\]",
+    "weights shape of floats": r"l0.weights has shape \[4.0, 8.0\], expected \[4, 8\]",
+    "coeffs data with a non-base64 character": "l2.lut.coeffs.data must be a base64 string",
+    "beta data one byte short": "l1.beta.data holds 31 bytes, expected 32",
+    "prune_mask entry 2": "l0.prune_mask must hold only 0 and 1",
+    "coeffs holding the bytes of +inf": "l2.lut.coeffs holds non-finite values",
 }
 
 
@@ -409,9 +512,9 @@ def test_tampered_field_is_named_in_the_schema_error(case):
 EMIT_FAILURES = dict(
     TAMPERED,
     # loads, but its threshold does not fit the accumulator at lowering
-    **{"gamma folds to a tau past the accumulator": _set(("layers", 1, "gamma", 0), 1e-300),
-       "weights scale the accumulator past int64": _set(
-           ("layers", 0, "weights"), lambda w: [[v * 2.0 ** 53 for v in r] for r in w])})
+    **{"gamma folds to a tau past the accumulator": _entry(("layers", 1, "gamma"), 0, 1e-300),
+       "weights scale the accumulator past int64": _edit(("layers", 0, "weights"),
+                                                         lambda w: w * 2.0 ** 53)})
 
 
 @pytest.mark.parametrize("case", sorted(EMIT_FAILURES))
@@ -455,9 +558,10 @@ def test_layers_not_objects_are_an_operational_failure(case, command, tmp_path, 
 
 def _field_paths(node, path=()):
     """Every field path of a checkpoint dict: each key of the top level, of
-    each layer, of the lut block and of the logs, and each entry of a list
-    other than a layer's arrays (the layers, input_shape, logs, rows and the
-    values of each row)."""
+    each layer, of the lut block, of each typed array (dtype, shape and
+    data) and of the logs, and each entry of a list other than an array's
+    shape (the layers, input_shape, logs, rows and the values of each
+    row)."""
     for key in (node if isinstance(node, dict) else range(len(node))):
         yield path + (key,)
         child = node[key]
@@ -470,10 +574,13 @@ SWEEP_VALUES = ({}, [], "x", 1.5, True, None, 5, -1, 2**63, [[1]], {"a": 1})
 
 
 def test_any_json_value_in_any_field_loads_or_raises_schema_error():
-    base = _v4_dict()
+    base = _v5_dict()
     _log_row(0, 1.25, 50.0, 1e-3)(base)
     paths = list(_field_paths(base))
     assert ("layers", 2, "lut", "k") in paths and ("logs", 0, "rows", 0, 3) in paths
+    for key in ("dtype", "shape", "data"):
+        assert ("layers", 2, "lut", "coeffs", key) in paths
+        assert ("layers", 0, "prune_mask", key) in paths
     wrong = []
     for path in paths:
         for value in SWEEP_VALUES:

@@ -13,7 +13,7 @@ from lutnet import model as md
 from lutnet.checkpoint import Checkpoint, save_checkpoint, to_dict
 from lutnet.config import RunConfig
 
-from conftest import lfc_small_stages, tiny_stages, untiled_pool_net
+from conftest import edit_array, lfc_small_stages, tiny_stages, untiled_pool_net
 
 
 @pytest.mark.parametrize("epochs", ["1,2", "1,x,1"])
@@ -185,7 +185,8 @@ def test_prune_rejects_a_real_checkpoint_carrying_k_luts(tmp_path, capsys):
 
 def _bad_offsets():
     raw = to_dict(Checkpoint(tiny_stages()[-1][1]))
-    raw["layers"][2]["lut"]["offsets"] = [0, 9, 7, 9]
+    lut = raw["layers"][2]["lut"]
+    lut["offsets"] = edit_array(lut["offsets"], lambda o: np.array([0, 9, 7, 9], o.dtype))
     return json.dumps(raw).encode("ascii")
 
 
@@ -216,7 +217,8 @@ def test_infinite_threshold_is_an_operational_failure(tiny_ckpts, tmp_path, caps
     # beta * sigma / gamma overflows, so this batch norm folds to an infinite tau
     with open(tiny_ckpts["expanded"], encoding="ascii") as f:
         raw = json.load(f)
-    raw["layers"][1]["gamma"][0] = 1e-320
+    raw["layers"][1]["gamma"] = edit_array(raw["layers"][1]["gamma"],
+                                           lambda g: np.concatenate(([1e-320], g[1:])))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw), encoding="ascii")
     out = tmp_path / "out"
@@ -232,7 +234,7 @@ def test_batch_norm_wider_than_its_layer_is_not_hardened(tiny_ckpts, tmp_path, c
     bn = raw["layers"][1]
     bn["num_features"] = 5
     for name in ("gamma", "beta", "running_mean", "running_var"):
-        bn[name].append(bn[name][0])
+        bn[name] = edit_array(bn[name], lambda v: np.append(v, v[0]))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw), encoding="ascii")
     out = tmp_path / "out"

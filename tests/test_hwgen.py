@@ -17,7 +17,7 @@ from lutnet.hwgen import area
 from lutnet.hwgen.netlist import ComputeBlock
 
 from conftest import (area_sha, exhaustive_pm1, fold_initial_scale, netlist_pin, run_netlist_text,
-                      tiny_stages)
+                      table_sha, tiny_stages)
 
 
 def _bits(v, k):
@@ -620,6 +620,24 @@ def test_planted_area_matches_pin(k):
 
 def test_unread_column_area_matches_pin():
     assert area_sha(_unread_column_net()) == UNREAD_AREA
+
+
+# sha256 of area_report(...).to_table(), recorded when to_csv and to_table
+# each wrote their own columns: the tiny net has an engine row, so the
+# engine columns, and the planted nets none
+AREA_TABLES = {
+    "tiny": "7e638ba50368c52a5804f6787d2a2e0f8bb23c5204942a006985d29c9ee4e5c7",
+    "planted-1": "5b1dc5487b490e36213e8a45f76d6aa01e09d48054a2cdf52895af6cce1e8714",
+    "planted-2": "afd29ee3380998236978da1fbbc37c552b65e881e990f4f2d673de8acee7f001",
+    "planted-6": "82e028aa587f94fe7f305b27245045f9e2be5fe689b061dd0845c108849ae369",
+}
+
+
+@pytest.mark.parametrize("case", sorted(AREA_TABLES))
+def test_area_table_matches_pin(case):
+    net = (dict(tiny_stages())["hardened"] if case == "tiny"
+           else _planted_net(int(case.split("-")[1])))
+    assert table_sha(net) == AREA_TABLES[case]
 
 
 def test_lower_rejects_node_inputs_outside_the_window():

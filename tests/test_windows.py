@@ -17,8 +17,8 @@ from lutnet import prune as pr
 from lutnet import training as tr
 from lutnet.errors import DimensionError, FoldError, SchemaError
 
-from conftest import (area_sha, fold_initial_scale, netlist_pin, run_netlist_text, tiny_stages,
-                      traced_training_step, untiled_pool_net)
+from conftest import (area_sha, fold_initial_scale, netlist_pin, run_netlist_text, table_sha,
+                      tiny_stages, traced_training_step, untiled_pool_net)
 
 
 def _randomize_bn(net, seed):
@@ -376,6 +376,22 @@ CONV_STACK_AREA = {
 def test_conv_stack_area_matches_pin(k):
     net = _hardened_conv_stack(k, np.random.default_rng(54 + k))
     assert area_sha(net) == CONV_STACK_AREA[k]
+
+
+# sha256 of area_report(...).to_table() of the conv stack, recorded when
+# to_csv and to_table each wrote their own columns
+CONV_STACK_TABLE = {
+    1: "ad7335cf59f22a4f40f61fa57aef5eda3b76022b8f06b35614d875115c119931",
+    2: "ad7335cf59f22a4f40f61fa57aef5eda3b76022b8f06b35614d875115c119931",
+    3: "ae0a86b8ff6633add6a925fceeac55f5b2f022abfc75c82b4108c7d9a0094aef",
+    4: "9be148bd7c8ab20c73910284a457e59006ce4e1f045e81cae086beef0d61a552",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_stack_area_table_matches_pin(k):
+    net = _hardened_conv_stack(k, np.random.default_rng(54 + k))
+    assert table_sha(net) == CONV_STACK_TABLE[k]
 
 
 def harden_from_expanded(net):
