@@ -1,5 +1,10 @@
 """IDX dataset ingestion plus the bundled toy digit set.
 
+One codec serves every IDX file by the format's header rule: the magic
+0x000008r (unsigned bytes, rank r), r big-endian u32 dimensions, then their
+product in bytes.  load_dataset decides which file of a split must hold
+images (rank 3) and which labels (rank 1).
+
 Images stay in their stored form, uint8 pixel intensities, until a batch
 reaches the network: the layer walk (model._forward_stack) reads a uint8
 input p as p/127.5 - 1, one batch at a time, so a data set holds one byte
@@ -11,6 +16,7 @@ IDX files so the loader path is exercised end to end.  No downloading."""
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -18,13 +24,14 @@ import numpy as np
 
 from .errors import FormatError
 
-IMAGE_MAGIC = 0x00000803   # u8, rank 3
-LABEL_MAGIC = 0x00000801   # u8, rank 1
+U8_MAGIC = 0x00000800   # IDX magic of unsigned bytes; the low byte is the rank
+MAX_RANK = 4            # the highest rank load_idx reads: (count, channels, rows, cols)
 
 TRAIN_IMAGES = "train-images-idx3-ubyte"
 TRAIN_LABELS = "train-labels-idx1-ubyte"
 TEST_IMAGES = "t10k-images-idx3-ubyte"
 TEST_LABELS = "t10k-labels-idx1-ubyte"
+SPLITS = ((TRAIN_IMAGES, TRAIN_LABELS), (TEST_IMAGES, TEST_LABELS))   # train, then test
 TOY_SEED = 123   # the seed of the bundled toy set
 
 
@@ -51,42 +58,25 @@ def _read_body(f, path, offset, want, what):
 
 
 def load_idx(path):
-    """Parse an IDX file: images come back as the stored uint8 pixels, shape
-    (count, rows, cols), labels as int64.  A bad magic number, or a file cut
-    short of or running past the count its header declares, is a
+    """The uint8 array of the shape an IDX file's header declares, rank 1
+    (labels) to MAX_RANK.  A magic of another data type or rank, or a file
+    cut short of or running past the bytes its header declares, is a
     FormatError."""
     with open(path, "rb") as f:
         magic = _read_u32(f, path, 0)
-        if magic == LABEL_MAGIC:
-            raw = _read_body(f, path, 8, _read_u32(f, path, 4), "label")
-            return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-        if magic == IMAGE_MAGIC:
-            count = _read_u32(f, path, 4)
-            rows = _read_u32(f, path, 8)
-            cols = _read_u32(f, path, 12)
-            raw = _read_body(f, path, 16, count * rows * cols, "pixel")
-            return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-        raise FormatError(f"{path}: bad magic 0x{magic:08x} at byte 0")
+        rank = magic - U8_MAGIC
+        if not 1 <= rank <= MAX_RANK:
+            raise FormatError(f"{path}: bad magic 0x{magic:08x} at byte 0")
+        shape = [_read_u32(f, path, 4 * i) for i in range(1, rank + 1)]
+        raw = _read_body(f, path, 4 + 4 * rank, math.prod(shape),
+                         "label" if rank == 1 else "pixel")
+        return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
-def load_idx_images(path):
-    x = load_idx(path)
-    if x.ndim != 3:
-        raise FormatError(f"{path}: expected an image file, found labels")
-    return x
-
-
-def load_idx_labels(path):
-    y = load_idx(path)
-    if y.ndim != 1:
-        raise FormatError(f"{path}: expected a label file, found images")
-    return y
-
-
-def _as_u8(path, values, ndim, what):
-    """values as uint8, FormatError unless they are integers in 0..255 of
-    rank ndim: a plain uint8 cast would wrap 300 to 44 and -1 to 255 and
-    truncate 1.7 to 1."""
+def _save_idx(path, values, ndim, what):
+    """Write values as an IDX file of rank ndim.  FormatError, before the
+    file is opened, unless they are integers in 0..255 of rank ndim: a plain
+    uint8 cast would wrap 300 to 44 and -1 to 255 and truncate 1.7 to 1."""
     values = np.asarray(values)
     if values.ndim != ndim or not np.issubdtype(values.dtype, np.integer):
         raise FormatError(f"{path}: {what} must be a rank-{ndim} integer array; got shape "
@@ -94,24 +84,19 @@ def _as_u8(path, values, ndim, what):
     if values.size and (values.min() < 0 or values.max() > 255):
         raise FormatError(f"{path}: {what} must lie in 0..255; got {values.min()} to "
                           f"{values.max()}")
-    return values.astype(np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + ndim}I", U8_MAGIC | ndim, *values.shape))
+        f.write(values.astype(np.uint8).tobytes())
 
 
 def save_idx_images(path, images):
     """Write (n, rows, cols) integer pixels in 0..255 as an IDX image file."""
-    images = _as_u8(path, images, 3, "images")
-    n, rows, cols = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
+    _save_idx(path, images, 3, "images")
 
 
 def save_idx_labels(path, labels):
     """Write (n,) integer labels in 0..255 as an IDX label file."""
-    labels = _as_u8(path, labels, 1, "labels")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
+    _save_idx(path, labels, 1, "labels")
 
 
 GLYPHS = [
@@ -181,8 +166,7 @@ def generate_toy_dataset(data_dir, n_train=10000, n_test=2000, seed=TOY_SEED):
     """Write the deterministic toy digit set as IDX files under data_dir."""
     os.makedirs(data_dir, exist_ok=True)
     bases = _glyph_bases()
-    for images_file, labels_file, count, salt in ((TRAIN_IMAGES, TRAIN_LABELS, n_train, 0),
-                                                  (TEST_IMAGES, TEST_LABELS, n_test, 1)):
+    for salt, ((images_file, labels_file), count) in enumerate(zip(SPLITS, (n_train, n_test))):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(salt,)))
         labels = rng.integers(0, 10, size=count)
         images = np.concatenate([_render_digits(bases, labels[i:i + RENDER_CHUNK], rng)
@@ -191,22 +175,31 @@ def generate_toy_dataset(data_dir, n_train=10000, n_test=2000, seed=TOY_SEED):
         save_idx_labels(os.path.join(data_dir, labels_file), labels)
 
 
+def _load_rank(path, ndim, kind):
+    """load_idx(path), FormatError unless it has rank ndim."""
+    values = load_idx(path)
+    if values.ndim != ndim:
+        found = {1: "labels", 3: "images"}.get(values.ndim, f"rank {values.ndim}")
+        raise FormatError(f"{path}: expected {kind} file, found {found}")
+    return values
+
+
 def load_dataset(data_dir):
-    """(x_train, y_train, x_test, y_test) from IDX files in data_dir: images
-    as (n, rows*cols) uint8 pixels, labels as int64.  FormatError unless each
-    split holds as many labels as images, at least one."""
-    xtr = load_idx_images(os.path.join(data_dir, TRAIN_IMAGES))
-    ytr = load_idx_labels(os.path.join(data_dir, TRAIN_LABELS))
-    xte = load_idx_images(os.path.join(data_dir, TEST_IMAGES))
-    yte = load_idx_labels(os.path.join(data_dir, TEST_LABELS))
-    for images, labels, x, y in ((TRAIN_IMAGES, TRAIN_LABELS, xtr, ytr),
-                                 (TEST_IMAGES, TEST_LABELS, xte, yte)):
+    """(x_train, y_train, x_test, y_test) from the IDX files of SPLITS in
+    data_dir: images as (n, rows*cols) uint8 pixels, labels widened to int64.
+    FormatError unless each split's images file holds rank-3 images and its
+    labels file rank-1 labels, as many as images, at least one."""
+    arrays = []
+    for images_file, labels_file in SPLITS:
+        x = _load_rank(os.path.join(data_dir, images_file), 3, "an image")
+        y = _load_rank(os.path.join(data_dir, labels_file), 1, "a label")
         if x.shape[0] != y.shape[0]:
-            raise FormatError(f"{data_dir}: {images} holds {x.shape[0]} images but "
-                              f"{labels} {y.shape[0]} labels")
+            raise FormatError(f"{data_dir}: {images_file} holds {x.shape[0]} images but "
+                              f"{labels_file} {y.shape[0]} labels")
         if not x.shape[0]:
-            raise FormatError(f"{data_dir}: {images} holds no images")
-    return xtr.reshape(xtr.shape[0], -1), ytr, xte.reshape(xte.shape[0], -1), yte
+            raise FormatError(f"{data_dir}: {images_file} holds no images")
+        arrays += [x.reshape(x.shape[0], -1), y.astype(np.int64)]
+    return tuple(arrays)
 
 
 def ensure_dataset(data_dir, n_train, n_test):

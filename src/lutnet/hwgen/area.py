@@ -26,7 +26,6 @@ LUT of its own neuron takes one off both need3 and spare2: the same count."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import lru_cache
 

@@ -43,7 +43,7 @@ import re
 import numpy as np
 
 from ..config import FABRIC_K
-from ..errors import PackingError
+from ..errors import ConfigError, PackingError
 from .netlist import (ComputeBlock, EngineBlock, Netlist, PoolBlock, ScaleThresholdCell,
                       plane_nets)
 
@@ -197,7 +197,7 @@ def emit_verilog(netlist: Netlist, style: str = "behavioral") -> dict:
     its cells read, in order of first use, and its output ports the nets it
     exports, in cell order."""
     if style not in ("behavioral", "vendor-primitive"):
-        raise ValueError(f"unknown emission style '{style}'")
+        raise ConfigError(f"unknown emission style '{style}'")
     vendor = style == "vendor-primitive"
     files = {}
     top_wires = []

@@ -83,7 +83,7 @@ import numpy as np
 from . import expand as ex
 from . import numerics as nm
 from . import prune as pr
-from .errors import DimensionError, FoldError, LoweringError, StageError
+from .errors import ConfigError, DimensionError, FoldError, LoweringError, StageError
 
 STAGES = ("real", "pruned", "binarised", "expanded", "hardened")
 REAL_STAGES = STAGES[:2]   # before binarisation: real inputs and latent weights
@@ -308,7 +308,7 @@ def build_preset(preset: str, seed: int, b_levels: int = 2) -> Network:
         ]
         net = Network("cnv", layers, b_levels, (3, 32, 32), seed)
     else:
-        raise ValueError(f"unknown preset '{preset}'")
+        raise ConfigError(f"unknown preset '{preset}'")
     return init_network(net)
 
 
@@ -407,12 +407,15 @@ def steps(net: "Network") -> list:
     order, its windows on the shape in front of it, the batch norm directly
     after it or None, and whether it is the head, the last step, whose batch
     norm stays real.  DimensionError unless each window fits, each batch
-    norm directly follows a windowed layer and has its channels, a dense or
-    conv layer computes, and K-LUT nodes sit where expansion puts them: an
-    unrolled dense or conv layer has a `lut` exactly when the net is
-    expanded or hardened, a time-multiplexed one never."""
+    norm directly follows a windowed layer and has its channels, a softmax
+    is the last layer, a dense or conv layer computes, and K-LUT nodes sit
+    where expansion puts them: an unrolled dense or conv layer has a `lut`
+    exactly when the net is expanded or hardened, a time-multiplexed one
+    never."""
     plan, shape = [], tuple(net.input_shape)
     for idx, layer in enumerate(net.layers):
+        if layer.kind == "softmax" and idx != len(net.layers) - 1:
+            raise DimensionError(f"softmax l{idx} is not the last layer")
         if layer.kind == "batchnorm" and (not idx or net.layers[idx - 1].kind not in WINDOWED):
             raise DimensionError(f"batch norm l{idx} does not follow a dense, conv or maxpool "
                                  f"layer")

@@ -342,6 +342,7 @@ UNFIT = {
     "batch norm wider than its layer": _bn_features(5),
     "batch norm of one feature": _bn_features(1),
     "no dense or conv layer": _set(("layers",), [{"kind": "softmax"}]),
+    "softmax before the last layer": lambda raw: raw["layers"].insert(2, {"kind": "softmax"}),
     # K-LUT nodes sit in exactly the unrolled layers of an expanded or hardened net
     "binarised with a LUT block": _set(("stage",), "binarised"),
     "LUT block on a time-multiplexed layer": _set(("layers", 2, "unrolled"), False),
@@ -498,6 +499,8 @@ NAMED_IN_THE_ERROR = {
     "beta data one byte short": "l1.beta.data holds 31 bytes, expected 32",
     "prune_mask entry 2": "l0.prune_mask must hold only 0 and 1",
     "coeffs holding the bytes of +inf": "l2.lut.coeffs holds non-finite values",
+    "no dense or conv layer": "tiny has no dense or conv layer",
+    "softmax before the last layer": "softmax l2 is not the last layer",
 }
 
 

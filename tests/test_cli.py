@@ -127,6 +127,31 @@ def test_malformed_config_is_a_usage_error(content, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("[data]\nn_trian = 20\n", "unknown key 'n_trian' in [data]"),
+    ("[data]\nn_train = abc\n", "bad value for data.n_train: abc"),
+    ("[model]\nb = 0\n", "B must be >= 1, got 0"),
+    ("[prune]\ntarget_density = 1.5\n", "target density must be in (0, 1], got 1.5"),
+    ("[train]\nepochs1 = 0\n", "epochs must be >= 1 in every phase"),
+    ("[hw]\nstyle = foo\n", "unknown emission style 'foo'"),
+], ids=["unknown_key", "not_an_integer", "b_zero", "density_past_1", "epochs1_zero",
+        "unknown_style"])
+def test_invalid_config_value_is_a_usage_error(content, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(content)
+    argv = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_missing_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert cli.main(["train", "--config", str(cfg), "--data", str(tmp_path / "data")]) == 2
+    assert f"config file not found: {cfg}" in capsys.readouterr().err
+
+
 @pytest.fixture
 def tiny_ckpts(tmp_path):
     """{stage: path} of the tiny network's checkpoints, written in tmp_path."""
@@ -146,6 +171,14 @@ def tiny_ckpts(tmp_path):
 def test_hardware_commands_run_without_prune_settings(argv, tiny_ckpts, tmp_path):
     argv = [tiny_ckpts.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 0
+
+
+def test_prune_without_a_real_checkpoint_is_a_stage_violation(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["prune", "--theta", "0", "--out", str(out)]) == 3
+    assert (f"no real checkpoint at {out / 'ckpt_real.json'}; run the earlier stages first"
+            in capsys.readouterr().err)
 
 
 def test_prune_without_a_setting_is_a_usage_error(tiny_ckpts, tmp_path, capsys):

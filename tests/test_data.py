@@ -34,10 +34,18 @@ def test_a_saved_set_loads_back_as_the_very_bytes_written(tmp_path):
     labels = rng.integers(0, 256, 5)   # int64 in 0..255 is written as bytes too
     dataio.save_idx_images(tmp_path / "images", images)
     dataio.save_idx_labels(tmp_path / "labels", labels)
-    got_images = dataio.load_idx_images(tmp_path / "images")
-    got_labels = dataio.load_idx_labels(tmp_path / "labels")
+    got_images = dataio.load_idx(tmp_path / "images")
+    got_labels = dataio.load_idx(tmp_path / "labels")
     assert got_images.dtype == np.uint8 and np.array_equal(got_images, images)
-    assert got_labels.dtype == np.int64 and np.array_equal(got_labels, labels)
+    assert got_labels.dtype == np.uint8 and np.array_equal(got_labels, labels)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3), (2, 3, 4), (2, 3, 4, 5), (0, 3)])
+def test_load_idx_reads_the_rank_its_header_declares(shape, tmp_path):
+    values = np.random.default_rng(9).integers(0, 256, shape, dtype=np.uint8)
+    (tmp_path / "file").write_bytes(_idx_bytes(values))
+    got = dataio.load_idx(tmp_path / "file")
+    assert got.dtype == np.uint8 and got.shape == shape and np.array_equal(got, values)
 
 
 def test_a_loaded_set_holds_one_byte_per_pixel(toy_dir):
@@ -73,6 +81,17 @@ def _swap(path, other):
     path.write_bytes(other.read_bytes())
 
 
+def _idx_bytes(values):
+    """An IDX file of the uint8 array values, its rank in the magic."""
+    header = struct.pack(f">{1 + values.ndim}I", 0x800 | values.ndim, *values.shape)
+    return header + values.tobytes()
+
+
+def _as_shape(path, *shape):
+    """Rewrite the IDX file at path to hold its bytes in the shape given."""
+    path.write_bytes(_idx_bytes(dataio.load_idx(path).reshape(shape)))
+
+
 # (file of the toy set to spoil, how, the message load_idx gives)
 IDX_FAULTS = {
     "bad magic": (dataio.TRAIN_IMAGES, lambda p: _set_u32(p, 0, 0x0D03),
@@ -98,6 +117,12 @@ IDX_FAULTS = {
     "images for labels": (dataio.TRAIN_LABELS,
                           lambda p: _swap(p, p.parent / dataio.TRAIN_IMAGES),
                           "expected a label file, found images"),
+    "rank-2 file for images": (dataio.TRAIN_IMAGES, lambda p: _as_shape(p, 300, 784),
+                               "expected an image file, found rank 2"),
+    "rank-4 file for images": (dataio.TRAIN_IMAGES, lambda p: _as_shape(p, 300, 1, 28, 28),
+                               "expected an image file, found rank 4"),
+    "rank-2 file for labels": (dataio.TEST_LABELS, lambda p: _as_shape(p, 100, 1),
+                               "expected a label file, found rank 2"),
 }
 
 
@@ -131,3 +156,49 @@ def test_the_idx_writers_refuse_what_a_byte_cannot_hold(write, values, message, 
     with pytest.raises(FormatError, match=re.escape(message)):
         write(path, values)
     assert not path.exists()
+
+
+def _header_mutations(files):
+    """(label, name, spoilt bytes) of the toy set's files {name: bytes}:
+    seeded edits of one of the first 16 bytes, each rank byte of 0, 2, 4, 5
+    and 255, counts of 0 and 2**32 - 1, every cut through the header, and a
+    rank-70 header whose dimensions, all 1 but the first, match the body."""
+    rng = np.random.default_rng(37)
+    names = sorted(files)
+    for i in range(200):
+        name = names[i % 4]
+        at, byte = int(rng.integers(0, 16)), int(rng.integers(0, 256))
+        raw = files[name]
+        yield f"byte {at} = {byte}", name, raw[:at] + bytes([byte]) + raw[at + 1:]
+    for name in names:
+        raw = files[name]
+        rank = raw[3]
+        for r in (0, 2, 4, 5, 255):
+            yield f"rank {r}", name, raw[:3] + bytes([r]) + raw[4:]
+        for count in (0, 2**32 - 1):
+            yield f"count {count}", name, raw[:4] + struct.pack(">I", count) + raw[8:]
+        for size in range(4 + 4 * rank + 1):
+            yield f"cut at {size}", name, raw[:size]
+        body = raw[4 + 4 * rank:]
+        yield "rank 70", name, struct.pack(">71I", 0x800 | 70, len(body), *[1] * 69) + body
+
+
+def test_every_spoilt_idx_header_loads_or_is_a_format_error(tmp_path, capsys):
+    data, out = tmp_path / "data", str(tmp_path / "out")
+    dataio.generate_toy_dataset(data, 20, 10)
+    files = {path.name: path.read_bytes() for path in data.iterdir()}
+    argv = ["train", "--data", str(data), "--out", out, "--epochs", "1,1,1"]
+    for label, name, raw in _header_mutations(files):
+        (data / name).write_bytes(raw)
+        try:
+            dataio.load_dataset(data)
+            message = None
+        except FormatError as e:
+            message = str(e)
+        code, err = cli.main(argv), capsys.readouterr().err
+        assert "Traceback" not in err, (label, name)
+        if message is None:
+            assert code == 0 or (code == 1 and err.startswith("error: ")), (label, name, err)
+        else:
+            assert code == 1 and err == f"error: {message}\n", (label, name, err)
+        (data / name).write_bytes(files[name])

@@ -11,7 +11,7 @@ from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
 from lutnet.config import FABRIC_K
-from lutnet.errors import LoweringError, PackingError, PortError
+from lutnet.errors import ConfigError, LoweringError, PackingError, PortError
 from lutnet.expand import reduce_dont_cares
 from lutnet.hwgen import area
 from lutnet.hwgen.netlist import ComputeBlock
@@ -595,6 +595,34 @@ def test_unread_activation_is_an_internal_wire():
     x = exhaustive_pm1(6)
     assert np.array_equal(hw.simulate(nl, hw.encode_pm1(x)),
                           hw.encode_pm1(md.forward_hardened_bits(net, x)))
+
+
+def test_unread_lut_output_is_an_internal_wire():
+    # the unread-column net with both layers unrolled: l0 is a compute
+    # block, and no node of l2 reads its channel 1
+    layers = [md.DenseLayer(6, 4, unrolled=True), md.BatchNormLayer(4),
+              md.DenseLayer(4, 3, unrolled=True), md.BatchNormLayer(3), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("unreadlut", layers, 2, (6,), 21))
+    pr.prune_threshold(net, 0.0)
+    net.layers[2].prune_mask[:, 1] = False
+    net.layers[2].weights[:, 1] = 0.0
+    pr.binarise_network(net)
+    ex.expand_network(net, k=1, seed=22)
+    ex.harden_network(net, frac_bits=6)
+    nl = hw.lower(net)
+    assert isinstance(nl.blocks[0], ComputeBlock)
+    files = hw.emit_verilog(nl)
+    assert "\nwire act_l0_c1;\n" in files["unreadlut_l0.v"]
+    assert "output wire act_l0_c1" not in files["unreadlut_l0.v"]
+    assert "act_l0_c1" not in files["unreadlut_top.v"] + files["unreadlut_l2.v"]
+    bits = hw.encode_pm1(exhaustive_pm1(6))
+    assert np.array_equal(run_netlist_text(nl, files, bits), hw.simulate(nl, bits))
+
+
+def test_an_unknown_emission_style_is_a_config_error():
+    nl = hw.lower(dict(tiny_stages())["hardened"])
+    with pytest.raises(ConfigError, match="unknown emission style 'foo'"):
+        hw.emit_verilog(nl, style="foo")
 
 
 # sha256 of area_report(...).to_csv(), recorded from the area estimate that

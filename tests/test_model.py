@@ -161,6 +161,45 @@ def test_batchnorm_not_after_windowed_layer_is_rejected(layers, message, walk):
         walk(net, np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("walk", [md.forward, md.forward_real_train])
+def test_a_softmax_before_the_last_layer_is_rejected(walk):
+    # the walk would step over it, as if the first head fed the second dense layer
+    layers = [md.DenseLayer(4, 3), md.BatchNormLayer(3), md.SoftmaxLayer(),
+              md.DenseLayer(3, 3), md.BatchNormLayer(3), md.SoftmaxLayer(), md.SoftmaxLayer()]
+    net = md.init_network(md.Network("midsoftmax", layers, 1, (4,), 3))
+    with pytest.raises(DimensionError, match="softmax l2 is not the last layer"):
+        walk(net, np.ones((2, 4)))
+
+
+def test_a_lone_softmax_computes_nothing():
+    net = md.Network("lone", [md.SoftmaxLayer()], 1, (4,), 3)
+    with pytest.raises(DimensionError, match="lone has no dense or conv layer"):
+        md.steps(net)
+
+
+def test_an_unknown_preset_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown preset 'foo'"):
+        md.build_preset("foo", 0)
+
+
+def test_the_cnv_preset_expands_one_node_per_unpruned_weight():
+    # on 3x32x32 inputs: six 3x3 convs and two pools leave 256 channels at
+    # one position, so the unrolled l12 reads windows of 256 * 3 * 3 inputs
+    net = md.build_preset("cnv", 0, 2)
+    plan = md.steps(net)
+    assert len(plan) == 11
+    assert plan[-1].head and plan[-1].win.out_shape == (10,) and plan[-1].win.positions == 1
+    l12 = next(step for step in plan if step.idx == 12)
+    assert l12.layer.kind == "conv" and l12.layer.unrolled
+    assert l12.win.index_map.shape == (1, 2304)
+    assert [i for i, _l in pr.prunable_layers(net)] == [12]
+    pr.prune_threshold(net, pr.solve_theta_for_density(net, 0.1, tol=1e-5))
+    pr.binarise_network(net)
+    ex.expand_network(net, k=4, seed=0)
+    lut = net.layers[12].lut
+    assert int(net.layers[12].prune_mask.sum()) == lut.indices.shape[0] == lut.offsets[-1] == 58982
+
+
 @pytest.mark.parametrize("call", [lambda net, x, y: tr.evaluate(net, x, y),
                                   lambda net, x, y: tr.run_phase1(net, (x, y), tr.PhaseConfig())],
                          ids=["evaluate", "run_phase1"])
