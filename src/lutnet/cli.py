@@ -1,14 +1,14 @@
 """Pipeline command line: train / prune / expand / harden / simulate / emit /
 area / pipeline, all driven by a config file plus flag overrides.
 
-Each command is one function: train, prune, expand and harden map the
-checkpoint they start from to the one they save; simulate, emit and area take
-the hardened network and its netlist.  A stand-alone command loads its input
-checkpoint and calls its function.  `pipeline` calls them all on one network
-in memory: it loads the data set once, lowers the hardened network once, and
-writes what the commands write (ckpt_{real,binarised,expanded,hardened}.json,
-train_log_phase{1,2,3}.csv, density.csv, verilog/, area.csv) but reads none
-of it back.
+COMMANDS declares each command once: the stage of the checkpoint it loads,
+its function and its help; config.SETTINGS declares each setting's flag.
+train, prune, expand and harden map the checkpoint they load to the one they
+save; simulate, emit and area take the hardened network and its netlist.
+`pipeline` calls them all on one network in memory: it loads the data set
+once, lowers the hardened network once, and writes what the commands write
+(ckpt_{real,binarised,expanded,hardened}.json, train_log_phase{1,2,3}.csv,
+density.csv, verilog/, area.csv) but reads none of it back.
 
 Exit codes: 0 success, 1 operational failure (including a failed differential
 check and a file-system error on a given path), 2 usage errors, 3
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from . import model as md
 from . import prune as pr
 from . import training as tr
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import RunConfig, parse_config
+from .config import SETTINGS, STYLES, RunConfig, parse_config
 from .errors import ConfigError, LutNetError, StageError
 
 
@@ -37,55 +38,29 @@ def _build_parser():
     p = argparse.ArgumentParser(prog="lutnet",
                                 description="K-LUT network training and hardware generation")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in [
-            ("train", "phase-1 high-precision training"),
-            ("prune", "threshold pruning, binarisation and phase-2 retraining"),
-            ("expand", "logic expansion and phase-3 retraining"),
-            ("harden", "check batch norms fold to thresholds, attach fixed point"),
-            ("simulate", "model-vs-netlist differential check"),
-            ("emit", "write Verilog for the lowered netlist"),
-            ("area", "physical LUT area report"),
-            ("pipeline", "run every stage end to end"),
-    ]:
+    types = typing.get_type_hints(RunConfig)
+    for name, (loads, _command, doc) in COMMANDS.items():
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", default=None, help="config file (key=value sections)")
-        if name in ("train", "pipeline"):   # these start from a fresh network
-            sp.set_defaults(ckpt=None)
-        else:
+        if loads is not None:
             sp.add_argument("--ckpt", default=None, help="input checkpoint path override")
-        sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--data", default=None, help="dataset directory override")
-        sp.add_argument("--preset", default=None)
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--b", type=int, default=None)
-        prune_by = sp.add_mutually_exclusive_group()
-        prune_by.add_argument("--theta", type=float, default=None)
-        prune_by.add_argument("--density", type=float, default=None)
-        sp.add_argument("--lambda", dest="lam", type=float, default=None)
+        prune_by = sp.add_mutually_exclusive_group()   # a run prunes by theta or by density
+        for section, key, field, flag in SETTINGS:
+            if flag is not None:
+                (prune_by if section == "prune" else sp).add_argument(
+                    flag, dest=field, type=types[field], help=f"[{section}] {key}",
+                    choices=STYLES if field == "style" else None)
         sp.add_argument("--epochs", default=None, help="E1,E2,E3")
-        sp.add_argument("--batch", type=int, default=None)
-        sp.add_argument("--lr", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--frac-bits", type=int, default=None)
-        sp.add_argument("--style", default=None,
-                        choices=["behavioral", "vendor-primitive"])
-        sp.add_argument("--vectors", type=int, default=None)
     return p
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    simple = {"preset": "preset", "k": "k", "b": "b", "lam": "lam", "batch": "batch_size",
-              "lr": "lr", "seed": "seed", "frac_bits": "frac_bits", "style": "style",
-              "vectors": "vectors", "out": "out_dir", "data": "data_dir"}
-    for arg_name, cfg_name in simple.items():
-        value = getattr(args, arg_name)
-        if value is not None:
-            setattr(cfg, cfg_name, value)
-    if args.theta is not None:
-        cfg.theta, cfg.target_density = args.theta, None
-    if args.density is not None:
-        cfg.target_density, cfg.theta = args.density, None
+    for section, _key, field, flag in SETTINGS:
+        if flag is not None and getattr(args, field) is not None:
+            if section == "prune":   # a prune flag clears the other prune setting
+                cfg.theta = cfg.target_density = None
+            setattr(cfg, field, getattr(args, field))
     if args.epochs is not None:
         try:
             cfg.epochs1, cfg.epochs2, cfg.epochs3 = (int(x) for x in args.epochs.split(","))
@@ -223,25 +198,31 @@ def pipeline(cfg):
     return 0
 
 
-# stage command -> (the stage of the checkpoint it starts from, its function)
-STAGES = {"train": (None, train), "prune": ("real", prune),
-          "expand": ("binarised", expand), "harden": ("expanded", harden)}
-HARDWARE = {"simulate": simulate, "emit": emit, "area": area}
+# command -> (the stage of the checkpoint it starts from or None, its function, its help)
+COMMANDS = {
+    "train": (None, train, "phase-1 high-precision training"),
+    "prune": ("real", prune, "threshold pruning, binarisation and phase-2 retraining"),
+    "expand": ("binarised", expand, "logic expansion and phase-3 retraining"),
+    "harden": ("expanded", harden, "check batch norms fold to thresholds, attach fixed point"),
+    "simulate": ("hardened", simulate, "model-vs-netlist differential check"),
+    "emit": ("hardened", emit, "write Verilog for the lowered netlist"),
+    "area": ("hardened", area, "physical LUT area report"),
+    "pipeline": (None, pipeline, "run every stage end to end"),
+}
 
 
 def _run(cfg, args):
     if args.command in ("prune", "pipeline") and \
             (cfg.theta is None) == (cfg.target_density is None):   # before phase 1 runs
         raise ConfigError("exactly one of theta / target_density must be set")
-    if args.command == "pipeline":
+    loads, command, _doc = COMMANDS[args.command]
+    if command is pipeline:
         return pipeline(cfg)
-    if args.command in HARDWARE:
-        net = _load_stage(cfg, args, "hardened").net
-        nl = None if args.command == "area" else hw.lower(net)   # area_report lowers its own
-        return HARDWARE[args.command](cfg, net, nl)
-    loads, stage = STAGES[args.command]
     ckpt = None if loads is None else _load_stage(cfg, args, loads)
-    stage(cfg, ckpt, lambda: _train_data(cfg))
+    if loads == "hardened":
+        nl = None if command is area else hw.lower(ckpt.net)   # area_report lowers its own
+        return command(cfg, ckpt.net, nl)
+    command(cfg, ckpt, lambda: _train_data(cfg))
     return 0
 
 

@@ -1,16 +1,21 @@
-"""Run configuration: sectioned key=value config files with CLI overrides."""
+"""Run configuration: config files with flag overrides.  SETTINGS is the
+one declaration of each setting, its [section] key, RunConfig field and
+flag; the field's annotation is its type.  parse_config reads a file by
+it, and cli adds and applies the flags from it."""
 
 from __future__ import annotations
 
 import configparser
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError
 
 FABRIC_K = 6   # inputs of the fabric's LUT: the widest node K a network may have
 PRESETS = ("lfc-small", "lfc", "cnv")   # the architectures model.build_preset builds
+STYLES = ("behavioral", "vendor-primitive")   # the Verilog hwgen.emit_verilog writes
 
 
 @dataclass
@@ -62,7 +67,7 @@ class RunConfig:
         for name in ("lr", "lr3_factor"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.style not in ("behavioral", "vendor-primitive"):
+        if self.style not in STYLES:
             raise ConfigError(f"unknown emission style {self.style!r}")
         check_frac_bits(self.frac_bits)
         return self
@@ -78,24 +83,35 @@ def check_frac_bits(frac_bits) -> int:
     return int(frac_bits)
 
 
-_FIELDS = {
-    "model": [("preset", str), ("k", int), ("b", int)],
-    "data": [("data_dir", str), ("n_train", int), ("n_test", int)],
-    "train": [("epochs1", int), ("epochs2", int), ("epochs3", int),
-              ("batch_size", int), ("lr", float), ("lr3_factor", float),
-              ("lambda", float), ("seed", int)],
-    "prune": [("theta", float), ("target_density", float)],
-    "hw": [("frac_bits", int), ("style", str), ("vectors", int)],
-    "io": [("out_dir", str)],
-}
-
-_RENAME = {"lambda": "lam"}
+# (section, key, RunConfig field, flag or None) of every setting
+SETTINGS = (
+    ("model", "preset", "preset", "--preset"),
+    ("model", "k", "k", "--k"),
+    ("model", "b", "b", "--b"),
+    ("data", "data_dir", "data_dir", "--data"),
+    ("data", "n_train", "n_train", None),
+    ("data", "n_test", "n_test", None),
+    ("train", "epochs1", "epochs1", None),   # the three are --epochs E1,E2,E3
+    ("train", "epochs2", "epochs2", None),
+    ("train", "epochs3", "epochs3", None),
+    ("train", "batch_size", "batch_size", "--batch"),
+    ("train", "lr", "lr", "--lr"),
+    ("train", "lr3_factor", "lr3_factor", None),
+    ("train", "lambda", "lam", "--lambda"),
+    ("train", "seed", "seed", "--seed"),
+    ("prune", "theta", "theta", "--theta"),
+    ("prune", "target_density", "target_density", "--density"),
+    ("hw", "frac_bits", "frac_bits", "--frac-bits"),
+    ("hw", "style", "style", "--style"),
+    ("hw", "vectors", "vectors", "--vectors"),
+    ("io", "out_dir", "out_dir", "--out"),
+)
 
 
 def parse_config(path: str) -> RunConfig:
-    """RunConfig from a UTF-8 file of the sections and keys in _FIELDS; any
-    other section or key, or a file configparser cannot read, is a
-    ConfigError."""
+    """RunConfig from a UTF-8 file of the sections and keys in SETTINGS; any
+    other section or key, a key under [DEFAULT], or a file configparser
+    cannot read, is a ConfigError."""
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as f:
@@ -104,26 +120,25 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from e
     except (OSError, UnicodeDecodeError, configparser.Error) as e:
         raise ConfigError(f"{path}: cannot read config: {e}") from e
+    if parser.defaults():   # configparser copies these keys into every section
+        raise ConfigError(f"{path}: unknown section [DEFAULT]")
+    fields = {(section, key): field for section, key, field, _flag in SETTINGS}
     for section in parser.sections():
-        if section not in _FIELDS:
+        if section not in {s for s, _key in fields}:
             raise ConfigError(f"{path}: unknown section [{section}]")
+    types = typing.get_type_hints(RunConfig)
     cfg = RunConfig()
-    for section, fields in _FIELDS.items():
-        if not parser.has_section(section):
-            continue
-        known = {name for name, _t in fields}
+    for section in parser.sections():
         for key in parser[section]:
-            if key not in known:
+            if (section, key) not in fields:
                 raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
-        for name, typ in fields:
-            if parser.has_option(section, name):
-                try:
-                    raw = parser.get(section, name)
-                except configparser.Error as e:   # a bad %-interpolation
-                    raise ConfigError(f"{path}: bad value for {section}.{name}: {e}") from e
-                try:
-                    value = typ(raw)
-                except ValueError as e:
-                    raise ConfigError(f"{path}: bad value for {section}.{name}: {raw}") from e
-                setattr(cfg, _RENAME.get(name, name), value)
+            try:
+                raw = parser.get(section, key)
+            except configparser.Error as e:   # a bad %-interpolation
+                raise ConfigError(f"{path}: bad value for {section}.{key}: {e}") from e
+            field = fields[section, key]
+            try:
+                setattr(cfg, field, types[field](raw))
+            except ValueError as e:
+                raise ConfigError(f"{path}: bad value for {section}.{key}: {raw}") from e
     return cfg

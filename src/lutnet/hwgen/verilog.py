@@ -42,7 +42,7 @@ import re
 
 import numpy as np
 
-from ..config import FABRIC_K
+from ..config import FABRIC_K, STYLES
 from ..errors import ConfigError, PackingError
 from .netlist import (ComputeBlock, EngineBlock, Netlist, PoolBlock, ScaleThresholdCell,
                       plane_nets)
@@ -196,7 +196,7 @@ def emit_verilog(netlist: Netlist, style: str = "behavioral") -> dict:
     names are those netlist.py defines; a module's input ports are the nets
     its cells read, in order of first use, and its output ports the nets it
     exports, in cell order."""
-    if style not in ("behavioral", "vendor-primitive"):
+    if style not in STYLES:
         raise ConfigError(f"unknown emission style '{style}'")
     vendor = style == "vendor-primitive"
     files = {}

@@ -136,13 +136,13 @@ def _train(net: md.Network, data, cfg: RunConfig, phase: int) -> TrainLog:
                     grads[name] = grads[name] + g
             else:   # logged only
                 omega = cfg.lam * _group_norm(net)
+            if not np.isfinite(loss):   # before the step, which would apply it
+                raise TrainingDivergedError(
+                    f"phase {phase} loss became non-finite at epoch {epoch}")
             nm.adam_step(params, grads, state, lr=lr)
             for _i, layer in net.compute_layers():
                 if layer.lut is None:
                     layer.weights *= layer.prune_mask
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"phase {phase} loss became non-finite at epoch {epoch}")
             tot_loss += loss
             tot_omega += omega
             correct += int(np.sum(np.argmax(logits, axis=1) == y[idx]))

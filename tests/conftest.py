@@ -1,6 +1,9 @@
 import base64
 import copy
+import ctypes
+import glob
 import hashlib
+import os
 import re
 
 import numpy as np
@@ -12,6 +15,25 @@ from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet import numerics as nm
 from lutnet import prune as pr
+
+
+def blas_core():
+    """The name of the kernel numpy's bundled OpenBLAS runs, which the
+    training pins depend on, or "unknown" where no such library or symbol is
+    found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode("ascii", "replace")
+    return "unknown"
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(f"openblas core: {blas_core()}")
 
 
 @pytest.fixture(scope="session")
@@ -179,6 +201,20 @@ def traced_training_step(net, x, labels, monkeypatch):
     layers = {step.idx: (rows[id(step.win)], out[step.idx], d[step.idx], drows.get(id(step.win)))
               for step in walk if step.layer.kind != "maxpool"}
     return grads, layers, len(calls)
+
+
+def byte_mutants(raw, rng, overwrites, cuts):
+    """{case: bytes} of raw with 1-3 seeded bytes set to printable ones,
+    overwrites times, and raw cut at cuts seeded offsets."""
+    cases = {}
+    for _ in range(overwrites):
+        at = np.sort(rng.choice(len(raw), rng.integers(1, 4), replace=False))
+        spoiled = np.frombuffer(raw, np.uint8).copy()
+        spoiled[at] = rng.integers(32, 127, len(at))
+        cases[f"bytes {at.tolist()} set to {spoiled[at].tobytes()!r}"] = spoiled.tobytes()
+    for n in rng.choice(len(raw), cuts, replace=False):
+        cases[f"cut at byte {n}"] = raw[:n]
+    return cases
 
 
 def exhaustive_pm1(n_bits):

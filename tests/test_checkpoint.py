@@ -23,8 +23,8 @@ from lutnet import prune as pr
 from lutnet.errors import SchemaError
 from lutnet.training import TrainLog
 
-from conftest import (decode_array, edit_array, exhaustive_pm1, make_tiny_net, netlist_pin,
-                      run_netlist_text, tiny_stages)
+from conftest import (byte_mutants, decode_array, edit_array, exhaustive_pm1, make_tiny_net,
+                      netlist_pin, run_netlist_text, tiny_stages)
 
 # the hardened net of tiny_stages() as it was when expansion drew each
 # channel's wiring with a generator of its own, saved as schema 4 by the
@@ -337,6 +337,9 @@ def _log_row(*row, phase=1):
 
 
 LUT = ("layers", 2, "lut")
+# the commands that load a hardened checkpoint
+HARDENED_COMMANDS = sorted(name for name, (loads, *_) in cli.COMMANDS.items()
+                           if loads == "hardened")
 # loaded fields that fit each other, but layers that do not fit together
 UNFIT = {
     "batch norm wider than its layer": _bn_features(5),
@@ -533,7 +536,7 @@ def test_bad_checkpoint_is_an_operational_failure_of_emit(case, tmp_path, capsys
 
 
 @pytest.mark.parametrize("case", sorted(UNFIT))
-@pytest.mark.parametrize("command", sorted(cli.HARDWARE))
+@pytest.mark.parametrize("command", HARDENED_COMMANDS)
 def test_unfit_layers_are_an_operational_failure(case, command, tmp_path, capsys):
     raw = _hardened_dict()
     UNFIT[case](raw)
@@ -547,7 +550,7 @@ def test_unfit_layers_are_an_operational_failure(case, command, tmp_path, capsys
 
 
 @pytest.mark.parametrize("case", sorted(NOT_OBJECTS))
-@pytest.mark.parametrize("command", sorted(cli.HARDWARE))
+@pytest.mark.parametrize("command", HARDENED_COMMANDS)
 def test_layers_not_objects_are_an_operational_failure(case, command, tmp_path, capsys):
     raw = _hardened_dict()
     NOT_OBJECTS[case](raw)
@@ -612,7 +615,7 @@ def _conv_pool_dict():
 
 
 @pytest.mark.parametrize("field, value", [("l2.size", 0), ("l2.size", -2), ("l0.stride", 0)])
-@pytest.mark.parametrize("command", sorted(cli.HARDWARE))
+@pytest.mark.parametrize("command", HARDENED_COMMANDS)
 def test_non_positive_geometry_is_an_operational_failure(field, value, command, tmp_path,
                                                          capsys):
     raw = _conv_pool_dict()
@@ -624,3 +627,27 @@ def test_non_positive_geometry_is_an_operational_failure(field, value, command, 
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and f"{field} must be >= 1" in out.err
     assert "Traceback" not in out.out + out.err
+
+
+def test_a_mutated_checkpoint_simulates_exactly_or_is_an_operational_failure(tmp_path, capsys):
+    path = tmp_path / "ckpt.json"
+    argv = ["simulate", "--ckpt", str(path), "--vectors", "256", "--out", str(tmp_path / "out")]
+    wrong, loaded = [], 0
+    with open(V5_FIXTURE, "rb") as f:
+        mutants = byte_mutants(f.read(), np.random.default_rng(13), 100, 40)
+    for case, content in mutants.items():
+        path.write_bytes(content)
+        try:
+            code = cli.main(argv)
+        except Exception as e:   # any exception out of main is the failure
+            wrong.append(f"{case}: {e!r}")
+            continue
+        out = capsys.readouterr()
+        errors = sum(line.startswith("error: ") for line in out.err.splitlines())
+        if code == 0 and "256 vectors, 0 mismatching outputs" in out.out:
+            loaded += 1
+        elif not (code == 1 and out.err.startswith("error: ") and errors == 1):
+            wrong.append(f"{case}: exit {code}, {out.out!r}, {out.err!r}")
+    assert not wrong, "\n".join(wrong)
+    assert loaded > 0, loaded
+

@@ -1,7 +1,10 @@
+import configparser
 import hashlib
 import json
 import os
+import re
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -11,9 +14,10 @@ from lutnet import data as dataio
 from lutnet import hwgen as hw
 from lutnet import model as md
 from lutnet.checkpoint import Checkpoint, save_checkpoint, to_dict
-from lutnet.config import RunConfig
+from lutnet.config import SETTINGS, RunConfig, parse_config
+from lutnet.errors import ConfigError
 
-from conftest import edit_array, lfc_small_stages, tiny_stages, untiled_pool_net
+from conftest import byte_mutants, edit_array, lfc_small_stages, tiny_stages, untiled_pool_net
 
 
 @pytest.mark.parametrize("epochs", ["1,2", "1,x,1"])
@@ -144,6 +148,119 @@ def test_invalid_config_value_is_a_usage_error(content, message, tmp_path, capsy
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+TINY_HARDENED = os.path.join(os.path.dirname(__file__), "data", "tiny_hardened_v5.json")
+TOY_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy.cfg")
+
+
+@pytest.mark.parametrize("content", [
+    "[DEFAULT]\nk = 6\npreset = lfc\n",
+    "[DEFAULT]\nk = 6\n[model]\nb = 3\n",
+    "[DEFAULT]\nn_train = 20\n[model]\nk = 4\n",
+], ids=["default_alone", "default_beside_its_section", "default_beside_another_section"])
+def test_a_default_key_is_a_usage_error(content, tmp_path, capsys):
+    # configparser would copy each [DEFAULT] key into every section
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(content)
+    argv = ["area", "--ckpt", TINY_HARDENED, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_setting_is_declared_once():
+    fields = [field for _section, _key, field, _flag in SETTINGS]
+    assert sorted(fields) == sorted(typing.get_type_hints(RunConfig))
+    assert len({(section, key) for section, key, *_ in SETTINGS}) == len(SETTINGS)
+    flags = [flag for *_, flag in SETTINGS if flag is not None]
+    assert len(set(flags)) == len(flags)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_names_each_flag_with_its_config_key(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, "--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    for section, key, _field, flag in SETTINGS:
+        if flag is not None:
+            assert re.search(rf"\n  {flag} \S+\s+\[{section}\] {key}\n", out), flag
+    assert ("--ckpt" in out) == (cli.COMMANDS[command][0] is not None)
+
+
+def _settings_as_written(path):
+    """{(section, key): raw value} of a config file read with every section
+    as written, [DEFAULT] too."""
+    parser = configparser.ConfigParser(default_section="\0")
+    with open(path, encoding="utf-8") as f:
+        parser.read_file(f)
+    return {(section, key): parser.get(section, key)
+            for section in parser.sections() for key in parser[section]}
+
+
+BAD_VALUES = ("", "-1", "1e400", "nan", "%", "\u00e9t\u00e9")
+
+
+def _config_mutants():
+    """{case: bytes} of configs/toy.cfg with each header and key line
+    deleted; each key given a seeded other key's value and three seeded bad
+    values; a [DEFAULT] line before each line with the file cut at the next
+    header, where no later section can reject the [DEFAULT] keys, and
+    before a seeded sample of lines of the whole file; and seeded cuts and
+    printable byte overwrites."""
+    with open(TOY_CFG, "rb") as f:
+        raw = f.read()
+    rng = np.random.default_rng(11)
+    lines = raw.decode("utf-8").splitlines(keepends=True)
+    keyed = [(i, line.split("=")[0].strip()) for i, line in enumerate(lines) if "=" in line]
+    values = sorted({lines[i].split("=")[1].strip() for i, _key in keyed})
+    cases = {}
+    for i, line in enumerate(lines):
+        if line.strip() and not line.startswith("#"):
+            cases[f"delete line {i + 1}"] = lines[:i] + lines[i + 1:]
+    for i, key in keyed:
+        for value in [str(v) for v in rng.choice(values, 1)] + \
+                [str(v) for v in rng.choice(BAD_VALUES, 3, replace=False)]:
+            cases[f"{key} = {value!r}"] = lines[:i] + [f"{key} = {value}\n"] + lines[i + 1:]
+    for i in range(len(lines) + 1):
+        text = lines[:i] + ["[DEFAULT]\n"] + lines[i:]
+        end = next((j for j in range(i + 1, len(text)) if text[j].startswith("[")), len(text))
+        cases[f"[DEFAULT] before line {i + 1}, cut at the next header"] = text[:end]
+    for i in rng.choice(len(lines), 6, replace=False):
+        cases[f"[DEFAULT] before line {i + 1}"] = lines[:i] + ["[DEFAULT]\n"] + lines[i:]
+    cases = {case: "".join(text).encode("utf-8") for case, text in cases.items()}
+    return {**cases, **byte_mutants(raw, rng, 15, 15)}
+
+
+def test_a_mutated_config_runs_or_is_a_usage_error_and_sets_what_it_says(tmp_path, capsys):
+    path, types = tmp_path / "run.cfg", typing.get_type_hints(RunConfig)
+    fields = {(section, key): field for section, key, field, _flag in SETTINGS}
+    argv = ["area", "--ckpt", TINY_HARDENED, "--config", str(path), "--out", str(tmp_path / "out")]
+    wrong = []
+    for case, content in _config_mutants().items():
+        path.write_bytes(content)
+        try:
+            code = cli.main(argv)
+        except Exception as e:   # any exception out of main is the failure
+            wrong.append(f"{case}: {e!r}")
+            continue
+        err = capsys.readouterr().err
+        if not (code == 0 or code == 2 and err.startswith("error: ")
+                and sum(line.startswith("error: ") for line in err.splitlines()) == 1):
+            wrong.append(f"{case}: exit {code}, {err!r}")
+        try:
+            cfg = parse_config(str(path))
+        except ConfigError:
+            continue
+        for (section, key), value in _settings_as_written(path).items():
+            field = fields.get((section, key))
+            if field is None:
+                wrong.append(f"{case}: [{section}] {key} is no setting, yet the file parsed")
+            elif str(getattr(cfg, field)) != str(types[field](value)):
+                wrong.append(f"{case}: [{section}] {key} = {value!r}, the run holds "
+                             f"{getattr(cfg, field)!r}")
+    assert not wrong, "\n".join(wrong)
 
 
 def test_missing_config_is_a_usage_error(tmp_path, capsys):

@@ -1002,3 +1002,32 @@ def test_phase1_divergence_raises():
     data = (rng.standard_normal((40, 8)), rng.integers(0, 3, 40))
     with pytest.raises(TrainingDivergedError, match="phase 1 loss became non-finite"):
         tr.run_phase1(net, data, tr.PhaseConfig(epochs1=3, batch_size=20, lr=1e10))
+
+
+def test_a_diverged_step_changes_no_parameter(monkeypatch):
+    # the third batch's loss is infinite and its gradients finite
+    net = make_tiny_net()
+    rng = np.random.default_rng(15)
+    data = (rng.standard_normal((40, 8)), rng.integers(0, 3, 40))
+
+    def parameters():
+        return [a.copy() for layer in net.layers for a in
+                (getattr(layer, name, None) for name in ("weights", "gamma", "beta"))
+                if a is not None]
+    at_each_loss, steps = [], []
+
+    def third_infinite(logits, labels, _xent=nm.softmax_xent):
+        loss, grad = _xent(logits, labels)
+        at_each_loss.append(parameters())
+        return (np.inf if len(at_each_loss) == 3 else loss), grad
+
+    def counted(*args, _step=nm.adam_step, **kwargs):
+        steps.append(1)
+        return _step(*args, **kwargs)
+    monkeypatch.setattr(nm, "softmax_xent", third_infinite)
+    monkeypatch.setattr(nm, "adam_step", counted)
+    with pytest.raises(TrainingDivergedError, match="phase 1 loss became non-finite at epoch 1"):
+        tr.run_phase1(net, data, tr.PhaseConfig(epochs1=3, batch_size=20))
+    assert len(steps) == 2 and len(at_each_loss) == 3 and len(at_each_loss[2]) == 6
+    assert all(np.array_equal(a, b) for a, b in zip(parameters(), at_each_loss[2]))
+

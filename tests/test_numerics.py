@@ -1,10 +1,13 @@
+import types
+
 import numpy as np
 import pytest
 
 from lutnet import numerics as nm
 from lutnet.errors import ConfigError, DimensionError, NonFiniteError
 
-from conftest import rel_err
+import conftest
+from conftest import blas_core, rel_err
 
 
 class TestSign:
@@ -208,3 +211,10 @@ class TestAdam:
         with pytest.raises(NonFiniteError, match="w"):
             nm.adam_step(params, {"w": np.array([np.nan])}, nm.AdamState())
         assert params["w"][0] == 1.0
+
+
+@pytest.mark.parametrize("found", [[], [__file__]], ids=["no_library", "not_a_library"])
+def test_the_blas_core_is_unknown_without_the_library(found, monkeypatch):
+    monkeypatch.setattr(conftest, "glob", types.SimpleNamespace(glob=lambda _pattern: found))
+    assert blas_core() == "unknown"
+
